@@ -10,10 +10,11 @@ instead of — a competent build system:
   regex ``include`` scanner with transitive closure, cycle safety, and
   missing-header tolerance.
 - :mod:`repro.buildsys.builddb` — the content-digest
-  :class:`BuildDatabase`: per-unit digests, dependency digests, cached
-  object JSON, and the embedded live :class:`~repro.core.state.CompilerState`
-  (the compiler's dormancy records persist *inside* the build DB, so one
-  file carries everything a rebuild needs).
+  :class:`BuildDatabase`: per-unit digests, dependency digests, object
+  options, cached object JSON and the last link's key; the live
+  :class:`~repro.core.state.CompilerState` persists beside it
+  (:class:`~repro.buildsys.builddb.StateStore`: a compacted base plus an
+  append-only delta log), read and written only by builds that compile.
 - :mod:`repro.buildsys.incremental` — :class:`IncrementalBuilder`: the
   scheduler deciding, per unit, rebuild vs reuse, compiling via
   :mod:`repro.driver` and linking the result.
@@ -28,7 +29,8 @@ instead of — a competent build system:
   ``reprobuild`` CLI consume.
 - :mod:`repro.buildsys.explain` — :class:`RebuildReason` and
   ``reprobuild explain``: why each unit was rebuilt or skipped (source
-  digest change vs header-closure change vs up to date), kept
+  digest change vs header-closure change vs ``-O`` change vs up to
+  date), kept
   decision-identical to :meth:`BuildDatabase.up_to_date`.
 - :mod:`repro.buildsys.audit` — the fingerprint-collision audit behind
   ``reprobuild regress --audit``: re-execute a sample of bypassed

@@ -24,6 +24,7 @@ from repro.buildsys.deps import DependencySnapshot
 REASON_KINDS = (
     "missing-record",
     "source-missing",
+    "options-changed",
     "source-changed",
     "deps-changed",
     "up-to-date",
@@ -49,6 +50,10 @@ class RebuildReason:
     appeared_deps: list[str] = field(default_factory=list)
     #: Headers that existed at build time but are missing now.
     vanished_deps: list[str] = field(default_factory=list)
+    #: Object options of the recorded compile and of this build (see
+    #: :attr:`~repro.driver.CompilerOptions.object_options`).
+    recorded_options: str = ""
+    options: str = ""
 
     @property
     def is_up_to_date(self) -> bool:
@@ -73,6 +78,12 @@ class RebuildReason:
         if self.kind == "source-missing":
             return f"{self.path}: rebuild — source file is missing"
         parts = []
+        if self.kind == "options-changed":
+            parts.append(
+                f"compiler options changed "
+                f"(built with {self.recorded_options or 'unrecorded options'}, "
+                f"now {self.options or 'none'})"
+            )
         if self.source_changed:
             parts.append("source text changed")
         detail = [
@@ -101,6 +112,8 @@ class RebuildReason:
             "removed_deps": list(self.removed_deps),
             "appeared_deps": list(self.appeared_deps),
             "vanished_deps": list(self.vanished_deps),
+            "recorded_options": self.recorded_options,
+            "options": self.options,
         }
 
     @classmethod
@@ -114,25 +127,34 @@ class RebuildReason:
             removed_deps=list(payload.get("removed_deps", [])),
             appeared_deps=list(payload.get("appeared_deps", [])),
             vanished_deps=list(payload.get("vanished_deps", [])),
+            recorded_options=payload.get("recorded_options", ""),
+            options=payload.get("options", ""),
         )
 
 
 def rebuild_reason(
-    record: UnitRecord | None, snapshot: DependencySnapshot
+    record: UnitRecord | None,
+    snapshot: DependencySnapshot,
+    options: str,
 ) -> RebuildReason:
-    """Classify one unit's up-to-date check.
+    """Classify one unit's up-to-date check for a build with object ``options``.
 
     ``reason.is_up_to_date`` is *exactly*
-    ``BuildDatabase.up_to_date(snapshot)`` for the record the snapshot
-    was checked against — the builder schedules from this verdict, so
-    explanation and decision cannot drift.
+    ``BuildDatabase.up_to_date(snapshot, options)`` for the record the
+    snapshot was checked against — the builder schedules from this
+    verdict, so explanation and decision cannot drift.
     """
     if record is None:
         return RebuildReason(path=snapshot.path, kind="missing-record")
     if snapshot.source_digest is None:
         return RebuildReason(path=snapshot.path, kind="source-missing")
 
-    reason = RebuildReason(path=snapshot.path, kind="up-to-date")
+    reason = RebuildReason(
+        path=snapshot.path,
+        kind="up-to-date",
+        recorded_options=record.options,
+        options=options,
+    )
     reason.source_changed = record.source_digest != snapshot.source_digest
     recorded, current = record.dep_digests, snapshot.dep_digests
     for path in sorted(set(recorded) | set(current)):
@@ -148,7 +170,9 @@ def rebuild_reason(
             else:
                 reason.changed_deps.append(path)
 
-    if reason.source_changed:
+    if reason.options != record.options:
+        reason.kind = "options-changed"
+    elif reason.source_changed:
         reason.kind = "source-changed"
     elif reason.deps_changed:
         reason.kind = "deps-changed"
@@ -168,11 +192,16 @@ def top_passes(stats: dict, n: int = 5) -> list[tuple[str, dict]]:
 
 
 def explain_unit(
-    db: BuildDatabase, snapshot: DependencySnapshot, *, top: int = 5
+    db: BuildDatabase,
+    snapshot: DependencySnapshot,
+    options: str,
+    *,
+    top: int = 5,
 ) -> str:
-    """The full ``reprobuild explain <unit>`` text for one unit."""
+    """The full ``reprobuild explain <unit>`` text for one unit, as a
+    build with object ``options`` would decide it."""
     record = db.units.get(snapshot.path)
-    reason = rebuild_reason(record, snapshot)
+    reason = rebuild_reason(record, snapshot, options)
     lines = [reason.describe()]
     if record is None:
         return "\n".join(lines)

@@ -18,7 +18,15 @@ variants plug into.  Per build it:
    merges the returned deltas in unit order, so results are
    deterministic regardless of scheduling);
 4. reuses cached object JSON for up-to-date units;
-5. links everything into one runnable :class:`~repro.backend.linker.LinkedImage`.
+5. links everything into one runnable :class:`~repro.backend.linker.LinkedImage`
+   — or, when the caller only needs the link *checked*
+   (``skip_unchanged_link=True``) and the database says these exact
+   link inputs already linked, skips decoding and linking altogether.
+
+Work is proportional to the edit: a build that compiles no unit never
+loads the compiler state, never ticks its GC clock and stages nothing
+for :meth:`BuildDatabase.save_changes` to write; its state gauges come
+from the summary the database persisted.
 
 The baseline file-level skipping (step 2/4) is deliberately identical
 for both variants: the paper's mechanism is measured as the *additional*
@@ -38,7 +46,9 @@ Failure handling is transactional per unit: when a dirty unit fails to
 compile, every unit that already compiled successfully is still
 recorded in the database (and, stateful, its records merged into the
 live state) before the error propagates — a rebuild after the fix
-recompiles only the broken unit.
+recompiles only the broken unit.  A :class:`~repro.backend.linker.LinkError`
+propagates the same way, after the database has been brought up to
+date and marked as not linked.
 """
 
 from __future__ import annotations
@@ -101,10 +111,12 @@ class IncrementalBuilder:
     def _attach_state(self, compiler: Compiler) -> None:
         """Wire the DB's live compiler state into a stateful compiler.
 
-        An incompatible state (different pipeline signature or
-        fingerprint mode — e.g. the user changed ``-O`` levels) is
-        discarded wholesale: stale dormancy records must never be
-        consulted.  The compiler's fresh state replaces it in the DB.
+        Called only for builds that compile at least one unit: this is
+        where the state is loaded and the GC clock ticks.  An
+        incompatible state (different pipeline signature or fingerprint
+        mode — e.g. the user changed ``-O`` levels) is discarded
+        wholesale: stale dormancy records must never be consulted.  The
+        compiler's fresh state replaces it in the DB.
         """
         state = self.db.live_state
         assert compiler.state is not None
@@ -119,12 +131,21 @@ class IncrementalBuilder:
 
     # -- the build ----------------------------------------------------------
 
-    def build(self, *, link_output: bool = True) -> BuildReport:
+    def build(
+        self, *, link_output: bool = True, skip_unchanged_link: bool = False
+    ) -> BuildReport:
         """Run one incremental build; returns the :class:`BuildReport`.
+
+        ``link_output=False`` never links.  ``skip_unchanged_link=True``
+        is for callers that need the link checked but not the image:
+        when the DB says these exact link inputs last linked
+        successfully, the build neither decodes objects nor links, and
+        ``report.image`` is ``None``.
 
         Raises :class:`repro.frontend.diagnostics.CompileError` (or
         :class:`repro.frontend.includes.IncludeError`) if a dirty unit
-        fails to compile; the database keeps its previous records plus
+        fails to compile, and :class:`repro.backend.linker.LinkError` if
+        the link fails; the database keeps its previous records plus
         the records of every unit that did compile, so a later build
         after the fix is still incremental.
         """
@@ -139,13 +160,10 @@ class IncrementalBuilder:
         self.tracer.add("scan", "phase", scan_start, report.scan_time)
         self.metrics.observe("build.scan_time", report.scan_time)
 
-        compiler = Compiler(self.provider, self.options, tracer=self.tracer)
-        if self.options.stateful:
-            self._attach_state(compiler)
-
+        options = self.options.object_options
         dirty: list[str] = []
         for path in self.unit_paths:
-            reason = rebuild_reason(self.db.units.get(path), snapshots[path])
+            reason = rebuild_reason(self.db.units.get(path), snapshots[path], options)
             report.reasons[path] = reason
             if reason.is_up_to_date:
                 report.up_to_date.append(path)
@@ -157,6 +175,11 @@ class IncrementalBuilder:
             len(dirty),
             len(report.up_to_date),
         )
+
+        compiler = Compiler(self.provider, self.options, tracer=self.tracer)
+        stateful = self.options.stateful and bool(dirty)
+        if stateful:
+            self._attach_state(compiler)
 
         jobs = 1
         if self.build_options.executor != "serial":
@@ -175,15 +198,13 @@ class IncrementalBuilder:
                     compiler, snapshots, dirty, report, objects
                 )
         else:
-            error = self._compile_parallel(
-                compiler, snapshots, dirty, report, objects, jobs
-            )
+            error = self._compile_parallel(compiler, snapshots, dirty, report, jobs)
         report.compile_phase_time = time.perf_counter() - phase_start
         if dirty:
             self.tracer.add("compile", "phase", phase_start, report.compile_phase_time)
         self.metrics.observe("build.compile_phase_time", report.compile_phase_time)
 
-        if self.options.stateful and compiler.state is not None:
+        if stateful:
             if error is None:
                 gc_start = time.perf_counter()
                 with self.profiler.phase("state-gc"):
@@ -192,8 +213,9 @@ class IncrementalBuilder:
                     self.tracer.add(
                         "state-gc", "phase", gc_start, time.perf_counter() - gc_start
                     )
-            self.db.live_state = compiler.state
-            size = compiler.state.size_summary()
+            self.db.stage_state()
+        if self.options.stateful and self.db.state_summary is not None:
+            size = self.db.state_summary
             report.state_records = size["records"]
             report.state_bytes = size["bytes"]
             self.metrics.set_gauge("state.records", size["records"])
@@ -210,12 +232,19 @@ class IncrementalBuilder:
         self.db.prune(self.unit_paths)
 
         if link_output:
-            start = time.perf_counter()
-            with self.profiler.phase("link"):
-                report.image = self._link(objects)
-            report.link_time = time.perf_counter() - start
-            self.tracer.add("link", "phase", start, report.link_time)
-            self.metrics.observe("build.link_time", report.link_time)
+            key = self.db.link_key(self.unit_paths)
+            if skip_unchanged_link and key == self.db.linked:
+                self.metrics.inc("build.links_skipped")
+            else:
+                start = time.perf_counter()
+                if key != self.db.linked:
+                    self.db.mark_linked(None)  # not linked until it succeeds
+                with self.profiler.phase("link"):
+                    report.image = self._link(objects)
+                self.db.mark_linked(key)
+                report.link_time = time.perf_counter() - start
+                self.tracer.add("link", "phase", start, report.link_time)
+                self.metrics.observe("build.link_time", report.link_time)
 
         report.total_wall_time = time.perf_counter() - build_start
         self.tracer.add(
@@ -276,6 +305,7 @@ class IncrementalBuilder:
             self.db.record_unit(
                 snapshots[path],
                 result.object_file.to_json(),
+                options=self.options.object_options,
                 stats=stats.to_dict(),
                 wall_time=wall,
             )
@@ -287,7 +317,6 @@ class IncrementalBuilder:
         snapshots: dict[str, DependencySnapshot],
         dirty: list[str],
         report: BuildReport,
-        objects: dict[str, ObjectFile],
         jobs: int,
     ) -> Exception | None:
         """Worker-pool compilation with deterministic unit-order merging.
@@ -322,7 +351,7 @@ class IncrementalBuilder:
                 if error is None:  # earliest failure in schedule order wins
                     error = self._outcome_error(outcome)
                 continue
-            self._merge_outcome(outcome, snapshots[path], report, objects, compiler)
+            self._merge_outcome(outcome, snapshots[path], report, compiler)
         return error
 
     @staticmethod
@@ -338,7 +367,6 @@ class IncrementalBuilder:
         outcome: UnitOutcome,
         snapshot: DependencySnapshot,
         report: BuildReport,
-        objects: dict[str, ObjectFile],
         compiler: Compiler,
     ) -> None:
         """Fold one successful worker outcome into the build products."""
@@ -364,10 +392,11 @@ class IncrementalBuilder:
                 worker=outcome.worker,
             )
         )
-        objects[outcome.path] = ObjectFile.from_json(outcome.object_json)
+        # No decode here: _link decodes the recorded JSON only if it links.
         self.db.record_unit(
             snapshot,
             outcome.object_json,
+            options=self.options.object_options,
             stats=outcome.stats.to_dict(),
             wall_time=outcome.wall_time,
             worker=outcome.worker,

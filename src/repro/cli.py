@@ -35,7 +35,13 @@ Crash safety & concurrency: builds take an advisory ``flock`` on
 with a "directory is locked" diagnostic), every artifact is written
 with the checksummed atomic protocol in :mod:`repro.persist`, and a
 corrupt build DB is reported and rebuilt from scratch — never a
-traceback.
+traceback.  Compile and link failures exit 1 with a diagnostic, after
+persisting every unit that compiled.
+
+A ``reprobuild`` that finds nothing to recompile reads no compiler
+state and writes no file but the history record; without ``--run`` it
+also skips linking when the build DB says these exact objects last
+linked successfully.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.backend.linker import link
+from repro.backend.linker import LinkError, link
 from repro.buildsys.builddb import BuildDatabase
 from repro.buildsys.incremental import IncrementalBuilder
 from repro.buildsys.parallel import BuildOptions
@@ -293,18 +299,18 @@ def reprobench_parallel_main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def _save_db_or_warn(db: BuildDatabase, path: str) -> bool:
-    """Persist the DB, degrading to a warning when the disk says no.
+def _save_db_or_warn(db: BuildDatabase) -> bool:
+    """Persist the DB's changes, degrading to a warning when the disk says no.
 
     Used on error paths where the build's exit status already reports
     the real problem — a failed cache save must not mask it (and must
     never traceback).
     """
     try:
-        db.save(path)
+        db.save_changes()
         return True
     except OSError as exc:
-        print(f"reprobuild: failed to save build database {path}: {exc}", file=sys.stderr)
+        print(f"reprobuild: failed to save build database {db.path}: {exc}", file=sys.stderr)
         return False
 
 
@@ -432,16 +438,23 @@ def _locked_build(args: argparse.Namespace, project: Project) -> int:
     )
 
     try:
-        report = builder.build()
+        # Without --run nobody needs the image, only the link checked.
+        report = builder.build(skip_unchanged_link=not args.run)
     except CompileError as exc:
         # Units that compiled before the failure are already recorded;
         # persisting them keeps the post-fix rebuild incremental.
-        _save_db_or_warn(db, args.db)
+        _save_db_or_warn(db)
         for diag in exc.diagnostics:
             print(diag.render(), file=sys.stderr)
         return 1
+    except LinkError as exc:
+        # Every unit compiled and is recorded; the DB says "not linked",
+        # so the next build links again even if nothing changes.
+        _save_db_or_warn(db)
+        print(f"reprobuild: link failed: {exc}", file=sys.stderr)
+        return 1
     try:
-        db_bytes = db.save(args.db)
+        db_bytes = db.save_changes()
     except OSError as exc:
         print(
             f"reprobuild: failed to save build database {args.db}: {exc}",
@@ -479,7 +492,8 @@ def _locked_build(args: argparse.Namespace, project: Project) -> int:
     print(f"build: {report.describe()}", file=sys.stderr)
     if options.stateful:
         print(
-            f"state: {report.state_records} records ({db_bytes} bytes with build DB); "
+            f"state: {report.state_records} records ({report.state_bytes} bytes "
+            f"beside a {db_bytes}-byte build DB); "
             f"bypassed {report.bypass.bypassed}/{report.bypass.bypassed + report.bypass.executions} "
             f"pass runs",
             file=sys.stderr,
@@ -518,6 +532,10 @@ def reprobuild_explain_main(argv: list[str] | None = None) -> int:
         "--top", type=int, default=5,
         help="how many passes of the last compile to show (default 5)",
     )
+    parser.add_argument(
+        "-O", dest="opt_level", choices=["0", "1", "2"], default="2",
+        help="optimization level of the build to explain (default 2)",
+    )
     _observability_flags(parser)
     # parse_intermixed_args lets unit positionals follow options
     # ("explain proj --db b.db main.mc"), which plain parse_args rejects.
@@ -553,8 +571,9 @@ def reprobuild_explain_main(argv: list[str] | None = None) -> int:
 
     db = _load_db_or_warn(args.db, "reprobuild explain")
     scanner = DependencyScanner(project.provider())
+    options = CompilerOptions(opt_level=f"O{args.opt_level}").object_options
     for path in units:
-        print(explain_unit(db, scanner.snapshot(path), top=args.top))
+        print(explain_unit(db, scanner.snapshot(path), options, top=args.top))
     return 0
 
 

@@ -14,11 +14,22 @@ the paper's design cares about:
 2. **Sharing** — two identical functions (or the same function in two
    builds) share records for free.
 
-The state file additionally stores the pipeline signature (pass names
-by position) and fingerprint mode; a mismatch invalidates the whole
-state, as does a schema version bump.  Entries unused for
-``gc_max_age`` consecutive builds are garbage-collected so the file
-does not grow without bound as code churns.
+The serialized state additionally stores the pipeline signature (pass
+names by position) and fingerprint mode; a mismatch invalidates the
+whole state, as does a schema version bump.
+
+**The GC clock.**  ``build_counter`` counts builds that compiled at
+least one unit: the build driver calls :meth:`CompilerState.begin_build`
+and :meth:`CompilerState.collect_garbage` only on those.  Entries unused
+for ``gc_max_age`` ticks of that clock are garbage-collected so the
+state does not grow without bound as code churns.  A no-op build does
+not tick it, so any number of no-op builds reclaims nothing.
+
+**Size accounting.**  :attr:`CompilerState.stored_bytes` is the size of
+the state's persisted form, set by whoever last wrote or read it (the
+build DB's state files, or :meth:`CompilerState.save`/:meth:`load` for
+a standalone file).  :meth:`CompilerState.size_summary` reports that
+number and never re-serializes the state to measure it.
 
 For parallel builds the state additionally supports a snapshot/delta
 protocol (:meth:`CompilerState.snapshot`, :meth:`CompilerState.extract_delta`,
@@ -43,7 +54,10 @@ from pathlib import Path
 from repro.obs.metrics import MetricsRegistry
 from repro.persist import CorruptArtifactError, atomic_write, read_artifact
 
-STATE_SCHEMA_VERSION = 3
+#: v4 orders each row ``[position, fingerprint, last_used_build,
+#: dormant, fingerprint_out]`` and stores ``fingerprint_out`` as "" when
+#: it equals the incoming fingerprint (as it does for every dormant record).
+STATE_SCHEMA_VERSION = 4
 
 
 @dataclass
@@ -57,6 +71,23 @@ class DormancyRecord:
     last_used_build: int = 0
 
 
+def encode_records(records: dict[tuple[int, str], DormancyRecord]) -> list[list]:
+    """Records as sorted JSON rows (the base file's and the delta log's format)."""
+    return [
+        [pos, fp, r.last_used_build, int(r.dormant),
+         "" if r.fingerprint_out == fp else r.fingerprint_out]
+        for (pos, fp), r in sorted(records.items())
+    ]
+
+
+def decode_records(rows: list[list]) -> dict[tuple[int, str], DormancyRecord]:
+    """Inverse of :func:`encode_records`."""
+    return {
+        (pos, fp): DormancyRecord(bool(dormant), fp_out or fp, last_used)
+        for pos, fp, last_used, dormant, fp_out in rows
+    }
+
+
 @dataclass
 class StateDelta:
     """Records created or refreshed while compiling against a snapshot.
@@ -68,6 +99,11 @@ class StateDelta:
     by construction a worker only touches records during its own build
     tick — which is what makes merged garbage collection behave exactly
     like a serial build's.
+
+    It is also the unit of persistence: the build database appends the
+    delta of every build that touched the state to its state log
+    (:class:`~repro.buildsys.builddb.StateStore`) instead of rewriting
+    every record.
     """
 
     build_counter: int
@@ -96,6 +132,9 @@ class CompilerState:
     #: Records reclaimed by the most recent :meth:`collect_garbage` of
     #: this process (not persisted; 0 until GC runs).
     last_gc_reclaimed: int = field(default=0, init=False, repr=False, compare=False)
+    #: On-disk bytes of the state as last written or read (0 = never
+    #: persisted); what :meth:`size_summary` reports.
+    stored_bytes: int = field(default=0, init=False, repr=False, compare=False)
     #: Keys touched since :meth:`begin_delta_tracking`; ``None`` = not tracking.
     _touched: set[tuple[int, str]] | None = field(
         default=None, init=False, repr=False, compare=False
@@ -140,7 +179,7 @@ class CompilerState:
             self._touched.add((position, fingerprint_in))
 
     def begin_build(self) -> None:
-        """Advance the build counter (called once per build by the driver)."""
+        """Tick the GC clock (the driver calls it once per compiling build)."""
         self.build_counter += 1
 
     def collect_garbage(self) -> int:
@@ -163,13 +202,14 @@ class CompilerState:
     def size_summary(self) -> dict:
         """Size and GC counters for observability (history/dashboard).
 
-        ``bytes`` is the serialized size — the state's actual footprint
-        in the build database, which is what "monotone state growth"
-        analytics should watch rather than the record count alone.
+        ``bytes`` is :attr:`stored_bytes` — the state's actual on-disk
+        footprint as last written or read, which is what "monotone state
+        growth" analytics should watch rather than the record count
+        alone.  It is never measured by re-serializing the state.
         """
         return {
             "records": self.num_records,
-            "bytes": len(self.to_json()),
+            "bytes": self.stored_bytes,
             "build_counter": self.build_counter,
             "gc_runs": self.gc_runs,
             "gc_reclaimed_total": self.gc_reclaimed_total,
@@ -241,6 +281,8 @@ class CompilerState:
                     existing.last_used_build, incoming.last_used_build
                 )
             self.records[key] = merged
+        if self._touched is not None:
+            self._touched.update(delta.records)
         self.build_counter = max(self.build_counter, delta.build_counter)
         if self._metrics is not None:
             self._metrics.observe("state.merge_time", time.perf_counter() - start)
@@ -266,10 +308,7 @@ class CompilerState:
             "gc_max_age": self.gc_max_age,
             "gc_runs": self.gc_runs,
             "gc_reclaimed": self.gc_reclaimed_total,
-            "records": [
-                [pos, fp, int(r.dormant), r.fingerprint_out, r.last_used_build]
-                for (pos, fp), r in sorted(self.records.items())
-            ],
+            "records": encode_records(self.records),
         }
         return json.dumps(payload, separators=(",", ":"))
 
@@ -287,9 +326,8 @@ class CompilerState:
             gc_max_age=payload.get("gc_max_age", 50),
             gc_runs=payload.get("gc_runs", 0),
             gc_reclaimed_total=payload.get("gc_reclaimed", 0),
+            records=decode_records(payload["records"]),
         )
-        for pos, fp, dormant, fp_out, last_used in payload["records"]:
-            state.records[(pos, fp)] = DormancyRecord(bool(dormant), fp_out, last_used)
         return state
 
     # -- file I/O ----------------------------------------------------------------------
@@ -301,7 +339,10 @@ class CompilerState:
         (:func:`repro.persist.atomic_write`): a crash mid-save leaves
         the previous state file intact, never a torn one.
         """
-        return atomic_write(Path(path), self.to_json().encode("utf-8"), durable=durable)
+        self.stored_bytes = atomic_write(
+            Path(path), self.to_json().encode("utf-8"), durable=durable
+        )
+        return self.stored_bytes
 
     @classmethod
     def load(
@@ -326,14 +367,16 @@ class CompilerState:
         if not path.is_file():
             return fresh
         try:
-            state = cls.from_json(read_artifact(path).decode("utf-8"))
+            blob = read_artifact(path)
+            state = cls.from_json(blob.decode("utf-8"))
         except (
-            ValueError, KeyError, json.JSONDecodeError, OSError,
+            ValueError, KeyError, TypeError, OSError,
             UnicodeDecodeError, CorruptArtifactError,
         ):
             return fresh
         if not state.compatible_with(pipeline_signature, fingerprint_mode):
             return fresh
+        state.stored_bytes = path.stat().st_size
         return state
 
 

@@ -40,6 +40,16 @@ class CompilerOptions:
     #: Verify the final module before codegen.
     verify_output: bool = True
 
+    @property
+    def object_options(self) -> str:
+        """The options an object file depends on, as the build DB records them.
+
+        Only the optimization level: stateful and stateless compiles
+        emit identical objects (property #1), and the policy,
+        fingerprint mode and verification flags never change codegen.
+        """
+        return f"-{self.opt_level}"
+
 
 @dataclass
 class CompileTimings:

@@ -17,10 +17,13 @@ fuzzable property:
    against each other.
 
 When a ``workdir`` is given, the stateful build databases additionally
-round-trip through ``save``/``load`` on real disk between steps, so the
-fuzz property covers the crash-consistent persistence format too — a
-checksum or framing bug shows up as a differential failure, not just a
-unit-test failure.
+round-trip through their files on real disk between steps — a whole
+``save`` on the first step, then ``save_changes`` (delta-log appends and
+compactions of ``<db>.state*``) — and the state read back must equal
+the state in memory record for record, GC clock and counters included.
+So the fuzz property covers the crash-consistent persistence format too:
+a checksum, framing or replay bug shows up as a differential failure,
+not just a unit-test failure.
 
 Run standalone (CI does, with a fixed seed)::
 
@@ -46,7 +49,7 @@ class Divergence:
     """One observed difference between build variants."""
 
     step: int
-    kind: str  # "image" | "object" | "records" | "behaviour"
+    kind: str  # "image" | "object" | "records" | "behaviour" | "persistence"
     detail: str
 
     def describe(self) -> str:
@@ -194,8 +197,19 @@ def run_differential_trace(
         # Optionally round-trip every stateful DB through the on-disk
         # crash-consistent format so the fuzz law covers persistence.
         for j, db_path in db_paths.items():
-            dbs[j].save(db_path)
-            dbs[j] = BuildDatabase.load(db_path)
+            db = dbs[j]
+            if db.path == db_path:
+                db.save_changes()
+            else:
+                db.save(db_path)
+            reloaded = BuildDatabase.load(db_path)
+            if reloaded.live_state != db.live_state:
+                result.divergences.append(Divergence(
+                    step, "persistence",
+                    f"-j {j}: compiler state read back from {db_path.name}.state* "
+                    f"differs from the state in memory",
+                ))
+            dbs[j] = reloaded
 
         result.steps += 1
     return result

@@ -11,6 +11,7 @@ from repro.buildsys.builddb import (
 )
 from repro.buildsys.deps import DependencySnapshot, content_digest
 from repro.core.state import CompilerState
+from repro.persist import atomic_write, read_artifact
 
 
 def snapshot_of(path, text, deps=None):
@@ -33,30 +34,30 @@ def sample_db():
 
 class TestUpToDate:
     def test_unknown_unit_is_dirty(self):
-        assert not BuildDatabase().up_to_date(snapshot_of("m.mc", "x"))
+        assert not BuildDatabase().up_to_date(snapshot_of("m.mc", "x"), "")
 
     def test_recorded_unit_is_clean(self):
         db = BuildDatabase()
         snap = snapshot_of("m.mc", "x", {"h.mh": content_digest("h")})
         db.record_unit(snap, "{}")
-        assert db.up_to_date(snap)
+        assert db.up_to_date(snap, "")
 
     def test_source_change_dirties(self):
         db = BuildDatabase()
         db.record_unit(snapshot_of("m.mc", "x"), "{}")
-        assert not db.up_to_date(snapshot_of("m.mc", "y"))
+        assert not db.up_to_date(snapshot_of("m.mc", "y"), "")
 
     def test_dep_change_dirties(self):
         db = BuildDatabase()
         db.record_unit(snapshot_of("m.mc", "x", {"h.mh": "d1"}), "{}")
-        assert not db.up_to_date(snapshot_of("m.mc", "x", {"h.mh": "d2"}))
-        assert not db.up_to_date(snapshot_of("m.mc", "x", {}))
-        assert not db.up_to_date(snapshot_of("m.mc", "x", {"h.mh": "d1", "i.mh": None}))
+        assert not db.up_to_date(snapshot_of("m.mc", "x", {"h.mh": "d2"}), "")
+        assert not db.up_to_date(snapshot_of("m.mc", "x", {}), "")
+        assert not db.up_to_date(snapshot_of("m.mc", "x", {"h.mh": "d1", "i.mh": None}), "")
 
     def test_missing_source_is_dirty(self):
         db = BuildDatabase()
         db.record_unit(snapshot_of("m.mc", "x"), "{}")
-        assert not db.up_to_date(DependencySnapshot("m.mc", None, {}))
+        assert not db.up_to_date(DependencySnapshot("m.mc", None, {}), "")
 
     def test_prune_drops_vanished_units(self):
         db = BuildDatabase()
@@ -189,14 +190,15 @@ class TestCorruptionContract:
         loaded = BuildDatabase.load(path)
         assert loaded.units.keys() == db.units.keys()
 
-    def test_bad_embedded_state_keeps_units(self, tmp_path):
+    def test_bad_state_file_keeps_units(self, tmp_path):
         # A compiler-state schema bump must not blow away the object cache.
-        payload = json.loads(sample_db().to_json())
-        state = json.loads(payload["state"])
-        state["schema"] = -1
-        payload["state"] = json.dumps(state)
         path = tmp_path / "db"
-        path.write_text(json.dumps(payload))
+        sample_db().save(path)
+        state_path = tmp_path / "db.state"
+        generation, _, body = read_artifact(state_path).partition(b"\n")
+        state = json.loads(body)
+        state["schema"] = -1
+        atomic_write(state_path, generation + b"\n" + json.dumps(state).encode())
         loaded = BuildDatabase.load(path)
         assert "main.mc" in loaded.units
         assert loaded.live_state is None

@@ -19,6 +19,8 @@ FILES = {
     "lone.mc": "int lone() { return 1; }\n",
 }
 UNITS = ["helper.mc", "lone.mc", "main.mc"]
+#: What every build in this file records: the default ``-O2``.
+OPTIONS = CompilerOptions().object_options
 
 
 def built_db(files=FILES, **options):
@@ -31,7 +33,7 @@ def built_db(files=FILES, **options):
 
 def reason_for(db, files, path):
     snapshot = DependencyScanner(MemoryFileProvider(files)).snapshot(path)
-    return rebuild_reason(db.units.get(path), snapshot)
+    return rebuild_reason(db.units.get(path), snapshot, OPTIONS)
 
 
 class TestRebuildReason:
@@ -96,7 +98,7 @@ class TestRebuildReason:
         assert clone == reason
 
     def test_verdict_matches_up_to_date_check(self):
-        """The invariant: reason.is_up_to_date ≡ db.up_to_date(snapshot)."""
+        """The invariant: reason.is_up_to_date ≡ db.up_to_date(snapshot, options)."""
         db = built_db()
         variants = [
             FILES,
@@ -108,25 +110,27 @@ class TestRebuildReason:
             scanner = DependencyScanner(MemoryFileProvider(files))
             for path in UNITS:
                 snapshot = scanner.snapshot(path)
-                reason = rebuild_reason(db.units.get(path), snapshot)
-                assert reason.is_up_to_date == db.up_to_date(snapshot), (
-                    path,
-                    reason.kind,
-                )
+                for options in (OPTIONS, "-O0"):
+                    reason = rebuild_reason(db.units.get(path), snapshot, options)
+                    assert reason.is_up_to_date == db.up_to_date(snapshot, options), (
+                        path,
+                        options,
+                        reason.kind,
+                    )
 
 
 class TestExplainUnit:
     def test_explains_with_last_compile_profile(self):
         db = built_db(stateful=True)
         snapshot = DependencyScanner(MemoryFileProvider(FILES)).snapshot("main.mc")
-        text = explain_unit(db, snapshot)
+        text = explain_unit(db, snapshot, OPTIONS)
         assert "main.mc: up to date" in text
         assert "last compiled in" in text
         assert "top" in text and "work=" in text
 
     def test_never_built_unit_has_no_profile(self):
         snapshot = DependencyScanner(MemoryFileProvider(FILES)).snapshot("main.mc")
-        text = explain_unit(BuildDatabase(), snapshot)
+        text = explain_unit(BuildDatabase(), snapshot, OPTIONS)
         assert "no build record" in text
         assert "last compiled" not in text
 

@@ -197,3 +197,53 @@ class TestStateful:
         assert report.state_records == 0
         assert report.bypass.bypassed == 0
         assert all(u.fingerprint_count == 0 for u in report.compiled)
+
+
+class TestGcClock:
+    def test_noop_builds_neither_age_nor_collect_the_state(self):
+        # Regression: every build used to tick the GC clock, so 51 no-op
+        # builds reclaimed every record and the next edit bypassed nothing.
+        from repro.workload import Edit, EditKind, apply_edit, generate_project, make_preset
+
+        spec = make_preset("small", seed=1)
+        project = generate_project(spec)
+        db = BuildDatabase()
+        options = CompilerOptions(stateful=True)
+
+        def build_tree(project):
+            return IncrementalBuilder(
+                project.provider(), project.unit_paths, options, db
+            ).build(link_output=False)
+
+        build_tree(project)
+        records, clock = db.live_state.num_records, db.live_state.build_counter
+        for _ in range(60):
+            assert build_tree(project).num_recompiled == 0
+        assert db.live_state.build_counter == clock
+        assert db.live_state.num_records == records
+
+        module = spec.modules[0]
+        edited = apply_edit(spec, Edit(EditKind.BODY, module.name, module.functions[0].name))
+        report = build_tree(generate_project(edited))
+        assert report.num_recompiled == 1
+        assert report.bypass.bypassed > 0
+
+
+class TestLinkSkip:
+    def test_unchanged_link_inputs_skip_decode_and_link(self):
+        db = BuildDatabase()
+        assert build(FILES, db).image is not None
+        builder = IncrementalBuilder(MemoryFileProvider(FILES), UNITS, CompilerOptions(), db)
+        report = builder.build(skip_unchanged_link=True)
+        assert report.image is None and not report.linked
+        assert report.metrics["counters"]["build.links_skipped"] == 1
+        # An API caller that asks for the image always gets one.
+        assert build(FILES, db).image is not None
+
+    def test_edit_relinks(self):
+        db = BuildDatabase()
+        build(FILES, db)
+        edited = dict(FILES, **{"main.mc": FILES["main.mc"].replace("14", "15")})
+        builder = IncrementalBuilder(MemoryFileProvider(edited), UNITS, CompilerOptions(), db)
+        report = builder.build(skip_unchanged_link=True)
+        assert VirtualMachine(report.image).run().output == [45]

@@ -1,8 +1,8 @@
 """The crash-recovery matrix: every artifact, every fault point.
 
-For each persistent artifact (build DB with embedded compiler state,
-standalone state file, history JSONL, history index sidecar) the write
-path is first enumerated fault-free, then replayed once per IO
+For each persistent artifact (build DB, its compiler-state base and
+delta log, standalone state file, history JSONL, history index sidecar)
+the write path is first enumerated fault-free, then replayed once per IO
 operation with a crash (or torn write, or IO error) injected exactly
 there.  After every injected fault, reopening the artifact must yield
 either the last good version, the complete new version, or a cleanly
@@ -10,6 +10,8 @@ diagnosed full-rebuild fallback — never an unhandled exception.
 """
 
 import errno
+import shutil
+from dataclasses import replace
 
 import pytest
 
@@ -107,8 +109,14 @@ class TestBuildDatabaseMatrix:
             else:
                 assert units in (set(old.units), set(new.units)), label
                 if units == set(new.units):
+                    # The state files are written before the DB.
                     assert db.live_state is not None
-                    assert len(db.live_state.records) == len(new.live_state.records)
+                    assert db.live_state.records == new.live_state.records, label
+            state = db.live_state
+            if state is not None:
+                assert state.records in (
+                    old.live_state.records, new.live_state.records
+                ), label
             checked += 1
         assert checked == total * 5
 
@@ -128,6 +136,98 @@ class TestBuildDatabaseMatrix:
             except CorruptDatabaseError:
                 pass  # typed, catchable, recoverable
             # anything else propagates and fails the test
+
+
+def saved_state_db(path, records, *, prior_append=False):
+    """A DB saved at ``path`` with a ``records``-record state; returns
+    the state's records as a fresh load sees them."""
+    for stale in path.parent.glob(f"{path.name}*"):
+        stale.unlink()
+    db = BuildDatabase()
+    db.record_unit(snapshot_of("a.mc", "source of a.mc"), "{}")
+    db.live_state = make_state(records)
+    db.save(path)
+    if prior_append:
+        touch_state(BuildDatabase.load(path), add=1, tag="prior").save_changes()
+    return BuildDatabase.load(path).live_state.records
+
+
+def touch_state(db, *, add, reclaim=False, tag="new"):
+    """Change the state like a compiling build would, and stage it."""
+    state = db.live_state
+    state.begin_build()
+    state.lookup(0, "fp0")
+    for i in range(add):
+        state.remember(1000 + i, f"{tag}{i}", True, f"{tag}{i}")
+    if reclaim:
+        state.gc_max_age = 0  # everything this build did not touch
+    state.collect_garbage()
+    db.stage_state()
+    return db
+
+
+def snapshot_records(state):
+    return {key: replace(record) for key, record in state.records.items()}
+
+
+#: (name, records saved, prior log entry, records added, GC reclaims,
+#: staged write) — every way a build's state write can go.
+STATE_SCENARIOS = [
+    ("append", 40, False, 2, False, "append"),
+    ("append-to-log", 40, True, 2, False, "append"),
+    ("compact-gc", 40, True, 2, True, "compact"),
+    ("compact-size", 4, False, 40, False, "compact"),
+]
+
+
+class TestStateLogMatrix:
+    """``<db>.state`` and ``<db>.state.log`` under a fault at every op of
+    :meth:`BuildDatabase.save_changes`: base write, log append, compaction."""
+
+    @pytest.mark.parametrize(
+        "name,saved,prior,add,reclaim,write", STATE_SCENARIOS,
+        ids=[s[0] for s in STATE_SCENARIOS],
+    )
+    def test_every_fault_point_recovers(
+        self, tmp_path, name, saved, prior, add, reclaim, write
+    ):
+        path = tmp_path / "build.reprodb"
+        log = tmp_path / "build.reprodb.state.log"
+
+        def staged():
+            old = saved_state_db(path, saved, prior_append=prior)
+            db = touch_state(BuildDatabase.load(path), add=add, reclaim=reclaim)
+            return old, db, snapshot_records(db.live_state)
+
+        old, db, new = staged()
+        base_before = (tmp_path / "build.reprodb.state").read_bytes()
+        enumeration = count_io_ops(db.save_changes)
+        ops = [op for op, _ in enumeration.log]
+        compacted = (tmp_path / "build.reprodb.state").read_bytes() != base_before
+        assert compacted == (write == "compact"), name
+        assert log.is_file() == (write == "append"), name
+        assert BuildDatabase.load(path).live_state.records == new
+
+        for label, plan in sweep_plans(len(ops)):
+            old, db, new = staged()
+            run_faulted(db.save_changes, plan)
+
+            reopened, _ = BuildDatabase.load_or_empty(path)
+            state = reopened.live_state  # must never raise
+            records = state.records if state is not None else {}
+            index = plan.specs[0].index
+            torn_rename = plan.specs[0].kind == TORN and ops[index] == "replace"
+            # Old or new, never a mixture; an empty state only where a
+            # non-atomic rename tore the base (the lenient-cache fallback).
+            assert records in (old, new) or (torn_rename and records == {}), label
+
+            # The next build's write lands and reads back intact, torn
+            # log tail or not.
+            if state is not None:
+                touch_state(reopened, add=1, tag="after")
+                expected = snapshot_records(state)
+                reopened.save_changes()
+                assert BuildDatabase.load(path).live_state.records == expected, label
 
 
 class TestStateFileMatrix:
@@ -189,6 +289,24 @@ class TestHistoryMatrix:
             assert history.next_seq() == (records[-1].seq + 1 if records else 1), label
 
 
+def stateless_objects(proj):
+    """Object JSON per unit of a clean stateless build of ``proj``."""
+    from repro.buildsys.incremental import IncrementalBuilder
+    from repro.driver import CompilerOptions
+    from repro.workload.project import Project
+
+    project = Project.read_from(proj)
+    db = BuildDatabase()
+    IncrementalBuilder(
+        project.provider(), project.unit_paths, CompilerOptions(), db
+    ).build(link_output=False)
+    return {path: record.object_json for path, record in db.units.items()}
+
+
+def built_objects(db_path):
+    return {p: r.object_json for p, r in BuildDatabase.load(db_path).units.items()}
+
+
 class TestEndToEndCrashRecovery:
     """A real reprobuild killed mid-persist, then run again."""
 
@@ -210,8 +328,10 @@ class TestEndToEndCrashRecovery:
         ]
         assert reprobuild_main(argv) == 0
 
-        # Kill every nth write across a full rebuild's persistence...
+        # Kill every nth write across an edit build's persistence...
+        unit = sorted((project_dir / "proj").glob("*.mc"))[0]
         for index in range(0, 12, 3):
+            unit.write_text(unit.read_text() + f"\n// edit {index}\n")
             with inject_faults(FaultPlan.kill_at(index, "write")):
                 try:
                     reprobuild_main(argv)
@@ -222,3 +342,91 @@ class TestEndToEndCrashRecovery:
             assert reprobuild_main(argv) == 0, f"write#{index}"
             err = capsys.readouterr().err
             assert "Traceback" not in err
+
+    def test_stateful_edit_build_killed_at_every_io_op(self, project_dir, capsys):
+        from repro.cli import reprobuild_main
+        from repro.workload import Edit, EditKind, apply_edit, generate_project
+        from repro.workload.spec import make_preset
+
+        proj, db_path = project_dir / "proj", project_dir / "build.reprodb"
+        argv = [
+            str(proj), "--db", str(db_path),
+            "--stateful", "--no-history", "--no-lock", "-j", "1",
+        ]
+        spec = make_preset("tiny", seed=3)
+        assert reprobuild_main(argv) == 0
+        saved = project_dir / "saved"
+        saved.mkdir()
+        for f in project_dir.glob("build.reprodb*"):
+            shutil.copy(f, saved / f.name)
+        module = spec.modules[0]
+        edited = apply_edit(spec, Edit(EditKind.BODY, module.name, module.functions[0].name))
+
+        def edit_build():
+            generate_project(edited).write_to(proj)
+            return reprobuild_main(argv)
+
+        total = count_io_ops(edit_build).total_ops
+        reference = stateless_objects(proj)
+        for index in range(total):
+            for kind in (KILL, TORN):
+                for f in project_dir.glob("build.reprodb*"):
+                    f.unlink()
+                for f in saved.iterdir():
+                    shutil.copy(f, project_dir / f.name)
+                generate_project(spec).write_to(proj)
+                try:
+                    run_faulted(edit_build, FaultPlan([FaultSpec(kind, None, index)]))
+                finally:
+                    capsys.readouterr()
+                # The next build recovers by itself, without a traceback,
+                # and its objects are the stateless compiler's.
+                assert reprobuild_main(argv) == 0, (kind, index)
+                assert "Traceback" not in capsys.readouterr().err
+                assert built_objects(db_path) == reference, (kind, index)
+
+
+class TestStateAndDbDrift:
+    """The DB and the state files are written separately, so a crash can
+    pair either one's new version with the other's old one.  Records are
+    content-keyed facts, so every pairing still builds exactly what the
+    stateless compiler builds."""
+
+    def test_every_old_new_pairing_builds_identical_objects(self, tmp_path, capsys):
+        from repro.cli import reprobuild_main
+        from repro.workload import Edit, EditKind, apply_edit, generate_project
+        from repro.workload.spec import make_preset
+
+        proj, db_path = tmp_path / "proj", tmp_path / "build.reprodb"
+        argv = [
+            str(proj), "--db", str(db_path),
+            "--stateful", "--no-history", "--no-lock", "-j", "1",
+        ]
+        spec = make_preset("tiny", seed=5)
+        m0, m1 = spec.modules[:2]
+        first = apply_edit(spec, Edit(EditKind.BODY, m0.name, m0.functions[0].name))
+        on_top = apply_edit(
+            first, Edit(EditKind.CONST_TWEAK, m1.name, m1.functions[0].name)
+        )
+        generations = {}
+        for name, version in (("old", spec), ("new", first)):
+            generate_project(version).write_to(proj)
+            assert reprobuild_main(argv) == 0
+            keep = tmp_path / name
+            keep.mkdir()
+            for f in tmp_path.glob("build.reprodb*"):
+                shutil.copy(f, keep / f.name)
+            generations[name] = keep
+        capsys.readouterr()
+
+        for db_from, state_from in (("old", "new"), ("new", "old")):
+            for f in tmp_path.glob("build.reprodb*"):
+                f.unlink()
+            shutil.copy(generations[db_from] / "build.reprodb", db_path)
+            for f in generations[state_from].glob("build.reprodb.state*"):
+                shutil.copy(f, tmp_path / f.name)
+            # An edit on top, so the mixed state is actually consulted.
+            generate_project(on_top).write_to(proj)
+            assert reprobuild_main(argv) == 0
+            assert "Traceback" not in capsys.readouterr().err
+            assert built_objects(db_path) == stateless_objects(proj)
