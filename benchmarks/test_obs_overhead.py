@@ -1,10 +1,11 @@
-"""Observability overhead guard — disabled tracing must stay <2%.
+"""Observability overhead guard — disabled tracing plus metrics must stay <2%.
 
-The tracer hooks sit on the compiler's hottest paths (one
-``tracer.add`` per executed pass).  When tracing is off those calls hit
-:data:`~repro.obs.trace.NULL_TRACER` no-ops; this guard measures what a
-clean demo build actually pays for them: the per-call no-op cost, times
-the number of hook calls the build makes, against the build's wall
+Two kinds of bookkeeping sit on the compiler's paths.  Tracer hooks
+(unit and phase spans; per-pass spans only when tracing is on) hit
+:data:`~repro.obs.trace.NULL_TRACER` no-ops when tracing is off.  The
+:class:`~repro.obs.metrics.MetricsRegistry` is always on.  This guard
+counts both kinds of call in a clean demo build, prices each at its
+measured per-call cost, and holds the sum to 2% of the build's wall
 time.  It also reports the cost of tracing *enabled* for context (that
 one is informational — users opted in with ``--trace-out``).
 """
@@ -17,19 +18,22 @@ from repro.buildsys.builddb import BuildDatabase
 from repro.buildsys.incremental import IncrementalBuilder
 from repro.driver import CompilerOptions
 from repro.obs.history import BuildHistory, HistoryRecord
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiling import NULL_PROFILER
-from repro.obs.trace import NULL_TRACER, Tracer
+from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.workload.edits import apply_edit, random_edit_sequence
 from repro.workload.generator import generate_project
 from repro.workload.spec import make_preset
 
-#: Acceptance bound: hook calls with tracing disabled cost less than
-#: this fraction of a clean build.
+#: Acceptance bound: tracer no-op calls plus metrics calls cost less
+#: than this fraction of a clean build.
 NOOP_BUDGET = 0.02
 
 #: Acceptance bound: appending one history record costs less than this
 #: fraction of the incremental build it records.
 HISTORY_BUDGET = 0.02
+
+_METRICS_METHODS = ("inc", "observe", "set_gauge")
 
 
 def _clean_build(project, tracer):
@@ -53,19 +57,55 @@ def _noop_call_cost(calls: int = 200_000) -> float:
     return (time.perf_counter() - start) / calls
 
 
-def _hook_calls(report) -> int:
-    """Upper bound on tracer hook calls during the measured build.
+def _metrics_call_cost(calls: int = 200_000) -> float:
+    """Measured seconds per MetricsRegistry.inc call (amortized)."""
+    registry = MetricsRegistry()
+    start = time.perf_counter()
+    for _ in range(calls):
+        registry.inc("passes.executed", 3)
+    return (time.perf_counter() - start) / calls
 
-    One ``add`` per executed/module pass span, per unit span, per
-    compile-phase span (4 per unit), plus a handful of driver phases.
-    Bypassed passes never reach the tracer.
+
+class _CountingNullTracer(NullTracer):
+    """A disabled tracer that counts the no-op calls it receives."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def add(self, *args, **kwargs) -> None:
+        self.calls += 1
+
+    def span(self, *args, **kwargs):
+        self.calls += 1
+        return super().span(*args, **kwargs)
+
+
+def _count_calls(project) -> tuple[int, int]:
+    """(tracer no-op calls, metrics calls) of one clean build.
+
+    Counted in a build of its own, so the counting wrappers never slow
+    the timed builds; a clean build of one project makes the same calls
+    every time.
     """
-    counters = report.metrics["counters"]
-    executed = counters.get("passes.executed", 0) + counters.get(
-        "passes.module_executed", 0
-    )
-    units = report.num_recompiled
-    return executed + 5 * units + 8
+    counted = {"calls": 0}
+    originals = {name: getattr(MetricsRegistry, name) for name in _METRICS_METHODS}
+
+    def counting(original):
+        def wrapper(self, *args, **kwargs):
+            counted["calls"] += 1
+            return original(self, *args, **kwargs)
+
+        return wrapper
+
+    tracer = _CountingNullTracer()
+    try:
+        for name, original in originals.items():
+            setattr(MetricsRegistry, name, counting(original))
+        _clean_build(project, tracer)
+    finally:
+        for name, original in originals.items():
+            setattr(MetricsRegistry, name, original)
+    return tracer.calls, counted["calls"]
 
 
 def test_noop_tracer_overhead_under_budget(benchmark):
@@ -76,14 +116,19 @@ def test_noop_tracer_overhead_under_budget(benchmark):
         report, build_time = sorted(samples, key=lambda s: s[1])[1]
         _, traced_time = _clean_build(project, Tracer())
 
-        calls = _hook_calls(report)
-        per_call = _noop_call_cost()
-        noop_overhead = calls * per_call / build_time
-        return report, build_time, traced_time, calls, per_call, noop_overhead
+        tracer_calls, metrics_calls = _count_calls(project)
+        tracer_cost = tracer_calls * _noop_call_cost() / build_time
+        metrics_cost = metrics_calls * _metrics_call_cost() / build_time
+        return (
+            report, build_time, traced_time,
+            tracer_calls, metrics_calls, tracer_cost, metrics_cost,
+        )
 
-    report, build_time, traced_time, calls, per_call, noop_overhead = run_once(
-        benchmark, experiment
-    )
+    (
+        report, build_time, traced_time,
+        tracer_calls, metrics_calls, tracer_cost, metrics_cost,
+    ) = run_once(benchmark, experiment)
+    overhead = tracer_cost + metrics_cost
 
     publish(
         "obs_overhead",
@@ -91,18 +136,18 @@ def test_noop_tracer_overhead_under_budget(benchmark):
             [
                 "Observability overhead (clean 'small' stateful build)",
                 f"  build wall time          : {build_time:.3f} s",
-                f"  tracer hook calls        : {calls}",
-                f"  no-op cost per call      : {per_call * 1e9:.0f} ns",
-                f"  disabled-tracing overhead: {noop_overhead:.3%} (budget {NOOP_BUDGET:.0%})",
+                f"  tracer no-op calls       : {tracer_calls} ({tracer_cost:.3%})",
+                f"  metrics registry calls   : {metrics_calls} ({metrics_cost:.3%})",
+                f"  always-on overhead       : {overhead:.3%} (budget {NOOP_BUDGET:.0%})",
                 f"  enabled-tracing build    : {traced_time:.3f} s "
                 f"({traced_time / build_time - 1:+.1%}, informational)",
             ]
         ),
     )
 
-    assert noop_overhead < NOOP_BUDGET, (
-        f"disabled tracing costs {noop_overhead:.2%} of a clean build"
-        f" ({calls} calls at {per_call * 1e9:.0f} ns)"
+    assert overhead < NOOP_BUDGET, (
+        f"disabled tracing and metrics cost {overhead:.2%} of a clean build"
+        f" ({tracer_calls} tracer calls, {metrics_calls} metrics calls)"
     )
 
 

@@ -14,7 +14,6 @@ Run:  python examples/quickstart.py
 
 from repro import Compiler, CompilerOptions, MemoryFileProvider, VirtualMachine
 from repro.backend.linker import link
-from repro.core.statistics import summarize_log
 
 SOURCE = """
 int collatz_steps(int n) {
@@ -56,7 +55,7 @@ def main() -> None:
     second = stateful.compile_source("collatz.mc", SOURCE)
 
     for label, res in (("first build ", first), ("second build", second)):
-        stats = summarize_log(res.events)
+        stats = res.stats
         print(f"{label}: {stats.executions:3d} pass runs, "
               f"{stats.dormant_executions:3d} dormant, "
               f"{stats.bypassed:3d} bypassed")

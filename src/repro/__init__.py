@@ -24,7 +24,7 @@ See ``examples/`` for full scenarios.
 """
 
 from repro.buildsys import BuildDatabase, BuildOptions, BuildReport, IncrementalBuilder
-from repro.core import CompilerState, SkipPolicy, StatefulPassManager, summarize_log
+from repro.core import BypassStatistics, CompilerState, SkipPolicy, StatefulPassManager
 from repro.driver import Compiler, CompilerOptions, CompileResult
 from repro.frontend.includes import DiskFileProvider, MemoryFileProvider
 from repro.obs import MetricsRegistry, Tracer
@@ -47,7 +47,7 @@ __all__ = [
     "CompilerState",
     "SkipPolicy",
     "StatefulPassManager",
-    "summarize_log",
+    "BypassStatistics",
     "Compiler",
     "CompilerOptions",
     "CompileResult",

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.driver import Compiler, CompilerOptions
+from repro.passmanager.ledger import BYPASSED, DORMANT
 from repro.workload.edits import apply_edit, random_edit_sequence
 from repro.workload.generator import generate_project
 from repro.workload.spec import make_preset
@@ -40,13 +41,12 @@ def clean_build_dormancy(
     compiler = Compiler(project.provider(), CompilerOptions(opt_level=opt_level))
     counts: dict[tuple[int, str], list[int]] = {}
     for path in project.unit_paths:
-        result = compiler.compile_file(path)
-        for event in result.events.events:
-            if event.position < 0 or event.skipped:
+        for run in compiler.compile_file(path).ledger.runs:
+            if run.position < 0 or run.outcome == BYPASSED:
                 continue
-            entry = counts.setdefault((event.position, event.pass_name), [0, 0])
+            entry = counts.setdefault((run.position, run.pass_name), [0, 0])
             entry[0] += 1
-            entry[1] += 1 if event.dormant else 0
+            entry[1] += run.outcome == DORMANT
     return [
         DormancyRow(name, position, executions, dormant)
         for (position, name), (executions, dormant) in sorted(counts.items())
@@ -91,11 +91,10 @@ def dormancy_persistence(
         compiler = Compiler(project.provider(), CompilerOptions(opt_level=opt_level))
         dormant: dict[tuple[str, str, int], bool] = {}
         for path in project.unit_paths:
-            compile_result = compiler.compile_file(path)
-            for event in compile_result.events.events:
-                if event.position < 0 or event.skipped:
+            for run in compiler.compile_file(path).ledger.runs:
+                if run.position < 0 or run.outcome == BYPASSED:
                     continue
-                dormant[(event.module, event.function, event.position)] = event.dormant
+                dormant[(path, run.function, run.position)] = run.outcome == DORMANT
         return dormant
 
     previous = dormancy_map(generate_project(spec))

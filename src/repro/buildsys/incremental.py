@@ -38,9 +38,10 @@ and a :class:`~repro.obs.metrics.MetricsRegistry`.  Spans cover the
 whole hierarchy (build → phase → unit → pass pipeline → pass); on the
 worker-pool path each worker's spans travel back in its picklable
 outcome and are re-based onto the driver timeline with worker
-attribution.  Every layer (scanner, pass managers, compiler state)
+attribution.  Every layer (scanner, compiler driver, compiler state)
 reports into the one registry, whose snapshot lands in
-:attr:`BuildReport.metrics`.
+:attr:`BuildReport.metrics`; the driver publishes each unit's pass
+counters from its pass ledger, on pool workers as in process.
 
 Failure handling is transactional per unit: when a dirty unit fails to
 compile, every unit that already compiled successfully is still
@@ -284,7 +285,7 @@ class IncrementalBuilder:
                 return exc
             wall = time.perf_counter() - start
 
-            stats = BypassStatistics.from_metrics(result.metrics)
+            stats = result.stats
             self.metrics.merge(result.metrics, source="driver")
             report.bypass.merge(stats)
             report.compiled.append(
@@ -293,12 +294,8 @@ class IncrementalBuilder:
                     wall_time=wall,
                     pass_work=result.pass_work,
                     stats=stats,
-                    fingerprint_time=(
-                        result.overhead.fingerprint_time if result.overhead else 0.0
-                    ),
-                    fingerprint_count=(
-                        result.overhead.fingerprint_count if result.overhead else 0
-                    ),
+                    fingerprint_time=result.ledger.fingerprint_ns / 1e9,
+                    fingerprint_count=result.ledger.fingerprints,
                 )
             )
             objects[path] = result.object_file

@@ -108,7 +108,7 @@ class UnitOutcome:
 
     Everything the build driver needs and nothing it doesn't: the
     object file as JSON (the same representation the build DB caches),
-    pre-summarized statistics instead of the raw event log, and the
+    the folded bypass table instead of the pass ledger's rows, and the
     state delta instead of a whole mutated state.
     """
 
@@ -240,12 +240,11 @@ def compile_unit(
         outcome.profile = profile_stats_table(profiler)
 
     outcome.object_json = result.object_file.to_json()
-    outcome.stats = BypassStatistics.from_metrics(result.metrics)
+    outcome.stats = result.stats
     outcome.metrics = result.metrics
     outcome.pass_work = result.pass_work
-    if result.overhead is not None:
-        outcome.fingerprint_time = result.overhead.fingerprint_time
-        outcome.fingerprint_count = result.overhead.fingerprint_count
+    outcome.fingerprint_time = result.ledger.fingerprint_ns / 1e9
+    outcome.fingerprint_count = result.ledger.fingerprints
     if worker_state is not None:
         outcome.delta = worker_state.extract_delta()
     if trace:

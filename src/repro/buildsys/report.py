@@ -25,13 +25,15 @@ from repro.buildsys.explain import RebuildReason
 from repro.core.statistics import BypassStatistics
 
 #: Current schema: v2 adds ``summary.state_bytes`` and the top-level
-#: ``profile`` table (both absent-tolerant, so v1 payloads still load).
-REPORT_SCHEMA_VERSION = 2
+#: ``profile`` table; v3 adds the integer wall time ``ns`` to every
+#: ``bypass.by_pass`` entry.  All are absent-tolerant, so v1 and v2
+#: payloads still load.
+REPORT_SCHEMA_VERSION = 3
 
 #: Schemas :meth:`BuildReport.from_dict` can still read.  Anything
 #: *newer* than the current version is rejected outright — a future
 #: writer may have changed field meanings this reader cannot know about.
-READABLE_REPORT_SCHEMAS = (1, 2)
+READABLE_REPORT_SCHEMAS = (1, 2, 3)
 
 
 @dataclass

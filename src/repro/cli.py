@@ -57,7 +57,6 @@ from repro.buildsys.incremental import IncrementalBuilder
 from repro.buildsys.parallel import BuildOptions
 from repro.core.policies import SkipPolicy
 from repro.core.state import CompilerState
-from repro.core.statistics import BypassStatistics
 from repro.driver import Compiler, CompilerOptions
 from repro.frontend.diagnostics import CompileError
 from repro.frontend.includes import DiskFileProvider
@@ -188,16 +187,16 @@ def reproc_main(argv: list[str] | None = None) -> int:
     output.write_text(result.object_file.to_json())
 
     if args.stats:
-        stats = BypassStatistics.from_metrics(result.metrics)
+        stats, ledger = result.stats, result.ledger
         print(
             f"passes: executed={stats.executions} dormant={stats.dormant_executions} "
             f"bypassed={stats.bypassed} work={stats.work_executed}",
             file=sys.stderr,
         )
-        if result.overhead:
+        if compiler.state is not None:
             print(
-                f"state overhead: {result.overhead.fingerprint_count} fingerprints "
-                f"({result.overhead.fingerprint_time * 1000:.1f} ms)",
+                f"state overhead: {ledger.fingerprints} fingerprints "
+                f"({ledger.fingerprint_ns / 1e6:.1f} ms)",
                 file=sys.stderr,
             )
 

@@ -13,14 +13,15 @@ builds and bypasses provably-dormant passes:
   state before each function pass, bypassing recorded-dormant ones.
 - :mod:`repro.core.policies` — skip-granularity policies (the paper's
   fine-grained function×pass vs the coarse whole-function baseline).
-- :mod:`repro.core.statistics` — dormancy/bypass accounting.
+- :mod:`repro.core.statistics` — the bypass table, folded from the pass
+  manager's ledger.
 """
 
 from repro.core.inspect import StateSummary, describe_state, summarize_state
 from repro.core.policies import SkipPolicy
 from repro.core.state import CompilerState, DormancyRecord, STATE_SCHEMA_VERSION
 from repro.core.stateful import StatefulPassManager
-from repro.core.statistics import BypassStatistics, summarize_log
+from repro.core.statistics import BypassStatistics
 
 __all__ = [
     "StateSummary",
@@ -32,5 +33,4 @@ __all__ = [
     "STATE_SCHEMA_VERSION",
     "StatefulPassManager",
     "BypassStatistics",
-    "summarize_log",
 ]

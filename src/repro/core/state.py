@@ -148,7 +148,12 @@ class CompilerState:
     # -- observability -------------------------------------------------------
 
     def attach_metrics(self, metrics: MetricsRegistry | None) -> None:
-        """Report record churn and snapshot/merge cost into ``metrics``."""
+        """Report GC, snapshot and merge cost into ``metrics``.
+
+        Per-record traffic (lookups, hits, writes) is counted by the
+        pass manager's ledger instead, so it is counted on pool
+        workers too, whose snapshots carry no sink.
+        """
         self._metrics = metrics
 
     # -- record access ------------------------------------------------------
@@ -160,18 +165,11 @@ class CompilerState:
             record.last_used_build = self.build_counter
             if self._touched is not None:
                 self._touched.add((position, fingerprint))
-            if self._metrics is not None:
-                self._metrics.inc("state.records_refreshed")
         return record
 
     def remember(
         self, position: int, fingerprint_in: str, dormant: bool, fingerprint_out: str
     ) -> None:
-        if self._metrics is not None:
-            key = "state.records_updated" if (
-                (position, fingerprint_in) in self.records
-            ) else "state.records_added"
-            self._metrics.inc(key)
         self.records[(position, fingerprint_in)] = DormancyRecord(
             dormant, fingerprint_out, self.build_counter
         )

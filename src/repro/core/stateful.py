@@ -17,37 +17,25 @@ scratch when the (position, fingerprint) pair has never been seen.
 In the steady state a function costs exactly one fingerprint
 computation, zero re-hashes, and zero dormant-pass executions.
 
-Bookkeeping lives in :class:`StatefulPassManager.overhead` so the
-experiments can report the cost of statefulness separately.
+The cost of statefulness — lookups, hits, records written,
+fingerprints and their nanoseconds — is counted in the pass manager's
+:class:`~repro.passmanager.ledger.PassLedger`, next to the pass outcomes.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 from repro.core.policies import SkipPolicy
-from repro.core.state import CompilerState
+from repro.core.state import CompilerState, DormancyRecord
 from repro.ir.fingerprint import fingerprint_function
 from repro.ir.structure import Function, Module
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, NullTracer
 from repro.passmanager.manager import PassManager
 from repro.passmanager.pipeline import PassPipeline
 
 #: Synthetic "position" for the coarse whole-pipeline records.
 _COARSE_POSITION = -2
-
-
-@dataclass
-class StatefulOverhead:
-    """Cost of maintaining state, reported by the overhead experiment."""
-
-    fingerprint_count: int = 0
-    fingerprint_work: int = 0  # instructions hashed
-    fingerprint_time: float = 0.0
-    lookups: int = 0
-    records_written: int = 0
 
 
 class StatefulPassManager(PassManager):
@@ -61,14 +49,10 @@ class StatefulPassManager(PassManager):
         policy: SkipPolicy = SkipPolicy.FINE_GRAINED,
         verify_each: bool = False,
         tracer: NullTracer = NULL_TRACER,
-        metrics: MetricsRegistry | None = None,
     ):
-        super().__init__(
-            pipeline, verify_each=verify_each, tracer=tracer, metrics=metrics
-        )
+        super().__init__(pipeline, verify_each=verify_each, tracer=tracer)
         self.state = state
         self.policy = policy
-        self.overhead = StatefulOverhead()
         self._fp: str = ""
         self._function_had_changes = False
         self._coarse_skip_all = False
@@ -79,18 +63,24 @@ class StatefulPassManager(PassManager):
     # -- fingerprint maintenance -------------------------------------------
 
     def _compute_fingerprint(self, fn: Function) -> str:
-        start = time.perf_counter()
+        start = time.perf_counter_ns()
         fp = fingerprint_function(fn, mode=self.state.fingerprint_mode)
-        elapsed = time.perf_counter() - start
-        self.overhead.fingerprint_time += elapsed
-        self.overhead.fingerprint_count += 1
-        self.overhead.fingerprint_work += fn.num_instructions
-        self.metrics.inc("fingerprint.count")
-        self.metrics.observe("fingerprint.time", elapsed)
+        self.ledger.fingerprint_ns += time.perf_counter_ns() - start
+        self.ledger.fingerprints += 1
         return fp
 
-    def fingerprint_for_event(self, fn: Function) -> str:
-        return self._fp
+    def _lookup(self, position: int, fingerprint: str) -> DormancyRecord | None:
+        record = self.state.lookup(position, fingerprint)
+        self.ledger.lookups += 1
+        if record is not None:
+            self.ledger.hits += 1
+        return record
+
+    def _remember(
+        self, position: int, fingerprint_in: str, dormant: bool, fingerprint_out: str
+    ) -> None:
+        self.state.remember(position, fingerprint_in, dormant, fingerprint_out)
+        self.ledger.records_written += 1
 
     # -- hooks ------------------------------------------------------------------
 
@@ -100,9 +90,7 @@ class StatefulPassManager(PassManager):
         self._function_had_changes = False
         self._coarse_skip_all = False
         if self.policy is SkipPolicy.COARSE:
-            record = self.state.lookup(_COARSE_POSITION, self._fp)
-            self.overhead.lookups += 1
-            self.metrics.inc("state.lookups")
+            record = self._lookup(_COARSE_POSITION, self._fp)
             self._coarse_skip_all = record is not None and record.dormant
 
     def should_skip(self, fn: Function, module: Module, position: int) -> bool:
@@ -111,9 +99,7 @@ class StatefulPassManager(PassManager):
             return False
         if self.policy is SkipPolicy.COARSE:
             return self._coarse_skip_all
-        self.overhead.lookups += 1
-        self.metrics.inc("state.lookups")
-        record = self.state.lookup(position, self._fp)
+        record = self._lookup(position, self._fp)
         self._pending_record = record
         return record is not None and record.dormant
 
@@ -131,17 +117,13 @@ class StatefulPassManager(PassManager):
                 self._fp = record.fingerprint_out
                 return
             self._fp = self._compute_fingerprint(fn)
-        self.state.remember(position, fingerprint_in, not changed, self._fp)
-        self.overhead.records_written += 1
-        self.metrics.inc("state.records_written")
+        self._remember(position, fingerprint_in, not changed, self._fp)
 
     def end_function(self, fn: Function, module: Module) -> None:
         if self.policy is SkipPolicy.COARSE and not self._coarse_skip_all:
-            self.state.remember(
+            self._remember(
                 _COARSE_POSITION,
                 self._entry_fp,
                 not self._function_had_changes,
                 self._fp,
             )
-            self.overhead.records_written += 1
-            self.metrics.inc("state.records_written")

@@ -1,26 +1,20 @@
 """Dormancy and bypass accounting for compilations.
 
-:class:`BypassStatistics` is the paper's headline ledger: executed vs
-dormant vs bypassed function-pass runs, with a per-pass breakdown.
-Since the observability layer landed it is a *consumer* of the metrics
-registry the pass manager reports into — :meth:`from_metrics` — rather
-than a parallel accounting path; :func:`summarize_log` remains for
-re-deriving the same numbers from a raw event log.
+:class:`BypassStatistics` is the paper's headline table: executed vs
+dormant vs bypassed function-pass runs, with a per-pass breakdown of
+runs, work and wall nanoseconds.  It is one fold
+(:meth:`BypassStatistics.from_ledger`) over the pass manager's
+:class:`~repro.passmanager.ledger.PassLedger`, and merges across units
+and builds.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
-from repro.obs.metrics import MetricsRegistry
-from repro.passmanager.events import PassEventLog
+from repro.passmanager.ledger import BYPASSED, DORMANT, PassLedger
 
-logger = logging.getLogger(__name__)
-
-#: Counter-name prefix for per-pass breakdowns in a metrics registry.
-PASS_METRIC_PREFIX = "pass."
-_BY_PASS_KEYS = ("executed", "dormant", "bypassed", "work")
+_BY_PASS_KEYS = ("executed", "dormant", "bypassed", "work", "ns")
 
 
 @dataclass
@@ -50,11 +44,12 @@ class BypassStatistics:
         self.bypassed += other.bypassed
         self.work_executed += other.work_executed
         for name, counters in other.by_pass.items():
-            mine = self.by_pass.setdefault(
-                name, {"executed": 0, "dormant": 0, "bypassed": 0, "work": 0}
-            )
+            mine = self.by_pass.get(name)
+            if mine is None:
+                self.by_pass[name] = dict(counters)
+                continue
             for key, value in counters.items():
-                mine[key] += value
+                mine[key] = mine.get(key, 0) + value
 
     # -- (de)serialization for machine-readable build reports ----------------
 
@@ -77,65 +72,36 @@ class BypassStatistics:
             bypassed=int(payload.get("bypassed", 0)),
             work_executed=int(payload.get("work_executed", 0)),
         )
+        # Keys a payload lacks stay absent (a schema-2 report has no
+        # "ns"), so a payload round-trips exactly.
         for name, counters in payload.get("by_pass", {}).items():
             stats.by_pass[name] = {
-                key: int(counters.get(key, 0)) for key in _BY_PASS_KEYS
+                key: int(counters[key]) for key in _BY_PASS_KEYS if key in counters
             }
         return stats
 
     @classmethod
-    def from_metrics(cls, metrics: MetricsRegistry) -> "BypassStatistics":
-        """Derive the ledger from pass-manager counters.
-
-        The registry is the source of truth the pass manager writes
-        (``passes.*`` totals, ``pass.<name>.<counter>`` breakdowns);
-        this produces numbers identical to :func:`summarize_log` over
-        the same compilation's event log.
-        """
-        stats = cls(
-            executions=metrics.count("passes.executed"),
-            dormant_executions=metrics.count("passes.dormant"),
-            bypassed=metrics.count("passes.bypassed"),
-            work_executed=metrics.count("passes.work"),
-        )
-        for name, counter in metrics.counters.items():
-            if not name.startswith(PASS_METRIC_PREFIX):
+    def from_ledger(cls, ledger: PassLedger) -> "BypassStatistics":
+        """Fold a ledger's function-pass rows (module prelude excluded)."""
+        by_pass: dict[str, dict[str, int]] = {}
+        for run in ledger.runs:
+            if run.position < 0:
                 continue
-            pass_name, _, key = name[len(PASS_METRIC_PREFIX):].rpartition(".")
-            if not pass_name or key not in _BY_PASS_KEYS:
+            per = by_pass.get(run.pass_name)
+            if per is None:
+                per = by_pass[run.pass_name] = dict.fromkeys(_BY_PASS_KEYS, 0)
+            if run.outcome == BYPASSED:
+                per["bypassed"] += 1
                 continue
-            per = stats.by_pass.setdefault(
-                pass_name, {"executed": 0, "dormant": 0, "bypassed": 0, "work": 0}
-            )
-            per[key] += counter.value
-        return stats
-
-
-def summarize_log(log: PassEventLog) -> BypassStatistics:
-    """Fold one event log into bypass statistics (function passes only)."""
-    stats = BypassStatistics()
-    for event in log.events:
-        if event.position < 0:
-            continue  # module prelude: outside the dormancy mechanism
-        per = stats.by_pass.setdefault(
-            event.pass_name, {"executed": 0, "dormant": 0, "bypassed": 0, "work": 0}
+            per["executed"] += 1
+            per["work"] += run.work
+            per["ns"] += run.ns
+            if run.outcome == DORMANT:
+                per["dormant"] += 1
+        return cls(
+            executions=sum(per["executed"] for per in by_pass.values()),
+            dormant_executions=sum(per["dormant"] for per in by_pass.values()),
+            bypassed=sum(per["bypassed"] for per in by_pass.values()),
+            work_executed=sum(per["work"] for per in by_pass.values()),
+            by_pass=by_pass,
         )
-        if event.skipped:
-            stats.bypassed += 1
-            per["bypassed"] += 1
-            continue
-        stats.executions += 1
-        stats.work_executed += event.work
-        per["executed"] += 1
-        per["work"] += event.work
-        if event.dormant:
-            stats.dormant_executions += 1
-            per["dormant"] += 1
-    logger.debug(
-        "summarized %d events: executed=%d dormant=%d bypassed=%d",
-        len(log.events),
-        stats.executions,
-        stats.dormant_executions,
-        stats.bypassed,
-    )
-    return stats

@@ -2,8 +2,8 @@
 
 This is the programmatic equivalent of invoking ``reproc``: it runs the
 frontend, lowering, the (possibly stateful) pass pipeline, and the
-backend, returning the object file plus rich timing/event information
-the build system and experiments consume.
+backend, returning the object file plus the stage timings and the pass
+ledger the build system and experiments consume.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from repro.backend.objfile import ObjectFile, compile_module_to_object
 from repro.core.policies import SkipPolicy
 from repro.core.state import CompilerState, pipeline_signature_of
-from repro.core.stateful import StatefulOverhead, StatefulPassManager
+from repro.core.stateful import StatefulPassManager
+from repro.core.statistics import BypassStatistics
 from repro.frontend.includes import FileProvider, IncludeResolver
 from repro.frontend.sema import analyze
 from repro.ir.structure import Module
@@ -22,7 +23,7 @@ from repro.ir.verifier import verify_module
 from repro.lowering import lower_program
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, NullTracer
-from repro.passmanager.events import PassEventLog
+from repro.passmanager.ledger import PassLedger
 from repro.passmanager.manager import PassManager
 from repro.passmanager.pipeline import PassPipeline, build_pipeline
 
@@ -71,16 +72,18 @@ class CompileResult:
 
     module: Module
     object_file: ObjectFile
-    events: PassEventLog
+    #: Every pass run of this unit and its state traffic.
+    ledger: PassLedger
+    #: The ledger's function-pass rows folded into the bypass table.
+    stats: BypassStatistics
     timings: CompileTimings
     headers: list[str] = field(default_factory=list)
-    overhead: StatefulOverhead | None = None
-    #: The pass manager's accounting for this unit (always present).
+    #: This unit's counters and stage timings, published from the ledger.
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
 
     @property
     def pass_work(self) -> int:
-        return self.events.total_work
+        return self.ledger.work
 
 
 class Compiler:
@@ -150,7 +153,7 @@ class Compiler:
 
         manager = self._make_pass_manager()
         start = time.perf_counter()
-        events = manager.run(module)
+        ledger = manager.run(module)
         timings.passes = time.perf_counter() - start
         self.tracer.add("passes", "phase", start, timings.passes, unit=name)
 
@@ -165,20 +168,36 @@ class Compiler:
             name, "unit", unit_start, time.perf_counter() - unit_start
         )
 
-        metrics = manager.metrics
+        stats = BypassStatistics.from_ledger(ledger)
+        metrics = MetricsRegistry()
+        counters = [
+            ("passes.executed", stats.executions),
+            ("passes.work", stats.work_executed),
+            ("passes.bypassed", stats.bypassed),
+            ("passes.dormant", stats.dormant_executions),
+            ("passes.module_executed", ledger.module_runs),
+        ]
+        if self.options.stateful:
+            counters += [
+                ("state.lookups", ledger.lookups),
+                ("state.records_refreshed", ledger.hits),
+                ("state.records_written", ledger.records_written),
+                ("fingerprint.count", ledger.fingerprints),
+            ]
+        for counter, value in counters:
+            metrics.inc(counter, value)
         metrics.observe("compile.frontend_time", timings.frontend)
         metrics.observe("compile.lowering_time", timings.lowering)
         metrics.observe("compile.passes_time", timings.passes)
         metrics.observe("compile.backend_time", timings.backend)
 
-        overhead = manager.overhead if isinstance(manager, StatefulPassManager) else None
         return CompileResult(
             module=module,
             object_file=object_file,
-            events=events,
+            ledger=ledger,
+            stats=stats,
             timings=timings,
             headers=list(unit.headers),
-            overhead=overhead,
             metrics=metrics,
         )
 

@@ -14,7 +14,7 @@ Detectors:
   falls more than ``bypass_drop`` below the median of recent
   incremental builds, the dormancy mechanism stopped earning its keep.
 - **per-pass wall regression** — per-run mean wall time of each pass
-  (from the ``pass.<name>.time`` timings) against its median baseline;
+  (from each record's per-pass ``wall``) against its median baseline;
   flagged only beyond *both* a relative factor and an absolute
   per-run delta.
 - **state growth** — compiler-state serialized size rising strictly
@@ -177,7 +177,7 @@ def _check_pass_wall(
             findings.append(
                 DriftFinding(
                     kind="pass-wall",
-                    metric=f"pass.{name}.time",
+                    metric=f"passes.{name}.wall",
                     baseline=baseline,
                     current=mean_now,
                     seq=latest.seq,

@@ -120,8 +120,8 @@ class HistoryRecord:
 
         ``state`` defaults to whatever the report's metrics gauges say
         (populated by the incremental driver for stateful builds);
-        per-pass wall times come from the ``pass.<name>.time`` timing
-        summaries the pass manager reports.
+        per-pass wall times come from the ``ns`` of each
+        ``bypass.by_pass`` entry (0 in reports older than schema 3).
         """
         metrics = report.get("metrics", {})
         if state is None:
@@ -137,15 +137,8 @@ class HistoryRecord:
         passes: dict[str, dict] = {}
         for name, counters in report.get("bypass", {}).get("by_pass", {}).items():
             entry = {key: int(counters.get(key, 0)) for key in _PASS_KEYS}
-            entry["wall"] = 0.0
+            entry["wall"] = int(counters.get("ns", 0)) / 1e9
             passes[name] = entry
-        for name, timing in metrics.get("timings", {}).items():
-            if name.startswith("pass.") and name.endswith(".time"):
-                pass_name = name[len("pass."):-len(".time")]
-                entry = passes.setdefault(
-                    pass_name, {key: 0 for key in _PASS_KEYS} | {"wall": 0.0}
-                )
-                entry["wall"] = float(timing.get("total", 0.0))
 
         return cls(
             seq=seq,

@@ -1,16 +1,16 @@
 """The metrics registry: counters, gauges, and timing summaries.
 
-One :class:`MetricsRegistry` is the single accounting sink for a build:
-the pass manager, the compiler state, the dependency scanner, and the
-build driver all report into it, and every consumer — bypass
-statistics, build reports, bench tables — reads the same numbers
-instead of keeping a parallel tally.  Registries are plain picklable
-data, so a worker process can fill one per unit and ship it back for
+One :class:`MetricsRegistry` collects a build's counters, gauges and
+timings: the compiler driver publishes each unit's ``passes.*``,
+``state.*`` and ``fingerprint.count`` totals from the pass ledger
+(:mod:`repro.passmanager.ledger`) once per unit, and the compiler
+state, the dependency scanner and the build driver report their own
+per-build figures.  Per-pass breakdowns are not kept here; they live in
+the build report's bypass table.  Registries are plain picklable data,
+so a worker process can fill one per unit and ship it back for
 :meth:`MetricsRegistry.merge` on the driver side.
 
-Naming convention: dotted ``family.metric`` strings, with per-pass
-breakdowns under ``pass.<name>.<counter>`` (see
-:meth:`repro.core.statistics.BypassStatistics.from_metrics`) and
+Naming convention: dotted ``family.metric`` strings, with
 per-worker timing breakdowns under ``source.<worker>.<timing>``
 (written by :meth:`MetricsRegistry.merge` when the caller passes a
 ``source`` tag, so a merged build registry still knows which worker

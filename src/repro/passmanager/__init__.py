@@ -1,6 +1,6 @@
-"""Pass pipeline management and execution tracing."""
+"""Pass pipeline management and the pass ledger."""
 
-from repro.passmanager.events import PassEvent, PassEventLog
+from repro.passmanager.ledger import PassLedger, PassRun
 from repro.passmanager.manager import PassManager
 from repro.passmanager.pipeline import (
     PassPipeline,
@@ -11,8 +11,8 @@ from repro.passmanager.pipeline import (
 )
 
 __all__ = [
-    "PassEvent",
-    "PassEventLog",
+    "PassLedger",
+    "PassRun",
     "PassManager",
     "PassPipeline",
     "build_pipeline",

@@ -1,4 +1,4 @@
-"""Pass manager: executes a pipeline over a module, recording events.
+"""Pass manager: executes a pipeline over a module, keeping a ledger.
 
 This is the *stateless* manager — every pass runs on every function,
 exactly what a conventional compiler does.  The stateful variant
@@ -6,13 +6,12 @@ exactly what a conventional compiler does.  The stateful variant
 overrides the single decision point :meth:`should_skip` /
 :meth:`on_pass_executed`.
 
-Observability: alongside the event log the manager reports into a
-:class:`~repro.obs.metrics.MetricsRegistry` (``passes.*`` totals and
-``pass.<name>.*`` breakdowns — the source
-:meth:`~repro.core.statistics.BypassStatistics.from_metrics` consumes)
-and emits pass / pass-pipeline spans into a
-:class:`~repro.obs.trace.Tracer`.  Both default to no-ops; the null
-tracer costs one no-op call per executed pass.
+Accounting: each scheduled pass appends one row to the manager's
+:class:`~repro.passmanager.ledger.PassLedger` — the one record every
+pass statistic, counter and figure is derived from.  With a
+:class:`~repro.obs.trace.Tracer` enabled, each executed pass and each
+function pipeline also becomes a span; with the default null tracer
+the manager makes no tracer call at all.
 """
 
 from __future__ import annotations
@@ -22,9 +21,15 @@ import time
 
 from repro.ir.structure import Function, Module
 from repro.ir.verifier import verify_module
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, NullTracer
-from repro.passmanager.events import PassEvent, PassEventLog
+from repro.passmanager.ledger import (
+    BYPASSED,
+    CHANGED,
+    DORMANT,
+    PRELUDE_POSITION,
+    PassLedger,
+    PassRun,
+)
 from repro.passmanager.pipeline import PassPipeline
 
 logger = logging.getLogger(__name__)
@@ -42,9 +47,6 @@ class PassManager:
         tests to catch pass bugs at their source.
     tracer:
         Span sink for pass/pipeline timing (default: disabled).
-    metrics:
-        Counter registry to report into (default: a private one,
-        exposed as :attr:`metrics` so the driver can collect it).
     """
 
     def __init__(
@@ -53,13 +55,11 @@ class PassManager:
         *,
         verify_each: bool = False,
         tracer: NullTracer = NULL_TRACER,
-        metrics: MetricsRegistry | None = None,
     ):
         self.pipeline = pipeline
         self.verify_each = verify_each
         self.tracer = tracer
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.log = PassEventLog()
+        self.ledger = PassLedger()
 
     # -- hooks the stateful subclass overrides -----------------------------
 
@@ -78,113 +78,60 @@ class PassManager:
     def end_function(self, fn: Function, module: Module) -> None:
         """Called after the function pipeline finishes on ``fn``."""
 
-    def fingerprint_for_event(self, fn: Function) -> str:
-        """Fingerprint recorded in events (stateful manager overrides
-
-        to reuse its cached value; stateless manager records none)."""
-        return ""
-
     # -- execution -----------------------------------------------------------
 
-    def run(self, module: Module) -> PassEventLog:
+    def run(self, module: Module) -> PassLedger:
         """Run prelude + function pipeline over ``module``."""
+        runs = self.ledger.runs
         for module_pass in self.pipeline.module_prelude:
-            start = time.perf_counter()
+            start = time.perf_counter_ns()
             stats = module_pass.run_on_module(module)
-            elapsed = time.perf_counter() - start
-            self.metrics.inc("passes.module_executed")
-            self.metrics.inc("passes.module_work", stats.work)
-            self.tracer.add(
-                module_pass.name, "pass", start, elapsed, function="<module>"
-            )
-            self.log.record(
-                PassEvent(
-                    module=module.name,
+            ns = time.perf_counter_ns() - start
+            runs.append(PassRun(
+                "<module>", PRELUDE_POSITION, module_pass.name,
+                CHANGED if stats.changed else DORMANT, stats.work, ns,
+            ))
+            if self.tracer.enabled:
+                self.tracer.add(
+                    module_pass.name, "pass", start / 1e9, ns / 1e9,
                     function="<module>",
-                    position=-1,
-                    pass_name=module_pass.name,
-                    changed=stats.changed,
-                    skipped=False,
-                    work=stats.work,
-                    wall_time=elapsed,
-                    detail=tuple(sorted(stats.detail.items())),
                 )
-            )
             if self.verify_each:
                 verify_module(module)
 
         for fn in sorted(module.defined_functions(), key=lambda f: f.name):
             self._run_function_pipeline(fn, module)
-        logger.debug(
-            "module %s: %d pass events (%d executed, %d bypassed)",
-            module.name,
-            len(self.log.events),
-            len(self.log.executed()),
-            len(self.log.skipped()),
-        )
-        return self.log
+        logger.debug("module %s: %d pass runs", module.name, len(runs))
+        return self.ledger
 
     def _run_function_pipeline(self, fn: Function, module: Module) -> None:
-        pipeline_start = time.perf_counter() if self.tracer.enabled else 0.0
+        tracing = self.tracer.enabled
+        runs = self.ledger.runs
+        pipeline_start = time.perf_counter() if tracing else 0.0
         self.begin_function(fn, module)
         for position, function_pass in enumerate(self.pipeline.function_passes):
-            fingerprint = self.fingerprint_for_event(fn)
             if self.should_skip(fn, module, position):
-                self.metrics.inc("passes.bypassed")
-                self.metrics.inc(f"pass.{function_pass.name}.bypassed")
-                self.log.record(
-                    PassEvent(
-                        module=module.name,
-                        function=fn.name,
-                        position=position,
-                        pass_name=function_pass.name,
-                        changed=False,
-                        skipped=True,
-                        work=0,
-                        wall_time=0.0,
-                        fingerprint_in=fingerprint,
-                    )
+                runs.append(
+                    PassRun(fn.name, position, function_pass.name, BYPASSED, 0, 0)
                 )
                 continue
-            start = time.perf_counter()
+            start = time.perf_counter_ns()
             stats = function_pass.run_on_function(fn, module)
-            elapsed = time.perf_counter() - start
+            ns = time.perf_counter_ns() - start
             self.on_pass_executed(fn, module, position, stats.changed)
-            self.metrics.inc("passes.executed")
-            self.metrics.inc("passes.work", stats.work)
-            self.metrics.inc(f"pass.{function_pass.name}.executed")
-            self.metrics.inc(f"pass.{function_pass.name}.work", stats.work)
-            self.metrics.observe(f"pass.{function_pass.name}.time", elapsed)
-            if not stats.changed:
-                self.metrics.inc("passes.dormant")
-                self.metrics.inc(f"pass.{function_pass.name}.dormant")
-            self.tracer.add(
-                function_pass.name,
-                "pass",
-                start,
-                elapsed,
-                function=fn.name,
-                changed=stats.changed,
-                work=stats.work,
-            )
-            self.log.record(
-                PassEvent(
-                    module=module.name,
-                    function=fn.name,
-                    position=position,
-                    pass_name=function_pass.name,
-                    changed=stats.changed,
-                    skipped=False,
-                    work=stats.work,
-                    wall_time=elapsed,
-                    fingerprint_in=fingerprint,
-                    detail=tuple(sorted(stats.detail.items())),
+            runs.append(PassRun(
+                fn.name, position, function_pass.name,
+                CHANGED if stats.changed else DORMANT, stats.work, ns,
+            ))
+            if tracing:
+                self.tracer.add(
+                    function_pass.name, "pass", start / 1e9, ns / 1e9,
+                    function=fn.name, changed=stats.changed, work=stats.work,
                 )
-            )
             if self.verify_each:
                 verify_module(module)
         self.end_function(fn, module)
-        if self.tracer.enabled:
+        if tracing:
             self.tracer.add(
                 f"pipeline {fn.name}",
                 "pipeline",

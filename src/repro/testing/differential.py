@@ -14,7 +14,8 @@ fuzzable property:
 3. after every step compare linked images byte-for-byte
    (:meth:`~repro.backend.linker.LinkedImage.to_json`), per-unit
    object JSON, and the stateful variants' bypass/record accounting
-   against each other.
+   against each other; each variant's own counters must also satisfy
+   ``state.lookups >= state.records_refreshed (hits) >= bypassed``.
 
 When a ``workdir`` is given, the stateful build databases additionally
 round-trip through their files on real disk between steps — a whole
@@ -143,6 +144,17 @@ def run_differential_trace(
                     result.divergences.append(Divergence(
                         step, "object", f"-j {j}: {path} differs from stateless"
                     ))
+            # Every bypass needs a hit and every hit a lookup, on pool
+            # workers as in process.
+            counters = report.metrics["counters"]
+            lookups = counters.get("state.lookups", 0)
+            hits = counters.get("state.records_refreshed", 0)
+            if not lookups >= hits >= report.bypass.bypassed:
+                result.divergences.append(Divergence(
+                    step, "records",
+                    f"-j {j}: state counters break lookups >= hits >= bypassed "
+                    f"({lookups}, {hits}, {report.bypass.bypassed})",
+                ))
             if set(dbs[j].units) != set(units):
                 result.divergences.append(Divergence(
                     step, "records",

@@ -13,6 +13,7 @@ from repro.cli import (
     reprobuild_main,
     reprobuild_regress_main,
 )
+from repro.buildsys.report import REPORT_SCHEMA_VERSION
 from repro.obs.history import BuildHistory, default_history_path
 from repro.passes.mem2reg import Mem2RegPass
 
@@ -87,7 +88,7 @@ class TestHistoryCommand:
         records = [json.loads(line) for line in out.strip().splitlines()]
         assert [r["seq"] for r in records] == [1, 2, 3, 4, 5]
         assert records[0]["label"] == "rev-0"
-        assert records[0]["report"]["schema"] == 2
+        assert records[0]["report"]["schema"] == REPORT_SCHEMA_VERSION
 
     def test_last_n_limits_the_table(self, trace, capsys):
         assert reprobuild_history_main(["--db", str(trace.db), "-n", "2"]) == 0

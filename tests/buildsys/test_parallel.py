@@ -130,6 +130,27 @@ class TestDeterminism:
         assert reports["serial"][1] == reports["parallel"][1]
 
 
+class TestStateCounters:
+    """Lookups and hits are counted where the pass manager runs: on workers too."""
+
+    @pytest.mark.parametrize(
+        "build_options",
+        [SERIAL, BuildOptions(jobs=2, executor="thread"), BuildOptions(jobs=2)],
+        ids=["j1", "j2-thread", "j2-process"],
+    )
+    def test_edit_build_counts_every_hit(self, build_options):
+        db = BuildDatabase()
+        build(FILES, db, build_options=build_options, stateful=True)
+        edited = dict(FILES, **{"util.mh": FILES["util.mh"].replace("3", "4")})
+        report = build(edited, db, build_options=build_options, stateful=True)
+        assert report.jobs == min(2, build_options.resolved_jobs())
+        counters = report.metrics["counters"]
+        lookups = counters.get("state.lookups", 0)
+        hits = counters.get("state.records_refreshed", 0)
+        bypassed = counters.get("passes.bypassed", 0)
+        assert lookups >= hits >= bypassed > 0
+
+
 class TestReportAttribution:
     def test_workers_and_speedup_reported(self):
         report = build(FILES, BuildDatabase())

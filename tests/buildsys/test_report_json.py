@@ -39,6 +39,16 @@ class TestSchema:
         clone = BuildReport.from_json(report.to_json())
         assert clone.to_dict() == report.to_dict()
 
+        # A schema-2 payload, whose per-pass entries carry no "ns", loads
+        # with every counter it does carry.
+        v2 = json.loads(report.to_json())
+        v2["schema"] = 2
+        for stats in [v2["bypass"]] + [unit["stats"] for unit in v2["compiled"]]:
+            for counters in stats["by_pass"].values():
+                del counters["ns"]
+        loaded = BuildReport.from_dict(v2).to_dict()
+        assert loaded == v2 | {"schema": REPORT_SCHEMA_VERSION}
+
     def test_schema_mismatch_rejected(self):
         payload = build().to_dict()
         payload["schema"] = REPORT_SCHEMA_VERSION + 1

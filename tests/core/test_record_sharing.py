@@ -6,9 +6,9 @@ different translation units — share records, so the second one bypasses
 its dormant passes on its *first* ever compile.
 """
 
-from repro.core.statistics import summarize_log
 from repro.driver import Compiler, CompilerOptions
 from repro.frontend.includes import MemoryFileProvider
+from repro.passmanager.ledger import BYPASSED
 
 
 IDENTICAL_BODY = """
@@ -34,11 +34,11 @@ class TestRecordSharing:
         compiler.state.begin_build()
         result = compiler.compile_source("twins.mc", src)
         per_function = {}
-        for event in result.events.events:
-            if event.position < 0:
+        for run in result.ledger.runs:
+            if run.position < 0:
                 continue
-            entry = per_function.setdefault(event.function, [0, 0])
-            entry[0 if event.skipped else 1] += 1
+            entry = per_function.setdefault(run.function, [0, 0])
+            entry[0 if run.outcome == BYPASSED else 1] += 1
         # Functions run alphabetically: "first" populates the records,
         # "second" (identical IR) bypasses its dormant tail immediately.
         assert per_function["first"][0] == 0          # nothing to bypass yet
@@ -49,7 +49,7 @@ class TestRecordSharing:
         compiler.state.begin_build()
         a = compiler.compile_source("a.mc", f"int fa(int x) {{ {IDENTICAL_BODY} }}\n")
         b = compiler.compile_source("b.mc", f"int fb(int x) {{ {IDENTICAL_BODY} }}\n")
-        stats_a, stats_b = summarize_log(a.events), summarize_log(b.events)
+        stats_a, stats_b = a.stats, b.stats
         assert stats_a.bypassed == 0
         assert stats_b.bypassed > 0  # first-ever compile of b.mc still bypasses
 
@@ -62,6 +62,6 @@ class TestRecordSharing:
         # (later positions may still coincide once both reduce to small
         # canonical forms — that is correct sharing, not a bug).
         first_positions = [
-            e for e in result.events.events if e.position == 0 and e.function == "fb"
+            r for r in result.ledger.runs if r.position == 0 and r.function == "fb"
         ]
-        assert all(not e.skipped for e in first_positions)
+        assert all(r.outcome != BYPASSED for r in first_positions)

@@ -1,17 +1,16 @@
 """Stateful pass manager tests — the core mechanism of the paper."""
 
-import pytest
-
 from repro.core.policies import SkipPolicy
 from repro.core.state import CompilerState, pipeline_signature_of
 from repro.core.stateful import StatefulPassManager
-from repro.core.statistics import summarize_log
+from repro.core.statistics import BypassStatistics
 from repro.driver import Compiler, CompilerOptions
 from repro.frontend.includes import IncludeResolver, MemoryFileProvider
 from repro.frontend.sema import analyze
 from repro.ir import print_module, verify_module
 from repro.lowering import lower_program
 from repro.passmanager import build_pipeline
+from repro.passmanager.ledger import BYPASSED, CHANGED
 from repro.vm.interp import run_module
 
 SRC = """
@@ -42,17 +41,21 @@ def fresh_state() -> CompilerState:
 def stateful_run(state, src=SRC, policy=SkipPolicy.FINE_GRAINED):
     module = lower_src(src)
     manager = StatefulPassManager(build_pipeline("O2"), state, policy=policy)
-    log = manager.run(module)
+    ledger = manager.run(module)
     verify_module(module)
-    return module, log, manager
+    return module, ledger, manager
+
+
+def summarize(ledger):
+    return BypassStatistics.from_ledger(ledger)
 
 
 class TestBypassing:
     def test_first_build_executes_everything(self):
         state = fresh_state()
         state.begin_build()
-        _, log, _ = stateful_run(state)
-        stats = summarize_log(log)
+        _, ledger, _ = stateful_run(state)
+        stats = summarize(ledger)
         assert stats.bypassed == 0
         assert stats.executions > 0
         assert state.num_records == stats.executions
@@ -60,10 +63,10 @@ class TestBypassing:
     def test_second_build_bypasses_dormant(self):
         state = fresh_state()
         state.begin_build()
-        _, log1, _ = stateful_run(state)
+        _, ledger1, _ = stateful_run(state)
         state.begin_build()
-        _, log2, _ = stateful_run(state)
-        s1, s2 = summarize_log(log1), summarize_log(log2)
+        _, ledger2, _ = stateful_run(state)
+        s1, s2 = summarize(ledger1), summarize(ledger2)
         assert s2.bypassed == s1.dormant_executions
         assert s2.executions == s1.executions - s1.dormant_executions
         assert s2.dormant_executions == 0  # everything dormant got skipped
@@ -86,7 +89,7 @@ class TestBypassing:
         module = lower_src()
         functions = len(module.defined_functions())
         # Chain reuse: exactly one hash per function at pipeline entry.
-        assert manager.overhead.fingerprint_count == functions
+        assert manager.ledger.fingerprints == functions
 
     def test_edited_function_reruns_only_its_passes(self):
         state = fresh_state()
@@ -94,13 +97,13 @@ class TestBypassing:
         stateful_run(state)
         state.begin_build()
         edited = SRC.replace("x * 2 + 1", "x * 3 + 1")
-        _, log, _ = stateful_run(state, edited)
+        _, ledger, _ = stateful_run(state, edited)
         per_function = {}
-        for event in log.events:
-            if event.position < 0:
+        for run in ledger.runs:
+            if run.position < 0:
                 continue
-            entry = per_function.setdefault(event.function, [0, 0])
-            entry[0] += 0 if event.skipped else 1
+            entry = per_function.setdefault(run.function, [0, 0])
+            entry[0] += 0 if run.outcome == BYPASSED else 1
             entry[1] += 1
         # helper changed -> most of its passes execute; untouched
         # functions keep their bypass level... (helper was inlined, so
@@ -117,30 +120,30 @@ class TestPolicies:
         state.begin_build()
         stateful_run(state, policy=SkipPolicy.NONE)
         state.begin_build()
-        _, log, _ = stateful_run(state, policy=SkipPolicy.NONE)
-        assert summarize_log(log).bypassed == 0
+        _, ledger, _ = stateful_run(state, policy=SkipPolicy.NONE)
+        assert summarize(ledger).bypassed == 0
 
     def test_coarse_policy_is_all_or_nothing_per_function(self):
         state = fresh_state()
         state.begin_build()
-        _, log1, _ = stateful_run(state, policy=SkipPolicy.COARSE)
+        _, ledger1, _ = stateful_run(state, policy=SkipPolicy.COARSE)
         state.begin_build()
-        _, log2, _ = stateful_run(state, policy=SkipPolicy.COARSE)
+        _, ledger2, _ = stateful_run(state, policy=SkipPolicy.COARSE)
 
-        def by_function(log):
+        def by_function(ledger):
             out = {}
-            for event in log.events:
-                if event.position < 0:
+            for run in ledger.runs:
+                if run.position < 0:
                     continue
-                entry = out.setdefault(event.function, {"executed": 0, "skipped": 0, "changed": 0})
-                if event.skipped:
+                entry = out.setdefault(run.function, {"executed": 0, "skipped": 0, "changed": 0})
+                if run.outcome == BYPASSED:
                     entry["skipped"] += 1
                 else:
                     entry["executed"] += 1
-                    entry["changed"] += 1 if event.changed else 0
+                    entry["changed"] += 1 if run.outcome == CHANGED else 0
             return out
 
-        first, second = by_function(log1), by_function(log2)
+        first, second = by_function(ledger1), by_function(ledger2)
         for fn_name, counters in second.items():
             # All-or-nothing: a function is either fully skipped or fully run.
             assert counters["executed"] == 0 or counters["skipped"] == 0
@@ -161,8 +164,8 @@ class TestPolicies:
             manager = StatefulPassManager(
                 build_pipeline("O2"), state, policy=SkipPolicy.COARSE
             )
-            log = manager.run(module)
-            stats = summarize_log(log)
+            ledger = manager.run(module)
+            stats = summarize(ledger)
             if stats.executions == 0:
                 assert stats.bypassed > 0
                 break
@@ -176,10 +179,10 @@ class TestPolicies:
         state_coarse.begin_build()
         stateful_run(state_coarse, policy=SkipPolicy.COARSE)
         state_fine.begin_build()
-        _, log_f, _ = stateful_run(state_fine, policy=SkipPolicy.FINE_GRAINED)
+        _, ledger_f, _ = stateful_run(state_fine, policy=SkipPolicy.FINE_GRAINED)
         state_coarse.begin_build()
-        _, log_c, _ = stateful_run(state_coarse, policy=SkipPolicy.COARSE)
-        assert summarize_log(log_f).bypassed > summarize_log(log_c).bypassed
+        _, ledger_c, _ = stateful_run(state_coarse, policy=SkipPolicy.COARSE)
+        assert summarize(ledger_f).bypassed > summarize(ledger_c).bypassed
 
 
 class TestSafety:

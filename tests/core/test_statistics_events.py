@@ -1,72 +1,39 @@
-"""Statistics and pass-event log tests."""
+"""Bypass statistics: the ledger fold, merging, (de)serialization."""
 
-from repro.core.statistics import BypassStatistics, summarize_log
-from repro.passmanager.events import PassEvent, PassEventLog
+from repro.core.statistics import BypassStatistics
+from repro.passmanager.ledger import BYPASSED, CHANGED, DORMANT, PassLedger, PassRun
 from repro.passmanager.pipeline import build_pipeline
 
 
-def event(**kwargs):
-    defaults = dict(
-        module="m",
-        function="f",
-        position=0,
-        pass_name="p",
-        changed=False,
-        skipped=False,
-        work=10,
-        wall_time=0.001,
-    )
-    defaults.update(kwargs)
-    return PassEvent(**defaults)
+def run(position=0, pass_name="p", outcome=DORMANT, work=10, function="f"):
+    return PassRun(function, position, pass_name, outcome, work, 1000)
 
 
-class TestPassEventLog:
-    def test_dormant_classification(self):
-        assert event(changed=False, skipped=False).dormant
-        assert not event(changed=True).dormant
-        assert not event(skipped=True).dormant
-
-    def test_aggregates(self):
-        log = PassEventLog()
-        log.record(event(pass_name="a", changed=True, work=5))
-        log.record(event(pass_name="a", changed=False, work=3))
-        log.record(event(pass_name="b", skipped=True, work=0))
-        assert len(log.executed()) == 2
-        assert len(log.skipped()) == 1
-        assert len(log.dormant()) == 1
-        assert log.total_work == 8
-        assert log.dormancy_by_pass() == {"a": (1, 2)}
-        assert log.work_by_pass() == {"a": 8, "b": 0}
-
-    def test_extend(self):
-        a, b = PassEventLog(), PassEventLog()
-        a.record(event())
-        b.record(event())
-        a.extend(b)
-        assert len(a.events) == 2
+def fold(*runs):
+    return BypassStatistics.from_ledger(PassLedger(runs=list(runs)))
 
 
 class TestSummarize:
     def test_module_prelude_excluded(self):
-        log = PassEventLog()
-        log.record(event(position=-1, pass_name="inline", changed=True))
-        log.record(event(position=0, changed=False))
-        stats = summarize_log(log)
+        stats = fold(
+            run(position=-1, pass_name="inline", outcome=CHANGED),
+            run(position=0, outcome=DORMANT),
+        )
         assert stats.executions == 1
         assert "inline" not in stats.by_pass
 
     def test_ratios(self):
-        log = PassEventLog()
-        log.record(event(position=0, changed=False))
-        log.record(event(position=1, changed=True))
-        log.record(event(position=2, skipped=True))
-        log.record(event(position=3, skipped=True))
-        stats = summarize_log(log)
+        stats = fold(
+            run(position=0, outcome=DORMANT),
+            run(position=1, outcome=CHANGED),
+            run(position=2, outcome=BYPASSED, work=0),
+            run(position=3, outcome=BYPASSED, work=0),
+        )
         assert stats.dormancy_ratio == 0.5
         assert stats.bypass_ratio == 0.5
 
     def test_empty(self):
-        stats = summarize_log(PassEventLog())
+        stats = fold()
         assert stats.dormancy_ratio == 0.0 and stats.bypass_ratio == 0.0
 
     def test_merge(self):
@@ -122,30 +89,11 @@ class TestMergeEdgeCases:
 
 
 class TestFromMetrics:
-    def test_equivalent_to_summarize_log(self):
-        """Registry counters and the event log describe one compilation
-        identically — the registry path is the summary's new source of
-        truth, so they must never drift."""
-        from repro.driver import Compiler, CompilerOptions
-        from repro.frontend.includes import MemoryFileProvider
-
-        source = (
-            "int helper(int x) { int y = x * 2; return y + 1; }\n"
-            "int main() { print(helper(20)); return 0; }\n"
-        )
-        provider = MemoryFileProvider({})
-        for stateful in (False, True):
-            compiler = Compiler(provider, CompilerOptions(stateful=stateful))
-            result = compiler.compile_source("unit.mc", source)
-            from_log = summarize_log(result.events)
-            from_registry = BypassStatistics.from_metrics(result.metrics)
-            assert from_registry.to_dict() == from_log.to_dict()
-
     def test_empty_registry(self):
-        from repro.obs.metrics import MetricsRegistry
-
-        stats = BypassStatistics.from_metrics(MetricsRegistry())
+        """An empty ledger folds to an empty table with no work."""
+        stats = BypassStatistics.from_ledger(PassLedger())
         assert stats.executions == 0 and stats.by_pass == {}
+        assert PassLedger().work == 0 and PassLedger().module_runs == 0
 
 
 class TestPipelines:

@@ -108,7 +108,7 @@ class TestPassWall:
         report = detect_drift(records)
         assert kinds(report) == ["pass-wall"]
         finding = report.findings[0]
-        assert finding.metric == "pass.dce.time"
+        assert finding.metric == "passes.dce.wall"
         assert "5.0x" in finding.message
 
     def test_subfloor_jitter_is_quiet_despite_large_factor(self):

@@ -18,15 +18,23 @@ def make_record(seq: int, **overrides) -> HistoryRecord:
         timestamp=1_700_000_000.0 + seq,
         label=f"build-{seq}",
         report={
-            "schema": 2,
+            "schema": 3,
             "summary": {
                 "recompiled": 3,
                 "up_to_date": 2,
                 "total_wall_time": 0.5,
                 "state_records": 100 + seq,
             },
-            "bypass": {"executions": 40, "bypassed": 60},
-            "metrics": {"timings": {"pass.dce.time": {"total": 0.01}}},
+            "bypass": {
+                "executions": 40,
+                "bypassed": 60,
+                "by_pass": {
+                    "dce": {
+                        "executed": 5, "dormant": 1, "bypassed": 9, "work": 42,
+                        "ns": 10_000_000,
+                    }
+                },
+            },
         },
         state={
             "records": 100 + seq,
@@ -52,6 +60,13 @@ class TestRoundTrip:
         records, stats = history.read()
         assert stats.loaded == 1 and not stats.truncated and stats.corrupt == 0
         assert records[0].to_dict() == original.to_dict()
+
+    def test_per_pass_wall_comes_from_by_pass_ns(self):
+        original = make_record(1)
+        rebuilt = HistoryRecord.from_report_payload(
+            1, original.timestamp, original.report, state=original.state
+        )
+        assert rebuilt.passes == original.passes
 
     def test_derived_views(self, tmp_path):
         record = make_record(1)

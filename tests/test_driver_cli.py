@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cli import reproc_main, reprobuild_main
-from repro.core.policies import SkipPolicy
 from repro.driver import Compiler, CompilerOptions
 from repro.frontend.diagnostics import CompileError
 from repro.frontend.includes import MemoryFileProvider
@@ -34,13 +33,14 @@ class TestDriver:
 
     def test_stateless_has_no_overhead_record(self):
         compiler = Compiler(MemoryFileProvider({}), CompilerOptions(stateful=False))
-        assert compiler.compile_source("t.mc", SRC).overhead is None
+        ledger = compiler.compile_source("t.mc", SRC).ledger
+        assert ledger.fingerprints == ledger.lookups == ledger.records_written == 0
 
     def test_stateful_reports_overhead(self):
         compiler = Compiler(MemoryFileProvider({}), CompilerOptions(stateful=True))
         result = compiler.compile_source("t.mc", SRC)
-        assert result.overhead is not None
-        assert result.overhead.fingerprint_count > 0
+        assert result.ledger.fingerprints > 0
+        assert result.ledger.fingerprint_ns > 0
 
     def test_opt_levels_produce_different_sizes(self):
         src = """
