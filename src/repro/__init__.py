@@ -23,19 +23,7 @@ Quickstart::
 See ``examples/`` for full scenarios.
 """
 
-from repro.buildsys import BuildDatabase, BuildOptions, BuildReport, IncrementalBuilder
-from repro.core import BypassStatistics, CompilerState, SkipPolicy, StatefulPassManager
-from repro.driver import Compiler, CompilerOptions, CompileResult
-from repro.frontend.includes import DiskFileProvider, MemoryFileProvider
-from repro.obs import MetricsRegistry, Tracer
-from repro.vm import IRInterpreter, VirtualMachine, run_module
-from repro.workload import (
-    Project,
-    apply_edit,
-    generate_project,
-    make_preset,
-    random_edit_sequence,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -65,3 +53,21 @@ __all__ = [
     "random_edit_sequence",
     "__version__",
 ]
+
+# Each name loads its layer on first access: ``import repro.cli`` must
+# not pay for the compiler, the VM or the workload generator.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.buildsys": ("BuildDatabase", "BuildOptions", "BuildReport", "IncrementalBuilder"),
+    "repro.core": ("BypassStatistics", "CompilerState", "SkipPolicy", "StatefulPassManager"),
+    "repro.driver": ("Compiler", "CompilerOptions", "CompileResult"),
+    "repro.frontend.includes": ("DiskFileProvider", "MemoryFileProvider"),
+    "repro.obs": ("MetricsRegistry", "Tracer"),
+    "repro.vm": ("IRInterpreter", "VirtualMachine", "run_module"),
+    "repro.workload": (
+        "Project",
+        "apply_edit",
+        "generate_project",
+        "make_preset",
+        "random_edit_sequence",
+    ),
+})

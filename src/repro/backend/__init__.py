@@ -13,11 +13,7 @@ Pipeline per function:
    image run by :class:`repro.vm.machine.VirtualMachine`.
 """
 
-from repro.backend.isel import select_function, select_module
-from repro.backend.linker import LinkedImage, LinkError, link
-from repro.backend.mir import MachineFunction, MInst, MOp
-from repro.backend.objfile import ObjectFile, compile_module_to_object
-from repro.backend.regalloc import allocate_function
+from repro._lazy import lazy_exports
 
 __all__ = [
     "select_function",
@@ -32,3 +28,11 @@ __all__ = [
     "compile_module_to_object",
     "allocate_function",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.backend.isel": ("select_function", "select_module"),
+    "repro.backend.linker": ("LinkedImage", "LinkError", "link"),
+    "repro.backend.mir": ("MachineFunction", "MInst", "MOp"),
+    "repro.backend.objfile": ("ObjectFile", "compile_module_to_object"),
+    "repro.backend.regalloc": ("allocate_function",),
+})

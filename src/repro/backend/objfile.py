@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.backend.isel import select_module
 from repro.backend.mir import MachineFunction, MInst, MOp
-from repro.backend.peephole import peephole_function
-from repro.backend.regalloc import allocate_function
-from repro.ir.structure import Module
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.ir.structure import Module
 
 
 @dataclass
@@ -95,6 +95,12 @@ class ObjectFile:
 
 def compile_module_to_object(module: Module) -> ObjectFile:
     """Run the full backend over an IR module: isel, regalloc, peephole."""
+    # Decoding and linking cached objects needs none of the code
+    # generator, so it loads only here.
+    from repro.backend.isel import select_module
+    from repro.backend.peephole import peephole_function
+    from repro.backend.regalloc import allocate_function
+
     obj = ObjectFile(module.name)
     for name, mf in select_module(module).items():
         allocate_function(mf)

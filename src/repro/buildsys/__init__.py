@@ -38,22 +38,7 @@ instead of — a competent build system:
   dormancy records told the truth.
 """
 
-from repro.buildsys.audit import (
-    AuditingStatefulPassManager,
-    CollisionAuditResult,
-    audit_fingerprint_collisions,
-)
-from repro.buildsys.builddb import DB_SCHEMA_VERSION, BuildDatabase, UnitRecord
-from repro.buildsys.deps import DependencyScanner, DependencySnapshot, content_digest
-from repro.buildsys.explain import RebuildReason, explain_unit, rebuild_reason
-from repro.buildsys.incremental import IncrementalBuilder
-from repro.buildsys.parallel import BuildOptions, UnitOutcome
-from repro.buildsys.report import (
-    READABLE_REPORT_SCHEMAS,
-    REPORT_SCHEMA_VERSION,
-    BuildReport,
-    UnitBuildResult,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "DB_SCHEMA_VERSION",
@@ -76,3 +61,22 @@ __all__ = [
     "BuildReport",
     "UnitBuildResult",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.buildsys.audit": (
+        "AuditingStatefulPassManager",
+        "CollisionAuditResult",
+        "audit_fingerprint_collisions",
+    ),
+    "repro.buildsys.builddb": ("DB_SCHEMA_VERSION", "BuildDatabase", "UnitRecord"),
+    "repro.buildsys.deps": ("DependencyScanner", "DependencySnapshot", "content_digest"),
+    "repro.buildsys.explain": ("RebuildReason", "explain_unit", "rebuild_reason"),
+    "repro.buildsys.incremental": ("IncrementalBuilder",),
+    "repro.buildsys.parallel": ("BuildOptions", "UnitOutcome"),
+    "repro.buildsys.report": (
+        "READABLE_REPORT_SCHEMAS",
+        "REPORT_SCHEMA_VERSION",
+        "BuildReport",
+        "UnitBuildResult",
+    ),
+})

@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import logging
 import time
+from typing import TYPE_CHECKING
 
 from repro.backend.linker import LinkedImage, link
 from repro.backend.objfile import ObjectFile
@@ -65,12 +66,15 @@ from repro.buildsys.explain import rebuild_reason
 from repro.buildsys.parallel import BuildOptions, UnitOutcome, compile_units
 from repro.buildsys.report import BuildReport, UnitBuildResult
 from repro.core.statistics import BypassStatistics
-from repro.driver import Compiler, CompilerOptions
 from repro.frontend.diagnostics import CompileError
 from repro.frontend.includes import FileProvider, IncludeError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiling import NULL_PROFILER, WORKER_PHASE, NullBuildProfiler
 from repro.obs.trace import NULL_TRACER, NullTracer
+from repro.options import CompilerOptions
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.driver import Compiler
 
 logger = logging.getLogger(__name__)
 
@@ -177,7 +181,15 @@ class IncrementalBuilder:
             len(report.up_to_date),
         )
 
-        compiler = Compiler(self.provider, self.options, tracer=self.tracer)
+        # The compiler (front end, 18-pass pipeline, backend) is imported
+        # and built only when there is something to compile.  A -j N
+        # build imports it here, before the pool forks, so workers
+        # inherit it instead of importing it each.
+        compiler = None
+        if dirty:
+            from repro.driver import Compiler
+
+            compiler = Compiler(self.provider, self.options, tracer=self.tracer)
         stateful = self.options.stateful and bool(dirty)
         if stateful:
             self._attach_state(compiler)
@@ -266,7 +278,7 @@ class IncrementalBuilder:
 
     def _compile_serial(
         self,
-        compiler: Compiler,
+        compiler: Compiler | None,
         snapshots: dict[str, DependencySnapshot],
         dirty: list[str],
         report: BuildReport,
@@ -276,6 +288,7 @@ class IncrementalBuilder:
 
         Returns the first failure instead of raising so the caller can
         finish the database bookkeeping before propagating it.
+        ``compiler`` is ``None`` exactly when ``dirty`` is empty.
         """
         for path in dirty:
             start = time.perf_counter()

@@ -35,22 +35,19 @@ from __future__ import annotations
 import os
 import threading
 import time
-from concurrent.futures import (
-    BrokenExecutor,
-    Executor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    as_completed,
-)
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.core.state import CompilerState, StateDelta
 from repro.core.statistics import BypassStatistics
-from repro.driver import Compiler, CompilerOptions
 from repro.frontend.diagnostics import CompileError, Diagnostic
 from repro.frontend.includes import FileProvider, IncludeError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, SpanRecord, Tracer
+from repro.options import CompilerOptions
+
+if TYPE_CHECKING:  # pragma: no cover
+    from concurrent.futures import Executor
 
 #: Environment override for the default job count, honored when a
 #: caller does not pass explicit :class:`BuildOptions` (the CI matrix
@@ -204,6 +201,8 @@ def compile_unit(
     ``profile=True`` the compile runs under ``cProfile`` and the
     callers-stripped stats table ships back in ``outcome.profile``.
     """
+    from repro.driver import Compiler
+
     outcome = UnitOutcome(path=path, worker=worker)
     worker_state = None
     if state is not None:
@@ -270,6 +269,8 @@ def _compile_unit_task(path: str) -> UnitOutcome:
 
 
 def _make_pool(executor: str, jobs: int, initargs: tuple) -> Executor:
+    from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+
     if executor == "thread":
         return ThreadPoolExecutor(
             max_workers=jobs,
@@ -285,6 +286,8 @@ def _make_pool(executor: str, jobs: int, initargs: tuple) -> Executor:
 def _run_pool(
     executor: str, jobs: int, initargs: tuple, paths: list[str]
 ) -> dict[str, UnitOutcome]:
+    from concurrent.futures import as_completed
+
     outcomes: dict[str, UnitOutcome] = {}
     with _make_pool(executor, jobs, initargs) as pool:
         futures = {pool.submit(_compile_unit_task, path): path for path in paths}
@@ -320,6 +323,8 @@ def compile_units(
     thread pool — compilation is deterministic and nothing has been
     merged yet, so a full retry is safe.
     """
+    from concurrent.futures import BrokenExecutor
+
     initargs = (provider, options, state, trace, profile)
     if executor == "process":
         try:

@@ -56,17 +56,14 @@ from repro.buildsys.builddb import BuildDatabase
 from repro.buildsys.incremental import IncrementalBuilder
 from repro.buildsys.parallel import BuildOptions
 from repro.core.policies import SkipPolicy
-from repro.core.state import CompilerState
-from repro.driver import Compiler, CompilerOptions
 from repro.frontend.diagnostics import CompileError
 from repro.frontend.includes import DiskFileProvider
 from repro.obs.history import BuildHistory, HistoryRecord, default_history_path
 from repro.obs.logging import setup_logging
 from repro.obs.profiling import NULL_PROFILER, BuildProfiler
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
+from repro.options import CompilerOptions
 from repro.persist import BuildLock, LockTimeoutError, NullLock, default_lock_path
-from repro.ir.printer import print_module
-from repro.vm.machine import VirtualMachine
 from repro.workload.project import Project
 
 
@@ -134,6 +131,9 @@ def reproc_main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     setup_logging(args.verbose)
 
+    from repro.core.state import CompilerState
+    from repro.driver import Compiler
+
     source_path = Path(args.source)
     if not source_path.is_file():
         print(f"reproc: no such file: {args.source}", file=sys.stderr)
@@ -174,6 +174,8 @@ def reproc_main(argv: list[str] | None = None) -> int:
         print(describe_state(compiler.state), file=sys.stderr)
 
     if args.emit_ir:
+        from repro.ir.printer import print_module
+
         print(print_module(result.module), end="")
         return 0
 
@@ -201,6 +203,8 @@ def reproc_main(argv: list[str] | None = None) -> int:
             )
 
     if args.run:
+        from repro.vm.machine import VirtualMachine
+
         image = link([result.object_file])
         outcome = VirtualMachine(image).run()
         for value in outcome.output:
@@ -499,6 +503,8 @@ def _locked_build(args: argparse.Namespace, project: Project) -> int:
         )
 
     if args.run and report.image is not None:
+        from repro.vm.machine import VirtualMachine
+
         outcome = VirtualMachine(report.image).run(args.entry)
         for value in outcome.output:
             print(value)

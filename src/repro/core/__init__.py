@@ -17,11 +17,7 @@ builds and bypasses provably-dormant passes:
   manager's ledger.
 """
 
-from repro.core.inspect import StateSummary, describe_state, summarize_state
-from repro.core.policies import SkipPolicy
-from repro.core.state import CompilerState, DormancyRecord, STATE_SCHEMA_VERSION
-from repro.core.stateful import StatefulPassManager
-from repro.core.statistics import BypassStatistics
+from repro._lazy import lazy_exports
 
 __all__ = [
     "StateSummary",
@@ -34,3 +30,11 @@ __all__ = [
     "StatefulPassManager",
     "BypassStatistics",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.core.inspect": ("StateSummary", "describe_state", "summarize_state"),
+    "repro.core.policies": ("SkipPolicy",),
+    "repro.core.state": ("CompilerState", "DormancyRecord", "STATE_SCHEMA_VERSION"),
+    "repro.core.stateful": ("StatefulPassManager",),
+    "repro.core.statistics": ("BypassStatistics",),
+})

@@ -12,7 +12,6 @@ import time
 from dataclasses import dataclass, field
 
 from repro.backend.objfile import ObjectFile, compile_module_to_object
-from repro.core.policies import SkipPolicy
 from repro.core.state import CompilerState, pipeline_signature_of
 from repro.core.stateful import StatefulPassManager
 from repro.core.statistics import BypassStatistics
@@ -23,33 +22,19 @@ from repro.ir.verifier import verify_module
 from repro.lowering import lower_program
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, NullTracer
+from repro.options import CompilerOptions
 from repro.passmanager.ledger import PassLedger
 from repro.passmanager.manager import PassManager
 from repro.passmanager.pipeline import PassPipeline, build_pipeline
 
-
-@dataclass
-class CompilerOptions:
-    """Configuration for one compiler instance."""
-
-    opt_level: str = "O2"
-    stateful: bool = False
-    policy: SkipPolicy = SkipPolicy.FINE_GRAINED
-    fingerprint_mode: str = "canonical"
-    #: Verify IR after every pass (testing only; large slowdown).
-    verify_each: bool = False
-    #: Verify the final module before codegen.
-    verify_output: bool = True
-
-    @property
-    def object_options(self) -> str:
-        """The options an object file depends on, as the build DB records them.
-
-        Only the optimization level: stateful and stateless compiles
-        emit identical objects (property #1), and the policy,
-        fingerprint mode and verification flags never change codegen.
-        """
-        return f"-{self.opt_level}"
+# objfile and includes defer code generation and parsing so that a build
+# that compiles nothing skips them.  Importing the driver means compiling,
+# so load them now: a -j N build imports the driver before its process
+# pool forks, and every worker then inherits the whole compiler.
+import repro.backend.isel  # noqa: F401
+import repro.backend.peephole  # noqa: F401
+import repro.backend.regalloc  # noqa: F401
+import repro.frontend.parser  # noqa: F401
 
 
 @dataclass

@@ -13,11 +13,7 @@ like a conventional production frontend (Clang-style):
 - :mod:`repro.frontend.includes` — ``include`` directive resolution.
 """
 
-from repro.frontend.diagnostics import Diagnostic, DiagnosticEngine, Severity
-from repro.frontend.lexer import Lexer, Token, TokenKind
-from repro.frontend.parser import Parser, parse_source
-from repro.frontend.sema import Sema, analyze
-from repro.frontend.source import SourceFile, SourceSpan
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Diagnostic",
@@ -33,3 +29,11 @@ __all__ = [
     "SourceFile",
     "SourceSpan",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.frontend.diagnostics": ("Diagnostic", "DiagnosticEngine", "Severity"),
+    "repro.frontend.lexer": ("Lexer", "Token", "TokenKind"),
+    "repro.frontend.parser": ("Parser", "parse_source"),
+    "repro.frontend.sema": ("Sema", "analyze"),
+    "repro.frontend.source": ("SourceFile", "SourceSpan"),
+})

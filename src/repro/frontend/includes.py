@@ -15,14 +15,18 @@ uses for dependency tracking.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from repro.frontend import ast
 from repro.frontend.diagnostics import CompileError, DiagnosticEngine
-from repro.frontend.lexer import Lexer
-from repro.frontend.parser import Parser
 from repro.frontend.source import SourceFile
+
+# The build system imports this module for the providers and
+# scan_includes on every build; the lexer, parser and AST load only
+# when a unit is actually resolved.
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.frontend import ast
 
 
 class IncludeError(Exception):
@@ -87,6 +91,9 @@ class MemoryFileProvider(FileProvider):
 
 
 def _parse_file(name: str, text: str, diags: DiagnosticEngine) -> ast.Program:
+    from repro.frontend.lexer import Lexer
+    from repro.frontend.parser import Parser
+
     source = SourceFile(name, text)
     tokens = Lexer(source, diags).tokenize()
     return Parser(tokens, diags).parse_program()
@@ -94,6 +101,8 @@ def _parse_file(name: str, text: str, diags: DiagnosticEngine) -> ast.Program:
 
 def _check_header_item(item: ast.Node, header: str, diags: DiagnosticEngine) -> bool:
     """Headers may only declare; definitions of storage/code are rejected."""
+    from repro.frontend import ast
+
     if isinstance(item, ast.IncludeDirective):
         return True
     if isinstance(item, ast.FunctionDecl):
@@ -126,6 +135,8 @@ class IncludeResolver:
         Raises :class:`CompileError` for syntax errors anywhere and
         :class:`IncludeError` for missing or cyclic headers.
         """
+        from repro.frontend import ast
+
         diags = DiagnosticEngine()
         program = _parse_file(unit_name, unit_text, diags)
         if diags.has_errors:

@@ -23,32 +23,7 @@ it without cycles.  (The history store therefore holds build reports as
 their schema-versioned dict payloads, not as ``BuildReport`` objects.)
 """
 
-from repro.obs.dashboard import render_dashboard
-from repro.obs.drift import DriftConfig, DriftFinding, DriftReport, detect_drift
-from repro.obs.history import (
-    HISTORY_SCHEMA_VERSION,
-    BuildHistory,
-    HistoryRecord,
-    LoadStats,
-    default_history_path,
-)
-from repro.obs.logging import LOG_ENV_VAR, get_logger, setup_logging
-from repro.obs.metrics import (
-    SOURCE_METRIC_PREFIX,
-    Counter,
-    Gauge,
-    MetricsRegistry,
-    Timing,
-)
-from repro.obs.profiling import NULL_PROFILER, BuildProfiler, NullBuildProfiler
-from repro.obs.trace import (
-    DRIVER_TRACK,
-    NULL_TRACER,
-    NullTracer,
-    SpanRecord,
-    Tracer,
-    chrome_trace_events,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BuildHistory",
@@ -79,3 +54,32 @@ __all__ = [
     "render_dashboard",
     "setup_logging",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.obs.dashboard": ("render_dashboard",),
+    "repro.obs.drift": ("DriftConfig", "DriftFinding", "DriftReport", "detect_drift"),
+    "repro.obs.history": (
+        "HISTORY_SCHEMA_VERSION",
+        "BuildHistory",
+        "HistoryRecord",
+        "LoadStats",
+        "default_history_path",
+    ),
+    "repro.obs.logging": ("LOG_ENV_VAR", "get_logger", "setup_logging"),
+    "repro.obs.metrics": (
+        "SOURCE_METRIC_PREFIX",
+        "Counter",
+        "Gauge",
+        "MetricsRegistry",
+        "Timing",
+    ),
+    "repro.obs.profiling": ("NULL_PROFILER", "BuildProfiler", "NullBuildProfiler"),
+    "repro.obs.trace": (
+        "DRIVER_TRACK",
+        "NULL_TRACER",
+        "NullTracer",
+        "SpanRecord",
+        "Tracer",
+        "chrome_trace_events",
+    ),
+})

@@ -1,14 +1,6 @@
 """Pass pipeline management and the pass ledger."""
 
-from repro.passmanager.ledger import PassLedger, PassRun
-from repro.passmanager.manager import PassManager
-from repro.passmanager.pipeline import (
-    PassPipeline,
-    build_pipeline,
-    O0_PIPELINE,
-    O1_PIPELINE,
-    O2_PIPELINE,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "PassLedger",
@@ -20,3 +12,15 @@ __all__ = [
     "O1_PIPELINE",
     "O2_PIPELINE",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.passmanager.ledger": ("PassLedger", "PassRun"),
+    "repro.passmanager.manager": ("PassManager",),
+    "repro.passmanager.pipeline": (
+        "PassPipeline",
+        "build_pipeline",
+        "O0_PIPELINE",
+        "O1_PIPELINE",
+        "O2_PIPELINE",
+    ),
+})

@@ -13,22 +13,7 @@ Everything is seed-deterministic: the same spec always generates the
 same project, and an edit regenerates exactly the files it touches.
 """
 
-from repro.workload.edits import (
-    Edit,
-    EditKind,
-    apply_edit,
-    random_edit,
-    random_edit_sequence,
-)
-from repro.workload.generator import generate_project
-from repro.workload.project import Project
-from repro.workload.spec import (
-    FunctionSpec,
-    ModuleSpec,
-    ProjectSpec,
-    make_preset,
-    PRESETS,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Edit",
@@ -44,3 +29,22 @@ __all__ = [
     "make_preset",
     "PRESETS",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.workload.edits": (
+        "Edit",
+        "EditKind",
+        "apply_edit",
+        "random_edit",
+        "random_edit_sequence",
+    ),
+    "repro.workload.generator": ("generate_project",),
+    "repro.workload.project": ("Project",),
+    "repro.workload.spec": (
+        "FunctionSpec",
+        "ModuleSpec",
+        "ProjectSpec",
+        "make_preset",
+        "PRESETS",
+    ),
+})

@@ -1,6 +1,7 @@
 """Parallel builds: determinism vs serial, state merging, failure handling."""
 
 import os
+import textwrap
 
 import pytest
 
@@ -12,6 +13,7 @@ from repro.frontend.diagnostics import CompileError
 from repro.frontend.includes import MemoryFileProvider
 from repro.obs.trace import DRIVER_TRACK, Tracer
 from repro.vm.machine import VirtualMachine
+from tests.conftest import run_fresh
 
 FILES = {
     "util.mh": (
@@ -149,6 +151,52 @@ class TestStateCounters:
         hits = counters.get("state.records_refreshed", 0)
         bypassed = counters.get("passes.bypassed", 0)
         assert lookups >= hits >= bypassed > 0
+
+
+class TestPoolForkOrder:
+    """The compiler is imported before the pool forks, not in each worker."""
+
+    def test_process_pool_forks_after_compiler_import(self, tmp_path):
+        from repro.cli import reprobuild_main
+
+        proj = tmp_path / "proj"
+        proj.mkdir()
+        for name, text in FILES.items():
+            (proj / name).write_text(text)
+        pool_db, serial_db = str(tmp_path / "pool.db"), str(tmp_path / "serial.db")
+        argv = [str(proj), "--stateful", "--no-history"]
+        assert reprobuild_main([*argv, "--db", pool_db, "-j", "1"]) == 0
+        # A header edit dirties main.mc and util.mc: two units, a -j 2 pool.
+        (proj / "util.mh").write_text(FILES["util.mh"].replace("3", "4"))
+
+        result = run_fresh(textwrap.dedent(f"""
+            import sys
+            import repro.cli
+            from repro.buildsys import parallel
+
+            compiler = ["repro.driver", "repro.frontend.parser", "repro.backend.regalloc"]
+            pools = []
+            make_pool = parallel._make_pool
+
+            def recording(executor, jobs, initargs):
+                pools.append([executor, [m for m in compiler if m not in sys.modules]])
+                return make_pool(executor, jobs, initargs)
+
+            parallel._make_pool = recording
+            result = {{
+                "driver_at_import": "repro.driver" in sys.modules,
+                "rc": repro.cli.reprobuild_main({[*argv, "--db", pool_db, "-j", "2"]!r}),
+                "pools": pools,
+            }}
+        """), tmp_path)
+        assert result["rc"] == 0
+        assert not result["driver_at_import"]
+        assert result["pools"][0] == ["process", []]
+
+        assert reprobuild_main([*argv, "--db", serial_db, "-j", "1"]) == 0
+        pooled, serial = BuildDatabase.load(pool_db), BuildDatabase.load(serial_db)
+        for path in UNITS:
+            assert pooled.units[path].object_json == serial.units[path].object_json
 
 
 class TestReportAttribution:

@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.frontend.ast import IncludeDirective, Program
@@ -12,6 +18,31 @@ from repro.ir.structure import Module
 from repro.ir.verifier import verify_module
 from repro.lowering import lower_program
 from repro.vm.interp import ExecutionResult, run_module
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_fresh(body: str, cwd: str | Path) -> dict:
+    """Run ``body`` in a fresh interpreter with ``src/`` on the path.
+
+    ``body`` leaves its findings in a dict named ``result``; the dict
+    comes back with one more key, ``modules``: every module the process
+    had loaded when ``body`` finished.
+    """
+    script = (
+        body
+        + "\nimport sys\nresult['modules'] = sorted(sys.modules)\n"
+        + "import json\nprint(json.dumps(result))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = SRC
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def frontend(source: str, headers: dict[str, str] | None = None):

@@ -1,9 +1,11 @@
 """Import-integrity smoke tests.
 
-``repro/__init__.py`` re-exports the public surface from every layer,
-so a missing or broken submodule used to kill *collection* of the whole
-suite with a bare ``ModuleNotFoundError``.  These tests make that
-failure mode one clearly named red test instead.
+Package ``__init__`` modules export their public names lazily: each name
+in ``__all__`` maps to the module defining it and is imported on first
+access (:mod:`repro._lazy`).  A typo in that table, or a missing or
+broken submodule, therefore fails only when the name is used.  These
+tests touch every exported name of every package so that failure mode
+is one clearly named red test instead.
 """
 
 import importlib
@@ -38,6 +40,7 @@ SUBMODULES = [
     "repro.obs.metrics",
     "repro.obs.profiling",
     "repro.obs.trace",
+    "repro.options",
     "repro.passes",
     "repro.passmanager",
     "repro.persist",
@@ -78,3 +81,16 @@ def test_buildsys_exports():
     buildsys = importlib.import_module("repro.buildsys")
     for name in buildsys.__all__:
         assert getattr(buildsys, name, None) is not None, name
+
+
+@pytest.mark.parametrize("module", ["repro", *SUBMODULES])
+def test_exports_resolve(module):
+    mod = importlib.import_module(module)
+    for name in getattr(mod, "__all__", ()):
+        assert getattr(mod, name, None) is not None, f"{module}.{name} does not resolve"
+
+
+@pytest.mark.parametrize("module", ["repro", *SUBMODULES])
+def test_dir_lists_every_export(module):
+    mod = importlib.import_module(module)
+    assert set(getattr(mod, "__all__", ())) <= set(dir(mod))
