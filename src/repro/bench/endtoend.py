@@ -71,7 +71,6 @@ def run_edit_trace(
     seed: int = 1,
     edits: list[Edit] | None = None,
     jobs: int = 1,
-    executor: str = "process",
 ) -> dict[str, TraceResult]:
     """Run the edit-trace experiment for each variant.
 
@@ -81,11 +80,7 @@ def run_edit_trace(
     build on a worker pool, measuring the mechanism under ``make -j``
     conditions.
     """
-    build_options = (
-        BuildOptions(jobs=1, executor="serial")
-        if jobs <= 1
-        else BuildOptions(jobs=jobs, executor=executor)
-    )
+    build_options = BuildOptions(jobs=jobs)
     spec0 = make_preset(preset, seed=seed)
     trace = edits if edits is not None else random_edit_sequence(spec0, num_edits, seed=seed)
 

@@ -55,14 +55,9 @@ def overhead_report(
     seed: int = 1,
     repeats: int = 5,
     jobs: int = 1,
-    executor: str = "process",
 ) -> list[OverheadRow]:
     presets = presets or ["tiny", "small", "medium", "large"]
-    build_options = (
-        BuildOptions(jobs=1, executor="serial")
-        if jobs <= 1
-        else BuildOptions(jobs=jobs, executor=executor)
-    )
+    build_options = BuildOptions(jobs=jobs)
     rows = []
     for preset in presets:
         project = generate_project(make_preset(preset, seed=seed))

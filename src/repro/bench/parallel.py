@@ -6,10 +6,8 @@ reports wall time, speedup over ``-j 1``, and parallel efficiency
 serial build's linked image — the sweep doubles as a determinism
 harness for the snapshot/delta state-merge protocol.
 
-On an N-core machine the process executor should approach N× on the
-compile phase; the thread executor mostly measures protocol overhead
-(the compiler is pure CPU-bound Python), which is itself worth
-tracking.
+On an N-core machine the worker processes should approach N× on the
+compile phase; past the core count the sweep measures pool overhead.
 """
 
 from __future__ import annotations
@@ -50,7 +48,6 @@ def parallel_sweep(
     preset: str = "large",
     jobs: list[int] | None = None,
     *,
-    executor: str = "process",
     stateful: bool = False,
     opt_level: str = "O2",
     repeats: int = 3,
@@ -70,11 +67,7 @@ def parallel_sweep(
     serial_key = None
     points: list[ParallelPoint] = []
     for j in sorted(set(jobs)):
-        build_options = (
-            BuildOptions(jobs=1, executor="serial")
-            if j <= 1
-            else BuildOptions(jobs=j, executor=executor)
-        )
+        build_options = BuildOptions(jobs=j)
         best = None
         for _ in range(max(1, repeats)):
             report = IncrementalBuilder(

@@ -19,7 +19,7 @@ instead of — a competent build system:
   scheduler deciding, per unit, rebuild vs reuse, compiling via
   :mod:`repro.driver` and linking the result.
 - :mod:`repro.buildsys.parallel` — ``make -j`` for dirty units:
-  :class:`BuildOptions` (job count, executor kind) and the worker-pool
+  :class:`BuildOptions` (job count) and the worker-process pool
   machinery; stateful builds stay deterministic via the compiler
   state's snapshot/delta-merge protocol.
 - :mod:`repro.buildsys.report` — :class:`BuildReport`: per-build

@@ -134,7 +134,7 @@ class UnitRecord:
     stats: dict = field(default_factory=dict)
     #: Wall-clock seconds of the recording compile (0.0 = unknown).
     wall_time: float = 0.0
-    #: Who compiled it: "main", "pid-<n>", or a worker-thread name.
+    #: Who compiled it: "main" (in-process) or "pid-<n>" (a pool worker).
     worker: str = "main"
     #: :attr:`~repro.driver.CompilerOptions.object_options` of the
     #: recording compile ("" = not recorded, as in v1/v2 databases).

@@ -194,9 +194,7 @@ class IncrementalBuilder:
         if stateful:
             self._attach_state(compiler)
 
-        jobs = 1
-        if self.build_options.executor != "serial":
-            jobs = min(self.build_options.resolved_jobs(), max(1, len(dirty)))
+        jobs = min(self.build_options.resolved_jobs(), max(1, len(dirty)))
         report.jobs = jobs
         self.metrics.set_gauge("build.units", len(self.unit_paths))
         self.metrics.set_gauge("build.dirty", len(dirty))
@@ -347,7 +345,6 @@ class IncrementalBuilder:
             state_snapshot,
             dirty,
             jobs=jobs,
-            executor=self.build_options.executor,
             trace=self.tracer.enabled,
             profile=self.profiler.enabled,
         )
@@ -359,18 +356,10 @@ class IncrementalBuilder:
                 continue
             if outcome.failed:
                 if error is None:  # earliest failure in schedule order wins
-                    error = self._outcome_error(outcome)
+                    error = outcome.exception()
                 continue
             self._merge_outcome(outcome, snapshots[path], report, compiler)
         return error
-
-    @staticmethod
-    def _outcome_error(outcome: UnitOutcome) -> Exception:
-        try:
-            outcome.raise_error()
-        except Exception as exc:
-            return exc
-        raise AssertionError("outcome did not fail")  # pragma: no cover
 
     def _merge_outcome(
         self,

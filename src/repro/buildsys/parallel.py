@@ -17,12 +17,12 @@ keeps statefulness safe with the snapshot/delta protocol:
 4. the driver merges deltas into the live state in translation-unit
    order — deterministic regardless of completion order.
 
-Executors: ``process`` (the default; real CPU parallelism for this
-CPU-bound compiler), ``thread`` (no pickling, used automatically as a
-fallback when process pools are unavailable — e.g. sandboxes without
-fork), and ``serial`` (force the classic in-process loop).  ``jobs=1``
-always takes the serial path and is behavior-identical to the
-pre-parallel builder.
+Workers are processes, one compiler per unit as with ``make -j``: the
+compiler is CPU-bound Python, so only processes run it in parallel.
+``jobs=1`` takes the builder's serial loop instead and is
+behavior-identical to the pre-parallel builder.  A process pool that
+cannot start or breaks (no fork in a sandbox, a killed worker) logs a
+warning and the same units compile in-process, one after another.
 
 Workers return *data*, not exceptions: a failed unit comes back as an
 outcome with diagnostics attached (``CompileError`` does not survive
@@ -32,8 +32,8 @@ unit in schedule order so parallel error reporting is deterministic too.
 
 from __future__ import annotations
 
+import logging
 import os
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -49,13 +49,12 @@ from repro.options import CompilerOptions
 if TYPE_CHECKING:  # pragma: no cover
     from concurrent.futures import Executor
 
+logger = logging.getLogger(__name__)
+
 #: Environment override for the default job count, honored when a
 #: caller does not pass explicit :class:`BuildOptions` (the CI matrix
 #: uses it to run the whole suite at ``-j 4``).
 JOBS_ENV_VAR = "REPRO_BUILD_JOBS"
-EXECUTOR_ENV_VAR = "REPRO_BUILD_EXECUTOR"
-
-_EXECUTORS = ("process", "thread", "serial")
 
 
 @dataclass
@@ -69,14 +68,6 @@ class BuildOptions:
 
     #: Maximum concurrent unit compilations; ``None`` = CPU count.
     jobs: int | None = 1
-    #: ``process`` | ``thread`` | ``serial``.
-    executor: str = "process"
-
-    def __post_init__(self) -> None:
-        if self.executor not in _EXECUTORS:
-            raise ValueError(
-                f"unknown executor {self.executor!r}; options: {_EXECUTORS}"
-            )
 
     def resolved_jobs(self) -> int:
         if self.jobs is None:
@@ -85,17 +76,14 @@ class BuildOptions:
 
     @classmethod
     def from_env(cls) -> "BuildOptions":
-        """Defaults, overridable via ``REPRO_BUILD_JOBS``/``_EXECUTOR``."""
+        """Defaults, with the job count overridable via ``REPRO_BUILD_JOBS``."""
         options = cls()
         jobs = os.environ.get(JOBS_ENV_VAR)
         if jobs:
             try:
                 options.jobs = int(jobs)
             except ValueError:
-                pass
-        executor = os.environ.get(EXECUTOR_ENV_VAR)
-        if executor in _EXECUTORS:
-            options.executor = executor
+                logger.warning("ignoring %s=%r: not an integer", JOBS_ENV_VAR, jobs)
         return options
 
 
@@ -117,7 +105,7 @@ class UnitOutcome:
     fingerprint_time: float = 0.0
     fingerprint_count: int = 0
     delta: StateDelta | None = None
-    #: Which worker compiled it: "main", "pid-<n>", or a thread name.
+    #: Which worker compiled it: "main" (in-process) or "pid-<n>".
     worker: str = "main"
     #: The unit's metrics registry, merged into the build's by the driver.
     metrics: MetricsRegistry | None = None
@@ -138,21 +126,19 @@ class UnitOutcome:
     def failed(self) -> bool:
         return self.error_kind is not None
 
-    def raise_error(self) -> None:
-        """Re-raise the recorded failure as the original exception type."""
+    def exception(self) -> CompileError | IncludeError:
+        """The recorded failure, rebuilt as the original exception type."""
         if self.error_kind == "include":
-            raise IncludeError(self.error_message)
-        if self.error_kind == "compile":
-            raise CompileError(self.diagnostics)
+            return IncludeError(self.error_message)
+        return CompileError(self.diagnostics)
 
 
 # -- the worker side ---------------------------------------------------------
 #
-# Process pools ship the (provider, options, state snapshot) triple once
-# per worker via the initializer instead of once per task; threads share
-# the module global directly.  Worker state is read-only: every task
-# takes its own copy of the snapshot so outcomes are independent of
-# which worker ran which unit.
+# The pool ships the (provider, options, state snapshot) triple once per
+# worker process via the initializer instead of once per task.  Worker
+# state is read-only: every task takes its own copy of the snapshot so
+# outcomes are independent of which worker ran which unit.
 
 _WORKER_CONTEXT: dict = {}
 
@@ -169,13 +155,6 @@ def _init_worker(
     _WORKER_CONTEXT["state"] = state
     _WORKER_CONTEXT["trace"] = trace
     _WORKER_CONTEXT["profile"] = profile
-
-
-def _worker_name() -> str:
-    thread = threading.current_thread()
-    if thread is threading.main_thread():
-        return f"pid-{os.getpid()}"
-    return thread.name
 
 
 def compile_unit(
@@ -259,7 +238,7 @@ def _compile_unit_task(path: str) -> UnitOutcome:
         _WORKER_CONTEXT["options"],
         _WORKER_CONTEXT["state"],
         path,
-        worker=_worker_name(),
+        worker=f"pid-{os.getpid()}",
         trace=_WORKER_CONTEXT.get("trace", False),
         profile=_WORKER_CONTEXT.get("profile", False),
     )
@@ -268,28 +247,19 @@ def _compile_unit_task(path: str) -> UnitOutcome:
 # -- the driver side ---------------------------------------------------------
 
 
-def _make_pool(executor: str, jobs: int, initargs: tuple) -> Executor:
-    from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+def _make_pool(jobs: int, initargs: tuple) -> Executor:
+    from concurrent.futures import ProcessPoolExecutor
 
-    if executor == "thread":
-        return ThreadPoolExecutor(
-            max_workers=jobs,
-            thread_name_prefix="reprobuild",
-            initializer=_init_worker,
-            initargs=initargs,
-        )
     return ProcessPoolExecutor(
         max_workers=jobs, initializer=_init_worker, initargs=initargs
     )
 
 
-def _run_pool(
-    executor: str, jobs: int, initargs: tuple, paths: list[str]
-) -> dict[str, UnitOutcome]:
+def _run_pool(jobs: int, initargs: tuple, paths: list[str]) -> dict[str, UnitOutcome]:
     from concurrent.futures import as_completed
 
     outcomes: dict[str, UnitOutcome] = {}
-    with _make_pool(executor, jobs, initargs) as pool:
+    with _make_pool(jobs, initargs) as pool:
         futures = {pool.submit(_compile_unit_task, path): path for path in paths}
         for future in as_completed(futures):
             if future.cancelled():
@@ -311,24 +281,30 @@ def compile_units(
     paths: list[str],
     *,
     jobs: int,
-    executor: str = "process",
     trace: bool = False,
     profile: bool = False,
 ) -> dict[str, UnitOutcome]:
-    """Compile ``paths`` concurrently; returns outcomes keyed by path.
+    """Compile ``paths`` on a process pool; returns outcomes keyed by path.
 
     Failed units are present with diagnostics attached; units abandoned
-    after a failure are absent.  A process pool that cannot start or
-    dies (no fork in the sandbox, unpicklable provider) degrades to a
-    thread pool — compilation is deterministic and nothing has been
-    merged yet, so a full retry is safe.
+    after a failure are absent.  A pool that cannot start or dies (no
+    fork in the sandbox, a killed worker) degrades to compiling every
+    unit in-process, in order, stopping at the first failure —
+    compilation is deterministic and nothing has been merged yet, so a
+    full retry is safe.
     """
     from concurrent.futures import BrokenExecutor
 
-    initargs = (provider, options, state, trace, profile)
-    if executor == "process":
-        try:
-            return _run_pool("process", jobs, initargs, paths)
-        except (BrokenExecutor, OSError):
-            return _run_pool("thread", jobs, initargs, paths)
-    return _run_pool("thread", jobs, initargs, paths)
+    try:
+        return _run_pool(jobs, (provider, options, state, trace, profile), paths)
+    except (BrokenExecutor, OSError) as exc:
+        logger.warning("process pool unavailable (%s); compiling serially", exc)
+    outcomes: dict[str, UnitOutcome] = {}
+    for path in paths:
+        outcome = compile_unit(
+            provider, options, state, path, trace=trace, profile=profile
+        )
+        outcomes[path] = outcome
+        if outcome.failed:
+            break
+    return outcomes

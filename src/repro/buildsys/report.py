@@ -47,7 +47,7 @@ class UnitBuildResult:
     #: Statefulness overhead for this unit (0 for stateless builds).
     fingerprint_time: float = 0.0
     fingerprint_count: int = 0
-    #: Who compiled it: "main" (serial), "pid-<n>", or a worker-thread name.
+    #: Who compiled it: "main" (in-process) or "pid-<n>" (a pool worker).
     worker: str = "main"
 
     def to_dict(self) -> dict:

@@ -266,10 +266,6 @@ def reprobench_parallel_main(argv: list[str] | None = None) -> int:
         "--jobs", default="1,2,4,8",
         help="comma-separated job counts to sweep (default 1,2,4,8)",
     )
-    parser.add_argument(
-        "--executor", choices=["process", "thread"], default="process",
-        help="worker pool kind (default process)",
-    )
     parser.add_argument("--stateful", action="store_true", help="sweep the stateful compiler")
     parser.add_argument("--repeats", type=int, default=3, help="builds per point; best kept")
     parser.add_argument("--seed", type=int, default=1)
@@ -289,7 +285,6 @@ def reprobench_parallel_main(argv: list[str] | None = None) -> int:
     points = parallel_sweep(
         args.preset,
         jobs,
-        executor=args.executor,
         stateful=args.stateful,
         repeats=args.repeats,
         seed=args.seed,
@@ -325,6 +320,17 @@ def _load_db_or_warn(path: str, tool: str) -> BuildDatabase:
     return db
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for ``-j``: like make, zero and negatives are errors."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def reprobuild_main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "explain":
@@ -349,12 +355,8 @@ def reprobuild_main(argv: list[str] | None = None) -> int:
         help="print why each unit was rebuilt or skipped",
     )
     parser.add_argument(
-        "-j", "--jobs", type=int, default=None,
-        help="concurrent compile jobs (default: CPU count; -j 1 = classic serial)",
-    )
-    parser.add_argument(
-        "--executor", choices=["process", "thread", "serial"], default="process",
-        help="worker pool kind for -j > 1 (default process)",
+        "-j", "--jobs", type=_positive_int, default=None,
+        help="concurrent compile processes (default: CPU count; -j 1 = classic serial)",
     )
     parser.add_argument("--run", action="store_true", help="execute the linked image")
     parser.add_argument("--entry", default="main", help="entry function (default main)")
@@ -432,7 +434,7 @@ def _locked_build(args: argparse.Namespace, project: Project) -> int:
             file=sys.stderr,
         )
     options = _options_from_args(args)
-    build_options = BuildOptions(jobs=args.jobs, executor=args.executor)
+    build_options = BuildOptions(jobs=args.jobs)
     tracer = _make_tracer(args)
     profiler = BuildProfiler() if args.profile else NULL_PROFILER
     builder = IncrementalBuilder(

@@ -130,9 +130,9 @@ class MetricsRegistry:
         """Fold another registry in: counters/timings add, gauges LWW.
 
         ``source`` names where ``other`` came from (``"driver"`` for
-        in-process compiles, ``"pid-<n>"`` / a thread name for pool
-        workers).  When given, every timing in ``other`` is *also*
-        accumulated under ``source.<source>.<name>``, so worker
+        in-process compiles, ``"pid-<n>"`` for pool workers).  When
+        given, every timing in ``other`` is *also* accumulated under
+        ``source.<source>.<name>``, so worker
         attribution survives the merge instead of dissolving into the
         build-wide summaries.
         """

@@ -15,7 +15,7 @@ under 2% of a clean build.
 
 Export is the Chrome ``trace_event`` JSON object format: load the file
 in ``chrome://tracing`` or https://ui.perfetto.dev.  Every distinct
-``track`` (the serial driver, each worker process/thread) becomes one
+``track`` (the serial driver, each worker process) becomes one
 named thread row; spans that nest in time nest visually.
 """
 
@@ -195,7 +195,7 @@ class Tracer(NullTracer):
 
         ``epoch_wall`` is the foreign tracer's wall-clock epoch; the
         offset between the two wall clocks re-bases every span, and
-        ``track`` (a worker pid/thread name) attributes them to their
+        ``track`` (a worker's ``pid-<n>`` name) attributes them to their
         own visual row.
         """
         offset = epoch_wall - self.epoch_wall

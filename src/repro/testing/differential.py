@@ -89,7 +89,6 @@ def run_differential_trace(
     seed: int = 1,
     num_edits: int = 3,
     jobs: tuple[int, ...] = (1, 4),
-    executor: str = "thread",
     opt_level: str = "O2",
     workdir: str | Path | None = None,
     execute: bool = False,
@@ -123,11 +122,8 @@ def run_differential_trace(
 
         variants: dict[int, tuple[BuildDatabase, object]] = {}
         for j in jobs:
-            build_options = BuildOptions(
-                jobs=j, executor="serial" if j <= 1 else executor
-            )
             report = IncrementalBuilder(
-                provider, units, stateful, dbs[j], build_options
+                provider, units, stateful, dbs[j], BuildOptions(jobs=j)
             ).build()
             result.builds += 1
             variants[j] = (dbs[j], report)
@@ -241,10 +237,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=1, help="base seed (trace i uses seed+i)")
     parser.add_argument("--jobs", default="1,4", help="job counts (default 1,4)")
     parser.add_argument(
-        "--executor", choices=["process", "thread"], default="thread",
-        help="pool kind for -j > 1 (default thread)",
-    )
-    parser.add_argument(
         "--execute", action="store_true",
         help="also run every linked image and compare behaviour",
     )
@@ -261,7 +253,6 @@ def main(argv: list[str] | None = None) -> int:
                 seed=args.seed + i,
                 num_edits=args.edits,
                 jobs=jobs,
-                executor=args.executor,
                 workdir=workdir,
                 execute=args.execute,
             )

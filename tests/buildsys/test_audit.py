@@ -35,7 +35,7 @@ FILES = {
     ),
 }
 UNITS = ["extra.mc", "main.mc", "util.mc"]
-SERIAL = BuildOptions(jobs=1, executor="serial")
+SERIAL = BuildOptions(jobs=1)
 
 
 def build_history(files=FILES, **options) -> BuildDatabase:

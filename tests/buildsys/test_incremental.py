@@ -111,7 +111,7 @@ class TestMidBuildFailure:
         # test_parallel.py): schedule order is [extra.mc, main.mc,
         # util.mc], so breaking the middle unit leaves a success before
         # the failure point and an unreached unit after it.
-        serial = BuildOptions(jobs=1, executor="serial")
+        serial = BuildOptions(jobs=1)
         broken = dict(FILES, **{"main.mc": "int main() { return missing_fn(); }\n"})
         db = BuildDatabase()
         with pytest.raises(CompileError):

@@ -1,5 +1,7 @@
 """Parallel builds: determinism vs serial, state merging, failure handling."""
 
+import contextlib
+import logging
 import os
 import textwrap
 
@@ -39,18 +41,16 @@ FILES = {
 }
 UNITS = ["extra.mc", "main.mc", "util.mc"]
 
-#: The thread executor exercises the identical snapshot/delta protocol
-#: without fork, so the suite stays fast and sandbox-proof; one process
-#: test covers the pickling path.
-THREADS4 = BuildOptions(jobs=4, executor="thread")
-SERIAL = BuildOptions(jobs=1, executor="serial")
+#: A 4-process pool: every parallel test crosses the pickling boundary.
+JOBS4 = BuildOptions(jobs=4)
+SERIAL = BuildOptions(jobs=1)
 
 
 def build(
     files,
     db,
     units=UNITS,
-    build_options=THREADS4,
+    build_options=JOBS4,
     link_output=True,
     tracer=None,
     **options,
@@ -66,19 +66,38 @@ def image_key(image):
     return (image.code, image.functions, image.global_base, image.data)
 
 
-class TestBuildOptions:
-    def test_rejects_unknown_executor(self):
-        with pytest.raises(ValueError):
-            BuildOptions(executor="fibers")
+@contextlib.contextmanager
+def warnings_from(name):
+    """Collect the WARNING records logged to logger ``name``.
 
+    A handler on the logger itself, not pytest's root-level capture:
+    the CLI's logging setup stops ``repro`` records from propagating.
+    """
+    records = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = records.append
+    logger = logging.getLogger(name)
+    logger.addHandler(handler)
+    try:
+        yield records
+    finally:
+        logger.removeHandler(handler)
+
+
+class TestBuildOptions:
     def test_jobs_none_means_cpu_count(self):
         assert BuildOptions(jobs=None).resolved_jobs() == (os.cpu_count() or 1)
 
     def test_from_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_BUILD_JOBS", "4")
-        monkeypatch.setenv("REPRO_BUILD_EXECUTOR", "thread")
-        options = BuildOptions.from_env()
-        assert options.jobs == 4 and options.executor == "thread"
+        assert BuildOptions.from_env().jobs == 4
+
+    def test_from_env_warns_on_non_integer(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BUILD_JOBS", "four")
+        with warnings_from("repro.buildsys.parallel") as warnings:
+            options = BuildOptions.from_env()
+        assert options.resolved_jobs() == 1
+        assert len(warnings) == 1 and "four" in warnings[0].getMessage()
 
     def test_from_env_defaults_serial_behavior(self, monkeypatch):
         monkeypatch.delenv("REPRO_BUILD_JOBS", raising=False)
@@ -107,6 +126,8 @@ class TestDeterminism:
         )
         assert image_key(serial.image) == image_key(parallel.image)
         assert serial.state_records == parallel.state_records
+        # Every unit really crossed into a worker process.
+        assert all(u.worker.startswith("pid-") for u in parallel.compiled)
 
     def test_incremental_rebuild_under_parallelism(self):
         db = BuildDatabase()
@@ -120,7 +141,7 @@ class TestDeterminism:
 
     def test_gc_prunes_like_serial_after_parallel_build(self):
         reports = {}
-        for name, build_options in (("serial", SERIAL), ("parallel", THREADS4)):
+        for name, build_options in (("serial", SERIAL), ("parallel", JOBS4)):
             db = BuildDatabase()
             build(FILES, db, build_options=build_options, stateful=True)
             db.live_state.gc_max_age = 0  # prune everything this build didn't touch
@@ -137,8 +158,8 @@ class TestStateCounters:
 
     @pytest.mark.parametrize(
         "build_options",
-        [SERIAL, BuildOptions(jobs=2, executor="thread"), BuildOptions(jobs=2)],
-        ids=["j1", "j2-thread", "j2-process"],
+        [SERIAL, BuildOptions(jobs=2)],
+        ids=["j1", "j2-process"],
     )
     def test_edit_build_counts_every_hit(self, build_options):
         db = BuildDatabase()
@@ -178,9 +199,9 @@ class TestPoolForkOrder:
             pools = []
             make_pool = parallel._make_pool
 
-            def recording(executor, jobs, initargs):
-                pools.append([executor, [m for m in compiler if m not in sys.modules]])
-                return make_pool(executor, jobs, initargs)
+            def recording(jobs, initargs):
+                pools.append([m for m in compiler if m not in sys.modules])
+                return make_pool(jobs, initargs)
 
             parallel._make_pool = recording
             result = {{
@@ -191,7 +212,7 @@ class TestPoolForkOrder:
         """), tmp_path)
         assert result["rc"] == 0
         assert not result["driver_at_import"]
-        assert result["pools"][0] == ["process", []]
+        assert result["pools"] == [[]]
 
         assert reprobuild_main([*argv, "--db", serial_db, "-j", "1"]) == 0
         pooled, serial = BuildDatabase.load(pool_db), BuildDatabase.load(serial_db)
@@ -203,7 +224,7 @@ class TestReportAttribution:
     def test_workers_and_speedup_reported(self):
         report = build(FILES, BuildDatabase())
         assert report.jobs > 1
-        assert all(unit.worker.startswith("reprobuild") for unit in report.compiled)
+        assert all(unit.worker.startswith("pid-") for unit in report.compiled)
         assert 1 <= report.num_workers <= report.jobs
         assert report.parallel_speedup > 0.0
         assert f"-j {report.jobs}" in report.describe()
@@ -231,10 +252,10 @@ class TestSpanRebasing:
         unit_tracks = {s.name: s.track for s in units}
         reported = {u.path: u.worker for u in report.compiled}
         assert unit_tracks == reported
-        assert all(track.startswith("reprobuild") for track in unit_tracks.values())
+        assert all(track.startswith("pid-") for track in unit_tracks.values())
 
         # Pass and phase spans nest inside a unit span on the same
-        # worker track — nesting survives the re-base.  (One thread may
+        # worker track — nesting survives the re-base.  (One worker may
         # compile several units, so each child belongs to exactly one.)
         children = [
             s for s in spans if s.category in ("pass", "pipeline", "phase")
@@ -276,6 +297,43 @@ class TestFailure:
         assert VirtualMachine(report.image).run().output == [42]
 
 
+class TestPoolFallback:
+    """A process pool that cannot start falls back to in-process compiles."""
+
+    @pytest.fixture(autouse=True)
+    def no_process_pool(self, monkeypatch):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise OSError("cannot fork")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+
+    def test_pool_that_cannot_start_builds_serially(self):
+        db_s, db_p = BuildDatabase(), BuildDatabase()
+        serial = build(FILES, db_s, build_options=SERIAL, stateful=True)
+        with warnings_from("repro.buildsys.parallel") as warnings:
+            fallback = build(FILES, db_p, build_options=JOBS4, stateful=True)
+
+        assert fallback.num_recompiled == len(UNITS)
+        assert image_key(serial.image) == image_key(fallback.image)
+        assert serial.state_records == fallback.state_records
+        for path in UNITS:
+            assert db_s.units[path].object_json == db_p.units[path].object_json
+        # No thread pool stood in for the processes.
+        assert not any(u.worker.startswith("reprobuild") for u in fallback.compiled)
+        assert len(warnings) == 1 and "cannot fork" in warnings[0].getMessage()
+
+    def test_fallback_stops_at_first_failure(self):
+        files = dict(FILES, **{"main.mc": "int main() { return undefined_fn(); }\n"})
+        db = BuildDatabase()
+        with pytest.raises(CompileError):
+            build(files, db, stateful=True)
+        # In schedule order: extra.mc compiled, main.mc failed, util.mc
+        # was never started.
+        assert set(db.units) == {"extra.mc"}
+
+
 class TestCompileUnitHelper:
     def test_outcome_round_trips_object_and_delta(self):
         provider = MemoryFileProvider(FILES)
@@ -291,8 +349,8 @@ class TestCompileUnitHelper:
         outcome = compile_unit(provider, CompilerOptions(), None, "bad.mc")
         assert outcome.failed and outcome.error_kind == "compile"
         assert outcome.diagnostics
-        with pytest.raises(CompileError):
-            outcome.raise_error()
+        assert isinstance(outcome.exception(), CompileError)
+        assert outcome.exception().diagnostics == outcome.diagnostics
 
     def test_outcome_captures_include_error(self):
         from repro.frontend.includes import IncludeError
@@ -300,5 +358,5 @@ class TestCompileUnitHelper:
         provider = MemoryFileProvider({"bad.mc": 'include "gone.mh";\nint main() { return 0; }\n'})
         outcome = compile_unit(provider, CompilerOptions(), None, "bad.mc")
         assert outcome.failed and outcome.error_kind == "include"
-        with pytest.raises(IncludeError):
-            outcome.raise_error()
+        assert isinstance(outcome.exception(), IncludeError)
+        assert str(outcome.exception()) == outcome.error_message

@@ -29,7 +29,7 @@ def build(files=FILES, db=None, build_options=None, **options):
         UNITS,
         CompilerOptions(**options),
         db if db is not None else BuildDatabase(),
-        build_options or BuildOptions(jobs=1, executor="serial"),
+        build_options or BuildOptions(jobs=1),
     ).build()
 
 
@@ -155,9 +155,7 @@ class TestDescribe:
         assert f"{summary['total_wall_time']:.3f}s" in text
 
     def test_describe_parallel_block_matches_json(self):
-        report = build(
-            build_options=BuildOptions(jobs=4, executor="thread"), stateful=True
-        )
+        report = build(build_options=BuildOptions(jobs=4), stateful=True)
         summary = report.to_dict()["summary"]
         assert summary["jobs"] == 2  # capped at the dirty-unit count
         text = report.describe()

@@ -1,7 +1,7 @@
 """BuildHistory durability: concurrency, torn lines, schema round-trip."""
 
 import json
-from concurrent.futures import ThreadPoolExecutor
+import threading
 
 from repro.obs.history import (
     HISTORY_SCHEMA_VERSION,
@@ -147,8 +147,12 @@ class TestConcurrency:
             for k in range(25):
                 history.append(make_record(base * 100 + k))
 
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            list(pool.map(append_many, range(4)))
+        writers = [threading.Thread(target=append_many, args=(b,)) for b in range(4)]
+        for writer in writers:
+            writer.start()
+        for writer in writers:
+            writer.join(timeout=30)
+            assert not writer.is_alive()
 
         records, stats = history.read()
         assert stats.corrupt == 0 and not stats.truncated

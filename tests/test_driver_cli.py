@@ -146,6 +146,17 @@ class TestReprobuildCLI:
     def test_empty_directory(self, tmp_path, capsys):
         assert reprobuild_main([str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+    def test_rejects_bad_job_count(self, tmp_path, capsys, jobs):
+        # Like make: no silent fallback to a serial build.
+        src = self.project(tmp_path)
+        db = tmp_path / "build.db"
+        with pytest.raises(SystemExit) as exc:
+            reprobuild_main([str(src), "--db", str(db), f"--jobs={jobs}"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not db.exists()
+
 
 class TestProjectIO:
     def test_write_and_read_round_trip(self, tmp_path):

@@ -23,7 +23,6 @@ def test_seeded_trace_converges(seed, tmp_path):
         seed=seed,
         num_edits=3,
         jobs=(1, 4),
-        executor="thread",
         workdir=tmp_path,
     )
     assert result.ok, result.describe()
@@ -40,7 +39,6 @@ def test_trace_with_vm_execution(seed, tmp_path):
         seed=seed,
         num_edits=2,
         jobs=(1, 4),
-        executor="thread",
         workdir=tmp_path,
         execute=True,
     )
@@ -56,7 +54,6 @@ def test_trace_at_other_opt_levels(opt_level, tmp_path):
         seed=7,
         num_edits=2,
         jobs=(1, 4),
-        executor="thread",
         opt_level=opt_level,
         workdir=tmp_path,
     )
