@@ -19,7 +19,6 @@ from repro.buildsys.incremental import IncrementalBuilder
 from repro.driver import CompilerOptions
 from repro.obs.history import BuildHistory, HistoryRecord
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profiling import NULL_PROFILER
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.workload.edits import apply_edit, random_edit_sequence
 from repro.workload.generator import generate_project
@@ -189,9 +188,9 @@ def test_history_persistence_overhead_under_budget(benchmark, tmp_path):
             history.append(record)
             appends.append(time.perf_counter() - start)
         append_time = sorted(appends)[1]
-        return report, build_time, append_time, append_time / build_time
+        return build_time, append_time, append_time / build_time
 
-    report, build_time, append_time, overhead = run_once(benchmark, experiment)
+    build_time, append_time, overhead = run_once(benchmark, experiment)
 
     publish(
         "history_overhead",
@@ -209,14 +208,3 @@ def test_history_persistence_overhead_under_budget(benchmark, tmp_path):
         f"history persistence costs {overhead:.2%} of an incremental build"
         f" ({append_time * 1e3:.2f} ms on {build_time:.3f} s)"
     )
-    # --profile is strictly opt-in: the default build path must not
-    # have collected any profile payload.
-    assert report.profile == {}
-
-
-def test_profiler_defaults_to_null():
-    project = generate_project(make_preset("tiny", seed=DEFAULT_SEED))
-    builder = IncrementalBuilder(
-        project.provider(), project.unit_paths, CompilerOptions(), BuildDatabase()
-    )
-    assert builder.profiler is NULL_PROFILER

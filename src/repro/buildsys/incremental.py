@@ -69,7 +69,6 @@ from repro.core.statistics import BypassStatistics
 from repro.frontend.diagnostics import CompileError
 from repro.frontend.includes import FileProvider, IncludeError
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profiling import NULL_PROFILER, WORKER_PHASE, NullBuildProfiler
 from repro.obs.trace import NULL_TRACER, NullTracer
 from repro.options import CompilerOptions
 
@@ -98,7 +97,6 @@ class IncrementalBuilder:
         *,
         tracer: NullTracer = NULL_TRACER,
         metrics: MetricsRegistry | None = None,
-        profiler: NullBuildProfiler = NULL_PROFILER,
     ):
         self.provider = provider
         self.unit_paths = list(unit_paths)
@@ -109,7 +107,6 @@ class IncrementalBuilder:
         )
         self.tracer = tracer
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.profiler = profiler
 
     # -- state plumbing -----------------------------------------------------
 
@@ -159,11 +156,9 @@ class IncrementalBuilder:
 
         scan_start = time.perf_counter()
         scanner = DependencyScanner(self.provider, metrics=self.metrics)
-        with self.profiler.phase("scan"):
-            snapshots = {path: scanner.snapshot(path) for path in self.unit_paths}
+        snapshots = {path: scanner.snapshot(path) for path in self.unit_paths}
         report.scan_time = time.perf_counter() - scan_start
         self.tracer.add("scan", "phase", scan_start, report.scan_time)
-        self.metrics.observe("build.scan_time", report.scan_time)
 
         options = self.options.object_options
         dirty: list[str] = []
@@ -204,22 +199,17 @@ class IncrementalBuilder:
         objects: dict[str, ObjectFile] = {}
         phase_start = time.perf_counter()
         if jobs <= 1:
-            with self.profiler.phase("compile"):
-                error = self._compile_serial(
-                    compiler, snapshots, dirty, report, objects
-                )
+            error = self._compile_serial(compiler, snapshots, dirty, report, objects)
         else:
             error = self._compile_parallel(compiler, snapshots, dirty, report, jobs)
         report.compile_phase_time = time.perf_counter() - phase_start
         if dirty:
             self.tracer.add("compile", "phase", phase_start, report.compile_phase_time)
-        self.metrics.observe("build.compile_phase_time", report.compile_phase_time)
 
         if stateful:
             if error is None:
                 gc_start = time.perf_counter()
-                with self.profiler.phase("state-gc"):
-                    compiler.state.collect_garbage()
+                compiler.state.collect_garbage()
                 if self.tracer.enabled:
                     self.tracer.add(
                         "state-gc", "phase", gc_start, time.perf_counter() - gc_start
@@ -237,7 +227,6 @@ class IncrementalBuilder:
 
         if error is not None:
             report.metrics = self.metrics.to_dict()
-            report.profile = self.profiler.to_payload()
             raise error
 
         self.db.prune(self.unit_paths)
@@ -250,12 +239,10 @@ class IncrementalBuilder:
                 start = time.perf_counter()
                 if key != self.db.linked:
                     self.db.mark_linked(None)  # not linked until it succeeds
-                with self.profiler.phase("link"):
-                    report.image = self._link(objects)
+                report.image = self._link(objects)
                 self.db.mark_linked(key)
                 report.link_time = time.perf_counter() - start
                 self.tracer.add("link", "phase", start, report.link_time)
-                self.metrics.observe("build.link_time", report.link_time)
 
         report.total_wall_time = time.perf_counter() - build_start
         self.tracer.add(
@@ -267,9 +254,7 @@ class IncrementalBuilder:
             recompiled=report.num_recompiled,
             jobs=jobs,
         )
-        self.metrics.observe("build.total_wall_time", report.total_wall_time)
         report.metrics = self.metrics.to_dict()
-        report.profile = self.profiler.to_payload()
         return report
 
     # -- compile strategies -------------------------------------------------
@@ -297,7 +282,7 @@ class IncrementalBuilder:
             wall = time.perf_counter() - start
 
             stats = result.stats
-            self.metrics.merge(result.metrics, source="driver")
+            self.metrics.merge(result.metrics)
             report.bypass.merge(stats)
             report.compiled.append(
                 UnitBuildResult(
@@ -346,7 +331,6 @@ class IncrementalBuilder:
             dirty,
             jobs=jobs,
             trace=self.tracer.enabled,
-            profile=self.profiler.enabled,
         )
 
         error: Exception | None = None
@@ -371,9 +355,7 @@ class IncrementalBuilder:
         """Fold one successful worker outcome into the build products."""
         report.bypass.merge(outcome.stats)
         if outcome.metrics is not None:
-            self.metrics.merge(outcome.metrics, source=outcome.worker)
-        if outcome.profile:
-            self.profiler.absorb(WORKER_PHASE, outcome.profile)
+            self.metrics.merge(outcome.metrics)
         if outcome.spans:
             # Re-base the worker's spans onto the driver timeline; the
             # worker name attributes them to their own track.

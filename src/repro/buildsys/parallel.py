@@ -76,14 +76,24 @@ class BuildOptions:
 
     @classmethod
     def from_env(cls) -> "BuildOptions":
-        """Defaults, with the job count overridable via ``REPRO_BUILD_JOBS``."""
+        """Defaults, with the job count overridable via ``REPRO_BUILD_JOBS``.
+
+        Like ``reprobuild -j``, the value must be a positive integer;
+        anything else is logged and ignored.
+        """
         options = cls()
         jobs = os.environ.get(JOBS_ENV_VAR)
         if jobs:
             try:
-                options.jobs = int(jobs)
+                value = int(jobs)
             except ValueError:
-                logger.warning("ignoring %s=%r: not an integer", JOBS_ENV_VAR, jobs)
+                value = 0
+            if value >= 1:
+                options.jobs = value
+            else:
+                logger.warning(
+                    "ignoring %s=%r: not a positive integer", JOBS_ENV_VAR, jobs
+                )
         return options
 
 
@@ -109,10 +119,6 @@ class UnitOutcome:
     worker: str = "main"
     #: The unit's metrics registry, merged into the build's by the driver.
     metrics: MetricsRegistry | None = None
-    #: Callers-stripped ``cProfile`` stats table (empty unless the build
-    #: runs with ``--profile``); the driver absorbs it into the
-    #: ``compile-workers`` phase of the build profiler.
-    profile: dict = field(default_factory=dict)
     #: Trace spans from the worker's tracer (empty unless tracing), with
     #: the wall-clock epoch the driver needs to re-base them.
     spans: list[SpanRecord] = field(default_factory=list)
@@ -148,13 +154,11 @@ def _init_worker(
     options: CompilerOptions,
     state: CompilerState | None,
     trace: bool = False,
-    profile: bool = False,
 ) -> None:
     _WORKER_CONTEXT["provider"] = provider
     _WORKER_CONTEXT["options"] = options
     _WORKER_CONTEXT["state"] = state
     _WORKER_CONTEXT["trace"] = trace
-    _WORKER_CONTEXT["profile"] = profile
 
 
 def compile_unit(
@@ -165,7 +169,6 @@ def compile_unit(
     *,
     worker: str = "main",
     trace: bool = False,
-    profile: bool = False,
 ) -> UnitOutcome:
     """Compile one unit against a private state copy; never raises.
 
@@ -176,9 +179,7 @@ def compile_unit(
 
     With ``trace=True`` the unit compiles under its own
     :class:`~repro.obs.trace.Tracer`; the spans (and the wall-clock
-    epoch needed to re-base them) ship back inside the outcome.  With
-    ``profile=True`` the compile runs under ``cProfile`` and the
-    callers-stripped stats table ships back in ``outcome.profile``.
+    epoch needed to re-base them) ship back inside the outcome.
     """
     from repro.driver import Compiler
 
@@ -190,12 +191,6 @@ def compile_unit(
     tracer = Tracer(track=worker) if trace else NULL_TRACER
     compiler = Compiler(provider, options, state=worker_state, tracer=tracer)
 
-    profiler = None
-    if profile:
-        import cProfile
-
-        profiler = cProfile.Profile()
-        profiler.enable()
     start = time.perf_counter()
     try:
         result = compiler.compile_file(path)
@@ -208,14 +203,7 @@ def compile_unit(
         outcome.error_kind = "include"
         outcome.error_message = str(exc)
         return outcome
-    finally:
-        if profiler is not None:
-            profiler.disable()
     outcome.wall_time = time.perf_counter() - start
-    if profiler is not None:
-        from repro.obs.profiling import profile_stats_table
-
-        outcome.profile = profile_stats_table(profiler)
 
     outcome.object_json = result.object_file.to_json()
     outcome.stats = result.stats
@@ -240,7 +228,6 @@ def _compile_unit_task(path: str) -> UnitOutcome:
         path,
         worker=f"pid-{os.getpid()}",
         trace=_WORKER_CONTEXT.get("trace", False),
-        profile=_WORKER_CONTEXT.get("profile", False),
     )
 
 
@@ -282,7 +269,6 @@ def compile_units(
     *,
     jobs: int,
     trace: bool = False,
-    profile: bool = False,
 ) -> dict[str, UnitOutcome]:
     """Compile ``paths`` on a process pool; returns outcomes keyed by path.
 
@@ -296,14 +282,12 @@ def compile_units(
     from concurrent.futures import BrokenExecutor
 
     try:
-        return _run_pool(jobs, (provider, options, state, trace, profile), paths)
+        return _run_pool(jobs, (provider, options, state, trace), paths)
     except (BrokenExecutor, OSError) as exc:
         logger.warning("process pool unavailable (%s); compiling serially", exc)
     outcomes: dict[str, UnitOutcome] = {}
     for path in paths:
-        outcome = compile_unit(
-            provider, options, state, path, trace=trace, profile=profile
-        )
+        outcome = compile_unit(provider, options, state, path, trace=trace)
         outcomes[path] = outcome
         if outcome.failed:
             break

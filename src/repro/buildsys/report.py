@@ -24,10 +24,10 @@ from repro.backend.linker import LinkedImage
 from repro.buildsys.explain import RebuildReason
 from repro.core.statistics import BypassStatistics
 
-#: Current schema: v2 adds ``summary.state_bytes`` and the top-level
-#: ``profile`` table; v3 adds the integer wall time ``ns`` to every
-#: ``bypass.by_pass`` entry.  All are absent-tolerant, so v1 and v2
-#: payloads still load.
+#: Current schema: v2 adds ``summary.state_bytes`` (and a top-level
+#: ``profile`` table, no longer written and ignored on read); v3 adds
+#: the integer wall time ``ns`` to every ``bypass.by_pass`` entry.  All
+#: are absent-tolerant, so v1 and v2 payloads still load.
 REPORT_SCHEMA_VERSION = 3
 
 #: Schemas :meth:`BuildReport.from_dict` can still read.  Anything
@@ -108,9 +108,6 @@ class BuildReport:
     #: Snapshot of the build's metrics registry
     #: (:meth:`~repro.obs.metrics.MetricsRegistry.to_dict` payload).
     metrics: dict = field(default_factory=dict)
-    #: Self-profiling payload (:meth:`BuildProfiler.to_payload`) when the
-    #: build ran with ``--profile``; empty otherwise.
-    profile: dict = field(default_factory=dict)
     #: Whether the build linked an image.  The image itself is excluded
     #: from serialization, so deserialized reports carry the fact
     #: through this flag (kept in sync by :attr:`linked`).
@@ -182,7 +179,6 @@ class BuildReport:
                 for path, reason in sorted(self.reasons.items())
             },
             "metrics": self.metrics,
-            "profile": self.profile,
         }
 
     def to_json(self, *, indent: int | None = None) -> str:
@@ -220,7 +216,6 @@ class BuildReport:
             jobs=int(summary.get("jobs", 1)),
             compile_phase_time=float(summary.get("compile_phase_time", 0.0)),
             metrics=payload.get("metrics", {}),
-            profile=payload.get("profile", {}),
             was_linked=bool(summary.get("linked", False)),
         )
         return report

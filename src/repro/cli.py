@@ -10,7 +10,7 @@
 
     reprobuild src/ --db build.reprodb --stateful --run
     reprobuild src/ -j 4 --trace-out trace.json --report-json report.json
-    reprobuild src/ --stateful --profile --label "after refactor"
+    reprobuild src/ --stateful --label "after refactor"
     reprobuild explain src/ main.mc --db build.reprodb
     reprobuild history --db build.reprodb          # cross-build timeline
     reprobuild regress --db build.reprodb          # dormancy-drift checks
@@ -26,8 +26,7 @@ Observability flags shared by the tools: ``-v``/``-vv`` (or
 Every ``reprobuild`` run also appends its report to the build-history
 store beside the DB (``<db>.history.jsonl``; disable with
 ``--no-history``), which is what ``history``/``regress``/``dashboard``
-read.  ``--profile`` runs the build under ``cProfile`` (driver phases
-and workers merged) and writes per-phase ``.pstats`` files.
+read.
 
 Crash safety & concurrency: builds take an advisory ``flock`` on
 ``<db>.lock`` so concurrent invocations on one directory serialize
@@ -60,7 +59,6 @@ from repro.frontend.diagnostics import CompileError
 from repro.frontend.includes import DiskFileProvider
 from repro.obs.history import BuildHistory, HistoryRecord, default_history_path
 from repro.obs.logging import setup_logging
-from repro.obs.profiling import NULL_PROFILER, BuildProfiler
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.options import CompilerOptions
 from repro.persist import BuildLock, LockTimeoutError, NullLock, default_lock_path
@@ -361,15 +359,6 @@ def reprobuild_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--run", action="store_true", help="execute the linked image")
     parser.add_argument("--entry", default="main", help="entry function (default main)")
     parser.add_argument(
-        "--profile", action="store_true",
-        help="run the build under cProfile; writes per-phase .pstats files "
-             "and records the hotspots in the build history",
-    )
-    parser.add_argument(
-        "--profile-dir", metavar="DIR",
-        help="directory for --profile .pstats output (default <db>.pstats)",
-    )
-    parser.add_argument(
         "--label", default="",
         help="free-form label stored with this build's history record",
     )
@@ -436,10 +425,9 @@ def _locked_build(args: argparse.Namespace, project: Project) -> int:
     options = _options_from_args(args)
     build_options = BuildOptions(jobs=args.jobs)
     tracer = _make_tracer(args)
-    profiler = BuildProfiler() if args.profile else NULL_PROFILER
     builder = IncrementalBuilder(
         project.provider(), project.unit_paths, options, db, build_options,
-        tracer=tracer, profiler=profiler,
+        tracer=tracer,
     )
 
     try:
@@ -471,13 +459,6 @@ def _locked_build(args: argparse.Namespace, project: Project) -> int:
         tracer.write(args.trace_out)
     if args.report_json:
         report.write_json(args.report_json)
-    if args.profile:
-        profile_dir = args.profile_dir or f"{args.db}.pstats"
-        written = profiler.write_pstats(profile_dir)
-        print(
-            f"profile: {len(written)} .pstats file(s) in {profile_dir}",
-            file=sys.stderr,
-        )
     if not args.no_history:
         history = BuildHistory(
             args.history_path or default_history_path(args.db)
@@ -487,7 +468,6 @@ def _locked_build(args: argparse.Namespace, project: Project) -> int:
             time.time(),
             report.to_dict(),
             label=args.label,
-            profile=report.profile,
         )
         history.append(record)
     if args.explain:

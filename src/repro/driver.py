@@ -2,8 +2,9 @@
 
 This is the programmatic equivalent of invoking ``reproc``: it runs the
 frontend, lowering, the (possibly stateful) pass pipeline, and the
-backend, returning the object file plus the stage timings and the pass
-ledger the build system and experiments consume.
+backend, returning the object file plus the pass ledger the build
+system and experiments consume.  Stage durations go to the tracer as
+``phase`` spans.
 """
 
 from __future__ import annotations
@@ -38,20 +39,6 @@ import repro.frontend.parser  # noqa: F401
 
 
 @dataclass
-class CompileTimings:
-    """Wall-clock seconds per stage for one translation unit."""
-
-    frontend: float = 0.0
-    lowering: float = 0.0
-    passes: float = 0.0
-    backend: float = 0.0
-
-    @property
-    def total(self) -> float:
-        return self.frontend + self.lowering + self.passes + self.backend
-
-
-@dataclass
 class CompileResult:
     """Everything produced by compiling one translation unit."""
 
@@ -61,9 +48,8 @@ class CompileResult:
     ledger: PassLedger
     #: The ledger's function-pass rows folded into the bypass table.
     stats: BypassStatistics
-    timings: CompileTimings
     headers: list[str] = field(default_factory=list)
-    #: This unit's counters and stage timings, published from the ledger.
+    #: This unit's counters, published from the ledger.
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
 
     @property
@@ -122,36 +108,30 @@ class Compiler:
 
     def compile_source(self, name: str, text: str) -> CompileResult:
         """Compile one translation unit's text to an object file."""
-        timings = CompileTimings()
+        tracer = self.tracer
         unit_start = time.perf_counter()
 
         start = time.perf_counter()
         unit = self.resolver.resolve(name, text)
         sema = analyze(unit.merged)
-        timings.frontend = time.perf_counter() - start
-        self.tracer.add("frontend", "phase", start, timings.frontend, unit=name)
+        tracer.add("frontend", "phase", start, time.perf_counter() - start, unit=name)
 
         start = time.perf_counter()
         module = lower_program(unit.merged, sema, name)
-        timings.lowering = time.perf_counter() - start
-        self.tracer.add("lowering", "phase", start, timings.lowering, unit=name)
+        tracer.add("lowering", "phase", start, time.perf_counter() - start, unit=name)
 
         manager = self._make_pass_manager()
         start = time.perf_counter()
         ledger = manager.run(module)
-        timings.passes = time.perf_counter() - start
-        self.tracer.add("passes", "phase", start, timings.passes, unit=name)
+        tracer.add("passes", "phase", start, time.perf_counter() - start, unit=name)
 
         if self.options.verify_output:
             verify_module(module)
 
         start = time.perf_counter()
         object_file = compile_module_to_object(module)
-        timings.backend = time.perf_counter() - start
-        self.tracer.add("backend", "phase", start, timings.backend, unit=name)
-        self.tracer.add(
-            name, "unit", unit_start, time.perf_counter() - unit_start
-        )
+        tracer.add("backend", "phase", start, time.perf_counter() - start, unit=name)
+        tracer.add(name, "unit", unit_start, time.perf_counter() - unit_start)
 
         stats = BypassStatistics.from_ledger(ledger)
         metrics = MetricsRegistry()
@@ -171,17 +151,12 @@ class Compiler:
             ]
         for counter, value in counters:
             metrics.inc(counter, value)
-        metrics.observe("compile.frontend_time", timings.frontend)
-        metrics.observe("compile.lowering_time", timings.lowering)
-        metrics.observe("compile.passes_time", timings.passes)
-        metrics.observe("compile.backend_time", timings.backend)
 
         return CompileResult(
             module=module,
             object_file=object_file,
             ledger=ledger,
             stats=stats,
-            timings=timings,
             headers=list(unit.headers),
             metrics=metrics,
         )

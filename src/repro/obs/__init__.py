@@ -13,9 +13,11 @@ Pillars, each usable on its own:
 - :mod:`repro.obs.drift` — dormancy-drift analytics over the history
   (``reprobuild regress``);
 - :mod:`repro.obs.dashboard` — the self-contained static HTML
-  build-health page (``reprobuild dashboard``);
-- :mod:`repro.obs.profiling` — ``cProfile`` self-profiling of driver
-  phases and worker compiles (``reprobuild --profile``).
+  build-health page (``reprobuild dashboard``).
+
+Each duration has one home: the build report (and so the history)
+holds the build's phase and per-unit wall times, and the trace holds
+the spans.
 
 The package sits *below* the build system in the layering: nothing
 here imports compiler or buildsys modules, so any layer can depend on
@@ -27,7 +29,6 @@ from repro._lazy import lazy_exports
 
 __all__ = [
     "BuildHistory",
-    "BuildProfiler",
     "Counter",
     "DRIVER_TRACK",
     "DriftConfig",
@@ -39,11 +40,8 @@ __all__ = [
     "LOG_ENV_VAR",
     "LoadStats",
     "MetricsRegistry",
-    "NULL_PROFILER",
     "NULL_TRACER",
-    "NullBuildProfiler",
     "NullTracer",
-    "SOURCE_METRIC_PREFIX",
     "SpanRecord",
     "Timing",
     "Tracer",
@@ -66,14 +64,7 @@ __getattr__, __dir__ = lazy_exports(globals(), {
         "default_history_path",
     ),
     "repro.obs.logging": ("LOG_ENV_VAR", "get_logger", "setup_logging"),
-    "repro.obs.metrics": (
-        "SOURCE_METRIC_PREFIX",
-        "Counter",
-        "Gauge",
-        "MetricsRegistry",
-        "Timing",
-    ),
-    "repro.obs.profiling": ("NULL_PROFILER", "BuildProfiler", "NullBuildProfiler"),
+    "repro.obs.metrics": ("Counter", "Gauge", "MetricsRegistry", "Timing"),
     "repro.obs.trace": (
         "DRIVER_TRACK",
         "NULL_TRACER",

@@ -11,8 +11,8 @@ so it can be opened from a build artifact tarball on a plane.  Content:
 - a per-pass heat table (recent builds x passes, shaded by that pass's
   wall time relative to its own row) — the visual form of the per-pass
   regression check;
-- a per-worker wall breakdown (from the ``source.<worker>.*`` timing
-  attribution the metrics merge preserves);
+- a per-worker wall breakdown of the latest build (its ``compiled``
+  units' wall times, summed by worker);
 - the drift findings, when the caller ran the detectors;
 - the full builds table (the data behind every chart, so nothing is
   color-gated).
@@ -259,16 +259,12 @@ def _heat_table(records: list[HistoryRecord], max_builds: int = 12) -> str:
 
 
 def _worker_breakdown(records: list[HistoryRecord]) -> str:
-    """Per-worker compile wall of the latest build, from source.* timings."""
+    """Per-worker compile wall of the latest build, from its compiled units."""
     latest = records[-1]
-    timings = latest.report.get("metrics", {}).get("timings", {})
     busy: dict[str, float] = {}
-    for name, summary in timings.items():
-        if not name.startswith("source."):
-            continue
-        tag, _, metric = name[len("source."):].partition(".")
-        if metric.startswith("compile.") and metric.endswith("_time"):
-            busy[tag] = busy.get(tag, 0.0) + float(summary.get("total", 0.0))
+    for unit in latest.report.get("compiled", []):
+        worker = unit.get("worker", "main")
+        busy[worker] = busy.get(worker, 0.0) + float(unit.get("wall_time", 0.0))
     if not busy:
         return ""
     top = max(busy.values()) or 1.0
@@ -353,20 +349,6 @@ def render_dashboard(
         f"{len(records)} builds, #{records[0].seq} to #{latest.seq}; "
         f"latest {_fmt_when(latest.timestamp)}"
     )
-    profile = ""
-    if latest.profile.get("hotspots"):
-        rows = "".join(
-            f"<tr><td>{_esc(h['function'])}</td><td>{h['calls']:,}</td>"
-            f"<td>{_fmt_seconds(h['tottime'])}</td>"
-            f"<td>{_fmt_seconds(h['cumtime'])}</td></tr>"
-            for h in latest.profile["hotspots"]
-        )
-        profile = (
-            f"<h2>Profile hotspots (build #{latest.seq})</h2>"
-            '<div class="card"><table><thead><tr><th>function</th><th>calls</th>'
-            "<th>own</th><th>cumulative</th></tr></thead>"
-            f"<tbody>{rows}</tbody></table></div>"
-        )
     return (
         head
         + f"<h1>{_esc(title)}</h1><p class=\"sub\">{_esc(sub)}</p>"
@@ -377,7 +359,6 @@ def render_dashboard(
         + "<h2>Per-pass wall heat</h2>"
         + _heat_table(records)
         + _worker_breakdown(records)
-        + profile
         + "<h2>Builds</h2>"
         + _builds_table(records)
         + '<div class="footer">generated by reprobuild dashboard; '

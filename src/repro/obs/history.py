@@ -61,9 +61,6 @@ class HistoryRecord:
     state: dict = field(default_factory=dict)
     #: Per-pass ``{executed, dormant, bypassed, work, wall}`` rollup.
     passes: dict = field(default_factory=dict)
-    #: Optional ``--profile`` summary
-    #: (:meth:`~repro.obs.profiling.BuildProfiler.to_payload` shape).
-    profile: dict = field(default_factory=dict)
 
     # -- derived views the analytics read ------------------------------------
 
@@ -114,7 +111,6 @@ class HistoryRecord:
         *,
         label: str = "",
         state: dict | None = None,
-        profile: dict | None = None,
     ) -> "HistoryRecord":
         """Build a record from a ``BuildReport.to_dict`` payload.
 
@@ -147,7 +143,6 @@ class HistoryRecord:
             report=report,
             state=state,
             passes=passes,
-            profile=dict(profile) if profile else {},
         )
 
     # -- (de)serialization ---------------------------------------------------
@@ -161,7 +156,6 @@ class HistoryRecord:
             "report": self.report,
             "state": self.state,
             "passes": self.passes,
-            "profile": self.profile,
         }
 
     @classmethod
@@ -173,7 +167,6 @@ class HistoryRecord:
             report=payload.get("report", {}),
             state=payload.get("state", {}),
             passes=payload.get("passes", {}),
-            profile=payload.get("profile", {}),
         )
 
 

@@ -10,21 +10,15 @@ the build report's bypass table.  Registries are plain picklable data,
 so a worker process can fill one per unit and ship it back for
 :meth:`MetricsRegistry.merge` on the driver side.
 
-Naming convention: dotted ``family.metric`` strings, with
-per-worker timing breakdowns under ``source.<worker>.<timing>``
-(written by :meth:`MetricsRegistry.merge` when the caller passes a
-``source`` tag, so a merged build registry still knows which worker
-spent the time — the dashboard's per-worker wall breakdown reads these).
+Naming convention: dotted ``family.metric`` strings.  Timings hold only
+durations no other record keeps (``state.snapshot_time``,
+``state.merge_time``); the build and unit phase durations live in the
+build report and the trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-#: Timing-name prefix for per-source (worker) breakdowns kept by
-#: :meth:`MetricsRegistry.merge` when given a ``source`` tag.
-SOURCE_METRIC_PREFIX = "source."
-
 
 @dataclass
 class Counter:
@@ -126,41 +120,14 @@ class MetricsRegistry:
 
     # -- aggregation ---------------------------------------------------------
 
-    def merge(self, other: "MetricsRegistry", *, source: str | None = None) -> None:
-        """Fold another registry in: counters/timings add, gauges LWW.
-
-        ``source`` names where ``other`` came from (``"driver"`` for
-        in-process compiles, ``"pid-<n>"`` for pool workers).  When
-        given, every timing in ``other`` is *also* accumulated under
-        ``source.<source>.<name>``, so worker
-        attribution survives the merge instead of dissolving into the
-        build-wide summaries.
-        """
+    def merge(self, other: "MetricsRegistry") -> None:
+        """Fold another registry in: counters/timings add, gauges LWW."""
         for name, counter in other.counters.items():
             self.counter(name).inc(counter.value)
         for name, gauge in other.gauges.items():
             self.gauge(name).set(gauge.value)
         for name, timing in other.timings.items():
             self.timing(name).merge(timing)
-            if source is not None:
-                self.timing(f"{SOURCE_METRIC_PREFIX}{source}.{name}").merge(timing)
-
-    def sources(self) -> dict[str, dict[str, Timing]]:
-        """Per-source timing breakdowns recorded by tagged merges.
-
-        Returns ``{source: {timing_name: Timing}}`` — e.g.
-        ``{"pid-17": {"compile.passes_time": <Timing>}}`` — with the
-        ``source.<tag>.`` prefix stripped from the names.
-        """
-        by_source: dict[str, dict[str, Timing]] = {}
-        for name, timing in self.timings.items():
-            if not name.startswith(SOURCE_METRIC_PREFIX):
-                continue
-            tag, _, metric = name[len(SOURCE_METRIC_PREFIX):].partition(".")
-            if not tag or not metric:
-                continue
-            by_source.setdefault(tag, {})[metric] = timing
-        return by_source
 
     def to_dict(self) -> dict:
         """A stable, JSON-ready snapshot (keys sorted)."""

@@ -34,7 +34,7 @@ from pathlib import Path
 from repro.persist import io
 from repro.persist.errors import CorruptArtifactError
 
-#: Frame magic.  No legacy artifact (JSON, JSONL, pstats marshal) can
+#: Frame magic.  No legacy artifact (JSON or JSONL) can
 #: begin with these bytes, which is what makes unframed reads safe.
 MAGIC = b"%repro-artifact"
 FRAME_VERSION = 1

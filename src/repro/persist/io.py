@@ -1,7 +1,7 @@
 """The patchable IO seam every persistence write goes through.
 
 All mutating filesystem operations of the persistence layer (build DB,
-compiler state, history store, report/profile outputs) are dispatched
+compiler state, history store, report outputs) are dispatched
 through one swappable :class:`IOBackend` instead of calling ``os``
 directly.  In production the default backend is a thin passthrough; the
 fault-injection harness (:mod:`repro.testing.faults`) installs a

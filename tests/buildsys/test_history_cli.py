@@ -14,7 +14,7 @@ from repro.cli import (
     reprobuild_regress_main,
 )
 from repro.buildsys.report import REPORT_SCHEMA_VERSION
-from repro.obs.history import BuildHistory, default_history_path
+from repro.obs.history import default_history_path
 from repro.passes.mem2reg import Mem2RegPass
 
 FILES = {
@@ -182,28 +182,3 @@ class TestDashboardCommand:
         )
         assert rc == 1
         assert not (tmp_path / "x.html").exists()
-
-
-class TestProfileFlag:
-    def test_profile_writes_pstats_and_history_payload(self, tmp_path, capsys):
-        import pstats
-
-        proj, db = tmp_path / "proj", tmp_path / "build.reprodb"
-        pstats_dir = tmp_path / "prof"
-        write_project(proj)
-        rc = reprobuild_main(
-            [str(proj), "--stateful", "--db", str(db), "-j", "1",
-             "--profile", "--profile-dir", str(pstats_dir)]
-        )
-        assert rc == 0
-        files = sorted(p.name for p in pstats_dir.glob("*.pstats"))
-        assert "compile.pstats" in files and "link.pstats" in files
-        for path in pstats_dir.glob("*.pstats"):
-            assert pstats.Stats(str(path)).total_calls > 0
-        (record,), _ = BuildHistory(default_history_path(db)).read()
-        assert record.profile["schema"] == 1
-        assert record.profile["hotspots"]
-
-    def test_profile_is_off_by_default(self, trace):
-        records, _ = BuildHistory(trace.history).read()
-        assert all(record.profile == {} for record in records)

@@ -93,11 +93,14 @@ class TestBuildOptions:
         assert BuildOptions.from_env().jobs == 4
 
     def test_from_env_warns_on_non_integer(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BUILD_JOBS", "four")
-        with warnings_from("repro.buildsys.parallel") as warnings:
-            options = BuildOptions.from_env()
-        assert options.resolved_jobs() == 1
-        assert len(warnings) == 1 and "four" in warnings[0].getMessage()
+        # Zero and negatives are rejected like `reprobuild -j`, not
+        # silently clamped to a serial build.
+        for value in ("four", "0", "-3"):
+            monkeypatch.setenv("REPRO_BUILD_JOBS", value)
+            with warnings_from("repro.buildsys.parallel") as warnings:
+                options = BuildOptions.from_env()
+            assert options.jobs == 1
+            assert len(warnings) == 1 and repr(value) in warnings[0].getMessage()
 
     def test_from_env_defaults_serial_behavior(self, monkeypatch):
         monkeypatch.delenv("REPRO_BUILD_JOBS", raising=False)

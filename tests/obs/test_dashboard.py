@@ -1,10 +1,13 @@
 """Dashboard rendering: structure, self-containment, content."""
 
+import json
 from html.parser import HTMLParser
 
 from repro.obs.dashboard import render_dashboard
 from repro.obs.drift import DriftFinding, DriftReport
 from repro.obs.history import HistoryRecord
+
+from tests.obs.test_history import LEGACY_LINE
 
 VOID_TAGS = {"meta", "br", "hr", "img", "input", "link", "circle", "line"}
 
@@ -50,7 +53,7 @@ def check_structure(html_text: str) -> StructureChecker:
     return checker
 
 
-def make_record(seq: int, *, passes=None, timings=None, profile=None) -> HistoryRecord:
+def make_record(seq: int, *, passes=None, compiled=None) -> HistoryRecord:
     return HistoryRecord(
         seq=seq,
         timestamp=1_700_000_000.0 + seq * 60,
@@ -64,13 +67,12 @@ def make_record(seq: int, *, passes=None, timings=None, profile=None) -> History
                 "jobs": 2,
             },
             "bypass": {"executions": 40, "bypassed": 0 if seq == 1 else 60},
-            "metrics": {"timings": timings or {}},
+            "compiled": compiled or [],
         },
         state={"records": 100 + seq * 5, "bytes": 40_000 + seq * 500},
         passes=passes
         or {"dce": {"executed": 4, "bypassed": 6, "wall": 0.004 * seq},
             "mem2reg": {"executed": 2, "bypassed": 8, "wall": 0.002}},
-        profile=profile or {},
     )
 
 
@@ -113,39 +115,33 @@ class TestContent:
         page = render_dashboard(list(reversed(trace(4))))
         assert "builds, #1 to #4" in page
 
-    def test_worker_breakdown_from_source_timings(self):
+    def test_worker_breakdown_from_compiled_units(self):
         records = trace(3)
         records[-1] = make_record(
             3,
-            timings={
-                "source.driver.compile.frontend_time": {"total": 0.2},
-                "source.pid-1.compile.passes_time": {"total": 0.5},
-                "compile.frontend_time": {"total": 0.7},  # untagged: ignored
-            },
+            compiled=[
+                {"path": "a.mc", "wall_time": 0.2, "worker": "pid-1"},
+                {"path": "b.mc", "wall_time": 0.3, "worker": "pid-1"},
+                {"path": "c.mc", "wall_time": 0.125, "worker": "pid-2"},
+            ],
         )
         page = render_dashboard(records)
-        assert "Compile wall by worker" in page
-        assert "pid-1" in page and "driver" in page
+        assert "Compile wall by worker (build #3)" in page
+        assert "pid-1: 500.0ms" in page and "pid-2: 125.0ms" in page
 
-    def test_no_worker_section_without_source_timings(self):
+    def test_no_worker_section_when_nothing_compiled(self):
         assert "Compile wall by worker" not in render_dashboard(trace())
 
-    def test_profile_hotspots_table(self):
-        records = trace(2)
-        records[-1] = make_record(
-            2,
-            profile={
-                "schema": 1,
-                "phases": {},
-                "hotspots": [
-                    {"function": "manager.py:127(_run)", "calls": 9,
-                     "tottime": 0.12, "cumtime": 0.3},
-                ],
-            },
-        )
-        page = render_dashboard(records)
-        assert "Profile hotspots" in page
-        assert "manager.py:127(_run)" in page
+    def test_legacy_record_renders_workers_from_compiled(self):
+        # Profile tables and source.* timings of earlier writers are
+        # ignored; serial units appear under their own worker, "main".
+        legacy = HistoryRecord.from_dict(json.loads(LEGACY_LINE))
+        page = render_dashboard(trace(3) + [legacy])
+        check_structure(page)
+        assert "Compile wall by worker (build #7)" in page
+        assert "main: 400.0ms" in page
+        assert "driver" not in page
+        assert "Profile hotspots" not in page and "manager.py" not in page
 
 
 class TestDrift:

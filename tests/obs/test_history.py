@@ -46,10 +46,76 @@ def make_record(seq: int, **overrides) -> HistoryRecord:
         passes={
             "dce": {"executed": 5, "dormant": 1, "bypassed": 9, "work": 42, "wall": 0.01}
         },
-        profile={"schema": 1, "phases": {"compile": {"tottime": 0.1}}, "hotspots": []},
     )
     fields.update(overrides)
     return HistoryRecord(**fields)
+
+
+def _timing(total: float) -> dict:
+    return {"count": 2, "total": total, "min": total / 4, "max": total * 3 / 4,
+            "mean": total / 2}
+
+
+_PROFILE = {
+    "schema": 1,
+    "phases": {"compile": {"calls": 9, "tottime": 0.1}},
+    "hotspots": [{"function": "manager.py:127(_run)", "calls": 9,
+                  "tottime": 0.1, "cumtime": 0.3}],
+}
+_UNIT_STATS = {"executions": 5, "dormant_executions": 1, "bypassed": 15,
+               "work_executed": 40, "by_pass": {}}
+
+#: A serial stateful build's history line as earlier writers produced
+#: it: a cProfile ``profile`` table beside the record and inside its
+#: report, and per-worker ``source.<worker>.*`` copies of each unit
+#: stage timing in ``report.metrics``.
+LEGACY_LINE = json.dumps({
+    "schema": 1,
+    "seq": 7,
+    "timestamp": 1_700_000_420.0,
+    "label": "legacy",
+    "report": {
+        "schema": 3,
+        "summary": {
+            "recompiled": 2, "up_to_date": 1, "jobs": 1, "workers": 1,
+            "parallel_speedup": 1.0, "total_wall_time": 0.5, "scan_time": 0.01,
+            "compile_phase_time": 0.4, "compile_wall_time": 0.4,
+            "link_time": 0.02, "total_pass_work": 80, "state_records": 57,
+            "state_bytes": 9000, "linked": True,
+        },
+        "compiled": [
+            {"path": "main.mc", "wall_time": 0.3, "pass_work": 50,
+             "stats": _UNIT_STATS, "fingerprint_time": 0.01,
+             "fingerprint_count": 6, "worker": "main"},
+            {"path": "lib.mc", "wall_time": 0.1, "pass_work": 30,
+             "stats": _UNIT_STATS, "fingerprint_time": 0.004,
+             "fingerprint_count": 3, "worker": "main"},
+        ],
+        "up_to_date": ["util.mc"],
+        "bypass": {
+            "executions": 10, "dormant_executions": 2, "bypassed": 30,
+            "work_executed": 80,
+            "by_pass": {"dce": {"executed": 4, "dormant": 1, "bypassed": 6,
+                                "work": 20, "ns": 3_000_000}},
+        },
+        "reasons": {},
+        "metrics": {
+            "counters": {"passes.executed": 10, "passes.bypassed": 30},
+            "gauges": {"state.bytes": 9000},
+            "timings": {
+                f"{prefix}compile.{stage}_time": _timing(0.1)
+                for prefix in ("", "source.driver.")
+                for stage in ("frontend", "lowering", "passes", "backend")
+            },
+        },
+        "profile": _PROFILE,
+    },
+    "state": {"records": 57, "bytes": 9000, "gc_runs": 3,
+              "gc_reclaimed_total": 4, "gc_reclaimed_last": 1},
+    "passes": {"dce": {"executed": 4, "dormant": 1, "bypassed": 6, "work": 20,
+                       "wall": 0.003}},
+    "profile": _PROFILE,
+})
 
 
 class TestRoundTrip:
@@ -90,6 +156,19 @@ class TestRoundTrip:
         history.append(make_record(1))
         history.index_path.unlink()
         assert history.next_seq() == 2
+
+    def test_legacy_line_with_profile_and_source_timings_loads(self, tmp_path):
+        record = HistoryRecord.from_dict(json.loads(LEGACY_LINE))
+        assert (record.seq, record.label, record.recompiled) == (7, "legacy", 2)
+        assert record.state_records == 57 and record.bypass_rate == 0.75
+        assert "profile" not in record.to_dict()
+
+        history = BuildHistory(tmp_path / "h.jsonl")
+        history.path.write_text(LEGACY_LINE + "\n")
+        history.append(make_record(8))
+        records, stats = history.read()
+        assert [r.seq for r in records] == [7, 8]
+        assert stats.corrupt == 0 and stats.newer_schema == 0
 
     def test_default_history_path_rides_beside_db(self):
         assert str(default_history_path("build.reprodb")).endswith(

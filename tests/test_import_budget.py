@@ -35,10 +35,11 @@ COMPILER_ONLY = [
     "repro.obs.drift",
     "concurrent.futures",
     "multiprocessing",
+    "cProfile",
 ]
 
 #: At most this many ``repro.*`` modules on the no-op path.
-MAX_NOOP_REPRO_MODULES = 40
+MAX_NOOP_REPRO_MODULES = 37
 
 
 def reprobuild(*argv: str) -> str:

@@ -38,7 +38,6 @@ SUBMODULES = [
     "repro.obs.history",
     "repro.obs.logging",
     "repro.obs.metrics",
-    "repro.obs.profiling",
     "repro.obs.trace",
     "repro.options",
     "repro.passes",
