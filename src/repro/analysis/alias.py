@@ -19,8 +19,8 @@ stores, where the fully conservative treatment would flush everything.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
+from repro._struct import FrozenStruct
 from repro.ir.instructions import AllocaInst, GepInst
 from repro.ir.values import Argument, GlobalAddr, Value
 
@@ -31,13 +31,18 @@ class AliasResult(enum.Enum):
     MUST_ALIAS = "must"
 
 
-@dataclass(frozen=True)
-class PointerInfo:
+class PointerInfo(FrozenStruct):
     """Decomposition of a pointer value: root object + offset."""
 
-    root: object          # AllocaInst | GlobalAddr-symbol | Argument | None
-    offset: int | None    # slots from the root; None if not constant
-    kind: str             # "alloca" | "global" | "argument" | "unknown"
+    _fields = ("root", "offset", "kind")
+
+    def __init__(self, root: object, offset: int | None, kind: str) -> None:
+        # AllocaInst | GlobalAddr-symbol | Argument | None
+        object.__setattr__(self, "root", root)
+        # slots from the root; None if not constant
+        object.__setattr__(self, "offset", offset)
+        # "alloca" | "global" | "argument" | "unknown"
+        object.__setattr__(self, "kind", kind)
 
 
 def classify_pointer(ptr: Value) -> PointerInfo:

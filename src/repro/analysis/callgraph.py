@@ -6,24 +6,31 @@ by function-attribute inference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from repro._struct import Struct
 from repro.ir.instructions import CallInst
 from repro.ir.structure import Function, Module
 
 
-@dataclass
-class CallGraph:
+class CallGraph(Struct):
     """Callers/callees by function name, for one module.
 
     Edges to functions not defined in the module (externals, builtins)
     appear in ``callees`` but have no node of their own.
     """
 
-    module: Module
-    callees: dict[str, set[str]] = field(default_factory=dict)
-    callers: dict[str, set[str]] = field(default_factory=dict)
-    call_sites: dict[str, list[CallInst]] = field(default_factory=dict)
+    _fields = ("module", "callees", "callers", "call_sites")
+
+    def __init__(
+        self,
+        module: Module,
+        callees: dict[str, set[str]] | None = None,
+        callers: dict[str, set[str]] | None = None,
+        call_sites: dict[str, list[CallInst]] | None = None,
+    ) -> None:
+        self.module = module
+        self.callees = {} if callees is None else callees
+        self.callers = {} if callers is None else callers
+        self.call_sites = {} if call_sites is None else call_sites
 
     @classmethod
     def build(cls, module: Module) -> "CallGraph":

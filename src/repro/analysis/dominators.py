@@ -8,25 +8,32 @@ same paper; they drive SSA phi placement in mem2reg.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from repro._struct import Struct
 from repro.analysis.cfg import reverse_postorder
 from repro.ir.structure import BasicBlock, Function
 
 
-@dataclass
-class DominatorTree:
+class DominatorTree(Struct):
     """Immediate-dominator tree for the reachable part of a function.
 
     Unreachable blocks are absent from all maps; use
     :meth:`is_reachable` before querying them.
     """
 
-    function: Function
-    idom: dict[BasicBlock, BasicBlock] = field(default_factory=dict)
-    children: dict[BasicBlock, list[BasicBlock]] = field(default_factory=dict)
-    #: Reverse-postorder index of each reachable block.
-    rpo_index: dict[BasicBlock, int] = field(default_factory=dict)
+    _fields = ("function", "idom", "children", "rpo_index")
+
+    def __init__(
+        self,
+        function: Function,
+        idom: dict[BasicBlock, BasicBlock] | None = None,
+        children: dict[BasicBlock, list[BasicBlock]] | None = None,
+        rpo_index: dict[BasicBlock, int] | None = None,
+    ) -> None:
+        self.function = function
+        self.idom = {} if idom is None else idom
+        self.children = {} if children is None else children
+        #: Reverse-postorder index of each reachable block.
+        self.rpo_index = {} if rpo_index is None else rpo_index
 
     @classmethod
     def compute(cls, fn: Function) -> "DominatorTree":

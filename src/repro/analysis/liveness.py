@@ -9,8 +9,7 @@ edge" convention).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from repro._struct import Struct
 from repro.ir.instructions import Instruction, PhiInst
 from repro.ir.structure import BasicBlock, Function
 from repro.ir.values import Argument, Value
@@ -21,12 +20,18 @@ def _is_register(value: Value) -> bool:
     return isinstance(value, (Instruction, Argument))
 
 
-@dataclass
-class LivenessInfo:
+class LivenessInfo(Struct):
     """Result of liveness analysis for one function."""
 
-    live_in: dict[BasicBlock, frozenset[Value]] = field(default_factory=dict)
-    live_out: dict[BasicBlock, frozenset[Value]] = field(default_factory=dict)
+    _fields = ("live_in", "live_out")
+
+    def __init__(
+        self,
+        live_in: dict[BasicBlock, frozenset[Value]] | None = None,
+        live_out: dict[BasicBlock, frozenset[Value]] | None = None,
+    ) -> None:
+        self.live_in = {} if live_in is None else live_in
+        self.live_out = {} if live_out is None else live_out
 
     def is_live_across(self, value: Value, block: BasicBlock) -> bool:
         return value in self.live_out.get(block, frozenset())

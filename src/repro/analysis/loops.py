@@ -8,20 +8,26 @@ Used by LICM and loop unrolling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from repro._struct import Struct
 from repro.analysis.dominators import DominatorTree
 from repro.ir.structure import BasicBlock, Function
 
 
-@dataclass
-class Loop:
+class Loop(Struct):
     """One natural loop: its header and member blocks."""
 
-    header: BasicBlock
-    blocks: set[BasicBlock] = field(default_factory=set)
-    #: Blocks inside the loop that branch back to the header.
-    latches: list[BasicBlock] = field(default_factory=list)
+    _fields = ("header", "blocks", "latches")
+
+    def __init__(
+        self,
+        header: BasicBlock,
+        blocks: set[BasicBlock] | None = None,
+        latches: list[BasicBlock] | None = None,
+    ) -> None:
+        self.header = header
+        self.blocks = set() if blocks is None else blocks
+        #: Blocks inside the loop that branch back to the header.
+        self.latches = [] if latches is None else latches
 
     def contains(self, block: BasicBlock) -> bool:
         return block in self.blocks

@@ -8,8 +8,7 @@ control-dependence computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from repro._struct import Struct
 from repro.ir.instructions import Opcode
 from repro.ir.structure import BasicBlock, Function
 
@@ -17,12 +16,18 @@ from repro.ir.structure import BasicBlock, Function
 VIRTUAL_EXIT = None
 
 
-@dataclass
-class PostDominatorTree:
+class PostDominatorTree(Struct):
     """Immediate post-dominator per block; ``None`` means the virtual exit."""
 
-    function: Function
-    ipdom: dict[BasicBlock, BasicBlock | None] = field(default_factory=dict)
+    _fields = ("function", "ipdom")
+
+    def __init__(
+        self,
+        function: Function,
+        ipdom: dict[BasicBlock, BasicBlock | None] | None = None,
+    ) -> None:
+        self.function = function
+        self.ipdom = {} if ipdom is None else ipdom
 
     @classmethod
     def compute(cls, fn: Function) -> "PostDominatorTree":

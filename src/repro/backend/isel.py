@@ -13,8 +13,7 @@ the function gets a fixed offset), matching C semantics for locals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from repro._struct import Struct
 from repro.backend.mir import MachineFunction, MInst, MOp
 from repro.ir.instructions import (
     AllocaInst,
@@ -48,14 +47,24 @@ _BINARY_MOP = {
 }
 
 
-@dataclass
-class _SelectionState:
-    fn: Function
-    mf: MachineFunction
-    vreg_of: dict[Value, int] = field(default_factory=dict)
-    alloca_offset: dict[AllocaInst, int] = field(default_factory=dict)
-    next_vreg: int = 0
-    alloca_size: int = 0
+class _SelectionState(Struct):
+    _fields = ("fn", "mf", "vreg_of", "alloca_offset", "next_vreg", "alloca_size")
+
+    def __init__(
+        self,
+        fn: Function,
+        mf: MachineFunction,
+        vreg_of: dict[Value, int] | None = None,
+        alloca_offset: dict[AllocaInst, int] | None = None,
+        next_vreg: int = 0,
+        alloca_size: int = 0,
+    ) -> None:
+        self.fn = fn
+        self.mf = mf
+        self.vreg_of = {} if vreg_of is None else vreg_of
+        self.alloca_offset = {} if alloca_offset is None else alloca_offset
+        self.next_vreg = next_vreg
+        self.alloca_size = alloca_size
 
     def fresh(self) -> int:
         reg = self.next_vreg

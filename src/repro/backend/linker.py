@@ -3,13 +3,16 @@
 Resolves symbols across objects (duplicate definitions and unresolved
 references are errors), lays out global storage, concatenates function
 code, and resolves branch labels and callees to absolute instruction
-indices.  The result runs on :class:`repro.vm.machine.VirtualMachine`.
+indices.  Symbol resolution reads only each object's link interface
+(:meth:`~repro.backend.objfile.ObjectFile.link_symbols`), so
+:func:`check_link` can check a link from stored interfaces without
+decoding any object.  The result runs on
+:class:`repro.vm.machine.VirtualMachine`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from repro._struct import Struct
 from repro.backend.mir import MInst, MOp
 from repro.backend.objfile import ObjectFile
 
@@ -21,16 +24,17 @@ class LinkError(Exception):
     """Symbol resolution failed."""
 
 
-@dataclass
-class LinkedFunction:
-    name: str
-    entry: int
-    num_params: int
-    frame_size: int
+class LinkedFunction(Struct):
+    _fields = ("name", "entry", "num_params", "frame_size")
+
+    def __init__(self, name: str, entry: int, num_params: int, frame_size: int) -> None:
+        self.name = name
+        self.entry = entry
+        self.num_params = num_params
+        self.frame_size = frame_size
 
 
-@dataclass
-class LinkedImage:
+class LinkedImage(Struct):
     """An executable: resolved code plus data layout.
 
     ``code`` contains no LABEL pseudo-instructions; BR/CBR hold absolute
@@ -40,10 +44,19 @@ class LinkedImage:
     which keeps builtin dispatch uniform.
     """
 
-    code: list[MInst] = field(default_factory=list)
-    functions: dict[str, LinkedFunction] = field(default_factory=dict)
-    global_base: dict[str, int] = field(default_factory=dict)
-    data: list[int] = field(default_factory=list)
+    _fields = ("code", "functions", "global_base", "data")
+
+    def __init__(
+        self,
+        code: list[MInst] | None = None,
+        functions: dict[str, LinkedFunction] | None = None,
+        global_base: dict[str, int] | None = None,
+        data: list[int] | None = None,
+    ) -> None:
+        self.code = [] if code is None else code
+        self.functions = {} if functions is None else functions
+        self.global_base = {} if global_base is None else global_base
+        self.data = [] if data is None else data
 
     @property
     def num_instructions(self) -> int:
@@ -72,64 +85,74 @@ class LinkedImage:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def check_link(tables: list[dict], *, entry: str = "main") -> None:
+    """Raise the :class:`LinkError` linking these objects would raise.
+
+    ``tables`` are the objects'
+    :meth:`~repro.backend.objfile.ObjectFile.link_symbols`, in link
+    order; no code is read.  Checks run in the linker's order:
+    duplicate definitions, unresolved externals and references, the
+    entry point, then functions that do not end in a terminator.
+    """
+    functions: set[str] = set()
+    globals_: set[str] = set()
+    for table in tables:
+        for name in table["globals"]:
+            if name in globals_:
+                raise LinkError(f"duplicate definition of global @{name}")
+            globals_.add(name)
+        for name in table["functions"]:
+            if name in functions:
+                raise LinkError(f"duplicate definition of function @{name}")
+            functions.add(name)
+    for table in tables:
+        for name in table["externs"]:
+            if name not in globals_:
+                raise LinkError(
+                    f"unresolved external global @{name} (from {table['module']})"
+                )
+        for op, symbol, function in table["refs"]:
+            if op == MOp.CALL.value:
+                if symbol not in functions and symbol not in BUILTIN_SYMBOLS:
+                    raise LinkError(
+                        f"unresolved function @{symbol} called from @{function}"
+                    )
+            elif symbol not in globals_:
+                raise LinkError(
+                    f"unresolved global @{symbol} referenced from @{function}"
+                )
+    if entry not in functions:
+        raise LinkError(f"entry point @{entry} is not defined")
+    for table in tables:
+        for name in table["unterminated"]:
+            raise LinkError(f"@{name} does not end in a terminator")
+
+
 def link(objects: list[ObjectFile], *, entry: str = "main") -> LinkedImage:
     """Link objects into an image; requires ``entry`` to be defined."""
+    check_link([obj.link_symbols() for obj in objects], entry=entry)
     image = LinkedImage()
-
-    # -- pass 1: define symbols ------------------------------------------
     for obj in objects:
         for g in obj.globals.values():
-            if g.external:
-                continue
-            if g.name in image.global_base:
-                raise LinkError(f"duplicate definition of global @{g.name}")
-            image.global_base[g.name] = len(image.data)
-            image.data.extend(g.init if g.init else [0] * g.size)
+            if not g.external:
+                image.global_base[g.name] = len(image.data)
+                image.data.extend(g.init if g.init else [0] * g.size)
         for mf in obj.functions.values():
-            if mf.name in image.functions:
-                raise LinkError(f"duplicate definition of function @{mf.name}")
             image.functions[mf.name] = LinkedFunction(
                 mf.name, entry=-1, num_params=mf.num_params, frame_size=mf.frame_size
             )
 
-    # -- pass 2: check references ------------------------------------------
-    for obj in objects:
-        for g in obj.globals.values():
-            if g.external and g.name not in image.global_base:
-                raise LinkError(
-                    f"unresolved external global @{g.name} (from {obj.module_name})"
-                )
-        for mf in obj.functions.values():
-            for inst in mf.code:
-                if inst.op is MOp.CALL:
-                    callee = inst.extra
-                    if callee not in image.functions and callee not in BUILTIN_SYMBOLS:
-                        raise LinkError(
-                            f"unresolved function @{callee} called from @{mf.name}"
-                        )
-                elif inst.op is MOp.LEA and inst.extra not in image.global_base:
-                    raise LinkError(
-                        f"unresolved global @{inst.extra} referenced from @{mf.name}"
-                    )
-    if entry not in image.functions:
-        raise LinkError(f"entry point @{entry} is not defined")
-
-    # -- pass 3: lay out code and resolve labels ------------------------------
+    # Lay out code and resolve labels.
     label_at: dict[str, int] = {}
     layout: list[MInst] = []
     for obj in objects:
         for name in sorted(obj.functions):
-            mf = obj.functions[name]
             image.functions[name].entry = len(layout)
-            for inst in mf.code:
+            for inst in obj.functions[name].code:
                 if inst.op is MOp.LABEL:
                     label_at[inst.extra] = len(layout)
                 else:
                     layout.append(inst)
-            # A function must not fall off its end into the next one; the
-            # peephole guarantees the last instruction is a ret/br.
-            if layout and layout[-1].op not in (MOp.RET, MOp.BR, MOp.CBR):
-                raise LinkError(f"@{name} does not end in a terminator")
 
     image.code = [_resolve(inst, label_at) for inst in layout]
     return image

@@ -15,7 +15,8 @@ object format stays trivially serializable.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+
+from repro._struct import Struct
 
 
 class MOp(enum.Enum):
@@ -54,8 +55,7 @@ class MOp(enum.Enum):
 NUM_PHYS_REGS = 16
 
 
-@dataclass
-class MInst:
+class MInst(Struct):
     """One machine instruction.
 
     ``regs`` holds register operands (destination first when present);
@@ -64,10 +64,19 @@ class MInst:
     predicate, callee, symbol, branch labels).
     """
 
-    op: MOp
-    regs: list[int] = field(default_factory=list)
-    imm: int = 0
-    extra: str = ""
+    _fields = ("op", "regs", "imm", "extra")
+
+    def __init__(
+        self,
+        op: MOp,
+        regs: list[int] | None = None,
+        imm: int = 0,
+        extra: str = "",
+    ) -> None:
+        self.op = op
+        self.regs = [] if regs is None else regs
+        self.imm = imm
+        self.extra = extra
 
     def render(self) -> str:
         r = ",".join(f"r{x}" for x in self.regs)
@@ -99,8 +108,7 @@ class MInst:
         return f"{self.op.value} {r}"
 
 
-@dataclass
-class MachineFunction:
+class MachineFunction(Struct):
     """A function's machine code plus frame metadata.
 
     Before register allocation ``code`` uses virtual register numbers
@@ -109,12 +117,25 @@ class MachineFunction:
     spill slots and alloca storage.
     """
 
-    name: str
-    num_params: int
-    code: list[MInst] = field(default_factory=list)
-    num_virtual_regs: int = 0
-    frame_size: int = 0
-    is_allocated: bool = False
+    _fields = (
+        "name", "num_params", "code", "num_virtual_regs", "frame_size", "is_allocated",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        num_params: int,
+        code: list[MInst] | None = None,
+        num_virtual_regs: int = 0,
+        frame_size: int = 0,
+        is_allocated: bool = False,
+    ) -> None:
+        self.name = name
+        self.num_params = num_params
+        self.code = [] if code is None else code
+        self.num_virtual_regs = num_virtual_regs
+        self.frame_size = frame_size
+        self.is_allocated = is_allocated
 
     def render(self) -> str:
         lines = [f"func @{self.name} params={self.num_params} frame={self.frame_size}"]

@@ -10,32 +10,50 @@ correctness experiment relies on.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro._struct import Struct
 from repro.backend.mir import MachineFunction, MInst, MOp
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ir.structure import Module
 
+#: Instructions a function's code may end with.
+_TERMINATORS = (MOp.RET, MOp.BR, MOp.CBR)
 
-@dataclass
-class ObjGlobal:
+
+class ObjGlobal(Struct):
     """Global-variable record in an object file."""
 
-    name: str
-    size: int
-    init: list[int] = field(default_factory=list)
-    external: bool = False
+    _fields = ("name", "size", "init", "external")
+
+    def __init__(
+        self,
+        name: str,
+        size: int,
+        init: list[int] | None = None,
+        external: bool = False,
+    ) -> None:
+        self.name = name
+        self.size = size
+        self.init = [] if init is None else init
+        self.external = external
 
 
-@dataclass
-class ObjectFile:
+class ObjectFile(Struct):
     """One compiled translation unit."""
 
-    module_name: str
-    functions: dict[str, MachineFunction] = field(default_factory=dict)
-    globals: dict[str, ObjGlobal] = field(default_factory=dict)
+    _fields = ("module_name", "functions", "globals")
+
+    def __init__(
+        self,
+        module_name: str,
+        functions: dict[str, MachineFunction] | None = None,
+        globals: dict[str, ObjGlobal] | None = None,
+    ) -> None:
+        self.module_name = module_name
+        self.functions = {} if functions is None else functions
+        self.globals = {} if globals is None else globals
 
     # -- serialization ------------------------------------------------------
 
@@ -89,8 +107,41 @@ class ObjectFile:
     def num_instructions(self) -> int:
         return sum(mf.num_instructions for mf in self.functions.values())
 
-    def defined_symbols(self) -> set[str]:
-        return set(self.functions) | {g.name for g in self.globals.values() if not g.external}
+    def link_symbols(self) -> dict:
+        """This object's link interface: all that the linker's symbol
+        check (:func:`~repro.backend.linker.check_link`) reads.
+
+        ``functions`` and ``globals`` are the symbols it defines and
+        ``externs`` the globals it imports.  ``refs`` holds one
+        ``[op, symbol, function]`` per distinct ``call``/``lea`` target,
+        naming the first function to reference it.  ``unterminated``
+        lists the functions whose code does not end in a terminator.
+        Functions are visited in name order, as :meth:`to_json` stores
+        them, so a fresh object and its decoded copy give one table.
+        """
+        refs: list[list[str]] = []
+        seen: set[tuple[MOp, str]] = set()
+        unterminated: list[str] = []
+        for name in sorted(self.functions):
+            last = None
+            for inst in self.functions[name].code:
+                op = inst.op
+                if op is MOp.LABEL:
+                    continue
+                last = op
+                if (op is MOp.CALL or op is MOp.LEA) and (op, inst.extra) not in seen:
+                    seen.add((op, inst.extra))
+                    refs.append([op.value, inst.extra, name])
+            if last is not None and last not in _TERMINATORS:
+                unterminated.append(name)
+        return {
+            "module": self.module_name,
+            "functions": sorted(self.functions),
+            "globals": sorted(g.name for g in self.globals.values() if not g.external),
+            "externs": sorted(g.name for g in self.globals.values() if g.external),
+            "refs": refs,
+            "unterminated": unterminated,
+        }
 
 
 def compile_module_to_object(module: Module) -> ObjectFile:

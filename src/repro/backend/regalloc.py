@@ -19,8 +19,7 @@ Spill slots live above the function's alloca area; the final
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from repro._struct import Struct
 from repro.backend.mir import MachineFunction, MInst, MOp, NUM_PHYS_REGS
 
 #: Registers the scanner may assign.
@@ -60,12 +59,22 @@ def _reg_uses_defs(inst: MInst) -> tuple[list[int], list[int]]:
     return [], []  # BR, LABEL, SPILL/RELOAD (not present pre-alloc)
 
 
-@dataclass
-class _MBlock:
-    label: str
-    start: int  # index of the LABEL instruction
-    end: int    # index one past the last instruction
-    succs: list[str] = field(default_factory=list)
+class _MBlock(Struct):
+    _fields = ("label", "start", "end", "succs")
+
+    def __init__(
+        self,
+        label: str,
+        start: int,
+        end: int,
+        succs: list[str] | None = None,
+    ) -> None:
+        self.label = label
+        # index of the LABEL instruction
+        self.start = start
+        # index one past the last instruction
+        self.end = end
+        self.succs = [] if succs is None else succs
 
 
 def _split_blocks(code: list[MInst]) -> dict[str, _MBlock]:
@@ -125,13 +134,23 @@ def _block_liveness(
     return live_in, live_out
 
 
-@dataclass
-class _Interval:
-    vreg: int
-    start: int
-    end: int
-    assigned: int = -1     # physical register, or
-    spill_slot: int = -1   # frame slot when spilled
+class _Interval(Struct):
+    _fields = ("vreg", "start", "end", "assigned", "spill_slot")
+
+    def __init__(
+        self,
+        vreg: int,
+        start: int,
+        end: int,
+        assigned: int = -1,
+        spill_slot: int = -1,
+    ) -> None:
+        self.vreg = vreg
+        self.start = start
+        self.end = end
+        #: The physical register, or -1 and a frame slot when spilled.
+        self.assigned = assigned
+        self.spill_slot = spill_slot
 
 
 def compute_intervals(mf: MachineFunction) -> list[_Interval]:

@@ -76,9 +76,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro._struct import Struct
 from repro.buildsys.deps import DependencySnapshot, content_digest
 from repro.core.state import CompilerState, decode_records, encode_records
 from repro.persist import (
@@ -96,10 +96,13 @@ from repro.persist.log import encode_entry
 #: v2 added per-unit observability (pass statistics, wall time, worker)
 #: so ``reprobuild explain`` can report where a unit's compile time
 #: went; v3 moved the compiler state into ``<db>.state*`` and added
-#: per-unit object options and digests plus the last link's key.  v1/v2
-#: files still load; their units carry no options, so they rebuild.
-DB_SCHEMA_VERSION = 3
-_READABLE_SCHEMAS = (1, 2, 3)
+#: per-unit object options and digests plus the last link's key; v4
+#: added each object's link interface (:attr:`UnitRecord.symbols`).
+#: v1/v2 files still load; their units carry no options, so they
+#: rebuild.  A v3 unit gets its interface from its object when a link
+#: is first checked.
+DB_SCHEMA_VERSION = 4
+_READABLE_SCHEMAS = (1, 2, 3, 4)
 
 
 class CorruptDatabaseError(PersistError):
@@ -118,33 +121,49 @@ class CorruptDatabaseError(PersistError):
         self.reason = reason
 
 
-@dataclass
-class UnitRecord:
+class UnitRecord(Struct):
     """What the last successful build of one translation unit saw."""
 
-    path: str
-    source_digest: str
-    #: Include-closure digests at build time (``None`` = header missing).
-    dep_digests: dict[str, str | None]
-    #: The compiled object, cached verbatim for up-to-date reuse.
-    object_json: str
-    #: Bypass statistics of the recording compile
-    #: (:meth:`~repro.core.statistics.BypassStatistics.to_dict` payload;
-    #: empty for records loaded from v1 databases).
-    stats: dict = field(default_factory=dict)
-    #: Wall-clock seconds of the recording compile (0.0 = unknown).
-    wall_time: float = 0.0
-    #: Who compiled it: "main" (in-process) or "pid-<n>" (a pool worker).
-    worker: str = "main"
-    #: :attr:`~repro.driver.CompilerOptions.object_options` of the
-    #: recording compile ("" = not recorded, as in v1/v2 databases).
-    options: str = ""
-    #: Content digest of :attr:`object_json` (a link input's identity).
-    object_digest: str = ""
+    _fields = (
+        "path", "source_digest", "dep_digests", "object_json", "stats", "wall_time",
+        "worker", "options", "object_digest", "symbols",
+    )
 
-    def __post_init__(self) -> None:
-        if not self.object_digest:
-            self.object_digest = content_digest(self.object_json)
+    def __init__(
+        self,
+        path: str,
+        source_digest: str,
+        dep_digests: dict[str, str | None],
+        object_json: str,
+        stats: dict | None = None,
+        wall_time: float = 0.0,
+        worker: str = "main",
+        options: str = "",
+        object_digest: str = "",
+        symbols: dict | None = None,
+    ) -> None:
+        self.path = path
+        self.source_digest = source_digest
+        #: Include-closure digests at build time (``None`` = header missing).
+        self.dep_digests = dep_digests
+        #: The compiled object, cached verbatim for up-to-date reuse.
+        self.object_json = object_json
+        #: Bypass statistics of the recording compile
+        #: (:meth:`~repro.core.statistics.BypassStatistics.to_dict` payload;
+        #: empty for records loaded from v1 databases).
+        self.stats = {} if stats is None else stats
+        #: Wall-clock seconds of the recording compile (0.0 = unknown).
+        self.wall_time = wall_time
+        #: Who compiled it: "main" (in-process) or "pid-<n>" (a pool worker).
+        self.worker = worker
+        #: :attr:`~repro.driver.CompilerOptions.object_options` of the
+        #: recording compile ("" = not recorded, as in v1/v2 databases).
+        self.options = options
+        #: Content digest of :attr:`object_json` (a link input's identity).
+        self.object_digest = object_digest or content_digest(object_json)
+        #: The object's :meth:`~repro.backend.objfile.ObjectFile.link_symbols`
+        #: (``None`` = not yet known, as in v1-v3 databases).
+        self.symbols = symbols
 
 
 class StateStore:
@@ -344,8 +363,10 @@ class BuildDatabase:
         stats: dict | None = None,
         wall_time: float = 0.0,
         worker: str = "main",
+        symbols: dict | None = None,
     ) -> None:
-        """Store a fresh compilation result for one unit."""
+        """Store a fresh compilation result for one unit and, when the
+        compiler computed it, its object's link interface."""
         assert snapshot.source_digest is not None
         self.units[snapshot.path] = UnitRecord(
             path=snapshot.path,
@@ -356,6 +377,7 @@ class BuildDatabase:
             wall_time=wall_time,
             worker=worker,
             options=options,
+            symbols=symbols,
         )
         self._dirty = True
 
@@ -376,6 +398,20 @@ class BuildDatabase:
             record = self.units[path]
             digest.update(f"{path}\0{record.options}\0{record.object_digest}\n".encode())
         return digest.hexdigest()
+
+    def link_symbols(self, path: str) -> dict:
+        """The link interface of ``path``'s recorded object.
+
+        A record without one (read from a v1-v3 DB) gets it from its
+        object, once: the DB is marked changed, so the next save keeps it.
+        """
+        record = self.units[path]
+        if record.symbols is None:
+            from repro.backend.objfile import ObjectFile
+
+            record.symbols = ObjectFile.from_json(record.object_json).link_symbols()
+            self._dirty = True
+        return record.symbols
 
     def mark_linked(self, key: str | None) -> None:
         """Record which link inputs last linked successfully."""
@@ -399,6 +435,7 @@ class BuildDatabase:
                     "stats": r.stats,
                     "wall": r.wall_time,
                     "worker": r.worker,
+                    "symbols": r.symbols,
                 }
                 for r in sorted(self.units.values(), key=lambda r: r.path)
             ],
@@ -432,6 +469,7 @@ class BuildDatabase:
                 worker=entry.get("worker", "main"),
                 options=entry.get("options", ""),
                 object_digest=entry.get("object_digest", ""),
+                symbols=entry.get("symbols"),
             )
         db.linked = payload.get("linked")
         # v1/v2 embedded the whole state here as a JSON string; those

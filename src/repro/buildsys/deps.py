@@ -22,8 +22,8 @@ including mid-edit broken states):
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
+from repro._struct import Struct
 from repro.frontend.includes import FileProvider, scan_includes
 from repro.obs.metrics import MetricsRegistry
 
@@ -38,8 +38,7 @@ def content_digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-@dataclass
-class DependencySnapshot:
+class DependencySnapshot(Struct):
     """One translation unit's dependency fingerprint at one instant.
 
     Comparing two snapshots for equality of ``source_digest`` and
@@ -49,11 +48,19 @@ class DependencySnapshot:
     surely as a change in any file's text.
     """
 
-    path: str
-    #: Digest of the unit's own text; ``None`` if the file is missing.
-    source_digest: str | None
-    #: Transitive include closure: path -> digest (``None`` = missing).
-    dep_digests: dict[str, str | None]
+    _fields = ("path", "source_digest", "dep_digests")
+
+    def __init__(
+        self,
+        path: str,
+        source_digest: str | None,
+        dep_digests: dict[str, str | None],
+    ) -> None:
+        self.path = path
+        #: Digest of the unit's own text; ``None`` if the file is missing.
+        self.source_digest = source_digest
+        #: Transitive include closure: path -> digest (``None`` = missing).
+        self.dep_digests = dep_digests
 
 
 class DependencyScanner:

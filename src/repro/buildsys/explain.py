@@ -15,8 +15,7 @@ per-unit statistics the build database records at compile time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from repro._struct import Struct
 from repro.buildsys.builddb import BuildDatabase, UnitRecord
 from repro.buildsys.deps import DependencySnapshot
 
@@ -31,29 +30,46 @@ REASON_KINDS = (
 )
 
 
-@dataclass
-class RebuildReason:
+class RebuildReason(Struct):
     """One unit's scheduling verdict and the evidence behind it."""
 
-    path: str
-    #: One of :data:`REASON_KINDS`.
-    kind: str
-    #: Did the unit's own text change (digest mismatch)?
-    source_changed: bool = False
-    #: Headers present before and now whose digest differs.
-    changed_deps: list[str] = field(default_factory=list)
-    #: Headers in the closure now but not in the recorded closure.
-    added_deps: list[str] = field(default_factory=list)
-    #: Headers in the recorded closure but no longer included.
-    removed_deps: list[str] = field(default_factory=list)
-    #: Headers recorded as *missing* at build time that now exist.
-    appeared_deps: list[str] = field(default_factory=list)
-    #: Headers that existed at build time but are missing now.
-    vanished_deps: list[str] = field(default_factory=list)
-    #: Object options of the recorded compile and of this build (see
-    #: :attr:`~repro.driver.CompilerOptions.object_options`).
-    recorded_options: str = ""
-    options: str = ""
+    _fields = (
+        "path", "kind", "source_changed", "changed_deps", "added_deps", "removed_deps",
+        "appeared_deps", "vanished_deps", "recorded_options", "options",
+    )
+
+    def __init__(
+        self,
+        path: str,
+        kind: str,
+        source_changed: bool = False,
+        changed_deps: list[str] | None = None,
+        added_deps: list[str] | None = None,
+        removed_deps: list[str] | None = None,
+        appeared_deps: list[str] | None = None,
+        vanished_deps: list[str] | None = None,
+        recorded_options: str = "",
+        options: str = "",
+    ) -> None:
+        self.path = path
+        #: One of :data:`REASON_KINDS`.
+        self.kind = kind
+        #: Did the unit's own text change (digest mismatch)?
+        self.source_changed = source_changed
+        #: Headers present before and now whose digest differs.
+        self.changed_deps = [] if changed_deps is None else changed_deps
+        #: Headers in the closure now but not in the recorded closure.
+        self.added_deps = [] if added_deps is None else added_deps
+        #: Headers in the recorded closure but no longer included.
+        self.removed_deps = [] if removed_deps is None else removed_deps
+        #: Headers recorded as *missing* at build time that now exist.
+        self.appeared_deps = [] if appeared_deps is None else appeared_deps
+        #: Headers that existed at build time but are missing now.
+        self.vanished_deps = [] if vanished_deps is None else vanished_deps
+        #: Object options of the recorded compile and of this build (see
+        #: :attr:`~repro.driver.CompilerOptions.object_options`).
+        self.recorded_options = recorded_options
+        self.options = options
 
     @property
     def is_up_to_date(self) -> bool:

@@ -20,8 +20,9 @@ variants plug into.  Per build it:
 4. reuses cached object JSON for up-to-date units;
 5. links everything into one runnable :class:`~repro.backend.linker.LinkedImage`
    — or, when the caller only needs the link *checked*
-   (``skip_unchanged_link=True``) and the database says these exact
-   link inputs already linked, skips decoding and linking altogether.
+   (``skip_unchanged_link=True``), checks it from each unit's stored
+   link interface without decoding any object, and skips even that
+   when the database says these exact link inputs already linked.
 
 Work is proportional to the edit: a build that compiles no unit never
 loads the compiler state, never ticks its GC clock and stages nothing
@@ -58,7 +59,7 @@ import logging
 import time
 from typing import TYPE_CHECKING
 
-from repro.backend.linker import LinkedImage, link
+from repro.backend.linker import LinkedImage, check_link, link
 from repro.backend.objfile import ObjectFile
 from repro.buildsys.builddb import BuildDatabase
 from repro.buildsys.deps import DependencyScanner, DependencySnapshot
@@ -139,9 +140,11 @@ class IncrementalBuilder:
         """Run one incremental build; returns the :class:`BuildReport`.
 
         ``link_output=False`` never links.  ``skip_unchanged_link=True``
-        is for callers that need the link checked but not the image:
+        is for callers that need the link checked but not the image: the
+        build checks symbol resolution from the units' stored link
+        interfaces (:meth:`BuildDatabase.link_symbols`), or not at all
         when the DB says these exact link inputs last linked
-        successfully, the build neither decodes objects nor links, and
+        successfully; it never decodes an object or links, and
         ``report.image`` is ``None``.
 
         Raises :class:`repro.frontend.diagnostics.CompileError` (or
@@ -224,6 +227,8 @@ class IncrementalBuilder:
             self.metrics.set_gauge("state.gc_runs", size["gc_runs"])
             self.metrics.set_gauge("state.gc_reclaimed_total", size["gc_reclaimed_total"])
             self.metrics.set_gauge("state.gc_reclaimed_last", size["gc_reclaimed_last"])
+            # Absent from the summary of a DB written before it was kept.
+            self.metrics.set_gauge("state.gc_eligible_last", size.get("gc_eligible_last", 0))
 
         if error is not None:
             report.metrics = self.metrics.to_dict()
@@ -239,7 +244,11 @@ class IncrementalBuilder:
                 start = time.perf_counter()
                 if key != self.db.linked:
                     self.db.mark_linked(None)  # not linked until it succeeds
-                report.image = self._link(objects)
+                if skip_unchanged_link:
+                    check_link([self.db.link_symbols(path) for path in self.unit_paths])
+                    report.was_linked = True
+                else:
+                    report.image = self._link(objects)
                 self.db.mark_linked(key)
                 report.link_time = time.perf_counter() - start
                 self.tracer.add("link", "phase", start, report.link_time)
@@ -301,6 +310,7 @@ class IncrementalBuilder:
                 options=self.options.object_options,
                 stats=stats.to_dict(),
                 wall_time=wall,
+                symbols=result.object_file.link_symbols(),
             )
         return None
 
@@ -381,6 +391,7 @@ class IncrementalBuilder:
             stats=outcome.stats.to_dict(),
             wall_time=outcome.wall_time,
             worker=outcome.worker,
+            symbols=outcome.symbols,
         )
         if outcome.delta is not None and compiler.state is not None:
             compiler.state.merge_delta(outcome.delta)

@@ -35,9 +35,9 @@ from __future__ import annotations
 import logging
 import os
 import time
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro._struct import Struct
 from repro.core.state import CompilerState, StateDelta
 from repro.core.statistics import BypassStatistics
 from repro.frontend.diagnostics import CompileError, Diagnostic
@@ -57,8 +57,7 @@ logger = logging.getLogger(__name__)
 JOBS_ENV_VAR = "REPRO_BUILD_JOBS"
 
 
-@dataclass
-class BuildOptions:
+class BuildOptions(Struct):
     """Build-system knobs, as opposed to per-compiler :class:`CompilerOptions`.
 
     ``jobs=None`` means "use every core" (``os.cpu_count()``); the
@@ -66,8 +65,11 @@ class BuildOptions:
     serial behavior unless they opt in, while the CLI opts in for them.
     """
 
-    #: Maximum concurrent unit compilations; ``None`` = CPU count.
-    jobs: int | None = 1
+    _fields = ("jobs",)
+
+    def __init__(self, jobs: int | None = 1) -> None:
+        #: Maximum concurrent unit compilations; ``None`` = CPU count.
+        self.jobs = jobs
 
     def resolved_jobs(self) -> int:
         if self.jobs is None:
@@ -97,8 +99,7 @@ class BuildOptions:
         return options
 
 
-@dataclass
-class UnitOutcome:
+class UnitOutcome(Struct):
     """One unit's compilation result in picklable, mergeable form.
 
     Everything the build driver needs and nothing it doesn't: the
@@ -107,26 +108,53 @@ class UnitOutcome:
     state delta instead of a whole mutated state.
     """
 
-    path: str
-    object_json: str = ""
-    stats: BypassStatistics = field(default_factory=BypassStatistics)
-    pass_work: int = 0
-    wall_time: float = 0.0
-    fingerprint_time: float = 0.0
-    fingerprint_count: int = 0
-    delta: StateDelta | None = None
-    #: Which worker compiled it: "main" (in-process) or "pid-<n>".
-    worker: str = "main"
-    #: The unit's metrics registry, merged into the build's by the driver.
-    metrics: MetricsRegistry | None = None
-    #: Trace spans from the worker's tracer (empty unless tracing), with
-    #: the wall-clock epoch the driver needs to re-base them.
-    spans: list[SpanRecord] = field(default_factory=list)
-    epoch_wall: float = 0.0
-    #: "compile" | "include" | None; diagnostics ride along for re-raise.
-    error_kind: str | None = None
-    error_message: str = ""
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+    _fields = (
+        "path", "object_json", "symbols", "stats", "pass_work", "wall_time", "fingerprint_time",
+        "fingerprint_count", "delta", "worker", "metrics", "spans", "epoch_wall",
+        "error_kind", "error_message", "diagnostics",
+    )
+
+    def __init__(
+        self,
+        path: str,
+        object_json: str = "",
+        symbols: dict | None = None,
+        stats: BypassStatistics | None = None,
+        pass_work: int = 0,
+        wall_time: float = 0.0,
+        fingerprint_time: float = 0.0,
+        fingerprint_count: int = 0,
+        delta: StateDelta | None = None,
+        worker: str = "main",
+        metrics: MetricsRegistry | None = None,
+        spans: list[SpanRecord] | None = None,
+        epoch_wall: float = 0.0,
+        error_kind: str | None = None,
+        error_message: str = "",
+        diagnostics: list[Diagnostic] | None = None,
+    ) -> None:
+        self.path = path
+        self.object_json = object_json
+        #: The object's link interface, computed beside its JSON.
+        self.symbols = symbols
+        self.stats = BypassStatistics() if stats is None else stats
+        self.pass_work = pass_work
+        self.wall_time = wall_time
+        self.fingerprint_time = fingerprint_time
+        self.fingerprint_count = fingerprint_count
+        self.delta = delta
+        #: Which worker compiled it: "main" (in-process) or "pid-<n>".
+        self.worker = worker
+        #: The unit's metrics registry, merged into the build's by the driver.
+        self.metrics = metrics
+        #: Trace spans from the worker's tracer (empty unless tracing), with
+        #: the wall-clock epoch the driver needs to re-base them.
+        self.spans = [] if spans is None else spans
+        self.epoch_wall = epoch_wall
+        #: "compile" | "include" | None; diagnostics ride along for re-raise.
+        self.error_kind = error_kind
+        self.error_message = error_message
+        self.diagnostics = [] if diagnostics is None else diagnostics
 
     @property
     def failed(self) -> bool:
@@ -206,6 +234,7 @@ def compile_unit(
     outcome.wall_time = time.perf_counter() - start
 
     outcome.object_json = result.object_file.to_json()
+    outcome.symbols = result.object_file.link_symbols()
     outcome.stats = result.stats
     outcome.metrics = result.metrics
     outcome.pass_work = result.pass_work

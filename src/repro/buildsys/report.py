@@ -17,9 +17,9 @@ field excluded from serialization (it is an artifact, not accounting).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro._struct import Struct
 from repro.backend.linker import LinkedImage
 from repro.buildsys.explain import RebuildReason
 from repro.core.statistics import BypassStatistics
@@ -36,19 +36,33 @@ REPORT_SCHEMA_VERSION = 3
 READABLE_REPORT_SCHEMAS = (1, 2, 3)
 
 
-@dataclass
-class UnitBuildResult:
+class UnitBuildResult(Struct):
     """One translation unit actually recompiled during a build."""
 
-    path: str
-    wall_time: float
-    pass_work: int
-    stats: BypassStatistics
-    #: Statefulness overhead for this unit (0 for stateless builds).
-    fingerprint_time: float = 0.0
-    fingerprint_count: int = 0
-    #: Who compiled it: "main" (in-process) or "pid-<n>" (a pool worker).
-    worker: str = "main"
+    _fields = (
+        "path", "wall_time", "pass_work", "stats", "fingerprint_time",
+        "fingerprint_count", "worker",
+    )
+
+    def __init__(
+        self,
+        path: str,
+        wall_time: float,
+        pass_work: int,
+        stats: BypassStatistics,
+        fingerprint_time: float = 0.0,
+        fingerprint_count: int = 0,
+        worker: str = "main",
+    ) -> None:
+        self.path = path
+        self.wall_time = wall_time
+        self.pass_work = pass_work
+        self.stats = stats
+        #: Statefulness overhead for this unit (0 for stateless builds).
+        self.fingerprint_time = fingerprint_time
+        self.fingerprint_count = fingerprint_count
+        #: Who compiled it: "main" (in-process) or "pid-<n>" (a pool worker).
+        self.worker = worker
 
     def to_dict(self) -> dict:
         return {
@@ -74,44 +88,68 @@ class UnitBuildResult:
         )
 
 
-@dataclass
-class BuildReport:
+class BuildReport(Struct):
     """Everything one :meth:`IncrementalBuilder.build` call produced."""
 
-    #: Units recompiled this build, in schedule order.
-    compiled: list[UnitBuildResult] = field(default_factory=list)
-    #: Units whose cached objects were reused, in schedule order.
-    up_to_date: list[str] = field(default_factory=list)
-    #: Pass/bypass counters aggregated over all recompiled units.
-    bypass: BypassStatistics = field(default_factory=BypassStatistics)
-    #: Why each unit was (or wasn't) scheduled, keyed by path — every
-    #: unit in the build appears, up-to-date ones included.
-    reasons: dict[str, RebuildReason] = field(default_factory=dict)
-    #: Wall-clock seconds for the whole build: dependency scanning,
-    #: up-to-date checks, compilations, and linking.
-    total_wall_time: float = 0.0
-    #: Wall-clock seconds scanning dependency closures.
-    scan_time: float = 0.0
-    link_time: float = 0.0
-    #: Dormancy records in the live compiler state (0 when stateless).
-    state_records: int = 0
-    #: Serialized size of the live compiler state in bytes (0 when
-    #: stateless) — the dashboard's state-growth axis.
-    state_bytes: int = 0
-    #: The linked executable (``None`` when built with link_output=False).
-    image: LinkedImage | None = None
-    #: Concurrent compile jobs actually used for this build.
-    jobs: int = 1
-    #: Wall-clock seconds for the whole compile phase (all workers);
-    #: equals the summed per-unit times when serial, less when parallel.
-    compile_phase_time: float = 0.0
-    #: Snapshot of the build's metrics registry
-    #: (:meth:`~repro.obs.metrics.MetricsRegistry.to_dict` payload).
-    metrics: dict = field(default_factory=dict)
-    #: Whether the build linked an image.  The image itself is excluded
-    #: from serialization, so deserialized reports carry the fact
-    #: through this flag (kept in sync by :attr:`linked`).
-    was_linked: bool = False
+    _fields = (
+        "compiled", "up_to_date", "bypass", "reasons", "total_wall_time", "scan_time",
+        "link_time", "state_records", "state_bytes", "image", "jobs",
+        "compile_phase_time", "metrics", "was_linked",
+    )
+
+    def __init__(
+        self,
+        compiled: list[UnitBuildResult] | None = None,
+        up_to_date: list[str] | None = None,
+        bypass: BypassStatistics | None = None,
+        reasons: dict[str, RebuildReason] | None = None,
+        total_wall_time: float = 0.0,
+        scan_time: float = 0.0,
+        link_time: float = 0.0,
+        state_records: int = 0,
+        state_bytes: int = 0,
+        image: LinkedImage | None = None,
+        jobs: int = 1,
+        compile_phase_time: float = 0.0,
+        metrics: dict | None = None,
+        was_linked: bool = False,
+    ) -> None:
+        #: Units recompiled this build, in schedule order.
+        self.compiled = [] if compiled is None else compiled
+        #: Units whose cached objects were reused, in schedule order.
+        self.up_to_date = [] if up_to_date is None else up_to_date
+        #: Pass/bypass counters aggregated over all recompiled units.
+        self.bypass = BypassStatistics() if bypass is None else bypass
+        #: Why each unit was (or wasn't) scheduled, keyed by path — every
+        #: unit in the build appears, up-to-date ones included.
+        self.reasons = {} if reasons is None else reasons
+        #: Wall-clock seconds for the whole build: dependency scanning,
+        #: up-to-date checks, compilations, and linking.
+        self.total_wall_time = total_wall_time
+        #: Wall-clock seconds scanning dependency closures.
+        self.scan_time = scan_time
+        self.link_time = link_time
+        #: Dormancy records in the live compiler state (0 when stateless).
+        self.state_records = state_records
+        #: Serialized size of the live compiler state in bytes (0 when
+        #: stateless) — the dashboard's state-growth axis.
+        self.state_bytes = state_bytes
+        #: The linked executable (``None`` when built with link_output=False
+        #: or when the link was only checked).
+        self.image = image
+        #: Concurrent compile jobs actually used for this build.
+        self.jobs = jobs
+        #: Wall-clock seconds for the whole compile phase (all workers);
+        #: equals the summed per-unit times when serial, less when parallel.
+        self.compile_phase_time = compile_phase_time
+        #: Snapshot of the build's metrics registry
+        #: (:meth:`~repro.obs.metrics.MetricsRegistry.to_dict` payload).
+        self.metrics = {} if metrics is None else metrics
+        #: Whether the build checked its link: linked an image, or checked
+        #: the link from the units' link interfaces.  The image itself is
+        #: excluded from serialization, so deserialized reports carry the
+        #: fact through this flag (kept in sync by :attr:`linked`).
+        self.was_linked = was_linked
 
     @property
     def num_recompiled(self) -> int:
@@ -119,6 +157,7 @@ class BuildReport:
 
     @property
     def linked(self) -> bool:
+        """Did this build check its link (with or without an image)?"""
         return self.image is not None or self.was_linked
 
     @property

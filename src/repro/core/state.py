@@ -48,9 +48,9 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from repro._struct import Struct
 from repro.obs.metrics import MetricsRegistry
 from repro.persist import CorruptArtifactError, atomic_write, read_artifact
 
@@ -60,15 +60,33 @@ from repro.persist import CorruptArtifactError, atomic_write, read_artifact
 STATE_SCHEMA_VERSION = 4
 
 
-@dataclass
-class DormancyRecord:
+class DormancyRecord(Struct):
     """What happened when a pass ran on IR with a given fingerprint."""
 
-    dormant: bool
-    #: Fingerprint after the pass ran (== the incoming one when dormant).
-    fingerprint_out: str
-    #: Build counter when this record was last consulted or refreshed.
-    last_used_build: int = 0
+    _fields = ("dormant", "fingerprint_out", "last_used_build")
+
+    def __init__(
+        self,
+        dormant: bool,
+        fingerprint_out: str,
+        last_used_build: int = 0,
+    ) -> None:
+        self.dormant = dormant
+        #: Fingerprint after the pass ran (== the incoming one when dormant).
+        self.fingerprint_out = fingerprint_out
+        #: Build counter when this record was last consulted or refreshed.
+        self.last_used_build = last_used_build
+
+    def replace(self, **changes: object) -> DormancyRecord:
+        """A copy of this record with ``changes`` applied to named fields."""
+        return DormancyRecord(
+            **{
+                "dormant": self.dormant,
+                "fingerprint_out": self.fingerprint_out,
+                "last_used_build": self.last_used_build,
+                **changes,
+            }
+        )
 
 
 def encode_records(records: dict[tuple[int, str], DormancyRecord]) -> list[list]:
@@ -88,8 +106,7 @@ def decode_records(rows: list[list]) -> dict[tuple[int, str], DormancyRecord]:
     }
 
 
-@dataclass
-class StateDelta:
+class StateDelta(Struct):
     """Records created or refreshed while compiling against a snapshot.
 
     The payload of the parallel-build merge protocol: a worker tracks
@@ -106,44 +123,63 @@ class StateDelta:
     every record.
     """
 
-    build_counter: int
-    records: dict[tuple[int, str], DormancyRecord] = field(default_factory=dict)
+    _fields = ("build_counter", "records")
+
+    def __init__(
+        self,
+        build_counter: int,
+        records: dict[tuple[int, str], DormancyRecord] | None = None,
+    ) -> None:
+        self.build_counter = build_counter
+        self.records = {} if records is None else records
 
     @property
     def num_records(self) -> int:
         return len(self.records)
 
 
-@dataclass
-class CompilerState:
+class CompilerState(Struct):
     """In-memory compiler state, serializable to one JSON file."""
 
-    pipeline_signature: str = ""
-    fingerprint_mode: str = "canonical"
-    build_counter: int = 0
-    gc_max_age: int = 50
-    #: Lifetime garbage-collection accounting, persisted with the state
-    #: so cross-build analytics can tell "GC never ran" from "GC ran and
-    #: found nothing" (the drift detector's state-growth check needs
-    #: exactly that distinction).
-    gc_runs: int = 0
-    gc_reclaimed_total: int = 0
-    records: dict[tuple[int, str], DormancyRecord] = field(default_factory=dict)
-    #: Records reclaimed by the most recent :meth:`collect_garbage` of
-    #: this process (not persisted; 0 until GC runs).
-    last_gc_reclaimed: int = field(default=0, init=False, repr=False, compare=False)
-    #: On-disk bytes of the state as last written or read (0 = never
-    #: persisted); what :meth:`size_summary` reports.
-    stored_bytes: int = field(default=0, init=False, repr=False, compare=False)
-    #: Keys touched since :meth:`begin_delta_tracking`; ``None`` = not tracking.
-    _touched: set[tuple[int, str]] | None = field(
-        default=None, init=False, repr=False, compare=False
+    _fields = (
+        "pipeline_signature", "fingerprint_mode", "build_counter", "gc_max_age",
+        "gc_runs", "gc_reclaimed_total", "records",
     )
-    #: Observability sink (``None`` = don't report); never serialized,
-    #: never copied into snapshots.
-    _metrics: MetricsRegistry | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+
+    def __init__(
+        self,
+        pipeline_signature: str = "",
+        fingerprint_mode: str = "canonical",
+        build_counter: int = 0,
+        gc_max_age: int = 50,
+        gc_runs: int = 0,
+        gc_reclaimed_total: int = 0,
+        records: dict[tuple[int, str], DormancyRecord] | None = None,
+    ) -> None:
+        self.pipeline_signature = pipeline_signature
+        self.fingerprint_mode = fingerprint_mode
+        self.build_counter = build_counter
+        self.gc_max_age = gc_max_age
+        #: Lifetime garbage-collection accounting, persisted with the state
+        #: so cross-build analytics can tell "GC never ran" from "GC ran and
+        #: found nothing" (the drift detector's state-growth check needs
+        #: exactly that distinction).
+        self.gc_runs = gc_runs
+        self.gc_reclaimed_total = gc_reclaimed_total
+        self.records = {} if records is None else records
+        #: Records past the age cutoff, and records reclaimed, at the most
+        #: recent :meth:`collect_garbage` of this process (not persisted;
+        #: 0 until GC runs).
+        self.last_gc_eligible: int = 0
+        self.last_gc_reclaimed: int = 0
+        #: On-disk bytes of the state as last written or read (0 = never
+        #: persisted); what :meth:`size_summary` reports.
+        self.stored_bytes: int = 0
+        #: Keys touched since :meth:`begin_delta_tracking`; ``None`` = not tracking.
+        self._touched: set[tuple[int, str]] | None = None
+        #: Observability sink (``None`` = don't report); never serialized,
+        #: never copied into snapshots.
+        self._metrics: MetricsRegistry | None = None
 
     # -- observability -------------------------------------------------------
 
@@ -188,7 +224,7 @@ class CompilerState:
             del self.records[key]
         self.gc_runs += 1
         self.gc_reclaimed_total += len(stale)
-        self.last_gc_reclaimed = len(stale)
+        self.last_gc_eligible = self.last_gc_reclaimed = len(stale)
         if self._metrics is not None:
             self._metrics.inc("state.records_gced", len(stale))
         return len(stale)
@@ -212,6 +248,7 @@ class CompilerState:
             "gc_runs": self.gc_runs,
             "gc_reclaimed_total": self.gc_reclaimed_total,
             "gc_reclaimed_last": self.last_gc_reclaimed,
+            "gc_eligible_last": self.last_gc_eligible,
         }
 
     # -- parallel-build snapshot/delta protocol -----------------------------
@@ -230,7 +267,7 @@ class CompilerState:
             fingerprint_mode=self.fingerprint_mode,
             build_counter=self.build_counter,
             gc_max_age=self.gc_max_age,
-            records={key: replace(record) for key, record in self.records.items()},
+            records={key: record.replace() for key, record in self.records.items()},
         )
         if self._metrics is not None:
             self._metrics.observe("state.snapshot_time", time.perf_counter() - start)
@@ -253,7 +290,7 @@ class CompilerState:
         return StateDelta(
             build_counter=self.build_counter,
             records={
-                key: replace(self.records[key])
+                key: self.records[key].replace()
                 for key in self._touched
                 if key in self.records
             },
@@ -273,7 +310,7 @@ class CompilerState:
         start = time.perf_counter()
         for key, incoming in delta.records.items():
             existing = self.records.get(key)
-            merged = replace(incoming)
+            merged = incoming.replace()
             if existing is not None:
                 merged.last_used_build = max(
                     existing.last_used_build, incoming.last_used_build

@@ -10,22 +10,32 @@ and builds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from repro._struct import Struct
 from repro.passmanager.ledger import BYPASSED, DORMANT, PassLedger
 
 _BY_PASS_KEYS = ("executed", "dormant", "bypassed", "work", "ns")
 
 
-@dataclass
-class BypassStatistics:
+class BypassStatistics(Struct):
     """Aggregated counters for one (or several merged) compilations."""
 
-    executions: int = 0
-    dormant_executions: int = 0
-    bypassed: int = 0
-    work_executed: int = 0
-    by_pass: dict[str, dict[str, int]] = field(default_factory=dict)
+    _fields = (
+        "executions", "dormant_executions", "bypassed", "work_executed", "by_pass",
+    )
+
+    def __init__(
+        self,
+        executions: int = 0,
+        dormant_executions: int = 0,
+        bypassed: int = 0,
+        work_executed: int = 0,
+        by_pass: dict[str, dict[str, int]] | None = None,
+    ) -> None:
+        self.executions = executions
+        self.dormant_executions = dormant_executions
+        self.bypassed = bypassed
+        self.work_executed = work_executed
+        self.by_pass = {} if by_pass is None else by_pass
 
     @property
     def dormancy_ratio(self) -> float:

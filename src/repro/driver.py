@@ -10,8 +10,8 @@ system and experiments consume.  Stage durations go to the tracer as
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
+from repro._struct import Struct
 from repro.backend.objfile import ObjectFile, compile_module_to_object
 from repro.core.state import CompilerState, pipeline_signature_of
 from repro.core.stateful import StatefulPassManager
@@ -38,19 +38,29 @@ import repro.backend.regalloc  # noqa: F401
 import repro.frontend.parser  # noqa: F401
 
 
-@dataclass
-class CompileResult:
+class CompileResult(Struct):
     """Everything produced by compiling one translation unit."""
 
-    module: Module
-    object_file: ObjectFile
-    #: Every pass run of this unit and its state traffic.
-    ledger: PassLedger
-    #: The ledger's function-pass rows folded into the bypass table.
-    stats: BypassStatistics
-    headers: list[str] = field(default_factory=list)
-    #: This unit's counters, published from the ledger.
-    metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
+    _fields = ("module", "object_file", "ledger", "stats", "headers", "metrics")
+
+    def __init__(
+        self,
+        module: Module,
+        object_file: ObjectFile,
+        ledger: PassLedger,
+        stats: BypassStatistics,
+        headers: list[str] | None = None,
+        metrics: MetricsRegistry | None = None,
+    ) -> None:
+        self.module = module
+        self.object_file = object_file
+        #: Every pass run of this unit and its state traffic.
+        self.ledger = ledger
+        #: The ledger's function-pass rows folded into the bypass table.
+        self.stats = stats
+        self.headers = [] if headers is None else headers
+        #: This unit's counters, published from the ledger.
+        self.metrics = MetricsRegistry() if metrics is None else metrics
 
     @property
     def pass_work(self) -> int:

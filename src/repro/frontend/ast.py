@@ -1,9 +1,10 @@
 """AST node definitions for MiniC.
 
-Nodes are plain dataclasses.  Every node carries a source span for
-diagnostics.  Semantic analysis (:mod:`repro.frontend.sema`) annotates
-expression nodes with their computed type in the ``ty`` field and
-resolves name references to declarations.
+Nodes are written-out value classes (:class:`repro._struct.Struct`).
+Every node carries a source span for diagnostics.  Semantic analysis
+(:mod:`repro.frontend.sema`) annotates expression nodes with their
+computed type in the ``ty`` field and resolves name references to
+declarations.
 
 The hierarchy:
 
@@ -17,17 +18,19 @@ The hierarchy:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
+from repro._struct import Struct
 from repro.frontend.source import SourceSpan
 from repro.frontend.types import Type
 
 
-@dataclass
-class Node:
+class Node(Struct):
     """Base class of all AST nodes."""
 
-    span: SourceSpan
+    _fields = ("span",)
+
+    def __init__(self, span: SourceSpan) -> None:
+        self.span = span
 
     @property
     def kind_name(self) -> str:
@@ -39,44 +42,63 @@ class Node:
 # --------------------------------------------------------------------------
 
 
-@dataclass
 class Expr(Node):
     """Base class for expressions.
 
-    ``ty`` is filled in by semantic analysis.
+    ``ty`` is filled in by semantic analysis; it takes no part in
+    equality.
     """
 
-    ty: Type | None = field(default=None, init=False, compare=False)
+    def __init__(self, span: SourceSpan) -> None:
+        self.span = span
+        self.ty: Type | None = None
 
 
-@dataclass
 class IntLiteral(Expr):
-    value: int
+    _fields = ("span", "value")
+
+    def __init__(self, span: SourceSpan, value: int) -> None:
+        self.span = span
+        self.ty = None
+        self.value = value
 
 
-@dataclass
 class BoolLiteral(Expr):
-    value: bool
+    _fields = ("span", "value")
+
+    def __init__(self, span: SourceSpan, value: bool) -> None:
+        self.span = span
+        self.ty = None
+        self.value = value
 
 
-@dataclass
 class VarRef(Expr):
     """A reference to a named variable or constant.
 
     ``decl`` is resolved by sema to the defining :class:`VarDeclStmt`,
-    :class:`GlobalVarDecl`, or :class:`Param`.
+    :class:`GlobalVarDecl`, or :class:`Param`; it takes no part in
+    equality.
     """
 
-    name: str
-    decl: object | None = field(default=None, init=False, compare=False)
+    _fields = ("span", "name")
+
+    def __init__(self, span: SourceSpan, name: str) -> None:
+        self.span = span
+        self.ty = None
+        self.name = name
+        self.decl: object | None = None
 
 
-@dataclass
 class ArrayIndex(Expr):
     """``base[index]`` — base must be an array-typed lvalue."""
 
-    base: Expr
-    index: Expr
+    _fields = ("span", "base", "index")
+
+    def __init__(self, span: SourceSpan, base: Expr, index: Expr) -> None:
+        self.span = span
+        self.ty = None
+        self.base = base
+        self.index = index
 
 
 class UnaryOp(enum.Enum):
@@ -85,10 +107,14 @@ class UnaryOp(enum.Enum):
     BITNOT = "~"
 
 
-@dataclass
 class Unary(Expr):
-    op: UnaryOp
-    operand: Expr
+    _fields = ("span", "op", "operand")
+
+    def __init__(self, span: SourceSpan, op: UnaryOp, operand: Expr) -> None:
+        self.span = span
+        self.ty = None
+        self.op = op
+        self.operand = operand
 
 
 class BinaryOp(enum.Enum):
@@ -131,14 +157,17 @@ class BinaryOp(enum.Enum):
         return not self.is_comparison and not self.is_logical
 
 
-@dataclass
 class Binary(Expr):
-    op: BinaryOp
-    lhs: Expr
-    rhs: Expr
+    _fields = ("span", "op", "lhs", "rhs")
+
+    def __init__(self, span: SourceSpan, op: BinaryOp, lhs: Expr, rhs: Expr) -> None:
+        self.span = span
+        self.ty = None
+        self.op = op
+        self.lhs = lhs
+        self.rhs = rhs
 
 
-@dataclass
 class Assign(Expr):
     """``target = value`` or compound ``target op= value``.
 
@@ -148,36 +177,57 @@ class Assign(Expr):
     ``ArrayIndex``).
     """
 
-    target: Expr
-    value: Expr
-    op: BinaryOp | None = None
+    _fields = ("span", "target", "value", "op")
+
+    def __init__(
+        self, span: SourceSpan, target: Expr, value: Expr, op: BinaryOp | None = None
+    ) -> None:
+        self.span = span
+        self.ty = None
+        self.target = target
+        self.value = value
+        self.op = op
 
 
-@dataclass
 class IncDec(Expr):
     """``++x`` / ``x++`` / ``--x`` / ``x--``."""
 
-    target: Expr
-    is_increment: bool
-    is_prefix: bool
+    _fields = ("span", "target", "is_increment", "is_prefix")
+
+    def __init__(
+        self, span: SourceSpan, target: Expr, is_increment: bool, is_prefix: bool
+    ) -> None:
+        self.span = span
+        self.ty = None
+        self.target = target
+        self.is_increment = is_increment
+        self.is_prefix = is_prefix
 
 
-@dataclass
 class Call(Expr):
     """A call to a named function.  ``decl`` resolved by sema."""
 
-    callee: str
-    args: list[Expr]
-    decl: object | None = field(default=None, init=False, compare=False)
+    _fields = ("span", "callee", "args")
+
+    def __init__(self, span: SourceSpan, callee: str, args: list[Expr]) -> None:
+        self.span = span
+        self.ty = None
+        self.callee = callee
+        self.args = args
+        self.decl: object | None = None
 
 
-@dataclass
 class Ternary(Expr):
     """``cond ? then : otherwise``."""
 
-    cond: Expr
-    then: Expr
-    otherwise: Expr
+    _fields = ("span", "cond", "then", "otherwise")
+
+    def __init__(self, span: SourceSpan, cond: Expr, then: Expr, otherwise: Expr) -> None:
+        self.span = span
+        self.ty = None
+        self.cond = cond
+        self.then = then
+        self.otherwise = otherwise
 
 
 # --------------------------------------------------------------------------
@@ -185,70 +235,102 @@ class Ternary(Expr):
 # --------------------------------------------------------------------------
 
 
-@dataclass
 class Stmt(Node):
     """Base class for statements."""
 
 
-@dataclass
 class Block(Stmt):
-    stmts: list[Stmt]
+    _fields = ("span", "stmts")
+
+    def __init__(self, span: SourceSpan, stmts: list[Stmt]) -> None:
+        self.span = span
+        self.stmts = stmts
 
 
-@dataclass
 class VarDeclStmt(Stmt):
     """Local variable declaration, optionally initialized."""
 
-    name: str
-    declared_type: Type
-    init: Expr | None
+    _fields = ("span", "name", "declared_type", "init")
+
+    def __init__(
+        self, span: SourceSpan, name: str, declared_type: Type, init: Expr | None
+    ) -> None:
+        self.span = span
+        self.name = name
+        self.declared_type = declared_type
+        self.init = init
 
 
-@dataclass
 class ExprStmt(Stmt):
-    expr: Expr
+    _fields = ("span", "expr")
+
+    def __init__(self, span: SourceSpan, expr: Expr) -> None:
+        self.span = span
+        self.expr = expr
 
 
-@dataclass
 class IfStmt(Stmt):
-    cond: Expr
-    then: Stmt
-    otherwise: Stmt | None
+    _fields = ("span", "cond", "then", "otherwise")
+
+    def __init__(
+        self, span: SourceSpan, cond: Expr, then: Stmt, otherwise: Stmt | None
+    ) -> None:
+        self.span = span
+        self.cond = cond
+        self.then = then
+        self.otherwise = otherwise
 
 
-@dataclass
 class WhileStmt(Stmt):
-    cond: Expr
-    body: Stmt
+    _fields = ("span", "cond", "body")
+
+    def __init__(self, span: SourceSpan, cond: Expr, body: Stmt) -> None:
+        self.span = span
+        self.cond = cond
+        self.body = body
 
 
-@dataclass
 class DoWhileStmt(Stmt):
-    body: Stmt
-    cond: Expr
+    _fields = ("span", "body", "cond")
+
+    def __init__(self, span: SourceSpan, body: Stmt, cond: Expr) -> None:
+        self.span = span
+        self.body = body
+        self.cond = cond
 
 
-@dataclass
 class ForStmt(Stmt):
     """C-style ``for (init; cond; step) body``; each header part optional."""
 
-    init: Stmt | None
-    cond: Expr | None
-    step: Expr | None
-    body: Stmt
+    _fields = ("span", "init", "cond", "step", "body")
+
+    def __init__(
+        self,
+        span: SourceSpan,
+        init: Stmt | None,
+        cond: Expr | None,
+        step: Expr | None,
+        body: Stmt,
+    ) -> None:
+        self.span = span
+        self.init = init
+        self.cond = cond
+        self.step = step
+        self.body = body
 
 
-@dataclass
 class ReturnStmt(Stmt):
-    value: Expr | None
+    _fields = ("span", "value")
+
+    def __init__(self, span: SourceSpan, value: Expr | None) -> None:
+        self.span = span
+        self.value = value
 
 
-@dataclass
 class BreakStmt(Stmt):
     pass
 
 
-@dataclass
 class ContinueStmt(Stmt):
     pass
 
@@ -258,20 +340,25 @@ class ContinueStmt(Stmt):
 # --------------------------------------------------------------------------
 
 
-@dataclass
 class IncludeDirective(Node):
     """``include "path";`` — textual interface import."""
 
-    path: str
+    _fields = ("span", "path")
+
+    def __init__(self, span: SourceSpan, path: str) -> None:
+        self.span = span
+        self.path = path
 
 
-@dataclass
 class Param(Node):
-    name: str
-    declared_type: Type
+    _fields = ("span", "name", "declared_type")
+
+    def __init__(self, span: SourceSpan, name: str, declared_type: Type) -> None:
+        self.span = span
+        self.name = name
+        self.declared_type = declared_type
 
 
-@dataclass
 class GlobalVarDecl(Node):
     """Global variable or constant at file scope.
 
@@ -280,33 +367,59 @@ class GlobalVarDecl(Node):
     appear in headers.
     """
 
-    name: str
-    declared_type: Type
-    init: Expr | None
-    is_const: bool = False
-    is_extern: bool = False
+    _fields = ("span", "name", "declared_type", "init", "is_const", "is_extern")
+
+    def __init__(
+        self,
+        span: SourceSpan,
+        name: str,
+        declared_type: Type,
+        init: Expr | None,
+        is_const: bool = False,
+        is_extern: bool = False,
+    ) -> None:
+        self.span = span
+        self.name = name
+        self.declared_type = declared_type
+        self.init = init
+        self.is_const = is_const
+        self.is_extern = is_extern
 
 
-@dataclass
 class FunctionDecl(Node):
     """Function definition (``body`` set) or declaration (``body`` None)."""
 
-    name: str
-    return_type: Type
-    params: list[Param]
-    body: Block | None
-    is_extern: bool = False
+    _fields = ("span", "name", "return_type", "params", "body", "is_extern")
+
+    def __init__(
+        self,
+        span: SourceSpan,
+        name: str,
+        return_type: Type,
+        params: list[Param],
+        body: Block | None,
+        is_extern: bool = False,
+    ) -> None:
+        self.span = span
+        self.name = name
+        self.return_type = return_type
+        self.params = params
+        self.body = body
+        self.is_extern = is_extern
 
     @property
     def is_definition(self) -> bool:
         return self.body is not None
 
 
-@dataclass
 class Program(Node):
     """One parsed translation unit: ordered top-level items."""
 
-    items: list[Node]
+    _fields = ("span", "items")
+
+    def __init__(self, span: SourceSpan, items: list[Node]) -> None:
+        self.span = span
+        self.items = items
 
     @property
     def includes(self) -> list[IncludeDirective]:

@@ -9,9 +9,12 @@ raised at stage boundaries when errors make continuing pointless.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.frontend.source import SourceSpan
+from repro._struct import FrozenStruct, Struct
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.frontend.source import SourceSpan
 
 
 class Severity(enum.Enum):
@@ -25,13 +28,17 @@ class Severity(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(FrozenStruct):
     """One reported problem, optionally anchored to a source span."""
 
-    severity: Severity
-    message: str
-    span: SourceSpan | None = None
+    _fields = ("severity", "message", "span")
+
+    def __init__(
+        self, severity: Severity, message: str, span: SourceSpan | None = None
+    ) -> None:
+        object.__setattr__(self, "severity", severity)
+        object.__setattr__(self, "message", message)
+        object.__setattr__(self, "span", span)
 
     def render(self, *, show_snippet: bool = True) -> str:
         """Format the diagnostic as a human-readable multi-line string."""
@@ -67,11 +74,13 @@ class CompileError(Exception):
         super().__init__(summary or "compilation failed")
 
 
-@dataclass
-class DiagnosticEngine:
+class DiagnosticEngine(Struct):
     """Accumulates diagnostics for one compilation."""
 
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+    _fields = ("diagnostics",)
+
+    def __init__(self, diagnostics: list[Diagnostic] | None = None) -> None:
+        self.diagnostics = [] if diagnostics is None else diagnostics
 
     def report(self, severity: Severity, message: str, span: SourceSpan | None = None) -> Diagnostic:
         diag = Diagnostic(severity, message, span)

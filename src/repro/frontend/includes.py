@@ -15,16 +15,15 @@ uses for dependency tracking.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from repro._struct import Struct
 from repro.frontend.diagnostics import CompileError, DiagnosticEngine
-from repro.frontend.source import SourceFile
 
 # The build system imports this module for the providers and
-# scan_includes on every build; the lexer, parser and AST load only
-# when a unit is actually resolved.
+# scan_includes on every build; the source files, lexer, parser and AST
+# load only when a unit is actually resolved.
 if TYPE_CHECKING:  # pragma: no cover
     from repro.frontend import ast
 
@@ -33,17 +32,25 @@ class IncludeError(Exception):
     """A header could not be found, parsed, or is ill-formed."""
 
 
-@dataclass
-class ResolvedUnit:
+class ResolvedUnit(Struct):
     """A translation unit with all its includes resolved."""
 
-    #: The unit's own parsed AST (still containing IncludeDirectives).
-    program: ast.Program
-    #: Items visible to sema: header declarations then the unit's items.
-    merged: ast.Program
-    #: Transitive header paths, in first-seen (topological) order.
-    headers: list[str]
-    diags: DiagnosticEngine
+    _fields = ("program", "merged", "headers", "diags")
+
+    def __init__(
+        self,
+        program: ast.Program,
+        merged: ast.Program,
+        headers: list[str],
+        diags: DiagnosticEngine,
+    ) -> None:
+        #: The unit's own parsed AST (still containing IncludeDirectives).
+        self.program = program
+        #: Items visible to sema: header declarations then the unit's items.
+        self.merged = merged
+        #: Transitive header paths, in first-seen (topological) order.
+        self.headers = headers
+        self.diags = diags
 
 
 class FileProvider:
@@ -93,6 +100,7 @@ class MemoryFileProvider(FileProvider):
 def _parse_file(name: str, text: str, diags: DiagnosticEngine) -> ast.Program:
     from repro.frontend.lexer import Lexer
     from repro.frontend.parser import Parser
+    from repro.frontend.source import SourceFile
 
     source = SourceFile(name, text)
     tokens = Lexer(source, diags).tokenize()

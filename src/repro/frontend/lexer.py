@@ -11,8 +11,8 @@ well-formed stream terminated by an EOF token.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
+from repro._struct import FrozenStruct
 from repro.frontend.diagnostics import DiagnosticEngine
 from repro.frontend.source import SourceFile, SourceSpan
 
@@ -153,14 +153,18 @@ _SINGLE_CHAR_OPS: dict[str, TokenKind] = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(FrozenStruct):
     """One lexed token with its source span and (for literals) value."""
 
-    kind: TokenKind
-    span: SourceSpan
-    text: str
-    value: int | str | None = None
+    _fields = ("kind", "span", "text", "value")
+
+    def __init__(
+        self, kind: TokenKind, span: SourceSpan, text: str, value: int | str | None = None
+    ) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "span", span)
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "value", value)
 
     def __repr__(self) -> str:
         return f"Token({self.kind.name}, {self.text!r})"

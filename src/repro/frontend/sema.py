@@ -18,8 +18,7 @@ the VM implements them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from repro._struct import Struct
 from repro.frontend import ast
 from repro.frontend.diagnostics import CompileError, DiagnosticEngine
 from repro.frontend.limits import ensure_recursion_capacity
@@ -147,12 +146,16 @@ _ARITH_CONST_OPS = {
 }
 
 
-@dataclass
-class Scope:
+class Scope(Struct):
     """A lexical scope mapping names to their declarations."""
 
-    parent: "Scope | None" = None
-    symbols: dict[str, ast.Node] = field(default_factory=dict)
+    _fields = ("parent", "symbols")
+
+    def __init__(
+        self, parent: Scope | None = None, symbols: dict[str, ast.Node] | None = None
+    ) -> None:
+        self.parent = parent
+        self.symbols = {} if symbols is None else symbols
 
     def declare(self, name: str, decl: ast.Node) -> bool:
         """Add a binding; returns False if ``name`` is already bound here."""

@@ -9,7 +9,8 @@ line/column pairs.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+
+from repro._struct import FrozenStruct, Struct
 
 
 class SourceFile:
@@ -59,13 +60,15 @@ class SourceFile:
         return f"SourceFile({self.name!r}, {len(self.text)} bytes)"
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(FrozenStruct):
     """A half-open ``[start, end)`` byte range inside a source file."""
 
-    file: SourceFile
-    start: int
-    end: int
+    _fields = ("file", "start", "end")
+
+    def __init__(self, file: SourceFile, start: int, end: int) -> None:
+        object.__setattr__(self, "file", file)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
 
     def merge(self, other: "SourceSpan") -> "SourceSpan":
         """Return the smallest span covering both ``self`` and ``other``."""
@@ -88,15 +91,17 @@ class SourceSpan:
         return f"SourceSpan({self.describe()})"
 
 
-@dataclass
-class SourceManager:
+class SourceManager(Struct):
     """Registry of all source files seen during a compilation.
 
     Keeps files alive and deduplicates them by name so that headers
     included by several translation units are loaded once.
     """
 
-    files: dict[str, SourceFile] = field(default_factory=dict)
+    _fields = ("files",)
+
+    def __init__(self, files: dict[str, SourceFile] | None = None) -> None:
+        self.files = {} if files is None else files
 
     def add(self, name: str, text: str) -> SourceFile:
         """Register (or replace) a file's contents and return it."""

@@ -7,10 +7,10 @@ deals with what the programmer wrote (``int``, ``bool``, ``void``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from repro._struct import FrozenStruct
 
 
-class Type:
+class Type(FrozenStruct):
     """Base class for all MiniC source types.
 
     Types are immutable value objects; equality is structural.
@@ -32,7 +32,6 @@ class Type:
         return isinstance(self, VoidType)
 
 
-@dataclass(frozen=True)
 class IntType(Type):
     """64-bit signed integer (the only arithmetic type)."""
 
@@ -40,7 +39,6 @@ class IntType(Type):
         return "int"
 
 
-@dataclass(frozen=True)
 class BoolType(Type):
     """Boolean: result of comparisons and logical operators."""
 
@@ -48,7 +46,6 @@ class BoolType(Type):
         return "bool"
 
 
-@dataclass(frozen=True)
 class VoidType(Type):
     """Absence of a value; only valid as a function return type."""
 
@@ -56,7 +53,6 @@ class VoidType(Type):
         return "void"
 
 
-@dataclass(frozen=True)
 class ArrayType(Type):
     """Fixed-size one-dimensional array of ``int``.
 
@@ -64,7 +60,10 @@ class ArrayType(Type):
     extent is supplied by the caller.
     """
 
-    size: int | None
+    _fields = ("size",)
+
+    def __init__(self, size: int | None) -> None:
+        object.__setattr__(self, "size", size)
 
     def __str__(self) -> str:
         return f"int[{self.size if self.size is not None else ''}]"
@@ -75,12 +74,14 @@ BOOL = BoolType()
 VOID = VoidType()
 
 
-@dataclass(frozen=True)
 class FunctionType(Type):
     """Type of a function: parameter types and return type."""
 
-    params: tuple[Type, ...]
-    ret: Type
+    _fields = ("params", "ret")
+
+    def __init__(self, params: tuple[Type, ...], ret: Type) -> None:
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "ret", ret)
 
     def __str__(self) -> str:
         params = ", ".join(str(p) for p in self.params)

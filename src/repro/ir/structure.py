@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Iterator
 
+from repro._struct import Struct
 from repro.ir.instructions import (
     BrInst,
     CBrInst,
@@ -176,21 +176,28 @@ def _dead_placeholder(ty: IRType) -> Value:
     return UndefValue(ty)
 
 
-@dataclass
-class GlobalVariable:
+class GlobalVariable(Struct):
     """Module-level storage: ``size`` 64-bit slots with an initializer.
 
     ``initializer`` is a list of slot values (length ``size``); external
     declarations have no storage here and are bound at link time.
     """
 
-    name: str
-    size: int
-    initializer: list[int] = field(default_factory=list)
-    is_external: bool = False
-    is_const: bool = False
+    _fields = ("name", "size", "initializer", "is_external", "is_const")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        name: str,
+        size: int,
+        initializer: list[int] | None = None,
+        is_external: bool = False,
+        is_const: bool = False,
+    ) -> None:
+        self.name = name
+        self.size = size
+        self.initializer = [] if initializer is None else initializer
+        self.is_external = is_external
+        self.is_const = is_const
         if self.size <= 0:
             raise ValueError(f"global {self.name}: size must be positive")
         if not self.is_external:

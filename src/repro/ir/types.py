@@ -13,14 +13,24 @@ Types are singletons; compare with ``is`` or ``==`` interchangeably.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from repro._struct import FrozenStruct
 
 
-@dataclass(frozen=True)
-class IRType:
+class IRType(FrozenStruct):
     """One IR type; instances are interned module-level singletons."""
 
-    name: str
+    _fields = ("name",)
+
+    def __init__(self, name: str) -> None:
+        object.__setattr__(self, "name", name)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is IRType:
+            return self.name == other.name
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
 
     def __str__(self) -> str:
         return self.name
@@ -54,12 +64,14 @@ def type_from_name(name: str) -> IRType:
         raise ValueError(f"unknown IR type {name!r}") from None
 
 
-@dataclass(frozen=True)
-class FunctionSig:
+class FunctionSig(FrozenStruct):
     """An IR function signature."""
 
-    params: tuple[IRType, ...]
-    ret: IRType
+    _fields = ("params", "ret")
+
+    def __init__(self, params: tuple[IRType, ...], ret: IRType) -> None:
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "ret", ret)
 
     def __str__(self) -> str:
         return f"{self.ret}({', '.join(str(p) for p in self.params)})"

@@ -8,21 +8,23 @@ and perform ``replace_all_uses_with`` in O(uses).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
+from repro._struct import FrozenStruct
 from repro.ir.types import I1, I64, IRType, PTR
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ir.instructions import Instruction
 
 
-@dataclass(frozen=True)
-class Use:
+class Use(FrozenStruct):
     """One operand slot of one instruction referencing a value."""
 
-    user: "Instruction"
-    index: int
+    _fields = ("user", "index")
+
+    def __init__(self, user: Instruction, index: int) -> None:
+        object.__setattr__(self, "user", user)
+        object.__setattr__(self, "index", index)
 
     def __hash__(self) -> int:
         return hash((id(self.user), self.index))

@@ -13,8 +13,7 @@ to module storage (or external declarations).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from repro._struct import Struct
 from repro.frontend import ast
 from repro.frontend.limits import ensure_recursion_capacity
 from repro.frontend.sema import BUILTIN_FUNCTIONS, Sema
@@ -71,25 +70,36 @@ _CMP_TO_PRED = {
 }
 
 
-@dataclass
-class _LoopContext:
+class _LoopContext(Struct):
     """Branch targets for break/continue inside one loop."""
 
-    break_target: BasicBlock
-    continue_target: BasicBlock
+    _fields = ("break_target", "continue_target")
+
+    def __init__(self, break_target: BasicBlock, continue_target: BasicBlock) -> None:
+        self.break_target = break_target
+        self.continue_target = continue_target
 
 
-@dataclass
-class _FunctionLowering:
+class _FunctionLowering(Struct):
     """Per-function lowering state."""
 
-    fn: Function
-    builder: IRBuilder
-    sema: Sema
-    #: AST declaration object -> IR storage pointer (alloca/GlobalAddr) or,
-    #: for array parameters, the incoming ptr Argument itself.
-    slots: dict[int, Value] = field(default_factory=dict)
-    loops: list[_LoopContext] = field(default_factory=list)
+    _fields = ("fn", "builder", "sema", "slots", "loops")
+
+    def __init__(
+        self,
+        fn: Function,
+        builder: IRBuilder,
+        sema: Sema,
+        slots: dict[int, Value] | None = None,
+        loops: list[_LoopContext] | None = None,
+    ) -> None:
+        self.fn = fn
+        self.builder = builder
+        self.sema = sema
+        #: AST declaration object -> IR storage pointer (alloca/GlobalAddr) or,
+        #: for array parameters, the incoming ptr Argument itself.
+        self.slots = {} if slots is None else slots
+        self.loops = [] if loops is None else loops
 
 
 class Lowerer:

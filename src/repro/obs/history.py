@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro._struct import Struct
 from repro.persist import atomic_write
 from repro.persist import io as io_seam
 
@@ -46,21 +46,31 @@ def default_history_path(db_path: str | Path) -> Path:
     return Path(f"{db_path}.history.jsonl")
 
 
-@dataclass
-class HistoryRecord:
+class HistoryRecord(Struct):
     """One build's accounting, as persisted in the history store."""
 
-    seq: int
-    #: Unix wall-clock time the record was written (not perf_counter).
-    timestamp: float
-    label: str = ""
-    #: The full build-report payload (``BuildReport.to_dict`` schema).
-    report: dict = field(default_factory=dict)
-    #: Compiler-state size/GC counters at end of build
-    #: (:meth:`~repro.core.state.CompilerState.size_summary` shape).
-    state: dict = field(default_factory=dict)
-    #: Per-pass ``{executed, dormant, bypassed, work, wall}`` rollup.
-    passes: dict = field(default_factory=dict)
+    _fields = ("seq", "timestamp", "label", "report", "state", "passes")
+
+    def __init__(
+        self,
+        seq: int,
+        timestamp: float,
+        label: str = "",
+        report: dict | None = None,
+        state: dict | None = None,
+        passes: dict | None = None,
+    ) -> None:
+        self.seq = seq
+        #: Unix wall-clock time the record was written (not perf_counter).
+        self.timestamp = timestamp
+        self.label = label
+        #: The full build-report payload (``BuildReport.to_dict`` schema).
+        self.report = {} if report is None else report
+        #: Compiler-state size/GC counters at end of build
+        #: (:meth:`~repro.core.state.CompilerState.size_summary` shape).
+        self.state = {} if state is None else state
+        #: Per-pass ``{executed, dormant, bypassed, work, wall}`` rollup.
+        self.passes = {} if passes is None else passes
 
     # -- derived views the analytics read ------------------------------------
 
@@ -100,6 +110,12 @@ class HistoryRecord:
     def gc_reclaimed(self) -> int:
         return int(self.state.get("gc_reclaimed_last", 0))
 
+    @property
+    def gc_eligible(self) -> int:
+        """Records past the GC age cutoff when this build's GC ran (0 for
+        records written before the count was kept)."""
+        return int(self.state.get("gc_eligible_last", 0))
+
     # -- construction --------------------------------------------------------
 
     @classmethod
@@ -128,6 +144,7 @@ class HistoryRecord:
                 "gc_runs": int(gauges.get("state.gc_runs", 0)),
                 "gc_reclaimed_total": int(gauges.get("state.gc_reclaimed_total", 0)),
                 "gc_reclaimed_last": int(gauges.get("state.gc_reclaimed_last", 0)),
+                "gc_eligible_last": int(gauges.get("state.gc_eligible_last", 0)),
             }
 
         passes: dict[str, dict] = {}
@@ -170,18 +187,27 @@ class HistoryRecord:
         )
 
 
-@dataclass
-class LoadStats:
+class LoadStats(Struct):
     """What reading a history file found besides the usable records."""
 
-    lines: int = 0
-    loaded: int = 0
-    #: Unparsable final line (a build died mid-append); recovered by drop.
-    truncated: bool = False
-    #: Unparsable non-final lines (should not happen; counted, skipped).
-    corrupt: int = 0
-    #: Records written by a newer reprobuild (schema ahead); skipped.
-    newer_schema: int = 0
+    _fields = ("lines", "loaded", "truncated", "corrupt", "newer_schema")
+
+    def __init__(
+        self,
+        lines: int = 0,
+        loaded: int = 0,
+        truncated: bool = False,
+        corrupt: int = 0,
+        newer_schema: int = 0,
+    ) -> None:
+        self.lines = lines
+        self.loaded = loaded
+        #: Unparsable final line (a build died mid-append); recovered by drop.
+        self.truncated = truncated
+        #: Unparsable non-final lines (should not happen; counted, skipped).
+        self.corrupt = corrupt
+        #: Records written by a newer reprobuild (schema ahead); skipped.
+        self.newer_schema = newer_schema
 
 
 class BuildHistory:

@@ -18,36 +18,49 @@ build report and the trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from repro._struct import Struct
 
-@dataclass
-class Counter:
+
+class Counter(Struct):
     """A monotonically increasing integer."""
 
-    value: int = 0
+    _fields = ("value",)
+
+    def __init__(self, value: int = 0) -> None:
+        self.value = value
 
     def inc(self, n: int = 1) -> None:
         self.value += n
 
 
-@dataclass
-class Gauge:
+class Gauge(Struct):
     """A point-in-time value (last write wins)."""
 
-    value: float = 0.0
+    _fields = ("value",)
+
+    def __init__(self, value: float = 0.0) -> None:
+        self.value = value
 
     def set(self, value: float) -> None:
         self.value = value
 
 
-@dataclass
-class Timing:
+class Timing(Struct):
     """A summary of observed durations (seconds)."""
 
-    count: int = 0
-    total: float = 0.0
-    min: float = 0.0
-    max: float = 0.0
+    _fields = ("count", "total", "min", "max")
+
+    def __init__(
+        self,
+        count: int = 0,
+        total: float = 0.0,
+        min: float = 0.0,
+        max: float = 0.0,
+    ) -> None:
+        self.count = count
+        self.total = total
+        self.min = min
+        self.max = max
 
     def observe(self, seconds: float) -> None:
         if self.count == 0 or seconds < self.min:
@@ -74,13 +87,20 @@ class Timing:
         self.total += other.total
 
 
-@dataclass
-class MetricsRegistry:
+class MetricsRegistry(Struct):
     """Get-or-create families of named counters, gauges, and timings."""
 
-    counters: dict[str, Counter] = field(default_factory=dict)
-    gauges: dict[str, Gauge] = field(default_factory=dict)
-    timings: dict[str, Timing] = field(default_factory=dict)
+    _fields = ("counters", "gauges", "timings")
+
+    def __init__(
+        self,
+        counters: dict[str, Counter] | None = None,
+        gauges: dict[str, Gauge] | None = None,
+        timings: dict[str, Timing] | None = None,
+    ) -> None:
+        self.counters = {} if counters is None else counters
+        self.gauges = {} if gauges is None else gauges
+        self.timings = {} if timings is None else timings
 
     # -- get-or-create -------------------------------------------------------
 

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
+
+from repro._struct import Struct
 
 TRACE_SCHEMA_VERSION = 1
 
@@ -32,8 +33,7 @@ TRACE_SCHEMA_VERSION = 1
 DRIVER_TRACK = "driver"
 
 
-@dataclass
-class SpanRecord:
+class SpanRecord(Struct):
     """One completed span, picklable and process-boundary safe.
 
     ``start`` is in seconds relative to the owning tracer's epoch (not
@@ -41,12 +41,23 @@ class SpanRecord:
     onto the driver's timeline a single addition.
     """
 
-    name: str
-    category: str
-    start: float
-    duration: float
-    track: str = DRIVER_TRACK
-    args: dict = field(default_factory=dict)
+    _fields = ("name", "category", "start", "duration", "track", "args")
+
+    def __init__(
+        self,
+        name: str,
+        category: str,
+        start: float,
+        duration: float,
+        track: str = DRIVER_TRACK,
+        args: dict | None = None,
+    ) -> None:
+        self.name = name
+        self.category = category
+        self.start = start
+        self.duration = duration
+        self.track = track
+        self.args = {} if args is None else args
 
     @property
     def end(self) -> float:

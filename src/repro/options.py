@@ -9,23 +9,35 @@ end, the passes or the backend just to read an option.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro._struct import Struct
 from repro.core.policies import SkipPolicy
 
 
-@dataclass
-class CompilerOptions:
+class CompilerOptions(Struct):
     """Configuration for one compiler instance."""
 
-    opt_level: str = "O2"
-    stateful: bool = False
-    policy: SkipPolicy = SkipPolicy.FINE_GRAINED
-    fingerprint_mode: str = "canonical"
-    #: Verify IR after every pass (testing only; large slowdown).
-    verify_each: bool = False
-    #: Verify the final module before codegen.
-    verify_output: bool = True
+    _fields = (
+        "opt_level", "stateful", "policy", "fingerprint_mode", "verify_each",
+        "verify_output",
+    )
+
+    def __init__(
+        self,
+        opt_level: str = "O2",
+        stateful: bool = False,
+        policy: SkipPolicy = SkipPolicy.FINE_GRAINED,
+        fingerprint_mode: str = "canonical",
+        verify_each: bool = False,
+        verify_output: bool = True,
+    ) -> None:
+        self.opt_level = opt_level
+        self.stateful = stateful
+        self.policy = policy
+        self.fingerprint_mode = fingerprint_mode
+        #: Verify IR after every pass (testing only; large slowdown).
+        self.verify_each = verify_each
+        #: Verify the final module before codegen.
+        self.verify_output = verify_output
 
     @property
     def object_options(self) -> str:

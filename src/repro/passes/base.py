@@ -18,20 +18,26 @@ wall-clock time because Python timing is noisy at micro scales.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from repro._struct import Struct
 from repro.ir.structure import Function, Module
 
 
-@dataclass
-class PassStats:
+class PassStats(Struct):
     """Outcome of one pass execution."""
 
-    changed: bool = False
-    #: Instructions visited — deterministic proxy for compile effort.
-    work: int = 0
-    #: Pass-specific counters (e.g. {"promoted_allocas": 3}).
-    detail: dict[str, int] = field(default_factory=dict)
+    _fields = ("changed", "work", "detail")
+
+    def __init__(
+        self,
+        changed: bool = False,
+        work: int = 0,
+        detail: dict[str, int] | None = None,
+    ) -> None:
+        self.changed = changed
+        #: Instructions visited — deterministic proxy for compile effort.
+        self.work = work
+        #: Pass-specific counters (e.g. {"promoted_allocas": 3}).
+        self.detail = {} if detail is None else detail
 
     def bump(self, key: str, amount: int = 1) -> None:
         self.detail[key] = self.detail.get(key, 0) + amount

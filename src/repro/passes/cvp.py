@@ -17,8 +17,7 @@ profile the stateful compiler exploits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro._struct import FrozenStruct
 from repro.analysis.dominators import DominatorTree
 from repro.ir.instructions import CBrInst, ICmpInst, ICmpPred
 from repro.ir.structure import BasicBlock, Function, Module
@@ -26,12 +25,14 @@ from repro.ir.values import ConstantInt, Value, const_i1
 from repro.passes.base import FunctionPass, PassStats
 
 
-@dataclass(frozen=True)
-class _Range:
+class _Range(FrozenStruct):
     """Inclusive signed bounds for one value."""
 
-    lo: int
-    hi: int
+    _fields = ("lo", "hi")
+
+    def __init__(self, lo: int, hi: int) -> None:
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     def intersect(self, other: "_Range") -> "_Range":
         return _Range(max(self.lo, other.lo), min(self.hi, other.hi))

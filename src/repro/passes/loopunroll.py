@@ -19,8 +19,7 @@ copy that feeds values used after the loop and branches to the exit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro._struct import Struct
 from repro.analysis.loops import Loop, find_natural_loops
 from repro.ir.instructions import (
     BinaryInst,
@@ -41,14 +40,25 @@ from repro.passes.licm import ensure_preheader
 from repro.passes.utils import remove_unreachable_blocks
 
 
-@dataclass
-class _UnrollPlan:
-    loop: Loop
-    preheader: BasicBlock
-    latch: BasicBlock
-    body_entry: BasicBlock  # header's in-loop successor
-    exit_block: BasicBlock
-    trip_count: int
+class _UnrollPlan(Struct):
+    _fields = ("loop", "preheader", "latch", "body_entry", "exit_block", "trip_count")
+
+    def __init__(
+        self,
+        loop: Loop,
+        preheader: BasicBlock,
+        latch: BasicBlock,
+        body_entry: BasicBlock,
+        exit_block: BasicBlock,
+        trip_count: int,
+    ) -> None:
+        self.loop = loop
+        self.preheader = preheader
+        self.latch = latch
+        # header's in-loop successor
+        self.body_entry = body_entry
+        self.exit_block = exit_block
+        self.trip_count = trip_count
 
 
 class LoopUnrollPass(FunctionPass):

@@ -12,8 +12,7 @@ blocks are deleted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro._struct import Struct
 from repro.ir.instructions import (
     BinaryInst,
     BrInst,
@@ -39,11 +38,13 @@ _TOP = "top"          # no information yet (undefined)
 _BOTTOM = "bottom"    # overdefined
 
 
-@dataclass
-class _Lattice:
+class _Lattice(Struct):
     """Per-value lattice cell: _TOP, an int constant, or _BOTTOM."""
 
-    state: object = _TOP
+    _fields = ("state",)
+
+    def __init__(self, state: object = _TOP) -> None:
+        self.state = state
 
     @property
     def is_const(self) -> bool:

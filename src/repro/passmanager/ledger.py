@@ -18,8 +18,9 @@ is measured wall time, 0 for a bypassed run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
+
+from repro._struct import Struct
 
 #: :attr:`PassRun.outcome` values.
 BYPASSED, DORMANT, CHANGED = 0, 1, 2
@@ -39,19 +40,31 @@ class PassRun(NamedTuple):
     ns: int
 
 
-@dataclass
-class PassLedger:
+class PassLedger(Struct):
     """Every pass run of one compilation, plus the state traffic counts."""
 
-    runs: list[PassRun] = field(default_factory=list)
-    #: Dormancy-record lookups, and how many of them found a record.
-    lookups: int = 0
-    hits: int = 0
-    #: Dormancy records written (new verdicts and overwrites alike).
-    records_written: int = 0
-    #: IR fingerprints computed and the nanoseconds spent on them.
-    fingerprints: int = 0
-    fingerprint_ns: int = 0
+    _fields = (
+        "runs", "lookups", "hits", "records_written", "fingerprints", "fingerprint_ns",
+    )
+
+    def __init__(
+        self,
+        runs: list[PassRun] | None = None,
+        lookups: int = 0,
+        hits: int = 0,
+        records_written: int = 0,
+        fingerprints: int = 0,
+        fingerprint_ns: int = 0,
+    ) -> None:
+        self.runs = [] if runs is None else runs
+        #: Dormancy-record lookups, and how many of them found a record.
+        self.lookups = lookups
+        self.hits = hits
+        #: Dormancy records written (new verdicts and overwrites alike).
+        self.records_written = records_written
+        #: IR fingerprints computed and the nanoseconds spent on them.
+        self.fingerprints = fingerprints
+        self.fingerprint_ns = fingerprint_ns
 
     @property
     def work(self) -> int:

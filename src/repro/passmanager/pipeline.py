@@ -9,8 +9,7 @@ ordered list of function passes.  Dormancy records are keyed by the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from repro._struct import Struct
 from repro.passes import (
     AggressiveDCEPass,
     CorrelatedValuePropagationPass,
@@ -35,13 +34,20 @@ from repro.passes import (
 )
 
 
-@dataclass
-class PassPipeline:
+class PassPipeline(Struct):
     """An ordered optimization plan."""
 
-    name: str
-    module_prelude: list[ModulePass] = field(default_factory=list)
-    function_passes: list[FunctionPass] = field(default_factory=list)
+    _fields = ("name", "module_prelude", "function_passes")
+
+    def __init__(
+        self,
+        name: str,
+        module_prelude: list[ModulePass] | None = None,
+        function_passes: list[FunctionPass] | None = None,
+    ) -> None:
+        self.name = name
+        self.module_prelude = [] if module_prelude is None else module_prelude
+        self.function_passes = [] if function_passes is None else function_passes
 
     def position_names(self) -> list[str]:
         """Stable ``<index>:<pass>`` labels for dormancy keys and reports."""

@@ -28,9 +28,9 @@ import errno
 import hashlib
 import os
 from contextlib import suppress
-from dataclasses import dataclass
 from pathlib import Path
 
+from repro._struct import FrozenStruct
 from repro.persist import io
 from repro.persist.errors import CorruptArtifactError
 
@@ -47,13 +47,20 @@ TRANSIENT_ERRNOS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
+class RetryPolicy(FrozenStruct):
     """Bounded retry with exponential backoff for transient IO errors."""
 
-    attempts: int = 4
-    base_delay: float = 0.002
-    factor: float = 4.0
+    _fields = ("attempts", "base_delay", "factor")
+
+    def __init__(
+        self,
+        attempts: int = 4,
+        base_delay: float = 0.002,
+        factor: float = 4.0,
+    ) -> None:
+        object.__setattr__(self, "attempts", attempts)
+        object.__setattr__(self, "base_delay", base_delay)
+        object.__setattr__(self, "factor", factor)
 
     def delay(self, attempt: int) -> float:
         return self.base_delay * (self.factor ** attempt)

@@ -2,18 +2,20 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro._struct import Struct
 from repro.frontend.includes import MemoryFileProvider
 
 
-@dataclass
-class Project:
+class Project(Struct):
     """A MiniC project: file texts keyed by relative path."""
 
-    name: str
-    files: dict[str, str] = field(default_factory=dict)
+    _fields = ("name", "files")
+
+    def __init__(self, name: str, files: dict[str, str] | None = None) -> None:
+        self.name = name
+        self.files = {} if files is None else files
 
     @property
     def unit_paths(self) -> list[str]:

@@ -1,9 +1,11 @@
 """Backend tests: isel, regalloc, peephole, object files, linker."""
 
+import json
+
 import pytest
 
 from repro.backend.isel import select_function, select_module
-from repro.backend.linker import LinkError, link
+from repro.backend.linker import LinkError, check_link, link
 from repro.backend.mir import MInst, MOp, MachineFunction, NUM_PHYS_REGS
 from repro.backend.objfile import ObjectFile, compile_module_to_object
 from repro.backend.peephole import peephole_function
@@ -11,6 +13,29 @@ from repro.backend.regalloc import NUM_ALLOCATABLE, allocate_function, compute_i
 from repro.vm.interp import run_module
 from repro.vm.machine import VirtualMachine
 from tests.conftest import lower
+
+
+def link_error(objects: list[ObjectFile]) -> str:
+    """The message of the :class:`LinkError` linking ``objects`` raises.
+
+    The check from stored link interfaces (each table decoded from its
+    JSON form, as a build DB holds it) must raise the same message
+    without reading any code.
+    """
+    with pytest.raises(LinkError) as linked:
+        link(objects)
+    tables = [json.loads(json.dumps(obj.link_symbols())) for obj in objects]
+    with pytest.raises(LinkError) as checked:
+        check_link(tables)
+    assert str(checked.value) == str(linked.value)
+    return str(linked.value)
+
+
+def hand_object(code: list[MInst]) -> ObjectFile:
+    """An object whose ``main`` has exactly ``code``."""
+    obj = ObjectFile("hand.mc")
+    obj.functions["main"] = MachineFunction("main", 0, code=code, is_allocated=True)
+    return obj
 
 
 def compile_and_run(src: str, headers=None, input_values=None):
@@ -161,52 +186,81 @@ class TestObjectFile:
         obj = compile_module_to_object(module)
         restored = ObjectFile.from_json(obj.to_json())
         assert restored.to_json() == obj.to_json()
-        assert restored.defined_symbols() == obj.defined_symbols()
+        assert restored.link_symbols() == obj.link_symbols()
 
     def test_bad_format_rejected(self):
         with pytest.raises(ValueError):
             ObjectFile.from_json('{"format": "something-else"}')
 
     def test_symbols(self):
-        module = lower("extern int e;\nint g = 1;\nint f() { return g + e; }")
-        obj = compile_module_to_object(module)
-        syms = obj.defined_symbols()
-        assert "g" in syms and "f" in syms and "e" not in syms
+        module = lower(
+            "extern int e;\nint g = 1;\n"
+            "int f() { return g + e; }\nint main() { print(f()); return f(); }"
+        )
+        table = compile_module_to_object(module).link_symbols()
+        assert table["module"] == "test.mc"
+        assert table["functions"] == ["f", "main"]
+        assert table["globals"] == ["g"] and table["externs"] == ["e"]
+        # One row per distinct target, naming the first function to use it.
+        assert sorted(map(tuple, table["refs"])) == [
+            ("call", "f", "main"), ("call", "print", "main"),
+            ("lea", "e", "f"), ("lea", "g", "f"),
+        ]
+        assert table["unterminated"] == []
 
 
 class TestLinker:
+    # Each rejection is checked through link() and through check_link()
+    # on the objects' stored link interfaces; see link_error().
+
     def test_duplicate_function_rejected(self):
         a = compile_module_to_object(lower("int f() { return 1; }\nint main() { return f(); }"))
         b = compile_module_to_object(lower("int f() { return 2; }"))
-        with pytest.raises(LinkError, match="duplicate definition of function"):
-            link([a, b])
+        assert link_error([a, b]) == "duplicate definition of function @f"
 
     def test_duplicate_global_rejected(self):
         a = compile_module_to_object(lower("int g = 1;\nint main() { return g; }"))
         b = compile_module_to_object(lower("int g = 2;"))
-        with pytest.raises(LinkError, match="duplicate definition of global"):
-            link([a, b])
+        assert link_error([a, b]) == "duplicate definition of global @g"
 
     def test_unresolved_function(self):
         headers = {"h.mh": "int missing(int x);"}
         a = compile_module_to_object(
             lower('include "h.mh";\nint main() { return missing(1); }', headers)
         )
-        with pytest.raises(LinkError, match="unresolved function"):
-            link([a])
+        assert link_error([a]) == "unresolved function @missing called from @main"
 
     def test_unresolved_global(self):
         headers = {"h.mh": "extern int missing;"}
         a = compile_module_to_object(
             lower('include "h.mh";\nint main() { return missing; }', headers)
         )
-        with pytest.raises(LinkError, match="unresolved external global"):
-            link([a])
+        assert link_error([a]) == "unresolved external global @missing (from test.mc)"
+
+    def test_unresolved_lea(self):
+        obj = hand_object([MInst(MOp.LEA, [0], extra="nowhere"), MInst(MOp.RET, [0])])
+        assert link_error([obj]) == "unresolved global @nowhere referenced from @main"
+
+    def test_missing_terminator(self):
+        obj = hand_object([MInst(MOp.LABEL, extra="entry"), MInst(MOp.LI, [0], imm=1)])
+        assert link_error([obj]) == "@main does not end in a terminator"
 
     def test_missing_entry(self):
         a = compile_module_to_object(lower("int f() { return 1; }"))
-        with pytest.raises(LinkError, match="entry point"):
-            link([a])
+        assert link_error([a]) == "entry point @main is not defined"
+
+    def test_first_error_in_link_order_wins(self):
+        """Errors are found in the linker's order: duplicates before
+        unresolved references, and references in function-name order."""
+        a = compile_module_to_object(lower("int g = 1;\nint main() { return g; }"))
+        b = hand_object([MInst(MOp.LEA, [0], extra="nowhere"), MInst(MOp.RET, [0])])
+        b.globals = dict(a.globals)
+        assert link_error([a, b]) == "duplicate definition of global @g"
+        c = hand_object([MInst(MOp.CALL, [0], extra="z"), MInst(MOp.RET, [0])])
+        c.functions["a"] = MachineFunction(
+            "a", 0, code=[MInst(MOp.LEA, [0], extra="y"), MInst(MOp.RET, [0])]
+        )
+        assert link_error([c]) == "unresolved global @y referenced from @a"
 
     def test_cross_module_link_and_run(self):
         headers = {"lib.mh": "int twice(int x);\nextern int base;"}

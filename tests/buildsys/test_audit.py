@@ -1,7 +1,5 @@
 """Fingerprint-collision audit: confirms records, catches tampering."""
 
-import dataclasses
-
 import pytest
 
 from repro.buildsys.audit import audit_fingerprint_collisions
@@ -85,7 +83,7 @@ class TestCleanAudit:
     def test_audit_leaves_live_state_untouched(self):
         db = build_history()
         state = db.live_state
-        before = {key: dataclasses.replace(rec) for key, rec in state.records.items()}
+        before = {key: rec.replace() for key, rec in state.records.items()}
         counter = state.build_counter
         run_audit(db)
         assert state.build_counter == counter
@@ -109,8 +107,8 @@ class TestTampering:
         tampered = 0
         for key, record in state.records.items():
             if record.dormant:
-                state.records[key] = dataclasses.replace(
-                    record, fingerprint_out="0" * len(record.fingerprint_out)
+                state.records[key] = record.replace(
+                    fingerprint_out="0" * len(record.fingerprint_out)
                 )
                 tampered += 1
         assert tampered > 0

@@ -241,9 +241,14 @@ class TestLinkSkip:
         assert build(FILES, db).image is not None
 
     def test_edit_relinks(self):
+        """New link inputs are checked from the units' link interfaces;
+        the image is built only for a caller that asks for it."""
         db = BuildDatabase()
         build(FILES, db)
         edited = dict(FILES, **{"main.mc": FILES["main.mc"].replace("14", "15")})
         builder = IncrementalBuilder(MemoryFileProvider(edited), UNITS, CompilerOptions(), db)
         report = builder.build(skip_unchanged_link=True)
-        assert VirtualMachine(report.image).run().output == [45]
+        assert report.image is None and report.linked
+        assert "build.links_skipped" not in report.metrics["counters"]
+        assert db.linked == db.link_key(UNITS)
+        assert VirtualMachine(build(edited, db).image).run().output == [45]

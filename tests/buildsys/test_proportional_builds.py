@@ -10,6 +10,7 @@ from repro.buildsys import builddb, incremental
 from repro.buildsys.builddb import BuildDatabase
 from repro.cli import reprobuild_main
 from repro.core.state import CompilerState
+from repro.persist import atomic_write
 from repro.workload import Edit, EditKind, apply_edit, generate_project, make_preset
 
 FILES = {
@@ -211,3 +212,47 @@ class TestWorkCounts:
         rc, out, _ = run(tree, capsys, "--run")
         assert rc == 0 and out.split() == ["3", "8"]
         assert calls == {"link": 1, "ObjectFile.from_json": len(FILES)}
+
+    def test_edit_build_checks_the_link_without_decoding(self, tree, capsys, monkeypatch):
+        assert run(tree, capsys)[0] == 0
+        calls = count_calls(monkeypatch)
+        write(tree, "b.mc", "int b_old(int x) { return x + 5; }\n")
+        rc, _, err = run(tree, capsys, "--report-json", str(tree / "r.json"))
+        assert rc == 0 and "1 recompiled, 3 up-to-date" in err
+        assert "ObjectFile.from_json" not in calls and "link" not in calls
+        assert json.loads((tree / "r.json").read_text())["summary"]["linked"]
+
+        # --run still links: the fresh object in memory, the rest decoded.
+        write(tree, "b.mc", "int b_old(int x) { return x + 6; }\n")
+        calls.clear()
+        rc, out, _ = run(tree, capsys, "--run")
+        assert rc == 0 and out.split() == ["8", "8"]
+        assert calls["link"] == 1 and calls["ObjectFile.from_json"] == len(FILES) - 1
+
+    def test_schema_3_db_gets_its_link_interfaces_once(self, tree, capsys, monkeypatch):
+        assert run(tree, capsys)[0] == 0
+        path = tree / "build.reprodb"
+        # The DB as schema 3 wrote it: no unit carries a link interface.
+        payload = json.loads(BuildDatabase.load(path).to_json())
+        payload["schema"] = 3
+        for unit in payload["units"]:
+            del unit["symbols"]
+        atomic_write(path, json.dumps(payload).encode("utf-8"))
+
+        calls = count_calls(monkeypatch)
+        write(tree, "b.mc", "int b_renamed(int x) { return x + 1; }\n")
+        rc, _, err = run(tree, capsys)
+        assert rc == 1 and "link failed: unresolved function @b_old called from @main" in err
+        # Each old record's object is decoded once for its interface;
+        # the fresh b.mc came with its own.  Nothing links.
+        assert calls["ObjectFile.from_json"] == len(FILES) - 1 and "link" not in calls
+        db = BuildDatabase.load(path)
+        assert json.loads(db.to_json())["schema"] == 4
+        for record in db.units.values():
+            assert record.symbols == ObjectFile.from_json(record.object_json).link_symbols()
+
+        calls.clear()
+        write(tree, "b.mc", FILES["b.mc"])
+        rc, _, err = run(tree, capsys)
+        assert rc == 0 and "1 recompiled" in err
+        assert "ObjectFile.from_json" not in calls and "link" not in calls

@@ -13,6 +13,7 @@ def make_record(
     state_bytes: int = 50_000,
     state_records: int = 120,
     gc_reclaimed: int = 3,
+    gc_eligible: int = 3,
 ) -> HistoryRecord:
     bypassed = int(round(bypass_rate * 100))
     return HistoryRecord(
@@ -28,6 +29,7 @@ def make_record(
             "records": state_records,
             "bytes": state_bytes,
             "gc_reclaimed_last": gc_reclaimed,
+            "gc_eligible_last": gc_eligible,
         },
         passes=passes or {},
     )
@@ -130,23 +132,40 @@ class TestPassWall:
 
 class TestStateGrowth:
     @staticmethod
-    def growing(n: int, *, start: int = 10_000, step: int = 2_000, gc: int = 0):
+    def growing(
+        n: int, *, start: int = 10_000, step: int = 2_000, gc: int = 0, eligible: int = 5
+    ):
         return [
             make_record(
                 seq,
                 bypass_rate=0.0 if seq == 1 else 0.6,
                 state_bytes=start + (seq - 1) * step,
                 gc_reclaimed=gc,
+                gc_eligible=eligible,
             )
             for seq in range(1, n + 1)
         ]
 
     def test_monotone_growth_with_dead_gc_is_flagged(self):
+        """Records were past the age cutoff, yet GC reclaimed none."""
         report = detect_drift(self.growing(8))
         assert kinds(report) == ["state-growth"]
         finding = report.findings[0]
         assert finding.current > finding.baseline * 1.5
         assert "GC" in finding.message
+        assert "5 records were past the age cutoff" in finding.message
+
+    def test_quiet_when_no_record_is_old_enough_to_reclaim(self):
+        """A young history (fewer builds than the GC age) grows with
+        zero reclaim because GC has nothing to take: not a failure."""
+        assert detect_drift(self.growing(8, eligible=0)).clean
+
+    def test_one_build_with_eligible_records_is_enough(self):
+        records = self.growing(8, eligible=0)
+        records[-1] = make_record(
+            8, state_bytes=records[-1].state_bytes, gc_reclaimed=0, gc_eligible=2
+        )
+        assert kinds(detect_drift(records)) == ["state-growth"]
 
     def test_quiet_when_gc_reclaims_anything(self):
         assert detect_drift(self.growing(8, gc=1)).clean

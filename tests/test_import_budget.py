@@ -86,12 +86,35 @@ def test_history_loads_no_compiler(built):
     assert loaded(result["modules"], COMPILER_ONLY) == []
 
 
+#: After the build, every class a loaded ``repro`` module defines that
+#: ``@dataclass`` generated methods for.
+DATACLASSES = textwrap.dedent(
+    """
+    import sys
+    result["dataclasses"] = sorted(
+        f"{name}.{attr}"
+        for name, module in list(sys.modules.items())
+        if name.startswith("repro.")
+        for attr, value in vars(module).items()
+        if isinstance(value, type)
+        and value.__module__ == name
+        and "__dataclass_fields__" in vars(value)
+    )
+    """
+)
+
+
 def test_edit_build_loads_the_compiler(built, tmp_path):
     """Positive control: the same setup with one edit does compile."""
     shutil.copytree(built, tmp_path, dirs_exist_ok=True)
     main = tmp_path / "proj" / "main.mc"
     main.write_text(main.read_text().replace("rng_seed(42)", "rng_seed(7)"))
-    result = run_fresh(reprobuild("proj", "--db", "b.db", "--stateful", "-j", "1"), tmp_path)
+    result = run_fresh(
+        reprobuild("proj", "--db", "b.db", "--stateful", "-j", "1") + DATACLASSES, tmp_path
+    )
     assert result["rc"] == 0
     assert "repro.driver" in result["modules"]
     assert "repro.passes" in result["modules"]
+    # No class on the build path is made by ``@dataclass`` at import:
+    # their methods are written out, so they load from the .pyc.
+    assert result["dataclasses"] == []

@@ -11,7 +11,6 @@ diagnosed full-rebuild fallback — never an unhandled exception.
 
 import errno
 import shutil
-from dataclasses import replace
 
 import pytest
 
@@ -167,7 +166,7 @@ def touch_state(db, *, add, reclaim=False, tag="new"):
 
 
 def snapshot_records(state):
-    return {key: replace(record) for key, record in state.records.items()}
+    return {key: record.replace() for key, record in state.records.items()}
 
 
 #: (name, records saved, prior log entry, records added, GC reclaims,
