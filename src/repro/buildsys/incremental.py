@@ -227,8 +227,10 @@ class IncrementalBuilder:
             self.metrics.set_gauge("state.gc_runs", size["gc_runs"])
             self.metrics.set_gauge("state.gc_reclaimed_total", size["gc_reclaimed_total"])
             self.metrics.set_gauge("state.gc_reclaimed_last", size["gc_reclaimed_last"])
+            self.metrics.set_gauge("state.build_counter", size["build_counter"])
             # Absent from the summary of a DB written before it was kept.
-            self.metrics.set_gauge("state.gc_eligible_last", size.get("gc_eligible_last", 0))
+            if "gc_max_age" in size:
+                self.metrics.set_gauge("state.gc_max_age", size["gc_max_age"])
 
         if error is not None:
             report.metrics = self.metrics.to_dict()
@@ -288,30 +290,9 @@ class IncrementalBuilder:
                 result = compiler.compile_file(path)
             except (CompileError, IncludeError) as exc:
                 return exc
-            wall = time.perf_counter() - start
-
-            stats = result.stats
-            self.metrics.merge(result.metrics)
-            report.bypass.merge(stats)
-            report.compiled.append(
-                UnitBuildResult(
-                    path=path,
-                    wall_time=wall,
-                    pass_work=result.pass_work,
-                    stats=stats,
-                    fingerprint_time=result.ledger.fingerprint_ns / 1e9,
-                    fingerprint_count=result.ledger.fingerprints,
-                )
-            )
+            outcome = UnitOutcome.from_result(path, result, time.perf_counter() - start)
             objects[path] = result.object_file
-            self.db.record_unit(
-                snapshots[path],
-                result.object_file.to_json(),
-                options=self.options.object_options,
-                stats=stats.to_dict(),
-                wall_time=wall,
-                symbols=result.object_file.link_symbols(),
-            )
+            self._merge_outcome(outcome, snapshots[path], report, compiler)
         return None
 
     def _compile_parallel(
@@ -362,7 +343,11 @@ class IncrementalBuilder:
         report: BuildReport,
         compiler: Compiler,
     ) -> None:
-        """Fold one successful worker outcome into the build products."""
+        """Fold one successful outcome into the build products.
+
+        A serial build's outcome carries no state delta: its units wrote
+        to the live state directly.
+        """
         report.bypass.merge(outcome.stats)
         if outcome.metrics is not None:
             self.metrics.merge(outcome.metrics)

@@ -49,6 +49,8 @@ from repro.options import CompilerOptions
 if TYPE_CHECKING:  # pragma: no cover
     from concurrent.futures import Executor
 
+    from repro.driver import CompileResult
+
 logger = logging.getLogger(__name__)
 
 #: Environment override for the default job count, honored when a
@@ -156,6 +158,28 @@ class UnitOutcome(Struct):
         self.error_message = error_message
         self.diagnostics = [] if diagnostics is None else diagnostics
 
+    @classmethod
+    def from_result(
+        cls, path: str, result: CompileResult, wall_time: float, *, worker: str = "main"
+    ) -> UnitOutcome:
+        """A successful compilation in the form the build DB records it.
+
+        The object's JSON and its link interface are computed here, for
+        the serial loop and the pool workers alike.
+        """
+        return cls(
+            path=path,
+            object_json=result.object_file.to_json(),
+            symbols=result.object_file.link_symbols(),
+            stats=result.stats,
+            pass_work=result.pass_work,
+            wall_time=wall_time,
+            fingerprint_time=result.ledger.fingerprint_ns / 1e9,
+            fingerprint_count=result.ledger.fingerprints,
+            worker=worker,
+            metrics=result.metrics,
+        )
+
     @property
     def failed(self) -> bool:
         return self.error_kind is not None
@@ -211,7 +235,6 @@ def compile_unit(
     """
     from repro.driver import Compiler
 
-    outcome = UnitOutcome(path=path, worker=worker)
     worker_state = None
     if state is not None:
         worker_state = state.snapshot()
@@ -223,23 +246,20 @@ def compile_unit(
     try:
         result = compiler.compile_file(path)
     except CompileError as exc:
-        outcome.error_kind = "compile"
-        outcome.error_message = str(exc)
-        outcome.diagnostics = list(exc.diagnostics)
-        return outcome
+        return UnitOutcome(
+            path=path,
+            worker=worker,
+            error_kind="compile",
+            error_message=str(exc),
+            diagnostics=list(exc.diagnostics),
+        )
     except IncludeError as exc:
-        outcome.error_kind = "include"
-        outcome.error_message = str(exc)
-        return outcome
-    outcome.wall_time = time.perf_counter() - start
-
-    outcome.object_json = result.object_file.to_json()
-    outcome.symbols = result.object_file.link_symbols()
-    outcome.stats = result.stats
-    outcome.metrics = result.metrics
-    outcome.pass_work = result.pass_work
-    outcome.fingerprint_time = result.ledger.fingerprint_ns / 1e9
-    outcome.fingerprint_count = result.ledger.fingerprints
+        return UnitOutcome(
+            path=path, worker=worker, error_kind="include", error_message=str(exc)
+        )
+    outcome = UnitOutcome.from_result(
+        path, result, time.perf_counter() - start, worker=worker
+    )
     if worker_state is not None:
         outcome.delta = worker_state.extract_delta()
     if trace:

@@ -167,10 +167,8 @@ class CompilerState(Struct):
         self.gc_runs = gc_runs
         self.gc_reclaimed_total = gc_reclaimed_total
         self.records = {} if records is None else records
-        #: Records past the age cutoff, and records reclaimed, at the most
-        #: recent :meth:`collect_garbage` of this process (not persisted;
-        #: 0 until GC runs).
-        self.last_gc_eligible: int = 0
+        #: Records reclaimed by the most recent :meth:`collect_garbage` of
+        #: this process (not persisted; 0 until GC runs).
         self.last_gc_reclaimed: int = 0
         #: On-disk bytes of the state as last written or read (0 = never
         #: persisted); what :meth:`size_summary` reports.
@@ -224,7 +222,7 @@ class CompilerState(Struct):
             del self.records[key]
         self.gc_runs += 1
         self.gc_reclaimed_total += len(stale)
-        self.last_gc_eligible = self.last_gc_reclaimed = len(stale)
+        self.last_gc_reclaimed = len(stale)
         if self._metrics is not None:
             self._metrics.inc("state.records_gced", len(stale))
         return len(stale)
@@ -245,10 +243,10 @@ class CompilerState(Struct):
             "records": self.num_records,
             "bytes": self.stored_bytes,
             "build_counter": self.build_counter,
+            "gc_max_age": self.gc_max_age,
             "gc_runs": self.gc_runs,
             "gc_reclaimed_total": self.gc_reclaimed_total,
             "gc_reclaimed_last": self.last_gc_reclaimed,
-            "gc_eligible_last": self.last_gc_eligible,
         }
 
     # -- parallel-build snapshot/delta protocol -----------------------------

@@ -200,9 +200,10 @@ def _check_state_growth(
     sizes = [r.state_bytes or float(r.state_records) for r in tail]
     strictly_growing = all(b > a for a, b in zip(sizes, sizes[1:]))
     reclaimed = sum(r.gc_reclaimed for r in tail[1:])
-    # Zero reclaim is a failure only if GC had records old enough to take.
-    eligible = sum(r.gc_eligible for r in tail[1:])
-    if strictly_growing and reclaimed == 0 and eligible > 0 and sizes[-1] > sizes[0] * (
+    # Zero reclaim is a failure only where GC could have had something to
+    # take: a state younger than GC's age limit keeps every record.
+    old_enough = all(r.gc_past_age_limit for r in tail[1:])
+    if strictly_growing and reclaimed == 0 and old_enough and sizes[-1] > sizes[0] * (
         config.state_growth_factor
     ):
         findings.append(
@@ -215,7 +216,7 @@ def _check_state_growth(
                 message=(
                     f"state grew monotonically {sizes[0]:.0f} -> {sizes[-1]:.0f} "
                     f"bytes over {config.state_window} builds with zero GC "
-                    f"reclaim while {eligible} records were past the age cutoff "
+                    f"reclaim in a state older than GC's age limit "
                     f"(suggests GC failure)"
                 ),
             )

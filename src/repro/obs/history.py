@@ -111,10 +111,18 @@ class HistoryRecord(Struct):
         return int(self.state.get("gc_reclaimed_last", 0))
 
     @property
-    def gc_eligible(self) -> int:
-        """Records past the GC age cutoff when this build's GC ran (0 for
-        records written before the count was kept)."""
-        return int(self.state.get("gc_eligible_last", 0))
+    def gc_past_age_limit(self) -> bool:
+        """Whether this build's GC could have found a record to reclaim.
+
+        Records are stamped with the build counter, which starts at 1,
+        and GC drops those last used before ``build_counter -
+        gc_max_age``: nothing is old enough until the counter passes
+        ``gc_max_age + 1``.  True for a record written before the two
+        counters were kept.
+        """
+        if "build_counter" not in self.state or "gc_max_age" not in self.state:
+            return True
+        return int(self.state["build_counter"]) > int(self.state["gc_max_age"]) + 1
 
     # -- construction --------------------------------------------------------
 
@@ -144,8 +152,10 @@ class HistoryRecord(Struct):
                 "gc_runs": int(gauges.get("state.gc_runs", 0)),
                 "gc_reclaimed_total": int(gauges.get("state.gc_reclaimed_total", 0)),
                 "gc_reclaimed_last": int(gauges.get("state.gc_reclaimed_last", 0)),
-                "gc_eligible_last": int(gauges.get("state.gc_eligible_last", 0)),
             }
+            for key in ("build_counter", "gc_max_age"):
+                if f"state.{key}" in gauges:
+                    state[key] = int(gauges[f"state.{key}"])
 
         passes: dict[str, dict] = {}
         for name, counters in report.get("bypass", {}).get("by_pass", {}).items():

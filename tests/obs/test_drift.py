@@ -1,7 +1,11 @@
-"""Drift detectors over synthetic build histories."""
+"""Drift detectors over synthetic build histories, and over histories
+that real builds wrote."""
 
+from repro.buildsys.builddb import BuildDatabase
+from repro.cli import reprobuild_main
+from repro.core.state import CompilerState
 from repro.obs.drift import DriftConfig, detect_drift
-from repro.obs.history import HistoryRecord
+from repro.obs.history import BuildHistory, HistoryRecord, default_history_path
 
 
 def make_record(
@@ -13,9 +17,15 @@ def make_record(
     state_bytes: int = 50_000,
     state_records: int = 120,
     gc_reclaimed: int = 3,
-    gc_eligible: int = 3,
+    build_counter: int | None = None,
+    gc_max_age: int = 50,
 ) -> HistoryRecord:
+    """``build_counter=None`` leaves out the GC clock, as a record written
+    before it was kept does."""
     bypassed = int(round(bypass_rate * 100))
+    state = {"records": state_records, "bytes": state_bytes, "gc_reclaimed_last": gc_reclaimed}
+    if build_counter is not None:
+        state.update(build_counter=build_counter, gc_max_age=gc_max_age)
     return HistoryRecord(
         seq=seq,
         timestamp=1_700_000_000.0 + seq,
@@ -25,12 +35,7 @@ def make_record(
             "summary": {"recompiled": recompiled, "up_to_date": 0},
             "bypass": {"executions": 100 - bypassed, "bypassed": bypassed},
         },
-        state={
-            "records": state_records,
-            "bytes": state_bytes,
-            "gc_reclaimed_last": gc_reclaimed,
-            "gc_eligible_last": gc_eligible,
-        },
+        state=state,
         passes=passes or {},
     )
 
@@ -133,7 +138,12 @@ class TestPassWall:
 class TestStateGrowth:
     @staticmethod
     def growing(
-        n: int, *, start: int = 10_000, step: int = 2_000, gc: int = 0, eligible: int = 5
+        n: int,
+        *,
+        start: int = 10_000,
+        step: int = 2_000,
+        gc: int = 0,
+        first_counter: int | None = None,
     ):
         return [
             make_record(
@@ -141,31 +151,29 @@ class TestStateGrowth:
                 bypass_rate=0.0 if seq == 1 else 0.6,
                 state_bytes=start + (seq - 1) * step,
                 gc_reclaimed=gc,
-                gc_eligible=eligible,
+                build_counter=None if first_counter is None else first_counter + seq - 1,
             )
             for seq in range(1, n + 1)
         ]
 
     def test_monotone_growth_with_dead_gc_is_flagged(self):
-        """Records were past the age cutoff, yet GC reclaimed none."""
         report = detect_drift(self.growing(8))
         assert kinds(report) == ["state-growth"]
         finding = report.findings[0]
         assert finding.current > finding.baseline * 1.5
         assert "GC" in finding.message
-        assert "5 records were past the age cutoff" in finding.message
 
-    def test_quiet_when_no_record_is_old_enough_to_reclaim(self):
-        """A young history (fewer builds than the GC age) grows with
-        zero reclaim because GC has nothing to take: not a failure."""
-        assert detect_drift(self.growing(8, eligible=0)).clean
+    def test_quiet_while_the_state_is_younger_than_the_gc_age(self):
+        """Builds 1-8 of a state with a 50-build GC age: no record can be
+        old enough to reclaim, so zero reclaim is correct."""
+        assert detect_drift(self.growing(8, first_counter=1)).clean
 
-    def test_one_build_with_eligible_records_is_enough(self):
-        records = self.growing(8, eligible=0)
-        records[-1] = make_record(
-            8, state_bytes=records[-1].state_bytes, gc_reclaimed=0, gc_eligible=2
-        )
-        assert kinds(detect_drift(records)) == ["state-growth"]
+    def test_flagged_once_every_gc_in_the_window_could_reclaim(self):
+        # Window = seqs 3-8; its GC runs are seqs 4-8.  A record stamped
+        # build 1 is past the cutoff of a 50-build age from build 52 on.
+        assert detect_drift(self.growing(8, first_counter=48)).clean  # 51..55
+        report = detect_drift(self.growing(8, first_counter=49))  # 52..56
+        assert kinds(report) == ["state-growth"]
 
     def test_quiet_when_gc_reclaims_anything(self):
         assert detect_drift(self.growing(8, gc=1)).clean
@@ -181,6 +189,66 @@ class TestStateGrowth:
 
     def test_needs_full_window(self):
         assert detect_drift(self.growing(5)).clean
+
+
+class TestStateGrowthFromRealBuilds:
+    """Six ``reprobuild`` runs that each edit every function, so every
+    build adds records and leaves the previous build's unused."""
+
+    @staticmethod
+    def source(build: int) -> str:
+        functions = "".join(
+            f"int f{k}(int x) {{ int y = x * {build + 2} + {k}; "
+            f"if (y > 10) y = y - {build}; return y; }}\n"
+            for k in range(4)
+        )
+        return functions + "int main() { return f0(1) + f1(2) + f2(3) + f3(4); }\n"
+
+    def history(self, tmp_path, *, gc_max_age: int) -> list[HistoryRecord]:
+        proj, db = tmp_path / "proj", tmp_path / "b.db"
+        proj.mkdir()
+        argv = [str(proj), "--stateful", "--db", str(db)]
+        for build in range(1, 7):
+            (proj / "main.mc").write_text(self.source(build))
+            assert reprobuild_main(argv) == 0
+            if build == 1:
+                database = BuildDatabase.load(db)
+                database.live_state.gc_max_age = gc_max_age
+                database.save(db)
+        return BuildHistory(default_history_path(db)).records()
+
+    @staticmethod
+    def kill_gc(monkeypatch) -> None:
+        """A GC that runs but never reclaims anything."""
+
+        def collect_nothing(state: CompilerState) -> int:
+            state.gc_runs += 1
+            state.last_gc_reclaimed = 0
+            return 0
+
+        monkeypatch.setattr(CompilerState, "collect_garbage", collect_nothing)
+
+    def test_dead_gc_past_the_age_limit_is_flagged(self, tmp_path, monkeypatch):
+        self.kill_gc(monkeypatch)
+        records = self.history(tmp_path, gc_max_age=0)
+        assert [r.gc_reclaimed for r in records] == [0] * 6
+        assert kinds(detect_drift(records)) == ["state-growth"]
+
+    def test_working_gc_past_the_age_limit_is_quiet(self, tmp_path):
+        records = self.history(tmp_path, gc_max_age=0)
+        assert sum(r.gc_reclaimed for r in records) > 0
+        assert detect_drift(records).clean
+
+    def test_young_state_is_quiet_even_with_dead_gc(self, tmp_path, monkeypatch):
+        """Six builds against the default 50-build age, as the build-health
+        job runs: the state grows past the factor with zero reclaim, and
+        that is correct."""
+        self.kill_gc(monkeypatch)
+        records = self.history(tmp_path, gc_max_age=CompilerState().gc_max_age)
+        sizes = [r.state_bytes for r in records]
+        assert all(b > a for a, b in zip(sizes, sizes[1:]))
+        assert sizes[-1] > sizes[0] * DriftConfig().state_growth_factor
+        assert detect_drift(records).clean
 
 
 class TestConfig:
