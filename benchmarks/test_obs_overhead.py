@@ -182,10 +182,9 @@ def test_history_persistence_overhead_under_budget(benchmark, tmp_path):
         appends = []
         for _ in range(3):
             start = time.perf_counter()
-            record = HistoryRecord.from_report_payload(
-                history.next_seq(), time.time(), payload, label="bench"
+            history.append(
+                HistoryRecord(history.next_seq(), time.time(), "bench", payload)
             )
-            history.append(record)
             appends.append(time.perf_counter() - start)
         append_time = sorted(appends)[1]
         return build_time, append_time, append_time / build_time

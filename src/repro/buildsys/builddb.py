@@ -50,8 +50,8 @@ at this position left IR with fingerprint F unchanged (or turned it into
 F')" is true whichever build recorded it and whichever objects the DB
 holds.  A record no unit produces again is never hit; a missing record
 only costs a bypass.  What can lag is the GC clock and the DB's state
-summary, which decide when records are reclaimed and what the gauges
-say, never what a build outputs.  A log entry tagged with a stale
+summary, which decide when records are reclaimed and what the report
+says, never what a build outputs.  A log entry tagged with a stale
 generation (a crash between a compaction's base write and its log
 delete) is ignored.
 

@@ -26,8 +26,8 @@ variants plug into.  Per build it:
 
 Work is proportional to the edit: a build that compiles no unit never
 loads the compiler state, never ticks its GC clock and stages nothing
-for :meth:`BuildDatabase.save_changes` to write; its state gauges come
-from the summary the database persisted.
+for :meth:`BuildDatabase.save_changes` to write; its report's state
+summary comes from the one the database persisted.
 
 The baseline file-level skipping (step 2/4) is deliberately identical
 for both variants: the paper's mechanism is measured as the *additional*
@@ -219,18 +219,7 @@ class IncrementalBuilder:
                     )
             self.db.stage_state()
         if self.options.stateful and self.db.state_summary is not None:
-            size = self.db.state_summary
-            report.state_records = size["records"]
-            report.state_bytes = size["bytes"]
-            self.metrics.set_gauge("state.records", size["records"])
-            self.metrics.set_gauge("state.bytes", size["bytes"])
-            self.metrics.set_gauge("state.gc_runs", size["gc_runs"])
-            self.metrics.set_gauge("state.gc_reclaimed_total", size["gc_reclaimed_total"])
-            self.metrics.set_gauge("state.gc_reclaimed_last", size["gc_reclaimed_last"])
-            self.metrics.set_gauge("state.build_counter", size["build_counter"])
-            # Absent from the summary of a DB written before it was kept.
-            if "gc_max_age" in size:
-                self.metrics.set_gauge("state.gc_max_age", size["gc_max_age"])
+            report.state = dict(self.db.state_summary)
 
         if error is not None:
             report.metrics = self.metrics.to_dict()

@@ -26,14 +26,16 @@ from repro.core.statistics import BypassStatistics
 
 #: Current schema: v2 adds ``summary.state_bytes`` (and a top-level
 #: ``profile`` table, no longer written and ignored on read); v3 adds
-#: the integer wall time ``ns`` to every ``bypass.by_pass`` entry.  All
-#: are absent-tolerant, so v1 and v2 payloads still load.
-REPORT_SCHEMA_VERSION = 3
+#: the integer wall time ``ns`` to every ``bypass.by_pass`` entry; v4
+#: replaces ``summary.state_records``/``state_bytes`` with the whole
+#: state summary as a top-level ``state`` dict.  All are absent-tolerant,
+#: so v1-v3 payloads still load.
+REPORT_SCHEMA_VERSION = 4
 
 #: Schemas :meth:`BuildReport.from_dict` can still read.  Anything
 #: *newer* than the current version is rejected outright — a future
 #: writer may have changed field meanings this reader cannot know about.
-READABLE_REPORT_SCHEMAS = (1, 2, 3)
+READABLE_REPORT_SCHEMAS = (1, 2, 3, 4)
 
 
 class UnitBuildResult(Struct):
@@ -93,7 +95,7 @@ class BuildReport(Struct):
 
     _fields = (
         "compiled", "up_to_date", "bypass", "reasons", "total_wall_time", "scan_time",
-        "link_time", "state_records", "state_bytes", "image", "jobs",
+        "link_time", "state", "image", "jobs",
         "compile_phase_time", "metrics", "was_linked",
     )
 
@@ -106,8 +108,7 @@ class BuildReport(Struct):
         total_wall_time: float = 0.0,
         scan_time: float = 0.0,
         link_time: float = 0.0,
-        state_records: int = 0,
-        state_bytes: int = 0,
+        state: dict | None = None,
         image: LinkedImage | None = None,
         jobs: int = 1,
         compile_phase_time: float = 0.0,
@@ -129,11 +130,10 @@ class BuildReport(Struct):
         #: Wall-clock seconds scanning dependency closures.
         self.scan_time = scan_time
         self.link_time = link_time
-        #: Dormancy records in the live compiler state (0 when stateless).
-        self.state_records = state_records
-        #: Serialized size of the live compiler state in bytes (0 when
-        #: stateless) — the dashboard's state-growth axis.
-        self.state_bytes = state_bytes
+        #: The live compiler state's size and GC counters at end of build
+        #: (:meth:`~repro.core.state.CompilerState.size_summary` shape;
+        #: empty when stateless).
+        self.state = {} if state is None else state
         #: The linked executable (``None`` when built with link_output=False
         #: or when the link was only checked).
         self.image = image
@@ -150,6 +150,16 @@ class BuildReport(Struct):
         #: excluded from serialization, so deserialized reports carry the
         #: fact through this flag (kept in sync by :attr:`linked`).
         self.was_linked = was_linked
+
+    @property
+    def state_records(self) -> int:
+        """Dormancy records in the live compiler state (0 when stateless)."""
+        return int(self.state.get("records", 0))
+
+    @property
+    def state_bytes(self) -> int:
+        """On-disk size of the live compiler state (0 when stateless)."""
+        return int(self.state.get("bytes", 0))
 
     @property
     def num_recompiled(self) -> int:
@@ -206,13 +216,12 @@ class BuildReport(Struct):
                 "compile_wall_time": self.compile_wall_time,
                 "link_time": self.link_time,
                 "total_pass_work": self.total_pass_work,
-                "state_records": self.state_records,
-                "state_bytes": self.state_bytes,
                 "linked": self.linked,
             },
             "compiled": [unit.to_dict() for unit in self.compiled],
             "up_to_date": list(self.up_to_date),
             "bypass": self.bypass.to_dict(),
+            "state": self.state,
             "reasons": {
                 path: reason.to_dict()
                 for path, reason in sorted(self.reasons.items())
@@ -239,6 +248,12 @@ class BuildReport(Struct):
                 f"readable versions: {READABLE_REPORT_SCHEMAS}"
             )
         summary = payload.get("summary", {})
+        state = payload.get("state")
+        if state is None:  # v1-v3 kept only these two, in the summary
+            state = {
+                "records": int(summary.get("state_records", 0)),
+                "bytes": int(summary.get("state_bytes", 0)),
+            }
         report = cls(
             compiled=[UnitBuildResult.from_dict(u) for u in payload.get("compiled", [])],
             up_to_date=list(payload.get("up_to_date", [])),
@@ -250,8 +265,7 @@ class BuildReport(Struct):
             total_wall_time=float(summary.get("total_wall_time", 0.0)),
             scan_time=float(summary.get("scan_time", 0.0)),
             link_time=float(summary.get("link_time", 0.0)),
-            state_records=int(summary.get("state_records", 0)),
-            state_bytes=int(summary.get("state_bytes", 0)),
+            state=state,
             jobs=int(summary.get("jobs", 1)),
             compile_phase_time=float(summary.get("compile_phase_time", 0.0)),
             metrics=payload.get("metrics", {}),

@@ -31,11 +31,12 @@ read.
 Crash safety & concurrency: builds take an advisory ``flock`` on
 ``<db>.lock`` so concurrent invocations on one directory serialize
 (``--lock-timeout``/``--no-lock`` tune this; a timed-out wait exits 3
-with a "directory is locked" diagnostic), every artifact is written
-with the checksummed atomic protocol in :mod:`repro.persist`, and a
-corrupt build DB is reported and rebuilt from scratch — never a
-traceback.  Compile and link failures exit 1 with a diagnostic, after
-persisting every unit that compiled.
+with a "directory is locked" diagnostic), the DB and state files are
+written with the checksummed atomic protocol in :mod:`repro.persist`
+(the history is one ``O_APPEND`` line per build), and a corrupt build
+DB is reported and rebuilt from scratch — never a traceback.  Compile
+and link failures exit 1 with a diagnostic, after persisting every unit
+that compiled.
 
 A ``reprobuild`` that finds nothing to recompile reads no compiler
 state and writes no file but the history record.  Without ``--run`` no
@@ -323,15 +324,26 @@ def _load_db_or_warn(path: str, tool: str) -> BuildDatabase:
     return db
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for ``-j``: like make, zero and negatives are errors."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _int_at_least(least: int, what: str):
+    """An argparse type for a count: smaller values are usage errors."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {value}")
+        return value
+
+    return parse
+
+
+#: ``-j``, ``--window``, ``--sample``: like make's ``-j``, zero and
+#: negatives are errors.
+_positive_int = _int_at_least(1, "a positive integer")
+#: ``-n``/``--last``, where 0 means every build.
+_nonnegative_int = _int_at_least(0, "a non-negative integer")
 
 
 #: Allocations between gen-0 collections in a process ``reprobuild``
@@ -497,13 +509,9 @@ def _locked_build(args: argparse.Namespace, project: Project) -> int:
         history = BuildHistory(
             args.history_path or default_history_path(args.db)
         )
-        record = HistoryRecord.from_report_payload(
-            history.next_seq(),
-            time.time(),
-            report.to_dict(),
-            label=args.label,
+        history.append(
+            HistoryRecord(history.next_seq(), time.time(), args.label, report.to_dict())
         )
-        history.append(record)
     if args.explain:
         for path in sorted(report.reasons):
             print(report.reasons[path].describe(), file=sys.stderr)
@@ -620,7 +628,7 @@ def reprobuild_history_main(argv: list[str] | None = None) -> int:
     )
     _history_flags(parser)
     parser.add_argument(
-        "-n", "--last", type=int, default=20,
+        "-n", "--last", type=_nonnegative_int, default=20,
         help="show at most the last N builds (default 20; 0 = all)",
     )
     parser.add_argument(
@@ -686,7 +694,7 @@ def reprobuild_regress_main(argv: list[str] | None = None) -> int:
     )
     _history_flags(parser)
     parser.add_argument(
-        "--window", type=int, default=8,
+        "--window", type=_positive_int, default=8,
         help="baseline window: median of the previous N builds (default 8)",
     )
     parser.add_argument(
@@ -704,7 +712,7 @@ def reprobuild_regress_main(argv: list[str] | None = None) -> int:
              "against the DB's compiler state and verify zero collisions",
     )
     parser.add_argument(
-        "--sample", type=int, default=20,
+        "--sample", type=_positive_int, default=20,
         help="bypassed pairs to re-execute with --audit (default 20)",
     )
     parser.add_argument("--seed", type=int, default=0, help="audit sampling seed")
@@ -795,8 +803,8 @@ def reprobuild_dashboard_main(argv: list[str] | None = None) -> int:
         help="output HTML path (default dashboard.html)",
     )
     parser.add_argument(
-        "-n", "--last", type=int, default=0,
-        help="render at most the last N builds (default: all)",
+        "-n", "--last", type=_nonnegative_int, default=0,
+        help="render at most the last N builds (default 0 = all)",
     )
     parser.add_argument("--title", default="reprobuild health", help="page title")
     args = parser.parse_args(argv)

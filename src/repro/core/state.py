@@ -223,8 +223,6 @@ class CompilerState(Struct):
         self.gc_runs += 1
         self.gc_reclaimed_total += len(stale)
         self.last_gc_reclaimed = len(stale)
-        if self._metrics is not None:
-            self._metrics.inc("state.records_gced", len(stale))
         return len(stale)
 
     @property

@@ -4,25 +4,24 @@ Single-build observability (traces, reports) answers "what did this
 build do"; the questions the stateful compiler actually lives or dies
 by — is the bypass rate holding up, is a pass slowly regressing, is the
 state growing without bound — are *cross-build* questions.  This module
-persists every build's accounting so they become answerable:
+persists every build's accounting so they become answerable.
 
-- ``<db>.history.jsonl`` — one :class:`HistoryRecord` per line, append
-  only, schema-versioned per record.  Appends are a single
-  ``O_APPEND`` write so concurrent builds sharing a history file
-  interleave whole lines, never fragments; the reader additionally
-  recovers from a torn/truncated final line (a build killed mid-write)
-  by dropping it.
-- ``<db>.history.jsonl.idx`` — a small sidecar index (byte offsets per
-  record) that makes ``tail(n)`` seek instead of scan.  The index is a
-  cache, never a source of truth: when it disagrees with the JSONL it
-  is rebuilt from the data.
+``<db>.history.jsonl`` holds one :class:`HistoryRecord` per line,
+``{schema, seq, timestamp, label, report}``, where ``report`` is the
+build's :class:`~repro.buildsys.report.BuildReport` payload (its
+``to_dict`` dict — this module stays below the build system in the
+layering, so it never imports it).  Each fact is stored once, in the
+report; the per-pass and compiler-state summaries the analytics in
+:mod:`repro.obs.drift` and :mod:`repro.obs.dashboard` read are views
+over it.
 
-A record embeds the full :class:`~repro.buildsys.report.BuildReport`
-payload (as its ``to_dict`` dict — this module stays below the build
-system in the layering, so it never imports it) plus pre-extracted
-per-pass and compiler-state summaries the analytics in
-:mod:`repro.obs.drift` and :mod:`repro.obs.dashboard` consume without
-re-deriving.
+The file is the only artifact.  An append is a single ``O_APPEND``
+write, with no fsync, so concurrent builds sharing a history interleave
+whole lines, never fragments; a build killed mid-write leaves a torn
+final line, which every reader drops.  :meth:`BuildHistory.next_seq`
+reads back from the end of the file only as far as the last line that
+parses, so a build's history step costs the same whatever the
+history's length.
 """
 
 from __future__ import annotations
@@ -32,13 +31,19 @@ import os
 from pathlib import Path
 
 from repro._struct import Struct
-from repro.persist import atomic_write
+from repro.persist import atomic_write  # noqa: F401 (perfbench/traced_build.py wraps it by name)
 from repro.persist import io as io_seam
 
-HISTORY_SCHEMA_VERSION = 1
+#: v2 keeps the state summary only in ``report.state`` and the per-pass
+#: table only in ``report.bypass.by_pass``; v1 lines also carried both
+#: beside the report (``state``, ``passes``) and still load.
+HISTORY_SCHEMA_VERSION = 2
 
-#: Per-pass counter keys extracted into :attr:`HistoryRecord.passes`.
+#: Per-pass counter keys in :attr:`HistoryRecord.passes`.
 _PASS_KEYS = ("executed", "dormant", "bypassed", "work")
+
+#: Bytes :meth:`BuildHistory.next_seq` reads per step back from the end.
+_TAIL_CHUNK = 16 * 1024
 
 
 def default_history_path(db_path: str | Path) -> Path:
@@ -49,7 +54,7 @@ def default_history_path(db_path: str | Path) -> Path:
 class HistoryRecord(Struct):
     """One build's accounting, as persisted in the history store."""
 
-    _fields = ("seq", "timestamp", "label", "report", "state", "passes")
+    _fields = ("seq", "timestamp", "label", "report")
 
     def __init__(
         self,
@@ -57,8 +62,6 @@ class HistoryRecord(Struct):
         timestamp: float,
         label: str = "",
         report: dict | None = None,
-        state: dict | None = None,
-        passes: dict | None = None,
     ) -> None:
         self.seq = seq
         #: Unix wall-clock time the record was written (not perf_counter).
@@ -66,17 +69,31 @@ class HistoryRecord(Struct):
         self.label = label
         #: The full build-report payload (``BuildReport.to_dict`` schema).
         self.report = {} if report is None else report
-        #: Compiler-state size/GC counters at end of build
-        #: (:meth:`~repro.core.state.CompilerState.size_summary` shape).
-        self.state = {} if state is None else state
-        #: Per-pass ``{executed, dormant, bypassed, work, wall}`` rollup.
-        self.passes = {} if passes is None else passes
 
     # -- derived views the analytics read ------------------------------------
 
     @property
     def summary(self) -> dict:
         return self.report.get("summary", {})
+
+    @property
+    def state(self) -> dict:
+        """Compiler-state size/GC counters at end of build
+        (:meth:`~repro.core.state.CompilerState.size_summary` shape;
+        empty for a stateless build)."""
+        return self.report.get("state", {})
+
+    @property
+    def passes(self) -> dict[str, dict]:
+        """Per-pass ``{executed, dormant, bypassed, work, wall}``, with
+        ``wall`` in seconds from each ``bypass.by_pass`` entry's ``ns``
+        (0 in reports older than schema 3)."""
+        passes = {}
+        for name, counters in self.report.get("bypass", {}).get("by_pass", {}).items():
+            entry = {key: int(counters.get(key, 0)) for key in _PASS_KEYS}
+            entry["wall"] = int(counters.get("ns", 0)) / 1e9
+            passes[name] = entry
+        return passes
 
     @property
     def recompiled(self) -> int:
@@ -100,7 +117,7 @@ class HistoryRecord(Struct):
 
     @property
     def state_records(self) -> int:
-        return int(self.state.get("records", self.summary.get("state_records", 0)))
+        return int(self.state.get("records", 0))
 
     @property
     def state_bytes(self) -> int:
@@ -120,57 +137,10 @@ class HistoryRecord(Struct):
         ``gc_max_age + 1``.  True for a record written before the two
         counters were kept.
         """
-        if "build_counter" not in self.state or "gc_max_age" not in self.state:
+        state = self.state
+        if "build_counter" not in state or "gc_max_age" not in state:
             return True
-        return int(self.state["build_counter"]) > int(self.state["gc_max_age"]) + 1
-
-    # -- construction --------------------------------------------------------
-
-    @classmethod
-    def from_report_payload(
-        cls,
-        seq: int,
-        timestamp: float,
-        report: dict,
-        *,
-        label: str = "",
-        state: dict | None = None,
-    ) -> "HistoryRecord":
-        """Build a record from a ``BuildReport.to_dict`` payload.
-
-        ``state`` defaults to whatever the report's metrics gauges say
-        (populated by the incremental driver for stateful builds);
-        per-pass wall times come from the ``ns`` of each
-        ``bypass.by_pass`` entry (0 in reports older than schema 3).
-        """
-        metrics = report.get("metrics", {})
-        if state is None:
-            gauges = metrics.get("gauges", {})
-            state = {
-                "records": int(report.get("summary", {}).get("state_records", 0)),
-                "bytes": int(gauges.get("state.bytes", 0)),
-                "gc_runs": int(gauges.get("state.gc_runs", 0)),
-                "gc_reclaimed_total": int(gauges.get("state.gc_reclaimed_total", 0)),
-                "gc_reclaimed_last": int(gauges.get("state.gc_reclaimed_last", 0)),
-            }
-            for key in ("build_counter", "gc_max_age"):
-                if f"state.{key}" in gauges:
-                    state[key] = int(gauges[f"state.{key}"])
-
-        passes: dict[str, dict] = {}
-        for name, counters in report.get("bypass", {}).get("by_pass", {}).items():
-            entry = {key: int(counters.get(key, 0)) for key in _PASS_KEYS}
-            entry["wall"] = int(counters.get("ns", 0)) / 1e9
-            passes[name] = entry
-
-        return cls(
-            seq=seq,
-            timestamp=timestamp,
-            label=label,
-            report=report,
-            state=state,
-            passes=passes,
-        )
+        return int(state["build_counter"]) > int(state["gc_max_age"]) + 1
 
     # -- (de)serialization ---------------------------------------------------
 
@@ -181,19 +151,19 @@ class HistoryRecord(Struct):
             "timestamp": self.timestamp,
             "label": self.label,
             "report": self.report,
-            "state": self.state,
-            "passes": self.passes,
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "HistoryRecord":
+        report = payload.get("report", {})
+        if "state" in payload and "state" not in report:
+            # A v1 line: the state summary sat beside a v1-v3 report.
+            report = {**report, "state": payload["state"]}
         return cls(
             seq=int(payload["seq"]),
             timestamp=float(payload["timestamp"]),
             label=payload.get("label", ""),
-            report=payload.get("report", {}),
-            state=payload.get("state", {}),
-            passes=payload.get("passes", {}),
+            report=report,
         )
 
 
@@ -221,43 +191,53 @@ class LoadStats(Struct):
 
 
 class BuildHistory:
-    """Reader/writer for one append-only history file (+ index)."""
+    """Reader/writer for one append-only history file."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self.index_path = Path(f"{path}.idx")
 
     # -- writing -------------------------------------------------------------
 
-    def append(self, record: HistoryRecord) -> int:
-        """Append one record; returns its byte offset in the file.
-
-        The line is written with a single ``O_APPEND`` write so records
-        from concurrent builds never interleave mid-line; the sidecar
-        index is refreshed best-effort afterwards (a lost race there
-        only costs a later index rebuild, never data).
-        """
+    def append(self, record: HistoryRecord) -> None:
+        """Append one record as a single ``O_APPEND`` write, so records
+        from concurrent builds never interleave mid-line."""
         line = json.dumps(record.to_dict(), separators=(",", ":"), sort_keys=True)
-        data = line.encode("utf-8") + b"\n"
+        view = memoryview(line.encode("utf-8") + b"\n")
         backend = io_seam.backend()
         fd = backend.open(str(self.path), os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
         try:
-            offset = os.fstat(fd).st_size
-            view = memoryview(data)
             while view:
                 view = view[backend.write(fd, view):]
         finally:
             backend.close(fd)
-        self._refresh_index(record, offset, len(data))
-        return offset
 
     def next_seq(self) -> int:
-        """The sequence number the next appended build should use."""
-        entries = self._load_index()
-        if entries:
-            return entries[-1][0] + 1
-        records, _ = self.read()
-        return records[-1].seq + 1 if records else 1
+        """The sequence number the next appended build should use.
+
+        One past the last record :meth:`read` would load, found by
+        reading back from the end of the file only as far as the last
+        line that parses (a torn final line is skipped).
+        """
+        try:
+            handle = open(self.path, "rb")
+        except FileNotFoundError:
+            return 1
+        with handle:
+            end = handle.seek(0, os.SEEK_END)
+            partial = b""
+            while end > 0:
+                start = max(0, end - _TAIL_CHUNK)
+                handle.seek(start)
+                lines = (handle.read(end - start) + partial).split(b"\n")
+                # The first piece may begin before ``start``: finish it
+                # with the next step's bytes.
+                partial = lines.pop(0) if start else b""
+                for line in reversed(lines):
+                    record = self._parse_line(line, LoadStats())
+                    if record is not None:
+                        return record.seq + 1
+                end = start
+        return 1
 
     # -- reading -------------------------------------------------------------
 
@@ -289,24 +269,6 @@ class BuildHistory:
         """Just the records (see :meth:`read` for the load diagnostics)."""
         return self.read()[0]
 
-    def tail(self, n: int) -> list[HistoryRecord]:
-        """The last ``n`` records, via the index when it is trustworthy."""
-        if n <= 0:
-            return []
-        entries = self._load_index()
-        if entries:
-            records = []
-            try:
-                with open(self.path, "rb") as handle:
-                    for seq, offset, length, _ in entries[-n:]:
-                        handle.seek(offset)
-                        payload = json.loads(handle.read(length))
-                        records.append(HistoryRecord.from_dict(payload))
-                return records
-            except (ValueError, KeyError, OSError):
-                pass  # stale index: fall through to the full read
-        return self.records()[-n:]
-
     # -- internals -----------------------------------------------------------
 
     @staticmethod
@@ -327,73 +289,3 @@ class BuildHistory:
         except (ValueError, KeyError, TypeError):
             stats.corrupt += 1
             return None
-
-    def _load_index(self) -> list[list]:
-        """Index entries ``[seq, offset, length, timestamp]`` — or ``[]``
-        whenever the index is missing, unreadable, or visibly stale."""
-        if not self.index_path.is_file() or not self.path.is_file():
-            return []
-        try:
-            payload = json.loads(self.index_path.read_text())
-            if payload.get("schema") != HISTORY_SCHEMA_VERSION:
-                return []
-            entries = payload["entries"]
-            size = self.path.stat().st_size
-            covered = entries[-1][1] + entries[-1][2] if entries else 0
-            if covered != size:  # appends the index missed, or truncation
-                return []
-            return entries
-        except (ValueError, KeyError, IndexError, TypeError, OSError):
-            return []
-
-    def _refresh_index(self, record: HistoryRecord, offset: int, length: int) -> None:
-        """Best-effort index update after an append (atomic rewrite).
-
-        Written atomically but *not* durably (no fsync, no checksum):
-        the index is a pure cache, and a torn or lost index only costs
-        a rescan of the JSONL it describes.
-        """
-        entries = self._stale_tolerant_entries(upto=offset)
-        entries.append([record.seq, offset, length, record.timestamp])
-        payload = {"schema": HISTORY_SCHEMA_VERSION, "entries": entries}
-        try:
-            atomic_write(
-                self.index_path,
-                json.dumps(payload, separators=(",", ":")).encode("utf-8"),
-                checksum=False,
-                durable=False,
-            )
-        except OSError:
-            pass  # the index is a cache; the JSONL is intact regardless
-
-    def _stale_tolerant_entries(self, upto: int) -> list[list]:
-        """Existing index entries covering exactly ``upto`` bytes, else a
-        rescan of the JSONL up to that offset (concurrent writers race on
-        the index, so it can lag the file it describes)."""
-        if self.index_path.is_file():
-            try:
-                payload = json.loads(self.index_path.read_text())
-                entries = payload.get("entries", [])
-                covered = entries[-1][1] + entries[-1][2] if entries else 0
-                if payload.get("schema") == HISTORY_SCHEMA_VERSION and covered == upto:
-                    return entries
-            except (ValueError, KeyError, IndexError, TypeError, OSError):
-                pass
-        return self._scan_entries(upto)
-
-    def _scan_entries(self, upto: int) -> list[list]:
-        """Rebuild index entries from the JSONL's first ``upto`` bytes."""
-        entries: list[list] = []
-        try:
-            raw = self.path.read_bytes()[:upto]
-        except OSError:
-            return entries
-        offset = 0
-        for line in raw.split(b"\n"):
-            length = len(line) + 1
-            stats = LoadStats()
-            record = self._parse_line(line, stats)
-            if record is not None:
-                entries.append([record.seq, offset, length, record.timestamp])
-            offset += length
-        return entries

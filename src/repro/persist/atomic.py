@@ -125,9 +125,8 @@ def atomic_write(
 
     ``checksum=False`` skips the frame (for outputs external tools read
     verbatim, e.g. ``--report-json``); the temp+fsync+rename protocol
-    still applies.  ``durable=False`` skips the fsyncs (for pure caches
-    like the history index, where a lost write only costs a rebuild of
-    the cache).
+    still applies.  ``durable=False`` skips the fsyncs (for callers
+    that can lose the write, such as benchmarks timing everything else).
     """
     path = Path(path)
     blob = frame(payload) if checksum else payload

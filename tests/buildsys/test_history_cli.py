@@ -182,3 +182,34 @@ class TestDashboardCommand:
         )
         assert rc == 1
         assert not (tmp_path / "x.html").exists()
+
+
+class TestCountArguments:
+    """Counts that would disable or crash a check are usage errors."""
+
+    @pytest.mark.parametrize(
+        "main, argv, expected",
+        [
+            (reprobuild_regress_main, ["--window", "0"], "must be a positive integer, got 0"),
+            (reprobuild_regress_main, ["--window", "-3"], "must be a positive integer, got -3"),
+            (reprobuild_regress_main, ["--audit", "--sample", "0"],
+             "must be a positive integer, got 0"),
+            (reprobuild_history_main, ["-n", "-1"], "must be a non-negative integer, got -1"),
+            (reprobuild_dashboard_main, ["-n", "-1"], "must be a non-negative integer, got -1"),
+        ],
+    )
+    def test_rejected_at_parse_time(self, trace, monkeypatch, capsys, main, argv, expected):
+        monkeypatch.chdir(trace.root)  # where a dashboard would land
+        argv = [str(trace.proj), *argv] if main is reprobuild_regress_main else argv
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--db", str(trace.db)])
+        assert exit_info.value.code == 2
+        assert expected in capsys.readouterr().err
+
+    def test_zero_last_still_means_every_build(self, trace, capsys):
+        assert reprobuild_history_main(["--db", str(trace.db), "-n", "0"]) == 0
+        assert "rev-0" in capsys.readouterr().out
+
+    def test_window_of_one_compares_with_the_previous_build(self, trace, capsys):
+        assert reprobuild_regress_main(["--db", str(trace.db), "--window", "1"]) == 0
+        assert "no drift" in capsys.readouterr().out

@@ -177,10 +177,10 @@ class TestWorkCounts:
         assert rc == 0 and "0 recompiled" in err
         assert calls == {}
         if stateful:
-            # The state gauges still report, from the persisted summary.
-            gauges = json.loads((tree / "r.json").read_text())["metrics"]["gauges"]
-            assert gauges["state.records"] > 0 and gauges["state.bytes"] > 0
-            assert "state.gc_runs" in gauges
+            # The state summary still reports, from the persisted one.
+            state = json.loads((tree / "r.json").read_text())["state"]
+            assert state["records"] > 0 and state["bytes"] > 0
+            assert "gc_runs" in state
 
     def test_edit_build_encodes_whole_state_only_when_compacting(
         self, tmp_path, capsys, monkeypatch

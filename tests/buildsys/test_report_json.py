@@ -33,6 +33,17 @@ def build(files=FILES, db=None, build_options=None, **options):
     ).build()
 
 
+def as_v3(payload: dict) -> dict:
+    """``payload`` as a schema-3 writer produced it: the state summary
+    as two summary fields and as ``state.*`` gauges."""
+    old = json.loads(json.dumps(payload))
+    state = old.pop("state")
+    old["schema"] = 3
+    old["summary"].update(state_records=state["records"], state_bytes=state["bytes"])
+    old["metrics"]["gauges"].update({f"state.{k}": v for k, v in state.items()})
+    return old
+
+
 class TestSchema:
     def test_round_trip_preserves_payload(self):
         report = build(stateful=True)
@@ -64,6 +75,15 @@ class TestSchema:
         assert payload["reasons"]["main.mc"]["kind"] == "source-changed"
         assert payload["reasons"]["lib.mc"]["kind"] == "up-to-date"
 
+    def test_state_summary_is_one_dict(self):
+        db = BuildDatabase()
+        payload = build(db=db, stateful=True).to_dict()
+        assert payload["state"] == db.state_summary
+        assert payload["state"]["records"] > 0
+        assert not [k for k in payload["summary"] if k.startswith("state")]
+        assert not [g for g in payload["metrics"]["gauges"] if g.startswith("state.")]
+        assert build().to_dict()["state"] == {}
+
     def test_metrics_embedded(self):
         payload = build(stateful=True).to_dict()
         counters = payload["metrics"]["counters"]
@@ -94,11 +114,13 @@ class TestVersionSkew:
 
     def test_v1_payload_still_loads(self):
         # A pre-history report: no state_bytes.
-        payload = build(stateful=True).to_dict()
+        current = build(stateful=True)
+        payload = as_v3(current.to_dict())
         payload["schema"] = 1
-        payload["summary"].pop("state_bytes", None)
+        payload["summary"].pop("state_bytes")
         report = BuildReport.from_dict(payload)
         assert report.state_bytes == 0
+        assert report.state_records == current.state_records > 0
 
     def test_v2_round_trips_new_fields(self):
         report = build(stateful=True)
@@ -108,7 +130,7 @@ class TestVersionSkew:
     def test_v3_payload_with_profile_key_loads(self):
         # Earlier writers added a top-level cProfile table; readers
         # ignore it and never write it back.
-        payload = build(stateful=True).to_dict()
+        payload = as_v3(build(stateful=True).to_dict())
         assert "profile" not in payload
         payload["profile"] = {
             "schema": 1,
@@ -117,7 +139,8 @@ class TestVersionSkew:
                           "tottime": 0.1, "cumtime": 0.3}],
         }
         report = BuildReport.from_json(json.dumps(payload))
-        assert report.state_bytes == payload["summary"]["state_bytes"]
+        assert report.state_bytes == payload["summary"]["state_bytes"] > 0
+        assert report.state_records == payload["summary"]["state_records"] > 0
         assert report.num_recompiled == payload["summary"]["recompiled"]
         assert "profile" not in report.to_dict()
 

@@ -53,26 +53,29 @@ def check_structure(html_text: str) -> StructureChecker:
     return checker
 
 
-def make_record(seq: int, *, passes=None, compiled=None) -> HistoryRecord:
+def make_record(seq: int, *, by_pass=None, compiled=None) -> HistoryRecord:
     return HistoryRecord(
         seq=seq,
         timestamp=1_700_000_000.0 + seq * 60,
         label="clean" if seq == 1 else f"edit-{seq - 1}",
         report={
-            "schema": 2,
+            "schema": 4,
             "summary": {
                 "recompiled": 5 if seq == 1 else 2,
                 "up_to_date": 0 if seq == 1 else 3,
                 "total_wall_time": 0.8 - seq * 0.05,
                 "jobs": 2,
             },
-            "bypass": {"executions": 40, "bypassed": 0 if seq == 1 else 60},
+            "bypass": {
+                "executions": 40,
+                "bypassed": 0 if seq == 1 else 60,
+                "by_pass": by_pass
+                or {"dce": {"executed": 4, "bypassed": 6, "ns": 4_000_000 * seq},
+                    "mem2reg": {"executed": 2, "bypassed": 8, "ns": 2_000_000}},
+            },
+            "state": {"records": 100 + seq * 5, "bytes": 40_000 + seq * 500},
             "compiled": compiled or [],
         },
-        state={"records": 100 + seq * 5, "bytes": 40_000 + seq * 500},
-        passes=passes
-        or {"dce": {"executed": 4, "bypassed": 6, "wall": 0.004 * seq},
-            "mem2reg": {"executed": 2, "bypassed": 8, "wall": 0.002}},
     )
 
 

@@ -13,7 +13,7 @@ def make_record(
     *,
     bypass_rate: float = 0.6,
     recompiled: int = 4,
-    passes: dict | None = None,
+    by_pass: dict | None = None,
     state_bytes: int = 50_000,
     state_records: int = 120,
     gc_reclaimed: int = 3,
@@ -31,12 +31,15 @@ def make_record(
         timestamp=1_700_000_000.0 + seq,
         label=None,
         report={
-            "schema": 2,
+            "schema": 4,
             "summary": {"recompiled": recompiled, "up_to_date": 0},
-            "bypass": {"executions": 100 - bypassed, "bypassed": bypassed},
+            "bypass": {
+                "executions": 100 - bypassed,
+                "bypassed": bypassed,
+                "by_pass": by_pass or {},
+            },
+            "state": state,
         },
-        state=state,
-        passes=passes or {},
     )
 
 
@@ -106,12 +109,12 @@ class TestBypassRate:
 
 class TestPassWall:
     @staticmethod
-    def passes(ms_per_run: float, executed: int = 10) -> dict:
-        return {"dce": {"executed": executed, "wall": ms_per_run * 1e-3 * executed}}
+    def by_pass(ms_per_run: float, executed: int = 10) -> dict:
+        return {"dce": {"executed": executed, "ns": round(ms_per_run * 1e6 * executed)}}
 
     def test_slowdown_beyond_factor_and_floor_is_flagged(self):
-        records = trace(8, passes=self.passes(5.0))
-        records[-1] = make_record(8, passes=self.passes(25.0))
+        records = trace(8, by_pass=self.by_pass(5.0))
+        records[-1] = make_record(8, by_pass=self.by_pass(25.0))
         report = detect_drift(records)
         assert kinds(report) == ["pass-wall"]
         finding = report.findings[0]
@@ -120,18 +123,18 @@ class TestPassWall:
 
     def test_subfloor_jitter_is_quiet_despite_large_factor(self):
         """0.1 ms -> 0.5 ms is 5x but under the 2 ms absolute floor."""
-        records = trace(8, passes=self.passes(0.1))
-        records[-1] = make_record(8, passes=self.passes(0.5))
+        records = trace(8, by_pass=self.by_pass(0.1))
+        records[-1] = make_record(8, by_pass=self.by_pass(0.5))
         assert detect_drift(records).clean
 
     def test_below_factor_is_quiet_despite_absolute_delta(self):
-        records = trace(8, passes=self.passes(10.0))
-        records[-1] = make_record(8, passes=self.passes(15.0))  # 1.5x < 2.0x
+        records = trace(8, by_pass=self.by_pass(10.0))
+        records[-1] = make_record(8, by_pass=self.by_pass(15.0))  # 1.5x < 2.0x
         assert detect_drift(records).clean
 
     def test_new_pass_without_baseline_is_quiet(self):
         records = trace(8)
-        records[-1] = make_record(8, passes=self.passes(50.0))
+        records[-1] = make_record(8, by_pass=self.by_pass(50.0))
         assert detect_drift(records).clean
 
 

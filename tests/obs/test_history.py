@@ -1,14 +1,25 @@
-"""BuildHistory durability: concurrency, torn lines, schema round-trip."""
+"""BuildHistory durability: concurrency, torn lines, schema round-trip,
+back-compat with v1 histories, and the work one build's history step does."""
 
 import json
+import os
+import shutil
 import threading
+import time
+from pathlib import Path
 
+import pytest
+
+from repro.cli import reprobuild_history_main, reprobuild_regress_main
 from repro.obs.history import (
     HISTORY_SCHEMA_VERSION,
     BuildHistory,
     HistoryRecord,
     default_history_path,
 )
+from repro.persist import io as io_seam
+
+DATA = Path(__file__).parent / "data"
 
 
 def make_record(seq: int, **overrides) -> HistoryRecord:
@@ -18,13 +29,8 @@ def make_record(seq: int, **overrides) -> HistoryRecord:
         timestamp=1_700_000_000.0 + seq,
         label=f"build-{seq}",
         report={
-            "schema": 3,
-            "summary": {
-                "recompiled": 3,
-                "up_to_date": 2,
-                "total_wall_time": 0.5,
-                "state_records": 100 + seq,
-            },
+            "schema": 4,
+            "summary": {"recompiled": 3, "up_to_date": 2, "total_wall_time": 0.5},
             "bypass": {
                 "executions": 40,
                 "bypassed": 60,
@@ -35,16 +41,13 @@ def make_record(seq: int, **overrides) -> HistoryRecord:
                     }
                 },
             },
-        },
-        state={
-            "records": 100 + seq,
-            "bytes": 5000 + seq,
-            "gc_runs": seq,
-            "gc_reclaimed_total": 7,
-            "gc_reclaimed_last": 2,
-        },
-        passes={
-            "dce": {"executed": 5, "dormant": 1, "bypassed": 9, "work": 42, "wall": 0.01}
+            "state": {
+                "records": 100 + seq,
+                "bytes": 5000 + seq,
+                "gc_runs": seq,
+                "gc_reclaimed_total": 7,
+                "gc_reclaimed_last": 2,
+            },
         },
     )
     fields.update(overrides)
@@ -128,11 +131,17 @@ class TestRoundTrip:
         assert records[0].to_dict() == original.to_dict()
 
     def test_per_pass_wall_comes_from_by_pass_ns(self):
-        original = make_record(1)
-        rebuilt = HistoryRecord.from_report_payload(
-            1, original.timestamp, original.report, state=original.state
-        )
-        assert rebuilt.passes == original.passes
+        assert make_record(1).passes == {
+            "dce": {"executed": 5, "dormant": 1, "bypassed": 9, "work": 42, "wall": 0.01}
+        }
+
+    def test_line_holds_each_fact_once(self, tmp_path):
+        history = BuildHistory(tmp_path / "h.jsonl")
+        history.append(make_record(1))
+        raw = json.loads(history.path.read_text())
+        assert set(raw) == {"schema", "seq", "timestamp", "label", "report"}
+        assert raw["schema"] == HISTORY_SCHEMA_VERSION
+        assert make_record(1).state == raw["report"]["state"]
 
     def test_derived_views(self, tmp_path):
         record = make_record(1)
@@ -154,8 +163,27 @@ class TestRoundTrip:
     def test_next_seq_without_index(self, tmp_path):
         history = BuildHistory(tmp_path / "h.jsonl")
         history.append(make_record(1))
-        history.index_path.unlink()
+        assert os.listdir(tmp_path) == ["h.jsonl"]
         assert history.next_seq() == 2
+
+    def test_next_seq_skips_a_torn_final_line(self, tmp_path):
+        history = BuildHistory(tmp_path / "h.jsonl")
+        history.append(make_record(1))
+        history.append(make_record(2))
+        with open(history.path, "ab") as handle:
+            handle.write(b'{"schema": 2, "seq": 3, "timest')
+        assert history.next_seq() == 3
+
+    def test_next_seq_reads_back_across_long_lines(self, tmp_path):
+        """Lines longer than one read step, and a torn tail longer still."""
+        history = BuildHistory(tmp_path / "h.jsonl")
+        padding = {"compiled": [{"path": "x" * 1000}] * 40}  # ~40 KB per line
+        for seq in (1, 2):
+            history.append(make_record(seq, report=dict(make_record(seq).report, **padding)))
+        with open(history.path, "ab") as handle:
+            handle.write(b'{"schema": 2, "seq": 3, "x": "' + b"y" * 70_000)
+        assert history.next_seq() == 3
+        assert BuildHistory(tmp_path / "empty.jsonl").next_seq() == 1
 
     def test_legacy_line_with_profile_and_source_timings_loads(self, tmp_path):
         record = HistoryRecord.from_dict(json.loads(LEGACY_LINE))
@@ -242,42 +270,154 @@ class TestConcurrency:
 
 
 class TestIndex:
-    def test_tail_uses_index_and_matches_full_read(self, tmp_path):
-        history = BuildHistory(tmp_path / "h.jsonl")
-        for seq in range(1, 11):
-            history.append(make_record(seq))
-        assert [r.seq for r in history.tail(3)] == [8, 9, 10]
-
-    def test_tail_survives_missing_index(self, tmp_path):
-        history = BuildHistory(tmp_path / "h.jsonl")
-        for seq in range(1, 6):
-            history.append(make_record(seq))
-        history.index_path.unlink()
-        assert [r.seq for r in history.tail(2)] == [4, 5]
+    """Histories once had a byte-offset sidecar, ``<history>.idx``.  One
+    left behind by an older writer is never read, written or trusted."""
 
     def test_stale_index_is_ignored(self, tmp_path):
-        """An index that disagrees with the file is a cache miss, not truth."""
         history = BuildHistory(tmp_path / "h.jsonl")
         history.append(make_record(1))
-        history.index_path.write_text(
-            json.dumps({"schema": HISTORY_SCHEMA_VERSION, "entries": [[9, 0, 1, 0.0]]})
-        )
-        assert [r.seq for r in history.tail(5)] == [1]
+        index = tmp_path / "h.jsonl.idx"
+        index.write_text(json.dumps({"schema": 1, "entries": [[9, 0, 1, 0.0]]}))
+        assert history.next_seq() == 2
+        history.append(make_record(2))
+        assert [r.seq for r in history.records()] == [1, 2]
+        assert json.loads(index.read_text())["entries"] == [[9, 0, 1, 0.0]]
 
     def test_corrupt_index_is_ignored(self, tmp_path):
         history = BuildHistory(tmp_path / "h.jsonl")
         history.append(make_record(1))
-        history.index_path.write_text("garbage")
-        assert [r.seq for r in history.tail(1)] == [1]
+        (tmp_path / "h.jsonl.idx").write_text("garbage")
+        assert [r.seq for r in history.records()] == [1]
         assert history.next_seq() == 2
 
-    def test_index_rebuilt_after_external_append(self, tmp_path):
-        """A writer that bypassed the index (crash before refresh) only
-        costs a rescan; the next append repairs the sidecar."""
-        history = BuildHistory(tmp_path / "h.jsonl")
-        history.append(make_record(1))
-        with open(history.path, "ab") as handle:
-            line = json.dumps(make_record(2).to_dict(), separators=(",", ":"))
-            handle.write(line.encode() + b"\n")
-        history.append(make_record(3))
-        assert [r.seq for r in history.tail(3)] == [1, 2, 3]
+
+@pytest.fixture()
+def utc(monkeypatch):
+    """Render local times as UTC, so printed timestamps are fixed."""
+    monkeypatch.setenv("TZ", "UTC")
+    time.tzset()
+    yield
+    monkeypatch.undo()
+    time.tzset()
+
+
+class TestV1History:
+    """A history written before the v2 line shape: each record carried
+    the state summary and the per-pass table beside a schema-3 report
+    (which kept ``state.*`` gauges too), with a ``.idx`` sidecar."""
+
+    @pytest.fixture()
+    def v1(self, tmp_path):
+        path = tmp_path / "build.reprodb.history.jsonl"
+        shutil.copy(DATA / "v1.history.jsonl", path)
+        shutil.copy(DATA / "v1.history.jsonl.idx", f"{path}.idx")
+        return path
+
+    def test_views_match_what_the_v1_reader_gave(self, v1):
+        records, stats = BuildHistory(v1).read()
+        assert stats.loaded == 5 and stats.corrupt == 0
+        views = [
+            {
+                "seq": r.seq,
+                "state_records": r.state_records,
+                "state_bytes": r.state_bytes,
+                "gc_reclaimed": r.gc_reclaimed,
+                "gc_past_age_limit": r.gc_past_age_limit,
+                "passes": r.passes,
+                "bypass_rate": r.bypass_rate,
+            }
+            for r in records
+        ]
+        assert views == json.loads((DATA / "v1.views.json").read_text())
+        assert any(r.bypass_rate > 0 for r in records)
+
+    def test_next_seq_continues_and_v2_lines_follow(self, v1):
+        history = BuildHistory(v1)
+        assert history.next_seq() == 6
+        history.append(make_record(6))
+        assert [r.seq for r in history.records()] == [1, 2, 3, 4, 5, 6]
+        assert history.next_seq() == 7
+        assert (DATA / "v1.history.jsonl.idx").read_bytes() == Path(
+            f"{v1}.idx"
+        ).read_bytes()
+
+    def test_history_command_prints_what_the_v1_reader_printed(self, v1, utc, capsys):
+        assert reprobuild_history_main(["--history", str(v1)]) == 0
+        assert capsys.readouterr().out == (DATA / "v1.history.txt").read_text()
+
+    def test_regress_prints_what_the_v1_reader_printed(self, v1, capsys):
+        assert reprobuild_regress_main(["--history", str(v1)]) == 0
+        assert capsys.readouterr().out == (DATA / "v1.regress.txt").read_text()
+
+
+def _bytes_read() -> int:
+    """Bytes this process has read through read syscalls so far."""
+    with open("/proc/self/io") as handle:
+        for line in handle:
+            if line.startswith("rchar:"):
+                return int(line.split()[1])
+    raise AssertionError("no rchar in /proc/self/io")
+
+
+class _RecordingBackend(io_seam.IOBackend):
+    """Passthrough that records each file opened and each byte written."""
+
+    def __init__(self):
+        self.opened: list[str] = []
+        self.written = b""
+
+    def open(self, path, flags, mode=0o644):
+        self.opened.append(path)
+        return super().open(path, flags, mode)
+
+    def write(self, fd, data):
+        self.written += bytes(data)
+        return super().write(fd, data)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/io"), reason="needs /proc/self/io")
+class TestWorkCounts:
+    """A build's history step is one tail read and one appended line,
+    whatever the length of the history."""
+
+    #: One build's line as ``reprobuild`` writes it (a real report).
+    LINE = json.dumps(
+        HistoryRecord.from_dict(
+            json.loads((DATA / "v1.history.jsonl").read_text().splitlines()[-1])
+        ).to_dict(),
+        separators=(",", ":"),
+        sort_keys=True,
+    ).encode()
+
+    def step(self, tmp_path, builds: int) -> tuple[int, _RecordingBackend]:
+        path = tmp_path / f"{builds}.history.jsonl"
+        path.write_bytes(b"".join(
+            self.LINE.replace(b'"seq":5', b'"seq":%d' % seq) + b"\n"
+            for seq in range(1, builds + 1)
+        ))
+        history = BuildHistory(path)
+        backend = _RecordingBackend()
+        before = _bytes_read()
+        with io_seam.use_backend(backend):
+            history.append(make_record(history.next_seq()))
+        return _bytes_read() - before, backend
+
+    def test_next_seq_and_append_read_and_write_o1_bytes(self, tmp_path):
+        self.step(tmp_path, 1)  # warm up anything a first call loads
+        short_read, _ = self.step(tmp_path, 20)
+        long_read, backend = self.step(tmp_path, 2_000)
+
+        path = tmp_path / "2000.history.jsonl"
+        assert path.stat().st_size > 2_000 * len(self.LINE)
+        # Equal but for the few bytes of /proc/self/io text the
+        # measurement itself reads, whose length varies with its values.
+        assert abs(long_read - short_read) < 64
+        assert long_read < 64 * 1024
+        # One line, appended to the history; no other file written.
+        assert backend.opened == [str(path)]
+        assert backend.written == json.dumps(
+            make_record(2_001).to_dict(), separators=(",", ":"), sort_keys=True
+        ).encode() + b"\n"
+        assert sorted(os.listdir(tmp_path)) == [
+            "1.history.jsonl", "20.history.jsonl", "2000.history.jsonl"
+        ]
