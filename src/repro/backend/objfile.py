@@ -91,16 +91,7 @@ class ObjectFile(Struct):
         for g in payload["globals"]:
             obj.globals[g["name"]] = ObjGlobal(g["name"], g["size"], g["init"], g["external"])
         for f in payload["functions"]:
-            mf = MachineFunction(
-                f["name"],
-                num_params=f["params"],
-                frame_size=f["frame"],
-                is_allocated=True,
-            )
-            mf.code = [
-                MInst(MOp(op), list(regs), imm, extra) for op, regs, imm, extra in f["code"]
-            ]
-            obj.functions[mf.name] = mf
+            obj.functions[f["name"]] = _decode_function(f)
         return obj
 
     @property
@@ -144,19 +135,50 @@ class ObjectFile(Struct):
         }
 
 
-def compile_module_to_object(module: Module) -> ObjectFile:
-    """Run the full backend over an IR module: isel, regalloc, peephole."""
+def _decode_function(f: dict) -> MachineFunction:
+    mf = MachineFunction(
+        f["name"], num_params=f["params"], frame_size=f["frame"], is_allocated=True
+    )
+    mf.code = [MInst(MOp(op), list(regs), imm, extra) for op, regs, imm, extra in f["code"]]
+    return mf
+
+
+def compile_module_to_object(
+    module: Module, *, previous_object: str = "", reuse: list[str] | tuple = ()
+) -> ObjectFile:
+    """Run the full backend over an IR module: isel, regalloc, peephole.
+
+    The functions named in ``reuse`` are not compiled: their machine
+    code is decoded from ``previous_object``, the JSON of an object an
+    earlier compile made from the same IR (the memo policy's reuse).
+    """
     # Decoding and linking cached objects needs none of the code
     # generator, so it loads only here.
-    from repro.backend.isel import select_module
+    from repro.backend.isel import select_function
     from repro.backend.peephole import peephole_function
     from repro.backend.regalloc import allocate_function
 
+    reused: dict[str, MachineFunction] = {}
+    if reuse:
+        wanted = set(reuse)
+        reused = {
+            f["name"]: _decode_function(f)
+            for f in json.loads(previous_object)["functions"]
+            if f["name"] in wanted
+        }
+        if len(reused) != len(wanted):
+            raise ValueError(
+                f"previous object of {module.name} lacks "
+                f"{sorted(wanted - set(reused))}"
+            )
     obj = ObjectFile(module.name)
-    for name, mf in select_module(module).items():
-        allocate_function(mf)
-        peephole_function(mf)
-        obj.functions[name] = mf
+    for fn in module.defined_functions():
+        mf = reused.get(fn.name)
+        if mf is None:
+            mf = select_function(fn)
+            allocate_function(mf)
+            peephole_function(mf)
+        obj.functions[fn.name] = mf
     for var in module.globals.values():
         obj.globals[var.name] = ObjGlobal(
             var.name, var.size, list(var.initializer), var.is_external

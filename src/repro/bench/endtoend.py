@@ -32,6 +32,7 @@ class EditStepResult:
     bypassed: int
     executed: int
     fingerprint_time: float = 0.0
+    functions_reused: int = 0
 
     @property
     def total_scheduled(self) -> int:
@@ -114,6 +115,7 @@ def run_edit_trace(
                     bypassed=report.bypass.bypassed,
                     executed=report.bypass.executions,
                     fingerprint_time=sum(u.fingerprint_time for u in report.compiled),
+                    functions_reused=report.memo.get("functions_reused", 0),
                 )
             )
         results[variant_name] = result

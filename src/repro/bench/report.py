@@ -185,8 +185,11 @@ def generate_report(config: ReportConfig | None = None) -> str:
     )
     sections.append(
         format_table(
-            ["policy", "pass work", "bypassed"],
-            [[name, s.total_work, f"{s.bypass_ratio:.0%}"] for name, s in granularity.items()],
+            ["policy", "pass work", "bypassed", "fns reused"],
+            [
+                [name, s.total_work, f"{s.bypass_ratio:.0%}", s.functions_reused]
+                for name, s in granularity.items()
+            ],
             title="Figure 9: granularity ablation",
         )
     )

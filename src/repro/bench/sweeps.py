@@ -4,7 +4,9 @@
   one rebuild touches (Figure 7): the win shrinks as edits grow, since
   fewer passes can be bypassed.
 - :func:`granularity_ablation` — fine-grained (function×pass) vs coarse
-  (whole-function all-or-nothing) vs none (Figure 9).
+  (whole-function all-or-nothing) vs none (Figure 9), plus the memo
+  policy (fine-grained and machine-code reuse), which goes beyond the
+  paper.
 - :func:`fingerprint_ablation` — canonical (name-insensitive) vs named
   fingerprints (Figure 10): both are safe; canonical bypasses more.
 """
@@ -110,6 +112,9 @@ def granularity_ablation(
         "fine (function x pass)": CompilerOptions(
             opt_level=opt_level, stateful=True, policy=SkipPolicy.FINE_GRAINED
         ),
+        "memo (fine + code reuse)": CompilerOptions(
+            opt_level=opt_level, stateful=True, policy=SkipPolicy.MEMO
+        ),
     }
     traces = run_edit_trace(preset, variants, num_edits=num_edits, seed=seed)
     return {name: summarize_trace(result) for name, result in traces.items()}
@@ -142,6 +147,8 @@ class TraceSummary:
     total_time: float
     total_work: int
     bypass_ratio: float
+    #: Functions whose machine code the memo policy reused (0 otherwise).
+    functions_reused: int = 0
 
 
 def summarize_trace(result) -> TraceSummary:
@@ -149,4 +156,5 @@ def summarize_trace(result) -> TraceSummary:
         total_time=result.total_incremental_time,
         total_work=result.total_incremental_work,
         bypass_ratio=result.mean_bypass_ratio,
+        functions_reused=sum(s.functions_reused for s in result.steps),
     )

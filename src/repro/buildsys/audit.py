@@ -16,9 +16,17 @@ bypassed**, and confirms the record told the truth:
   substitutes for a re-hash after the pass runs) is confirmed by
   re-hashing the real IR and comparing.
 
+It also checks the memo policy's machine-code reuse: for each audited
+unit whose build-DB record carries memo keys, it compiles the unit once
+more under the memo policy against that record and compares the code of
+every function the memo reused with the code the audit compile (memo
+off, every pass executed) produced for it.  Any difference is a
+``memo-reuse`` mismatch: the memo key missed something that decides
+the code.
+
 The audit runs against a throwaway :meth:`CompilerState.snapshot` so the
-live state never sees audit-mode writes, and only supports the
-fine-grained policy (coarse records summarize whole pipelines, so there
+live state never sees audit-mode writes, and supports the fine-grained
+and memo policies (coarse records summarize whole pipelines, so there
 is no per-pass record to check).  Expected steady-state result on a
 healthy store: every sampled pair confirmed, zero mismatches — the
 EXPERIMENTS log records exactly that over the standard edit trace.
@@ -30,6 +38,8 @@ import random
 import time
 from dataclasses import dataclass, field
 
+from repro.backend.mir import MachineFunction
+from repro.buildsys.builddb import UnitRecord
 from repro.core.policies import SkipPolicy
 from repro.core.state import CompilerState
 from repro.core.stateful import StatefulPassManager
@@ -51,6 +61,8 @@ class CollisionAuditResult:
     confirmed: int = 0
     #: Chain-reuse fingerprints re-hashed and checked.
     chain_checked: int = 0
+    #: Functions whose reused machine code was compared with a recompile.
+    memo_checked: int = 0
     #: Every contradiction found; empty on a healthy store.
     mismatches: list[dict] = field(default_factory=list)
     #: Units actually recompiled under audit, in audit order.
@@ -70,7 +82,8 @@ class CollisionAuditResult:
         return (
             f"collision audit: {self.audited} bypassed pairs re-executed "
             f"({self.confirmed} confirmed), {self.chain_checked} chain-reuse "
-            f"fingerprints re-hashed, {verdict} "
+            f"fingerprints re-hashed, {self.memo_checked} reused functions "
+            f"recompiled, {verdict} "
             f"across {len(self.units)} unit(s) in {self.wall_time:.3f}s"
         )
 
@@ -79,6 +92,7 @@ class CollisionAuditResult:
             "audited": self.audited,
             "confirmed": self.confirmed,
             "chain_checked": self.chain_checked,
+            "memo_checked": self.memo_checked,
             "mismatches": list(self.mismatches),
             "units": list(self.units),
             "wall_time": self.wall_time,
@@ -147,7 +161,9 @@ class AuditingStatefulPassManager(StatefulPassManager):
         elif changed and reused is not None and not reused.dormant:
             # The production manager trusted the record's fingerprint_out
             # instead of re-hashing; here we pay for the hash and check.
-            actual = fingerprint_function(fn, mode=self.state.fingerprint_mode)
+            actual = fingerprint_function(
+                fn, mode=self.state.fingerprint_mode, pure=self._pure
+            )
             self._result.chain_checked += 1
             if actual != self._fp:
                 self._mismatch(
@@ -158,26 +174,35 @@ class AuditingStatefulPassManager(StatefulPassManager):
 
 
 class _AuditingCompiler(Compiler):
-    """A stateful compiler whose pass manager audits instead of bypassing."""
+    """A stateful compiler whose pass manager audits instead of bypassing,
+    and never reuses machine code."""
 
     def __init__(self, provider, options, state, result: CollisionAuditResult):
         super().__init__(provider, options, state=state)
         self._result = result
         self._current_unit = ""
 
-    def _make_pass_manager(self) -> AuditingStatefulPassManager:
+    def _make_pass_manager(self, previous_keys=None) -> AuditingStatefulPassManager:
         assert self.state is not None
         return AuditingStatefulPassManager(
             build_pipeline(self.options.opt_level),
             self.state,
-            policy=self.options.policy,
+            policy=SkipPolicy.FINE_GRAINED,
             result=self._result,
             unit=self._current_unit,
         )
 
-    def compile_file(self, path: str):
+    def compile_file(self, path: str, **kwargs):
         self._current_unit = path
-        return super().compile_file(path)
+        return super().compile_file(path, **kwargs)
+
+
+def _code(mf: MachineFunction) -> tuple:
+    """What an object stores of a machine function."""
+    return (
+        mf.num_params, mf.frame_size,
+        [(i.op, i.regs, i.imm, i.extra) for i in mf.code],
+    )
 
 
 def audit_fingerprint_collisions(
@@ -188,8 +213,11 @@ def audit_fingerprint_collisions(
     *,
     sample: int = 20,
     seed: int = 0,
+    units: dict[str, UnitRecord] | None = None,
 ) -> CollisionAuditResult:
-    """Re-execute bypassed (fingerprint, pass) pairs for sampled units.
+    """Re-execute bypassed (fingerprint, pass) pairs for sampled units,
+    and recompile the functions whose code the memo would reuse from
+    ``units`` (the build DB's records, if given).
 
     Units are visited in seeded-shuffle order; whole units are audited
     until at least ``sample`` dormant pairs have been re-executed (or
@@ -199,8 +227,8 @@ def audit_fingerprint_collisions(
     """
     if not options.stateful:
         raise ValueError("collision audit requires a stateful build")
-    if options.policy is not SkipPolicy.FINE_GRAINED:
-        raise ValueError("collision audit requires the fine-grained policy")
+    if options.policy not in (SkipPolicy.FINE_GRAINED, SkipPolicy.MEMO):
+        raise ValueError("collision audit requires the fine-grained or memo policy")
     result = CollisionAuditResult()
     start = time.perf_counter()
     audit_state = state.snapshot()
@@ -215,14 +243,38 @@ def audit_fingerprint_collisions(
             "with the same -O level and --fingerprint-mode as the build"
         )
 
+    memo_options = CompilerOptions(
+        opt_level=options.opt_level,
+        stateful=True,
+        policy=SkipPolicy.MEMO,
+        fingerprint_mode=options.fingerprint_mode,
+    )
     order = list(unit_paths)
     random.Random(seed).shuffle(order)
     for path in order:
         if result.audited >= sample:
             break
         result.units.append(path)
+        record = (units or {}).get(path)
         try:
-            compiler.compile_file(path)
+            audited = compiler.compile_file(path)
+            if record is not None and record.memo:
+                memo = Compiler(provider, memo_options, state=audit_state).compile_file(
+                    path, previous=(record.object_json, record.memo)
+                )
+                for name in memo.reused:
+                    result.memo_checked += 1
+                    reused = memo.object_file.functions[name]
+                    if _code(reused) != _code(audited.object_file.functions[name]):
+                        result.mismatches.append({
+                            "kind": "memo-reuse",
+                            "unit": path,
+                            "function": name,
+                            "position": -1,
+                            "pass": "",
+                            "detail": "reused machine code differs from a "
+                                      "recompile with the memo off",
+                        })
         except (CompileError, IncludeError) as exc:
             result.mismatches.append(
                 {

@@ -6,7 +6,8 @@ One JSON file per build tree, playing the role of ninja's ``.ninja_log``
 
 - ``<db>`` — per unit: source digest, the digest of every transitively
   included header (``None`` for headers that were missing when the unit
-  was built), the options that shape its object, and the object's JSON.
+  was built), the options that shape its object, the object's JSON and,
+  after a memo-policy compile, each function's memo key.
   Also the key of the last successful link and a summary of the state
   (records, bytes, GC counters), so a no-op build can report the state
   without reading it.
@@ -97,12 +98,14 @@ from repro.persist.log import encode_entry
 #: so ``reprobuild explain`` can report where a unit's compile time
 #: went; v3 moved the compiler state into ``<db>.state*`` and added
 #: per-unit object options and digests plus the last link's key; v4
-#: added each object's link interface (:attr:`UnitRecord.symbols`).
+#: added each object's link interface (:attr:`UnitRecord.symbols`); v5
+#: added each unit's memo keys (:attr:`UnitRecord.memo`).
 #: v1/v2 files still load; their units carry no options, so they
 #: rebuild.  A v3 unit gets its interface from its object when a link
-#: is first checked.
-DB_SCHEMA_VERSION = 4
-_READABLE_SCHEMAS = (1, 2, 3, 4)
+#: is first checked.  A v3/v4 unit has no memo keys, so its next
+#: compile under the memo policy compiles every function.
+DB_SCHEMA_VERSION = 5
+_READABLE_SCHEMAS = (1, 2, 3, 4, 5)
 
 
 class CorruptDatabaseError(PersistError):
@@ -126,7 +129,7 @@ class UnitRecord(Struct):
 
     _fields = (
         "path", "source_digest", "dep_digests", "object_json", "stats", "wall_time",
-        "worker", "options", "object_digest", "symbols",
+        "worker", "options", "object_digest", "symbols", "memo", "functions_reused",
     )
 
     def __init__(
@@ -141,6 +144,8 @@ class UnitRecord(Struct):
         options: str = "",
         object_digest: str = "",
         symbols: dict | None = None,
+        memo: dict[str, str] | None = None,
+        functions_reused: int = 0,
     ) -> None:
         self.path = path
         self.source_digest = source_digest
@@ -164,6 +169,11 @@ class UnitRecord(Struct):
         #: The object's :meth:`~repro.backend.objfile.ObjectFile.link_symbols`
         #: (``None`` = not yet known, as in v1-v3 databases).
         self.symbols = symbols
+        #: ``{function: memo key}`` of the compile that made the object
+        #: (empty unless it ran under the memo policy).
+        self.memo = {} if memo is None else memo
+        #: How many of those functions reused an earlier object's code.
+        self.functions_reused = functions_reused
 
 
 class StateStore:
@@ -364,9 +374,11 @@ class BuildDatabase:
         wall_time: float = 0.0,
         worker: str = "main",
         symbols: dict | None = None,
+        memo: dict[str, str] | None = None,
+        functions_reused: int = 0,
     ) -> None:
         """Store a fresh compilation result for one unit and, when the
-        compiler computed it, its object's link interface."""
+        compiler computed them, its object's link interface and memo keys."""
         assert snapshot.source_digest is not None
         self.units[snapshot.path] = UnitRecord(
             path=snapshot.path,
@@ -378,6 +390,8 @@ class BuildDatabase:
             worker=worker,
             options=options,
             symbols=symbols,
+            memo=memo,
+            functions_reused=functions_reused,
         )
         self._dirty = True
 
@@ -436,6 +450,8 @@ class BuildDatabase:
                     "wall": r.wall_time,
                     "worker": r.worker,
                     "symbols": r.symbols,
+                    "memo": r.memo,
+                    "reused": r.functions_reused,
                 }
                 for r in sorted(self.units.values(), key=lambda r: r.path)
             ],
@@ -470,6 +486,8 @@ class BuildDatabase:
                 options=entry.get("options", ""),
                 object_digest=entry.get("object_digest", ""),
                 symbols=entry.get("symbols"),
+                memo=entry.get("memo") or {},
+                functions_reused=int(entry.get("reused", 0)),
             )
         db.linked = payload.get("linked")
         # v1/v2 embedded the whole state here as a JSON string; those

@@ -227,6 +227,11 @@ def explain_unit(
             f"  last compiled in {record.wall_time * 1000:.1f} ms"
             f" by {record.worker}"
         )
+    if record.memo:
+        lines.append(
+            f"  memo: the last compile reused the machine code of "
+            f"{record.functions_reused}/{len(record.memo)} functions"
+        )
     ranked = top_passes(record.stats, top)
     if ranked:
         lines.append(f"  top {len(ranked)} passes of the last compile (by work):")

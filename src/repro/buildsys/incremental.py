@@ -11,7 +11,9 @@ variants plug into.  Per build it:
    :class:`~repro.buildsys.explain.RebuildReason` per unit so the
    decision is explainable afterwards (``reprobuild explain``);
 3. compiles dirty units through :class:`repro.driver.Compiler` —
-   stateless or stateful per :class:`~repro.driver.CompilerOptions`,
+   stateless or stateful per :class:`~repro.driver.CompilerOptions`
+   (under the memo policy each unit gets its recorded object and memo
+   keys, from which unchanged functions take their machine code),
    serially or on a worker pool per :class:`~repro.buildsys.parallel.BuildOptions`
    (``jobs > 1`` runs the make ``-j`` analogue; for stateful builds each
    worker compiles against a read-only state snapshot and the driver
@@ -64,8 +66,9 @@ from repro.backend.objfile import ObjectFile
 from repro.buildsys.builddb import BuildDatabase
 from repro.buildsys.deps import DependencyScanner, DependencySnapshot
 from repro.buildsys.explain import rebuild_reason
-from repro.buildsys.parallel import BuildOptions, UnitOutcome, compile_units
+from repro.buildsys.parallel import BuildOptions, Previous, UnitOutcome, compile_units
 from repro.buildsys.report import BuildReport, UnitBuildResult
+from repro.core.policies import SkipPolicy
 from repro.core.statistics import BypassStatistics
 from repro.frontend.diagnostics import CompileError
 from repro.frontend.includes import FileProvider, IncludeError
@@ -131,6 +134,19 @@ class IncrementalBuilder:
             self.db.live_state = compiler.state
         compiler.state.attach_metrics(self.metrics)
         compiler.state.begin_build()
+
+    def _previous(self, path: str) -> Previous:
+        """What the memo policy reuses for ``path``: its recorded object
+        and memo keys (``None`` without either, or under another policy)."""
+        record = self.db.units.get(path)
+        if (
+            record is None
+            or not record.memo
+            or not self.options.stateful
+            or self.options.policy is not SkipPolicy.MEMO
+        ):
+            return None
+        return record.object_json, record.memo
 
     # -- the build ----------------------------------------------------------
 
@@ -199,6 +215,8 @@ class IncrementalBuilder:
         self.metrics.set_gauge("build.up_to_date", len(report.up_to_date))
         self.metrics.set_gauge("build.jobs", jobs)
 
+        if self.options.stateful and self.options.policy is SkipPolicy.MEMO:
+            report.memo = {"functions_reused": 0, "functions_compiled": 0}
         objects: dict[str, ObjectFile] = {}
         phase_start = time.perf_counter()
         if jobs <= 1:
@@ -276,7 +294,7 @@ class IncrementalBuilder:
         for path in dirty:
             start = time.perf_counter()
             try:
-                result = compiler.compile_file(path)
+                result = compiler.compile_file(path, previous=self._previous(path))
             except (CompileError, IncludeError) as exc:
                 return exc
             outcome = UnitOutcome.from_result(path, result, time.perf_counter() - start)
@@ -311,6 +329,7 @@ class IncrementalBuilder:
             dirty,
             jobs=jobs,
             trace=self.tracer.enabled,
+            previous={path: self._previous(path) for path in dirty},
         )
 
         error: Exception | None = None
@@ -338,6 +357,9 @@ class IncrementalBuilder:
         to the live state directly.
         """
         report.bypass.merge(outcome.stats)
+        if report.memo:
+            report.memo["functions_reused"] += outcome.functions_reused
+            report.memo["functions_compiled"] += len(outcome.memo) - outcome.functions_reused
         if outcome.metrics is not None:
             self.metrics.merge(outcome.metrics)
         if outcome.spans:
@@ -366,6 +388,8 @@ class IncrementalBuilder:
             wall_time=outcome.wall_time,
             worker=outcome.worker,
             symbols=outcome.symbols,
+            memo=outcome.memo,
+            functions_reused=outcome.functions_reused,
         )
         if outcome.delta is not None and compiler.state is not None:
             compiler.state.merge_delta(outcome.delta)

@@ -58,6 +58,10 @@ logger = logging.getLogger(__name__)
 #: uses it to run the whole suite at ``-j 4``).
 JOBS_ENV_VAR = "REPRO_BUILD_JOBS"
 
+#: A unit's last object JSON and the memo keys of the compile that made
+#: it, or ``None``: what the memo policy reuses machine code from.
+Previous = tuple[str, dict[str, str]] | None
+
 
 class BuildOptions(Struct):
     """Build-system knobs, as opposed to per-compiler :class:`CompilerOptions`.
@@ -113,7 +117,7 @@ class UnitOutcome(Struct):
     _fields = (
         "path", "object_json", "symbols", "stats", "pass_work", "wall_time", "fingerprint_time",
         "fingerprint_count", "delta", "worker", "metrics", "spans", "epoch_wall",
-        "error_kind", "error_message", "diagnostics",
+        "error_kind", "error_message", "diagnostics", "memo", "functions_reused",
     )
 
     def __init__(
@@ -134,6 +138,8 @@ class UnitOutcome(Struct):
         error_kind: str | None = None,
         error_message: str = "",
         diagnostics: list[Diagnostic] | None = None,
+        memo: dict[str, str] | None = None,
+        functions_reused: int = 0,
     ) -> None:
         self.path = path
         self.object_json = object_json
@@ -157,6 +163,10 @@ class UnitOutcome(Struct):
         self.error_kind = error_kind
         self.error_message = error_message
         self.diagnostics = [] if diagnostics is None else diagnostics
+        #: The memo keys the DB records beside the object, and how many
+        #: functions reused the previous object's code.
+        self.memo = {} if memo is None else memo
+        self.functions_reused = functions_reused
 
     @classmethod
     def from_result(
@@ -178,6 +188,8 @@ class UnitOutcome(Struct):
             fingerprint_count=result.ledger.fingerprints,
             worker=worker,
             metrics=result.metrics,
+            memo=result.memo_keys,
+            functions_reused=len(result.reused),
         )
 
     @property
@@ -219,6 +231,7 @@ def compile_unit(
     state: CompilerState | None,
     path: str,
     *,
+    previous: Previous = None,
     worker: str = "main",
     trace: bool = False,
 ) -> UnitOutcome:
@@ -228,6 +241,8 @@ def compile_unit(
     builds); the copy taken here is what makes the outcome independent
     of scheduling — the unit sees exactly the records that existed when
     the build started, as the snapshot/delta protocol promises.
+    ``previous`` is the unit's last object JSON and memo keys, for the
+    memo policy (``None`` = none).
 
     With ``trace=True`` the unit compiles under its own
     :class:`~repro.obs.trace.Tracer`; the spans (and the wall-clock
@@ -244,7 +259,7 @@ def compile_unit(
 
     start = time.perf_counter()
     try:
-        result = compiler.compile_file(path)
+        result = compiler.compile_file(path, previous=previous)
     except CompileError as exc:
         return UnitOutcome(
             path=path,
@@ -268,13 +283,14 @@ def compile_unit(
     return outcome
 
 
-def _compile_unit_task(path: str) -> UnitOutcome:
+def _compile_unit_task(path: str, previous: Previous) -> UnitOutcome:
     """Pool entry point: compile ``path`` using the worker context."""
     return compile_unit(
         _WORKER_CONTEXT["provider"],
         _WORKER_CONTEXT["options"],
         _WORKER_CONTEXT["state"],
         path,
+        previous=previous,
         worker=f"pid-{os.getpid()}",
         trace=_WORKER_CONTEXT.get("trace", False),
     )
@@ -291,12 +307,17 @@ def _make_pool(jobs: int, initargs: tuple) -> Executor:
     )
 
 
-def _run_pool(jobs: int, initargs: tuple, paths: list[str]) -> dict[str, UnitOutcome]:
+def _run_pool(
+    jobs: int, initargs: tuple, paths: list[str], previous: dict[str, Previous]
+) -> dict[str, UnitOutcome]:
     from concurrent.futures import as_completed
 
     outcomes: dict[str, UnitOutcome] = {}
     with _make_pool(jobs, initargs) as pool:
-        futures = {pool.submit(_compile_unit_task, path): path for path in paths}
+        futures = {
+            pool.submit(_compile_unit_task, path, previous.get(path)): path
+            for path in paths
+        }
         for future in as_completed(futures):
             if future.cancelled():
                 continue
@@ -318,8 +339,12 @@ def compile_units(
     *,
     jobs: int,
     trace: bool = False,
+    previous: dict[str, Previous] | None = None,
 ) -> dict[str, UnitOutcome]:
     """Compile ``paths`` on a process pool; returns outcomes keyed by path.
+
+    ``previous`` maps a unit to its last object JSON and memo keys
+    (units without one are absent); each task carries its own.
 
     Failed units are present with diagnostics attached; units abandoned
     after a failure are absent.  A pool that cannot start or dies (no
@@ -330,13 +355,16 @@ def compile_units(
     """
     from concurrent.futures import BrokenExecutor
 
+    previous = {} if previous is None else previous
     try:
-        return _run_pool(jobs, (provider, options, state, trace), paths)
+        return _run_pool(jobs, (provider, options, state, trace), paths, previous)
     except (BrokenExecutor, OSError) as exc:
         logger.warning("process pool unavailable (%s); compiling serially", exc)
     outcomes: dict[str, UnitOutcome] = {}
     for path in paths:
-        outcome = compile_unit(provider, options, state, path, trace=trace)
+        outcome = compile_unit(
+            provider, options, state, path, previous=previous.get(path), trace=trace
+        )
         outcomes[path] = outcome
         if outcome.failed:
             break

@@ -28,14 +28,15 @@ from repro.core.statistics import BypassStatistics
 #: ``profile`` table, no longer written and ignored on read); v3 adds
 #: the integer wall time ``ns`` to every ``bypass.by_pass`` entry; v4
 #: replaces ``summary.state_records``/``state_bytes`` with the whole
-#: state summary as a top-level ``state`` dict.  All are absent-tolerant,
-#: so v1-v3 payloads still load.
-REPORT_SCHEMA_VERSION = 4
+#: state summary as a top-level ``state`` dict; v5 adds the top-level
+#: ``memo`` dict (functions whose machine code was reused vs compiled).
+#: All are absent-tolerant, so v1-v4 payloads still load.
+REPORT_SCHEMA_VERSION = 5
 
 #: Schemas :meth:`BuildReport.from_dict` can still read.  Anything
 #: *newer* than the current version is rejected outright — a future
 #: writer may have changed field meanings this reader cannot know about.
-READABLE_REPORT_SCHEMAS = (1, 2, 3, 4)
+READABLE_REPORT_SCHEMAS = (1, 2, 3, 4, 5)
 
 
 class UnitBuildResult(Struct):
@@ -96,7 +97,7 @@ class BuildReport(Struct):
     _fields = (
         "compiled", "up_to_date", "bypass", "reasons", "total_wall_time", "scan_time",
         "link_time", "state", "image", "jobs",
-        "compile_phase_time", "metrics", "was_linked",
+        "compile_phase_time", "metrics", "was_linked", "memo",
     )
 
     def __init__(
@@ -114,6 +115,7 @@ class BuildReport(Struct):
         compile_phase_time: float = 0.0,
         metrics: dict | None = None,
         was_linked: bool = False,
+        memo: dict | None = None,
     ) -> None:
         #: Units recompiled this build, in schedule order.
         self.compiled = [] if compiled is None else compiled
@@ -150,6 +152,10 @@ class BuildReport(Struct):
         #: excluded from serialization, so deserialized reports carry the
         #: fact through this flag (kept in sync by :attr:`linked`).
         self.was_linked = was_linked
+        #: Memo policy: ``{"functions_reused": n, "functions_compiled": m}``
+        #: over the recompiled units (empty under other policies).  Reused
+        #: functions have no pass runs, so they are not in :attr:`bypass`.
+        self.memo = {} if memo is None else memo
 
     @property
     def state_records(self) -> int:
@@ -222,6 +228,7 @@ class BuildReport(Struct):
             "up_to_date": list(self.up_to_date),
             "bypass": self.bypass.to_dict(),
             "state": self.state,
+            "memo": self.memo,
             "reasons": {
                 path: reason.to_dict()
                 for path, reason in sorted(self.reasons.items())
@@ -270,6 +277,7 @@ class BuildReport(Struct):
             compile_phase_time=float(summary.get("compile_phase_time", 0.0)),
             metrics=payload.get("metrics", {}),
             was_linked=bool(summary.get("linked", False)),
+            memo=payload.get("memo", {}),
         )
         return report
 

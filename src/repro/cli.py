@@ -81,8 +81,9 @@ def _common_compiler_flags(parser: argparse.ArgumentParser) -> None:
         help="enable the stateful compiler (dormant-pass bypassing)",
     )
     parser.add_argument(
-        "--policy", choices=[p.value for p in SkipPolicy], default="fine",
-        help="bypass granularity for --stateful (default fine)",
+        "--policy", choices=[p.value for p in SkipPolicy], default="memo",
+        help="bypass granularity for --stateful (default memo: fine-grained "
+             "bypassing plus reuse of unchanged functions' machine code)",
     )
     parser.add_argument(
         "--fingerprint-mode", choices=["canonical", "named"], default="canonical",
@@ -525,6 +526,13 @@ def _locked_build(args: argparse.Namespace, project: Project) -> int:
             f"pass runs",
             file=sys.stderr,
         )
+    if report.memo and report.compiled:
+        reused = report.memo["functions_reused"]
+        total = reused + report.memo["functions_compiled"]
+        print(
+            f"memo: reused the machine code of {reused}/{total} functions",
+            file=sys.stderr,
+        )
 
     if args.run and report.image is not None:
         from repro.vm.machine import VirtualMachine
@@ -709,7 +717,9 @@ def reprobuild_regress_main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--audit", action="store_true",
         help="re-execute a sample of bypassed (fingerprint, pass) pairs "
-             "against the DB's compiler state and verify zero collisions",
+             "against the DB's compiler state and verify zero collisions; "
+             "recompile the functions whose machine code the memo reuses "
+             "and verify it is unchanged",
     )
     parser.add_argument(
         "--sample", type=_positive_int, default=20,
@@ -774,6 +784,7 @@ def reprobuild_regress_main(argv: list[str] | None = None) -> int:
                 db.live_state,
                 sample=args.sample,
                 seed=args.seed,
+                units=db.units,
             )
         except ValueError as exc:
             print(f"regress: {exc}", file=sys.stderr)

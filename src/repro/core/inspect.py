@@ -41,9 +41,10 @@ class StateSummary:
 def summarize_state(state: CompilerState) -> StateSummary:
     """Aggregate a state's records per pipeline position."""
     names = {}
-    for index, label in enumerate(state.pipeline_signature.split("|")):
-        _, _, name = label.partition(":")
-        names[index] = name or label
+    for label in state.pipeline_signature.split("|"):
+        position, _, signature = label.partition(":")
+        if position.isdigit():
+            names[int(position)] = signature.partition("@")[0]
 
     per_position: dict[int, PositionSummary] = {}
     dormant_total = 0

@@ -11,6 +11,13 @@
   otherwise every pass runs.
 - ``NONE`` — fully stateless (records are still written so a later
   build can use them; nothing is ever skipped).
+- ``MEMO`` — ``FINE_GRAINED`` plus machine-code reuse, beyond the
+  paper: a function whose memo key (:func:`repro.core.stateful.memo_key`) equals its
+  key from the unit's last compile skips its whole function pipeline
+  and code generation, and takes its machine code from the unit's
+  previous object.  The default of ``reprobuild --stateful``; the
+  library default stays ``FINE_GRAINED``, so the paper's tables
+  measure the paper's mechanism alone.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ class SkipPolicy(enum.Enum):
     FINE_GRAINED = "fine"
     COARSE = "coarse"
     NONE = "none"
+    MEMO = "memo"
 
     @classmethod
     def from_name(cls, name: str) -> "SkipPolicy":

@@ -56,8 +56,10 @@ from repro.persist import CorruptArtifactError, atomic_write, read_artifact
 
 #: v4 orders each row ``[position, fingerprint, last_used_build,
 #: dormant, fingerprint_out]`` and stores ``fingerprint_out`` as "" when
-#: it equals the incoming fingerprint (as it does for every dormant record).
-STATE_SCHEMA_VERSION = 4
+#: it equals the incoming fingerprint (as it does for every dormant
+#: record).  v5 has the same rows, but its fingerprints encode each
+#: call's callee purity, so no v4 record is valid under a v5 key.
+STATE_SCHEMA_VERSION = 5
 
 
 class DormancyRecord(Struct):
@@ -412,5 +414,17 @@ class CompilerState(Struct):
 
 
 def pipeline_signature_of(pipeline) -> str:
-    """Stable signature of a pipeline's function-pass sequence."""
-    return "|".join(pipeline.position_names())
+    """Stable signature of everything in a pipeline that decides its output.
+
+    Every pass's name, ``VERSION`` and parameters, module prelude and
+    function passes alike (:func:`~repro.passes.base.pass_signature`),
+    function passes by position.  Changing a pass parameter or bumping a
+    pass's version changes it, and a state recorded under another
+    signature is discarded whole.
+    """
+    from repro.passes.base import pass_signature
+
+    return "|".join(
+        [f"{i}:{pass_signature(p)}" for i, p in enumerate(pipeline.function_passes)]
+        + [f"prelude:{pass_signature(p)}" for p in pipeline.module_prelude]
+    )

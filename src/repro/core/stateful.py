@@ -17,6 +17,18 @@ scratch when the (position, fingerprint) pair has never been seen.
 In the steady state a function costs exactly one fingerprint
 computation, zero re-hashes, and zero dormant-pass executions.
 
+Fingerprints cover each call's callee purity (the module fact DCE, CSE
+and ADCE read), computed once by the module prelude, so a record made
+while a callee was impure never applies after it turned pure.
+
+Under :attr:`~repro.core.policies.SkipPolicy.MEMO` the manager goes one
+step further than dormancy: from the entry fingerprint it derives the
+function's :func:`memo_key`, and a function whose key equals the one
+its unit's last compile recorded (``previous_keys``) skips its whole
+pipeline — :attr:`StatefulPassManager.reused` names it, and the
+backend takes its machine code from the unit's previous object.  A
+reused function has no pass rows, so it never counts as bypassed.
+
 The cost of statefulness — lookups, hits, records written,
 fingerprints and their nanoseconds — is counted in the pass manager's
 :class:`~repro.passmanager.ledger.PassLedger`, next to the pass outcomes.
@@ -28,14 +40,30 @@ import time
 
 from repro.core.policies import SkipPolicy
 from repro.core.state import CompilerState, DormancyRecord
-from repro.ir.fingerprint import fingerprint_function
+from repro.ir.fingerprint import fingerprint_function, stable_hash
 from repro.ir.structure import Function, Module
 from repro.obs.trace import NULL_TRACER, NullTracer
+from repro.passes.funcattrs import get_pure_functions
 from repro.passmanager.manager import PassManager
 from repro.passmanager.pipeline import PassPipeline
 
 #: Synthetic "position" for the coarse whole-pipeline records.
 _COARSE_POSITION = -2
+
+
+def memo_key(fn: Function, entry_fingerprint: str, context: str) -> str:
+    """Everything that decides ``fn``'s machine code, hashed.
+
+    The entry fingerprint (its IR after the module prelude, callee
+    purity included); its name, block names and name counter, which the
+    canonical fingerprint drops but branch labels embed and new blocks
+    are named from; and ``context``, a digest of the pipeline signature
+    and object options.  Equal keys mean equal machine code.
+    """
+    blocks = " ".join(block.name for block in fn.blocks)
+    return stable_hash(
+        f"{entry_fingerprint}\0{fn.name}\0{fn.name_counter}\0{blocks}\0{context}"
+    )
 
 
 class StatefulPassManager(PassManager):
@@ -49,10 +77,17 @@ class StatefulPassManager(PassManager):
         policy: SkipPolicy = SkipPolicy.FINE_GRAINED,
         verify_each: bool = False,
         tracer: NullTracer = NULL_TRACER,
+        memo_context: str = "",
+        previous_keys: dict[str, str] | None = None,
     ):
         super().__init__(pipeline, verify_each=verify_each, tracer=tracer)
         self.state = state
         self.policy = policy
+        #: Memo policy: digest of the pipeline signature and object
+        #: options, and the keys of the unit's last compile.
+        self.memo_context = memo_context
+        self.previous_keys = {} if previous_keys is None else previous_keys
+        self._pure: frozenset[str] = frozenset()
         self._fp: str = ""
         self._function_had_changes = False
         self._coarse_skip_all = False
@@ -64,7 +99,7 @@ class StatefulPassManager(PassManager):
 
     def _compute_fingerprint(self, fn: Function) -> str:
         start = time.perf_counter_ns()
-        fp = fingerprint_function(fn, mode=self.state.fingerprint_mode)
+        fp = fingerprint_function(fn, mode=self.state.fingerprint_mode, pure=self._pure)
         self.ledger.fingerprint_ns += time.perf_counter_ns() - start
         self.ledger.fingerprints += 1
         return fp
@@ -85,6 +120,7 @@ class StatefulPassManager(PassManager):
     # -- hooks ------------------------------------------------------------------
 
     def begin_function(self, fn: Function, module: Module) -> None:
+        self._pure = get_pure_functions(module)
         self._fp = self._compute_fingerprint(fn)
         self._entry_fp = self._fp
         self._function_had_changes = False
@@ -92,6 +128,16 @@ class StatefulPassManager(PassManager):
         if self.policy is SkipPolicy.COARSE:
             record = self._lookup(_COARSE_POSITION, self._fp)
             self._coarse_skip_all = record is not None and record.dormant
+
+    def reuses(self, fn: Function, module: Module) -> bool:
+        if self.policy is not SkipPolicy.MEMO:
+            return False
+        key = memo_key(fn, self._entry_fp, self.memo_context)
+        self.memo_keys[fn.name] = key
+        if self.previous_keys.get(fn.name) != key:
+            return False
+        self.reused.append(fn.name)
+        return True
 
     def should_skip(self, fn: Function, module: Module, position: int) -> bool:
         self._pending_record = None

@@ -5,6 +5,11 @@ frontend, lowering, the (possibly stateful) pass pipeline, and the
 backend, returning the object file plus the pass ledger the build
 system and experiments consume.  Stage durations go to the tracer as
 ``phase`` spans.
+
+Under the memo policy the caller hands in the unit's previous object
+and the memo keys of the compile that made it; functions whose keys
+still match skip the pass pipeline and code generation, and the
+backend copies their machine code from that object.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from repro.core.stateful import StatefulPassManager
 from repro.core.statistics import BypassStatistics
 from repro.frontend.includes import FileProvider, IncludeResolver
 from repro.frontend.sema import analyze
+from repro.ir.fingerprint import stable_hash
 from repro.ir.structure import Module
 from repro.ir.verifier import verify_module
 from repro.lowering import lower_program
@@ -41,7 +47,10 @@ import repro.frontend.parser  # noqa: F401
 class CompileResult(Struct):
     """Everything produced by compiling one translation unit."""
 
-    _fields = ("module", "object_file", "ledger", "stats", "headers", "metrics")
+    _fields = (
+        "module", "object_file", "ledger", "stats", "headers", "metrics", "memo_keys",
+        "reused",
+    )
 
     def __init__(
         self,
@@ -51,7 +60,11 @@ class CompileResult(Struct):
         stats: BypassStatistics,
         headers: list[str] | None = None,
         metrics: MetricsRegistry | None = None,
+        memo_keys: dict[str, str] | None = None,
+        reused: list[str] | None = None,
     ) -> None:
+        #: The IR after the pipeline; a reused function is left as it
+        #: entered the pipeline.
         self.module = module
         self.object_file = object_file
         #: Every pass run of this unit and its state traffic.
@@ -61,6 +74,10 @@ class CompileResult(Struct):
         self.headers = [] if headers is None else headers
         #: This unit's counters, published from the ledger.
         self.metrics = MetricsRegistry() if metrics is None else metrics
+        #: Memo policy: every defined function's memo key (empty otherwise).
+        self.memo_keys = {} if memo_keys is None else memo_keys
+        #: Memo policy: the functions whose machine code was reused.
+        self.reused = [] if reused is None else reused
 
     @property
     def pass_work(self) -> int:
@@ -100,7 +117,13 @@ class Compiler:
     def pipeline_signature(self) -> str:
         return pipeline_signature_of(self.pipeline)
 
-    def _make_pass_manager(self) -> PassManager:
+    @property
+    def memo_context(self) -> str:
+        """What every memo key of this compiler shares: a digest of the
+        pipeline signature and the object options."""
+        return stable_hash(f"{self.pipeline_signature}\0{self.options.object_options}")
+
+    def _make_pass_manager(self, previous_keys: dict[str, str] | None = None) -> PassManager:
         if self.options.stateful:
             assert self.state is not None
             return StatefulPassManager(
@@ -109,6 +132,8 @@ class Compiler:
                 policy=self.options.policy,
                 verify_each=self.options.verify_each,
                 tracer=self.tracer,
+                memo_context=self.memo_context,
+                previous_keys=previous_keys,
             )
         return PassManager(
             build_pipeline(self.options.opt_level),
@@ -116,8 +141,15 @@ class Compiler:
             tracer=self.tracer,
         )
 
-    def compile_source(self, name: str, text: str) -> CompileResult:
-        """Compile one translation unit's text to an object file."""
+    def compile_source(
+        self, name: str, text: str, *, previous: tuple[str, dict[str, str]] | None = None
+    ) -> CompileResult:
+        """Compile one translation unit's text to an object file.
+
+        ``previous`` is the object JSON of the unit's last successful
+        compile and that compile's memo keys; only the memo policy
+        reads it.
+        """
         tracer = self.tracer
         unit_start = time.perf_counter()
 
@@ -130,16 +162,21 @@ class Compiler:
         module = lower_program(unit.merged, sema, name)
         tracer.add("lowering", "phase", start, time.perf_counter() - start, unit=name)
 
-        manager = self._make_pass_manager()
+        previous_object, previous_keys = previous or ("", None)
+        manager = self._make_pass_manager(previous_keys)
         start = time.perf_counter()
         ledger = manager.run(module)
         tracer.add("passes", "phase", start, time.perf_counter() - start, unit=name)
+        memo_keys, reused = manager.memo_keys, manager.reused
 
         if self.options.verify_output:
-            verify_module(module)
+            # A reused function's IR never reaches the backend.
+            verify_module(module, skip=reused)
 
         start = time.perf_counter()
-        object_file = compile_module_to_object(module)
+        object_file = compile_module_to_object(
+            module, previous_object=previous_object, reuse=reused
+        )
         tracer.add("backend", "phase", start, time.perf_counter() - start, unit=name)
         tracer.add(name, "unit", unit_start, time.perf_counter() - unit_start)
 
@@ -159,6 +196,11 @@ class Compiler:
                 ("state.records_written", ledger.records_written),
                 ("fingerprint.count", ledger.fingerprints),
             ]
+        if memo_keys:
+            counters += [
+                ("memo.functions_reused", len(reused)),
+                ("memo.functions_compiled", len(memo_keys) - len(reused)),
+            ]
         for counter, value in counters:
             metrics.inc(counter, value)
 
@@ -169,8 +211,12 @@ class Compiler:
             stats=stats,
             headers=list(unit.headers),
             metrics=metrics,
+            memo_keys=memo_keys,
+            reused=reused,
         )
 
-    def compile_file(self, path: str) -> CompileResult:
+    def compile_file(
+        self, path: str, *, previous: tuple[str, dict[str, str]] | None = None
+    ) -> CompileResult:
         """Compile a translation unit read through the file provider."""
-        return self.compile_source(path, self.provider.read(path))
+        return self.compile_source(path, self.provider.read(path), previous=previous)

@@ -15,6 +15,13 @@ Two fingerprint modes (ablated in the Figure-10 experiment):
   drifted.
 - **named**: the printed text is hashed verbatim, so renames invalidate
   state.  Safe but strictly weaker at bypassing.
+
+Both modes also encode the one module fact a function pass reads: for
+each call, whether the callee is in the module's pure-function set
+(:func:`repro.passes.funcattrs.get_pure_functions`, read by DCE, CSE
+and ADCE).  The same IR calling a callee that turned pure (or impure)
+between builds hashes differently, so no record made under the old
+fact applies.
 """
 
 from __future__ import annotations
@@ -66,8 +73,12 @@ def _encode_operand(
     return f"?:{value.ref()}"
 
 
-def canonical_function_text(fn: Function) -> str:
-    """Name-insensitive canonical serialization of a function's IR."""
+def canonical_function_text(fn: Function, pure: frozenset[str] = frozenset()) -> str:
+    """Name-insensitive canonical serialization of a function's IR.
+
+    ``pure`` is the module's pure-function set; each call encodes
+    whether its callee is in it.
+    """
     block_index: dict[BasicBlock, int] = {}
     inst_index: dict[Instruction, int] = {}
     counter = 0
@@ -91,7 +102,7 @@ def canonical_function_text(fn: Function) -> str:
             elif cls is AllocaInst:
                 parts.append(str(inst.size))
             elif cls is CallInst:
-                parts.append(f"@{inst.callee}:{inst.sig}")
+                parts.append(f"@{inst.callee}:{inst.sig}:{int(inst.callee in pure)}")
             for op in inst.operands:
                 parts.append(encode(op, inst_index))
             if cls is PhiInst:
@@ -106,16 +117,23 @@ def canonical_function_text(fn: Function) -> str:
     return "\n".join(lines)
 
 
-def fingerprint_function(fn: Function, *, mode: str = "canonical") -> str:
-    """Fingerprint a function's IR.
+def fingerprint_function(
+    fn: Function, *, mode: str = "canonical", pure: frozenset[str] = frozenset()
+) -> str:
+    """Fingerprint a function's IR in the context of the module's
+    pure-function set ``pure``.
 
     ``mode`` is ``"canonical"`` (name-insensitive, default) or
-    ``"named"`` (hash of the printed text).  Both modes hash one joined
-    string: a single BLAKE2b update over the full canonical text is
-    cheaper than streaming many per-instruction updates.
+    ``"named"`` (hash of the printed text plus its pure callees).  Both
+    modes hash one joined string: a single BLAKE2b update over the full
+    canonical text is cheaper than streaming many per-instruction updates.
     """
     if mode == "canonical":
-        return stable_hash(canonical_function_text(fn))
+        return stable_hash(canonical_function_text(fn, pure))
     if mode == "named":
-        return stable_hash(print_function(fn))
+        callees = {
+            inst.callee for inst in fn.instructions() if inst.__class__ is CallInst
+        }
+        pure_callees = ",".join(sorted(callees & pure))
+        return stable_hash(f"{print_function(fn)}\npure={pure_callees}")
     raise ValueError(f"unknown fingerprint mode {mode!r}")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterator
 
 from repro._struct import Struct
@@ -106,12 +105,17 @@ class Function:
             raise ValueError("arg_names length must match signature")
         self.args = [Argument(ty, nm, i) for i, (ty, nm) in enumerate(zip(sig.params, names))]
         self.blocks: list[BasicBlock] = []
-        self._name_counter = itertools.count()
+        #: The number :meth:`next_name` hands out next.  Block names come
+        #: from it and instruction selection puts them in branch labels,
+        #: so a function's machine code depends on it.
+        self.name_counter = 0
 
     # -- naming ---------------------------------------------------------------
 
     def next_name(self, prefix: str = "t") -> str:
-        return f"{prefix}{next(self._name_counter)}"
+        n = self.name_counter
+        self.name_counter = n + 1
+        return f"{prefix}{n}"
 
     # -- block management -------------------------------------------------------
 

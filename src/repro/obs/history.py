@@ -116,6 +116,17 @@ class HistoryRecord(Struct):
         return bypassed / total if total else 0.0
 
     @property
+    def functions_reused(self) -> int:
+        """Functions whose machine code the memo policy reused (0 before
+        report schema 5 and under other policies)."""
+        return int(self.report.get("memo", {}).get("functions_reused", 0))
+
+    @property
+    def functions_compiled(self) -> int:
+        """Functions the memo policy keyed but compiled."""
+        return int(self.report.get("memo", {}).get("functions_compiled", 0))
+
+    @property
     def state_records(self) -> int:
         return int(self.state.get("records", 0))
 

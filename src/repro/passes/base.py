@@ -55,9 +55,12 @@ class FunctionPass:
     Subclasses set ``name`` and implement :meth:`run_on_function`.
     ``module`` is provided for read-only context (signatures,
     attributes); function passes must not mutate other functions.
+    A subclass bumps ``VERSION`` whenever a change to its code can
+    change its output (see :func:`pass_signature`).
     """
 
     name: str = "<unnamed>"
+    VERSION: int = 1
 
     def run_on_function(self, fn: Function, module: Module) -> PassStats:
         raise NotImplementedError
@@ -75,9 +78,18 @@ class ModulePass:
     """
 
     name: str = "<unnamed>"
+    VERSION: int = 1
 
     def run_on_module(self, module: Module) -> PassStats:
         raise NotImplementedError
 
     def __repr__(self) -> str:
         return f"<ModulePass {self.name}>"
+
+
+def pass_signature(pass_: FunctionPass | ModulePass) -> str:
+    """What decides a pass's output besides its input: its name, its
+    ``VERSION`` and its parameters (every instance attribute, e.g. the
+    inliner's ``size_threshold``)."""
+    params = ",".join(f"{k}={v!r}" for k, v in sorted(vars(pass_).items()))
+    return f"{pass_.name}@{pass_.VERSION}({params})"

@@ -3,7 +3,7 @@
 This is the *stateless* manager — every pass runs on every function,
 exactly what a conventional compiler does.  The stateful variant
 (:class:`repro.core.stateful.StatefulPassManager`) subclasses this and
-overrides the single decision point :meth:`should_skip` /
+overrides its decision points :meth:`reuses`, :meth:`should_skip` and
 :meth:`on_pass_executed`.
 
 Accounting: each scheduled pass appends one row to the manager's
@@ -60,11 +60,20 @@ class PassManager:
         self.verify_each = verify_each
         self.tracer = tracer
         self.ledger = PassLedger()
+        #: Each function's memo key, and the functions :meth:`reuses`
+        #: skipped; only the memo policy fills them.
+        self.memo_keys: dict[str, str] = {}
+        self.reused: list[str] = []
 
     # -- hooks the stateful subclass overrides -----------------------------
 
     def begin_function(self, fn: Function, module: Module) -> None:
         """Called before the function pipeline starts on ``fn``."""
+
+    def reuses(self, fn: Function, module: Module) -> bool:
+        """Decide whether ``fn`` skips its whole pipeline (its machine
+        code is reused); called after :meth:`begin_function`."""
+        return False
 
     def should_skip(self, fn: Function, module: Module, position: int) -> bool:
         """Decide whether to bypass the pass at ``position`` for ``fn``."""
@@ -109,6 +118,13 @@ class PassManager:
         runs = self.ledger.runs
         pipeline_start = time.perf_counter() if tracing else 0.0
         self.begin_function(fn, module)
+        if self.reuses(fn, module):
+            if tracing:
+                self.tracer.add(
+                    f"reuse {fn.name}", "pipeline", pipeline_start,
+                    time.perf_counter() - pipeline_start, function=fn.name,
+                )
+            return
         for position, function_pass in enumerate(self.pipeline.function_passes):
             if self.should_skip(fn, module, position):
                 runs.append(

@@ -8,9 +8,10 @@ fuzzable property:
 
 1. generate a project from a seeded preset and a seeded random edit
    trace (:mod:`repro.workload`);
-2. replay the trace three ways — clean stateless rebuilds (the
-   reference), stateful incremental at ``-j 1``, and stateful
-   incremental at ``-j N`` with the snapshot/delta merge protocol;
+2. replay the trace — clean stateless rebuilds (the reference), and
+   stateful incremental builds under the fine-grained and the memo
+   policy, each at ``-j 1`` and at ``-j N`` with the snapshot/delta
+   merge protocol;
 3. after every step compare linked images byte-for-byte
    (:meth:`~repro.backend.linker.LinkedImage.to_json`), per-unit
    object JSON, and the stateful variants' bypass/record accounting
@@ -39,10 +40,26 @@ from pathlib import Path
 from repro.buildsys.builddb import BuildDatabase
 from repro.buildsys.incremental import IncrementalBuilder
 from repro.buildsys.parallel import BuildOptions
+from repro.core.policies import SkipPolicy
 from repro.driver import CompilerOptions
-from repro.workload.edits import apply_edit, random_edit_sequence
+from repro.workload.edits import EditKind, apply_edit, random_edit_sequence
 from repro.workload.generator import generate_project
 from repro.workload.spec import make_preset
+
+
+#: The fuzzer's edit mix: the benchmark's kinds plus purity flips, the
+#: edits that change a module fact (callee purity) a function pass reads.
+FUZZ_EDIT_MIX: list[tuple[EditKind, float]] = [
+    (EditKind.BODY, 0.30),
+    (EditKind.CONST_TWEAK, 0.20),
+    (EditKind.PURITY_FLIP, 0.22),
+    (EditKind.COMMENT, 0.10),
+    (EditKind.HEADER_CONST, 0.10),
+    (EditKind.ADD_FUNCTION, 0.08),
+]
+
+#: The stateful policies every trace replays.
+POLICIES = (SkipPolicy.FINE_GRAINED, SkipPolicy.MEMO)
 
 
 @dataclass
@@ -96,7 +113,7 @@ def run_differential_trace(
     """Fuzz one seeded edit trace; see the module docstring for the law."""
     result = DifferentialResult(preset=preset, seed=seed, jobs=tuple(jobs))
     spec = make_preset(preset, seed=seed)
-    edits = random_edit_sequence(spec, num_edits, seed=seed)
+    edits = random_edit_sequence(spec, num_edits, seed=seed, mix=FUZZ_EDIT_MIX)
     result.edits = [edit.describe() for edit in edits]
 
     specs = [spec]
@@ -104,10 +121,12 @@ def run_differential_trace(
         specs.append(apply_edit(specs[-1], edit))
 
     stateless = CompilerOptions(opt_level=opt_level, stateful=False)
-    stateful = CompilerOptions(opt_level=opt_level, stateful=True)
-    dbs: dict[int, BuildDatabase] = {j: BuildDatabase() for j in jobs}
+    #: One stateful variant per (policy, job count), each with its own DB.
+    variants = [(policy, j) for policy in POLICIES for j in jobs]
+    dbs: dict[tuple, BuildDatabase] = {v: BuildDatabase() for v in variants}
     db_paths = {
-        j: Path(workdir) / f"j{j}.reprodb" for j in jobs
+        (policy, j): Path(workdir) / f"{policy.value}-j{j}.reprodb"
+        for policy, j in variants
     } if workdir is not None else {}
 
     for step, current in enumerate(specs):
@@ -120,25 +139,27 @@ def run_differential_trace(
         ref_image = ref_report.image.to_json()
         result.builds += 1
 
-        variants: dict[int, tuple[BuildDatabase, object]] = {}
-        for j in jobs:
+        reports = {}
+        for policy, j in variants:
+            db = dbs[policy, j]
+            name = f"{policy.value} -j {j}"
+            options = CompilerOptions(opt_level=opt_level, stateful=True, policy=policy)
             report = IncrementalBuilder(
-                provider, units, stateful, dbs[j], BuildOptions(jobs=j)
+                provider, units, options, db, BuildOptions(jobs=j)
             ).build()
             result.builds += 1
-            variants[j] = (dbs[j], report)
+            reports[policy, j] = report
 
             image = report.image.to_json()
             if image != ref_image:
                 result.divergences.append(Divergence(
-                    step, "image",
-                    f"-j {j} stateful image != stateless reference",
+                    step, "image", f"{name} stateful image != stateless reference",
                 ))
             for path in units:
                 result.objects_compared += 1
-                if dbs[j].units[path].object_json != ref_db.units[path].object_json:
+                if db.units[path].object_json != ref_db.units[path].object_json:
                     result.divergences.append(Divergence(
-                        step, "object", f"-j {j}: {path} differs from stateless"
+                        step, "object", f"{name}: {path} differs from stateless"
                     ))
             # Every bypass needs a hit and every hit a lookup, on pool
             # workers as in process.
@@ -148,13 +169,13 @@ def run_differential_trace(
             if not lookups >= hits >= report.bypass.bypassed:
                 result.divergences.append(Divergence(
                     step, "records",
-                    f"-j {j}: state counters break lookups >= hits >= bypassed "
+                    f"{name}: state counters break lookups >= hits >= bypassed "
                     f"({lookups}, {hits}, {report.bypass.bypassed})",
                 ))
-            if set(dbs[j].units) != set(units):
+            if set(db.units) != set(units):
                 result.divergences.append(Divergence(
                     step, "records",
-                    f"-j {j}: DB has {len(dbs[j].units)} unit records, "
+                    f"{name}: DB has {len(db.units)} unit records, "
                     f"project has {len(units)}",
                 ))
 
@@ -165,47 +186,56 @@ def run_differential_trace(
                 var_run = VirtualMachine(report.image).run()
                 if not ref_run.same_behaviour(var_run):
                     result.divergences.append(Divergence(
-                        step, "behaviour", f"-j {j} execution diverged"
+                        step, "behaviour", f"{name} execution diverged"
                     ))
 
-        # The stateful variants must also agree with *each other* on the
-        # dormancy bookkeeping: after the -j N snapshot/delta merge, the
-        # record population must be *identical* to the serial build's —
-        # same keys, same verdicts, same GC timestamps.  (Bypass
+        # The stateful variants of one policy must also agree with *each
+        # other* on the dormancy bookkeeping: after the -j N
+        # snapshot/delta merge, the record population must be
+        # *identical* to the serial build's — same keys, same verdicts,
+        # same GC timestamps — and so must the memo's reuse.  (Bypass
         # *counters* legitimately differ: a serial build can bypass
         # unit B via a record unit A created seconds earlier, while
         # parallel workers only see the state snapshot from build
         # start; determinism of the pass pipeline makes them converge
         # on the same records regardless.)
-        baseline_j = jobs[0]
-        base_db, base_report = variants[baseline_j]
-        for j in jobs[1:]:
-            other_db, other_report = variants[j]
-            base_state = base_db.live_state.records if base_db.live_state else None
-            other_state = other_db.live_state.records if other_db.live_state else None
-            if base_state != other_state:
-                base_n = len(base_state) if base_state is not None else -1
-                other_n = len(other_state) if other_state is not None else -1
-                result.divergences.append(Divergence(
-                    step, "records",
-                    f"dormancy records diverge: -j {baseline_j} has {base_n}, "
-                    f"-j {j} has {other_n} (or equal counts, unequal contents)",
-                ))
-            base_work = base_report.bypass
-            other_work = other_report.bypass
-            if (base_work.executions + base_work.bypassed
-                    != other_work.executions + other_work.bypassed):
-                result.divergences.append(Divergence(
-                    step, "records",
-                    f"pass-run totals differ: -j {baseline_j} saw "
-                    f"{base_work.executions + base_work.bypassed}, -j {j} saw "
-                    f"{other_work.executions + other_work.bypassed}",
-                ))
+        for policy in POLICIES:
+            baseline_j = jobs[0]
+            base_db, base_report = dbs[policy, baseline_j], reports[policy, baseline_j]
+            for j in jobs[1:]:
+                other_db, other_report = dbs[policy, j], reports[policy, j]
+                base_state = base_db.live_state.records if base_db.live_state else None
+                other_state = other_db.live_state.records if other_db.live_state else None
+                if base_state != other_state:
+                    base_n = len(base_state) if base_state is not None else -1
+                    other_n = len(other_state) if other_state is not None else -1
+                    result.divergences.append(Divergence(
+                        step, "records",
+                        f"{policy.value}: dormancy records diverge: -j {baseline_j} "
+                        f"has {base_n}, -j {j} has {other_n} "
+                        "(or equal counts, unequal contents)",
+                    ))
+                base_work = base_report.bypass
+                other_work = other_report.bypass
+                if (base_work.executions + base_work.bypassed
+                        != other_work.executions + other_work.bypassed):
+                    result.divergences.append(Divergence(
+                        step, "records",
+                        f"{policy.value}: pass-run totals differ: -j {baseline_j} saw "
+                        f"{base_work.executions + base_work.bypassed}, -j {j} saw "
+                        f"{other_work.executions + other_work.bypassed}",
+                    ))
+                if base_report.memo != other_report.memo:
+                    result.divergences.append(Divergence(
+                        step, "records",
+                        f"{policy.value}: memo reuse differs: -j {baseline_j} "
+                        f"{base_report.memo}, -j {j} {other_report.memo}",
+                    ))
 
         # Optionally round-trip every stateful DB through the on-disk
         # crash-consistent format so the fuzz law covers persistence.
-        for j, db_path in db_paths.items():
-            db = dbs[j]
+        for variant, db_path in db_paths.items():
+            db = dbs[variant]
             if db.path == db_path:
                 db.save_changes()
             else:
@@ -214,10 +244,18 @@ def run_differential_trace(
             if reloaded.live_state != db.live_state:
                 result.divergences.append(Divergence(
                     step, "persistence",
-                    f"-j {j}: compiler state read back from {db_path.name}.state* "
-                    f"differs from the state in memory",
+                    f"{variant[0].value} -j {variant[1]}: compiler state read "
+                    f"back from {db_path.name}.state* differs from the state in memory",
                 ))
-            dbs[j] = reloaded
+            if {p: r.memo for p, r in reloaded.units.items()} != {
+                p: r.memo for p, r in db.units.items()
+            }:
+                result.divergences.append(Divergence(
+                    step, "persistence",
+                    f"{variant[0].value} -j {variant[1]}: memo keys read back "
+                    f"from {db_path.name} differ from the keys in memory",
+                ))
+            dbs[variant] = reloaded
 
         result.steps += 1
     return result

@@ -13,6 +13,13 @@ to span the spectrum the stateful compiler cares about:
 - ``HEADER_CONST`` — change an exported constant: all dependent
   translation units become dirty, but most of their functions' IR is
   unchanged — the case where file-level incrementality loses hardest.
+- ``PURITY_FLIP`` — toggle a ``print`` in a callee too big to inline
+  (the module's purity probe; the first flip adds it, printing, with a
+  call from the module's last function that ignores its result), so the
+  caller's text stays the same while the callee turns impure or pure.
+  The only kind that changes a module fact a function pass reads; it is
+  not in :data:`DEFAULT_EDIT_MIX`, so the benchmark traces keep their
+  shape, and the differential fuzzer adds it to its own mix.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ class EditKind(Enum):
     BODY = "body"
     ADD_FUNCTION = "add-function"
     HEADER_CONST = "header-const"
+    PURITY_FLIP = "purity-flip"
 
 
 @dataclass(frozen=True)
@@ -56,6 +64,9 @@ def apply_edit(spec: ProjectSpec, edit: Edit) -> ProjectSpec:
         return spec.replace_module(
             replace(module, header_const_bias=module.header_const_bias + 1)
         )
+    if edit.kind is EditKind.PURITY_FLIP:
+        prints = module.probe_prints is None or not module.probe_prints
+        return spec.replace_module(replace(module, probe_prints=prints))
     if edit.kind is EditKind.ADD_FUNCTION:
         new_fn = FunctionSpec(
             name=f"{module.name}_x{len(module.functions)}",

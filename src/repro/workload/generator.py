@@ -55,6 +55,8 @@ class _BodyContext:
     globals_writable: list[str]
     header_consts: list[str]
     const_bias: int
+    #: A function to call on the first value, ignoring its result.
+    probe: str = ""
     vars: list[str] = field(default_factory=list)
     #: Read-only names (loop counters): usable in expressions, never
     #: assignment targets — assigning to a counter could make its loop
@@ -271,6 +273,8 @@ class _BodyGenerator:
         seed_var = self.ctx.fresh_var()
         self.emit(1, f"int {seed_var} = {self.literal()} + ({self.expr(1)});")
         self.ctx.vars.append(seed_var)
+        if self.ctx.probe:
+            self.emit(1, f"{self.ctx.probe}({seed_var});")
         spent = 1
         while spent < budget:
             spent += self.gen_statement(1, budget - spent)
@@ -286,6 +290,7 @@ def _generate_function(
     globals_readable: list[str],
     globals_writable: list[str],
     header_consts: list[str],
+    probe: str = "",
 ) -> str:
     rng = seeded_rng(spec.seed, module.name, fn.name, fn.body_seed)
     params = [f"p{k}" for k in range(fn.num_params)]
@@ -297,11 +302,29 @@ def _generate_function(
         globals_writable=globals_writable,
         header_consts=header_consts,
         const_bias=fn.const_bias,
+        probe=probe,
         cost_cap=_STATIC_COST[fn.size],
     )
     body = _BodyGenerator(ctx).generate(_SIZE_BUDGET[fn.size])
     param_list = ", ".join(f"int {p}" for p in params)
     return f"int {fn.name}({param_list}) {{\n{body}\n}}"
+
+
+def _probe_name(module: ModuleSpec) -> str:
+    return f"{module.name}_probe"
+
+
+def _generate_probe(module: ModuleSpec) -> str:
+    """The purity probe: 20 arithmetic statements, no loop, no memory
+    but its own locals, so it is pure unless it prints, and too big for
+    the inliner."""
+    lines = [f"int {_probe_name(module)}(int p0) {{", "  int v = p0 * 3 + 1;"]
+    for k in range(20):
+        lines.append(f"  v = v * {k + 3} + (v ^ {k + 1});")
+    if module.probe_prints:
+        lines.append("  print(v);")
+    lines += ["  return v;", "}"]
+    return "\n".join(lines)
 
 
 def _global_names(module: ModuleSpec) -> list[str]:
@@ -350,11 +373,17 @@ def _generate_source(module: ModuleSpec, spec: ProjectSpec) -> str:
         if f.public
     ]
 
+    if module.probe_prints is not None:
+        lines.append(_generate_probe(module))
+        lines.append("")
     earlier: list[_Callee] = []
     for fn in module.functions:
         callees = list(imported_callees) + list(earlier)
+        probe = ""
+        if module.probe_prints is not None and fn is module.functions[-1]:
+            probe = _probe_name(module)
         text = _generate_function(
-            module, fn, spec, callees, own_globals, own_globals, header_consts
+            module, fn, spec, callees, own_globals, own_globals, header_consts, probe
         )
         lines.append(text)
         lines.append("")

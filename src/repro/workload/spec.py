@@ -45,6 +45,11 @@ class ModuleSpec:
     header_const_bias: int = 0
     #: Revision counter rendered into a comment (comment-only edits).
     comment_revision: int = 0
+    #: The purity probe (purity-flip edits): ``None`` = none; else a
+    #: straight-line helper too big to inline, called by the module's
+    #: last function, which ignores its result.  It prints (and so is
+    #: impure) when this is ``True``, and is pure when ``False``.
+    probe_prints: bool | None = None
 
 
 @dataclass(frozen=True)

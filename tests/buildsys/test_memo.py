@@ -1,0 +1,272 @@
+"""The memo policy: unchanged functions reuse their previous machine code.
+
+A function whose memo key equals the key its unit's last compile
+recorded skips its whole pipeline and code generation; its code comes
+from the unit's previous object.  The objects must stay byte-identical
+to a stateless clean build.
+"""
+
+import json
+
+import pytest
+
+from repro.backend.mir import MOp
+from repro.buildsys.audit import audit_fingerprint_collisions
+from repro.buildsys.builddb import BuildDatabase
+from repro.buildsys.deps import DependencyScanner
+from repro.buildsys.explain import explain_unit
+from repro.buildsys.incremental import IncrementalBuilder
+from repro.buildsys.parallel import BuildOptions
+from repro.buildsys.report import BuildReport
+from repro.core.policies import SkipPolicy
+from repro.core.state import pipeline_signature_of
+from repro.core.stateful import memo_key
+from repro.driver import Compiler, CompilerOptions
+from repro.frontend.includes import MemoryFileProvider
+from repro.obs.history import HistoryRecord
+from repro.passes import InlinerPass, LoopUnrollPass
+from repro.passes.base import pass_signature
+from repro.passmanager import pipeline as pipeline_module
+from repro.persist import atomic_write
+from repro.testing.differential import FUZZ_EDIT_MIX
+from repro.workload import apply_edit, generate_project, make_preset
+from repro.workload.edits import Edit, EditKind, random_edit_sequence
+
+MEMO = CompilerOptions(stateful=True, policy=SkipPolicy.MEMO)
+
+FILES = {
+    "a.mc": (
+        "int g(int p) {\n  int v = p * 3;\n  if (v > 4) { v = v - 1; }\n  return v;\n}\n"
+        "int h(int x) { return g(x) + 7; }\n"
+        "int main() { print(h(3)); return 0; }\n"
+    ),
+}
+
+
+def build(files, db, options=MEMO, jobs=1):
+    provider = MemoryFileProvider(dict(files))
+    return IncrementalBuilder(
+        provider, sorted(files), options, db, BuildOptions(jobs=jobs)
+    ).build()
+
+
+def objects(db):
+    return {path: record.object_json for path, record in db.units.items()}
+
+
+def stateless_objects(files):
+    db = BuildDatabase()
+    build(files, db, CompilerOptions())
+    return objects(db)
+
+
+def compile_keys(text, options=MEMO):
+    compiler = Compiler(MemoryFileProvider({}), options)
+    return compiler.compile_source("u.mc", text).memo_keys
+
+
+class TestReuse:
+    def test_comment_edit_reuses_every_function(self):
+        db = BuildDatabase()
+        first = build(FILES, db)
+        assert first.memo == {"functions_reused": 0, "functions_compiled": 3}
+        edited = {"a.mc": "// comment\n" + FILES["a.mc"]}
+        report = build(edited, db)
+        assert report.memo == {"functions_reused": 3, "functions_compiled": 0}
+        # No pass ran, and none counts as bypassed.
+        assert report.bypass.executions == 0 and report.bypass.bypassed == 0
+        assert objects(db) == stateless_objects(edited)
+
+    def test_body_edit_compiles_only_the_edited_function(self):
+        db = BuildDatabase()
+        build(FILES, db)
+        edited = {"a.mc": FILES["a.mc"].replace("h(3)", "h(4)")}
+        report = build(edited, db)
+        assert report.memo == {"functions_reused": 2, "functions_compiled": 1}
+        counters = report.metrics["counters"]
+        assert counters["memo.functions_reused"] == 2
+        assert counters["memo.functions_compiled"] == 1
+        assert objects(db) == stateless_objects(edited)
+
+    def test_fine_policy_records_no_keys_and_reuses_nothing(self):
+        db = BuildDatabase()
+        fine = CompilerOptions(stateful=True)
+        build(FILES, db, fine)
+        report = build({"a.mc": "// c\n" + FILES["a.mc"]}, db, fine)
+        assert report.memo == {} and db.units["a.mc"].memo == {}
+        assert "memo.functions_reused" not in report.metrics["counters"]
+
+    @pytest.mark.parametrize("jobs", [1, 4])
+    def test_ten_edit_trace_is_byte_identical_to_stateless(self, jobs):
+        spec = make_preset("small", seed=3)
+        edits = random_edit_sequence(spec, 10, seed=3, mix=FUZZ_EDIT_MIX)
+        db, reused = BuildDatabase(), 0
+        for step in range(len(edits) + 1):
+            if step:
+                spec = apply_edit(spec, edits[step - 1])
+            files = generate_project(spec).files
+            report = build(files, db, jobs=jobs)
+            reused += report.memo["functions_reused"]
+            assert objects(db) == stateless_objects(files), edits[step - 1]
+        assert reused > 0
+
+    def test_v4_database_loads_and_builds(self, tmp_path):
+        path = tmp_path / "b.reprodb"
+        db = BuildDatabase()
+        build(FILES, db)
+        db.save(path)
+        # The DB as schema 4 wrote it: no unit carries memo keys.
+        payload = json.loads(BuildDatabase.load(path).to_json())
+        payload["schema"] = 4
+        for unit in payload["units"]:
+            del unit["memo"], unit["reused"]
+        atomic_write(path, json.dumps(payload).encode("utf-8"))
+        old = BuildDatabase.load(path)
+        assert old.units["a.mc"].memo == {}
+        edited = {"a.mc": "// c\n" + FILES["a.mc"]}
+        assert build(edited, old).memo["functions_reused"] == 0
+        assert objects(old) == stateless_objects(edited)
+        again = {"a.mc": "// d\n" + FILES["a.mc"]}
+        assert build(again, old).memo["functions_reused"] == 3
+        old.save_changes()
+        assert BuildDatabase.load(path).units["a.mc"].memo == old.units["a.mc"].memo
+
+
+class TestKey:
+    """Each fact that decides a function's code changes its key."""
+
+    def test_callee_purity_flip(self):
+        pure = "int g(int p) { return p * 3; }\nint f(int x) { g(x); return x; }\n"
+        impure = pure.replace("return p * 3;", "print(p); return p * 3;")
+        options = CompilerOptions(stateful=True, policy=SkipPolicy.MEMO, opt_level="O1")
+        assert compile_keys(pure, options)["f"] != compile_keys(impure, options)["f"]
+
+    def test_block_rename(self):
+        fn = Compiler(MemoryFileProvider({}), MEMO).compile_source(
+            "u.mc", FILES["a.mc"]
+        ).module.functions["g"]
+        before = memo_key(fn, "fp", "ctx")
+        fn.blocks[-1].name = "renamed"
+        assert memo_key(fn, "fp", "ctx") != before
+
+    def test_function_rename(self):
+        renamed = FILES["a.mc"].replace("h(", "k(")
+        assert compile_keys(FILES["a.mc"])["h"] != compile_keys(renamed)["k"]
+        assert compile_keys(FILES["a.mc"])["g"] == compile_keys(renamed)["g"]
+
+    def test_name_counter(self):
+        fn = Compiler(MemoryFileProvider({}), MEMO).compile_source(
+            "u.mc", FILES["a.mc"]
+        ).module.functions["g"]
+        before = memo_key(fn, "fp", "ctx")
+        fn.next_name()
+        assert memo_key(fn, "fp", "ctx") != before
+
+    def test_opt_level(self):
+        o1 = CompilerOptions(stateful=True, policy=SkipPolicy.MEMO, opt_level="O1")
+        assert compile_keys(FILES["a.mc"])["g"] != compile_keys(FILES["a.mc"], o1)["g"]
+
+    def test_pipeline_signature(self, monkeypatch):
+        before = compile_keys(FILES["a.mc"])
+        bigger_inliner(monkeypatch)
+        assert all(before[name] != key for name, key in compile_keys(FILES["a.mc"]).items())
+
+
+def bigger_inliner(monkeypatch, threshold=40):
+    """Make every pipeline the driver builds inline more."""
+    real = pipeline_module.build_pipeline
+
+    def build_pipeline(opt_level):
+        pipeline = real(opt_level)
+        for module_pass in pipeline.module_prelude:
+            if isinstance(module_pass, InlinerPass):
+                module_pass.size_threshold = threshold
+        return pipeline
+
+    monkeypatch.setattr("repro.driver.build_pipeline", build_pipeline)
+
+
+class TestPipelineSignature:
+    def test_covers_parameters_and_versions(self, monkeypatch):
+        assert pass_signature(InlinerPass(25)) != pass_signature(InlinerPass(40))
+        assert pass_signature(LoopUnrollPass(max_trip=8)) != pass_signature(LoopUnrollPass())
+        signature = pipeline_signature_of(pipeline_module.build_pipeline("O2"))
+        assert "inline@1(size_threshold=25)" in signature
+        monkeypatch.setattr(LoopUnrollPass, "VERSION", 2)
+        assert pipeline_signature_of(pipeline_module.build_pipeline("O2")) != signature
+
+    def test_a_parameter_change_empties_the_state_and_the_memo(self, monkeypatch):
+        db = BuildDatabase()
+        build(FILES, db)
+        assert build({"a.mc": "// c\n" + FILES["a.mc"]}, db).memo["functions_reused"] == 3
+        bigger_inliner(monkeypatch)
+        report = build({"a.mc": "// d\n" + FILES["a.mc"]}, db)
+        assert report.memo == {"functions_reused": 0, "functions_compiled": 3}
+        counters = report.metrics["counters"]
+        assert counters["state.records_refreshed"] == 0 and report.bypass.bypassed == 0
+        # The old records are gone: the state holds this build's alone.
+        assert db.live_state.build_counter == 1
+        assert db.live_state.num_records == counters["state.records_written"]
+
+
+class TestObservability:
+    def test_report_round_trips_memo(self):
+        db = BuildDatabase()
+        build(FILES, db)
+        report = build({"a.mc": "// c\n" + FILES["a.mc"]}, db)
+        payload = json.loads(report.to_json())
+        assert payload["schema"] == 5 and payload["memo"]["functions_reused"] == 3
+        assert BuildReport.from_json(report.to_json()).to_dict() == payload
+        record = HistoryRecord(1, 0.0, "edit", payload)
+        assert (record.functions_reused, record.functions_compiled) == (3, 0)
+        assert record.bypass_rate == 0.0
+
+    def test_explain_reports_reuse(self):
+        db = BuildDatabase()
+        build(FILES, db)
+        edited = {"a.mc": FILES["a.mc"].replace("h(3)", "h(5)")}
+        build(edited, db)
+        provider = MemoryFileProvider(edited)
+        text = explain_unit(db, DependencyScanner(provider).snapshot("a.mc"), "-O2")
+        assert "reused the machine code of 2/3 functions" in text
+
+    def test_audit_recompiles_reused_functions(self):
+        db = BuildDatabase()
+        build(FILES, db)
+        provider = MemoryFileProvider(dict(FILES))
+        audit = audit_fingerprint_collisions(
+            provider, ["a.mc"], MEMO, db.live_state, units=db.units
+        )
+        assert audit.ok and audit.memo_checked == 3
+
+    def test_audit_catches_reused_code_that_differs(self):
+        db = BuildDatabase()
+        build(FILES, db)
+        record = db.units["a.mc"]
+        tampered = json.loads(record.object_json)
+        for function in tampered["functions"]:
+            if function["name"] == "h":
+                for inst in function["code"]:
+                    if inst[0] == MOp.LI.value:
+                        inst[2] += 1
+                        break
+        record.object_json = json.dumps(tampered, indent=1, sort_keys=True)
+        audit = audit_fingerprint_collisions(
+            MemoryFileProvider(dict(FILES)), ["a.mc"], MEMO, db.live_state, units=db.units
+        )
+        assert [(m["kind"], m["function"]) for m in audit.mismatches] == [("memo-reuse", "h")]
+
+
+def test_purity_flip_edit_toggles_a_printing_probe():
+    spec = make_preset("tiny", seed=1)
+    module = spec.modules[0]
+    flipped = apply_edit(spec, Edit(EditKind.PURITY_FLIP, module.name))
+    text = generate_project(flipped).files[f"{module.name}.mc"]
+    assert f"int {module.name}_probe(" in text and "print(v);" in text
+    again = generate_project(apply_edit(flipped, Edit(EditKind.PURITY_FLIP, module.name)))
+    assert "print(v);" not in again.files[f"{module.name}.mc"]
+    # The caller's text is the same either way.
+    caller = module.functions[-1].name
+    assert text[text.index(f"int {caller}("):] == again.files[f"{module.name}.mc"][
+        again.files[f"{module.name}.mc"].index(f"int {caller}("):
+    ]

@@ -185,9 +185,12 @@ class TestWorkCounts:
     def test_edit_build_encodes_whole_state_only_when_compacting(
         self, tmp_path, capsys, monkeypatch
     ):
+        # Under the memo policy an edit build's delta holds only the
+        # edited function's records, and eight of them never reach the
+        # compaction threshold; the fine policy's deltas do.
         spec = make_preset("small", seed=4)
         generate_project(spec).write_to(tmp_path / "proj")
-        assert run(tmp_path, capsys)[0] == 0
+        assert run(tmp_path, capsys, "--policy", "fine")[0] == 0
         base = tmp_path / "build.reprodb.state"
         calls = count_calls(monkeypatch)
         appended = compacted = 0
@@ -197,7 +200,7 @@ class TestWorkCounts:
             generate_project(spec).write_to(tmp_path / "proj")
             generation = base.read_bytes().split(b"\n")[1]
             calls.clear()
-            rc, _, err = run(tmp_path, capsys)
+            rc, _, err = run(tmp_path, capsys, "--policy", "fine")
             assert rc == 0 and "1 recompiled" in err
             compacts = base.read_bytes().split(b"\n")[1] != generation
             assert calls.get("CompilerState.to_json", 0) == int(compacts)
@@ -247,7 +250,7 @@ class TestWorkCounts:
         # the fresh b.mc came with its own.  Nothing links.
         assert calls["ObjectFile.from_json"] == len(FILES) - 1 and "link" not in calls
         db = BuildDatabase.load(path)
-        assert json.loads(db.to_json())["schema"] == 4
+        assert json.loads(db.to_json())["schema"] == 5
         for record in db.units.values():
             assert record.symbols == ObjectFile.from_json(record.object_json).link_symbols()
 

@@ -149,8 +149,12 @@ class TestEdits:
         assert not VirtualMachine(report.image).run().trapped
 
     def test_mix_weights_cover_all_kinds(self):
+        from repro.testing.differential import FUZZ_EDIT_MIX
+
+        # Purity flips are the fuzzer's alone, so benchmark traces keep their shape.
         kinds = {k for k, _ in DEFAULT_EDIT_MIX}
-        assert kinds == set(EditKind)
+        assert kinds == set(EditKind) - {EditKind.PURITY_FLIP}
+        assert {k for k, _ in FUZZ_EDIT_MIX} == set(EditKind)
 
     def test_describe(self):
         assert Edit(EditKind.BODY, "mod1", "mod1_f2").describe() == "body@mod1.mod1_f2"
