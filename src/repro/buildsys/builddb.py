@@ -177,18 +177,23 @@ class UnitRecord(Struct):
 
 
 class StateStore:
-    """The compiler state's files beside one build DB (or none, in memory).
+    """The only reader and writer of compiler-state files.
+
+    A state is a base file (``base_path``: a generation token, then
+    :meth:`CompilerState.to_json`, as one checksummed artifact) plus a
+    delta log beside it (``<base_path>.log``).  The build DB keeps its
+    state at ``<db>.state``; ``reproc --state-file X`` keeps it at ``X``.
 
     :meth:`stage` encodes the write that brings the files up to a given
     state and updates the byte counts to what they will be; :meth:`flush`
-    performs it.  An in-memory store (``db_path=None``) stages the same
+    performs it.  An in-memory store (``base_path=None``) stages the same
     way but keeps nothing to flush, so a DB that never touches the disk
     still accounts its state exactly as an on-disk one would.
     """
 
-    def __init__(self, db_path: str | Path | None = None):
-        self.base_path = None if db_path is None else Path(f"{db_path}.state")
-        self.log_path = None if db_path is None else Path(f"{db_path}.state.log")
+    def __init__(self, base_path: str | Path | None = None):
+        self.base_path = None if base_path is None else Path(base_path)
+        self.log_path = None if base_path is None else Path(f"{base_path}.log")
         #: The state the files hold once staged writes are flushed.
         self.state: CompilerState | None = None
         self.generation = ""
@@ -510,7 +515,7 @@ class BuildDatabase:
         """
         path = Path(path)
         state = self.live_state
-        store = StateStore(path)
+        store = StateStore(f"{path}.state")
         if state is not None:
             store.stage(state)
             store.flush(durable=durable)
@@ -542,7 +547,7 @@ class BuildDatabase:
     def _bind(self, path: Path) -> "BuildDatabase":
         """Attach to ``path``: its state files load lazily, saves go there."""
         self.path = path
-        self._store = StateStore(path)
+        self._store = StateStore(f"{path}.state")
         self._state_loaded = False
         return self
 

@@ -16,9 +16,9 @@ variants plug into.  Per build it:
    keys, from which unchanged functions take their machine code),
    serially or on a worker pool per :class:`~repro.buildsys.parallel.BuildOptions`
    (``jobs > 1`` runs the make ``-j`` analogue; for stateful builds each
-   worker compiles against a read-only state snapshot and the driver
-   merges the returned deltas in unit order, so results are
-   deterministic regardless of scheduling);
+   unit compiles against a snapshot of the state as the build started
+   and the driver merges the returned deltas in unit order, so results
+   are deterministic regardless of scheduling);
 4. reuses cached object JSON for up-to-date units;
 5. links everything into one runnable :class:`~repro.backend.linker.LinkedImage`
    — or, when the caller only needs the link *checked*
@@ -222,7 +222,7 @@ class IncrementalBuilder:
         if jobs <= 1:
             error = self._compile_serial(compiler, snapshots, dirty, report, objects)
         else:
-            error = self._compile_parallel(compiler, snapshots, dirty, report, jobs)
+            error = self._compile_parallel(compiler, snapshots, dirty, report, objects, jobs)
         report.compile_phase_time = time.perf_counter() - phase_start
         if dirty:
             self.tracer.add("compile", "phase", phase_start, report.compile_phase_time)
@@ -308,29 +308,30 @@ class IncrementalBuilder:
         snapshots: dict[str, DependencySnapshot],
         dirty: list[str],
         report: BuildReport,
+        objects: dict[str, ObjectFile],
         jobs: int,
     ) -> Exception | None:
         """Worker-pool compilation with deterministic unit-order merging.
 
-        Workers compile against a read-only snapshot of the live state
-        and outcomes are folded back in translation-unit order — object
-        records, report entries, and state-delta merges are all
-        independent of completion order, which is what makes a ``-j N``
-        build reproducible.
+        Workers compile against the live state, which nothing changes
+        until the pool is done, and outcomes are folded back in
+        translation-unit order — object records, report entries, and
+        state-delta merges are all independent of completion order,
+        which is what makes a ``-j N`` build reproducible.  A pool that
+        cannot start or breaks has merged nothing, so the serial loop
+        compiles every unit instead.
         """
-        state_snapshot = None
-        if self.options.stateful and compiler.state is not None:
-            state_snapshot = compiler.state.snapshot()
-
         outcomes = compile_units(
             self.provider,
             self.options,
-            state_snapshot,
+            compiler.state,
             dirty,
             jobs=jobs,
             trace=self.tracer.enabled,
             previous={path: self._previous(path) for path in dirty},
         )
+        if outcomes is None:
+            return self._compile_serial(compiler, snapshots, dirty, report, objects)
 
         error: Exception | None = None
         for path in dirty:

@@ -6,10 +6,12 @@ independent *except* for the shared :class:`~repro.core.state.CompilerState`.
 This module runs them on a :mod:`concurrent.futures` worker pool and
 keeps statefulness safe with the snapshot/delta protocol:
 
-1. the build driver advances the live state one build tick, then takes
-   one read-only :meth:`~repro.core.state.CompilerState.snapshot`;
-2. every worker compiles each of its units against a private copy of
-   that snapshot (never the live state), tracking the dormancy records
+1. the build driver advances the live state one build tick and hands
+   it to the pool; the workers fork with their own copy of it, and the
+   driver changes nothing in it until every outcome is back;
+2. every worker compiles each of its units against a
+   :meth:`~repro.core.state.CompilerState.snapshot` of that state (a
+   shallow copy: records are immutable), tracking the dormancy records
    it creates or refreshes;
 3. each unit's result travels back as a picklable :class:`UnitOutcome`
    carrying the object JSON, the bypass statistics, and a
@@ -19,10 +21,10 @@ keeps statefulness safe with the snapshot/delta protocol:
 
 Workers are processes, one compiler per unit as with ``make -j``: the
 compiler is CPU-bound Python, so only processes run it in parallel.
-``jobs=1`` takes the builder's serial loop instead and is
-behavior-identical to the pre-parallel builder.  A process pool that
-cannot start or breaks (no fork in a sandbox, a killed worker) logs a
-warning and the same units compile in-process, one after another.
+``jobs=1`` takes the builder's serial loop instead.  A process pool
+that cannot start or breaks (no fork in a sandbox, a killed worker)
+logs a warning and :func:`compile_units` returns ``None``; the builder
+then compiles the same units in that serial loop.
 
 Workers return *data*, not exceptions: a failed unit comes back as an
 outcome with diagnostics attached (``CompileError`` does not survive
@@ -205,10 +207,10 @@ class UnitOutcome(Struct):
 
 # -- the worker side ---------------------------------------------------------
 #
-# The pool ships the (provider, options, state snapshot) triple once per
-# worker process via the initializer instead of once per task.  Worker
-# state is read-only: every task takes its own copy of the snapshot so
-# outcomes are independent of which worker ran which unit.
+# The pool ships the (provider, options, state) triple once per worker
+# process via the initializer instead of once per task.  Worker state is
+# read-only: every task takes its own snapshot of it so outcomes are
+# independent of which worker ran which unit.
 
 _WORKER_CONTEXT: dict = {}
 
@@ -235,12 +237,13 @@ def compile_unit(
     worker: str = "main",
     trace: bool = False,
 ) -> UnitOutcome:
-    """Compile one unit against a private state copy; never raises.
+    """Compile one unit against a private state snapshot; never raises.
 
-    ``state`` is the build-wide snapshot (``None`` for stateless
-    builds); the copy taken here is what makes the outcome independent
-    of scheduling — the unit sees exactly the records that existed when
-    the build started, as the snapshot/delta protocol promises.
+    ``state`` is the state as the build started (``None`` for stateless
+    builds); the snapshot taken here is what makes the outcome
+    independent of scheduling — the unit sees exactly the records that
+    existed when the build started, as the snapshot/delta protocol
+    promises.
     ``previous`` is the unit's last object JSON and memo keys, for the
     memo policy (``None`` = none).
 
@@ -340,18 +343,20 @@ def compile_units(
     jobs: int,
     trace: bool = False,
     previous: dict[str, Previous] | None = None,
-) -> dict[str, UnitOutcome]:
+) -> dict[str, UnitOutcome] | None:
     """Compile ``paths`` on a process pool; returns outcomes keyed by path.
 
-    ``previous`` maps a unit to its last object JSON and memo keys
-    (units without one are absent); each task carries its own.
+    ``state`` is the live state (``None`` for stateless builds); the
+    caller must not change it until this returns.  ``previous`` maps a
+    unit to its last object JSON and memo keys (units without one are
+    absent); each task carries its own.
 
     Failed units are present with diagnostics attached; units abandoned
     after a failure are absent.  A pool that cannot start or dies (no
-    fork in the sandbox, a killed worker) degrades to compiling every
-    unit in-process, in order, stopping at the first failure —
-    compilation is deterministic and nothing has been merged yet, so a
-    full retry is safe.
+    fork in the sandbox, a killed worker) logs a warning and returns
+    ``None``: the caller compiles the units itself — compilation is
+    deterministic and nothing has been merged yet, so a full retry is
+    safe.
     """
     from concurrent.futures import BrokenExecutor
 
@@ -360,12 +365,4 @@ def compile_units(
         return _run_pool(jobs, (provider, options, state, trace), paths, previous)
     except (BrokenExecutor, OSError) as exc:
         logger.warning("process pool unavailable (%s); compiling serially", exc)
-    outcomes: dict[str, UnitOutcome] = {}
-    for path in paths:
-        outcome = compile_unit(
-            provider, options, state, path, previous=previous.get(path), trace=trace
-        )
-        outcomes[path] = outcome
-        if outcome.failed:
-            break
-    return outcomes
+        return None

@@ -122,7 +122,10 @@ def reproc_main(argv: list[str] | None = None) -> int:
     parser.add_argument("source", help="translation unit (.mc) to compile")
     _common_compiler_flags(parser)
     parser.add_argument("-o", "--output", help="object file path (default <src>.mo)")
-    parser.add_argument("--state-file", help="compiler-state path for --stateful")
+    parser.add_argument(
+        "--state-file",
+        help="compiler-state path for --stateful (its delta log is <path>.log)",
+    )
     parser.add_argument("--emit-ir", action="store_true", help="print optimized IR and exit")
     parser.add_argument(
         "--disasm", action="store_true", help="print disassembled machine code and exit"
@@ -136,7 +139,7 @@ def reproc_main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     setup_logging(args.verbose)
 
-    from repro.core.state import CompilerState
+    from repro.buildsys.builddb import StateStore
     from repro.driver import Compiler
 
     source_path = Path(args.source)
@@ -148,12 +151,16 @@ def reproc_main(argv: list[str] | None = None) -> int:
     tracer = _make_tracer(args)
     compiler = Compiler(provider, options, tracer=tracer)
 
+    store = None
     if options.stateful and args.state_file:
-        compiler.state = CompilerState.load(
-            args.state_file,
-            pipeline_signature=compiler.pipeline_signature,
-            fingerprint_mode=options.fingerprint_mode,
-        )
+        # A missing, damaged or incompatible state file leaves the
+        # compiler's fresh state in place: stale records are never used.
+        store = StateStore(args.state_file)
+        state = store.load()
+        if state is not None and state.compatible_with(
+            compiler.pipeline_signature, options.fingerprint_mode
+        ):
+            compiler.state = state
         compiler.state.begin_build()
 
     try:
@@ -165,10 +172,11 @@ def reproc_main(argv: list[str] | None = None) -> int:
     if args.trace_out:
         tracer.write(args.trace_out)
 
-    if options.stateful and args.state_file and compiler.state is not None:
+    if store is not None:
         compiler.state.collect_garbage()
+        store.stage(compiler.state)
         try:
-            compiler.state.save(args.state_file)
+            store.flush()
         except OSError as exc:
             # The state is a cache: losing it costs bypasses on the next
             # run, not correctness — never fail the compile over it.

@@ -25,17 +25,25 @@ for ``gc_max_age`` ticks of that clock are garbage-collected so the
 state does not grow without bound as code churns.  A no-op build does
 not tick it, so any number of no-op builds reclaims nothing.
 
-**Size accounting.**  :attr:`CompilerState.stored_bytes` is the size of
-the state's persisted form, set by whoever last wrote or read it (the
-build DB's state files, or :meth:`CompilerState.save`/:meth:`load` for
-a standalone file).  :meth:`CompilerState.size_summary` reports that
-number and never re-serializes the state to measure it.
+**Records are immutable.**  A :class:`DormancyRecord` is a content-keyed
+fact, so it is a named tuple: a lookup hit stores a copy with a fresh
+GC timestamp instead of changing the record.  A snapshot is therefore
+a shallow copy of the record map, and deltas share records with the
+state they came from.
+
+**Persistence.**  The state's one on-disk form is the base file plus
+delta log that :class:`~repro.buildsys.builddb.StateStore` reads and
+writes, for the build DB (``<db>.state``) and ``reproc --state-file``
+alike.  :attr:`CompilerState.stored_bytes` is the size of those files,
+set by the store on every load and stage;
+:meth:`CompilerState.size_summary` reports that number and never
+re-serializes the state to measure it.
 
 For parallel builds the state additionally supports a snapshot/delta
 protocol (:meth:`CompilerState.snapshot`, :meth:`CompilerState.extract_delta`,
-:meth:`CompilerState.merge_delta`): each build worker compiles against a
-read-only copy of the records taken at build start and hands back only
-the records it created or refreshed; the build driver folds those
+:meth:`CompilerState.merge_delta`): each unit compiles against a
+snapshot of the records as they were at build start and hands back
+only the records it created or refreshed; the build driver folds those
 :class:`StateDelta` objects into the live state in a deterministic
 order.  Because records are keyed by content fingerprints and passes
 are deterministic, two workers that write the same key necessarily
@@ -48,11 +56,10 @@ from __future__ import annotations
 
 import json
 import time
-from pathlib import Path
+from typing import NamedTuple
 
 from repro._struct import Struct
 from repro.obs.metrics import MetricsRegistry
-from repro.persist import CorruptArtifactError, atomic_write, read_artifact
 
 #: v4 orders each row ``[position, fingerprint, last_used_build,
 #: dormant, fingerprint_out]`` and stores ``fingerprint_out`` as "" when
@@ -62,33 +69,19 @@ from repro.persist import CorruptArtifactError, atomic_write, read_artifact
 STATE_SCHEMA_VERSION = 5
 
 
-class DormancyRecord(Struct):
-    """What happened when a pass ran on IR with a given fingerprint."""
+class DormancyRecord(NamedTuple):
+    """What happened when a pass ran on IR with a given fingerprint.
 
-    _fields = ("dormant", "fingerprint_out", "last_used_build")
+    Immutable: a lookup hit stores a refreshed copy
+    (:meth:`CompilerState.lookup`), so any number of states, snapshots
+    and deltas can share one record.
+    """
 
-    def __init__(
-        self,
-        dormant: bool,
-        fingerprint_out: str,
-        last_used_build: int = 0,
-    ) -> None:
-        self.dormant = dormant
-        #: Fingerprint after the pass ran (== the incoming one when dormant).
-        self.fingerprint_out = fingerprint_out
-        #: Build counter when this record was last consulted or refreshed.
-        self.last_used_build = last_used_build
-
-    def replace(self, **changes: object) -> DormancyRecord:
-        """A copy of this record with ``changes`` applied to named fields."""
-        return DormancyRecord(
-            **{
-                "dormant": self.dormant,
-                "fingerprint_out": self.fingerprint_out,
-                "last_used_build": self.last_used_build,
-                **changes,
-            }
-        )
+    dormant: bool
+    #: Fingerprint after the pass ran (== the incoming one when dormant).
+    fingerprint_out: str
+    #: Build counter when this record was last consulted or refreshed.
+    last_used_build: int = 0
 
 
 def encode_records(records: dict[tuple[int, str], DormancyRecord]) -> list[list]:
@@ -101,9 +94,14 @@ def encode_records(records: dict[tuple[int, str], DormancyRecord]) -> list[list]
 
 
 def decode_records(rows: list[list]) -> dict[tuple[int, str], DormancyRecord]:
-    """Inverse of :func:`encode_records`."""
+    """Inverse of :func:`encode_records`.
+
+    Rows are built with ``tuple.__new__``: the named-tuple constructor
+    costs about a third more, on every load of the state.
+    """
+    new = tuple.__new__
     return {
-        (pos, fp): DormancyRecord(bool(dormant), fp_out or fp, last_used)
+        (pos, fp): new(DormancyRecord, (bool(dormant), fp_out or fp, last_used))
         for pos, fp, last_used, dormant, fp_out in rows
     }
 
@@ -119,10 +117,10 @@ class StateDelta(Struct):
     tick — which is what makes merged garbage collection behave exactly
     like a serial build's.
 
-    It is also the unit of persistence: the build database appends the
-    delta of every build that touched the state to its state log
-    (:class:`~repro.buildsys.builddb.StateStore`) instead of rewriting
-    every record.
+    It is also the unit of persistence:
+    :class:`~repro.buildsys.builddb.StateStore` appends the delta of
+    every build that touched the state to the state log instead of
+    rewriting every record.
     """
 
     _fields = ("build_counter", "records")
@@ -141,7 +139,7 @@ class StateDelta(Struct):
 
 
 class CompilerState(Struct):
-    """In-memory compiler state, serializable to one JSON file."""
+    """In-memory compiler state; :meth:`to_json` is its serialized form."""
 
     _fields = (
         "pipeline_signature", "fingerprint_mode", "build_counter", "gc_max_age",
@@ -184,7 +182,7 @@ class CompilerState(Struct):
     # -- observability -------------------------------------------------------
 
     def attach_metrics(self, metrics: MetricsRegistry | None) -> None:
-        """Report GC, snapshot and merge cost into ``metrics``.
+        """Report the cost of :meth:`merge_delta` into ``metrics``.
 
         Per-record traffic (lookups, hits, writes) is counted by the
         pass manager's ledger instead, so it is counted on pool
@@ -195,12 +193,15 @@ class CompilerState(Struct):
     # -- record access ------------------------------------------------------
 
     def lookup(self, position: int, fingerprint: str) -> DormancyRecord | None:
-        """Fetch a record, refreshing its GC timestamp on hit."""
-        record = self.records.get((position, fingerprint))
+        """Fetch a record; a hit stores it back with a fresh GC timestamp."""
+        key = (position, fingerprint)
+        record = self.records.get(key)
         if record is not None:
-            record.last_used_build = self.build_counter
+            if record.last_used_build != self.build_counter:
+                record = record._replace(last_used_build=self.build_counter)
+                self.records[key] = record
             if self._touched is not None:
-                self._touched.add((position, fingerprint))
+                self._touched.add(key)
         return record
 
     def remember(
@@ -252,25 +253,20 @@ class CompilerState(Struct):
     # -- parallel-build snapshot/delta protocol -----------------------------
 
     def snapshot(self) -> "CompilerState":
-        """An independent copy for one worker to compile against.
+        """An independent copy for one unit to compile against.
 
-        Records are copied individually because :meth:`lookup` mutates
-        ``last_used_build`` in place — a worker must never write through
-        to the live state it was snapshotted from.  The copy carries no
-        metrics sink: a worker accounts through its own registry.
+        A shallow copy of the record map: records are immutable, and
+        every write (new verdict or refreshed timestamp) replaces a map
+        entry, so nothing written to the copy reaches this state.  The
+        copy carries no metrics sink and tracks no delta.
         """
-        start = time.perf_counter()
-        copy = CompilerState(
+        return CompilerState(
             pipeline_signature=self.pipeline_signature,
             fingerprint_mode=self.fingerprint_mode,
             build_counter=self.build_counter,
             gc_max_age=self.gc_max_age,
-            records={key: record.replace() for key, record in self.records.items()},
+            records=dict(self.records),
         )
-        if self._metrics is not None:
-            self._metrics.observe("state.snapshot_time", time.perf_counter() - start)
-            self._metrics.inc("state.snapshots")
-        return copy
 
     def begin_delta_tracking(self) -> None:
         """Start recording which keys :meth:`lookup`/:meth:`remember` touch."""
@@ -285,13 +281,10 @@ class CompilerState(Struct):
         """
         if self._touched is None:
             raise RuntimeError("extract_delta() without begin_delta_tracking()")
+        records = self.records
         return StateDelta(
             build_counter=self.build_counter,
-            records={
-                key: self.records[key].replace()
-                for key in self._touched
-                if key in self.records
-            },
+            records={key: records[key] for key in self._touched if key in records},
         )
 
     def merge_delta(self, delta: StateDelta) -> int:
@@ -306,14 +299,12 @@ class CompilerState(Struct):
         by *any* worker stays as fresh as the freshest use.
         """
         start = time.perf_counter()
+        records = self.records
         for key, incoming in delta.records.items():
-            existing = self.records.get(key)
-            merged = incoming.replace()
-            if existing is not None:
-                merged.last_used_build = max(
-                    existing.last_used_build, incoming.last_used_build
-                )
-            self.records[key] = merged
+            existing = records.get(key)
+            if existing is not None and existing.last_used_build > incoming.last_used_build:
+                incoming = incoming._replace(last_used_build=existing.last_used_build)
+            records[key] = incoming
         if self._touched is not None:
             self._touched.update(delta.records)
         self.build_counter = max(self.build_counter, delta.build_counter)
@@ -361,55 +352,6 @@ class CompilerState(Struct):
             gc_reclaimed_total=payload.get("gc_reclaimed", 0),
             records=decode_records(payload["records"]),
         )
-        return state
-
-    # -- file I/O ----------------------------------------------------------------------
-
-    def save(self, path: str | Path, *, durable: bool = True) -> int:
-        """Write crash-consistently; returns the on-disk size in bytes.
-
-        Same checksummed atomic-replace protocol as the build DB
-        (:func:`repro.persist.atomic_write`): a crash mid-save leaves
-        the previous state file intact, never a torn one.
-        """
-        self.stored_bytes = atomic_write(
-            Path(path), self.to_json().encode("utf-8"), durable=durable
-        )
-        return self.stored_bytes
-
-    @classmethod
-    def load(
-        cls,
-        path: str | Path,
-        *,
-        pipeline_signature: str,
-        fingerprint_mode: str = "canonical",
-    ) -> "CompilerState":
-        """Load state, returning a fresh one on any incompatibility.
-
-        A missing file, unreadable/corrupt bytes (including a failed
-        artifact checksum), schema mismatch, or pipeline /
-        fingerprint-mode mismatch all yield an empty state — stale or
-        damaged state must never be applied, and losing it only costs
-        one build's worth of bypasses.
-        """
-        path = Path(path)
-        fresh = cls(
-            pipeline_signature=pipeline_signature, fingerprint_mode=fingerprint_mode
-        )
-        if not path.is_file():
-            return fresh
-        try:
-            blob = read_artifact(path)
-            state = cls.from_json(blob.decode("utf-8"))
-        except (
-            ValueError, KeyError, TypeError, OSError,
-            UnicodeDecodeError, CorruptArtifactError,
-        ):
-            return fresh
-        if not state.compatible_with(pipeline_signature, fingerprint_mode):
-            return fresh
-        state.stored_bytes = path.stat().st_size
         return state
 
 

@@ -169,9 +169,8 @@ class Compiler:
         tracer.add("passes", "phase", start, time.perf_counter() - start, unit=name)
         memo_keys, reused = manager.memo_keys, manager.reused
 
-        if self.options.verify_output:
-            # A reused function's IR never reaches the backend.
-            verify_module(module, skip=reused)
+        # A reused function's IR never reaches the backend.
+        verify_module(module, skip=reused)
 
         start = time.perf_counter()
         object_file = compile_module_to_object(
@@ -186,20 +185,12 @@ class Compiler:
             ("passes.executed", stats.executions),
             ("passes.work", stats.work_executed),
             ("passes.bypassed", stats.bypassed),
-            ("passes.dormant", stats.dormant_executions),
-            ("passes.module_executed", ledger.module_runs),
         ]
         if self.options.stateful:
             counters += [
                 ("state.lookups", ledger.lookups),
                 ("state.records_refreshed", ledger.hits),
                 ("state.records_written", ledger.records_written),
-                ("fingerprint.count", ledger.fingerprints),
-            ]
-        if memo_keys:
-            counters += [
-                ("memo.functions_reused", len(reused)),
-                ("memo.functions_compiled", len(memo_keys) - len(reused)),
             ]
         for counter, value in counters:
             metrics.inc(counter, value)

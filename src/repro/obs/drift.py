@@ -10,9 +10,15 @@ so sub-millisecond jitter on tiny passes can't page anyone.
 Detectors:
 
 - **bypass-rate drop** — the headline number of the stateful compiler:
-  if the fraction of bypassed pass runs in the latest incremental build
-  falls more than ``bypass_drop`` below the median of recent
-  incremental builds, the dormancy mechanism stopped earning its keep.
+  if the share of optimization work the latest incremental build
+  skipped (:attr:`~repro.obs.history.HistoryRecord.skip_rate`: bypassed
+  pass runs, and under the memo policy reused functions too) falls more
+  than ``bypass_drop`` below the median of recent incremental builds,
+  the stateful compiler stopped earning its keep.  Under the fine
+  policy that share is the bypass rate itself; under the memo policy
+  the drop must also exceed the sampling noise of the functions the
+  build keyed, so a small edit build that compiled one function more
+  than usual is not flagged.
 - **per-pass wall regression** — per-run mean wall time of each pass
   (from each record's per-pass ``wall``) against its median baseline;
   flagged only beyond *both* a relative factor and an absolute
@@ -31,6 +37,7 @@ stays pure data analytics over history records.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import sqrt
 from statistics import median
 
 from repro.obs.history import HistoryRecord
@@ -123,18 +130,24 @@ def _check_bypass_rate(
         return
     latest = comparable[-1]
     baseline = median(
-        r.bypass_rate for r in comparable[-(config.window + 1):-1]
+        r.skip_rate for r in comparable[-(config.window + 1):-1]
     )
-    if baseline - latest.bypass_rate > config.bypass_drop:
+    # Under the memo policy the skipped share is a share of the functions
+    # the build keyed, and a small build's share moves by whole
+    # functions: a drop must also exceed two standard errors of a share
+    # of that many functions at the baseline rate.
+    keyed = latest.functions_reused + latest.functions_compiled
+    noise = 2.0 * sqrt(baseline * (1.0 - baseline) / keyed) if keyed else 0.0
+    if baseline - latest.skip_rate > max(config.bypass_drop, noise):
         findings.append(
             DriftFinding(
                 kind="bypass-rate",
-                metric="bypass_rate",
+                metric="skip_rate",
                 baseline=baseline,
-                current=latest.bypass_rate,
+                current=latest.skip_rate,
                 seq=latest.seq,
                 message=(
-                    f"bypass rate fell to {latest.bypass_rate:.1%} "
+                    f"bypass rate fell to {latest.skip_rate:.1%} "
                     f"(recent median {baseline:.1%})"
                 ),
             )

@@ -116,6 +116,26 @@ class HistoryRecord(Struct):
         return bypassed / total if total else 0.0
 
     @property
+    def skip_rate(self) -> float:
+        """The share of the build's optimization work that was skipped.
+
+        1 − (executed ÷ pass runs) × (compiled ÷ keyed functions): a
+        bypassed pass run is skipped, and so, under the memo policy, is
+        every pass of a function whose machine code was reused (those
+        functions have no pass runs at all).  A build that reuses every
+        function reads 1.0; with no reused function it equals
+        :attr:`bypass_rate`.
+        """
+        reused, compiled = self.functions_reused, self.functions_compiled
+        if not reused:
+            return self.bypass_rate
+        bypass = self.report.get("bypass", {})
+        executed = int(bypass.get("executions", 0))
+        runs = executed + int(bypass.get("bypassed", 0))
+        ran = executed / runs if runs else 1.0
+        return 1.0 - ran * compiled / (compiled + reused)
+
+    @property
     def functions_reused(self) -> int:
         """Functions whose machine code the memo policy reused (0 before
         report schema 5 and under other policies)."""

@@ -1,8 +1,8 @@
 """The metrics registry: counters, gauges, and timing summaries.
 
 One :class:`MetricsRegistry` collects a build's counters, gauges and
-timings: the compiler driver publishes each unit's ``passes.*``,
-``state.*`` and ``fingerprint.count`` totals from the pass ledger
+timings: the compiler driver publishes each unit's ``passes.*`` and
+``state.*`` totals from the pass ledger
 (:mod:`repro.passmanager.ledger`) once per unit, and the compiler
 state, the dependency scanner and the build driver report their own
 per-build figures.  Per-pass breakdowns are not kept here; they live in
@@ -11,9 +11,8 @@ so a worker process can fill one per unit and ship it back for
 :meth:`MetricsRegistry.merge` on the driver side.
 
 Naming convention: dotted ``family.metric`` strings.  Timings hold only
-durations no other record keeps (``state.snapshot_time``,
-``state.merge_time``); the build and unit phase durations live in the
-build report and the trace.
+durations no other record keeps (``state.merge_time``); the build and
+unit phase durations live in the build report and the trace.
 """
 
 from __future__ import annotations

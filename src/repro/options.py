@@ -18,7 +18,6 @@ class CompilerOptions(Struct):
 
     _fields = (
         "opt_level", "stateful", "policy", "fingerprint_mode", "verify_each",
-        "verify_output",
     )
 
     def __init__(
@@ -28,7 +27,6 @@ class CompilerOptions(Struct):
         policy: SkipPolicy = SkipPolicy.FINE_GRAINED,
         fingerprint_mode: str = "canonical",
         verify_each: bool = False,
-        verify_output: bool = True,
     ) -> None:
         self.opt_level = opt_level
         self.stateful = stateful
@@ -36,8 +34,6 @@ class CompilerOptions(Struct):
         self.fingerprint_mode = fingerprint_mode
         #: Verify IR after every pass (testing only; large slowdown).
         self.verify_each = verify_each
-        #: Verify the final module before codegen.
-        self.verify_output = verify_output
 
     @property
     def object_options(self) -> str:

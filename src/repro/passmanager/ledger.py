@@ -7,10 +7,15 @@ the rows the ledger keeps five plain integers for the stateful
 manager's state traffic.  That is the whole record of a compilation's
 pass accounting; every other view derives from it:
 :meth:`~repro.core.statistics.BypassStatistics.from_ledger` (the
-bypass table, per-pass work and wall time), the build registry's
-``passes.*`` / ``state.*`` / ``fingerprint.count`` counters (published
-once per unit by :meth:`repro.driver.Compiler.compile_source`), and the
-dormancy figures (:mod:`repro.bench.dormancy`).
+bypass table, per-pass work and wall time), the six ``passes.*`` /
+``state.*`` counters of the build registry (published once per unit by
+:meth:`repro.driver.Compiler.compile_source`), and the dormancy figures
+(:mod:`repro.bench.dormancy`).  Dormant and prelude runs, fingerprints
+and memo reuse are not copied into the registry: the bypass table, the
+ledger itself and the build report's ``memo`` already hold them.
+
+Rows are immutable named tuples, as are the compiler state's dormancy
+records (:class:`repro.core.state.DormancyRecord`).
 
 ``work`` is the deterministic cost model (instructions visited); ``ns``
 is measured wall time, 0 for a bypassed run.

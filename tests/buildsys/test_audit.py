@@ -83,7 +83,7 @@ class TestCleanAudit:
     def test_audit_leaves_live_state_untouched(self):
         db = build_history()
         state = db.live_state
-        before = {key: rec.replace() for key, rec in state.records.items()}
+        before = dict(state.records)
         counter = state.build_counter
         run_audit(db)
         assert state.build_counter == counter
@@ -107,7 +107,7 @@ class TestTampering:
         tampered = 0
         for key, record in state.records.items():
             if record.dormant:
-                state.records[key] = record.replace(
+                state.records[key] = record._replace(
                     fingerprint_out="0" * len(record.fingerprint_out)
                 )
                 tampered += 1

@@ -7,6 +7,7 @@ import textwrap
 
 import pytest
 
+from repro.buildsys import parallel
 from repro.buildsys.builddb import BuildDatabase
 from repro.buildsys.incremental import IncrementalBuilder
 from repro.buildsys.parallel import BuildOptions, compile_unit
@@ -40,6 +41,17 @@ FILES = {
     ),
 }
 UNITS = ["extra.mc", "main.mc", "util.mc"]
+
+#: The pool's task function, before any test replaces it.
+COMPILE_UNIT_TASK = parallel._compile_unit_task
+
+
+def die_on_main(path, previous):
+    """A pool task whose worker process dies when it gets ``main.mc``."""
+    if path == "main.mc":
+        os._exit(1)
+    return COMPILE_UNIT_TASK(path, previous)
+
 
 #: A 4-process pool: every parallel test crosses the pickling boundary.
 JOBS4 = BuildOptions(jobs=4)
@@ -335,6 +347,28 @@ class TestPoolFallback:
         # In schedule order: extra.mc compiled, main.mc failed, util.mc
         # was never started.
         assert set(db.units) == {"extra.mc"}
+
+
+class TestBrokenPool:
+    """A worker that dies mid-build breaks the pool; the builder then
+    compiles every unit in its serial loop against the live state."""
+
+    def test_pool_that_breaks_mid_build_builds_serially(self, monkeypatch):
+        db_s, db_p = BuildDatabase(), BuildDatabase()
+        serial = build(FILES, db_s, build_options=SERIAL, stateful=True)
+        monkeypatch.setattr(parallel, "_compile_unit_task", die_on_main)
+        with warnings_from("repro.buildsys.parallel") as warnings:
+            broken = build(FILES, db_p, build_options=JOBS4, stateful=True)
+
+        assert len(warnings) == 1
+        assert sorted(u.path for u in broken.compiled) == UNITS
+        assert all(u.worker == "main" for u in broken.compiled)
+        assert set(db_p.units) == set(UNITS)
+        for path in UNITS:
+            assert db_s.units[path].object_json == db_p.units[path].object_json
+        assert image_key(serial.image) == image_key(broken.image)
+        assert db_p.live_state.records == db_s.live_state.records
+        assert db_p.live_state.build_counter == db_s.live_state.build_counter
 
 
 class TestCompileUnitHelper:

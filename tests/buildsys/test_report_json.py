@@ -91,7 +91,7 @@ class TestSchema:
         # Phase durations live in the summary only; the registry keeps
         # just the timings no other record holds.
         timings = payload["metrics"]["timings"]
-        assert set(timings) <= {"state.snapshot_time", "state.merge_time"}
+        assert set(timings) <= {"state.merge_time"}
 
     def test_write_json(self, tmp_path):
         out = tmp_path / "report.json"

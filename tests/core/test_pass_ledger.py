@@ -121,13 +121,11 @@ class TestViews:
             assert counters["passes.executed"] == stats.executions
             assert counters["passes.work"] == stats.work_executed
             assert counters["passes.bypassed"] == stats.bypassed
-            assert counters["passes.dormant"] == stats.dormant_executions
-            assert counters["passes.module_executed"] == ledger.module_runs
             assert result.pass_work == ledger.work
             if stateful:
                 assert counters["state.lookups"] == ledger.lookups
                 assert counters["state.records_refreshed"] == ledger.hits
-                assert counters["fingerprint.count"] == ledger.fingerprints > 0
+                assert ledger.fingerprints > 0
                 assert ledger.lookups >= ledger.hits >= stats.bypassed > 0
             else:
                 assert "state.lookups" not in counters

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.buildsys.builddb import StateStore
+from repro.cli import reproc_main
 from repro.core.state import (
     CompilerState,
     DormancyRecord,
@@ -13,6 +15,22 @@ from repro.passmanager.pipeline import build_pipeline
 
 def make_state(**kwargs) -> CompilerState:
     return CompilerState(pipeline_signature="sig", fingerprint_mode="canonical", **kwargs)
+
+
+def save(path, state) -> StateStore:
+    store = StateStore(path)
+    store.stage(state)
+    store.flush()
+    return store
+
+
+def reproc_state(tmp_path, path, *flags) -> CompilerState:
+    """Compile a unit with ``reproc --state-file path``; the state it left."""
+    source = tmp_path / "u.mc"
+    source.write_text("int f(int x) { return x * 2 + 1; }\nint main() { return f(3); }\n")
+    argv = [str(source), "--stateful", "--state-file", str(path), *flags]
+    assert reproc_main(argv) == 0
+    return StateStore(path).load()
 
 
 class TestRecords:
@@ -94,37 +112,39 @@ class TestSerialization:
         path = tmp_path / "state.json"
         state = make_state()
         state.remember(0, "x", True, "x")
-        size = state.save(path)
-        assert size == path.stat().st_size
-        loaded = CompilerState.load(path, pipeline_signature="sig")
-        assert loaded.num_records == 1
+        save(path, state)
+        assert state.stored_bytes == path.stat().st_size
+        loaded = StateStore(path).load()
+        assert loaded.records == state.records
+        assert loaded.stored_bytes == state.stored_bytes
 
     def test_load_missing_file_gives_fresh(self, tmp_path):
-        loaded = CompilerState.load(tmp_path / "nope.json", pipeline_signature="sig")
-        assert loaded.num_records == 0
-        assert loaded.pipeline_signature == "sig"
+        path = tmp_path / "nope.json"
+        assert StateStore(path).load() is None
+        # reproc compiles with a fresh state and writes it.
+        state = reproc_state(tmp_path, path)
+        assert state.build_counter == 1 and state.num_records > 0
 
     def test_load_corrupt_file_gives_fresh(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{ not json")
-        loaded = CompilerState.load(path, pipeline_signature="sig")
-        assert loaded.num_records == 0
+        assert StateStore(path).load() is None
+        assert reproc_state(tmp_path, path).build_counter == 1
 
     def test_load_incompatible_pipeline_gives_fresh(self, tmp_path):
         path = tmp_path / "state.json"
-        state = make_state()
-        state.remember(0, "x", True, "x")
-        state.save(path)
-        loaded = CompilerState.load(path, pipeline_signature="other-sig")
-        assert loaded.num_records == 0
+        o2 = reproc_state(tmp_path, path)
+        assert reproc_state(tmp_path, path).build_counter == 2  # compatible: kept
+        o1 = reproc_state(tmp_path, path, "-O", "1")
+        assert o1.build_counter == 1
+        assert o1.pipeline_signature == pipeline_signature_of(build_pipeline("O1"))
+        assert o1.pipeline_signature != o2.pipeline_signature
 
     def test_load_incompatible_fingerprint_mode_gives_fresh(self, tmp_path):
         path = tmp_path / "state.json"
-        state = make_state()
-        state.remember(0, "x", True, "x")
-        state.save(path)
-        loaded = CompilerState.load(path, pipeline_signature="sig", fingerprint_mode="named")
-        assert loaded.num_records == 0
+        reproc_state(tmp_path, path)
+        named = reproc_state(tmp_path, path, "--fingerprint-mode", "named")
+        assert named.build_counter == 1 and named.fingerprint_mode == "named"
 
 
 class TestPipelineSignature:
@@ -151,7 +171,7 @@ class TestSnapshotDelta:
         # Writes to the snapshot never reach the original...
         snap.remember(1, "b", False, "b2")
         assert state.lookup(1, "b") is None
-        # ...and lookup's in-place GC refresh doesn't either.
+        # ...and neither does a lookup's refreshed GC timestamp.
         snap.build_counter = 99
         snap.lookup(0, "a")
         assert state.records[(0, "a")].last_used_build == 7
@@ -175,13 +195,25 @@ class TestSnapshotDelta:
         # Everything a worker touched is stamped with its build tick.
         assert all(r.last_used_build == 4 for r in delta.records.values())
 
-    def test_delta_records_are_copies(self):
+    def test_records_are_immutable(self):
         state = make_state()
         state.begin_delta_tracking()
         state.remember(0, "a", True, "a")
         delta = state.extract_delta()
-        delta.records[(0, "a")].dormant = False
-        assert state.records[(0, "a")].dormant
+        record = delta.records[(0, "a")]
+        assert record is state.records[(0, "a")]  # shared, not copied
+        for field in DormancyRecord._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+        assert state.records[(0, "a")] == DormancyRecord(True, "a", 0)
+
+    def test_lookup_hit_replaces_the_record(self):
+        state = make_state(build_counter=1)
+        state.remember(0, "a", True, "a")
+        old = state.records[(0, "a")]
+        state.begin_build()
+        assert state.lookup(0, "a").last_used_build == 2
+        assert old.last_used_build == 1  # the old record is unchanged
 
     def test_merge_disjoint_deltas_is_order_independent(self):
         def worker_delta(position, fp):

@@ -43,6 +43,14 @@ def make_record(
     )
 
 
+def memo_record(seq: int, *, reused: int, compiled: int, bypass_rate: float) -> HistoryRecord:
+    """A memo-policy build: ``reused`` functions took their old machine
+    code, ``compiled`` went through the pipeline at ``bypass_rate``."""
+    record = make_record(seq, bypass_rate=bypass_rate)
+    record.report["memo"] = {"functions_reused": reused, "functions_compiled": compiled}
+    return record
+
+
 def trace(n: int, **kwargs) -> list[HistoryRecord]:
     """A clean-build-then-incremental trace of n builds, all alike."""
     return [make_record(1, bypass_rate=0.0)] + [
@@ -105,6 +113,52 @@ class TestBypassRate:
         records = trace(8)
         records += [make_record(9, bypass_rate=0.0, recompiled=0)]
         assert detect_drift(records).clean
+
+
+class TestMemoSkipRate:
+    """Under the memo policy reused functions count as skipped work."""
+
+    def memo_trace(self, n: int, functions: int = 40) -> list[HistoryRecord]:
+        # Each edit build reuses 90% of the functions and bypasses 30%
+        # of the rest's pass runs: 1 - 0.7 * 0.1 = 93% skipped.
+        reused = functions * 9 // 10
+        return [memo_record(1, reused=0, compiled=functions, bypass_rate=0.0)] + [
+            memo_record(seq, reused=reused, compiled=functions - reused, bypass_rate=0.3)
+            for seq in range(2, n + 1)
+        ]
+
+    def test_skip_rate_counts_reused_functions(self):
+        assert memo_record(1, reused=6, compiled=0, bypass_rate=0.0).skip_rate == 1.0
+        record = memo_record(1, reused=36, compiled=4, bypass_rate=0.3)
+        assert abs(record.skip_rate - 0.93) < 1e-9
+        # Without reuse the skipped share is the bypass rate.
+        assert make_record(1, bypass_rate=0.6).skip_rate == 0.6
+        assert memo_record(1, reused=0, compiled=9, bypass_rate=0.6).skip_rate == 0.6
+
+    def test_reuse_without_bypasses_is_not_drift(self):
+        records = self.memo_trace(8)
+        # The compiled functions bypass nothing, but most were reused.
+        records[-1] = memo_record(8, reused=36, compiled=4, bypass_rate=0.0)
+        assert records[-1].bypass_rate == 0.0
+        assert detect_drift(records).clean
+
+    def test_real_drop_in_skipped_share_is_flagged(self):
+        records = self.memo_trace(8)
+        records[-1] = memo_record(8, reused=4, compiled=36, bypass_rate=0.0)
+        report = detect_drift(records)
+        assert kinds(report) == ["bypass-rate"]
+        finding = report.findings[0]
+        assert finding.metric == "skip_rate"
+        assert abs(finding.current - 0.1) < 1e-9 and abs(finding.baseline - 0.93) < 1e-9
+
+    def test_small_build_within_noise_is_quiet(self):
+        """Six keyed functions: compiling two of them instead of one moves
+        the share by a sixth, within the noise of so few functions."""
+        records = self.memo_trace(8, functions=6)
+        records[-1] = memo_record(8, reused=4, compiled=2, bypass_rate=0.0)
+        assert detect_drift(records).clean
+        records[-1] = memo_record(8, reused=0, compiled=6, bypass_rate=0.0)
+        assert kinds(detect_drift(records)) == ["bypass-rate"]
 
 
 class TestPassWall:

@@ -6,6 +6,10 @@ parameter missing from it would silently drop out of all three.
 Attributes an ``__init__`` sets without taking them as parameters (the
 AST's sema-filled ``ty``/``decl``, :class:`CompilerState`'s caches)
 are left out on purpose and are not checked here.
+
+Named-tuple records (:class:`DormancyRecord`, :class:`PassRun`) are
+checked too, against ``__new__``: their generated constructor matches
+``_fields`` until someone overrides it.
 """
 
 import importlib
@@ -19,9 +23,14 @@ from repro._struct import FrozenStruct, Struct
 
 
 def _value_classes() -> list[type]:
-    for info in pkgutil.walk_packages(repro.__path__, "repro."):
-        importlib.import_module(info.name)
     found: set[type] = set()
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        module = importlib.import_module(info.name)
+        found.update(
+            obj for obj in vars(module).values()
+            if isinstance(obj, type) and issubclass(obj, tuple)
+            and hasattr(obj, "_fields") and obj.__module__ == info.name
+        )
     pending = [Struct]
     while pending:
         for sub in pending.pop().__subclasses__():
@@ -41,6 +50,7 @@ def test_the_build_path_classes_are_found():
         "repro.core.state.CompilerState",
         "repro.frontend.ast.Binary",
         "repro.buildsys.parallel.UnitOutcome",
+        "repro.core.state.DormancyRecord",
     } <= names
 
 
@@ -48,7 +58,9 @@ def test_the_build_path_classes_are_found():
     "cls", CLASSES, ids=[f"{cls.__module__}.{cls.__qualname__}" for cls in CLASSES]
 )
 def test_fields_match_the_constructor(cls):
-    if cls.__init__ is object.__init__:
+    if issubclass(cls, tuple):
+        params = list(inspect.signature(cls.__new__).parameters)[1:]
+    elif cls.__init__ is object.__init__:
         params: list[str] = []
     else:
         params = list(inspect.signature(cls.__init__).parameters)[1:]

@@ -14,7 +14,7 @@ import shutil
 
 import pytest
 
-from repro.buildsys.builddb import BuildDatabase, CorruptDatabaseError
+from repro.buildsys.builddb import BuildDatabase, CorruptDatabaseError, StateStore
 from repro.buildsys.deps import DependencySnapshot, content_digest
 from repro.core.state import CompilerState
 from repro.obs.history import BuildHistory, HistoryRecord
@@ -166,7 +166,7 @@ def touch_state(db, *, add, reclaim=False, tag="new"):
 
 
 def snapshot_records(state):
-    return {key: record.replace() for key, record in state.records.items()}
+    return dict(state.records)  # records are immutable: a shallow copy is a snapshot
 
 
 #: (name, records saved, prior log entry, records added, GC reclaims,
@@ -229,20 +229,28 @@ class TestStateLogMatrix:
                 assert BuildDatabase.load(path).live_state.records == expected, label
 
 
+def save_state(path, state):
+    """Write ``state`` to a standalone state file, as ``reproc`` does."""
+    store = StateStore(path)
+    store.stage(state)
+    store.flush()
+
+
 class TestStateFileMatrix:
     def test_every_fault_point_recovers(self, tmp_path):
         path = tmp_path / "state.json"
         old, new = make_state(4), make_state(7)
 
-        old.save(path)
-        total = count_io_ops(lambda: new.save(path)).total_ops
+        save_state(path, old)
+        total = count_io_ops(lambda: save_state(path, new)).total_ops
 
         for label, plan in sweep_plans(total):
-            old.save(path)
-            run_faulted(lambda: new.save(path), plan)
-            loaded = CompilerState.load(path, pipeline_signature="sig")
-            # Last-good, fully-new, or fresh (the lenient-cache fallback).
-            assert loaded.num_records in (4, 7, 0), label
+            save_state(path, old)
+            run_faulted(lambda: save_state(path, new), plan)
+            loaded = StateStore(path).load()
+            # Last-good, fully-new, or none (the lenient-cache fallback).
+            records = loaded.num_records if loaded is not None else 0
+            assert records in (4, 7, 0), label
 
 
 class TestHistoryMatrix:
