@@ -80,7 +80,10 @@ class ObjectFile(Struct):
                 for mf in sorted(self.functions.values(), key=lambda f: f.name)
             ],
         }
-        return json.dumps(payload, indent=1, sort_keys=True)
+        # Compact separators: with ``indent`` CPython falls back to its
+        # pure-Python encoder, several times slower.  :meth:`from_json`
+        # reads the indented objects of older build DBs all the same.
+        return json.dumps(payload, separators=(",", ":"), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ObjectFile":

@@ -12,12 +12,14 @@ One JSON file per build tree, playing the role of ninja's ``.ninja_log``
   (records, bytes, GC counters), so a no-op build can report the state
   without reading it.
 - ``<db>.state`` — the compacted base: a generation token, then
-  :meth:`CompilerState.to_json`, as one checksummed atomic artifact.
+  :meth:`CompilerState.to_json` (a JSON header line and the sorted
+  table of fixed-width record rows), as one checksummed atomic artifact.
 - ``<db>.state.log`` — an append-only log of checksummed entries
   (:mod:`repro.persist.log`), one per build that compiled something.
   Each holds that build's :class:`~repro.core.state.StateDelta` (the
-  records it created or refreshed), the GC counters after it, and the
-  base generation it extends.
+  records it created or refreshed, as base64 rows), the GC counters,
+  record count and GC bound after it, and the base generation it
+  extends.
 
 A unit is up to date when its current :class:`DependencySnapshot`
 matches the record exactly and it was compiled with the same object
@@ -30,7 +32,9 @@ a build compiles a unit, and written only by such builds (see
 :class:`StateStore`): the build appends its delta to the log, unless GC
 reclaimed records or the log would grow past half the base's size — then
 it *compacts*, rewriting the base under a fresh generation and deleting
-the log.  The DB file is rewritten only when something in it changed.
+the log.  Loading the state decodes no record of the base (see
+:mod:`repro.core.state`).  The DB file is rewritten only when something
+in it changed.
 
 **The link-skip invariant.**  :attr:`BuildDatabase.linked` holds
 :meth:`BuildDatabase.link_key` of the last link that *succeeded*: a
@@ -63,7 +67,8 @@ failed checksum) raises the typed :class:`CorruptDatabaseError` so the
 caller can log what happened before falling back to the same full
 rebuild — cache loss is a performance event, never a correctness one,
 but silent cache loss is a diagnosis event someone deserves to see.
-Damaged state files load as an empty state, silently.
+A damaged state base loads as no state, silently; a damaged log entry
+is skipped.
 
 Writes go through :func:`repro.persist.atomic_write` (checksummed frame,
 temp file + fsync + rename, bounded retry on transient errors) and
@@ -74,6 +79,7 @@ that is read as valid.
 
 from __future__ import annotations
 
+import binascii
 import hashlib
 import json
 import os
@@ -81,7 +87,7 @@ from pathlib import Path
 
 from repro._struct import Struct
 from repro.buildsys.deps import DependencySnapshot, content_digest
-from repro.core.state import CompilerState, decode_records, encode_records
+from repro.core.state import ROW_BYTES, CompilerState, pack_rows
 from repro.persist import (
     CorruptArtifactError,
     PersistError,
@@ -92,7 +98,7 @@ from repro.persist import (
     read_entries,
 )
 from repro.persist import io as io_seam
-from repro.persist.log import encode_entry
+from repro.persist.log import entry_size
 
 #: v2 added per-unit observability (pass statistics, wall time, worker)
 #: so ``reprobuild explain`` can report where a unit's compile time
@@ -176,13 +182,21 @@ class UnitRecord(Struct):
         self.functions_reused = functions_reused
 
 
+def _dumps(payload: dict) -> bytes:
+    return json.dumps(payload, separators=(",", ":")).encode("utf-8")
+
+
 class StateStore:
     """The only reader and writer of compiler-state files.
 
     A state is a base file (``base_path``: a generation token, then
-    :meth:`CompilerState.to_json`, as one checksummed artifact) plus a
-    delta log beside it (``<base_path>.log``).  The build DB keeps its
-    state at ``<db>.state``; ``reproc --state-file X`` keeps it at ``X``.
+    :meth:`CompilerState.to_json` — a JSON header line and the sorted
+    record table — as one checksummed artifact) plus a delta log beside
+    it (``<base_path>.log``).  Each log entry is one line: a JSON header
+    (the base generation it extends and
+    :meth:`CompilerState.log_counters`), a space, and the entry's
+    records as base64 table rows.  The build DB keeps its state at
+    ``<db>.state``; ``reproc --state-file X`` keeps it at ``X``.
 
     :meth:`stage` encodes the write that brings the files up to a given
     state and updates the byte counts to what they will be; :meth:`flush`
@@ -207,17 +221,22 @@ class StateStore:
     def load(self) -> CompilerState | None:
         """The persisted state, or ``None`` when there is none usable.
 
-        The base's records, then every log entry of the base's
-        generation in order; damaged, torn or stale entries are skipped.
+        The base's header and table, decoding no record, then every log
+        entry of the base's generation in order, decoding its rows into
+        the state's overlay.  Damaged, torn or stale entries are
+        skipped; after a damaged one the state is recounted
+        (:meth:`CompilerState.recount`), since later entries' counts
+        include the records it lost.  A base of another schema (such as
+        v5's JSON) is no state.
         """
         if self.base_path is None:
             return None
         try:
             blob = read_artifact(self.base_path)
             generation, _, body = blob.partition(b"\n")
-            state = CompilerState.from_json(body.decode("utf-8"))
+            state = CompilerState.from_json(body)
             base_bytes = self.base_path.stat().st_size
-            entries, log_bytes = read_entries(self.log_path)
+            entries, log_bytes, damaged = read_entries(self.log_path)
         except (
             OSError, CorruptArtifactError, ValueError, KeyError, TypeError,
             UnicodeDecodeError,
@@ -225,16 +244,15 @@ class StateStore:
             return None
         gen = generation.decode("ascii", "replace")
         for payload in entries:
+            head, _, rows = payload.rpartition(b" ")
             try:
-                entry = json.loads(payload)
-                if entry["gen"] != gen:
-                    continue
-                records = decode_records(entry["records"])
-                counters = (entry["build_counter"], entry["gc_runs"], entry["gc_reclaimed"])
+                entry = json.loads(head)
+                if entry["gen"] == gen:
+                    state.replay(binascii.a2b_base64(rows), entry)
             except (ValueError, KeyError, TypeError):
-                continue
-            state.records.update(records)
-            state.build_counter, state.gc_runs, state.gc_reclaimed_total = counters
+                damaged += 1
+        if damaged:
+            state.recount()
         self.state, self.generation = state, gen
         self.base_bytes, self.log_bytes = base_bytes, log_bytes
         self._track(state)
@@ -245,34 +263,32 @@ class StateStore:
 
         Appends a delta entry, or compacts when the files hold another
         state, GC reclaimed records, or the log would pass half the
-        base's size.
+        base's size.  Rows are fixed-width, so the entry's size is known
+        before any row is encoded: each record is encoded once, into
+        the entry or into the new base, whichever is written.
         """
         compact = (
             state is not self.state or state.gc_reclaimed_total != self._reclaimed_total
         )
         if not compact:
-            delta = state.extract_delta()
-            payload = json.dumps(
-                {
-                    "gen": self.generation,
-                    "build_counter": state.build_counter,
-                    "gc_runs": state.gc_runs,
-                    "gc_reclaimed": state.gc_reclaimed_total,
-                    "records": encode_records(delta.records),
-                },
-                separators=(",", ":"),
-            ).encode("utf-8")
-            entry_bytes = len(encode_entry(payload))
-            compact = self.log_bytes + entry_bytes > self.base_bytes // 2
+            delta = state.extract_delta().records
+            head = _dumps({"gen": self.generation, **state.log_counters()})
+            # A space, then the rows in base64.
+            rows_b64 = 4 * -(-len(delta) * ROW_BYTES // 3)
+            compact = (
+                self.log_bytes + entry_size(len(head) + 1 + rows_b64) > self.base_bytes // 2
+            )
         if compact:
             self.generation = os.urandom(8).hex()
-            blob = frame(f"{self.generation}\n{state.to_json()}".encode("utf-8"))
+            blob = frame(self.generation.encode("ascii") + b"\n" + state.to_json())
             self.base_bytes, self.log_bytes = len(blob), 0
             self._pending_log.clear()
             if self.base_path is not None:
                 self._pending_base = blob
         else:
-            self.log_bytes += entry_bytes
+            rows = pack_rows(delta.items())
+            payload = head + b" " + binascii.b2a_base64(b"".join(rows), newline=False)
+            self.log_bytes += entry_size(len(payload))
             if self.log_path is not None:
                 self._pending_log.append(payload)
         self.state = state

@@ -669,7 +669,7 @@ def reprobuild_history_main(argv: list[str] | None = None) -> int:
 
     header = (
         f"{'seq':>5}  {'when':19}  {'label':16}  {'recomp':>6}  {'cached':>6}  "
-        f"{'wall(s)':>8}  {'bypass%':>7}  {'state':>7}  {'st-KB':>7}  {'gc':>4}"
+        f"{'wall(s)':>8}  {'skip%':>7}  {'state':>7}  {'st-KB':>7}  {'gc':>4}"
     )
     print(header)
     print("-" * len(header))
@@ -679,7 +679,7 @@ def reprobuild_history_main(argv: list[str] | None = None) -> int:
         print(
             f"{record.seq:>5}  {when:19}  {label:16}  {record.recompiled:>6}  "
             f"{record.up_to_date:>6}  {record.total_wall_time:>8.3f}  "
-            f"{record.bypass_rate * 100:>6.1f}%  {record.state_records:>7}  "
+            f"{record.skip_rate * 100:>6.1f}%  {record.state_records:>7}  "
             f"{record.state_bytes / 1024:>7.1f}  {record.gc_reclaimed:>4}"
         )
     parts = [f"{stats.loaded} build(s) loaded from {path}"]

@@ -27,17 +27,29 @@ not tick it, so any number of no-op builds reclaims nothing.
 
 **Records are immutable.**  A :class:`DormancyRecord` is a content-keyed
 fact, so it is a named tuple: a lookup hit stores a copy with a fresh
-GC timestamp instead of changing the record.  A snapshot is therefore
-a shallow copy of the record map, and deltas share records with the
-state they came from.
+GC timestamp instead of changing the record.  A snapshot therefore
+shares the stored layers and copies only the map of records written
+since, and deltas share records with the state they came from.
 
 **Persistence.**  The state's one on-disk form is the base file plus
 delta log that :class:`~repro.buildsys.builddb.StateStore` reads and
 writes, for the build DB (``<db>.state``) and ``reproc --state-file``
-alike.  :attr:`CompilerState.stored_bytes` is the size of those files,
-set by the store on every load and stage;
-:meth:`CompilerState.size_summary` reports that number and never
-re-serializes the state to measure it.
+alike.  The base (:meth:`CompilerState.to_json`) is a JSON header line
+and a :class:`RecordTable`: every record as a fixed-width binary row,
+sorted by (position, input fingerprint).  Loading decodes no base record:
+a lookup bisects the rows and builds a record only on a hit.  Log
+entries carry rows too; replaying one decodes only its own rows into
+the overlay of records written since the base (:meth:`CompilerState.replay`).
+:attr:`CompilerState.stored_bytes` is the size of those files, set by
+the store on every load and stage; :meth:`CompilerState.size_summary`
+reports that number and never re-serializes the state to measure it.
+
+**Garbage collection without a scan.**  The state keeps a lower bound
+on every record's last use: exact in the base, carried forward in each
+log entry, lowered by any write.  A build in which no record can be
+``gc_max_age`` builds old does no per-record work; otherwise GC folds
+the overlay and the table into a new table, dropping exactly the
+records a scan of a plain dict would drop.
 
 For parallel builds the state additionally supports a snapshot/delta
 protocol (:meth:`CompilerState.snapshot`, :meth:`CompilerState.extract_delta`,
@@ -55,18 +67,34 @@ same units would have produced.
 from __future__ import annotations
 
 import json
+import struct
 import time
-from typing import NamedTuple
+from collections.abc import ItemsView, Mapping
+from typing import Iterable, Iterator, NamedTuple
 
 from repro._struct import Struct
 from repro.obs.metrics import MetricsRegistry
 
-#: v4 orders each row ``[position, fingerprint, last_used_build,
-#: dormant, fingerprint_out]`` and stores ``fingerprint_out`` as "" when
-#: it equals the incoming fingerprint (as it does for every dormant
-#: record).  v5 has the same rows, but its fingerprints encode each
-#: call's callee purity, so no v4 record is valid under a v5 key.
-STATE_SCHEMA_VERSION = 5
+#: v5 stored the base as one JSON document of ``[position, fingerprint,
+#: last_used_build, dormant, fingerprint_out]`` rows, its fingerprints
+#: encoding each call's callee purity.  v6 has the same keys, but the
+#: base is a JSON header line and a sorted binary table
+#: (:class:`RecordTable`), and delta-log entries carry binary rows too.
+#: A v5 base loads as no state.
+STATE_SCHEMA_VERSION = 6
+
+#: One table row: the sort key — position (a signed byte) and the raw
+#: 16-byte input fingerprint — then the dormant flag, the last-use
+#: build and the raw 16-byte output fingerprint.  38 bytes, unpadded.
+_ROW = struct.Struct("<b16s?I16s")
+_KEY = struct.Struct("<b16s")
+#: Each row's sort key and last use, for scans that need nothing else.
+_KEY_AND_USE = struct.Struct("<17sxI16x")
+ROW_BYTES = _ROW.size
+_KEY_BYTES = _KEY.size
+#: Above any last use a row can hold: the GC bound of a state with no
+#: records, and the "no cutoff" of :meth:`CompilerState._fold`.
+_NEVER = 1 << 32
 
 
 class DormancyRecord(NamedTuple):
@@ -84,26 +112,148 @@ class DormancyRecord(NamedTuple):
     last_used_build: int = 0
 
 
-def encode_records(records: dict[tuple[int, str], DormancyRecord]) -> list[list]:
-    """Records as sorted JSON rows (the base file's and the delta log's format)."""
-    return [
-        [pos, fp, r.last_used_build, int(r.dormant),
-         "" if r.fingerprint_out == fp else r.fingerprint_out]
-        for (pos, fp), r in sorted(records.items())
-    ]
+# -- binary rows ---------------------------------------------------------------
 
 
-def decode_records(rows: list[list]) -> dict[tuple[int, str], DormancyRecord]:
-    """Inverse of :func:`encode_records`.
+def _raw(fingerprint: str) -> bytes:
+    """The 16 bytes a fingerprint's 32 lowercase hex digits spell.
 
-    Rows are built with ``tuple.__new__``: the named-tuple constructor
-    costs about a third more, on every load of the state.
+    Every fingerprint a compile makes is such a digest
+    (:mod:`repro.ir.fingerprint`); any other string raises
+    ``ValueError``, because its row would read back as another string.
     """
+    raw = bytes.fromhex(fingerprint)
+    if len(raw) != 16 or raw.hex() != fingerprint:
+        raise ValueError(f"not a 128-bit lowercase hex digest: {fingerprint!r}")
+    return raw
+
+
+def _probe(key: tuple[int, str]) -> bytes:
+    """The row key of ``key``: its position byte and raw input fingerprint."""
+    try:
+        return _KEY.pack(key[0], _raw(key[1]))
+    except struct.error:
+        raise ValueError(f"no row can hold position {key[0]}") from None
+
+
+def pack_rows(items: Iterable[tuple[tuple[int, str], DormancyRecord]]) -> list[bytes]:
+    """One row per record, unsorted.
+
+    Raises ``ValueError`` for a record no row can hold: a fingerprint
+    that is not a digest (see :func:`_raw`, inlined here: this is the
+    clean build's hot path) or a position beyond a byte.
+    """
+    fromhex, pack, rows = bytes.fromhex, _ROW.pack, []
+    append = rows.append
+    for (position, fingerprint), record in items:
+        out = record.fingerprint_out
+        raw_in = fromhex(fingerprint)
+        raw_out = raw_in if out == fingerprint else fromhex(out)
+        if not (
+            len(raw_in) == 16 == len(raw_out)
+            and raw_in.hex() == fingerprint
+            and (raw_out is raw_in or raw_out.hex() == out)
+        ):
+            raise ValueError(f"not 128-bit lowercase hex digests: {fingerprint!r}, {out!r}")
+        try:
+            append(pack(position, raw_in, record.dormant, record.last_used_build, raw_out))
+        except struct.error as exc:
+            raise ValueError(f"no row can hold position {position}: {exc}") from None
+    return rows
+
+
+def _iter_rows(data: bytes) -> Iterator[tuple[tuple[int, str], DormancyRecord]]:
+    """Decode concatenated rows into ``(key, record)`` pairs.
+
+    Records are built with ``tuple.__new__``: the named-tuple
+    constructor costs about a third more.
+    """
+    if len(data) % ROW_BYTES:
+        raise ValueError(f"{len(data)} bytes of rows are not whole rows")
     new = tuple.__new__
-    return {
-        (pos, fp): new(DormancyRecord, (bool(dormant), fp_out or fp, last_used))
-        for pos, fp, last_used, dormant, fp_out in rows
-    }
+    for position, raw_in, dormant, last, raw_out in _ROW.iter_unpack(data):
+        fingerprint = raw_in.hex()
+        out = fingerprint if raw_out == raw_in else raw_out.hex()
+        yield (position, fingerprint), new(DormancyRecord, (dormant, out, last))
+
+
+def _record(row: bytes, fingerprint: str) -> DormancyRecord:
+    """The record in ``row``, whose key spells ``fingerprint``."""
+    _, raw_in, dormant, last, raw_out = _ROW.unpack(row)
+    out = fingerprint if raw_out == raw_in else raw_out.hex()
+    return tuple.__new__(DormancyRecord, (dormant, out, last))
+
+
+class RecordTable:
+    """Records as sorted fixed-width rows, probed without decoding.
+
+    Immutable, so states and their snapshots share one.  :meth:`find`
+    bisects the rows' 17-byte keys and builds a record only on a hit.
+    """
+
+    __slots__ = ("data", "count")
+
+    def __init__(self, data: bytes = b"") -> None:
+        if len(data) % ROW_BYTES:
+            raise ValueError(f"a record table of {len(data)} bytes is not whole rows")
+        self.data = data
+        self.count = len(data) // ROW_BYTES
+
+    def find(self, probe: bytes, fingerprint: str) -> DormancyRecord | None:
+        """The record under row key ``probe`` (see :func:`_probe`)."""
+        data = self.data
+        lo, hi = 0, self.count
+        while lo < hi:
+            mid = (lo + hi) >> 1
+            at = mid * ROW_BYTES
+            if data[at:at + _KEY_BYTES] < probe:
+                lo = mid + 1
+            else:
+                hi = mid
+        at = lo * ROW_BYTES
+        if data[at:at + _KEY_BYTES] != probe:
+            return None
+        return _record(data[at:at + ROW_BYTES], fingerprint)
+
+
+_EMPTY_TABLE = RecordTable()
+
+
+class RecordMap(Mapping):
+    """A state's records, every layer, as a read-only mapping.
+
+    Reading a key probes like a lookup but refreshes nothing;
+    :meth:`items` decodes the table once.  Comparing two maps (or a map
+    and a dict) compares every record.
+    """
+
+    __slots__ = ("_state",)
+
+    def __init__(self, state: "CompilerState") -> None:
+        self._state = state
+
+    def __getitem__(self, key: tuple[int, str]) -> DormancyRecord:
+        record = self._state._get(key)
+        if record is None:
+            raise KeyError(key)
+        return record
+
+    def __len__(self) -> int:
+        return self._state.num_records
+
+    def __iter__(self) -> Iterator[tuple[int, str]]:
+        return (key for key, _ in self._state._items())
+
+    def items(self) -> ItemsView:
+        return _Items(self)
+
+    def __repr__(self) -> str:
+        return f"RecordMap({dict(self.items())!r})"
+
+
+class _Items(ItemsView):
+    def __iter__(self):
+        return self._mapping._state._items()
 
 
 class StateDelta(Struct):
@@ -139,7 +289,23 @@ class StateDelta(Struct):
 
 
 class CompilerState(Struct):
-    """In-memory compiler state; :meth:`to_json` is its serialized form."""
+    """In-memory compiler state; :meth:`to_json` is its serialized form.
+
+    The records live in two layers:
+
+    - an overlay dict of the records written since the base: replayed
+      from the delta log (:meth:`replay`) or written in this process;
+    - the base table (:class:`RecordTable`) as loaded or last folded,
+      which the overlay shadows.
+
+    The table is never changed in place, so snapshots share it.  A
+    table record is built only when a lookup hits its row.
+    :attr:`records` shows both layers as one mapping.
+
+    Keys and fingerprints must be what compiles make (a small position,
+    128-bit lowercase hex digests): folding the overlay into a table
+    raises ``ValueError`` on anything else (:func:`pack_rows`).
+    """
 
     _fields = (
         "pipeline_signature", "fingerprint_mode", "build_counter", "gc_max_age",
@@ -166,7 +332,16 @@ class CompilerState(Struct):
         #: exactly that distinction).
         self.gc_runs = gc_runs
         self.gc_reclaimed_total = gc_reclaimed_total
-        self.records = {} if records is None else records
+        self._overlay = {} if records is None else records
+        self._table = _EMPTY_TABLE
+        #: ``len(records)``, kept as records are written, replayed or folded.
+        self._count = len(self._overlay)
+        #: No record was last used before this build: a lower bound,
+        #: exact after a fold, which lets :meth:`collect_garbage` skip the
+        #: scan when nothing can be old enough.
+        self._oldest = min(
+            (r.last_used_build for r in self._overlay.values()), default=_NEVER
+        )
         #: Records reclaimed by the most recent :meth:`collect_garbage` of
         #: this process (not persisted; 0 until GC runs).
         self.last_gc_reclaimed: int = 0
@@ -192,45 +367,110 @@ class CompilerState(Struct):
 
     # -- record access ------------------------------------------------------
 
+    @property
+    def records(self) -> RecordMap:
+        """Every record, both layers, as a read-only mapping."""
+        return RecordMap(self)
+
+    def _get(self, key: tuple[int, str]) -> DormancyRecord | None:
+        return self._overlay.get(key) or self._stored(key)
+
+    def _stored(self, key: tuple[int, str]) -> DormancyRecord | None:
+        """The record the table holds for ``key``."""
+        if not self._table.count:  # a clean build's state
+            return None
+        return self._table.find(_probe(key), key[1])
+
+    def _store(self, key: tuple[int, str], record: DormancyRecord, new: bool) -> None:
+        """The one writer of records: ``new`` = no layer had the key."""
+        self._overlay[key] = record
+        if new:
+            self._count += 1
+        if record.last_used_build < self._oldest:
+            self._oldest = record.last_used_build
+        if self._touched is not None:
+            self._touched.add(key)
+
+    def _items(self) -> Iterator[tuple[tuple[int, str], DormancyRecord]]:
+        # A copy of the overlay: callers may write records while iterating.
+        overlay = dict(self._overlay)
+        for item in _iter_rows(self._table.data):
+            if item[0] not in overlay:
+                yield item
+        yield from overlay.items()
+
     def lookup(self, position: int, fingerprint: str) -> DormancyRecord | None:
         """Fetch a record; a hit stores it back with a fresh GC timestamp."""
         key = (position, fingerprint)
-        record = self.records.get(key)
-        if record is not None:
-            if record.last_used_build != self.build_counter:
-                record = record._replace(last_used_build=self.build_counter)
-                self.records[key] = record
-            if self._touched is not None:
-                self._touched.add(key)
+        record = self._overlay.get(key) or self._stored(key)
+        if record is None:
+            return None
+        if record.last_used_build != self.build_counter:
+            record = record._replace(last_used_build=self.build_counter)
+            self._store(key, record, False)
+        elif self._touched is not None:
+            self._touched.add(key)
         return record
 
     def remember(
         self, position: int, fingerprint_in: str, dormant: bool, fingerprint_out: str
     ) -> None:
-        self.records[(position, fingerprint_in)] = DormancyRecord(
-            dormant, fingerprint_out, self.build_counter
-        )
-        if self._touched is not None:
-            self._touched.add((position, fingerprint_in))
+        key = (position, fingerprint_in)
+        new = key not in self._overlay and self._stored(key) is None
+        self._store(key, DormancyRecord(dormant, fingerprint_out, self.build_counter), new)
 
     def begin_build(self) -> None:
         """Tick the GC clock (the driver calls it once per compiling build)."""
         self.build_counter += 1
 
     def collect_garbage(self) -> int:
-        """Drop records unused for more than ``gc_max_age`` builds."""
+        """Drop records unused for more than ``gc_max_age`` builds.
+
+        The GC bound answers in O(1) whether any record can be that old;
+        only then are the records scanned and folded into a new table.
+        """
         cutoff = self.build_counter - self.gc_max_age
-        stale = [k for k, r in self.records.items() if r.last_used_build < cutoff]
-        for key in stale:
-            del self.records[key]
+        reclaimed = self._fold(cutoff) if self._oldest < cutoff else 0
         self.gc_runs += 1
-        self.gc_reclaimed_total += len(stale)
-        self.last_gc_reclaimed = len(stale)
-        return len(stale)
+        self.gc_reclaimed_total += reclaimed
+        self.last_gc_reclaimed = reclaimed
+        return reclaimed
+
+    def _fold(self, cutoff: int = -_NEVER) -> int:
+        """Merge the overlay into a new table, dropping each record last
+        used before ``cutoff``; returns how many were dropped.
+
+        Afterwards the record count and the GC bound are exact.
+        """
+        kept, stale = [], []
+        for item in self._overlay.items():
+            (kept if item[1].last_used_build >= cutoff else stale).append(item)
+        rows = pack_rows(kept)
+        oldest = min([record.last_used_build for _, record in kept], default=_NEVER)
+        reclaimed = len(stale)
+        if self._table.count:
+            # The overlay's keys hide the table's rows, stale or not.
+            shadowed = {row[:_KEY_BYTES] for row in rows}
+            shadowed.update(_probe(key) for key, _ in stale)
+            data, at = self._table.data, 0
+            for key, last in _KEY_AND_USE.iter_unpack(data):
+                if key in shadowed:
+                    pass
+                elif last >= cutoff:
+                    rows.append(data[at:at + ROW_BYTES])
+                    if last < oldest:
+                        oldest = last
+                else:
+                    reclaimed += 1
+                at += ROW_BYTES
+        rows.sort()
+        self._table, self._overlay = RecordTable(b"".join(rows)), {}
+        self._count, self._oldest = self._table.count, oldest
+        return reclaimed
 
     @property
     def num_records(self) -> int:
-        return len(self.records)
+        return self._count
 
     def size_summary(self) -> dict:
         """Size and GC counters for observability (history/dashboard).
@@ -255,18 +495,21 @@ class CompilerState(Struct):
     def snapshot(self) -> "CompilerState":
         """An independent copy for one unit to compile against.
 
-        A shallow copy of the record map: records are immutable, and
-        every write (new verdict or refreshed timestamp) replaces a map
+        It shares the table, which nothing changes in place, and copies
+        the overlay: records are immutable, and every
+        write (new verdict or refreshed timestamp) replaces an overlay
         entry, so nothing written to the copy reaches this state.  The
         copy carries no metrics sink and tracks no delta.
         """
-        return CompilerState(
+        snap = CompilerState(
             pipeline_signature=self.pipeline_signature,
             fingerprint_mode=self.fingerprint_mode,
             build_counter=self.build_counter,
             gc_max_age=self.gc_max_age,
-            records=dict(self.records),
         )
+        snap._overlay, snap._table = dict(self._overlay), self._table
+        snap._count, snap._oldest = self._count, self._oldest
+        return snap
 
     def begin_delta_tracking(self) -> None:
         """Start recording which keys :meth:`lookup`/:meth:`remember` touch."""
@@ -281,10 +524,12 @@ class CompilerState(Struct):
         """
         if self._touched is None:
             raise RuntimeError("extract_delta() without begin_delta_tracking()")
-        records = self.records
+        get = self._get
         return StateDelta(
             build_counter=self.build_counter,
-            records={key: records[key] for key in self._touched if key in records},
+            records={
+                key: record for key in self._touched if (record := get(key)) is not None
+            },
         )
 
     def merge_delta(self, delta: StateDelta) -> int:
@@ -299,14 +544,12 @@ class CompilerState(Struct):
         by *any* worker stays as fresh as the freshest use.
         """
         start = time.perf_counter()
-        records = self.records
+        get, store = self._get, self._store
         for key, incoming in delta.records.items():
-            existing = records.get(key)
+            existing = get(key)
             if existing is not None and existing.last_used_build > incoming.last_used_build:
                 incoming = incoming._replace(last_used_build=existing.last_used_build)
-            records[key] = incoming
-        if self._touched is not None:
-            self._touched.update(delta.records)
+            store(key, incoming, existing is None)
         self.build_counter = max(self.build_counter, delta.build_counter)
         if self._metrics is not None:
             self._metrics.observe("state.merge_time", time.perf_counter() - start)
@@ -323,8 +566,53 @@ class CompilerState(Struct):
 
     # -- serialization ------------------------------------------------------------
 
-    def to_json(self) -> str:
-        payload = {
+    def log_counters(self) -> dict:
+        """What a delta-log entry carries besides the delta's records.
+
+        The GC clock and counters, the record count and the GC bound:
+        :meth:`replay` then restores both without decoding a row.
+        """
+        return {
+            "build_counter": self.build_counter,
+            "gc_runs": self.gc_runs,
+            "gc_reclaimed": self.gc_reclaimed_total,
+            "records": self.num_records,
+            "oldest": self._oldest,
+        }
+
+    def replay(self, rows: bytes, counters: dict) -> None:
+        """Apply one delta-log entry: its rows, then :meth:`log_counters`
+        as they were when the entry was staged.
+
+        Only the entry's rows are decoded, into the overlay.
+        """
+        build_counter, gc_runs, gc_reclaimed, count, oldest = (
+            counters["build_counter"], counters["gc_runs"], counters["gc_reclaimed"],
+            counters["records"], counters["oldest"],
+        )
+        self._overlay.update(_iter_rows(rows))
+        self.build_counter, self.gc_runs, self.gc_reclaimed_total = (
+            build_counter, gc_runs, gc_reclaimed
+        )
+        self._count, self._oldest = count, oldest
+
+    def recount(self) -> None:
+        """Make the record count and the GC bound exact by folding.
+
+        For a state whose log lost an entry: the count and bound the
+        later entries carry describe records this state does not hold.
+        """
+        self._fold()
+
+    def to_json(self) -> bytes:
+        """The base: a JSON header line, then the sorted record table.
+
+        Folds the overlay into the table first (a compaction in memory),
+        so the table is the state's only copy of every record.
+        """
+        if self._overlay:
+            self._fold()
+        header = {
             "schema": STATE_SCHEMA_VERSION,
             "pipeline": self.pipeline_signature,
             "fingerprint_mode": self.fingerprint_mode,
@@ -332,13 +620,16 @@ class CompilerState(Struct):
             "gc_max_age": self.gc_max_age,
             "gc_runs": self.gc_runs,
             "gc_reclaimed": self.gc_reclaimed_total,
-            "records": encode_records(self.records),
+            "oldest": self._oldest,
         }
-        return json.dumps(payload, separators=(",", ":"))
+        text = json.dumps(header, separators=(",", ":"))
+        return text.encode("utf-8") + b"\n" + self._table.data
 
     @classmethod
-    def from_json(cls, text: str) -> "CompilerState":
-        payload = json.loads(text)
+    def from_json(cls, data: bytes) -> "CompilerState":
+        """Inverse of :meth:`to_json`; decodes the header only."""
+        head, _, table = data.partition(b"\n")
+        payload = json.loads(head)
         if payload.get("schema") != STATE_SCHEMA_VERSION:
             raise ValueError(
                 f"state schema {payload.get('schema')} != {STATE_SCHEMA_VERSION}"
@@ -347,11 +638,12 @@ class CompilerState(Struct):
             pipeline_signature=payload["pipeline"],
             fingerprint_mode=payload["fingerprint_mode"],
             build_counter=payload["build_counter"],
-            gc_max_age=payload.get("gc_max_age", 50),
-            gc_runs=payload.get("gc_runs", 0),
-            gc_reclaimed_total=payload.get("gc_reclaimed", 0),
-            records=decode_records(payload["records"]),
+            gc_max_age=payload["gc_max_age"],
+            gc_runs=payload["gc_runs"],
+            gc_reclaimed_total=payload["gc_reclaimed"],
         )
+        state._table = RecordTable(table)
+        state._count, state._oldest = state._table.count, payload["oldest"]
         return state
 
 

@@ -7,7 +7,7 @@ so it can be opened from a build artifact tarball on a plane.  Content:
 - a stat-tile row (latest build headline numbers, each with a
   sparkline of its trend);
 - sparkline trend charts for the cross-build series the drift detectors
-  watch: bypass rate, build wall time, recompiled units, state size;
+  watch: skip rate, build wall time, recompiled units, state size;
 - a per-pass heat table (recent builds x passes, shaded by that pass's
   wall time relative to its own row) — the visual form of the per-pass
   regression check;
@@ -183,17 +183,16 @@ def _tile(label: str, value: str, trend: list[float], fmt, delta: str = "",
 
 def _tiles(records: list[HistoryRecord]) -> str:
     latest = records[-1]
-    bypass = [r.bypass_rate for r in records]
+    skip = [r.skip_rate for r in records]
     walls = [r.total_wall_time for r in records]
     delta, direction = "", ""
     if len(records) > 1:
-        previous = records[-2].bypass_rate
-        diff = latest.bypass_rate - previous
+        diff = latest.skip_rate - records[-2].skip_rate
         delta = f"{diff:+.1%} vs build #{records[-2].seq}"
         direction = "up" if diff >= 0 else "down"
     tiles = [
         _tile("Builds recorded", str(len(records)), [], str),
-        _tile("Bypass rate (latest)", f"{latest.bypass_rate:.1%}", bypass,
+        _tile("Skip rate (latest)", f"{latest.skip_rate:.1%}", skip,
               lambda v: f"{v:.0%}", delta, direction),
         _tile("Build wall (latest)", _fmt_seconds(latest.total_wall_time),
               walls, _fmt_seconds),
@@ -206,7 +205,7 @@ def _tiles(records: list[HistoryRecord]) -> str:
 def _trend_charts(records: list[HistoryRecord]) -> str:
     seqs = f"builds #{records[0].seq}-#{records[-1].seq}"
     charts = [
-        ("Bypass rate", [r.bypass_rate for r in records], lambda v: f"{v:.0%}"),
+        ("Skip rate", [r.skip_rate for r in records], lambda v: f"{v:.0%}"),
         ("Total build wall", [r.total_wall_time for r in records], _fmt_seconds),
         ("Units recompiled", [float(r.recompiled) for r in records],
          lambda v: f"{v:,.0f}"),
@@ -309,7 +308,7 @@ def _builds_table(records: list[HistoryRecord]) -> str:
             "<tr>"
             f"<td>#{r.seq}{label}</td><td>{_esc(_fmt_when(r.timestamp))}</td>"
             f"<td>{r.recompiled}</td><td>{r.up_to_date}</td>"
-            f"<td>{r.bypass_rate:.1%}</td>"
+            f"<td>{r.skip_rate:.1%}</td>"
             f"<td>{_fmt_seconds(r.total_wall_time)}</td>"
             f"<td>{r.state_records:,}</td><td>{r.state_bytes:,}</td>"
             f"<td>{int(r.summary.get('jobs', 1))}</td>"
@@ -318,7 +317,7 @@ def _builds_table(records: list[HistoryRecord]) -> str:
     return (
         '<div class="card"><table><thead><tr>'
         "<th>build</th><th>when</th><th>recompiled</th><th>up-to-date</th>"
-        "<th>bypass</th><th>wall</th><th>state recs</th><th>state bytes</th>"
+        "<th>skip</th><th>wall</th><th>state recs</th><th>state bytes</th>"
         "<th>jobs</th>"
         f"</tr></thead><tbody>{''.join(rows)}</tbody></table></div>"
     )

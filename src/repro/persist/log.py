@@ -43,6 +43,11 @@ def encode_entry(payload: bytes) -> bytes:
     return b"\n" + _digest(payload) + b" " + payload + b"\n"
 
 
+def entry_size(payload_bytes: int) -> int:
+    """The bytes :func:`append_entry` writes for a payload of this size."""
+    return payload_bytes + DIGEST_CHARS + 3
+
+
 def append_entry(path: str | Path, payload: bytes, *, durable: bool = True) -> int:
     """Append one checksummed entry; returns the bytes appended.
 
@@ -69,18 +74,22 @@ def _append_once(path: Path, data: bytes, *, durable: bool) -> None:
         backend.close(fd)
 
 
-def read_entries(path: str | Path) -> tuple[list[bytes], int]:
-    """``(intact payloads in order, file size)``; a missing log is empty.
+def read_entries(path: str | Path) -> tuple[list[bytes], int, int]:
+    """``(intact payloads in order, file size, damaged lines)``; a
+    missing log is empty.
 
-    Lines whose digest does not verify — a torn tail — are skipped.
+    Lines whose digest does not verify — a torn tail — are skipped and
+    counted; the empty lines between entries are not.
     """
     try:
         blob = Path(path).read_bytes()
     except FileNotFoundError:
-        return [], 0
-    payloads = []
+        return [], 0, 0
+    payloads, damaged = [], 0
     for line in blob.split(b"\n"):
         digest, sep, payload = line.partition(b" ")
         if sep and _digest(payload) == digest:
             payloads.append(payload)
-    return payloads, len(blob)
+        elif line:
+            damaged += 1
+    return payloads, len(blob), damaged

@@ -7,6 +7,7 @@ from repro.buildsys.builddb import BuildDatabase
 from repro.buildsys.incremental import IncrementalBuilder
 from repro.buildsys.parallel import BuildOptions
 from repro.core.policies import SkipPolicy
+from repro.core.state import StateDelta
 from repro.driver import CompilerOptions
 from repro.frontend.includes import MemoryFileProvider
 
@@ -104,14 +105,13 @@ class TestTampering:
         no longer matches reality must surface as a mismatch."""
         db = build_history()
         state = db.live_state
-        tampered = 0
-        for key, record in state.records.items():
-            if record.dormant:
-                state.records[key] = record._replace(
-                    fingerprint_out="0" * len(record.fingerprint_out)
-                )
-                tampered += 1
-        assert tampered > 0
+        tampered = {
+            key: record._replace(fingerprint_out="0" * len(record.fingerprint_out))
+            for key, record in state.records.items()
+            if record.dormant
+        }
+        assert tampered
+        state.merge_delta(StateDelta(state.build_counter, tampered))
         result = run_audit(db)
         assert not result.ok
         assert any(m["kind"] == "dormant-bypass" for m in result.mismatches)

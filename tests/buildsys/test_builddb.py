@@ -11,6 +11,7 @@ from repro.buildsys.builddb import (
 )
 from repro.buildsys.deps import DependencySnapshot, content_digest
 from repro.core.state import CompilerState
+from repro.ir.fingerprint import stable_hash
 from repro.persist import atomic_write, read_artifact
 
 
@@ -26,8 +27,8 @@ def sample_db():
     )
     state = CompilerState(pipeline_signature="p1|p2", fingerprint_mode="canonical")
     state.begin_build()
-    state.remember(0, "fp-in", True, "fp-in")
-    state.remember(1, "fp-in", False, "fp-out")
+    state.remember(0, stable_hash("in"), True, stable_hash("in"))
+    state.remember(1, stable_hash("in"), False, stable_hash("out"))
     db.live_state = state
     return db
 
@@ -196,9 +197,12 @@ class TestCorruptionContract:
         sample_db().save(path)
         state_path = tmp_path / "db.state"
         generation, _, body = read_artifact(state_path).partition(b"\n")
-        state = json.loads(body)
+        head, _, table = body.partition(b"\n")  # the header line, then binary rows
+        state = json.loads(head)
         state["schema"] = -1
-        atomic_write(state_path, generation + b"\n" + json.dumps(state).encode())
+        atomic_write(
+            state_path, generation + b"\n" + json.dumps(state).encode() + b"\n" + table
+        )
         loaded = BuildDatabase.load(path)
         assert "main.mc" in loaded.units
         assert loaded.live_state is None

@@ -1,6 +1,7 @@
 """End-to-end: reprobuild history / regress / dashboard over real builds."""
 
 import json
+import re
 import shutil
 import time
 from types import SimpleNamespace
@@ -16,6 +17,8 @@ from repro.cli import (
 from repro.buildsys.report import REPORT_SCHEMA_VERSION
 from repro.obs.history import default_history_path
 from repro.passes.mem2reg import Mem2RegPass
+from repro.workload import apply_edit, generate_project, make_preset
+from repro.workload.edits import random_edit_sequence
 
 FILES = {
     "util.mh": (
@@ -77,7 +80,7 @@ class TestHistoryCommand:
         assert reprobuild_history_main(["--db", str(trace.db)]) == 0
         out, err = capsys.readouterr()
         lines = out.strip().splitlines()
-        assert "seq" in lines[0] and "bypass%" in lines[0]
+        assert "seq" in lines[0] and "skip%" in lines[0]
         assert len(lines) == 2 + 5  # header + rule + five builds
         assert "rev-0" in out and "rev-4" in out
         assert "5 build(s) loaded" in err
@@ -213,3 +216,50 @@ class TestCountArguments:
     def test_window_of_one_compares_with_the_previous_build(self, trace, capsys):
         assert reprobuild_regress_main(["--db", str(trace.db), "--window", "1"]) == 0
         assert "no drift" in capsys.readouterr().out
+
+
+class TestSkipRateShown:
+    """Under the memo policy (the ``--stateful`` default) the history
+    table and the dashboard show the share of work each build skipped,
+    the rate ``regress`` judges, not the pass-run bypass rate, which
+    swings with what the edit touched."""
+
+    #: Skip rates of the five edit builds of the ``history_demo.py``
+    #: trace; their bypass rates are 0 / 17.3 / 0 / 73.1 / 0 %.
+    EXPECTED = ["100.0%", "39.1%", "83.3%", "91.0%", "66.7%"]
+
+    @pytest.fixture(scope="class")
+    def demo_db(self, tmp_path_factory):
+        """The trace of ``benchmarks/history_demo.py``: the small preset
+        at seed 7, a clean build and five seeded edits."""
+        root = tmp_path_factory.mktemp("demo")
+        db = root / "build.reprodb"
+        spec = make_preset("small", seed=7)
+        edits = random_edit_sequence(spec, 5, seed=7)
+        for i in range(6):
+            if i:
+                spec = apply_edit(spec, edits[i - 1])
+            shutil.rmtree(root / "proj", ignore_errors=True)
+            generate_project(spec).write_to(root / "proj")
+            label = "clean" if i == 0 else f"edit-{i}"
+            argv = [str(root / "proj"), "--stateful", "--db", str(db), "--label", label]
+            assert reprobuild_main(argv) == 0
+        return db
+
+    def test_history_table(self, demo_db, capsys):
+        assert reprobuild_history_main(["--db", str(demo_db)]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[0].split()[6] == "skip%"
+        assert [row.split()[7] for row in rows[3:]] == self.EXPECTED
+
+    def test_dashboard(self, demo_db, tmp_path):
+        out = tmp_path / "dash.html"
+        assert reprobuild_dashboard_main(["--db", str(demo_db), "-o", str(out)]) == 0
+        page = out.read_text()
+        rows = re.findall(
+            r"<td>#\d+ edit-(\d)</td><td>[^<]*</td><td>\d+</td><td>\d+</td><td>([^<]*)</td>",
+            page,
+        )
+        assert [rate for _, rate in sorted(rows)] == self.EXPECTED
+        assert "<th>skip</th>" in page and "Skip rate (latest)" in page
+        assert "Bypass rate" not in page

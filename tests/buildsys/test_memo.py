@@ -13,7 +13,7 @@ import pytest
 from repro.backend.mir import MOp
 from repro.buildsys.audit import audit_fingerprint_collisions
 from repro.buildsys.builddb import BuildDatabase
-from repro.buildsys.deps import DependencyScanner
+from repro.buildsys.deps import DependencyScanner, content_digest
 from repro.buildsys.explain import explain_unit
 from repro.buildsys.incremental import IncrementalBuilder
 from repro.buildsys.parallel import BuildOptions
@@ -30,6 +30,7 @@ from repro.passmanager import pipeline as pipeline_module
 from repro.persist import atomic_write
 from repro.testing.differential import FUZZ_EDIT_MIX
 from repro.workload import apply_edit, generate_project, make_preset
+from repro.vm.machine import VirtualMachine
 from repro.workload.edits import Edit, EditKind, random_edit_sequence
 
 MEMO = CompilerOptions(stateful=True, policy=SkipPolicy.MEMO)
@@ -266,3 +267,37 @@ def test_purity_flip_edit_toggles_a_printing_probe():
     assert text[text.index(f"int {caller}("):] == again.files[f"{module.name}.mc"][
         again.files[f"{module.name}.mc"].index(f"int {caller}("):
     ]
+
+
+class TestIndentedObjects:
+    """Build DBs whose objects were stored as indented JSON, the format
+    before objects were stored compact."""
+
+    def test_they_stay_up_to_date_link_memo_reuse_and_are_rewritten(self, tmp_path):
+        files = dict(FILES, **{"b.mc": "int b(int x) { return x + 2; }\n"})
+        path = tmp_path / "build.reprodb"
+        db = BuildDatabase()
+        build(files, db)
+        for record in db.units.values():
+            indented = json.dumps(json.loads(record.object_json), indent=1, sort_keys=True)
+            record.object_json, record.object_digest = indented, content_digest(indented)
+        db.save(path)
+        indented = objects(BuildDatabase.load(path))
+        assert all("\n" in text for text in indented.values())
+
+        db = BuildDatabase.load(path)
+        report = build(files, db)
+        assert report.num_recompiled == 0 and objects(db) == indented
+        assert VirtualMachine(report.image).run().output == [15]
+
+        edited = dict(files, **{"a.mc": FILES["a.mc"].replace("h(3)", "h(4)")})
+        report = build(edited, db)
+        assert report.num_recompiled == 1
+        # g and h take their code from the indented object.
+        assert report.memo == {"functions_reused": 2, "functions_compiled": 1}
+        assert VirtualMachine(report.image).run().output == [18]
+        # The recompiled unit is stored compact, byte-identical to a
+        # stateless build; the untouched one keeps its indented object.
+        assert objects(db)["a.mc"] == stateless_objects(edited)["a.mc"]
+        assert "\n" not in objects(db)["a.mc"]
+        assert objects(db)["b.mc"] == indented["b.mc"]

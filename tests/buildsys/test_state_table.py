@@ -1,0 +1,219 @@
+"""The compiler state on disk as a sorted binary table, end to end.
+
+A stateful build probes the base's rows instead of decoding them, so
+these tests pin what must not change with the format: garbage
+collection past ``gc_max_age`` (same records reclaimed, at the same
+build, serial or parallel), objects byte-identical to a stateless
+build, the upgrade from a v5 JSON base, and a state write that encodes
+each record once.
+"""
+
+import json
+import shutil
+
+import pytest
+
+from repro.buildsys.builddb import BuildDatabase, StateStore
+from repro.cli import reprobuild_main
+from repro.core import state as state_module
+from repro.core.state import CompilerState, DormancyRecord
+from repro.persist import append_entry, atomic_write
+from repro.workload import apply_edit, generate_project, make_preset
+from repro.workload.edits import random_edit_sequence
+
+#: Enough edit builds for the first records to pass ``gc_max_age`` (50).
+BUILDS = 64
+
+
+def run(proj, db, *flags) -> dict:
+    """One in-process ``reprobuild``; returns its report's state summary."""
+    report = db.parent / f"{db.name}.report.json"
+    argv = [str(proj), "--db", str(db), "--no-history", "--no-lock",
+            "--report-json", str(report), *flags]
+    assert reprobuild_main(argv) == 0
+    return json.loads(report.read_text()).get("state")
+
+
+def objects(db) -> dict[str, str]:
+    return {p: r.object_json for p, r in BuildDatabase.load(db).units.items()}
+
+
+def records(db) -> dict:
+    return dict(BuildDatabase.load(db).live_state.records.items())
+
+
+class DictModel:
+    """Today's garbage collection on a plain dict, fed by spying on the
+    live state's lookups and writes during a serial build."""
+
+    def __init__(self, monkeypatch):
+        self.records: dict = {}
+        self.events: list = []
+        self.gc_scans = 0
+        lookup, remember, fold = (
+            CompilerState.lookup, CompilerState.remember, CompilerState._fold
+        )
+
+        def spy_lookup(state, position, fingerprint):
+            record = lookup(state, position, fingerprint)
+            self.events.append(((position, fingerprint), record, state.build_counter))
+            return record
+
+        def spy_remember(state, position, fingerprint_in, dormant, fingerprint_out):
+            remember(state, position, fingerprint_in, dormant, fingerprint_out)
+            record = DormancyRecord(dormant, fingerprint_out, state.build_counter)
+            self.events.append(((position, fingerprint_in), record, None))
+
+        def spy_fold(state, *cutoff):
+            self.gc_scans += bool(cutoff)  # a fold with a cutoff is GC's scan
+            return fold(state, *cutoff)
+
+        monkeypatch.setattr(CompilerState, "lookup", spy_lookup)
+        monkeypatch.setattr(CompilerState, "remember", spy_remember)
+        monkeypatch.setattr(CompilerState, "_fold", spy_fold)
+
+    def build(self, build_counter: int, gc_max_age: int) -> tuple[int, bool]:
+        """Replay one build's events; ``(records reclaimed, any old enough)``."""
+        for key, record, counter in self.events:
+            if counter is None:  # a write
+                self.records[key] = record
+            else:  # a lookup: hits exactly the keys the dict holds
+                assert (record is None) == (key not in self.records), key
+                if record is not None:
+                    self.records[key] = self.records[key]._replace(last_used_build=counter)
+                    assert record == self.records[key]
+        self.events.clear()
+        cutoff = build_counter - gc_max_age
+        stale = [k for k, r in self.records.items() if r.last_used_build < cutoff]
+        for key in stale:
+            del self.records[key]
+        return len(stale), bool(stale)
+
+
+@pytest.fixture(scope="module")
+def trace():
+    spec = make_preset("small", seed=2)
+    specs = [spec]
+    for edit in random_edit_sequence(spec, BUILDS, seed=2):
+        specs.append(apply_edit(specs[-1], edit))
+    return specs
+
+
+class TestGarbageCollectionPastMaxAge:
+    def test_serial_and_parallel_match_a_dict_model(self, tmp_path, monkeypatch, trace):
+        model = DictModel(monkeypatch)
+        proj = tmp_path / "proj"
+        dbs = {v: tmp_path / v / "build.reprodb" for v in ("j1", "j2", "stateless")}
+        for db in dbs.values():
+            db.parent.mkdir()
+        reclaimed_builds = quiet_builds = 0
+        for spec in trace:
+            shutil.rmtree(proj, ignore_errors=True)
+            generate_project(spec).write_to(proj)
+            run(proj, dbs["stateless"])
+            scans = model.gc_scans
+            serial = run(proj, dbs["j1"], "--stateful", "-j", "1")
+            scanned = model.gc_scans > scans
+            reclaimed, old_enough = model.build(serial["build_counter"], serial["gc_max_age"])
+            parallel = run(proj, dbs["j2"], "--stateful", "-j", "2")
+            model.events.clear()  # the model follows the serial build only
+
+            assert serial["gc_reclaimed_last"] == reclaimed == parallel["gc_reclaimed_last"]
+            assert serial["records"] == len(model.records) == parallel["records"]
+            assert records(dbs["j1"]) == model.records == records(dbs["j2"])
+            # The GC bound: a build with nothing old enough scans nothing.
+            assert scanned == old_enough
+            reclaimed_builds += reclaimed > 0
+            quiet_builds += not scanned
+            assert objects(dbs["j1"]) == objects(dbs["stateless"]) == objects(dbs["j2"])
+        assert serial["build_counter"] == BUILDS + 1
+        assert reclaimed_builds and quiet_builds >= 50
+
+
+class TestV5Base:
+    def test_loads_as_no_state_and_the_next_build_writes_v6(self, tmp_path, trace):
+        proj, db = tmp_path / "proj", tmp_path / "build.reprodb"
+        generate_project(trace[0]).write_to(proj)
+        run(proj, db, "--stateful")
+        # The state files as v5 wrote them: a JSON base and a JSON log entry.
+        state = BuildDatabase.load(db).live_state
+        v5 = {
+            "schema": 5, "pipeline": state.pipeline_signature,
+            "fingerprint_mode": state.fingerprint_mode,
+            "build_counter": state.build_counter, "gc_max_age": state.gc_max_age,
+            "gc_runs": state.gc_runs, "gc_reclaimed": state.gc_reclaimed_total,
+            "records": [
+                [pos, fp, r.last_used_build, int(r.dormant),
+                 "" if r.fingerprint_out == fp else r.fingerprint_out]
+                for (pos, fp), r in sorted(state.records.items())
+            ],
+        }
+        atomic_write(f"{db}.state", b"0123456789abcdef\n" + json.dumps(v5).encode())
+        entry = {"gen": "0123456789abcdef", "build_counter": 2, "gc_runs": 2,
+                 "gc_reclaimed": 0, "records": v5["records"][:3]}
+        append_entry(f"{db}.state.log", json.dumps(entry).encode())
+        assert StateStore(f"{db}.state").load() is None
+
+        shutil.rmtree(proj)
+        generate_project(trace[1]).write_to(proj)
+        summary = run(proj, db, "--stateful")
+        # Only bypasses were lost: the memo keys live in the build DB.
+        assert summary["build_counter"] == 1 and summary["records"] > 0
+        loaded = StateStore(f"{db}.state").load()
+        assert loaded is not None and loaded.num_records == summary["records"]
+        assert not (tmp_path / "build.reprodb.state.log").exists()
+        stateless = tmp_path / "stateless.reprodb"
+        run(proj, stateless)
+        assert objects(db) == objects(stateless)
+
+
+class TestStageEncodesOnce:
+    @pytest.fixture()
+    def packed(self, monkeypatch):
+        """Counts the records encoded into rows."""
+        counts = []
+        real = state_module.pack_rows
+
+        def pack_rows(items):
+            rows = real(items)
+            counts.append(len(rows))
+            return rows
+
+        monkeypatch.setattr(state_module, "pack_rows", pack_rows)
+        monkeypatch.setattr("repro.buildsys.builddb.pack_rows", pack_rows)
+        return counts
+
+    def saved(self, path, n: int) -> CompilerState:
+        state = CompilerState(pipeline_signature="sig")
+        state.begin_build()
+        for i in range(n):
+            state.remember(i % 5, f"{i:032x}", True, f"{i:032x}")
+        store = StateStore(path)
+        store.stage(state)
+        store.flush()
+        return StateStore(path).load()
+
+    def test_a_compacting_stage_encodes_each_record_once(self, tmp_path, packed):
+        state = self.saved(tmp_path / "s", 400)
+        store = StateStore(tmp_path / "s")
+        state = store.load()
+        state.begin_build()
+        for i in range(400):  # refresh every record: the delta is the state
+            state.lookup(i % 5, f"{i:032x}")
+        packed.clear()
+        store.stage(state)
+        assert store.log_bytes == 0  # compacted
+        assert packed == [400]  # into the base only, not into an entry too
+
+    def test_an_appending_stage_encodes_only_the_delta(self, tmp_path, packed):
+        self.saved(tmp_path / "s", 400)
+        store = StateStore(tmp_path / "s")
+        state = store.load()
+        state.begin_build()
+        for i in range(10):
+            state.lookup(i % 5, f"{i:032x}")
+        packed.clear()
+        store.stage(state)
+        store.flush()
+        assert store.log_bytes > 0 and packed == [10]
+        assert StateStore(tmp_path / "s").load().records == state.records

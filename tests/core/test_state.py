@@ -5,12 +5,19 @@ import pytest
 from repro.buildsys.builddb import StateStore
 from repro.cli import reproc_main
 from repro.core.state import (
+    ROW_BYTES,
     CompilerState,
     DormancyRecord,
     STATE_SCHEMA_VERSION,
     pipeline_signature_of,
 )
+from repro.ir.fingerprint import stable_hash
 from repro.passmanager.pipeline import build_pipeline
+
+
+def digest(name: str) -> str:
+    """A fingerprint as compiles make them, named for the test's reader."""
+    return stable_hash(name)
 
 
 def make_state(**kwargs) -> CompilerState:
@@ -36,39 +43,39 @@ def reproc_state(tmp_path, path, *flags) -> CompilerState:
 class TestRecords:
     def test_remember_and_lookup(self):
         state = make_state()
-        state.remember(3, "fp1", True, "fp1")
-        record = state.lookup(3, "fp1")
+        state.remember(3, digest("fp1"), True, digest("fp1"))
+        record = state.lookup(3, digest("fp1"))
         assert record is not None and record.dormant
-        assert record.fingerprint_out == "fp1"
+        assert record.fingerprint_out == digest("fp1")
 
     def test_lookup_miss(self):
         state = make_state()
-        assert state.lookup(0, "nope") is None
+        assert state.lookup(0, digest("nope")) is None
 
     def test_position_isolation(self):
         state = make_state()
-        state.remember(1, "fp", True, "fp")
-        assert state.lookup(2, "fp") is None
+        state.remember(1, digest("fp"), True, digest("fp"))
+        assert state.lookup(2, digest("fp")) is None
 
     def test_changed_record(self):
         state = make_state()
-        state.remember(0, "in", False, "out")
-        record = state.lookup(0, "in")
-        assert not record.dormant and record.fingerprint_out == "out"
+        state.remember(0, digest("in"), False, digest("out"))
+        record = state.lookup(0, digest("in"))
+        assert not record.dormant and record.fingerprint_out == digest("out")
 
     def test_lookup_refreshes_gc_timestamp(self):
         state = make_state()
-        state.remember(0, "fp", True, "fp")
+        state.remember(0, digest("fp"), True, digest("fp"))
         state.begin_build()
         state.begin_build()
-        record = state.lookup(0, "fp")
+        record = state.lookup(0, digest("fp"))
         assert record.last_used_build == state.build_counter
 
 
 class TestGarbageCollection:
     def test_stale_records_collected(self):
         state = make_state(gc_max_age=3)
-        state.remember(0, "old", True, "old")
+        state.remember(0, digest("old"), True, digest("old"))
         for _ in range(5):
             state.begin_build()
         removed = state.collect_garbage()
@@ -77,16 +84,16 @@ class TestGarbageCollection:
     def test_fresh_records_kept(self):
         state = make_state(gc_max_age=3)
         state.begin_build()
-        state.remember(0, "fresh", True, "fresh")
+        state.remember(0, digest("fresh"), True, digest("fresh"))
         assert state.collect_garbage() == 0
         assert state.num_records == 1
 
     def test_recently_used_records_survive(self):
         state = make_state(gc_max_age=3)
-        state.remember(0, "hot", True, "hot")
+        state.remember(0, digest("hot"), True, digest("hot"))
         for _ in range(5):
             state.begin_build()
-            state.lookup(0, "hot")  # refresh
+            state.lookup(0, digest("hot"))  # refresh
         assert state.collect_garbage() == 0
 
 
@@ -94,16 +101,16 @@ class TestSerialization:
     def test_round_trip(self):
         state = make_state()
         state.begin_build()
-        state.remember(0, "a", True, "a")
-        state.remember(1, "a", False, "b")
+        state.remember(0, digest("a"), True, digest("a"))
+        state.remember(1, digest("a"), False, digest("b"))
         restored = CompilerState.from_json(state.to_json())
         assert restored.num_records == 2
         assert restored.build_counter == 1
-        assert restored.lookup(1, "a").fingerprint_out == "b"
+        assert restored.lookup(1, digest("a")).fingerprint_out == digest("b")
 
     def test_schema_mismatch_rejected(self):
         text = make_state().to_json().replace(
-            f'"schema":{STATE_SCHEMA_VERSION}', '"schema":1'
+            f'"schema":{STATE_SCHEMA_VERSION}'.encode(), b'"schema":1'
         )
         with pytest.raises(ValueError):
             CompilerState.from_json(text)
@@ -111,7 +118,7 @@ class TestSerialization:
     def test_save_load_file(self, tmp_path):
         path = tmp_path / "state.json"
         state = make_state()
-        state.remember(0, "x", True, "x")
+        state.remember(0, digest("x"), True, digest("x"))
         save(path, state)
         assert state.stored_bytes == path.stat().st_size
         loaded = StateStore(path).load()
@@ -164,17 +171,17 @@ class TestSnapshotDelta:
 
     def test_snapshot_is_isolated(self):
         state = make_state(build_counter=7)
-        state.remember(0, "a", True, "a")
+        state.remember(0, digest("a"), True, digest("a"))
         snap = state.snapshot()
         assert snap.build_counter == 7 and snap.num_records == 1
 
         # Writes to the snapshot never reach the original...
-        snap.remember(1, "b", False, "b2")
-        assert state.lookup(1, "b") is None
+        snap.remember(1, digest("b"), False, digest("b2"))
+        assert state.lookup(1, digest("b")) is None
         # ...and neither does a lookup's refreshed GC timestamp.
         snap.build_counter = 99
-        snap.lookup(0, "a")
-        assert state.records[(0, "a")].last_used_build == 7
+        snap.lookup(0, digest("a"))
+        assert state.records[(0, digest("a"))].last_used_build == 7
 
     def test_extract_delta_requires_tracking(self):
         with pytest.raises(RuntimeError):
@@ -182,15 +189,15 @@ class TestSnapshotDelta:
 
     def test_delta_contains_writes_and_lookup_refreshes(self):
         state = make_state(build_counter=3)
-        state.remember(0, "old", True, "old")
-        state.remember(0, "untouched", True, "untouched")
+        state.remember(0, digest("old"), True, digest("old"))
+        state.remember(0, digest("untouched"), True, digest("untouched"))
         state.build_counter = 4
         state.begin_delta_tracking()
-        state.lookup(0, "old")            # refresh only
-        state.lookup(5, "miss")           # miss: not in the delta
-        state.remember(1, "new", False, "new2")
+        state.lookup(0, digest("old"))            # refresh only
+        state.lookup(5, digest("miss"))           # miss: not in the delta
+        state.remember(1, digest("new"), False, digest("new2"))
         delta = state.extract_delta()
-        assert set(delta.records) == {(0, "old"), (1, "new")}
+        assert set(delta.records) == {(0, digest("old")), (1, digest("new"))}
         assert delta.build_counter == 4
         # Everything a worker touched is stamped with its build tick.
         assert all(r.last_used_build == 4 for r in delta.records.values())
@@ -198,21 +205,21 @@ class TestSnapshotDelta:
     def test_records_are_immutable(self):
         state = make_state()
         state.begin_delta_tracking()
-        state.remember(0, "a", True, "a")
+        state.remember(0, digest("a"), True, digest("a"))
         delta = state.extract_delta()
-        record = delta.records[(0, "a")]
-        assert record is state.records[(0, "a")]  # shared, not copied
+        record = delta.records[(0, digest("a"))]
+        assert record is state.records[(0, digest("a"))]  # shared, not copied
         for field in DormancyRecord._fields:
             with pytest.raises(AttributeError):
                 setattr(record, field, None)
-        assert state.records[(0, "a")] == DormancyRecord(True, "a", 0)
+        assert state.records[(0, digest("a"))] == DormancyRecord(True, digest("a"), 0)
 
     def test_lookup_hit_replaces_the_record(self):
         state = make_state(build_counter=1)
-        state.remember(0, "a", True, "a")
-        old = state.records[(0, "a")]
+        state.remember(0, digest("a"), True, digest("a"))
+        old = state.records[(0, digest("a"))]
         state.begin_build()
-        assert state.lookup(0, "a").last_used_build == 2
+        assert state.lookup(0, digest("a")).last_used_build == 2
         assert old.last_used_build == 1  # the old record is unchanged
 
     def test_merge_disjoint_deltas_is_order_independent(self):
@@ -222,7 +229,7 @@ class TestSnapshotDelta:
             snap.remember(position, fp, True, fp)
             return snap.extract_delta()
 
-        a, b = worker_delta(0, "f1"), worker_delta(3, "f2")
+        a, b = worker_delta(0, digest("f1")), worker_delta(3, digest("f2"))
         ab, ba = make_state(build_counter=2), make_state(build_counter=2)
         ab.merge_delta(a), ab.merge_delta(b)
         ba.merge_delta(b), ba.merge_delta(a)
@@ -233,41 +240,213 @@ class TestSnapshotDelta:
         from repro.core.state import StateDelta
 
         state = make_state(build_counter=5)
-        first = StateDelta(5, {(0, "f"): DormancyRecord(True, "f", 5)})
-        second = StateDelta(5, {(0, "f"): DormancyRecord(False, "f2", 5)})
+        first = StateDelta(5, {(0, digest("f")): DormancyRecord(True, digest("f"), 5)})
+        second = StateDelta(5, {(0, digest("f")): DormancyRecord(False, digest("f2"), 5)})
         state.merge_delta(first)
         state.merge_delta(second)
         assert state.num_records == 1
-        record = state.records[(0, "f")]
-        assert not record.dormant and record.fingerprint_out == "f2"
+        record = state.records[(0, digest("f"))]
+        assert not record.dormant and record.fingerprint_out == digest("f2")
 
     def test_merge_keeps_freshest_gc_timestamp(self):
         from repro.core.state import StateDelta
 
-        state = make_state(build_counter=10)
-        state.records[(0, "f")] = DormancyRecord(True, "f", 9)
-        stale_delta = StateDelta(10, {(0, "f"): DormancyRecord(True, "f", 4)})
+        state = make_state(build_counter=10, records={(0, digest("f")): DormancyRecord(True, digest("f"), 9)})
+        stale_delta = StateDelta(10, {(0, digest("f")): DormancyRecord(True, digest("f"), 4)})
         state.merge_delta(stale_delta)
-        assert state.records[(0, "f")].last_used_build == 9
+        assert state.records[(0, digest("f"))].last_used_build == 9
 
     def test_gc_after_merge_prunes_like_serial(self):
         # A record only touched by one worker must survive GC exactly as
         # if the serial loop had consulted it; an untouched ancient
         # record must be pruned either way.
         def run(merge_parallel):
-            state = make_state(build_counter=50, gc_max_age=10)
-            state.records[(0, "hot")] = DormancyRecord(True, "hot", 49)
-            state.records[(0, "cold")] = DormancyRecord(True, "cold", 5)
+            state = make_state(build_counter=50, gc_max_age=10, records={
+                (0, digest("hot")): DormancyRecord(True, digest("hot"), 49),
+                (0, digest("cold")): DormancyRecord(True, digest("cold"), 5),
+            })
             state.build_counter = 51
             if merge_parallel:
                 snap = state.snapshot()
                 snap.begin_delta_tracking()
-                snap.lookup(0, "hot")
+                snap.lookup(0, digest("hot"))
                 state.merge_delta(snap.extract_delta())
             else:
-                state.lookup(0, "hot")
+                state.lookup(0, digest("hot"))
             state.collect_garbage()
             return dict(state.records)
 
         assert run(True) == run(False)
-        assert (0, "cold") not in run(True)
+        assert (0, digest("cold")) not in run(True)
+
+
+def fp(i: int) -> str:
+    """A fingerprint as compiles make them: 32 lowercase hex digits."""
+    return f"{i:032x}"
+
+
+def table_state(n: int, **kwargs) -> CompilerState:
+    """A state of ``n`` digest-keyed records read back from its base,
+    so every record sits in the binary table."""
+    state = make_state(**kwargs)
+    state.begin_build()
+    for i in range(n):
+        state.remember(i % 7, fp(i), i % 2 == 0, fp(i) if i % 2 == 0 else fp(i + 10_000))
+    return CompilerState.from_json(state.to_json())
+
+
+class TestRecordTable:
+    """The v6 base: a header line and a sorted table of 38-byte rows."""
+
+    def test_base_is_fixed_width_rows(self):
+        state = table_state(50)
+        head, _, table = state.to_json().partition(b"\n")
+        assert len(table) == 50 * ROW_BYTES
+        assert CompilerState.from_json(head + b"\n" + table).records == state.records
+
+    def test_load_and_miss_build_no_record(self, monkeypatch):
+        from repro.core import state as state_module
+
+        built = []
+        real = state_module._record
+        monkeypatch.setattr(
+            state_module, "_record", lambda *a: built.append(a) or real(*a)
+        )
+        base = table_state(200).to_json()
+        built.clear()
+        state = CompilerState.from_json(base)
+        assert state.num_records == 200 and built == []
+        assert state.lookup(3, fp(999_999)) is None and built == []
+        record = state.lookup(10 % 7, fp(10))
+        assert record == DormancyRecord(True, fp(10), 1) and len(built) == 1
+
+    def test_lookup_matches_exact_keys_only(self):
+        state = table_state(100)
+        assert state.lookup(3, fp(3)) is not None
+        assert state.lookup(4, fp(3)) is None  # other position
+        assert state.lookup(3, fp(10)) is not None
+        assert state.lookup(1, fp(1)).fingerprint_out == fp(10_001)
+
+    @pytest.mark.parametrize("key", [
+        (3, fp(10).upper()),  # would read back as another string
+        (3, fp(3)[:-1]),
+        (3, "not-a-digest"),
+    ])
+    def test_a_key_no_row_can_hold_is_refused(self, key):
+        with pytest.raises(ValueError):
+            table_state(20).lookup(*key)
+
+    def test_overlay_shadows_the_table(self):
+        state = table_state(20)
+        state.begin_build()
+        state.remember(0, fp(0), False, fp(5))
+        state.remember(0, fp(12345), True, fp(12345))
+        assert state.num_records == 21 == len(dict(state.records.items()))
+        assert state.records[(0, fp(0))] == DormancyRecord(False, fp(5), 2)
+        reloaded = CompilerState.from_json(state.to_json())
+        assert reloaded.records == state.records and reloaded.num_records == 21
+
+    @pytest.mark.parametrize("position,fp_in,fp_out", [
+        (500, fp(1), fp(1)),  # a position beyond a byte
+        (0, "not-a-digest", "not-a-digest"),
+        (2, fp(2), "not-a-digest"),
+    ])
+    def test_a_record_no_row_can_hold_is_refused(self, tmp_path, position, fp_in, fp_out):
+        state = make_state()
+        state.remember(position, fp_in, False, fp_out)
+        with pytest.raises(ValueError):
+            state.to_json()
+        state = table_state(50)
+        store = StateStore(tmp_path / "state")
+        store.stage(state)  # a base large enough for the next stage to append
+        with pytest.raises(ValueError):  # probing the table, or packing the entry
+            state.remember(position, fp_in, False, fp_out)
+            store.stage(state)
+        assert store.log_bytes == 0
+
+    def test_records_map_is_read_only(self):
+        state = table_state(3)
+        with pytest.raises(TypeError):
+            state.records[(0, fp(0))] = DormancyRecord(True, fp(0), 9)
+
+    def test_snapshot_shares_the_table(self):
+        state = table_state(30, build_counter=4)
+        snap = state.snapshot()
+        snap.build_counter = 9
+        snap.lookup(0, fp(0))
+        snap.remember(0, fp(777), True, fp(777))
+        assert state.records[(0, fp(0))].last_used_build == 5
+        assert (0, fp(777)) not in state.records
+        assert snap.num_records == 31 and state.num_records == 30
+
+
+class TestGarbageBound:
+    """GC answers "can anything be old enough?" without a scan."""
+
+    def test_no_scan_while_nothing_can_be_old_enough(self, monkeypatch):
+        state = table_state(40, gc_max_age=5)
+        scans = []
+        real = CompilerState._fold
+        monkeypatch.setattr(
+            CompilerState, "_fold", lambda self, *a: scans.append(a) or real(self, *a)
+        )
+        for _ in range(5):  # the cutoff climbs to 1, the records' build
+            state.begin_build()
+            assert state.collect_garbage() == 0
+        assert scans == [] and state.gc_runs == 5
+        state.begin_build()
+        assert state.collect_garbage() == 40 and scans == [(2,)]
+        assert state.num_records == 0 and state.last_gc_reclaimed == 40
+
+    def test_reclaims_like_a_dict(self):
+        state = table_state(60, gc_max_age=3)
+        model = dict(state.records.items())
+        for build in range(2, 12):
+            state.begin_build()
+            for i in range(build, 60, 5):  # refresh a few, add one
+                key = (i % 7, fp(i))
+                if state.lookup(*key) is not None:
+                    model[key] = model[key]._replace(last_used_build=build)
+            state.remember(0, fp(50_000 + build), True, fp(50_000 + build))
+            model[(0, fp(50_000 + build))] = DormancyRecord(True, fp(50_000 + build), build)
+            stale = [k for k, r in model.items() if r.last_used_build < build - 3]
+            for key in stale:
+                del model[key]
+            assert state.collect_garbage() == len(stale)
+            assert state.num_records == len(model)
+            assert dict(state.records.items()) == model
+
+    def test_a_tightened_bound_travels_in_the_log(self, tmp_path, monkeypatch):
+        path = tmp_path / "state"
+        state = make_state(gc_max_age=5)
+        state.begin_build()
+        for i in range(5):  # the oldest records, last used in build 1
+            state.remember(0, fp(i), True, fp(i))
+        state.build_counter = 3
+        for i in range(5, 205):
+            state.remember(1, fp(i), True, fp(i))
+        save(path, state)
+
+        def build(*refresh):
+            store = StateStore(path)
+            state = store.load()
+            state.begin_build()
+            for i in refresh:
+                assert state.lookup(0, fp(i)) is not None
+            reclaimed = state.collect_garbage()
+            store.stage(state)
+            store.flush()
+            return reclaimed
+
+        scans = []
+        real = CompilerState._fold
+        monkeypatch.setattr(
+            CompilerState, "_fold", lambda self, *a: scans.append(a) or real(self, *a)
+        )
+        assert build(*range(5)) == 0 and scans == []  # build 4: all refreshed
+        assert build() == 0 and build() == 0 and scans == []  # builds 5, 6
+        # Build 7: the bound (1) is stale, so GC scans, finds nothing
+        # older than 2, and tightens it to 3 in the log entry.
+        assert build() == 0 and scans == [(2,)]
+        assert path.with_name("state.log").is_file()
+        assert build() == 0 and scans == [(2,)]  # build 8: cutoff 3, no scan

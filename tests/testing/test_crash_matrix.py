@@ -17,7 +17,9 @@ import pytest
 from repro.buildsys.builddb import BuildDatabase, CorruptDatabaseError, StateStore
 from repro.buildsys.deps import DependencySnapshot, content_digest
 from repro.core.state import CompilerState
+from repro.ir.fingerprint import stable_hash
 from repro.obs.history import BuildHistory, HistoryRecord
+from repro.persist.log import encode_entry
 from repro.testing import (
     KILL,
     KILL_AFTER,
@@ -32,6 +34,11 @@ from repro.testing import (
 FAULT_KINDS = (KILL, KILL_AFTER, TORN)
 
 
+def digest(name):
+    """A fingerprint as compiles make them, so every record is a table row."""
+    return stable_hash(name)
+
+
 def snapshot_of(path, text):
     return DependencySnapshot(path, content_digest(text), {})
 
@@ -43,7 +50,7 @@ def make_db(units):
     state = CompilerState(pipeline_signature="p1|p2")
     state.begin_build()
     for i, name in enumerate(units):
-        state.remember(i % 3, f"fp-{name}", True, f"fp-{name}")
+        state.remember(i % 3, digest(name), True, digest(name))
     db.live_state = state
     return db
 
@@ -52,7 +59,8 @@ def make_state(n):
     state = CompilerState(pipeline_signature="sig")
     state.begin_build()
     for i in range(n):
-        state.remember(i, f"fp{i}", i % 2 == 0, f"fp{i}'")
+        fp_in, dormant = digest(f"in{i}"), i % 2 == 0
+        state.remember(i % 30, fp_in, dormant, fp_in if dormant else digest(f"out{i}"))
     return state
 
 
@@ -155,9 +163,9 @@ def touch_state(db, *, add, reclaim=False, tag="new"):
     """Change the state like a compiling build would, and stage it."""
     state = db.live_state
     state.begin_build()
-    state.lookup(0, "fp0")
+    assert state.lookup(0, digest("in0")) is not None
     for i in range(add):
-        state.remember(1000 + i, f"{tag}{i}", True, f"{tag}{i}")
+        state.remember(i % 30, digest(f"{tag}{i}"), True, digest(f"{tag}{i}"))
     if reclaim:
         state.gc_max_age = 0  # everything this build did not touch
     state.collect_garbage()
@@ -251,6 +259,68 @@ class TestStateFileMatrix:
             # Last-good, fully-new, or none (the lenient-cache fallback).
             records = loaded.num_records if loaded is not None else 0
             assert records in (4, 7, 0), label
+
+
+class TestDamagedLogEntry:
+    """A log entry in the middle that fails its checksum, or whose
+    checksum holds but whose rows are not whole rows, is skipped: the
+    entries after it still replay, and the state is recounted, so the
+    record count and the next GC match a dict that never saw the entry."""
+
+    def logged_state(self, path):
+        """A base and three binary log entries; ``(base records, the
+        records each entry wrote)``."""
+        store = StateStore(path)
+        state = make_state(300)  # large enough for three appends
+        store.stage(state)
+        store.flush()
+        base, deltas = dict(state.records.items()), []
+        for j in range(3):
+            store = StateStore(path)
+            state = store.load()
+            state.begin_build()
+            for i in range(j, 40, 3):  # refresh a third of the base...
+                assert state.lookup(i % 30, digest(f"in{i}")) is not None
+            for m in range(2):  # ...and add two records
+                state.remember(j, digest(f"e{j}-{m}"), True, digest(f"e{j}-{m}"))
+            deltas.append(dict(state.extract_delta().records))
+            store.stage(state)
+            store.flush()
+        assert store.log_bytes > 0 and len(entry_lines(path)) == 3
+        return base, deltas
+
+    @pytest.mark.parametrize("damage", ["checksum", "partial-row"])
+    def test_later_entries_replay_and_gc_counts_exactly(self, tmp_path, damage):
+        path = tmp_path / "state"
+        base, deltas = self.logged_state(path)
+        lines = entry_lines(path)
+        digest_, _, payload = lines[1].partition(b" ")
+        if damage == "checksum":  # a flipped byte in the base64 rows
+            lines[1] = digest_ + b" " + payload[:-3] + bytes([payload[-3] ^ 1]) + payload[-2:]
+        else:  # intact checksum over rows that are not whole
+            head, _, rows = payload.rpartition(b" ")
+            lines[1] = encode_entry(head + b" " + rows[:-4]).strip(b"\n")
+        log = tmp_path / "state.log"
+        log.write_bytes(b"".join(b"\n" + line + b"\n" for line in lines))
+
+        model = {**base, **deltas[0], **deltas[2]}
+        state = StateStore(path).load()
+        assert dict(state.records.items()) == model
+        assert state.num_records == len(model) and state.build_counter == 4
+
+        state.gc_max_age = 2
+        state.begin_build()
+        stale = {k for k, r in model.items() if r.last_used_build < 5 - 2}
+        assert stale  # the base records no surviving entry refreshed
+        assert state.collect_garbage() == len(stale) == state.last_gc_reclaimed
+        assert dict(state.records.items()) == {
+            k: r for k, r in model.items() if k not in stale
+        }
+
+
+def entry_lines(path):
+    log = path.with_name(f"{path.name}.log")
+    return [line for line in log.read_bytes().split(b"\n") if line]
 
 
 class TestHistoryMatrix:
