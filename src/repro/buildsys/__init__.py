@@ -13,8 +13,8 @@ instead of — a competent build system:
   :class:`BuildDatabase`: per-unit digests, dependency digests, object
   options, cached object JSON and the last link's key; the live
   :class:`~repro.core.state.CompilerState` persists beside it
-  (:class:`~repro.buildsys.builddb.StateStore`: a compacted base plus an
-  append-only delta log), read and written only by builds that compile.
+  (:class:`~repro.buildsys.builddb.StateStore`: one checksummed file),
+  read and written only by builds that compile.
 - :mod:`repro.buildsys.incremental` — :class:`IncrementalBuilder`: the
   scheduler deciding, per unit, rebuild vs reuse, compiling via
   :mod:`repro.driver` and linking the result.

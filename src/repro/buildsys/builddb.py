@@ -2,7 +2,7 @@
 
 One JSON file per build tree, playing the role of ninja's ``.ninja_log``
 + ``.ninja_deps`` + the object directory.  The stateful compiler's
-:class:`~repro.core.state.CompilerState` lives in two files beside it:
+:class:`~repro.core.state.CompilerState` lives in a second file beside it:
 
 - ``<db>`` — per unit: source digest, the digest of every transitively
   included header (``None`` for headers that were missing when the unit
@@ -11,15 +11,9 @@ One JSON file per build tree, playing the role of ninja's ``.ninja_log``
   Also the key of the last successful link and a summary of the state
   (records, bytes, GC counters), so a no-op build can report the state
   without reading it.
-- ``<db>.state`` — the compacted base: a generation token, then
-  :meth:`CompilerState.to_json` (a JSON header line and the sorted
-  table of fixed-width record rows), as one checksummed atomic artifact.
-- ``<db>.state.log`` — an append-only log of checksummed entries
-  (:mod:`repro.persist.log`), one per build that compiled something.
-  Each holds that build's :class:`~repro.core.state.StateDelta` (the
-  records it created or refreshed, as base64 rows), the GC counters,
-  record count and GC bound after it, and the base generation it
-  extends.
+- ``<db>.state`` — :meth:`CompilerState.to_json` (a JSON header line
+  and the sorted table of fixed-width record rows) as one checksummed
+  atomic artifact.
 
 A unit is up to date when its current :class:`DependencySnapshot`
 matches the record exactly and it was compiled with the same object
@@ -27,12 +21,11 @@ options (``-O`` level); anything else — edited source, edited header, a
 header added/removed from the closure, a previously missing header
 appearing, another ``-O`` — forces a recompile.
 
-**Persistence in proportion to the edit.**  The state is read only when
-a build compiles a unit, and written only by such builds (see
-:class:`StateStore`): the build appends its delta to the log, unless GC
-reclaimed records or the log would grow past half the base's size — then
-it *compacts*, rewriting the base under a fresh generation and deleting
-the log.  Loading the state decodes no record of the base (see
+**Persistence only where a build compiles.**  The state is read only
+when a build compiles a unit, and written only by such builds (see
+:class:`StateStore`): the build splices the records it created or
+refreshed into the table and rewrites the file, so encoding costs what
+the build touched.  Loading the state decodes no record (see
 :mod:`repro.core.state`).  The DB file is rewritten only when something
 in it changed.
 
@@ -46,19 +39,17 @@ decoding the objects and linking: the result would be the image that
 already linked.
 
 **Crashes between the files.**  :meth:`BuildDatabase.save_changes`
-writes the state files before the DB file, each with its own
+writes the state file before the DB file, each with its own
 crash-consistent protocol, so a crash leaves each file old or new, and
 the pair can mix: a new state beside the old DB.  That mix — and any
-other, such as state files lost or damaged while the DB survives — is
+other, such as a state file lost or damaged while the DB survives — is
 harmless, because a dormancy record is a *content-keyed fact*: "the pass
 at this position left IR with fingerprint F unchanged (or turned it into
 F')" is true whichever build recorded it and whichever objects the DB
 holds.  A record no unit produces again is never hit; a missing record
 only costs a bypass.  What can lag is the GC clock and the DB's state
 summary, which decide when records are reclaimed and what the report
-says, never what a build outputs.  A log entry tagged with a stale
-generation (a crash between a compaction's base write and its log
-delete) is ignored.
+says, never what a build outputs.
 
 Like the compiler state, the DB is disposable: a missing or
 schema-incompatible file loads as an empty database and the next build
@@ -67,38 +58,30 @@ failed checksum) raises the typed :class:`CorruptDatabaseError` so the
 caller can log what happened before falling back to the same full
 rebuild — cache loss is a performance event, never a correctness one,
 but silent cache loss is a diagnosis event someone deserves to see.
-A damaged state base loads as no state, silently; a damaged log entry
-is skipped.
+A damaged state file loads as no state, silently.
 
 Writes go through :func:`repro.persist.atomic_write` (checksummed frame,
-temp file + fsync + rename, bounded retry on transient errors) and
-:func:`repro.persist.append_entry`.  A ``reprobuild`` killed at any
-instant leaves every file either previous or new, never a torn hybrid
-that is read as valid.
+temp file + fsync + rename, bounded retry on transient errors).  A
+``reprobuild`` killed at any instant leaves every file either previous
+or new, never a torn hybrid that is read as valid.
 """
 
 from __future__ import annotations
 
-import binascii
 import hashlib
 import json
-import os
 from pathlib import Path
 
 from repro._struct import Struct
 from repro.buildsys.deps import DependencySnapshot, content_digest
-from repro.core.state import ROW_BYTES, CompilerState, pack_rows
+from repro.core.state import CompilerState
 from repro.persist import (
     CorruptArtifactError,
     PersistError,
-    append_entry,
     atomic_write,
     frame,
     read_artifact,
-    read_entries,
 )
-from repro.persist import io as io_seam
-from repro.persist.log import entry_size
 
 #: v2 added per-unit observability (pass statistics, wall time, worker)
 #: so ``reprobuild explain`` can report where a unit's compile time
@@ -182,141 +165,64 @@ class UnitRecord(Struct):
         self.functions_reused = functions_reused
 
 
-def _dumps(payload: dict) -> bytes:
-    return json.dumps(payload, separators=(",", ":")).encode("utf-8")
-
-
 class StateStore:
     """The only reader and writer of compiler-state files.
 
-    A state is a base file (``base_path``: a generation token, then
-    :meth:`CompilerState.to_json` — a JSON header line and the sorted
-    record table — as one checksummed artifact) plus a delta log beside
-    it (``<base_path>.log``).  Each log entry is one line: a JSON header
-    (the base generation it extends and
-    :meth:`CompilerState.log_counters`), a space, and the entry's
-    records as base64 table rows.  The build DB keeps its state at
-    ``<db>.state``; ``reproc --state-file X`` keeps it at ``X``.
+    A state is one file (``base_path``): :meth:`CompilerState.to_json` —
+    a JSON header line and the sorted record table — as one checksummed
+    artifact.  The build DB keeps its state at ``<db>.state``;
+    ``reproc --state-file X`` keeps it at ``X``.
 
-    :meth:`stage` encodes the write that brings the files up to a given
-    state and updates the byte counts to what they will be; :meth:`flush`
-    performs it.  An in-memory store (``base_path=None``) stages the same
+    :meth:`stage` folds the state, encodes and frames it, and sets its
+    :attr:`~CompilerState.stored_bytes` to the file's size; :meth:`flush`
+    writes it.  An in-memory store (``base_path=None``) stages the same
     way but keeps nothing to flush, so a DB that never touches the disk
     still accounts its state exactly as an on-disk one would.
     """
 
     def __init__(self, base_path: str | Path | None = None):
         self.base_path = None if base_path is None else Path(base_path)
-        self.log_path = None if base_path is None else Path(f"{base_path}.log")
-        #: The state the files hold once staged writes are flushed.
-        self.state: CompilerState | None = None
-        self.generation = ""
-        self.base_bytes = 0
-        self.log_bytes = 0
-        #: ``state.gc_reclaimed_total`` as of the last load or stage.
-        self._reclaimed_total = 0
-        self._pending_base: bytes | None = None
-        self._pending_log: list[bytes] = []
+        self._pending: bytes | None = None
 
     def load(self) -> CompilerState | None:
         """The persisted state, or ``None`` when there is none usable.
 
-        The base's header and table, decoding no record, then every log
-        entry of the base's generation in order, decoding its rows into
-        the state's overlay.  Damaged, torn or stale entries are
-        skipped; after a damaged one the state is recounted
-        (:meth:`CompilerState.recount`), since later entries' counts
-        include the records it lost.  A base of another schema (such as
-        v5's JSON) is no state.
+        Decodes the header and no record.  A missing or damaged file, or
+        a base of another schema (such as v6's, which starts with a
+        generation line), is no state.
         """
         if self.base_path is None:
             return None
         try:
-            blob = read_artifact(self.base_path)
-            generation, _, body = blob.partition(b"\n")
-            state = CompilerState.from_json(body)
-            base_bytes = self.base_path.stat().st_size
-            entries, log_bytes, damaged = read_entries(self.log_path)
+            state = CompilerState.from_json(read_artifact(self.base_path))
+            state.stored_bytes = self.base_path.stat().st_size
         except (
             OSError, CorruptArtifactError, ValueError, KeyError, TypeError,
             UnicodeDecodeError,
         ):
             return None
-        gen = generation.decode("ascii", "replace")
-        for payload in entries:
-            head, _, rows = payload.rpartition(b" ")
-            try:
-                entry = json.loads(head)
-                if entry["gen"] == gen:
-                    state.replay(binascii.a2b_base64(rows), entry)
-            except (ValueError, KeyError, TypeError):
-                damaged += 1
-        if damaged:
-            state.recount()
-        self.state, self.generation = state, gen
-        self.base_bytes, self.log_bytes = base_bytes, log_bytes
-        self._track(state)
         return state
 
     def stage(self, state: CompilerState) -> None:
-        """Encode ``state``'s changes since the last load or stage.
-
-        Appends a delta entry, or compacts when the files hold another
-        state, GC reclaimed records, or the log would pass half the
-        base's size.  Rows are fixed-width, so the entry's size is known
-        before any row is encoded: each record is encoded once, into
-        the entry or into the new base, whichever is written.
-        """
-        compact = (
-            state is not self.state or state.gc_reclaimed_total != self._reclaimed_total
-        )
-        if not compact:
-            delta = state.extract_delta().records
-            head = _dumps({"gen": self.generation, **state.log_counters()})
-            # A space, then the rows in base64.
-            rows_b64 = 4 * -(-len(delta) * ROW_BYTES // 3)
-            compact = (
-                self.log_bytes + entry_size(len(head) + 1 + rows_b64) > self.base_bytes // 2
-            )
-        if compact:
-            self.generation = os.urandom(8).hex()
-            blob = frame(self.generation.encode("ascii") + b"\n" + state.to_json())
-            self.base_bytes, self.log_bytes = len(blob), 0
-            self._pending_log.clear()
-            if self.base_path is not None:
-                self._pending_base = blob
-        else:
-            rows = pack_rows(delta.items())
-            payload = head + b" " + binascii.b2a_base64(b"".join(rows), newline=False)
-            self.log_bytes += entry_size(len(payload))
-            if self.log_path is not None:
-                self._pending_log.append(payload)
-        self.state = state
-        self._track(state)
+        """Fold ``state``, encode and frame it for :meth:`flush`."""
+        blob = frame(state.to_json())
+        state.stored_bytes = len(blob)
+        if self.base_path is not None:
+            self._pending = blob
 
     def flush(self, *, durable: bool = True) -> None:
-        """Write what :meth:`stage` encoded: base (then drop the log), entries."""
-        if self._pending_base is not None:
+        """Write what :meth:`stage` encoded, with one atomic write."""
+        if self._pending is not None:
             # Framed at stage time, where its size was needed.
-            atomic_write(self.base_path, self._pending_base, checksum=False, durable=durable)
-            self._pending_base = None
-            if self.log_path.is_file():
-                io_seam.backend().unlink(str(self.log_path))
-        while self._pending_log:
-            append_entry(self.log_path, self._pending_log[0], durable=durable)
-            self._pending_log.pop(0)
-
-    def _track(self, state: CompilerState) -> None:
-        self._reclaimed_total = state.gc_reclaimed_total
-        state.stored_bytes = self.base_bytes + self.log_bytes
-        state.begin_delta_tracking()
+            atomic_write(self.base_path, self._pending, checksum=False, durable=durable)
+            self._pending = None
 
 
 class BuildDatabase:
     """All build products and metadata for one project tree.
 
     A DB read by :meth:`load` (or written by :meth:`save`) is bound to
-    that path: its compiler state loads lazily from ``<path>.state*``
+    that path: its compiler state loads lazily from ``<path>.state``
     the first time :attr:`live_state` is read, and :meth:`save_changes`
     writes back only what changed.
     """
@@ -349,7 +255,7 @@ class BuildDatabase:
         """The stateful compiler's dormancy records, carried between builds.
 
         ``None`` until a stateful build runs (stateless builds never
-        create state).  Loaded from the state files on first access.
+        create state).  Loaded from the state file on first access.
         """
         if not self._state_loaded:
             self._state_loaded = True
@@ -362,7 +268,7 @@ class BuildDatabase:
         self._state_loaded = True
 
     def stage_state(self) -> None:
-        """Encode the live state's changes for the next save and refresh
+        """Encode the live state for the next save and refresh
         :attr:`state_summary`."""
         state = self._live_state
         if state is None:
@@ -477,7 +383,7 @@ class BuildDatabase:
                 for r in sorted(self.units.values(), key=lambda r: r.path)
             ],
             "linked": self.linked,
-            # The records themselves live in <db>.state*; this summary
+            # The records themselves live in <db>.state; this summary
             # lets a build that never loads them still report them.
             "state": self.state_summary,
         }
@@ -523,7 +429,7 @@ class BuildDatabase:
         """Write the whole DB and its state to ``path``; returns the DB
         file's on-disk size, and binds the DB to ``path``.
 
-        The state goes first, as a freshly compacted ``<path>.state``;
+        The state goes first, as ``<path>.state``;
         then the DB, with the checksummed frame + temp file + fsync +
         atomic rename of :func:`repro.persist.atomic_write`.
         ``durable=False`` skips the fsyncs (benchmarks measuring the
@@ -542,7 +448,7 @@ class BuildDatabase:
     def save_changes(self) -> int:
         """Write what changed since the DB was loaded or last saved, durably.
 
-        Staged state writes go to ``<path>.state*``; the DB file is
+        A staged state goes to ``<path>.state``; the DB file is
         rewritten only when something in it changed.  Returns the DB
         file's on-disk size.
         """
@@ -561,7 +467,7 @@ class BuildDatabase:
         return self.disk_bytes
 
     def _bind(self, path: Path) -> "BuildDatabase":
-        """Attach to ``path``: its state files load lazily, saves go there."""
+        """Attach to ``path``: its state file loads lazily, saves go there."""
         self.path = path
         self._store = StateStore(f"{path}.state")
         self._state_loaded = False
@@ -615,7 +521,7 @@ class BuildDatabase:
         The returned error (or ``None``) lets callers log the recovery
         without string-matching; the build itself proceeds as a clean
         full rebuild either way.  The empty DB is still bound to
-        ``path``, so its state files (checksummed separately) are kept.
+        ``path``, so its state file (checksummed separately) is kept.
         """
         try:
             return cls.load(path), None

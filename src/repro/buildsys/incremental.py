@@ -132,7 +132,6 @@ class IncrementalBuilder:
             compiler.state = state
         else:
             self.db.live_state = compiler.state
-        compiler.state.attach_metrics(self.metrics)
         compiler.state.begin_build()
 
     def _previous(self, path: str) -> Previous:

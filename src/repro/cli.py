@@ -124,7 +124,7 @@ def reproc_main(argv: list[str] | None = None) -> int:
     parser.add_argument("-o", "--output", help="object file path (default <src>.mo)")
     parser.add_argument(
         "--state-file",
-        help="compiler-state path for --stateful (its delta log is <path>.log)",
+        help="compiler-state file for --stateful, rewritten by every compile",
     )
     parser.add_argument("--emit-ir", action="store_true", help="print optimized IR and exit")
     parser.add_argument(

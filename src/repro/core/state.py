@@ -31,25 +31,25 @@ GC timestamp instead of changing the record.  A snapshot therefore
 shares the stored layers and copies only the map of records written
 since, and deltas share records with the state they came from.
 
-**Persistence.**  The state's one on-disk form is the base file plus
-delta log that :class:`~repro.buildsys.builddb.StateStore` reads and
-writes, for the build DB (``<db>.state``) and ``reproc --state-file``
-alike.  The base (:meth:`CompilerState.to_json`) is a JSON header line
-and a :class:`RecordTable`: every record as a fixed-width binary row,
-sorted by (position, input fingerprint).  Loading decodes no base record:
-a lookup bisects the rows and builds a record only on a hit.  Log
-entries carry rows too; replaying one decodes only its own rows into
-the overlay of records written since the base (:meth:`CompilerState.replay`).
-:attr:`CompilerState.stored_bytes` is the size of those files, set by
-the store on every load and stage; :meth:`CompilerState.size_summary`
-reports that number and never re-serializes the state to measure it.
+**Persistence.**  The state's one on-disk form is one file, the base
+that :class:`~repro.buildsys.builddb.StateStore` reads and every
+compiling build rewrites, for the build DB (``<db>.state``) and
+``reproc --state-file`` alike.  The base (:meth:`CompilerState.to_json`)
+is a JSON header line and a :class:`RecordTable`: every record as a
+fixed-width binary row, sorted by (position, input fingerprint).
+Loading decodes no record: a lookup bisects the rows and builds a record
+only on a hit.  Writing splices the records written since the load into
+the table (:meth:`CompilerState._fold`), so its cost grows with what the
+build touched, not with the state.  :attr:`CompilerState.stored_bytes`
+is the size of the file, set by the store on every load and stage;
+:meth:`CompilerState.size_summary` reports that number and never
+re-serializes the state to measure it.
 
 **Garbage collection without a scan.**  The state keeps a lower bound
-on every record's last use: exact in the base, carried forward in each
-log entry, lowered by any write.  A build in which no record can be
-``gc_max_age`` builds old does no per-record work; otherwise GC folds
-the overlay and the table into a new table, dropping exactly the
-records a scan of a plain dict would drop.
+on every record's last use: exact after a scan, stored in the base,
+lowered by any write.  A build in which no record can be ``gc_max_age``
+builds old does no per-record work; otherwise GC scans the rows once,
+dropping exactly the records a scan of a plain dict would drop.
 
 For parallel builds the state additionally supports a snapshot/delta
 protocol (:meth:`CompilerState.snapshot`, :meth:`CompilerState.extract_delta`,
@@ -68,28 +68,27 @@ from __future__ import annotations
 
 import json
 import struct
-import time
 from collections.abc import ItemsView, Mapping
 from typing import Iterable, Iterator, NamedTuple
 
 from repro._struct import Struct
-from repro.obs.metrics import MetricsRegistry
 
 #: v5 stored the base as one JSON document of ``[position, fingerprint,
 #: last_used_build, dormant, fingerprint_out]`` rows, its fingerprints
 #: encoding each call's callee purity.  v6 has the same keys, but the
 #: base is a JSON header line and a sorted binary table
-#: (:class:`RecordTable`), and delta-log entries carry binary rows too.
-#: A v5 base loads as no state.
-STATE_SCHEMA_VERSION = 6
+#: (:class:`RecordTable`), after a generation line that tied it to a
+#: delta log.  v7 is v6 without the generation line and the log.  A v5
+#: or v6 base loads as no state.
+STATE_SCHEMA_VERSION = 7
 
 #: One table row: the sort key — position (a signed byte) and the raw
 #: 16-byte input fingerprint — then the dormant flag, the last-use
 #: build and the raw 16-byte output fingerprint.  38 bytes, unpadded.
 _ROW = struct.Struct("<b16s?I16s")
 _KEY = struct.Struct("<b16s")
-#: Each row's sort key and last use, for scans that need nothing else.
-_KEY_AND_USE = struct.Struct("<17sxI16x")
+#: Each row's last use, for GC's scan.
+_USE = struct.Struct("<18xI16x")
 ROW_BYTES = _ROW.size
 _KEY_BYTES = _KEY.size
 #: Above any last use a row can hold: the GC bound of a state with no
@@ -201,19 +200,46 @@ class RecordTable:
 
     def find(self, probe: bytes, fingerprint: str) -> DormancyRecord | None:
         """The record under row key ``probe`` (see :func:`_probe`)."""
+        at = self._bisect(probe, 0, self.count) * ROW_BYTES
+        if self.data[at:at + _KEY_BYTES] != probe:
+            return None
+        return _record(self.data[at:at + ROW_BYTES], fingerprint)
+
+    def _bisect(self, key: bytes, lo: int, hi: int) -> int:
+        """The first row in ``[lo, hi)`` whose key is not below ``key``."""
         data = self.data
-        lo, hi = 0, self.count
         while lo < hi:
             mid = (lo + hi) >> 1
             at = mid * ROW_BYTES
-            if data[at:at + _KEY_BYTES] < probe:
+            if data[at:at + _KEY_BYTES] < key:
                 lo = mid + 1
             else:
                 hi = mid
-        at = lo * ROW_BYTES
-        if data[at:at + _KEY_BYTES] != probe:
-            return None
-        return _record(data[at:at + ROW_BYTES], fingerprint)
+        return lo
+
+    def splice(self, rows: list[bytes]) -> "RecordTable":
+        """A new table: this one with the sorted ``rows`` spliced in, each
+        replacing the row with its key or going in before the next one.
+
+        Each row is found by galloping from the last one, then bisecting,
+        so the cost grows with the rows spliced in, not with the table.
+        """
+        data, count = self.data, self.count
+        if not count:
+            return RecordTable(b"".join(rows))
+        # ``at`` is the first row not yet copied; the runs of unchanged
+        # rows are joined from views, so each byte is copied once.
+        view, parts, at = memoryview(data), [], 0
+        for row in rows:
+            key = row[:_KEY_BYTES]
+            lo, hi, step = at, at, 1
+            while hi < count and data[hi * ROW_BYTES:hi * ROW_BYTES + _KEY_BYTES] < key:
+                lo, hi, step = hi + 1, hi + step, step * 2
+            end = self._bisect(key, lo, min(hi, count))
+            parts += (view[at * ROW_BYTES:end * ROW_BYTES], row)
+            at = end + (data[end * ROW_BYTES:end * ROW_BYTES + _KEY_BYTES] == key)
+        parts.append(view[at * ROW_BYTES:])
+        return RecordTable(b"".join(parts))
 
 
 _EMPTY_TABLE = RecordTable()
@@ -266,11 +292,6 @@ class StateDelta(Struct):
     by construction a worker only touches records during its own build
     tick — which is what makes merged garbage collection behave exactly
     like a serial build's.
-
-    It is also the unit of persistence:
-    :class:`~repro.buildsys.builddb.StateStore` appends the delta of
-    every build that touched the state to the state log instead of
-    rewriting every record.
     """
 
     _fields = ("build_counter", "records")
@@ -293,10 +314,9 @@ class CompilerState(Struct):
 
     The records live in two layers:
 
-    - an overlay dict of the records written since the base: replayed
-      from the delta log (:meth:`replay`) or written in this process;
-    - the base table (:class:`RecordTable`) as loaded or last folded,
-      which the overlay shadows.
+    - an overlay dict of the records written in this process since the
+      table was loaded or last folded;
+    - the table (:class:`RecordTable`), which the overlay shadows.
 
     The table is never changed in place, so snapshots share it.  A
     table record is built only when a lookup hits its row.
@@ -334,11 +354,11 @@ class CompilerState(Struct):
         self.gc_reclaimed_total = gc_reclaimed_total
         self._overlay = {} if records is None else records
         self._table = _EMPTY_TABLE
-        #: ``len(records)``, kept as records are written, replayed or folded.
+        #: ``len(records)``, kept as records are written or folded.
         self._count = len(self._overlay)
         #: No record was last used before this build: a lower bound,
-        #: exact after a fold, which lets :meth:`collect_garbage` skip the
-        #: scan when nothing can be old enough.
+        #: exact after GC's scan, which lets :meth:`collect_garbage` skip
+        #: the scan when nothing can be old enough.
         self._oldest = min(
             (r.last_used_build for r in self._overlay.values()), default=_NEVER
         )
@@ -350,20 +370,6 @@ class CompilerState(Struct):
         self.stored_bytes: int = 0
         #: Keys touched since :meth:`begin_delta_tracking`; ``None`` = not tracking.
         self._touched: set[tuple[int, str]] | None = None
-        #: Observability sink (``None`` = don't report); never serialized,
-        #: never copied into snapshots.
-        self._metrics: MetricsRegistry | None = None
-
-    # -- observability -------------------------------------------------------
-
-    def attach_metrics(self, metrics: MetricsRegistry | None) -> None:
-        """Report the cost of :meth:`merge_delta` into ``metrics``.
-
-        Per-record traffic (lookups, hits, writes) is counted by the
-        pass manager's ledger instead, so it is counted on pool
-        workers too, whose snapshots carry no sink.
-        """
-        self._metrics = metrics
 
     # -- record access ------------------------------------------------------
 
@@ -427,7 +433,7 @@ class CompilerState(Struct):
         """Drop records unused for more than ``gc_max_age`` builds.
 
         The GC bound answers in O(1) whether any record can be that old;
-        only then are the records scanned and folded into a new table.
+        only then does the fold scan the rows.
         """
         cutoff = self.build_counter - self.gc_max_age
         reclaimed = self._fold(cutoff) if self._oldest < cutoff else 0
@@ -437,36 +443,29 @@ class CompilerState(Struct):
         return reclaimed
 
     def _fold(self, cutoff: int = -_NEVER) -> int:
-        """Merge the overlay into a new table, dropping each record last
+        """Splice the overlay into a new table, dropping each record last
         used before ``cutoff``; returns how many were dropped.
 
-        Afterwards the record count and the GC bound are exact.
+        The rows are scanned only when the GC bound says a record can be
+        that old; the scan makes the bound exact.  The record count is
+        exact either way.
         """
-        kept, stale = [], []
-        for item in self._overlay.items():
-            (kept if item[1].last_used_build >= cutoff else stale).append(item)
-        rows = pack_rows(kept)
-        oldest = min([record.last_used_build for _, record in kept], default=_NEVER)
-        reclaimed = len(stale)
-        if self._table.count:
-            # The overlay's keys hide the table's rows, stale or not.
-            shadowed = {row[:_KEY_BYTES] for row in rows}
-            shadowed.update(_probe(key) for key, _ in stale)
-            data, at = self._table.data, 0
-            for key, last in _KEY_AND_USE.iter_unpack(data):
-                if key in shadowed:
-                    pass
-                elif last >= cutoff:
-                    rows.append(data[at:at + ROW_BYTES])
+        rows = pack_rows(self._overlay.items())
+        rows.sort()
+        data = self._table.splice(rows).data
+        total, oldest = len(data) // ROW_BYTES, self._oldest
+        if oldest < cutoff:
+            kept, oldest, at = [], _NEVER, 0
+            for (last,) in _USE.iter_unpack(data):
+                if last >= cutoff:
+                    kept.append(data[at:at + ROW_BYTES])
                     if last < oldest:
                         oldest = last
-                else:
-                    reclaimed += 1
                 at += ROW_BYTES
-        rows.sort()
-        self._table, self._overlay = RecordTable(b"".join(rows)), {}
+            data = b"".join(kept)
+        self._table, self._overlay = RecordTable(data), {}
         self._count, self._oldest = self._table.count, oldest
-        return reclaimed
+        return total - self._count
 
     @property
     def num_records(self) -> int:
@@ -499,7 +498,7 @@ class CompilerState(Struct):
         the overlay: records are immutable, and every
         write (new verdict or refreshed timestamp) replaces an overlay
         entry, so nothing written to the copy reaches this state.  The
-        copy carries no metrics sink and tracks no delta.
+        copy tracks no delta until :meth:`begin_delta_tracking`.
         """
         snap = CompilerState(
             pipeline_signature=self.pipeline_signature,
@@ -542,19 +541,29 @@ class CompilerState(Struct):
         the verdicts are identical anyway — the policy only matters for
         the GC timestamp, which is kept at the maximum so a record used
         by *any* worker stays as fresh as the freshest use.
+
+        One probe per record counts the new keys and finds the fresher
+        timestamps; the overlay then takes the records in one update.
         """
-        start = time.perf_counter()
-        get, store = self._get, self._store
-        for key, incoming in delta.records.items():
-            existing = get(key)
-            if existing is not None and existing.last_used_build > incoming.last_used_build:
-                incoming = incoming._replace(last_used_build=existing.last_used_build)
-            store(key, incoming, existing is None)
+        overlay, table, records = self._overlay, self._table, delta.records
+        fresher, new, oldest = {}, 0, self._oldest
+        for key, record in records.items():
+            existing = overlay.get(key)
+            if existing is None and table.count:
+                existing = table.find(_probe(key), key[1])
+            last = record.last_used_build
+            if existing is None:
+                new += 1
+            elif existing.last_used_build > last:
+                fresher[key] = record._replace(last_used_build=existing.last_used_build)
+            if last < oldest:
+                oldest = last
+        overlay.update(records)
+        overlay.update(fresher)
+        self._count += new
+        self._oldest = oldest
         self.build_counter = max(self.build_counter, delta.build_counter)
-        if self._metrics is not None:
-            self._metrics.observe("state.merge_time", time.perf_counter() - start)
-            self._metrics.inc("state.records_merged", len(delta.records))
-        return len(delta.records)
+        return len(records)
 
     # -- compatibility ---------------------------------------------------------
 
@@ -566,49 +575,11 @@ class CompilerState(Struct):
 
     # -- serialization ------------------------------------------------------------
 
-    def log_counters(self) -> dict:
-        """What a delta-log entry carries besides the delta's records.
-
-        The GC clock and counters, the record count and the GC bound:
-        :meth:`replay` then restores both without decoding a row.
-        """
-        return {
-            "build_counter": self.build_counter,
-            "gc_runs": self.gc_runs,
-            "gc_reclaimed": self.gc_reclaimed_total,
-            "records": self.num_records,
-            "oldest": self._oldest,
-        }
-
-    def replay(self, rows: bytes, counters: dict) -> None:
-        """Apply one delta-log entry: its rows, then :meth:`log_counters`
-        as they were when the entry was staged.
-
-        Only the entry's rows are decoded, into the overlay.
-        """
-        build_counter, gc_runs, gc_reclaimed, count, oldest = (
-            counters["build_counter"], counters["gc_runs"], counters["gc_reclaimed"],
-            counters["records"], counters["oldest"],
-        )
-        self._overlay.update(_iter_rows(rows))
-        self.build_counter, self.gc_runs, self.gc_reclaimed_total = (
-            build_counter, gc_runs, gc_reclaimed
-        )
-        self._count, self._oldest = count, oldest
-
-    def recount(self) -> None:
-        """Make the record count and the GC bound exact by folding.
-
-        For a state whose log lost an entry: the count and bound the
-        later entries carry describe records this state does not hold.
-        """
-        self._fold()
-
     def to_json(self) -> bytes:
         """The base: a JSON header line, then the sorted record table.
 
-        Folds the overlay into the table first (a compaction in memory),
-        so the table is the state's only copy of every record.
+        Splices the overlay into the table first (:meth:`_fold`), so the
+        table is the state's only copy of every record.
         """
         if self._overlay:
             self._fold()
@@ -630,10 +601,9 @@ class CompilerState(Struct):
         """Inverse of :meth:`to_json`; decodes the header only."""
         head, _, table = data.partition(b"\n")
         payload = json.loads(head)
-        if payload.get("schema") != STATE_SCHEMA_VERSION:
-            raise ValueError(
-                f"state schema {payload.get('schema')} != {STATE_SCHEMA_VERSION}"
-            )
+        schema = payload.get("schema") if isinstance(payload, dict) else None
+        if schema != STATE_SCHEMA_VERSION:
+            raise ValueError(f"state schema {schema} != {STATE_SCHEMA_VERSION}")
         state = cls(
             pipeline_signature=payload["pipeline"],
             fingerprint_mode=payload["fingerprint_mode"],

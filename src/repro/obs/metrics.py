@@ -10,9 +10,9 @@ the build report's bypass table.  Registries are plain picklable data,
 so a worker process can fill one per unit and ship it back for
 :meth:`MetricsRegistry.merge` on the driver side.
 
-Naming convention: dotted ``family.metric`` strings.  Timings hold only
-durations no other record keeps (``state.merge_time``); the build and
-unit phase durations live in the build report and the trace.
+Naming convention: dotted ``family.metric`` strings.  Timings are for
+durations no other record keeps; the build and unit phase durations
+live in the build report and the trace.
 """
 
 from __future__ import annotations

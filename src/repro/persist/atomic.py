@@ -130,17 +130,11 @@ def atomic_write(
     """
     path = Path(path)
     blob = frame(payload) if checksum else payload
-    with_retry(lambda: _write_once(path, blob, durable=durable), retry)
-    return len(blob)
-
-
-def with_retry(operation, retry: RetryPolicy | None = None) -> None:
-    """Run ``operation()``, retrying transient OS errors per ``retry``."""
     policy = retry or DEFAULT_RETRY
     for attempt in range(policy.attempts):
         try:
-            operation()
-            return
+            _write_once(path, blob, durable=durable)
+            return len(blob)
         except OSError as exc:
             if exc.errno not in TRANSIENT_ERRNOS or attempt == policy.attempts - 1:
                 raise

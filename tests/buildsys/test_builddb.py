@@ -196,13 +196,11 @@ class TestCorruptionContract:
         path = tmp_path / "db"
         sample_db().save(path)
         state_path = tmp_path / "db.state"
-        generation, _, body = read_artifact(state_path).partition(b"\n")
-        head, _, table = body.partition(b"\n")  # the header line, then binary rows
+        # The header line, then binary rows.
+        head, _, table = read_artifact(state_path).partition(b"\n")
         state = json.loads(head)
         state["schema"] = -1
-        atomic_write(
-            state_path, generation + b"\n" + json.dumps(state).encode() + b"\n" + table
-        )
+        atomic_write(state_path, json.dumps(state).encode() + b"\n" + table)
         loaded = BuildDatabase.load(path)
         assert "main.mc" in loaded.units
         assert loaded.live_state is None

@@ -4,8 +4,8 @@ A stateful build probes the base's rows instead of decoding them, so
 these tests pin what must not change with the format: garbage
 collection past ``gc_max_age`` (same records reclaimed, at the same
 build, serial or parallel), objects byte-identical to a stateless
-build, the upgrade from a v5 JSON base, and a state write that encodes
-each record once.
+build, the upgrade from a v5 JSON base or a v6 base (which started with
+a generation line), and a state write that encodes each record once.
 """
 
 import json
@@ -17,7 +17,7 @@ from repro.buildsys.builddb import BuildDatabase, StateStore
 from repro.cli import reprobuild_main
 from repro.core import state as state_module
 from repro.core.state import CompilerState, DormancyRecord
-from repro.persist import append_entry, atomic_write
+from repro.persist import atomic_write
 from repro.workload import apply_edit, generate_project, make_preset
 from repro.workload.edits import random_edit_sequence
 
@@ -130,28 +130,38 @@ class TestGarbageCollectionPastMaxAge:
         assert reclaimed_builds and quiet_builds >= 50
 
 
-class TestV5Base:
-    def test_loads_as_no_state_and_the_next_build_writes_v6(self, tmp_path, trace):
+def v5_base(state) -> bytes:
+    """``state`` as v5 wrote its base: a generation line and JSON rows."""
+    v5 = {
+        "schema": 5, "pipeline": state.pipeline_signature,
+        "fingerprint_mode": state.fingerprint_mode,
+        "build_counter": state.build_counter, "gc_max_age": state.gc_max_age,
+        "gc_runs": state.gc_runs, "gc_reclaimed": state.gc_reclaimed_total,
+        "records": [
+            [pos, fp, r.last_used_build, int(r.dormant),
+             "" if r.fingerprint_out == fp else r.fingerprint_out]
+            for (pos, fp), r in sorted(state.records.items())
+        ],
+    }
+    return b"0123456789abcdef\n" + json.dumps(v5).encode()
+
+
+def v6_base(state) -> bytes:
+    """``state`` as v6 wrote its base: a generation line, the header
+    line, the binary rows.  This generation's hex digits are all
+    decimal, so the first line reads as a JSON number."""
+    head, _, rows = state.to_json().partition(b"\n")
+    header = {**json.loads(head), "schema": 6}
+    return b"1234567890123456\n" + json.dumps(header).encode() + b"\n" + rows
+
+
+class TestOldBases:
+    @pytest.mark.parametrize("old_base", [v5_base, v6_base], ids=["v5", "v6"])
+    def test_loads_as_no_state_and_next_build_writes_v7(self, tmp_path, trace, old_base):
         proj, db = tmp_path / "proj", tmp_path / "build.reprodb"
         generate_project(trace[0]).write_to(proj)
         run(proj, db, "--stateful")
-        # The state files as v5 wrote them: a JSON base and a JSON log entry.
-        state = BuildDatabase.load(db).live_state
-        v5 = {
-            "schema": 5, "pipeline": state.pipeline_signature,
-            "fingerprint_mode": state.fingerprint_mode,
-            "build_counter": state.build_counter, "gc_max_age": state.gc_max_age,
-            "gc_runs": state.gc_runs, "gc_reclaimed": state.gc_reclaimed_total,
-            "records": [
-                [pos, fp, r.last_used_build, int(r.dormant),
-                 "" if r.fingerprint_out == fp else r.fingerprint_out]
-                for (pos, fp), r in sorted(state.records.items())
-            ],
-        }
-        atomic_write(f"{db}.state", b"0123456789abcdef\n" + json.dumps(v5).encode())
-        entry = {"gen": "0123456789abcdef", "build_counter": 2, "gc_runs": 2,
-                 "gc_reclaimed": 0, "records": v5["records"][:3]}
-        append_entry(f"{db}.state.log", json.dumps(entry).encode())
+        atomic_write(f"{db}.state", old_base(BuildDatabase.load(db).live_state))
         assert StateStore(f"{db}.state").load() is None
 
         shutil.rmtree(proj)
@@ -161,7 +171,9 @@ class TestV5Base:
         assert summary["build_counter"] == 1 and summary["records"] > 0
         loaded = StateStore(f"{db}.state").load()
         assert loaded is not None and loaded.num_records == summary["records"]
-        assert not (tmp_path / "build.reprodb.state.log").exists()
+        assert [p.name for p in tmp_path.glob("build.reprodb.state*")] == [
+            "build.reprodb.state"
+        ]
         stateless = tmp_path / "stateless.reprodb"
         run(proj, stateless)
         assert objects(db) == objects(stateless)
@@ -180,7 +192,6 @@ class TestStageEncodesOnce:
             return rows
 
         monkeypatch.setattr(state_module, "pack_rows", pack_rows)
-        monkeypatch.setattr("repro.buildsys.builddb.pack_rows", pack_rows)
         return counts
 
     def saved(self, path, n: int) -> CompilerState:
@@ -202,10 +213,9 @@ class TestStageEncodesOnce:
             state.lookup(i % 5, f"{i:032x}")
         packed.clear()
         store.stage(state)
-        assert store.log_bytes == 0  # compacted
-        assert packed == [400]  # into the base only, not into an entry too
+        assert packed == [400]
 
-    def test_an_appending_stage_encodes_only_the_delta(self, tmp_path, packed):
+    def test_a_stage_encodes_only_what_was_written(self, tmp_path, packed):
         self.saved(tmp_path / "s", 400)
         store = StateStore(tmp_path / "s")
         state = store.load()
@@ -215,5 +225,5 @@ class TestStageEncodesOnce:
         packed.clear()
         store.stage(state)
         store.flush()
-        assert store.log_bytes > 0 and packed == [10]
+        assert packed == [10]  # spliced into the table's rows, which stay bytes
         assert StateStore(tmp_path / "s").load().records == state.records

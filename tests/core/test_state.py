@@ -1,6 +1,7 @@
 """Compiler-state store tests: records, GC, serialization, compatibility."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.buildsys.builddb import StateStore
 from repro.cli import reproc_main
@@ -8,7 +9,9 @@ from repro.core.state import (
     ROW_BYTES,
     CompilerState,
     DormancyRecord,
+    RecordTable,
     STATE_SCHEMA_VERSION,
+    pack_rows,
     pipeline_signature_of,
 )
 from repro.ir.fingerprint import stable_hash
@@ -153,6 +156,26 @@ class TestSerialization:
         named = reproc_state(tmp_path, path, "--fingerprint-mode", "named")
         assert named.build_counter == 1 and named.fingerprint_mode == "named"
 
+    def test_reproc_keeps_one_state_file(self, tmp_path):
+        path = tmp_path / "st"
+        first = reproc_state(tmp_path, path)
+        second = reproc_state(tmp_path, path)
+        assert second.build_counter == 2 and second.num_records == first.num_records
+        assert [p.name for p in tmp_path.glob("st*")] == ["st"]
+
+    def test_a_leftover_log_is_ignored(self, tmp_path):
+        path = tmp_path / "state"
+        state = make_state()
+        state.remember(0, digest("x"), True, digest("x"))
+        save(path, state)
+        log = tmp_path / "state.log"
+        log.write_bytes(b"\n0123456789abcdef not an entry of this state\n")
+        assert StateStore(path).load().records == state.records
+        state.remember(1, digest("y"), True, digest("y"))
+        save(path, state)
+        assert StateStore(path).load().records == state.records
+        assert log.read_bytes() == b"\n0123456789abcdef not an entry of this state\n"
+
 
 class TestPipelineSignature:
     def test_signature_reflects_positions(self):
@@ -296,7 +319,7 @@ def table_state(n: int, **kwargs) -> CompilerState:
 
 
 class TestRecordTable:
-    """The v6 base: a header line and a sorted table of 38-byte rows."""
+    """The base: a header line and a sorted table of 38-byte rows."""
 
     def test_base_is_fixed_width_rows(self):
         state = table_state(50)
@@ -358,11 +381,12 @@ class TestRecordTable:
             state.to_json()
         state = table_state(50)
         store = StateStore(tmp_path / "state")
-        store.stage(state)  # a base large enough for the next stage to append
-        with pytest.raises(ValueError):  # probing the table, or packing the entry
+        store.stage(state)
+        with pytest.raises(ValueError):  # probing the table, or packing the rows
             state.remember(position, fp_in, False, fp_out)
             store.stage(state)
-        assert store.log_bytes == 0
+        store.flush()  # the last good encoding
+        assert StateStore(tmp_path / "state").load().num_records == 50
 
     def test_records_map_is_read_only(self):
         state = table_state(3)
@@ -416,7 +440,7 @@ class TestGarbageBound:
             assert state.num_records == len(model)
             assert dict(state.records.items()) == model
 
-    def test_a_tightened_bound_travels_in_the_log(self, tmp_path, monkeypatch):
+    def test_a_tightened_bound_travels_in_the_base(self, tmp_path, monkeypatch):
         path = tmp_path / "state"
         state = make_state(gc_max_age=5)
         state.begin_build()
@@ -440,13 +464,54 @@ class TestGarbageBound:
 
         scans = []
         real = CompilerState._fold
-        monkeypatch.setattr(
-            CompilerState, "_fold", lambda self, *a: scans.append(a) or real(self, *a)
-        )
+
+        def spy(self, *cutoff):
+            if cutoff:  # a fold with a cutoff is GC's scan
+                scans.append(cutoff)
+            return real(self, *cutoff)
+
+        monkeypatch.setattr(CompilerState, "_fold", spy)
         assert build(*range(5)) == 0 and scans == []  # build 4: all refreshed
         assert build() == 0 and build() == 0 and scans == []  # builds 5, 6
         # Build 7: the bound (1) is stale, so GC scans, finds nothing
-        # older than 2, and tightens it to 3 in the log entry.
+        # older than 2, and tightens it to 3 in the base.
         assert build() == 0 and scans == [(2,)]
-        assert path.with_name("state.log").is_file()
+        assert StateStore(path).load()._oldest == 3
         assert build() == 0 and scans == [(2,)]  # build 8: cutoff 3, no scan
+
+
+#: Fingerprints from a small pool, so overlays shadow table rows.
+_fingerprints = st.integers(min_value=0, max_value=40).map(fp)
+_records = st.dictionaries(
+    st.tuples(st.integers(min_value=-3, max_value=3), _fingerprints),
+    st.builds(DormancyRecord, st.booleans(), _fingerprints, st.integers(0, 12)),
+    max_size=60,
+)
+
+
+class TestFold:
+    """The splice of the overlay into the table, against a dict model."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        table=_records, overlay=_records,
+        cutoff=st.one_of(st.none(), st.integers(min_value=0, max_value=14)),
+    )
+    def test_matches_a_dict_model(self, table, overlay, cutoff):
+        state = make_state()
+        state._table = RecordTable(b"".join(sorted(pack_rows(table.items()))))
+        state._count = len(table)
+        state._oldest = min((r.last_used_build for r in table.values()), default=1 << 32)
+        for key, record in overlay.items():
+            state._store(key, record, key not in table)
+        model = {**table, **overlay}
+        assert state.num_records == len(model)
+
+        reclaimed = state._fold() if cutoff is None else state._fold(cutoff)
+        kept = {k: r for k, r in model.items() if cutoff is None or r.last_used_build >= cutoff}
+        assert reclaimed == len(model) - len(kept)
+        assert state._table.data == b"".join(sorted(pack_rows(kept.items())))
+        assert state.num_records == len(kept) == state._table.count
+        assert dict(state.records.items()) == kept
+        # The GC bound stays a lower bound on every record's last use.
+        assert state._oldest <= min((r.last_used_build for r in kept.values()), default=1 << 32)

@@ -1,7 +1,7 @@
 """The crash-recovery matrix: every artifact, every fault point.
 
-For each persistent artifact (build DB, its compiler-state base and
-delta log, standalone state file, history JSONL)
+For each persistent artifact (build DB, its compiler-state file,
+standalone state file, history JSONL)
 the write path is first enumerated fault-free, then replayed once per IO
 operation with a crash (or torn write, or IO error) injected exactly
 there.  After every injected fault, reopening the artifact must yield
@@ -19,7 +19,6 @@ from repro.buildsys.deps import DependencySnapshot, content_digest
 from repro.core.state import CompilerState
 from repro.ir.fingerprint import stable_hash
 from repro.obs.history import BuildHistory, HistoryRecord
-from repro.persist.log import encode_entry
 from repro.testing import (
     KILL,
     KILL_AFTER,
@@ -145,7 +144,7 @@ class TestBuildDatabaseMatrix:
             # anything else propagates and fails the test
 
 
-def saved_state_db(path, records, *, prior_append=False):
+def saved_state_db(path, records):
     """A DB saved at ``path`` with a ``records``-record state; returns
     the state's records as a fresh load sees them."""
     for stale in path.parent.glob(f"{path.name}*"):
@@ -154,8 +153,6 @@ def saved_state_db(path, records, *, prior_append=False):
     db.record_unit(snapshot_of("a.mc", "source of a.mc"), "{}")
     db.live_state = make_state(records)
     db.save(path)
-    if prior_append:
-        touch_state(BuildDatabase.load(path), add=1, tag="prior").save_changes()
     return BuildDatabase.load(path).live_state.records
 
 
@@ -177,43 +174,39 @@ def snapshot_records(state):
     return dict(state.records)  # records are immutable: a shallow copy is a snapshot
 
 
-#: (name, records saved, prior log entry, records added, GC reclaims,
-#: staged write) — every way a build's state write can go.
+#: (name, records saved, records added, GC reclaims) — the kinds of
+#: state a compiling build writes: a few records refreshed and added,
+#: most reclaimed, or many more than were saved.
 STATE_SCENARIOS = [
-    ("append", 40, False, 2, False, "append"),
-    ("append-to-log", 40, True, 2, False, "append"),
-    ("compact-gc", 40, True, 2, True, "compact"),
-    ("compact-size", 4, False, 40, False, "compact"),
+    ("refresh", 40, 2, False),
+    ("gc", 40, 2, True),
+    ("grow", 4, 40, False),
 ]
 
 
-class TestStateLogMatrix:
-    """``<db>.state`` and ``<db>.state.log`` under a fault at every op of
-    :meth:`BuildDatabase.save_changes`: base write, log append, compaction."""
+class TestStateBaseMatrix:
+    """``<db>.state`` under a fault at every op of
+    :meth:`BuildDatabase.save_changes`, which rewrites it."""
 
     @pytest.mark.parametrize(
-        "name,saved,prior,add,reclaim,write", STATE_SCENARIOS,
-        ids=[s[0] for s in STATE_SCENARIOS],
+        "name,saved,add,reclaim", STATE_SCENARIOS, ids=[s[0] for s in STATE_SCENARIOS]
     )
-    def test_every_fault_point_recovers(
-        self, tmp_path, name, saved, prior, add, reclaim, write
-    ):
+    def test_every_fault_point_recovers(self, tmp_path, name, saved, add, reclaim):
         path = tmp_path / "build.reprodb"
-        log = tmp_path / "build.reprodb.state.log"
 
         def staged():
-            old = saved_state_db(path, saved, prior_append=prior)
+            old = saved_state_db(path, saved)
             db = touch_state(BuildDatabase.load(path), add=add, reclaim=reclaim)
             return old, db, snapshot_records(db.live_state)
 
         old, db, new = staged()
-        base_before = (tmp_path / "build.reprodb.state").read_bytes()
+        assert (db.live_state.last_gc_reclaimed > 0) == reclaim, name
         enumeration = count_io_ops(db.save_changes)
         ops = [op for op, _ in enumeration.log]
-        compacted = (tmp_path / "build.reprodb.state").read_bytes() != base_before
-        assert compacted == (write == "compact"), name
-        assert log.is_file() == (write == "append"), name
         assert BuildDatabase.load(path).live_state.records == new
+        assert [p.name for p in tmp_path.glob("build.reprodb.state*")] == [
+            "build.reprodb.state"
+        ]
 
         for label, plan in sweep_plans(len(ops)):
             old, db, new = staged()
@@ -228,8 +221,7 @@ class TestStateLogMatrix:
             # non-atomic rename tore the base (the lenient-cache fallback).
             assert records in (old, new) or (torn_rename and records == {}), label
 
-            # The next build's write lands and reads back intact, torn
-            # log tail or not.
+            # The next build's write lands and reads back intact.
             if state is not None:
                 touch_state(reopened, add=1, tag="after")
                 expected = snapshot_records(state)
@@ -259,68 +251,6 @@ class TestStateFileMatrix:
             # Last-good, fully-new, or none (the lenient-cache fallback).
             records = loaded.num_records if loaded is not None else 0
             assert records in (4, 7, 0), label
-
-
-class TestDamagedLogEntry:
-    """A log entry in the middle that fails its checksum, or whose
-    checksum holds but whose rows are not whole rows, is skipped: the
-    entries after it still replay, and the state is recounted, so the
-    record count and the next GC match a dict that never saw the entry."""
-
-    def logged_state(self, path):
-        """A base and three binary log entries; ``(base records, the
-        records each entry wrote)``."""
-        store = StateStore(path)
-        state = make_state(300)  # large enough for three appends
-        store.stage(state)
-        store.flush()
-        base, deltas = dict(state.records.items()), []
-        for j in range(3):
-            store = StateStore(path)
-            state = store.load()
-            state.begin_build()
-            for i in range(j, 40, 3):  # refresh a third of the base...
-                assert state.lookup(i % 30, digest(f"in{i}")) is not None
-            for m in range(2):  # ...and add two records
-                state.remember(j, digest(f"e{j}-{m}"), True, digest(f"e{j}-{m}"))
-            deltas.append(dict(state.extract_delta().records))
-            store.stage(state)
-            store.flush()
-        assert store.log_bytes > 0 and len(entry_lines(path)) == 3
-        return base, deltas
-
-    @pytest.mark.parametrize("damage", ["checksum", "partial-row"])
-    def test_later_entries_replay_and_gc_counts_exactly(self, tmp_path, damage):
-        path = tmp_path / "state"
-        base, deltas = self.logged_state(path)
-        lines = entry_lines(path)
-        digest_, _, payload = lines[1].partition(b" ")
-        if damage == "checksum":  # a flipped byte in the base64 rows
-            lines[1] = digest_ + b" " + payload[:-3] + bytes([payload[-3] ^ 1]) + payload[-2:]
-        else:  # intact checksum over rows that are not whole
-            head, _, rows = payload.rpartition(b" ")
-            lines[1] = encode_entry(head + b" " + rows[:-4]).strip(b"\n")
-        log = tmp_path / "state.log"
-        log.write_bytes(b"".join(b"\n" + line + b"\n" for line in lines))
-
-        model = {**base, **deltas[0], **deltas[2]}
-        state = StateStore(path).load()
-        assert dict(state.records.items()) == model
-        assert state.num_records == len(model) and state.build_counter == 4
-
-        state.gc_max_age = 2
-        state.begin_build()
-        stale = {k for k, r in model.items() if r.last_used_build < 5 - 2}
-        assert stale  # the base records no surviving entry refreshed
-        assert state.collect_garbage() == len(stale) == state.last_gc_reclaimed
-        assert dict(state.records.items()) == {
-            k: r for k, r in model.items() if k not in stale
-        }
-
-
-def entry_lines(path):
-    log = path.with_name(f"{path.name}.log")
-    return [line for line in log.read_bytes().split(b"\n") if line]
 
 
 class TestHistoryMatrix:
