@@ -15,6 +15,13 @@ Pipeline per function:
 
 from repro._lazy import lazy_exports
 
+#: Version of the code generator: instruction selection, register
+#: allocation, peephole and the object format.  Bump it with any change
+#: that can change a function's machine code.  Every memo key covers it
+#: (:attr:`repro.driver.Compiler.memo_context`), so a bump stops the
+#: memo policy from reusing code the old backend made.
+VERSION = 1
+
 __all__ = [
     "select_function",
     "select_module",

@@ -5,7 +5,7 @@
   fewer passes can be bypassed.
 - :func:`granularity_ablation` — fine-grained (function×pass) vs coarse
   (whole-function all-or-nothing) vs none (Figure 9), plus the memo
-  policy (fine-grained and machine-code reuse), which goes beyond the
+  policy (machine-code reuse, no dormancy state), which goes beyond the
   paper.
 - :func:`fingerprint_ablation` — canonical (name-insensitive) vs named
   fingerprints (Figure 10): both are safe; canonical bypasses more.
@@ -112,7 +112,7 @@ def granularity_ablation(
         "fine (function x pass)": CompilerOptions(
             opt_level=opt_level, stateful=True, policy=SkipPolicy.FINE_GRAINED
         ),
-        "memo (fine + code reuse)": CompilerOptions(
+        "memo (code reuse)": CompilerOptions(
             opt_level=opt_level, stateful=True, policy=SkipPolicy.MEMO
         ),
     }

@@ -22,7 +22,8 @@ more under the memo policy against that record and compares the code of
 every function the memo reused with the code the audit compile (memo
 off, every pass executed) produced for it.  Any difference is a
 ``memo-reuse`` mismatch: the memo key missed something that decides
-the code.
+the code.  A memo-policy DB has no compiler state, so its audit is this
+check alone.
 
 The audit runs against a throwaway :meth:`CompilerState.snapshot` so the
 live state never sees audit-mode writes, and supports the fine-grained
@@ -174,20 +175,25 @@ class AuditingStatefulPassManager(StatefulPassManager):
 
 
 class _AuditingCompiler(Compiler):
-    """A stateful compiler whose pass manager audits instead of bypassing,
-    and never reuses machine code."""
+    """A fine-grained compiler whose pass manager audits instead of
+    bypassing, and never reuses machine code.  Without a ``state`` it
+    audits against an empty one: it then compiles as a stateless
+    compiler does."""
 
     def __init__(self, provider, options, state, result: CollisionAuditResult):
-        super().__init__(provider, options, state=state)
+        fine = CompilerOptions(
+            opt_level=options.opt_level,
+            stateful=True,
+            fingerprint_mode=options.fingerprint_mode,
+        )
+        super().__init__(provider, fine, state=state)
         self._result = result
         self._current_unit = ""
 
     def _make_pass_manager(self, previous_keys=None) -> AuditingStatefulPassManager:
-        assert self.state is not None
         return AuditingStatefulPassManager(
             build_pipeline(self.options.opt_level),
             self.state,
-            policy=SkipPolicy.FINE_GRAINED,
             result=self._result,
             unit=self._current_unit,
         )
@@ -209,7 +215,7 @@ def audit_fingerprint_collisions(
     provider: FileProvider,
     unit_paths: list[str],
     options: CompilerOptions,
-    state: CompilerState,
+    state: CompilerState | None,
     *,
     sample: int = 20,
     seed: int = 0,
@@ -221,9 +227,10 @@ def audit_fingerprint_collisions(
 
     Units are visited in seeded-shuffle order; whole units are audited
     until at least ``sample`` dormant pairs have been re-executed (or
-    the project runs out of units).  Compile failures during the audit
-    are recorded as mismatch entries of kind ``compile-error`` — an
-    unbuildable unit cannot vouch for its records.
+    the project runs out of units).  With ``state=None`` (a memo-policy
+    DB) only the memo reuse is checked, in every unit.  Compile failures
+    during the audit are recorded as mismatch entries of kind
+    ``compile-error`` — an unbuildable unit cannot vouch for its records.
     """
     if not options.stateful:
         raise ValueError("collision audit requires a stateful build")
@@ -231,10 +238,10 @@ def audit_fingerprint_collisions(
         raise ValueError("collision audit requires the fine-grained or memo policy")
     result = CollisionAuditResult()
     start = time.perf_counter()
-    audit_state = state.snapshot()
-    audit_state.begin_build()
-    compiler = _AuditingCompiler(provider, options, audit_state, result)
-    if not state.compatible_with(
+    snapshot = None if state is None else state.snapshot()
+    compiler = _AuditingCompiler(provider, options, snapshot, result)
+    compiler.state.begin_build()
+    if not compiler.state.compatible_with(
         compiler.pipeline_signature, options.fingerprint_mode
     ):
         raise ValueError(
@@ -243,11 +250,14 @@ def audit_fingerprint_collisions(
             "with the same -O level and --fingerprint-mode as the build"
         )
 
-    memo_options = CompilerOptions(
-        opt_level=options.opt_level,
-        stateful=True,
-        policy=SkipPolicy.MEMO,
-        fingerprint_mode=options.fingerprint_mode,
+    memo_compiler = Compiler(
+        provider,
+        CompilerOptions(
+            opt_level=options.opt_level,
+            stateful=True,
+            policy=SkipPolicy.MEMO,
+            fingerprint_mode=options.fingerprint_mode,
+        ),
     )
     order = list(unit_paths)
     random.Random(seed).shuffle(order)
@@ -259,7 +269,7 @@ def audit_fingerprint_collisions(
         try:
             audited = compiler.compile_file(path)
             if record is not None and record.memo:
-                memo = Compiler(provider, memo_options, state=audit_state).compile_file(
+                memo = memo_compiler.compile_file(
                     path, previous=(record.object_json, record.memo)
                 )
                 for name in memo.reused:

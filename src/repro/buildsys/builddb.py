@@ -1,8 +1,10 @@
 """The build database: content digests, cached objects, compiler state.
 
 One JSON file per build tree, playing the role of ninja's ``.ninja_log``
-+ ``.ninja_deps`` + the object directory.  The stateful compiler's
-:class:`~repro.core.state.CompilerState` lives in a second file beside it:
++ ``.ninja_deps`` + the object directory.  Under the fine and coarse
+policies the stateful compiler's :class:`~repro.core.state.CompilerState`
+lives in a second file beside it; a memo-policy build keeps its memo
+keys in the DB and never reads or writes that file:
 
 - ``<db>`` — per unit: source digest, the digest of every transitively
   included header (``None`` for headers that were missing when the unit
@@ -38,7 +40,8 @@ inputs that did not link.  A build whose link key equals ``linked`` may skip
 decoding the objects and linking: the result would be the image that
 already linked.
 
-**Crashes between the files.**  :meth:`BuildDatabase.save_changes`
+**Crashes between the files** (fine and coarse builds; a memo build
+writes only the DB file).  :meth:`BuildDatabase.save_changes`
 writes the state file before the DB file, each with its own
 crash-consistent protocol, so a crash leaves each file old or new, and
 the pair can mix: a new state beside the old DB.  That mix — and any
@@ -254,8 +257,9 @@ class BuildDatabase:
     def live_state(self) -> CompilerState | None:
         """The stateful compiler's dormancy records, carried between builds.
 
-        ``None`` until a stateful build runs (stateless builds never
-        create state).  Loaded from the state file on first access.
+        ``None`` until a fine or coarse build runs (stateless and memo
+        builds never create state).  Loaded from the state file on
+        first access.
         """
         if not self._state_loaded:
             self._state_loaded = True

@@ -15,10 +15,10 @@ variants plug into.  Per build it:
    (under the memo policy each unit gets its recorded object and memo
    keys, from which unchanged functions take their machine code),
    serially or on a worker pool per :class:`~repro.buildsys.parallel.BuildOptions`
-   (``jobs > 1`` runs the make ``-j`` analogue; for stateful builds each
-   unit compiles against a snapshot of the state as the build started
-   and the driver merges the returned deltas in unit order, so results
-   are deterministic regardless of scheduling);
+   (``jobs > 1`` runs the make ``-j`` analogue; under a policy that keeps
+   dormancy state each unit compiles against a snapshot of the state as
+   the build started and the driver merges the returned deltas in unit
+   order, so results are deterministic regardless of scheduling);
 4. reuses cached object JSON for up-to-date units;
 5. links everything into one runnable :class:`~repro.backend.linker.LinkedImage`
    — or, when the caller only needs the link *checked*
@@ -29,7 +29,10 @@ variants plug into.  Per build it:
 Work is proportional to the edit: a build that compiles no unit never
 loads the compiler state, never ticks its GC clock and stages nothing
 for :meth:`BuildDatabase.save_changes` to write; its report's state
-summary comes from the one the database persisted.
+summary comes from the one the database persisted.  A memo-policy
+build keeps no compiler state at all
+(:attr:`~repro.options.CompilerOptions.keeps_state`): it neither reads
+nor writes ``<db>.state``, and its report has no state summary.
 
 The baseline file-level skipping (step 2/4) is deliberately identical
 for both variants: the paper's mechanism is measured as the *additional*
@@ -203,7 +206,7 @@ class IncrementalBuilder:
             from repro.driver import Compiler
 
             compiler = Compiler(self.provider, self.options, tracer=self.tracer)
-        stateful = self.options.stateful and bool(dirty)
+        stateful = self.options.keeps_state and bool(dirty)
         if stateful:
             self._attach_state(compiler)
 
@@ -235,7 +238,7 @@ class IncrementalBuilder:
                         "state-gc", "phase", gc_start, time.perf_counter() - gc_start
                     )
             self.db.stage_state()
-        if self.options.stateful and self.db.state_summary is not None:
+        if self.options.keeps_state and self.db.state_summary is not None:
             report.state = dict(self.db.state_summary)
 
         if error is not None:

@@ -71,19 +71,22 @@ from repro.persist import BuildLock, LockTimeoutError, NullLock, default_lock_pa
 from repro.workload.project import Project
 
 
-def _common_compiler_flags(parser: argparse.ArgumentParser) -> None:
+def _common_compiler_flags(parser: argparse.ArgumentParser, policy: str) -> None:
     parser.add_argument(
         "-O", dest="opt_level", choices=["0", "1", "2"], default="2",
         help="optimization level (default 2)",
     )
     parser.add_argument(
         "--stateful", action="store_true",
-        help="enable the stateful compiler (dormant-pass bypassing)",
+        help="enable the stateful compiler (see --policy)",
     )
     parser.add_argument(
-        "--policy", choices=[p.value for p in SkipPolicy], default="memo",
-        help="bypass granularity for --stateful (default memo: fine-grained "
-             "bypassing plus reuse of unchanged functions' machine code)",
+        "--policy", choices=[p.value for p in SkipPolicy], default=policy,
+        help="what --stateful reuses (default %(default)s): fine = bypass "
+             "each dormant (function, pass) pair, coarse = bypass a function's "
+             "whole pipeline when every pass was dormant, both kept in a "
+             "compiler-state file; memo = reuse each unchanged function's "
+             "machine code from the build DB, with no compiler-state file",
     )
     parser.add_argument(
         "--fingerprint-mode", choices=["canonical", "named"], default="canonical",
@@ -120,7 +123,8 @@ def _options_from_args(args: argparse.Namespace) -> CompilerOptions:
 def reproc_main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="reproc", description="MiniC compiler")
     parser.add_argument("source", help="translation unit (.mc) to compile")
-    _common_compiler_flags(parser)
+    # No build DB, so no previous object for the memo to reuse.
+    _common_compiler_flags(parser, policy="fine")
     parser.add_argument("-o", "--output", help="object file path (default <src>.mo)")
     parser.add_argument(
         "--state-file",
@@ -152,7 +156,7 @@ def reproc_main(argv: list[str] | None = None) -> int:
     compiler = Compiler(provider, options, tracer=tracer)
 
     store = None
-    if options.stateful and args.state_file:
+    if compiler.state is not None and args.state_file:
         # A missing, damaged or incompatible state file leaves the
         # compiler's fresh state in place: stale records are never used.
         store = StateStore(args.state_file)
@@ -397,7 +401,7 @@ def _reprobuild(argv: list[str]) -> int:
 
     parser = argparse.ArgumentParser(prog="reprobuild", description="incremental builder")
     parser.add_argument("directory", help="project directory containing .mc/.mh files")
-    _common_compiler_flags(parser)
+    _common_compiler_flags(parser, policy="memo")
     parser.add_argument("--db", default="build.reprodb", help="build database path")
     parser.add_argument(
         "--report-json", metavar="FILE",
@@ -526,7 +530,7 @@ def _locked_build(args: argparse.Namespace, project: Project) -> int:
             print(report.reasons[path].describe(), file=sys.stderr)
 
     print(f"build: {report.describe()}", file=sys.stderr)
-    if options.stateful:
+    if options.keeps_state:
         print(
             f"state: {report.state_records} records ({report.state_bytes} bytes "
             f"beside a {db_bytes}-byte build DB); "
@@ -725,9 +729,9 @@ def reprobuild_regress_main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--audit", action="store_true",
         help="re-execute a sample of bypassed (fingerprint, pass) pairs "
-             "against the DB's compiler state and verify zero collisions; "
-             "recompile the functions whose machine code the memo reuses "
-             "and verify it is unchanged",
+             "against the DB's compiler state, if it has one, and verify zero "
+             "collisions; recompile the functions whose machine code the memo "
+             "reuses and verify it is unchanged",
     )
     parser.add_argument(
         "--sample", type=_positive_int, default=20,
@@ -769,10 +773,10 @@ def reprobuild_regress_main(argv: list[str] | None = None) -> int:
             print(f"regress: no such directory: {args.directory}", file=sys.stderr)
             return 2
         db = _load_db_or_warn(args.db, "regress")
-        if db.live_state is None:
+        if db.live_state is None and not any(r.memo for r in db.units.values()):
             print(
-                "regress: no compiler state in the build DB "
-                "(audit needs a --stateful build first)",
+                "regress: nothing to audit: the build DB has no compiler state "
+                "and no memo keys (audit needs a --stateful build first)",
                 file=sys.stderr,
             )
             return 2

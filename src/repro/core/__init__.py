@@ -10,9 +10,12 @@ builds and bypasses provably-dormant passes:
   records keyed by (pipeline position, IR fingerprint), versioned,
   garbage-collected.
 - :mod:`repro.core.stateful` — ``StatefulPassManager``: consults the
-  state before each function pass, bypassing recorded-dormant ones.
+  state before each function pass, bypassing recorded-dormant ones; and
+  ``MemoPassManager``, the memo policy's machine-code reuse, which
+  keeps no state.
 - :mod:`repro.core.policies` — skip-granularity policies (the paper's
-  fine-grained function×pass vs the coarse whole-function baseline).
+  fine-grained function×pass vs the coarse whole-function baseline,
+  and the memo policy beyond the paper).
 - :mod:`repro.core.statistics` — the bypass table, folded from the pass
   manager's ledger.
 """

@@ -1,4 +1,4 @@
-"""Skip-granularity policies (the Figure-9 ablation).
+"""Stateful-compile policies (the Figure-9 ablation).
 
 - ``FINE_GRAINED`` — the paper's design: per (function, pass) bypass.
   Even inside a heavily edited function's file, and even inside an
@@ -9,15 +9,18 @@
   function.  The pipeline is bypassed only when the function's entry
   fingerprint matches a prior build in which *every* pass was dormant;
   otherwise every pass runs.
-- ``NONE`` — fully stateless (records are still written so a later
-  build can use them; nothing is ever skipped).
-- ``MEMO`` — ``FINE_GRAINED`` plus machine-code reuse, beyond the
-  paper: a function whose memo key (:func:`repro.core.stateful.memo_key`) equals its
-  key from the unit's last compile skips its whole function pipeline
-  and code generation, and takes its machine code from the unit's
-  previous object.  The default of ``reprobuild --stateful``; the
-  library default stays ``FINE_GRAINED``, so the paper's tables
-  measure the paper's mechanism alone.
+- ``MEMO`` — machine-code reuse, beyond the paper: a function whose
+  memo key (:func:`repro.core.stateful.memo_key`) equals its key from
+  the unit's last compile skips its whole function pipeline and code
+  generation, and takes its machine code from the unit's previous
+  object.  It keeps no dormancy state: the keys live in the build DB.
+  The default of ``reprobuild --stateful``; the library default stays
+  ``FINE_GRAINED``, so the paper's tables measure the paper's
+  mechanism alone.
+
+Fine and coarse keep their dormancy records in a compiler state
+(``<db>.state``, ``reproc --state-file``); see
+:attr:`repro.options.CompilerOptions.keeps_state`.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ import enum
 class SkipPolicy(enum.Enum):
     FINE_GRAINED = "fine"
     COARSE = "coarse"
-    NONE = "none"
     MEMO = "memo"
 
     @classmethod

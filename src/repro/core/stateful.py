@@ -21,17 +21,19 @@ Fingerprints cover each call's callee purity (the module fact DCE, CSE
 and ADCE read), computed once by the module prelude, so a record made
 while a callee was impure never applies after it turned pure.
 
-Under :attr:`~repro.core.policies.SkipPolicy.MEMO` the manager goes one
-step further than dormancy: from the entry fingerprint it derives the
-function's :func:`memo_key`, and a function whose key equals the one
-its unit's last compile recorded (``previous_keys``) skips its whole
-pipeline — :attr:`StatefulPassManager.reused` names it, and the
-backend takes its machine code from the unit's previous object.  A
-reused function has no pass rows, so it never counts as bypassed.
-
 The cost of statefulness — lookups, hits, records written,
 fingerprints and their nanoseconds — is counted in the pass manager's
 :class:`~repro.passmanager.ledger.PassLedger`, next to the pass outcomes.
+
+:class:`MemoPassManager` is the memo policy's manager
+(:attr:`~repro.core.policies.SkipPolicy.MEMO`), and it keeps no
+dormancy state.  From one entry fingerprint per function it derives the
+function's :func:`memo_key`, and a function whose key equals the one
+its unit's last compile recorded (``previous_keys``) skips its whole
+pipeline — :attr:`~repro.passmanager.manager.PassManager.reused` names
+it, and the backend takes its machine code from the unit's previous
+object.  Every other function runs every pass.  A reused function has
+no pass rows, so it never counts as bypassed.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from repro.ir.fingerprint import fingerprint_function, stable_hash
 from repro.ir.structure import Function, Module
 from repro.obs.trace import NULL_TRACER, NullTracer
 from repro.passes.funcattrs import get_pure_functions
+from repro.passmanager.ledger import PassLedger
 from repro.passmanager.manager import PassManager
 from repro.passmanager.pipeline import PassPipeline
 
@@ -57,13 +60,23 @@ def memo_key(fn: Function, entry_fingerprint: str, context: str) -> str:
     The entry fingerprint (its IR after the module prelude, callee
     purity included); its name, block names and name counter, which the
     canonical fingerprint drops but branch labels embed and new blocks
-    are named from; and ``context``, a digest of the pipeline signature
-    and object options.  Equal keys mean equal machine code.
+    are named from; and ``context``, a digest of the pipeline signature,
+    the object options and the backend version.  Equal keys mean equal
+    machine code.
     """
     blocks = " ".join(block.name for block in fn.blocks)
     return stable_hash(
         f"{entry_fingerprint}\0{fn.name}\0{fn.name_counter}\0{blocks}\0{context}"
     )
+
+
+def _fingerprint(ledger: PassLedger, fn: Function, mode: str, pure: frozenset[str]) -> str:
+    """Hash ``fn`` and count the hash and its nanoseconds in ``ledger``."""
+    start = time.perf_counter_ns()
+    fp = fingerprint_function(fn, mode=mode, pure=pure)
+    ledger.fingerprint_ns += time.perf_counter_ns() - start
+    ledger.fingerprints += 1
+    return fp
 
 
 class StatefulPassManager(PassManager):
@@ -77,16 +90,10 @@ class StatefulPassManager(PassManager):
         policy: SkipPolicy = SkipPolicy.FINE_GRAINED,
         verify_each: bool = False,
         tracer: NullTracer = NULL_TRACER,
-        memo_context: str = "",
-        previous_keys: dict[str, str] | None = None,
     ):
         super().__init__(pipeline, verify_each=verify_each, tracer=tracer)
         self.state = state
         self.policy = policy
-        #: Memo policy: digest of the pipeline signature and object
-        #: options, and the keys of the unit's last compile.
-        self.memo_context = memo_context
-        self.previous_keys = {} if previous_keys is None else previous_keys
         self._pure: frozenset[str] = frozenset()
         self._fp: str = ""
         self._function_had_changes = False
@@ -98,11 +105,7 @@ class StatefulPassManager(PassManager):
     # -- fingerprint maintenance -------------------------------------------
 
     def _compute_fingerprint(self, fn: Function) -> str:
-        start = time.perf_counter_ns()
-        fp = fingerprint_function(fn, mode=self.state.fingerprint_mode, pure=self._pure)
-        self.ledger.fingerprint_ns += time.perf_counter_ns() - start
-        self.ledger.fingerprints += 1
-        return fp
+        return _fingerprint(self.ledger, fn, self.state.fingerprint_mode, self._pure)
 
     def _lookup(self, position: int, fingerprint: str) -> DormancyRecord | None:
         record = self.state.lookup(position, fingerprint)
@@ -129,20 +132,8 @@ class StatefulPassManager(PassManager):
             record = self._lookup(_COARSE_POSITION, self._fp)
             self._coarse_skip_all = record is not None and record.dormant
 
-    def reuses(self, fn: Function, module: Module) -> bool:
-        if self.policy is not SkipPolicy.MEMO:
-            return False
-        key = memo_key(fn, self._entry_fp, self.memo_context)
-        self.memo_keys[fn.name] = key
-        if self.previous_keys.get(fn.name) != key:
-            return False
-        self.reused.append(fn.name)
-        return True
-
     def should_skip(self, fn: Function, module: Module, position: int) -> bool:
         self._pending_record = None
-        if self.policy is SkipPolicy.NONE:
-            return False
         if self.policy is SkipPolicy.COARSE:
             return self._coarse_skip_all
         record = self._lookup(position, self._fp)
@@ -173,3 +164,35 @@ class StatefulPassManager(PassManager):
                 not self._function_had_changes,
                 self._fp,
             )
+
+
+class MemoPassManager(PassManager):
+    """Pass manager with machine-code reuse and no dormancy state."""
+
+    def __init__(
+        self,
+        pipeline: PassPipeline,
+        *,
+        memo_context: str,
+        previous_keys: dict[str, str] | None = None,
+        fingerprint_mode: str = "canonical",
+        verify_each: bool = False,
+        tracer: NullTracer = NULL_TRACER,
+    ):
+        super().__init__(pipeline, verify_each=verify_each, tracer=tracer)
+        #: Digest of the pipeline signature, object options and backend
+        #: version, and the keys of the unit's last compile.
+        self.memo_context = memo_context
+        self.previous_keys = {} if previous_keys is None else previous_keys
+        self.fingerprint_mode = fingerprint_mode
+
+    def reuses(self, fn: Function, module: Module) -> bool:
+        fp = _fingerprint(
+            self.ledger, fn, self.fingerprint_mode, get_pure_functions(module)
+        )
+        key = memo_key(fn, fp, self.memo_context)
+        self.memo_keys[fn.name] = key
+        if self.previous_keys.get(fn.name) != key:
+            return False
+        self.reused.append(fn.name)
+        return True

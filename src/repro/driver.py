@@ -9,17 +9,19 @@ system and experiments consume.  Stage durations go to the tracer as
 Under the memo policy the caller hands in the unit's previous object
 and the memo keys of the compile that made it; functions whose keys
 still match skip the pass pipeline and code generation, and the
-backend copies their machine code from that object.
+backend copies their machine code from that object.  A memo compiler
+carries no dormancy state (:attr:`Compiler.state` is ``None``).
 """
 
 from __future__ import annotations
 
 import time
 
+import repro.backend
 from repro._struct import Struct
 from repro.backend.objfile import ObjectFile, compile_module_to_object
 from repro.core.state import CompilerState, pipeline_signature_of
-from repro.core.stateful import StatefulPassManager
+from repro.core.stateful import MemoPassManager, StatefulPassManager
 from repro.core.statistics import BypassStatistics
 from repro.frontend.includes import FileProvider, IncludeResolver
 from repro.frontend.sema import analyze
@@ -87,9 +89,10 @@ class CompileResult(Struct):
 class Compiler:
     """A compiler instance, optionally stateful.
 
-    One instance per build: the stateful variant carries a
-    :class:`CompilerState` that callers load before and save after the
-    build (the build system does this).
+    One instance per build: under the fine and coarse policies the
+    stateful variant carries a :class:`CompilerState` that callers load
+    before and save after the build (the build system does this); under
+    the memo policy it carries none.
     """
 
     def __init__(
@@ -105,7 +108,7 @@ class Compiler:
         self.tracer = tracer
         self.resolver = IncludeResolver(provider)
         self.pipeline: PassPipeline = build_pipeline(self.options.opt_level)
-        if self.options.stateful:
+        if self.options.keeps_state:
             self.state = state or CompilerState(
                 pipeline_signature=pipeline_signature_of(self.pipeline),
                 fingerprint_mode=self.options.fingerprint_mode,
@@ -120,26 +123,28 @@ class Compiler:
     @property
     def memo_context(self) -> str:
         """What every memo key of this compiler shares: a digest of the
-        pipeline signature and the object options."""
-        return stable_hash(f"{self.pipeline_signature}\0{self.options.object_options}")
+        pipeline signature, the object options and the backend version."""
+        return stable_hash(
+            f"{self.pipeline_signature}\0{self.options.object_options}"
+            f"\0backend@{repro.backend.VERSION}"
+        )
 
     def _make_pass_manager(self, previous_keys: dict[str, str] | None = None) -> PassManager:
-        if self.options.stateful:
-            assert self.state is not None
+        pipeline = build_pipeline(self.options.opt_level)
+        common = {"verify_each": self.options.verify_each, "tracer": self.tracer}
+        if self.state is not None:
             return StatefulPassManager(
-                build_pipeline(self.options.opt_level),
-                self.state,
-                policy=self.options.policy,
-                verify_each=self.options.verify_each,
-                tracer=self.tracer,
+                pipeline, self.state, policy=self.options.policy, **common
+            )
+        if self.options.stateful:
+            return MemoPassManager(
+                pipeline,
                 memo_context=self.memo_context,
                 previous_keys=previous_keys,
+                fingerprint_mode=self.options.fingerprint_mode,
+                **common,
             )
-        return PassManager(
-            build_pipeline(self.options.opt_level),
-            verify_each=self.options.verify_each,
-            tracer=self.tracer,
-        )
+        return PassManager(pipeline, **common)
 
     def compile_source(
         self, name: str, text: str, *, previous: tuple[str, dict[str, str]] | None = None
@@ -186,7 +191,7 @@ class Compiler:
             ("passes.work", stats.work_executed),
             ("passes.bypassed", stats.bypassed),
         ]
-        if self.options.stateful:
+        if self.state is not None:
             counters += [
                 ("state.lookups", ledger.lookups),
                 ("state.records_refreshed", ledger.hits),

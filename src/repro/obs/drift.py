@@ -12,7 +12,7 @@ Detectors:
 - **bypass-rate drop** — the headline number of the stateful compiler:
   if the share of optimization work the latest incremental build
   skipped (:attr:`~repro.obs.history.HistoryRecord.skip_rate`: bypassed
-  pass runs, and under the memo policy reused functions too) falls more
+  pass runs, or under the memo policy reused functions) falls more
   than ``bypass_drop`` below the median of recent incremental builds,
   the stateful compiler stopped earning its keep.  Under the fine
   policy that share is the bypass rate itself; under the memo policy

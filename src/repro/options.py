@@ -36,6 +36,16 @@ class CompilerOptions(Struct):
         self.verify_each = verify_each
 
     @property
+    def keeps_state(self) -> bool:
+        """Does the compiler carry a dormancy state?
+
+        A stateful compile under the fine or coarse policy does.  The
+        memo policy does not: its one fact per function, the memo key,
+        lives in the build DB beside the object.
+        """
+        return self.stateful and self.policy is not SkipPolicy.MEMO
+
+    @property
     def object_options(self) -> str:
         """The options an object file depends on, as the build DB records them.
 

@@ -1,10 +1,11 @@
 """Pass manager: executes a pipeline over a module, keeping a ledger.
 
 This is the *stateless* manager — every pass runs on every function,
-exactly what a conventional compiler does.  The stateful variant
-(:class:`repro.core.stateful.StatefulPassManager`) subclasses this and
-overrides its decision points :meth:`reuses`, :meth:`should_skip` and
-:meth:`on_pass_executed`.
+exactly what a conventional compiler does.  The stateful variants in
+:mod:`repro.core.stateful` subclass it:
+:class:`~repro.core.stateful.StatefulPassManager` overrides the
+decision points :meth:`should_skip` and :meth:`on_pass_executed`, and
+:class:`~repro.core.stateful.MemoPassManager` overrides :meth:`reuses`.
 
 Accounting: each scheduled pass appends one row to the manager's
 :class:`~repro.passmanager.ledger.PassLedger` — the one record every
@@ -65,7 +66,7 @@ class PassManager:
         self.memo_keys: dict[str, str] = {}
         self.reused: list[str] = []
 
-    # -- hooks the stateful subclass overrides -----------------------------
+    # -- hooks the stateful subclasses override ---------------------------
 
     def begin_function(self, fn: Function, module: Module) -> None:
         """Called before the function pipeline starts on ``fn``."""

@@ -16,7 +16,8 @@ fuzzable property:
    (:meth:`~repro.backend.linker.LinkedImage.to_json`), per-unit
    object JSON, and the stateful variants' bypass/record accounting
    against each other; each variant's own counters must also satisfy
-   ``state.lookups >= state.records_refreshed (hits) >= bypassed``.
+   ``state.lookups >= state.records_refreshed (hits) >= bypassed``, and
+   a memo-policy DB must hold no compiler state.
 
 When a ``workdir`` is given, the stateful build databases additionally
 round-trip through their files on real disk between steps — a whole
@@ -171,6 +172,10 @@ def run_differential_trace(
                     step, "records",
                     f"{name}: state counters break lookups >= hits >= bypassed "
                     f"({lookups}, {hits}, {report.bypass.bypassed})",
+                ))
+            if not options.keeps_state and db.live_state is not None:
+                result.divergences.append(Divergence(
+                    step, "records", f"{name}: a memo build keeps compiler state",
                 ))
             if set(db.units) != set(units):
                 result.divergences.append(Divergence(

@@ -86,7 +86,7 @@ class TestRunners:
             "none (stateless)",
             "coarse (function-level)",
             "fine (function x pass)",
-            "memo (fine + code reuse)",
+            "memo (code reuse)",
         }
         fine = summary["fine (function x pass)"]
         none = summary["none (stateless)"]

@@ -4,6 +4,7 @@ import json
 import re
 import shutil
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -65,11 +66,12 @@ def run_build(proj, db, revision: int, *extra: str) -> None:
 
 @pytest.fixture(scope="module")
 def trace(tmp_path_factory):
-    """A clean build plus four incremental edit rebuilds."""
+    """A clean build plus four incremental edit rebuilds, under the fine
+    policy: the collision audit re-executes its dormancy records."""
     root = tmp_path_factory.mktemp("trace")
     proj, db = root / "proj", root / "build.reprodb"
     for revision in range(5):
-        run_build(proj, db, revision)
+        run_build(proj, db, revision, "--policy", "fine")
     return SimpleNamespace(
         root=root, proj=proj, db=db, history=default_history_path(db)
     )
@@ -161,6 +163,28 @@ class TestRegressCommand:
         audited = int(out.split("collision audit: ")[1].split()[0])
         assert audited > 0
 
+    def test_audit_checks_memo_reuse_without_compiler_state(self, tmp_path, capsys):
+        proj, db = tmp_path / "proj", tmp_path / "build.reprodb"
+        for revision in range(3):
+            run_build(proj, db, revision)  # --stateful defaults to memo
+        assert not Path(f"{db}.state").exists()
+        capsys.readouterr()
+        rc = reprobuild_regress_main([str(proj), "--db", str(db), "--audit"])
+        out = capsys.readouterr().out
+        assert rc == 0, out
+        audit = out.split("collision audit: ")[1]
+        assert audit.startswith("0 bypassed pairs re-executed")
+        assert int(audit.split("re-hashed, ")[1].split()[0]) > 0  # memo_checked
+        assert "zero collisions" in audit
+        assert not Path(f"{db}.state").exists()
+
+    def test_audit_without_compiler_state_or_memo_keys_is_an_error(self, tmp_path, capsys):
+        proj, db = tmp_path / "proj", tmp_path / "build.reprodb"
+        write_project(proj)
+        assert reprobuild_main([str(proj), "--db", str(db), "-j", "1"]) == 0
+        assert reprobuild_regress_main([str(proj), "--db", str(db), "--audit"]) == 2
+        assert "nothing to audit" in capsys.readouterr().err
+
     def test_audit_without_directory_is_a_usage_error(self, trace, capsys):
         rc = reprobuild_regress_main(["--db", str(trace.db), "--audit"])
         assert rc == 2
@@ -225,8 +249,9 @@ class TestSkipRateShown:
     swings with what the edit touched."""
 
     #: Skip rates of the five edit builds of the ``history_demo.py``
-    #: trace; their bypass rates are 0 / 17.3 / 0 / 73.1 / 0 %.
-    EXPECTED = ["100.0%", "39.1%", "83.3%", "91.0%", "66.7%"]
+    #: trace; the memo policy bypasses no pass, so each is the share of
+    #: functions whose machine code was reused.
+    EXPECTED = ["100.0%", "26.3%", "83.3%", "66.7%", "66.7%"]
 
     @pytest.fixture(scope="class")
     def demo_db(self, tmp_path_factory):

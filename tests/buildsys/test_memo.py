@@ -10,9 +10,10 @@ import json
 
 import pytest
 
+import repro.backend
 from repro.backend.mir import MOp
 from repro.buildsys.audit import audit_fingerprint_collisions
-from repro.buildsys.builddb import BuildDatabase
+from repro.buildsys.builddb import BuildDatabase, StateStore
 from repro.buildsys.deps import DependencyScanner, content_digest
 from repro.buildsys.explain import explain_unit
 from repro.buildsys.incremental import IncrementalBuilder
@@ -168,6 +169,16 @@ class TestKey:
         bigger_inliner(monkeypatch)
         assert all(before[name] != key for name, key in compile_keys(FILES["a.mc"]).items())
 
+    def test_backend_version_stops_reuse(self, monkeypatch):
+        db = BuildDatabase()
+        build(FILES, db)
+        before = compile_keys(FILES["a.mc"])
+        monkeypatch.setattr(repro.backend, "VERSION", repro.backend.VERSION + 1)
+        assert all(before[name] != key for name, key in compile_keys(FILES["a.mc"]).items())
+        edited = {"a.mc": "// c\n" + FILES["a.mc"]}
+        assert build(edited, db).memo == {"functions_reused": 0, "functions_compiled": 3}
+        assert build({"a.mc": "// d\n" + FILES["a.mc"]}, db).memo["functions_reused"] == 3
+
 
 def bigger_inliner(monkeypatch, threshold=40):
     """Make every pipeline the driver builds inline more."""
@@ -193,17 +204,104 @@ class TestPipelineSignature:
         assert pipeline_signature_of(pipeline_module.build_pipeline("O2")) != signature
 
     def test_a_parameter_change_empties_the_state_and_the_memo(self, monkeypatch):
-        db = BuildDatabase()
+        # The memo lives in the build DB; the dormancy state only under
+        # the fine (or coarse) policy.
+        db, fine_db, fine = BuildDatabase(), BuildDatabase(), CompilerOptions(stateful=True)
         build(FILES, db)
+        build(FILES, fine_db, fine)
         assert build({"a.mc": "// c\n" + FILES["a.mc"]}, db).memo["functions_reused"] == 3
         bigger_inliner(monkeypatch)
         report = build({"a.mc": "// d\n" + FILES["a.mc"]}, db)
         assert report.memo == {"functions_reused": 0, "functions_compiled": 3}
+        report = build({"a.mc": "// d\n" + FILES["a.mc"]}, fine_db, fine)
         counters = report.metrics["counters"]
         assert counters["state.records_refreshed"] == 0 and report.bypass.bypassed == 0
         # The old records are gone: the state holds this build's alone.
-        assert db.live_state.build_counter == 1
-        assert db.live_state.num_records == counters["state.records_written"]
+        assert fine_db.live_state.build_counter == 1
+        assert fine_db.live_state.num_records == counters["state.records_written"]
+
+
+class TestNoDormancyState:
+    """A memo build keeps no compiler state: it reads and writes only the
+    build DB, where its memo keys live."""
+
+    @pytest.fixture()
+    def state_loads(self, monkeypatch):
+        """The state files read, in order."""
+        loads = []
+        real = StateStore.load
+
+        def load(store):
+            loads.append(store.base_path.name)
+            return real(store)
+
+        monkeypatch.setattr(StateStore, "load", load)
+        return loads
+
+    @staticmethod
+    def trace(seed, edits):
+        spec = make_preset("small", seed=seed)
+        yield generate_project(spec)
+        for edit in random_edit_sequence(spec, edits, seed=seed, mix=FUZZ_EDIT_MIX):
+            spec = apply_edit(spec, edit)
+            yield generate_project(spec)
+
+    @staticmethod
+    def saved_build(project, path, options, jobs=1):
+        """One build against the DB at ``path``, saved as the CLI saves it."""
+        db = BuildDatabase.load(path)
+        report = IncrementalBuilder(
+            project.provider(), project.unit_paths, options, db, BuildOptions(jobs=jobs)
+        ).build()
+        db.save_changes()
+        return db, report
+
+    @staticmethod
+    def stateless(project):
+        db = BuildDatabase()
+        IncrementalBuilder(project.provider(), project.unit_paths, CompilerOptions(), db).build()
+        return objects(db)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_memo_builds_touch_only_the_build_db(self, tmp_path, state_loads, jobs):
+        path, reused = tmp_path / "b.reprodb", 0
+        for project in self.trace(seed=3, edits=4):
+            db, report = self.saved_build(project, path, MEMO, jobs)
+            counters = report.metrics["counters"]
+            assert counters.get("state.lookups", 0) == 0
+            assert counters.get("state.records_written", 0) == 0
+            assert report.state == {} and report.bypass.bypassed == 0
+            # One entry fingerprint per function, reused or compiled.
+            keyed = report.memo["functions_reused"] + report.memo["functions_compiled"]
+            assert sum(unit.fingerprint_count for unit in report.compiled) == keyed
+            assert objects(db) == self.stateless(project)
+            reused += report.memo["functions_reused"]
+        assert reused > 0
+        assert state_loads == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["b.reprodb"]
+
+    def test_switching_policies_keeps_the_state_for_fine_builds(self, tmp_path, state_loads):
+        path = tmp_path / "b.reprodb"
+        state = tmp_path / "b.reprodb.state"
+        fine = CompilerOptions(stateful=True)
+        projects = list(self.trace(seed=5, edits=3))
+        # A fine build leaves the state the memo builds must not touch.
+        self.saved_build(projects[0], path, fine)
+        for step, options in enumerate([MEMO, fine, MEMO], start=1):
+            before = (state.read_bytes(), state.stat().st_mtime_ns)
+            state_loads.clear()
+            db, report = self.saved_build(projects[step], path, options)
+            assert objects(db) == self.stateless(projects[step])
+            if options is MEMO:
+                assert state_loads == [] and report.state == {}
+                assert (state.read_bytes(), state.stat().st_mtime_ns) == before
+            else:
+                # The fine build loads the state its predecessor left.
+                assert state_loads == ["b.reprodb.state"]
+                assert report.state["build_counter"] == 2
+                assert report.metrics["counters"]["state.records_refreshed"] > 0
+                assert state.read_bytes() != before[0]
+        assert StateStore(state).load().build_counter == 2
 
 
 class TestObservability:
@@ -235,6 +333,17 @@ class TestObservability:
             provider, ["a.mc"], MEMO, db.live_state, units=db.units
         )
         assert audit.ok and audit.memo_checked == 3
+
+    def test_audit_of_a_db_switched_from_fine_to_memo(self):
+        # The fine build left dormancy records, the memo build memo keys.
+        db = BuildDatabase()
+        build(FILES, db, CompilerOptions(stateful=True))
+        build({"a.mc": "// c\n" + FILES["a.mc"]}, db)
+        assert db.live_state is not None and db.units["a.mc"].memo
+        audit = audit_fingerprint_collisions(
+            MemoryFileProvider(dict(FILES)), ["a.mc"], MEMO, db.live_state, units=db.units
+        )
+        assert audit.ok and audit.audited > 0 and audit.memo_checked == 3
 
     def test_audit_catches_reused_code_that_differs(self):
         db = BuildDatabase()

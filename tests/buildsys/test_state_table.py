@@ -112,10 +112,10 @@ class TestGarbageCollectionPastMaxAge:
             generate_project(spec).write_to(proj)
             run(proj, dbs["stateless"])
             scans = model.gc_scans
-            serial = run(proj, dbs["j1"], "--stateful", "-j", "1")
+            serial = run(proj, dbs["j1"], "--stateful", "--policy", "fine", "-j", "1")
             scanned = model.gc_scans > scans
             reclaimed, old_enough = model.build(serial["build_counter"], serial["gc_max_age"])
-            parallel = run(proj, dbs["j2"], "--stateful", "-j", "2")
+            parallel = run(proj, dbs["j2"], "--stateful", "--policy", "fine", "-j", "2")
             model.events.clear()  # the model follows the serial build only
 
             assert serial["gc_reclaimed_last"] == reclaimed == parallel["gc_reclaimed_last"]
@@ -160,14 +160,14 @@ class TestOldBases:
     def test_loads_as_no_state_and_next_build_writes_v7(self, tmp_path, trace, old_base):
         proj, db = tmp_path / "proj", tmp_path / "build.reprodb"
         generate_project(trace[0]).write_to(proj)
-        run(proj, db, "--stateful")
+        run(proj, db, "--stateful", "--policy", "fine")
         atomic_write(f"{db}.state", old_base(BuildDatabase.load(db).live_state))
         assert StateStore(f"{db}.state").load() is None
 
         shutil.rmtree(proj)
         generate_project(trace[1]).write_to(proj)
-        summary = run(proj, db, "--stateful")
-        # Only bypasses were lost: the memo keys live in the build DB.
+        summary = run(proj, db, "--stateful", "--policy", "fine")
+        # Only bypasses were lost.
         assert summary["build_counter"] == 1 and summary["records"] > 0
         loaded = StateStore(f"{db}.state").load()
         assert loaded is not None and loaded.num_records == summary["records"]

@@ -37,7 +37,8 @@ def test_stateful_object_follows_the_callee_purity_flip(policy, first_prints):
     options = CompilerOptions(stateful=True, policy=policy)
     compiler, first = compile_unit(unit_text(first_prints), options)
     previous = (first.object_file.to_json(), first.memo_keys)
-    compiler.state.begin_build()
+    if compiler.state is not None:  # the memo policy keeps no state
+        compiler.state.begin_build()
     _, second = compile_unit(unit_text(not first_prints), options, compiler, previous)
     _, stateless = compile_unit(unit_text(not first_prints), CompilerOptions())
     assert second.object_file.to_json() == stateless.object_file.to_json()

@@ -115,14 +115,6 @@ class TestBypassing:
 
 
 class TestPolicies:
-    def test_none_policy_never_skips(self):
-        state = fresh_state()
-        state.begin_build()
-        stateful_run(state, policy=SkipPolicy.NONE)
-        state.begin_build()
-        _, ledger, _ = stateful_run(state, policy=SkipPolicy.NONE)
-        assert summarize(ledger).bypassed == 0
-
     def test_coarse_policy_is_all_or_nothing_per_function(self):
         state = fresh_state()
         state.begin_build()

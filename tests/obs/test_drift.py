@@ -264,7 +264,7 @@ class TestStateGrowthFromRealBuilds:
     def history(self, tmp_path, *, gc_max_age: int) -> list[HistoryRecord]:
         proj, db = tmp_path / "proj", tmp_path / "b.db"
         proj.mkdir()
-        argv = [str(proj), "--stateful", "--db", str(db)]
+        argv = [str(proj), "--stateful", "--policy", "fine", "--db", str(db)]
         for build in range(1, 7):
             (proj / "main.mc").write_text(self.source(build))
             assert reprobuild_main(argv) == 0

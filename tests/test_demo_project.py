@@ -39,12 +39,14 @@ class TestDemoProject:
 
     def test_stateful_rebuild_after_edit(self, demo_copy, tmp_path, capsys):
         db = tmp_path / "build.db"
-        assert reprobuild_main([str(demo_copy), "--db", str(db), "--stateful"]) == 0
+        # The fine policy: the memo policy bypasses no pass.
+        fine = ["--db", str(db), "--stateful", "--policy", "fine"]
+        assert reprobuild_main([str(demo_copy), *fine]) == 0
         capsys.readouterr()
         # Edit main only: tweak the seed.
         main = demo_copy / "main.mc"
         main.write_text(main.read_text().replace("rng_seed(42)", "rng_seed(43)"))
-        assert reprobuild_main([str(demo_copy), "--db", str(db), "--stateful", "--run"]) == 0
+        assert reprobuild_main([str(demo_copy), *fine, "--run"]) == 0
         captured = capsys.readouterr()
         assert "1 recompiled, 2 up-to-date" in captured.err
         assert "bypassed" in captured.err

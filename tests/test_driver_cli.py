@@ -98,6 +98,16 @@ class TestReprocCLI:
         second_err = capsys.readouterr().err
         assert "bypassed=0" not in second_err  # second run bypasses
 
+    def test_memo_policy_writes_no_state_file(self, tmp_path, capsys):
+        # No build DB, so nothing to reuse and no state to keep.
+        (tmp_path / "p.mc").write_text(SRC)
+        state_file = tmp_path / "state"
+        args = [str(tmp_path / "p.mc"), "--stateful", "--policy", "memo",
+                "--state-file", str(state_file), "--stats"]
+        assert reproc_main(args) == 0
+        assert not state_file.exists()
+        assert (tmp_path / "p.mo").exists()
+
     def test_trap_exit_code(self, tmp_path):
         (tmp_path / "t.mc").write_text("int main() { int z = 0; return 1 / z; }")
         assert reproc_main([str(tmp_path / "t.mc"), "--run"]) == 70
@@ -136,7 +146,8 @@ class TestReprobuildCLI:
     def test_stateful_flag(self, tmp_path, capsys):
         src = self.project(tmp_path)
         db = tmp_path / "build.db"
-        assert reprobuild_main([str(src), "--db", str(db), "--stateful"]) == 0
+        argv = [str(src), "--db", str(db), "--stateful", "--policy", "fine"]
+        assert reprobuild_main(argv) == 0
         assert "state:" in capsys.readouterr().err
 
     def test_missing_directory(self, capsys):

@@ -58,7 +58,9 @@ def edit(tree: Path, name: str, old: str, new: str) -> None:
 
 
 def test_build_output_and_files_survive_the_exit(tree):
-    flags = ("--db", "b.db", "--stateful", "-j", "1", "--report-json", "r.json")
+    flags = (
+        "--db", "b.db", "--stateful", "--policy", "fine", "-j", "1", "--report-json", "r.json"
+    )
     proc = reprobuild(tree, "proj", *flags, "--trace-out", "t.json", "--run")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["1", "97", "97", "907", "57"]
