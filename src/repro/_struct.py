@@ -10,6 +10,14 @@ over the fields named in its ``_fields`` tuple.
 
 Modules off the build path (benchmarks, workload specs, drift,
 dashboard, audit) keep ``@dataclass``.
+
+Hot value types, the ones made thousands of times per compile, are
+``typing.NamedTuple``s instead: tokens and source spans
+(:mod:`repro.frontend.lexer`, :mod:`repro.frontend.source`), operand
+uses (:class:`repro.ir.values.Use`), pass runs and dormancy records.  A
+tuple is built in C (``tuple.__new__(cls, fields)`` on the hottest
+paths), has no per-instance ``__dict__``, and compares and hashes in C.
+:class:`Struct` and :class:`FrozenStruct` remain for the cold values.
 """
 
 from __future__ import annotations
@@ -34,9 +42,15 @@ class Struct:
         return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self._key() == other._key()
-        return NotImplemented
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # Field by field, as tuples compare (identity first), without
+        # building the two key tuples.
+        for name in self._fields:
+            mine, theirs = getattr(self, name), getattr(other, name)
+            if mine is not theirs and not mine == theirs:
+                return False
+        return True
 
     __hash__ = None  # type: ignore[assignment]
 

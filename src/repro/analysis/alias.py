@@ -19,30 +19,29 @@ stores, where the fully conservative treatment would flush everything.
 from __future__ import annotations
 
 import enum
+from typing import NamedTuple
 
-from repro._struct import FrozenStruct
-from repro.ir.instructions import AllocaInst, GepInst
-from repro.ir.values import Argument, GlobalAddr, Value
+from repro.ir.instructions import AllocaInst, GepInst, LoadInst, StoreInst
+from repro.ir.values import Argument, ConstantInt, GlobalAddr, Value
 
 
 class AliasResult(enum.Enum):
+    __hash__ = object.__hash__  # by identity, in C
+
     NO_ALIAS = "no"
     MAY_ALIAS = "may"
     MUST_ALIAS = "must"
 
 
-class PointerInfo(FrozenStruct):
+class PointerInfo(NamedTuple):
     """Decomposition of a pointer value: root object + offset."""
 
-    _fields = ("root", "offset", "kind")
-
-    def __init__(self, root: object, offset: int | None, kind: str) -> None:
-        # AllocaInst | GlobalAddr-symbol | Argument | None
-        object.__setattr__(self, "root", root)
-        # slots from the root; None if not constant
-        object.__setattr__(self, "offset", offset)
-        # "alloca" | "global" | "argument" | "unknown"
-        object.__setattr__(self, "kind", kind)
+    #: AllocaInst | GlobalAddr-symbol | Argument | None
+    root: object
+    #: Slots from the root; None if not constant.
+    offset: int | None
+    #: "alloca" | "global" | "argument" | "unknown"
+    kind: str
 
 
 def classify_pointer(ptr: Value) -> PointerInfo:
@@ -51,8 +50,6 @@ def classify_pointer(ptr: Value) -> PointerInfo:
     current = ptr
     while isinstance(current, GepInst):
         index = current.index
-        from repro.ir.values import ConstantInt
-
         if isinstance(index, ConstantInt) and offset is not None:
             offset += index.value
         else:
@@ -85,8 +82,6 @@ def _address_escapes(alloca: AllocaInst) -> bool:
             if isinstance(user, GepInst) and use.index == 0:
                 worklist.append(user)
                 continue
-            from repro.ir.instructions import LoadInst, StoreInst
-
             if isinstance(user, LoadInst):
                 continue
             if isinstance(user, StoreInst) and use.index == 1:

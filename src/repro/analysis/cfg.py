@@ -24,23 +24,20 @@ def postorder(fn: Function) -> list[BasicBlock]:
     Iterative (no recursion limit issues on long CFG chains) and
     deterministic: successors are visited in terminator order.
     """
-    visited: set[BasicBlock] = set()
-    order: list[BasicBlock] = []
-    # Stack entries: (block, iterator over successors)
-    stack: list[tuple[BasicBlock, list[BasicBlock], int]] = []
     entry = fn.entry
-    visited.add(entry)
-    stack.append((entry, list(entry.successors()), 0))
+    visited: set[BasicBlock] = {entry}
+    order: list[BasicBlock] = []
+    # Stack entries: (block, iterator over its successors not yet tried)
+    stack = [(entry, iter(entry.successors()))]
     while stack:
-        block, succs, idx = stack.pop()
-        while idx < len(succs) and succs[idx] in visited:
-            idx += 1
-        if idx < len(succs):
-            stack.append((block, succs, idx + 1))
-            child = succs[idx]
-            visited.add(child)
-            stack.append((child, list(child.successors()), 0))
+        block, succs = stack[-1]
+        for child in succs:
+            if child not in visited:
+                visited.add(child)
+                stack.append((child, iter(child.successors())))
+                break
         else:
+            stack.pop()
             order.append(block)
     return order
 

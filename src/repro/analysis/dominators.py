@@ -52,15 +52,18 @@ class DominatorTree(Struct):
                     b2 = idom[b2]
             return b1
 
+        # Only predecessors that are reachable...
+        reachable_preds = {
+            block: [p for p in preds_all[block] if p in rpo_index] for block in rpo
+        }
         changed = True
         while changed:
             changed = False
             for block in rpo:
                 if block is entry:
                     continue
-                # Only predecessors that are reachable and already processed.
-                preds = [p for p in preds_all[block] if p in rpo_index]
-                candidates = [p for p in preds if p in idom]
+                # ...and already processed.
+                candidates = [p for p in reachable_preds[block] if p in idom]
                 if not candidates:
                     continue
                 new_idom = candidates[0]

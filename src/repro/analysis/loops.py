@@ -9,6 +9,7 @@ Used by LICM and loop unrolling.
 from __future__ import annotations
 
 from repro._struct import Struct
+from repro.analysis.cfg import postorder
 from repro.analysis.dominators import DominatorTree
 from repro.ir.structure import BasicBlock, Function
 
@@ -55,7 +56,10 @@ def find_natural_loops(fn: Function, domtree: DominatorTree | None = None) -> li
     Returned innermost-last: loops are sorted by block count descending,
     so iterating in order processes outer loops first.
     """
-    domtree = domtree or DominatorTree.compute(fn)
+    if domtree is None:
+        if _acyclic(fn):
+            return []  # no back edge, so no loop: skip the dominator tree
+        domtree = DominatorTree.compute(fn)
     preds_all = fn.predecessors()
     loops_by_header: dict[BasicBlock, Loop] = {}
 
@@ -78,6 +82,13 @@ def find_natural_loops(fn: Function, domtree: DominatorTree | None = None) -> li
     loops = list(loops_by_header.values())
     loops.sort(key=lambda l: -len(l.blocks))
     return loops
+
+
+def _acyclic(fn: Function) -> bool:
+    """Does the reachable CFG have no cycle?  In a DFS postorder every
+    edge but a retreating one runs from a later block to an earlier one."""
+    order = {block: i for i, block in enumerate(postorder(fn))}
+    return all(order[succ] < i for block, i in order.items() for succ in block.successors())
 
 
 def loop_depths(fn: Function, loops: list[Loop] | None = None) -> dict[BasicBlock, int]:

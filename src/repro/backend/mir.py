@@ -22,6 +22,8 @@ from repro._struct import Struct
 class MOp(enum.Enum):
     """Machine opcodes."""
 
+    __hash__ = object.__hash__  # by identity, in C
+
     LI = "li"        # li rd, imm
     MV = "mv"        # mv rd, rs
     ADD = "add"      # add rd, rs1, rs2  (likewise all binaries)

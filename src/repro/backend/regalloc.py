@@ -28,17 +28,21 @@ NUM_ALLOCATABLE = NUM_PHYS_REGS - 3
 SCRATCH_REGS = (NUM_PHYS_REGS - 3, NUM_PHYS_REGS - 2, NUM_PHYS_REGS - 1)
 
 
+_DEF_ONLY = frozenset({MOp.LI, MOp.LEA, MOp.FRAME, MOp.GETPARAM})
+_BINARY = frozenset({
+    MOp.ADD, MOp.SUB, MOp.MUL, MOp.DIV, MOp.REM,
+    MOp.SHL, MOp.SHR, MOp.AND, MOp.OR, MOp.XOR, MOp.CMP,
+})
+
+
 def _reg_uses_defs(inst: MInst) -> tuple[list[int], list[int]]:
     """(uses, defs) virtual-register lists of one MIR instruction."""
     op = inst.op
-    if op in (MOp.LI, MOp.LEA, MOp.FRAME, MOp.GETPARAM):
+    if op in _DEF_ONLY:
         return [], [inst.regs[0]]
     if op is MOp.MV:
         return [inst.regs[1]], [inst.regs[0]]
-    if op in (
-        MOp.ADD, MOp.SUB, MOp.MUL, MOp.DIV, MOp.REM,
-        MOp.SHL, MOp.SHR, MOp.AND, MOp.OR, MOp.XOR, MOp.CMP,
-    ):
+    if op in _BINARY:
         return [inst.regs[1], inst.regs[2]], [inst.regs[0]]
     if op is MOp.SEL:
         return [inst.regs[1], inst.regs[2], inst.regs[3]], [inst.regs[0]]
@@ -99,15 +103,14 @@ def _split_blocks(code: list[MInst]) -> dict[str, _MBlock]:
 
 
 def _block_liveness(
-    code: list[MInst], blocks: dict[str, _MBlock]
+    blocks: dict[str, _MBlock], uses_defs: list[tuple[list[int], list[int]]]
 ) -> tuple[dict[str, set[int]], dict[str, set[int]]]:
     use: dict[str, set[int]] = {}
     defs: dict[str, set[int]] = {}
     for label, block in blocks.items():
         bu: set[int] = set()
         bd: set[int] = set()
-        for inst in code[block.start : block.end]:
-            uses, ds = _reg_uses_defs(inst)
+        for uses, ds in uses_defs[block.start : block.end]:
             for r in uses:
                 if r not in bd:
                     bu.add(r)
@@ -155,28 +158,35 @@ class _Interval(Struct):
 
 def compute_intervals(mf: MachineFunction) -> list[_Interval]:
     """Live interval per virtual register, loop-accurate."""
-    code = mf.code
+    return _intervals(mf.code, [_reg_uses_defs(inst) for inst in mf.code])
+
+
+def _intervals(
+    code: list[MInst], uses_defs: list[tuple[list[int], list[int]]]
+) -> list[_Interval]:
+    """:func:`compute_intervals`, given each instruction's (uses, defs)."""
     blocks = _split_blocks(code)
-    live_in, live_out = _block_liveness(code, blocks)
+    live_in, live_out = _block_liveness(blocks, uses_defs)
 
     start: dict[int, int] = {}
     end: dict[int, int] = {}
 
     def touch(reg: int, pos: int) -> None:
-        if reg not in start:
-            start[reg] = pos
-            end[reg] = pos
+        first = start.get(reg)
+        if first is None:
+            start[reg] = end[reg] = pos
         else:
-            start[reg] = min(start[reg], pos)
-            end[reg] = max(end[reg], pos)
+            if pos < first:
+                start[reg] = pos
+            if pos > end[reg]:
+                end[reg] = pos
 
     for label, block in blocks.items():
         for reg in live_in[label]:
             touch(reg, block.start)
         for reg in live_out[label]:
             touch(reg, block.end - 1)
-    for i, inst in enumerate(code):
-        uses, defs = _reg_uses_defs(inst)
+    for i, (uses, defs) in enumerate(uses_defs):
         for reg in uses:
             touch(reg, i)
         for reg in defs:
@@ -195,7 +205,9 @@ def allocate_function(mf: MachineFunction) -> MachineFunction:
     if mf.is_allocated:
         raise ValueError(f"@{mf.name} is already register-allocated")
 
-    intervals = compute_intervals(mf)
+    # Every step below reads each instruction's registers: find them once.
+    uses_defs = [_reg_uses_defs(inst) for inst in mf.code]
+    intervals = _intervals(mf.code, uses_defs)
     next_spill_slot = mf.frame_size
 
     active: list[_Interval] = []
@@ -230,18 +242,21 @@ def allocate_function(mf: MachineFunction) -> MachineFunction:
             next_spill_slot += 1
 
     assignment = {iv.vreg: iv for iv in intervals}
-    mf.code = _rewrite(mf.code, assignment)
+    mf.code = _rewrite(mf.code, assignment, uses_defs)
     mf.frame_size = next_spill_slot
     mf.num_virtual_regs = 0
     mf.is_allocated = True
     return mf
 
 
-def _rewrite(code: list[MInst], assignment: dict[int, "_Interval"]) -> list[MInst]:
+def _rewrite(
+    code: list[MInst],
+    assignment: dict[int, "_Interval"],
+    uses_defs: list[tuple[list[int], list[int]]],
+) -> list[MInst]:
     """Replace vregs with physical registers, inserting spill code."""
     out: list[MInst] = []
-    for inst in code:
-        uses, defs = _reg_uses_defs(inst)
+    for inst, (uses, defs) in zip(code, uses_defs):
         mapping: dict[int, int] = {}
         scratch_iter = iter(SCRATCH_REGS)
         # Reloads for spilled sources.
@@ -262,7 +277,9 @@ def _rewrite(code: list[MInst], assignment: dict[int, "_Interval"]) -> list[MIns
                 # Reuse the first scratch for the def (sources already read).
                 mapping[reg] = SCRATCH_REGS[0]
                 spill_after.append(MInst(MOp.SPILL, [SCRATCH_REGS[0]], imm=interval.spill_slot))
-        new_regs = [mapping.get(r, r) if r >= 0 else r for r in inst.regs]
-        out.append(MInst(inst.op, new_regs, imm=inst.imm, extra=inst.extra))
+        # The virtual-register code is dropped, so its instructions are
+        # rewritten in place.
+        inst.regs = [mapping.get(r, r) if r >= 0 else r for r in inst.regs]
+        out.append(inst)
         out.extend(spill_after)
     return out

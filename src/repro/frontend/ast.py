@@ -102,6 +102,8 @@ class ArrayIndex(Expr):
 
 
 class UnaryOp(enum.Enum):
+    __hash__ = object.__hash__  # by identity, in C
+
     NEG = "-"
     NOT = "!"
     BITNOT = "~"
@@ -118,6 +120,8 @@ class Unary(Expr):
 
 
 class BinaryOp(enum.Enum):
+    __hash__ = object.__hash__  # by identity, in C
+
     ADD = "+"
     SUB = "-"
     MUL = "*"

@@ -2,23 +2,30 @@
 
 MiniC is a C-like language: integer/bool scalars, fixed-size integer
 arrays, functions, globals, ``include`` directives, and the usual C
-expression and statement grammar.  The lexer is a hand-written scanner
-producing a flat token list; it recovers from bad characters by emitting
-an error diagnostic and skipping, so the parser always receives a
-well-formed stream terminated by an EOF token.
+expression and statement grammar.  The lexer is one compiled regular
+expression: each match is the trivia (whitespace and comments) before
+a token plus the token, and the named group that matched says what the
+token is.  Error alternatives (``0x`` without digits, an unterminated
+comment or string, an unknown character) report a diagnostic and the
+scan resumes after them, so the parser always receives a well-formed
+stream terminated by an EOF token.
 """
 
 from __future__ import annotations
 
 import enum
+import re
+from typing import NamedTuple
 
-from repro._struct import FrozenStruct
 from repro.frontend.diagnostics import DiagnosticEngine
 from repro.frontend.source import SourceFile, SourceSpan
 
 
 class TokenKind(enum.Enum):
     """All MiniC token kinds."""
+
+    # Members are singletons: hash by identity in C, not by name in Python.
+    __hash__ = object.__hash__
 
     # Literals and identifiers
     IDENT = "identifier"
@@ -107,64 +114,51 @@ KEYWORDS: dict[str, TokenKind] = {
     "include": TokenKind.KW_INCLUDE,
 }
 
-# Multi-character operators, longest first so maximal munch works.
-_MULTI_CHAR_OPS: list[tuple[str, TokenKind]] = [
-    ("<<", TokenKind.SHL),
-    (">>", TokenKind.SHR),
-    ("<=", TokenKind.LE),
-    (">=", TokenKind.GE),
-    ("==", TokenKind.EQ),
-    ("!=", TokenKind.NE),
-    ("&&", TokenKind.AMP_AMP),
-    ("||", TokenKind.PIPE_PIPE),
-    ("+=", TokenKind.PLUS_ASSIGN),
-    ("-=", TokenKind.MINUS_ASSIGN),
-    ("*=", TokenKind.STAR_ASSIGN),
-    ("/=", TokenKind.SLASH_ASSIGN),
-    ("%=", TokenKind.PERCENT_ASSIGN),
-    ("++", TokenKind.PLUS_PLUS),
-    ("--", TokenKind.MINUS_MINUS),
-]
-
-_SINGLE_CHAR_OPS: dict[str, TokenKind] = {
-    "(": TokenKind.LPAREN,
-    ")": TokenKind.RPAREN,
-    "{": TokenKind.LBRACE,
-    "}": TokenKind.RBRACE,
-    "[": TokenKind.LBRACKET,
-    "]": TokenKind.RBRACKET,
-    ";": TokenKind.SEMI,
-    ",": TokenKind.COMMA,
-    "?": TokenKind.QUESTION,
-    ":": TokenKind.COLON,
-    "+": TokenKind.PLUS,
-    "-": TokenKind.MINUS,
-    "*": TokenKind.STAR,
-    "/": TokenKind.SLASH,
-    "%": TokenKind.PERCENT,
-    "=": TokenKind.ASSIGN,
-    "<": TokenKind.LT,
-    ">": TokenKind.GT,
-    "!": TokenKind.BANG,
-    "&": TokenKind.AMP,
-    "|": TokenKind.PIPE,
-    "^": TokenKind.CARET,
-    "~": TokenKind.TILDE,
+#: Every operator and punctuation token by its text (the kinds whose
+#: value is not a word).
+_OPERATORS: dict[str, TokenKind] = {
+    kind.value: kind for kind in TokenKind if not kind.value[0].isalpha()
 }
 
+_TOKEN = re.compile(
+    r"""
+    (?:[ \t\r\n]+ | //[^\n]*\n? | /\*[^*]*\*+(?:[^/*][^*]*\*+)*/)*
+    (?:
+        (?P<ident>[A-Za-z_]\w*)
+      | (?P<comment>/\*[\s\S]*)
+      | (?P<op><< | >> | [<>=!]= | && | \|\| | \+\+ | -- | [-+*/%]=
+          | [-+*/%(){}\[\];,?:=<>!&|^~])
+      | (?P<hex>0[xX][0-9a-fA-F]+)
+      | (?P<badhex>0[xX])
+      | (?P<int>\d+)
+      | (?P<string>"[^"\\\n]*(?:\\[\s\S][^"\\\n]*)*")
+      | (?P<open_string>"[^"\\\n]*(?:\\[\s\S][^"\\\n]*)*\\?)
+      | (?P<word>[^\W\d]\w*)
+      | (?P<eof>\Z)
+      | (?P<bad>[\s\S])
+    )
+    """,
+    re.VERBOSE,
+)
+#: Builds a named tuple from a tuple of its fields at C speed, without
+#: the generated ``__new__``'s Python frame.
+_new = tuple.__new__
+_ESCAPE = re.compile(r"\\([\s\S])")
+_ESCAPES = {"n": "\n", "t": "\t", "0": "\0"}
 
-class Token(FrozenStruct):
+
+def _unescape(match: re.Match) -> str:
+    char = match.group(1)
+    return _ESCAPES.get(char, char)
+
+
+class Token(NamedTuple):
     """One lexed token with its source span and (for literals) value."""
 
-    _fields = ("kind", "span", "text", "value")
-
-    def __init__(
-        self, kind: TokenKind, span: SourceSpan, text: str, value: int | str | None = None
-    ) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "span", span)
-        object.__setattr__(self, "text", text)
-        object.__setattr__(self, "value", value)
+    kind: TokenKind
+    span: SourceSpan
+    text: str
+    value: int | str | None = None
 
     def __repr__(self) -> str:
         return f"Token({self.kind.name}, {self.text!r})"
@@ -176,130 +170,60 @@ class Lexer:
     def __init__(self, source: SourceFile, diags: DiagnosticEngine | None = None):
         self.source = source
         self.diags = diags or DiagnosticEngine()
-        self._pos = 0
-        self._text = source.text
 
     def tokenize(self) -> list[Token]:
         """Scan the whole file; always ends with an EOF token."""
         tokens: list[Token] = []
-        while True:
-            tok = self._next_token()
-            tokens.append(tok)
-            if tok.kind is TokenKind.EOF:
-                return tokens
+        end = len(self.source.text)
+        self._scan(tokens, 0, end)
+        eof = _new(SourceSpan, (self.source, end, end))
+        tokens.append(_new(Token, (TokenKind.EOF, eof, "", None)))
+        return tokens
 
-    # -- scanning helpers -------------------------------------------------
-
-    def _span(self, start: int) -> SourceSpan:
-        return SourceSpan(self.source, start, self._pos)
-
-    def _peek(self, ahead: int = 0) -> str:
-        idx = self._pos + ahead
-        return self._text[idx] if idx < len(self._text) else ""
-
-    def _skip_trivia(self) -> None:
-        """Skip whitespace and comments (line and block)."""
-        text = self._text
-        while self._pos < len(text):
-            ch = text[self._pos]
-            if ch in " \t\r\n":
-                self._pos += 1
-            elif ch == "/" and self._peek(1) == "/":
-                end = text.find("\n", self._pos)
-                self._pos = len(text) if end == -1 else end + 1
-            elif ch == "/" and self._peek(1) == "*":
-                end = text.find("*/", self._pos + 2)
-                if end == -1:
-                    self.diags.error(
-                        "unterminated block comment", SourceSpan(self.source, self._pos, len(text))
-                    )
-                    self._pos = len(text)
-                else:
-                    self._pos = end + 2
-            else:
+    def _scan(self, tokens: list[Token], pos: int, endpos: int) -> None:
+        """Append the tokens of ``text[pos:endpos]`` to ``tokens``."""
+        source, text, append = self.source, self.source.text, tokens.append
+        keywords, operators, ident = KEYWORDS, _OPERATORS, TokenKind.IDENT
+        for match in _TOKEN.finditer(text, pos, endpos):
+            group = match.lastgroup
+            start = match.start(group)
+            end = match.end()
+            word = text[start:end]
+            span = _new(SourceSpan, (source, start, end))
+            if group == "ident":
+                append(_new(Token, (keywords.get(word, ident), span, word, None)))
+            elif group == "op":
+                append(_new(Token, (operators[word], span, word, None)))
+            elif group == "int":
+                append(_new(Token, (TokenKind.INT_LIT, span, word, int(word))))
+            elif group == "hex":
+                append(_new(Token, (TokenKind.INT_LIT, span, word, int(word, 16))))
+            elif group == "string":
+                value = word[1:-1]
+                if "\\" in value:
+                    value = _ESCAPE.sub(_unescape, value)
+                append(_new(Token, (TokenKind.STRING_LIT, span, word, value)))
+            elif group == "eof":
                 return
-
-    def _next_token(self) -> Token:
-        self._skip_trivia()
-        start = self._pos
-        text = self._text
-        if start >= len(text):
-            return Token(TokenKind.EOF, SourceSpan(self.source, start, start), "")
-
-        ch = text[start]
-
-        if ch.isalpha() or ch == "_":
-            return self._lex_ident(start)
-        if ch.isdigit():
-            return self._lex_number(start)
-        if ch == '"':
-            return self._lex_string(start)
-
-        for op, kind in _MULTI_CHAR_OPS:
-            if text.startswith(op, start):
-                self._pos = start + len(op)
-                return Token(kind, self._span(start), op)
-        if ch in _SINGLE_CHAR_OPS:
-            self._pos = start + 1
-            return Token(_SINGLE_CHAR_OPS[ch], self._span(start), ch)
-
-        # Unknown character: report, skip it, and continue.
-        self._pos = start + 1
-        self.diags.error(f"unexpected character {ch!r}", self._span(start))
-        return self._next_token()
-
-    def _lex_ident(self, start: int) -> Token:
-        text = self._text
-        pos = start
-        while pos < len(text) and (text[pos].isalnum() or text[pos] == "_"):
-            pos += 1
-        self._pos = pos
-        word = text[start:pos]
-        kind = KEYWORDS.get(word, TokenKind.IDENT)
-        return Token(kind, self._span(start), word)
-
-    def _lex_number(self, start: int) -> Token:
-        text = self._text
-        pos = start
-        base = 10
-        if text.startswith(("0x", "0X"), start):
-            base = 16
-            pos = start + 2
-            while pos < len(text) and (text[pos] in "0123456789abcdefABCDEF"):
-                pos += 1
-            digits = text[start + 2 : pos]
-            if not digits:
-                self._pos = pos
-                self.diags.error("hex literal needs at least one digit", self._span(start))
-                return Token(TokenKind.INT_LIT, self._span(start), text[start:pos], 0)
-        else:
-            while pos < len(text) and text[pos].isdigit():
-                pos += 1
-            digits = text[start:pos]
-        self._pos = pos
-        value = int(digits, base)
-        return Token(TokenKind.INT_LIT, self._span(start), text[start:pos], value)
-
-    def _lex_string(self, start: int) -> Token:
-        text = self._text
-        pos = start + 1
-        chars: list[str] = []
-        while pos < len(text) and text[pos] != '"':
-            if text[pos] == "\\" and pos + 1 < len(text):
-                esc = text[pos + 1]
-                chars.append({"n": "\n", "t": "\t", "\\": "\\", '"': '"', "0": "\0"}.get(esc, esc))
-                pos += 2
-            elif text[pos] == "\n":
-                break
+            elif group == "open_string":
+                self.diags.error("unterminated string literal", span)
+                value = _ESCAPE.sub(_unescape, word[1:])
+                append(_new(Token, (TokenKind.STRING_LIT, span, word, value)))
+            elif group == "badhex":
+                self.diags.error("hex literal needs at least one digit", span)
+                append(_new(Token, (TokenKind.INT_LIT, span, word, 0)))
+            elif group == "comment":
+                self.diags.error("unterminated block comment", span)
+            elif group == "word" and word[0].isalpha():
+                append(_new(Token, (keywords.get(word, ident), span, word, None)))
             else:
-                chars.append(text[pos])
-                pos += 1
-        if pos >= len(text) or text[pos] != '"':
-            self._pos = pos
-            self.diags.error("unterminated string literal", self._span(start))
-            return Token(TokenKind.STRING_LIT, self._span(start), text[start:pos], "".join(chars))
-        self._pos = pos + 1
-        return Token(TokenKind.STRING_LIT, self._span(start), text[start : pos + 1], "".join(chars))
+                # An unknown character (or a word starting with a numeric
+                # character that is not a digit): report it, skip it, and
+                # scan the rest of the word on its own.
+                span = _new(SourceSpan, (source, start, start + 1))
+                self.diags.error(f"unexpected character {word[0]!r}", span)
+                if end > start + 1:
+                    self._scan(tokens, start + 1, end)
 
 
 def tokenize(source: SourceFile, diags: DiagnosticEngine | None = None) -> list[Token]:

@@ -12,7 +12,7 @@ from repro.frontend import ast
 from repro.frontend.diagnostics import CompileError, DiagnosticEngine
 from repro.frontend.lexer import Lexer, Token, TokenKind
 from repro.frontend.limits import ensure_recursion_capacity
-from repro.frontend.source import SourceFile, SourceSpan
+from repro.frontend.source import SourceFile
 from repro.frontend.types import ArrayType, BOOL, INT, Type, VOID
 
 # Binary operator precedence, higher binds tighter (C-like).
@@ -45,6 +45,15 @@ _COMPOUND_ASSIGN: dict[TokenKind, ast.BinaryOp] = {
     TokenKind.PERCENT_ASSIGN: ast.BinaryOp.MOD,
 }
 
+#: Prefix operators; ``++``/``--`` map to ``None`` and parse as IncDec.
+_PREFIX_OPS: dict[TokenKind, ast.UnaryOp | None] = {
+    TokenKind.MINUS: ast.UnaryOp.NEG,
+    TokenKind.BANG: ast.UnaryOp.NOT,
+    TokenKind.TILDE: ast.UnaryOp.BITNOT,
+    TokenKind.PLUS_PLUS: None,
+    TokenKind.MINUS_MINUS: None,
+}
+
 _TYPE_KEYWORDS = (TokenKind.KW_INT, TokenKind.KW_BOOL, TokenKind.KW_VOID)
 
 
@@ -62,43 +71,46 @@ class Parser:
         self.tokens = tokens
         self.diags = diags
         self._pos = 0
+        #: The current token, ``tokens[_pos]``; the parse reads it as an
+        #: attribute, not through a method per token.
+        self._tok = tokens[0]
 
     # -- token stream helpers ---------------------------------------------
 
-    @property
-    def _cur(self) -> Token:
-        return self.tokens[self._pos]
-
     def _advance(self) -> Token:
-        tok = self.tokens[self._pos]
+        tok = self._tok
         if tok.kind is not TokenKind.EOF:
             self._pos += 1
+            self._tok = self.tokens[self._pos]
         return tok
 
-    def _check(self, kind: TokenKind) -> bool:
-        return self._cur.kind is kind
-
     def _accept(self, kind: TokenKind) -> Token | None:
-        if self._check(kind):
-            return self._advance()
-        return None
+        tok = self._tok
+        if tok.kind is not kind:
+            return None
+        self._pos += 1
+        self._tok = self.tokens[self._pos]
+        return tok
 
     def _expect(self, kind: TokenKind, context: str = "") -> Token:
-        if self._check(kind):
-            return self._advance()
+        tok = self._tok
+        if tok.kind is kind:
+            self._pos += 1
+            self._tok = self.tokens[self._pos]
+            return tok
         where = f" {context}" if context else ""
         self.diags.error(
-            f"expected {kind.value!r}{where}, found {self._cur.text or 'end of file'!r}",
-            self._cur.span,
+            f"expected {kind.value!r}{where}, found {self._tok.text or 'end of file'!r}",
+            self._tok.span,
         )
         raise _SyntaxError
 
     def _synchronize(self) -> None:
         """Skip tokens until a likely statement/item boundary."""
-        while not self._check(TokenKind.EOF):
+        while self._tok.kind is not TokenKind.EOF:
             if self._accept(TokenKind.SEMI):
                 return
-            if self._cur.kind in (TokenKind.RBRACE, *_TYPE_KEYWORDS, TokenKind.KW_EXTERN,
+            if self._tok.kind in (TokenKind.RBRACE, *_TYPE_KEYWORDS, TokenKind.KW_EXTERN,
                                   TokenKind.KW_CONST, TokenKind.KW_INCLUDE):
                 return
             self._advance()
@@ -106,9 +118,9 @@ class Parser:
     # -- top level ----------------------------------------------------------
 
     def parse_program(self) -> ast.Program:
-        start = self._cur.span
+        start = self._tok.span
         items: list[ast.Node] = []
-        while not self._check(TokenKind.EOF):
+        while self._tok.kind is not TokenKind.EOF:
             before = self._pos
             try:
                 item = self._parse_item()
@@ -118,13 +130,13 @@ class Parser:
                 self._synchronize()
             if self._pos == before:  # guarantee progress on pathological input
                 self._advance()
-        span = start.merge(self._cur.span)
+        span = start.merge(self._tok.span)
         return ast.Program(span, items)
 
     def _parse_item(self) -> ast.Node | None:
-        if self._check(TokenKind.KW_INCLUDE):
+        if self._tok.kind is TokenKind.KW_INCLUDE:
             return self._parse_include()
-        if self._check(TokenKind.KW_EXTERN):
+        if self._tok.kind is TokenKind.KW_EXTERN:
             return self._parse_extern()
         return self._parse_global_or_function()
 
@@ -149,7 +161,7 @@ class Parser:
         kw = self._expect(TokenKind.KW_EXTERN)
         base = self._parse_type()
         name = self._expect(TokenKind.IDENT, "in extern declaration")
-        if self._check(TokenKind.LPAREN):
+        if self._tok.kind is TokenKind.LPAREN:
             params = self._parse_params()
             semi = self._expect(TokenKind.SEMI, "after extern function declaration")
             return ast.FunctionDecl(
@@ -168,11 +180,11 @@ class Parser:
         )
 
     def _parse_global_or_function(self) -> ast.Node:
-        start = self._cur.span
+        start = self._tok.span
         is_const = self._accept(TokenKind.KW_CONST) is not None
         base = self._parse_type()
         name = self._expect(TokenKind.IDENT, "in top-level declaration")
-        if self._check(TokenKind.LPAREN):
+        if self._tok.kind is TokenKind.LPAREN:
             if is_const:
                 self.diags.error("'const' is not valid on a function", start)
             params = self._parse_params()
@@ -202,12 +214,15 @@ class Parser:
         params: list[ast.Param] = []
         if self._accept(TokenKind.RPAREN):
             return params
-        if self._check(TokenKind.KW_VOID) and self.tokens[self._pos + 1].kind is TokenKind.RPAREN:
+        if (
+            self._tok.kind is TokenKind.KW_VOID
+            and self.tokens[self._pos + 1].kind is TokenKind.RPAREN
+        ):
             self._advance()  # C-style `(void)` empty parameter list
             self._expect(TokenKind.RPAREN)
             return params
         while True:
-            pstart = self._cur.span
+            pstart = self._tok.span
             base = self._parse_type()
             pname = self._expect(TokenKind.IDENT, "parameter name")
             ty: Type = base
@@ -228,7 +243,7 @@ class Parser:
     def _parse_block(self) -> ast.Block:
         lbrace = self._expect(TokenKind.LBRACE)
         stmts: list[ast.Stmt] = []
-        while not self._check(TokenKind.RBRACE) and not self._check(TokenKind.EOF):
+        while self._tok.kind is not TokenKind.RBRACE and self._tok.kind is not TokenKind.EOF:
             before = self._pos
             try:
                 stmts.append(self._parse_stmt())
@@ -240,7 +255,7 @@ class Parser:
         return ast.Block(lbrace.span.merge(rbrace.span), stmts)
 
     def _parse_stmt(self) -> ast.Stmt:
-        kind = self._cur.kind
+        kind = self._tok.kind
         if kind is TokenKind.LBRACE:
             return self._parse_block()
         if kind in _TYPE_KEYWORDS or kind is TokenKind.KW_CONST:
@@ -271,7 +286,7 @@ class Parser:
         return ast.ExprStmt(expr.span.merge(semi.span), expr)
 
     def _parse_var_decl(self) -> ast.VarDeclStmt:
-        start = self._cur.span
+        start = self._tok.span
         self._accept(TokenKind.KW_CONST)  # 'const' locals: parsed, treated as plain
         base = self._parse_type()
         if base is VOID:
@@ -326,18 +341,18 @@ class Parser:
         self._expect(TokenKind.LPAREN, "after 'for'")
         init: ast.Stmt | None = None
         if not self._accept(TokenKind.SEMI):
-            if self._cur.kind in _TYPE_KEYWORDS or self._cur.kind is TokenKind.KW_CONST:
+            if self._tok.kind in _TYPE_KEYWORDS or self._tok.kind is TokenKind.KW_CONST:
                 init = self._parse_var_decl()
             else:
                 expr = self._parse_expr()
                 semi = self._expect(TokenKind.SEMI, "after for initializer")
                 init = ast.ExprStmt(expr.span.merge(semi.span), expr)
         cond = None
-        if not self._check(TokenKind.SEMI):
+        if self._tok.kind is not TokenKind.SEMI:
             cond = self._parse_expr()
         self._expect(TokenKind.SEMI, "after for condition")
         step = None
-        if not self._check(TokenKind.RPAREN):
+        if self._tok.kind is not TokenKind.RPAREN:
             step = self._parse_expr()
         self._expect(TokenKind.RPAREN, "to close for header")
         body = self._parse_stmt()
@@ -346,7 +361,7 @@ class Parser:
     def _parse_return(self) -> ast.ReturnStmt:
         kw = self._expect(TokenKind.KW_RETURN)
         value = None
-        if not self._check(TokenKind.SEMI):
+        if self._tok.kind is not TokenKind.SEMI:
             value = self._parse_expr()
         semi = self._expect(TokenKind.SEMI, "after return")
         return ast.ReturnStmt(kw.span.merge(semi.span), value)
@@ -358,96 +373,86 @@ class Parser:
 
     def _parse_assignment(self) -> ast.Expr:
         lhs = self._parse_ternary()
-        if self._accept(TokenKind.ASSIGN):
-            rhs = self._parse_assignment()  # right-associative
-            return ast.Assign(lhs.span.merge(rhs.span), lhs, rhs)
-        for kind, op in _COMPOUND_ASSIGN.items():
-            if self._accept(kind):
-                rhs = self._parse_assignment()
-                return ast.Assign(lhs.span.merge(rhs.span), lhs, rhs, op)
-        return lhs
+        kind = self._tok.kind
+        if kind is not TokenKind.ASSIGN and kind not in _COMPOUND_ASSIGN:
+            return lhs
+        self._advance()
+        rhs = self._parse_assignment()  # right-associative
+        return ast.Assign(lhs.span.merge(rhs.span), lhs, rhs, _COMPOUND_ASSIGN.get(kind))
 
     def _parse_ternary(self) -> ast.Expr:
         cond = self._parse_binary(0)
-        if self._accept(TokenKind.QUESTION):
-            then = self._parse_expr()
-            self._expect(TokenKind.COLON, "in conditional expression")
-            otherwise = self._parse_ternary()
-            return ast.Ternary(cond.span.merge(otherwise.span), cond, then, otherwise)
-        return cond
+        if self._tok.kind is not TokenKind.QUESTION:
+            return cond
+        self._advance()
+        then = self._parse_expr()
+        self._expect(TokenKind.COLON, "in conditional expression")
+        otherwise = self._parse_ternary()
+        return ast.Ternary(cond.span.merge(otherwise.span), cond, then, otherwise)
 
     def _parse_binary(self, min_prec: int) -> ast.Expr:
         lhs = self._parse_unary()
         while True:
-            entry = _BINARY_PRECEDENCE.get(self._cur.kind)
+            entry = _BINARY_PRECEDENCE.get(self._tok.kind)
             if entry is None or entry[0] < min_prec:
                 return lhs
             prec, op = entry
-            self._advance()
+            self._pos += 1  # past the operator (never EOF)
+            self._tok = self.tokens[self._pos]
             rhs = self._parse_binary(prec + 1)  # left-associative
             lhs = ast.Binary(lhs.span.merge(rhs.span), op, lhs, rhs)
 
     def _parse_unary(self) -> ast.Expr:
-        tok = self._cur
-        if tok.kind is TokenKind.MINUS:
-            self._advance()
-            operand = self._parse_unary()
-            return ast.Unary(tok.span.merge(operand.span), ast.UnaryOp.NEG, operand)
-        if tok.kind is TokenKind.BANG:
-            self._advance()
-            operand = self._parse_unary()
-            return ast.Unary(tok.span.merge(operand.span), ast.UnaryOp.NOT, operand)
-        if tok.kind is TokenKind.TILDE:
-            self._advance()
-            operand = self._parse_unary()
-            return ast.Unary(tok.span.merge(operand.span), ast.UnaryOp.BITNOT, operand)
-        if tok.kind is TokenKind.PLUS_PLUS or tok.kind is TokenKind.MINUS_MINUS:
-            self._advance()
-            target = self._parse_unary()
+        tok = self._tok
+        kind = tok.kind
+        if kind not in _PREFIX_OPS:
+            return self._parse_postfix()
+        self._advance()
+        operand = self._parse_unary()
+        span = tok.span.merge(operand.span)
+        op = _PREFIX_OPS[kind]
+        if op is None:
             return ast.IncDec(
-                tok.span.merge(target.span),
-                target,
-                is_increment=tok.kind is TokenKind.PLUS_PLUS,
-                is_prefix=True,
+                span, operand, is_increment=kind is TokenKind.PLUS_PLUS, is_prefix=True
             )
-        return self._parse_postfix()
+        return ast.Unary(span, op, operand)
 
     def _parse_postfix(self) -> ast.Expr:
         expr = self._parse_primary()
         while True:
-            if self._check(TokenKind.LBRACKET):
+            tok = self._tok
+            kind = tok.kind
+            if kind is TokenKind.LBRACKET:
                 self._advance()
                 index = self._parse_expr()
                 rb = self._expect(TokenKind.RBRACKET, "to close index")
                 expr = ast.ArrayIndex(expr.span.merge(rb.span), expr, index)
-            elif self._check(TokenKind.PLUS_PLUS) or self._check(TokenKind.MINUS_MINUS):
-                tok = self._advance()
+            elif kind is TokenKind.PLUS_PLUS or kind is TokenKind.MINUS_MINUS:
+                self._advance()
                 expr = ast.IncDec(
                     expr.span.merge(tok.span),
                     expr,
-                    is_increment=tok.kind is TokenKind.PLUS_PLUS,
+                    is_increment=kind is TokenKind.PLUS_PLUS,
                     is_prefix=False,
                 )
             else:
                 return expr
 
     def _parse_primary(self) -> ast.Expr:
-        tok = self._cur
-        if tok.kind is TokenKind.INT_LIT:
-            self._advance()
-            return ast.IntLiteral(tok.span, int(tok.value))
-        if tok.kind is TokenKind.KW_TRUE:
-            self._advance()
-            return ast.BoolLiteral(tok.span, True)
-        if tok.kind is TokenKind.KW_FALSE:
-            self._advance()
-            return ast.BoolLiteral(tok.span, False)
-        if tok.kind is TokenKind.IDENT:
-            self._advance()
-            if self._check(TokenKind.LPAREN):
+        tok = self._tok
+        kind = tok.kind
+        if kind is TokenKind.IDENT or kind is TokenKind.INT_LIT:
+            self._pos += 1  # past a word (never EOF)
+            self._tok = self.tokens[self._pos]
+            if kind is TokenKind.INT_LIT:
+                return ast.IntLiteral(tok.span, int(tok.value))
+            if self._tok.kind is TokenKind.LPAREN:
                 return self._parse_call(tok)
             return ast.VarRef(tok.span, tok.text)
-        if tok.kind is TokenKind.LPAREN:
+        if kind is TokenKind.KW_TRUE or kind is TokenKind.KW_FALSE:
+            self._advance()
+            return ast.BoolLiteral(tok.span, kind is TokenKind.KW_TRUE)
+        if kind is TokenKind.LPAREN:
             self._advance()
             inner = self._parse_expr()
             self._expect(TokenKind.RPAREN, "to close parenthesized expression")
@@ -458,7 +463,7 @@ class Parser:
     def _parse_call(self, name_tok: Token) -> ast.Call:
         self._expect(TokenKind.LPAREN)
         args: list[ast.Expr] = []
-        if not self._check(TokenKind.RPAREN):
+        if self._tok.kind is not TokenKind.RPAREN:
             while True:
                 args.append(self._parse_expr())
                 if not self._accept(TokenKind.COMMA):

@@ -9,8 +9,12 @@ line/column pairs.
 from __future__ import annotations
 
 import bisect
+import re
+from typing import NamedTuple
 
-from repro._struct import FrozenStruct, Struct
+from repro._struct import Struct
+
+_NEWLINE = re.compile("\n")
 
 
 class SourceFile:
@@ -27,11 +31,17 @@ class SourceFile:
     def __init__(self, name: str, text: str) -> None:
         self.name = name
         self.text = text
-        # Byte offsets of the first character of each line, line 0 first.
-        self._line_starts = [0]
-        for i, ch in enumerate(text):
-            if ch == "\n":
-                self._line_starts.append(i + 1)
+        self._starts: list[int] | None = None
+
+    @property
+    def _line_starts(self) -> list[int]:
+        """Offsets of the first character of each line, line 0 first.
+
+        Computed on first use: only diagnostics map offsets to lines.
+        """
+        if self._starts is None:
+            self._starts = [0] + [m.end() for m in _NEWLINE.finditer(self.text)]
+        return self._starts
 
     def line_col(self, offset: int) -> tuple[int, int]:
         """Return the 1-based ``(line, column)`` of a byte offset."""
@@ -60,23 +70,26 @@ class SourceFile:
         return f"SourceFile({self.name!r}, {len(self.text)} bytes)"
 
 
-class SourceSpan(FrozenStruct):
+class SourceSpan(NamedTuple):
     """A half-open ``[start, end)`` byte range inside a source file."""
 
-    _fields = ("file", "start", "end")
-
-    def __init__(self, file: SourceFile, start: int, end: int) -> None:
-        object.__setattr__(self, "file", file)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "end", end)
+    file: SourceFile
+    start: int
+    end: int
 
     def merge(self, other: "SourceSpan") -> "SourceSpan":
         """Return the smallest span covering both ``self`` and ``other``."""
-        if self.file is not other.file:
+        file, start, end = self
+        if file is not other.file:
             # Spans from different files (e.g. across an include) cannot be
             # merged meaningfully; keep the first.
             return self
-        return SourceSpan(self.file, min(self.start, other.start), max(self.end, other.end))
+        other_start, other_end = other.start, other.end
+        return _new(SourceSpan, (
+            file,
+            start if start <= other_start else other_start,
+            end if end >= other_end else other_end,
+        ))
 
     @property
     def text(self) -> str:
@@ -89,6 +102,11 @@ class SourceSpan(FrozenStruct):
 
     def __repr__(self) -> str:
         return f"SourceSpan({self.describe()})"
+
+
+#: Builds a named tuple from a tuple of its fields at C speed, without
+#: the generated ``__new__``'s Python frame.
+_new = tuple.__new__
 
 
 class SourceManager(Struct):

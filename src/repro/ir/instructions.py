@@ -17,16 +17,24 @@ Semantics notes (shared by the VM and constant folding):
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.ir.types import FunctionSig, I1, I64, IRType, PTR, VOID
-from repro.ir.values import ConstantInt, Use, Value
+from repro.ir.values import Use, Value
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ir.structure import BasicBlock
 
 
+#: Builds a :class:`Use` from a ``(user, index)`` tuple at C speed,
+#: without the generated ``__new__``'s Python frame.
+_new = tuple.__new__
+
+
 class Opcode(enum.Enum):
+    # Members are singletons: hash by identity in C, not by name in Python.
+    __hash__ = object.__hash__
+
     # integer arithmetic / bitwise (i64, i64) -> i64
     ADD = "add"
     SUB = "sub"
@@ -89,6 +97,8 @@ SIDE_EFFECT_OPCODES = frozenset(
 
 
 class ICmpPred(enum.Enum):
+    __hash__ = object.__hash__  # by identity, in C
+
     EQ = "eq"
     NE = "ne"
     SLT = "slt"
@@ -125,36 +135,37 @@ class Instruction(Value):
     __slots__ = ("opcode", "_operands", "parent")
 
     def __init__(self, opcode: Opcode, ty: IRType, operands: Sequence[Value], name: str = ""):
-        super().__init__(ty, name)
+        # Value.__init__, inlined: every instruction of every pass runs this.
+        self.ty = ty
+        self.name = name
+        self._uses = set()
         self.opcode = opcode
         self.parent: "BasicBlock | None" = None
-        self._operands: list[Value] = []
-        for op in operands:
-            self._append_operand(op)
+        self._operands: list[Value] = list(operands)
+        for index, op in enumerate(self._operands):
+            op._uses.add(_new(Use, (self, index)))
 
     # -- operand management --------------------------------------------------
 
     def _append_operand(self, value: Value) -> None:
-        index = len(self._operands)
-        self._operands.append(value)
-        value._add_use(Use(self, index))
+        operands = self._operands
+        value._uses.add(_new(Use, (self, len(operands))))
+        operands.append(value)
 
     def set_operand(self, index: int, value: Value) -> None:
-        old = self._operands[index]
-        old._remove_use(Use(self, index))
+        use = _new(Use, (self, index))
+        self._operands[index]._uses.discard(use)
         self._operands[index] = value
-        value._add_use(Use(self, index))
+        value._uses.add(use)
 
     def _pop_operand(self, index: int) -> Value:
         """Remove one operand slot, reindexing the uses of later slots."""
-        value = self._operands[index]
-        value._remove_use(Use(self, index))
-        for later in range(index + 1, len(self._operands)):
-            op = self._operands[later]
-            op._remove_use(Use(self, later))
-        del self._operands[index]
-        for later in range(index, len(self._operands)):
-            self._operands[later]._add_use(Use(self, later))
+        operands = self._operands
+        for later in range(index, len(operands)):
+            operands[later]._uses.discard(_new(Use, (self, later)))
+        value = operands.pop(index)
+        for later in range(index, len(operands)):
+            operands[later]._uses.add(_new(Use, (self, later)))
         return value
 
     @property
@@ -164,7 +175,7 @@ class Instruction(Value):
     def drop_all_references(self) -> None:
         """Release every operand use (called when erasing)."""
         for index, op in enumerate(self._operands):
-            op._remove_use(Use(self, index))
+            op._uses.discard(_new(Use, (self, index)))
         self._operands.clear()
 
     # -- placement ----------------------------------------------------------

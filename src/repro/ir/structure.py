@@ -2,16 +2,11 @@
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterator
 
 from repro._struct import Struct
-from repro.ir.instructions import (
-    BrInst,
-    CBrInst,
-    Instruction,
-    Opcode,
-    PhiInst,
-)
+from repro.ir.instructions import Instruction, PhiInst, TERMINATOR_OPCODES
 from repro.ir.types import FunctionSig, IRType
 from repro.ir.values import Argument, Value
 
@@ -47,8 +42,10 @@ class BasicBlock:
 
     @property
     def terminator(self) -> Instruction | None:
-        if self.instructions and self.instructions[-1].is_terminator:
-            return self.instructions[-1]
+        if self.instructions:
+            last = self.instructions[-1]
+            if last.opcode in TERMINATOR_OPCODES:
+                return last
         return None
 
     @property
@@ -73,8 +70,9 @@ class BasicBlock:
         return len(self.instructions)
 
     def successors(self) -> tuple["BasicBlock", ...]:
-        term = self.terminator
-        return term.successors() if term is not None else ()
+        # Only branches have successors, so the last instruction answers
+        # whether or not it is a terminator.
+        return self.instructions[-1].successors() if self.instructions else ()
 
     def __iter__(self) -> Iterator[Instruction]:
         return iter(self.instructions)
@@ -153,13 +151,13 @@ class Function:
         """Map each block to its predecessor list (in block order)."""
         preds: dict[BasicBlock, list[BasicBlock]] = {b: [] for b in self.blocks}
         for block in self.blocks:
-            for succ in block.successors():
-                preds[succ].append(block)
+            if block.instructions:
+                for succ in block.instructions[-1].successors():
+                    preds[succ].append(block)
         return preds
 
     def instructions(self) -> Iterator[Instruction]:
-        for block in self.blocks:
-            yield from block.instructions
+        return chain.from_iterable(block.instructions for block in self.blocks)
 
     @property
     def num_instructions(self) -> int:

@@ -8,31 +8,23 @@ and perform ``replace_all_uses_with`` in O(uses).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, NamedTuple
 
-from repro._struct import FrozenStruct
 from repro.ir.types import I1, I64, IRType, PTR
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ir.instructions import Instruction
 
 
-class Use(FrozenStruct):
-    """One operand slot of one instruction referencing a value."""
+class Use(NamedTuple):
+    """One operand slot of one instruction referencing a value.
 
-    _fields = ("user", "index")
+    Equal and hashed by the user's identity (instructions compare by
+    identity) and the slot index.
+    """
 
-    def __init__(self, user: Instruction, index: int) -> None:
-        object.__setattr__(self, "user", user)
-        object.__setattr__(self, "index", index)
-
-    def __hash__(self) -> int:
-        return hash((id(self.user), self.index))
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Use) and other.user is self.user and other.index == self.index
-        )
+    user: Instruction
+    index: int
 
 
 class Value:
@@ -43,15 +35,8 @@ class Value:
     def __init__(self, ty: IRType, name: str = ""):
         self.ty = ty
         self.name = name
+        #: Kept by :class:`Instruction`'s operand methods.
         self._uses: set[Use] = set()
-
-    # -- use-def bookkeeping (called by Instruction, not user code) --------
-
-    def _add_use(self, use: Use) -> None:
-        self._uses.add(use)
-
-    def _remove_use(self, use: Use) -> None:
-        self._uses.discard(use)
 
     @property
     def uses(self) -> set[Use]:
@@ -104,7 +89,8 @@ class ConstantInt(Value):
         return isinstance(other, ConstantInt) and other.ty == self.ty and other.value == self.value
 
     def __hash__(self) -> int:
-        return hash((self.ty, self.value))
+        # The type's name, not the type: a str caches its hash.
+        return hash((self.ty.name, self.value))
 
 
 def const_i64(value: int) -> ConstantInt:

@@ -9,7 +9,6 @@ with all accumulated messages.
 from __future__ import annotations
 
 from repro.ir.instructions import (
-    AllocaInst,
     CallInst,
     Instruction,
     Opcode,
@@ -18,7 +17,7 @@ from repro.ir.instructions import (
 )
 from repro.ir.structure import BasicBlock, Function, Module
 from repro.ir.types import I1, I64, PTR, VOID
-from repro.ir.values import Argument, ConstantInt, GlobalAddr, UndefValue, Use, Value
+from repro.ir.values import Argument, UndefValue, Use
 
 
 class VerifyError(Exception):
@@ -162,13 +161,13 @@ _EXPECTED_OPERAND_TYPES = {
 
 def _verify_operand_types(fn: Function, block: BasicBlock, inst: Instruction) -> list[str]:
     errors: list[str] = []
-    where = f"@{fn.name}/^{block.name}/{inst.opcode.value}"
     ops = inst.operands
 
     def want(index: int, ty) -> None:
         if index < len(ops) and ops[index].ty != ty and not isinstance(ops[index], UndefValue):
             errors.append(
-                f"{where}: operand {index} has type {ops[index].ty}, expected {ty}"
+                f"{_where(fn, block, inst)}: operand {index} has type {ops[index].ty}, "
+                f"expected {ty}"
             )
 
     if inst.is_binary or inst.opcode is Opcode.ICMP:
@@ -180,13 +179,15 @@ def _verify_operand_types(fn: Function, block: BasicBlock, inst: Instruction) ->
     elif inst.opcode is Opcode.SELECT:
         want(0, I1)
         if len(ops) == 3 and ops[1].ty != ops[2].ty:
-            errors.append(f"{where}: select arms have different types")
+            errors.append(f"{_where(fn, block, inst)}: select arms have different types")
     elif inst.opcode is Opcode.LOAD:
         want(0, PTR)
     elif inst.opcode is Opcode.STORE:
         want(1, PTR)
         if ops and ops[0].ty not in (I64, I1):
-            errors.append(f"{where}: stored value must be integer, got {ops[0].ty}")
+            errors.append(
+                f"{_where(fn, block, inst)}: stored value must be integer, got {ops[0].ty}"
+            )
     elif inst.opcode is Opcode.CBR:
         want(0, I1)
     elif isinstance(inst, CallInst):
@@ -194,21 +195,33 @@ def _verify_operand_types(fn: Function, block: BasicBlock, inst: Instruction) ->
             want(i, ty)
     elif inst.opcode is Opcode.RET:
         if ops and ops[0].ty is VOID:
-            errors.append(f"{where}: cannot return a void value")
+            errors.append(f"{_where(fn, block, inst)}: cannot return a void value")
     return errors
 
 
 def _verify_use_links(fn: Function, block: BasicBlock, inst: Instruction) -> list[str]:
     errors: list[str] = []
-    where = f"@{fn.name}/^{block.name}/{inst.opcode.value}"
     for index, op in enumerate(inst.operands):
         if Use(inst, index) not in op.uses:
-            errors.append(f"{where}: operand {index} ({op.ref()}) missing back-reference use")
+            errors.append(
+                f"{_where(fn, block, inst)}: operand {index} ({op.ref()}) "
+                "missing back-reference use"
+            )
         if isinstance(op, Instruction) and op.parent is None:
-            errors.append(f"{where}: operand {index} ({op.ref()}) is a detached instruction")
+            errors.append(
+                f"{_where(fn, block, inst)}: operand {index} ({op.ref()}) "
+                "is a detached instruction"
+            )
         if isinstance(op, Argument) and op not in fn.args:
-            errors.append(f"{where}: operand {index} is an argument of another function")
+            errors.append(
+                f"{_where(fn, block, inst)}: operand {index} is an argument of another function"
+            )
     return errors
+
+
+def _where(fn: Function, block: BasicBlock, inst: Instruction) -> str:
+    """An error's location; built only when there is an error to report."""
+    return f"@{fn.name}/^{block.name}/{inst.opcode.value}"
 
 
 def _verify_dominance(fn: Function, preds: dict[BasicBlock, list[BasicBlock]]) -> list[str]:

@@ -17,28 +17,30 @@ from repro._struct import Struct
 from repro.frontend import ast
 from repro.frontend.limits import ensure_recursion_capacity
 from repro.frontend.sema import BUILTIN_FUNCTIONS, Sema
-from repro.frontend.types import ArrayType, BOOL, FunctionType, INT, Type as SrcType, VOID as SRC_VOID
+from repro.frontend.types import (
+    ArrayType, BOOL, BoolType, FunctionType, IntType, Type as SrcType, VoidType,
+)
 from repro.ir.builder import IRBuilder
 from repro.ir.instructions import ICmpPred, Opcode
 from repro.ir.structure import BasicBlock, Function, GlobalVariable, Module
 from repro.ir.types import FunctionSig, I1, I64, IRType, PTR, VOID
-from repro.ir.values import ConstantInt, GlobalAddr, Value, const_i1, const_i64
+from repro.ir.values import GlobalAddr, Value, const_i1, const_i64
 
 
 class LoweringError(Exception):
     """Internal inconsistency: lowering received an AST sema rejected."""
 
 
+_IR_TYPES: dict[type, IRType] = {IntType: I64, BoolType: I1, VoidType: VOID, ArrayType: PTR}
+
+
 def lower_type(src: SrcType) -> IRType:
-    if src == INT:
-        return I64
-    if src == BOOL:
-        return I1
-    if src == SRC_VOID:
-        return VOID
-    if isinstance(src, ArrayType):
-        return PTR
-    raise LoweringError(f"cannot lower type {src}")
+    # Source types are equal exactly when their classes are (only
+    # arrays have a field, and every array lowers to ``ptr``).
+    ir_type = _IR_TYPES.get(type(src))
+    if ir_type is None:
+        raise LoweringError(f"cannot lower type {src}")
+    return ir_type
 
 
 def lower_signature(fn_type: FunctionType) -> FunctionSig:
@@ -354,28 +356,20 @@ class Lowerer:
     # -- expressions ------------------------------------------------------------------
 
     def _lower_expr(self, state: _FunctionLowering, expr: ast.Expr) -> Value:
-        if isinstance(expr, ast.IntLiteral):
-            return const_i64(expr.value)
-        if isinstance(expr, ast.BoolLiteral):
-            return const_i1(expr.value)
-        if isinstance(expr, ast.VarRef):
-            return self._lower_var_ref(state, expr)
-        if isinstance(expr, ast.ArrayIndex):
-            ptr = self._lower_lvalue(state, expr)
-            return state.builder.load(I64, ptr)
-        if isinstance(expr, ast.Unary):
-            return self._lower_unary(state, expr)
-        if isinstance(expr, ast.Binary):
-            return self._lower_binary(state, expr)
-        if isinstance(expr, ast.Assign):
-            return self._lower_assign(state, expr)
-        if isinstance(expr, ast.IncDec):
-            return self._lower_incdec(state, expr)
-        if isinstance(expr, ast.Call):
-            return self._lower_call(state, expr)
-        if isinstance(expr, ast.Ternary):
-            return self._lower_ternary(state, expr)
-        raise LoweringError(f"unhandled expression {expr.kind_name}")  # pragma: no cover
+        lower = _EXPR_LOWERING.get(type(expr))
+        if lower is None:  # pragma: no cover
+            raise LoweringError(f"unhandled expression {expr.kind_name}")
+        return lower(self, state, expr)
+
+    def _lower_int_literal(self, state: _FunctionLowering, expr: ast.IntLiteral) -> Value:
+        return const_i64(expr.value)
+
+    def _lower_bool_literal(self, state: _FunctionLowering, expr: ast.BoolLiteral) -> Value:
+        return const_i1(expr.value)
+
+    def _lower_element_load(self, state: _FunctionLowering, expr: ast.ArrayIndex) -> Value:
+        ptr = self._lower_lvalue(state, expr)
+        return state.builder.load(I64, ptr)
 
     def _lower_var_ref(self, state: _FunctionLowering, expr: ast.VarRef) -> Value:
         decl = expr.decl
@@ -505,6 +499,21 @@ class Lowerer:
         phi.add_incoming(then_value, then_exit)
         phi.add_incoming(else_value, else_exit)
         return phi
+
+
+#: Each expression class's lowering, looked up by exact class.
+_EXPR_LOWERING = {
+    ast.IntLiteral: Lowerer._lower_int_literal,
+    ast.BoolLiteral: Lowerer._lower_bool_literal,
+    ast.VarRef: Lowerer._lower_var_ref,
+    ast.ArrayIndex: Lowerer._lower_element_load,
+    ast.Unary: Lowerer._lower_unary,
+    ast.Binary: Lowerer._lower_binary,
+    ast.Assign: Lowerer._lower_assign,
+    ast.IncDec: Lowerer._lower_incdec,
+    ast.Call: Lowerer._lower_call,
+    ast.Ternary: Lowerer._lower_ternary,
+}
 
 
 def lower_program(program: ast.Program, sema: Sema, module_name: str) -> Module:

@@ -37,10 +37,8 @@ def clone_instruction(inst: Instruction, value_map: dict[Value, Value]) -> Instr
     :func:`clone_blocks` fixes them after all blocks exist.
     """
 
-    def remap(value: Value) -> Value:
-        return value_map.get(value, value)
-
-    ops = [remap(op) for op in inst.operands]
+    remap = value_map.get
+    ops = [remap(op, op) for op in inst.operands]
     if isinstance(inst, BinaryInst):
         return BinaryInst(inst.opcode, ops[0], ops[1])
     if isinstance(inst, ICmpInst):
@@ -64,7 +62,7 @@ def clone_instruction(inst: Instruction, value_map: dict[Value, Value]) -> Instr
     if isinstance(inst, PhiInst):
         clone = PhiInst(inst.ty)
         for value, block in inst.incomings:
-            clone.add_incoming(remap(value), block)  # block fixed later
+            clone.add_incoming(remap(value, value), block)  # block fixed later
         return clone
     if isinstance(inst, BrInst):
         return BrInst(inst.target)

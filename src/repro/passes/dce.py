@@ -18,7 +18,6 @@ from repro.ir.instructions import (
     CallInst,
     Instruction,
     LoadInst,
-    Opcode,
     PhiInst,
 )
 from repro.ir.structure import Function, Module
@@ -52,15 +51,13 @@ class DeadCodeEliminationPass(FunctionPass):
         # sweep); removing an instruction re-enqueues its operands, which
         # may have just lost their last use.
         worklist: deque[Instruction] = deque()
-        queued: set[int] = set()
         for block in reversed(fn.blocks):
-            for inst in reversed(block.instructions):
-                worklist.append(inst)
-                queued.add(id(inst))
+            worklist.extend(reversed(block.instructions))
+        queued: set[Instruction] = set(worklist)
 
         while worklist:
             inst = worklist.popleft()
-            queued.discard(id(inst))
+            queued.discard(inst)
             if inst.parent is None:
                 continue
             stats.work += 1
@@ -77,9 +74,9 @@ class DeadCodeEliminationPass(FunctionPass):
             stats.bump("removed")
             stats.changed = True
             for op in operands:
-                if id(op) not in queued and op.parent is not None:
+                if op not in queued and op.parent is not None:
                     worklist.append(op)
-                    queued.add(id(op))
+                    queued.add(op)
         return stats
 
 

@@ -18,7 +18,6 @@ from repro.ir.instructions import (
     GepInst,
     ICmpInst,
     Instruction,
-    Opcode,
     SelectInst,
     TruncInst,
     ZExtInst,
@@ -45,11 +44,11 @@ def make_value_numbering(fn: Function) -> dict[Value, int]:
 
 def _operand_key(value: Value, numbering: dict[Value, int]) -> tuple:
     if isinstance(value, ConstantInt):
-        return ("c", str(value.ty), value.value)
+        return ("c", value.ty.name, value.value)
     if isinstance(value, GlobalAddr):
         return ("g", value.symbol)
     if isinstance(value, UndefValue):
-        return ("u", str(value.ty))
+        return ("u", value.ty.name)
     return ("v", numbering.get(value, -1))
 
 

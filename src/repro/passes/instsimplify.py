@@ -34,6 +34,10 @@ from repro.passes.base import FunctionPass, PassStats
 from repro.passes.utils import single_value_phi
 
 
+#: The instruction classes :meth:`InstSimplifyPass._simplify` handles.
+_SIMPLIFIABLE = (BinaryInst, ICmpInst, SelectInst, ZExtInst, TruncInst, PhiInst)
+
+
 def _const(value: Value) -> int | None:
     return value.value if isinstance(value, ConstantInt) else None
 
@@ -54,23 +58,24 @@ class InstSimplifyPass(FunctionPass):
 
         stats = PassStats()
         worklist: deque[Instruction] = deque()
-        queued: set[int] = set()
+        queued: set[Instruction] = set()
         for block in fn.blocks:
-            for inst in block.instructions:
-                worklist.append(inst)
-                queued.add(id(inst))
+            worklist.extend(block.instructions)
+        queued.update(worklist)
 
         def enqueue(inst: Instruction) -> None:
-            if id(inst) not in queued and inst.parent is not None:
+            if inst not in queued and inst.parent is not None:
                 worklist.append(inst)
-                queued.add(id(inst))
+                queued.add(inst)
 
         while worklist:
             inst = worklist.popleft()
-            queued.discard(id(inst))
+            queued.discard(inst)
             if inst.parent is None:
                 continue  # already removed by an earlier rewrite
             stats.work += 1
+            if not isinstance(inst, _SIMPLIFIABLE):
+                continue
             users_before = [use.user for use in inst.uses]
             if not self._simplify(inst, stats):
                 continue

@@ -14,12 +14,7 @@ To a fixpoint:
 
 from __future__ import annotations
 
-from repro.ir.instructions import (
-    BrInst,
-    CBrInst,
-    Instruction,
-    PhiInst,
-)
+from repro.ir.instructions import BrInst, CBrInst
 from repro.ir.structure import BasicBlock, Function, Module
 from repro.ir.values import ConstantInt
 from repro.passes.base import FunctionPass, PassStats
@@ -138,9 +133,11 @@ class SimplifyCFGPass(FunctionPass):
             for phi in block.phis:
                 phi.replace_with_value(phi.operands[0])
             term.erase()
-            for inst in list(block.instructions):
-                block.remove(inst)
-                pred.append(inst)
+            moved = block.instructions
+            for inst in moved:
+                inst.parent = pred
+            pred.instructions.extend(moved)
+            moved.clear()
             # Successors' phis must now name `pred` as the edge source,
             # and the predecessor map follows suit.
             for succ in pred.successors():

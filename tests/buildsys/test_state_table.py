@@ -16,10 +16,10 @@ import pytest
 from repro.buildsys.builddb import BuildDatabase, StateStore
 from repro.cli import reprobuild_main
 from repro.core import state as state_module
-from repro.core.state import CompilerState, DormancyRecord
+from repro.core.state import CompilerState, DormancyRecord, RecordTable, pack_rows
 from repro.persist import atomic_write
 from repro.workload import apply_edit, generate_project, make_preset
-from repro.workload.edits import random_edit_sequence
+from repro.workload.edits import Edit, EditKind, random_edit_sequence
 
 #: Enough edit builds for the first records to pass ``gc_max_age`` (50).
 BUILDS = 64
@@ -128,6 +128,34 @@ class TestGarbageCollectionPastMaxAge:
             assert objects(dbs["j1"]) == objects(dbs["stateless"]) == objects(dbs["j2"])
         assert serial["build_counter"] == BUILDS + 1
         assert reclaimed_builds and quiet_builds >= 50
+
+
+class TestDenseFold:
+    def test_a_header_edit_build_matches_a_dict_model(self, tmp_path, monkeypatch):
+        """A fine-policy build after an edit to a header every unit
+        includes refreshes most of the table, so its fold merges the
+        whole table; the state it leaves equals a dict model's, and its
+        table equals one packed from scratch."""
+        model = DictModel(monkeypatch)
+        merged: list[int] = []
+        merge = RecordTable._merge
+
+        def spy_merge(table, rows):
+            merged.append(len(rows))
+            return merge(table, rows)
+
+        monkeypatch.setattr(RecordTable, "_merge", spy_merge)
+        proj, db = tmp_path / "proj", tmp_path / "build.reprodb"
+        spec = make_preset("small", seed=2)
+        for spec in (spec, apply_edit(spec, Edit(EditKind.HEADER_CONST, "mod0"))):
+            shutil.rmtree(proj, ignore_errors=True)
+            generate_project(spec).write_to(proj)
+            summary = run(proj, db, "--stateful", "--policy", "fine", "-j", "1")
+            model.build(summary["build_counter"], summary["gc_max_age"])
+        state = BuildDatabase.load(db).live_state
+        assert len(merged) == 1 and merged[0] * state_module.DENSE_SPLICE_RATIO > len(model.records)
+        assert dict(state.records.items()) == model.records
+        assert state._table.data == b"".join(sorted(pack_rows(model.records.items())))
 
 
 def v5_base(state) -> bytes:

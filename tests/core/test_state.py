@@ -1,10 +1,13 @@
 """Compiler-state store tests: records, GC, serialization, compatibility."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.buildsys.builddb import StateStore
 from repro.cli import reproc_main
+from repro.core import state as state_module
 from repro.core.state import (
     ROW_BYTES,
     CompilerState,
@@ -496,8 +499,15 @@ class TestFold:
     @given(
         table=_records, overlay=_records,
         cutoff=st.one_of(st.none(), st.integers(min_value=0, max_value=14)),
+        # The galloping splice (never dense), the whole-table merge
+        # (always dense), or the measured crossover.
+        dense_ratio=st.sampled_from([0, 1 << 30, state_module.DENSE_SPLICE_RATIO]),
     )
-    def test_matches_a_dict_model(self, table, overlay, cutoff):
+    def test_matches_a_dict_model(self, table, overlay, cutoff, dense_ratio):
+        with mock.patch.object(state_module, "DENSE_SPLICE_RATIO", dense_ratio):
+            self._check_fold(table, overlay, cutoff)
+
+    def _check_fold(self, table, overlay, cutoff):
         state = make_state()
         state._table = RecordTable(b"".join(sorted(pack_rows(table.items()))))
         state._count = len(table)

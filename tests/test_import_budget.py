@@ -115,6 +115,8 @@ def test_edit_build_loads_the_compiler(built, tmp_path):
     assert result["rc"] == 0
     assert "repro.driver" in result["modules"]
     assert "repro.passes" in result["modules"]
+    # A compile never reads textual IR, so its parser stays unloaded.
+    assert "repro.ir.parser" not in result["modules"]
     # No class on the build path is made by ``@dataclass`` at import:
     # their methods are written out, so they load from the .pyc.
     assert result["dataclasses"] == []
