@@ -369,15 +369,13 @@ class Parser:
     # -- expressions ------------------------------------------------------------
 
     def _parse_expr(self) -> ast.Expr:
-        return self._parse_assignment()
-
-    def _parse_assignment(self) -> ast.Expr:
+        """An expression: an assignment, or a conditional below it."""
         lhs = self._parse_ternary()
         kind = self._tok.kind
         if kind is not TokenKind.ASSIGN and kind not in _COMPOUND_ASSIGN:
             return lhs
         self._advance()
-        rhs = self._parse_assignment()  # right-associative
+        rhs = self._parse_expr()  # right-associative
         return ast.Assign(lhs.span.merge(rhs.span), lhs, rhs, _COMPOUND_ASSIGN.get(kind))
 
     def _parse_ternary(self) -> ast.Expr:
@@ -405,19 +403,17 @@ class Parser:
     def _parse_unary(self) -> ast.Expr:
         tok = self._tok
         kind = tok.kind
-        if kind not in _PREFIX_OPS:
-            return self._parse_postfix()
-        self._advance()
-        operand = self._parse_unary()
-        span = tok.span.merge(operand.span)
-        op = _PREFIX_OPS[kind]
-        if op is None:
-            return ast.IncDec(
-                span, operand, is_increment=kind is TokenKind.PLUS_PLUS, is_prefix=True
-            )
-        return ast.Unary(span, op, operand)
-
-    def _parse_postfix(self) -> ast.Expr:
+        if kind in _PREFIX_OPS:
+            self._advance()
+            operand = self._parse_unary()
+            span = tok.span.merge(operand.span)
+            op = _PREFIX_OPS[kind]
+            if op is None:
+                return ast.IncDec(
+                    span, operand, is_increment=kind is TokenKind.PLUS_PLUS, is_prefix=True
+                )
+            return ast.Unary(span, op, operand)
+        # A primary and its postfix operators.
         expr = self._parse_primary()
         while True:
             tok = self._tok

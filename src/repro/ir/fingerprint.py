@@ -103,8 +103,10 @@ def canonical_function_text(fn: Function, pure: frozenset[str] = frozenset()) ->
                 parts.append(str(inst.size))
             elif cls is CallInst:
                 parts.append(f"@{inst.callee}:{inst.sig}:{int(inst.callee in pure)}")
-            for op in inst.operands:
-                parts.append(encode(op, inst_index))
+            for op in inst._operands:
+                # Instructions first, inline: most operands are one.
+                index = inst_index.get(op) if op.__class__ is not ConstantInt else None
+                parts.append(f"i:{index}" if index is not None else encode(op, inst_index))
             if cls is PhiInst:
                 for b in inst.incoming_blocks:
                     parts.append(f"b:{block_of(b, -1)}")
