@@ -47,8 +47,3 @@ def reverse_postorder(fn: Function) -> list[BasicBlock]:
     order = postorder(fn)
     order.reverse()
     return order
-
-
-def block_index_map(fn: Function) -> dict[BasicBlock, int]:
-    """Map each block to its position in the function's block list."""
-    return {b: i for i, b in enumerate(fn.blocks)}

@@ -33,9 +33,6 @@ class LivenessInfo(Struct):
         self.live_in = {} if live_in is None else live_in
         self.live_out = {} if live_out is None else live_out
 
-    def is_live_across(self, value: Value, block: BasicBlock) -> bool:
-        return value in self.live_out.get(block, frozenset())
-
 
 def compute_liveness(fn: Function) -> LivenessInfo:
     """Iterative dataflow: live_in = use ∪ (live_out − def)."""

@@ -3,8 +3,10 @@
 Clean-builds one generated project at each requested job count and
 reports wall time, speedup over ``-j 1``, and parallel efficiency
 (speedup / jobs).  Every parallel point is also checked against the
-serial build's linked image — the sweep doubles as a determinism
-harness for the snapshot/delta state-merge protocol.
+serial build: its linked image, each pass's executed, dormant, bypassed
+and work counts, and its state record count must all match — the sweep
+doubles as a determinism harness for the snapshot/delta state-merge
+protocol.
 
 On an N-core machine the worker processes should approach N× on the
 compile phase; past the core count the sweep measures pool overhead.
@@ -40,8 +42,14 @@ class ParallelPoint:
         return self.speedup / self.jobs if self.jobs else 0.0
 
 
-def _image_key(image) -> tuple:
-    return (image.code, image.functions, image.global_base, image.data)
+def _build_key(report) -> tuple:
+    """What every job count's build of one tree must agree on."""
+    image = report.image
+    return (
+        (image.code, image.functions, image.global_base, image.data),
+        report.bypass.counts(),
+        report.state_records,
+    )
 
 
 def parallel_sweep(
@@ -77,7 +85,7 @@ def parallel_sweep(
             if best is None or report.total_wall_time < best.total_wall_time:
                 best = report
         assert best is not None and best.image is not None
-        key = _image_key(best.image)
+        key = _build_key(best)
         if serial_key is None:
             serial_key = key
         points.append(
@@ -112,7 +120,7 @@ def format_parallel_sweep(
         for p in points
     ]
     return format_table(
-        ["jobs", "workers", "wall", "speedup", "efficiency", "image==serial"],
+        ["jobs", "workers", "wall", "speedup", "efficiency", "==serial"],
         rows,
         title=f"Figure 11: parallel clean-build scaling ({preset}, {variant})",
     )

@@ -240,15 +240,13 @@ def audit_fingerprint_collisions(
     start = time.perf_counter()
     snapshot = None if state is None else state.snapshot()
     compiler = _AuditingCompiler(provider, options, snapshot, result)
-    compiler.state.begin_build()
-    if not compiler.state.compatible_with(
-        compiler.pipeline_signature, options.fingerprint_mode
-    ):
+    if snapshot is not None and compiler.state is not snapshot:
         raise ValueError(
             "compiler state is incompatible with the audit compiler "
             "(different pipeline or fingerprint mode); re-run the audit "
             "with the same -O level and --fingerprint-mode as the build"
         )
+    compiler.state.begin_build()
 
     memo_compiler = Compiler(
         provider,

@@ -10,15 +10,16 @@ variants plug into.  Per build it:
    database last saw them — recording a
    :class:`~repro.buildsys.explain.RebuildReason` per unit so the
    decision is explainable afterwards (``reprobuild explain``);
-3. compiles dirty units through :class:`repro.driver.Compiler` —
+3. compiles dirty units through one :class:`repro.driver.Compiler` —
    stateless or stateful per :class:`~repro.driver.CompilerOptions`
    (under the memo policy each unit gets its recorded object and memo
-   keys, from which unchanged functions take their machine code),
-   serially or on a worker pool per :class:`~repro.buildsys.parallel.BuildOptions`
-   (``jobs > 1`` runs the make ``-j`` analogue; under a policy that keeps
-   dormancy state each unit compiles against a snapshot of the state as
-   the build started and the driver merges the returned deltas in unit
-   order, so results are deterministic regardless of scheduling);
+   keys, from which unchanged functions take their machine code), in
+   process or on a worker pool per
+   :class:`~repro.buildsys.parallel.BuildOptions`, always with
+   :func:`~repro.buildsys.parallel.compile_unit`: under a policy that
+   keeps dormancy state each unit compiles against a snapshot of the
+   state as the build started, and the driver merges the returned
+   deltas in unit order, so results are the same at every ``-j``;
 4. reuses cached object JSON for up-to-date units;
 5. links everything into one runnable :class:`~repro.backend.linker.LinkedImage`
    — or, when the caller only needs the link *checked*
@@ -50,9 +51,9 @@ reports into the one registry, whose snapshot lands in
 counters from its pass ledger, on pool workers as in process.
 
 Failure handling is transactional per unit: when a dirty unit fails to
-compile, every unit that already compiled successfully is still
-recorded in the database (and, stateful, its records merged into the
-live state) before the error propagates — a rebuild after the fix
+compile, every unit that compiled successfully is still recorded in the
+database (and, stateful, its records merged into the live state) before
+the earliest failure in unit order propagates — a rebuild after the fix
 recompiles only the broken unit.  A :class:`~repro.backend.linker.LinkError`
 propagates the same way, after the database has been brought up to
 date and marked as not linked.
@@ -73,8 +74,7 @@ from repro.buildsys.parallel import BuildOptions, Previous, UnitOutcome, compile
 from repro.buildsys.report import BuildReport, UnitBuildResult
 from repro.core.policies import SkipPolicy
 from repro.core.statistics import BypassStatistics
-from repro.frontend.diagnostics import CompileError
-from repro.frontend.includes import FileProvider, IncludeError
+from repro.frontend.includes import FileProvider
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, NullTracer
 from repro.options import CompilerOptions
@@ -115,27 +115,7 @@ class IncrementalBuilder:
         self.tracer = tracer
         self.metrics = metrics if metrics is not None else MetricsRegistry()
 
-    # -- state plumbing -----------------------------------------------------
-
-    def _attach_state(self, compiler: Compiler) -> None:
-        """Wire the DB's live compiler state into a stateful compiler.
-
-        Called only for builds that compile at least one unit: this is
-        where the state is loaded and the GC clock ticks.  An
-        incompatible state (different pipeline signature or fingerprint
-        mode — e.g. the user changed ``-O`` levels) is discarded
-        wholesale: stale dormancy records must never be consulted.  The
-        compiler's fresh state replaces it in the DB.
-        """
-        state = self.db.live_state
-        assert compiler.state is not None
-        if state is not None and state.compatible_with(
-            compiler.pipeline_signature, self.options.fingerprint_mode
-        ):
-            compiler.state = state
-        else:
-            self.db.live_state = compiler.state
-        compiler.state.begin_build()
+    # -- memo inputs --------------------------------------------------------
 
     def _previous(self, path: str) -> Previous:
         """What the memo policy reuses for ``path``: its recorded object
@@ -200,15 +180,24 @@ class IncrementalBuilder:
         # The compiler (front end, 18-pass pipeline, backend) is imported
         # and built only when there is something to compile.  A -j N
         # build imports it here, before the pool forks, so workers
-        # inherit it instead of importing it each.
+        # inherit it instead of importing it each.  Only such a build
+        # loads the state and ticks its GC clock; the compiler adopts it
+        # only if it was recorded under the same pipeline and fingerprint
+        # mode (not after an -O change), else its fresh state replaces it.
         compiler = None
+        stateful = self.options.keeps_state and bool(dirty)
         if dirty:
             from repro.driver import Compiler
 
-            compiler = Compiler(self.provider, self.options, tracer=self.tracer)
-        stateful = self.options.keeps_state and bool(dirty)
+            compiler = Compiler(
+                self.provider,
+                self.options,
+                state=self.db.live_state if stateful else None,
+                tracer=self.tracer,
+            )
         if stateful:
-            self._attach_state(compiler)
+            self.db.live_state = compiler.state
+            compiler.state.begin_build()
 
         jobs = min(self.build_options.resolved_jobs(), max(1, len(dirty)))
         report.jobs = jobs
@@ -221,10 +210,7 @@ class IncrementalBuilder:
             report.memo = {"functions_reused": 0, "functions_compiled": 0}
         objects: dict[str, ObjectFile] = {}
         phase_start = time.perf_counter()
-        if jobs <= 1:
-            error = self._compile_serial(compiler, snapshots, dirty, report, objects)
-        else:
-            error = self._compile_parallel(compiler, snapshots, dirty, report, objects, jobs)
+        error = self._compile(compiler, snapshots, dirty, report, objects, jobs)
         report.compile_phase_time = time.perf_counter() - phase_start
         if dirty:
             self.tracer.add("compile", "phase", phase_start, report.compile_phase_time)
@@ -277,73 +263,45 @@ class IncrementalBuilder:
         report.metrics = self.metrics.to_dict()
         return report
 
-    # -- compile strategies -------------------------------------------------
+    # -- compiling ----------------------------------------------------------
 
-    def _compile_serial(
+    def _compile(
         self,
         compiler: Compiler | None,
         snapshots: dict[str, DependencySnapshot],
         dirty: list[str],
         report: BuildReport,
         objects: dict[str, ObjectFile],
-    ) -> Exception | None:
-        """The classic in-process loop (``-j 1``), shared mutable state.
-
-        Returns the first failure instead of raising so the caller can
-        finish the database bookkeeping before propagating it.
-        ``compiler`` is ``None`` exactly when ``dirty`` is empty.
-        """
-        for path in dirty:
-            start = time.perf_counter()
-            try:
-                result = compiler.compile_file(path, previous=self._previous(path))
-            except (CompileError, IncludeError) as exc:
-                return exc
-            outcome = UnitOutcome.from_result(path, result, time.perf_counter() - start)
-            objects[path] = result.object_file
-            self._merge_outcome(outcome, snapshots[path], report, compiler)
-        return None
-
-    def _compile_parallel(
-        self,
-        compiler: Compiler,
-        snapshots: dict[str, DependencySnapshot],
-        dirty: list[str],
-        report: BuildReport,
-        objects: dict[str, ObjectFile],
         jobs: int,
     ) -> Exception | None:
-        """Worker-pool compilation with deterministic unit-order merging.
+        """Compile ``dirty`` and fold the outcomes in translation-unit order.
 
-        Workers compile against the live state, which nothing changes
-        until the pool is done, and outcomes are folded back in
-        translation-unit order — object records, report entries, and
-        state-delta merges are all independent of completion order,
-        which is what makes a ``-j N`` build reproducible.  A pool that
-        cannot start or breaks has merged nothing, so the serial loop
-        compiles every unit instead.
+        Every unit compiles against the live state as the build started,
+        which nothing changes until all outcomes are back, so object
+        records, report entries and state merges do not depend on the
+        schedule.  Returns the earliest failure instead of raising so
+        the caller can finish the database bookkeeping first.
+        ``compiler`` is ``None`` exactly when ``dirty`` is empty.
         """
+        if not dirty:
+            return None
         outcomes = compile_units(
-            self.provider,
-            self.options,
-            compiler.state,
+            compiler,
             dirty,
             jobs=jobs,
-            trace=self.tracer.enabled,
             previous={path: self._previous(path) for path in dirty},
         )
-        if outcomes is None:
-            return self._compile_serial(compiler, snapshots, dirty, report, objects)
-
         error: Exception | None = None
         for path in dirty:
             outcome = outcomes.get(path)
             if outcome is None:  # abandoned after an earlier unit failed
                 continue
             if outcome.failed:
-                if error is None:  # earliest failure in schedule order wins
+                if error is None:  # earliest failure in unit order wins
                     error = outcome.exception()
                 continue
+            if outcome.object_file is not None:
+                objects[path] = outcome.object_file
             self._merge_outcome(outcome, snapshots[path], report, compiler)
         return error
 
@@ -354,11 +312,7 @@ class IncrementalBuilder:
         report: BuildReport,
         compiler: Compiler,
     ) -> None:
-        """Fold one successful outcome into the build products.
-
-        A serial build's outcome carries no state delta: its units wrote
-        to the live state directly.
-        """
+        """Fold one successful outcome into the build products."""
         report.bypass.merge(outcome.stats)
         if report.memo:
             report.memo["functions_reused"] += outcome.functions_reused
@@ -394,7 +348,7 @@ class IncrementalBuilder:
             memo=outcome.memo,
             functions_reused=outcome.functions_reused,
         )
-        if outcome.delta is not None and compiler.state is not None:
+        if outcome.delta is not None:
             compiler.state.merge_delta(outcome.delta)
 
     def _link(self, fresh: dict[str, ObjectFile]) -> LinkedImage:

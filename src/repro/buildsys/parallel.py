@@ -1,35 +1,35 @@
-"""Parallel compilation of dirty translation units (``reprobuild -j``).
+"""Compilation of dirty translation units, in process or on a pool (``reprobuild -j``).
 
-The make/ninja lever the serial driver left on the table: once the
-scheduler knows which units are dirty, their compilations are
+Once the scheduler knows which units are dirty, their compilations are
 independent *except* for the shared :class:`~repro.core.state.CompilerState`.
-This module runs them on a :mod:`concurrent.futures` worker pool and
-keeps statefulness safe with the snapshot/delta protocol:
+Every build compiles them with one protocol, whatever its ``-j``:
 
-1. the build driver advances the live state one build tick and hands
-   it to the pool; the workers fork with their own copy of it, and the
-   driver changes nothing in it until every outcome is back;
-2. every worker compiles each of its units against a
-   :meth:`~repro.core.state.CompilerState.snapshot` of that state (a
-   shallow copy: records are immutable), tracking the dormancy records
-   it creates or refreshes;
-3. each unit's result travels back as a picklable :class:`UnitOutcome`
-   carrying the object JSON, the bypass statistics, and a
+1. the build driver advances the live state one build tick; nothing
+   changes it until every unit is compiled;
+2. :func:`compile_unit` compiles each unit on its process's one
+   :class:`~repro.driver.Compiler` against a
+   :meth:`~repro.core.state.CompilerState.snapshot` of that state (it
+   shares the record table and starts with an empty overlay), so every
+   unit sees exactly the records that existed when the build started;
+3. each unit's result is a picklable :class:`UnitOutcome` carrying the
+   object JSON, the bypass statistics, and the snapshot's overlay as a
    :class:`~repro.core.state.StateDelta`;
-4. the driver merges deltas into the live state in translation-unit
-   order — deterministic regardless of completion order.
+4. the driver merges the successful outcomes in translation-unit order
+   and re-raises the earliest failure, so the build's result follows
+   from its inputs, not from its schedule.
 
-Workers are processes, one compiler per unit as with ``make -j``: the
-compiler is CPU-bound Python, so only processes run it in parallel.
-``jobs=1`` takes the builder's serial loop instead.  A process pool
-that cannot start or breaks (no fork in a sandbox, a killed worker)
-logs a warning and :func:`compile_units` returns ``None``; the builder
-then compiles the same units in that serial loop.
+``jobs=1`` compiles the units in order in this process, on the build's
+compiler, and stops at the first failure.  ``jobs > 1`` runs them on a
+process pool — the compiler is CPU-bound Python, so only processes run
+it in parallel — whose workers each build one compiler from the
+picklable ``(provider, options)`` and inherit the live state through
+the fork.  A pool that cannot start or breaks (no fork in a sandbox, a
+killed worker) has merged nothing: it logs a warning and the same
+units compile in process.
 
-Workers return *data*, not exceptions: a failed unit comes back as an
+Outcomes are *data*, not exceptions: a failed unit comes back as an
 outcome with diagnostics attached (``CompileError`` does not survive
-pickling faithfully), and the driver re-raises for the earliest failed
-unit in schedule order so parallel error reporting is deterministic too.
+pickling faithfully), and :meth:`UnitOutcome.exception` rebuilds it.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from repro.options import CompilerOptions
 if TYPE_CHECKING:  # pragma: no cover
     from concurrent.futures import Executor
 
-    from repro.driver import CompileResult
+    from repro.driver import CompileResult, Compiler
 
 logger = logging.getLogger(__name__)
 
@@ -113,7 +113,9 @@ class UnitOutcome(Struct):
     Everything the build driver needs and nothing it doesn't: the
     object file as JSON (the same representation the build DB caches),
     the folded bypass table instead of the pass ledger's rows, and the
-    state delta instead of a whole mutated state.
+    state delta instead of a whole mutated state.  An in-process compile
+    also keeps the decoded object (:attr:`object_file`), so a link needs
+    no decode; a pool worker drops it before the outcome is pickled.
     """
 
     _fields = (
@@ -169,6 +171,8 @@ class UnitOutcome(Struct):
         #: functions reused the previous object's code.
         self.memo = {} if memo is None else memo
         self.functions_reused = functions_reused
+        #: The decoded object, or ``None`` (not a field: it is the JSON's twin).
+        self.object_file = None
 
     @classmethod
     def from_result(
@@ -176,10 +180,10 @@ class UnitOutcome(Struct):
     ) -> UnitOutcome:
         """A successful compilation in the form the build DB records it.
 
-        The object's JSON and its link interface are computed here, for
-        the serial loop and the pool workers alike.
+        The object's JSON and its link interface are computed here, in
+        process and on pool workers alike.
         """
-        return cls(
+        outcome = cls(
             path=path,
             object_json=result.object_file.to_json(),
             symbols=result.object_file.link_symbols(),
@@ -193,6 +197,8 @@ class UnitOutcome(Struct):
             memo=result.memo_keys,
             functions_reused=len(result.reused),
         )
+        outcome.object_file = result.object_file
+        return outcome
 
     @property
     def failed(self) -> bool:
@@ -205,61 +211,21 @@ class UnitOutcome(Struct):
         return CompileError(self.diagnostics)
 
 
-# -- the worker side ---------------------------------------------------------
-#
-# The pool ships the (provider, options, state) triple once per worker
-# process via the initializer instead of once per task.  Worker state is
-# read-only: every task takes its own snapshot of it so outcomes are
-# independent of which worker ran which unit.
-
-_WORKER_CONTEXT: dict = {}
-
-
-def _init_worker(
-    provider: FileProvider,
-    options: CompilerOptions,
-    state: CompilerState | None,
-    trace: bool = False,
-) -> None:
-    _WORKER_CONTEXT["provider"] = provider
-    _WORKER_CONTEXT["options"] = options
-    _WORKER_CONTEXT["state"] = state
-    _WORKER_CONTEXT["trace"] = trace
-
-
 def compile_unit(
-    provider: FileProvider,
-    options: CompilerOptions,
-    state: CompilerState | None,
-    path: str,
-    *,
-    previous: Previous = None,
-    worker: str = "main",
-    trace: bool = False,
+    compiler: Compiler, path: str, *, previous: Previous = None, worker: str = "main"
 ) -> UnitOutcome:
-    """Compile one unit against a private state snapshot; never raises.
+    """Compile one unit against a snapshot of ``compiler.state``; never raises.
 
-    ``state`` is the state as the build started (``None`` for stateless
-    builds); the snapshot taken here is what makes the outcome
-    independent of scheduling — the unit sees exactly the records that
-    existed when the build started, as the snapshot/delta protocol
-    promises.
+    The only way a build compiles a unit, in process and on pool workers
+    alike.  ``compiler.state`` is the state as the build started
+    (``None`` for stateless and memo builds); the unit compiles against
+    a snapshot of it and the outcome carries what the snapshot wrote,
+    so it does not depend on which units compiled before it.
     ``previous`` is the unit's last object JSON and memo keys, for the
     memo policy (``None`` = none).
-
-    With ``trace=True`` the unit compiles under its own
-    :class:`~repro.obs.trace.Tracer`; the spans (and the wall-clock
-    epoch needed to re-base them) ship back inside the outcome.
     """
-    from repro.driver import Compiler
-
-    worker_state = None
-    if state is not None:
-        worker_state = state.snapshot()
-        worker_state.begin_delta_tracking()
-    tracer = Tracer(track=worker) if trace else NULL_TRACER
-    compiler = Compiler(provider, options, state=worker_state, tracer=tracer)
-
+    state = compiler.state
+    snapshot = compiler.state = None if state is None else state.snapshot()
     start = time.perf_counter()
     try:
         result = compiler.compile_file(path, previous=previous)
@@ -275,31 +241,57 @@ def compile_unit(
         return UnitOutcome(
             path=path, worker=worker, error_kind="include", error_message=str(exc)
         )
+    finally:
+        compiler.state = state
     outcome = UnitOutcome.from_result(
         path, result, time.perf_counter() - start, worker=worker
     )
-    if worker_state is not None:
-        outcome.delta = worker_state.extract_delta()
-    if trace:
-        outcome.spans = tracer.spans
-        outcome.epoch_wall = tracer.epoch_wall
+    if snapshot is not None:
+        outcome.delta = snapshot.delta()
     return outcome
 
 
+# -- the pool: worker side ---------------------------------------------------
+#
+# Each worker process builds its one compiler in the initializer, from
+# the picklable (provider, options) and the live state it inherits, and
+# keeps it, header cache included, for every unit it compiles.
+
+_WORKER: dict = {}
+
+
+def _init_worker(
+    provider: FileProvider,
+    options: CompilerOptions,
+    state: CompilerState | None,
+    trace: bool = False,
+) -> None:
+    from repro.driver import Compiler
+
+    name = f"pid-{os.getpid()}"
+    tracer = Tracer(track=name) if trace else NULL_TRACER
+    _WORKER["compiler"] = Compiler(provider, options, state=state, tracer=tracer)
+    _WORKER["name"] = name
+
+
 def _compile_unit_task(path: str, previous: Previous) -> UnitOutcome:
-    """Pool entry point: compile ``path`` using the worker context."""
-    return compile_unit(
-        _WORKER_CONTEXT["provider"],
-        _WORKER_CONTEXT["options"],
-        _WORKER_CONTEXT["state"],
-        path,
-        previous=previous,
-        worker=f"pid-{os.getpid()}",
-        trace=_WORKER_CONTEXT.get("trace", False),
-    )
+    """Pool entry point: compile ``path`` on the worker's compiler.
+
+    The unit's spans (and the wall-clock epoch needed to re-base them)
+    ship back inside the outcome; the decoded object does not.
+    """
+    compiler = _WORKER["compiler"]
+    outcome = compile_unit(compiler, path, previous=previous, worker=_WORKER["name"])
+    outcome.object_file = None
+    tracer = compiler.tracer
+    if tracer.enabled:
+        outcome.spans = list(tracer.spans)
+        outcome.epoch_wall = tracer.epoch_wall
+        tracer.spans.clear()
+    return outcome
 
 
-# -- the driver side ---------------------------------------------------------
+# -- the pool: driver side ---------------------------------------------------
 
 
 def _make_pool(jobs: int, initargs: tuple) -> Executor:
@@ -327,7 +319,7 @@ def _run_pool(
             outcome = future.result()  # raises BrokenExecutor on pool death
             outcomes[outcome.path] = outcome
             if outcome.failed:
-                # Fail fast like a serial build: units already running
+                # Fail fast as -j 1 does: units already running
                 # finish (and are recorded), queued ones are abandoned.
                 for other in futures:
                     other.cancel()
@@ -335,34 +327,37 @@ def _run_pool(
 
 
 def compile_units(
-    provider: FileProvider,
-    options: CompilerOptions,
-    state: CompilerState | None,
+    compiler: Compiler,
     paths: list[str],
     *,
     jobs: int,
-    trace: bool = False,
     previous: dict[str, Previous] | None = None,
-) -> dict[str, UnitOutcome] | None:
-    """Compile ``paths`` on a process pool; returns outcomes keyed by path.
+) -> dict[str, UnitOutcome]:
+    """Compile ``paths`` with :func:`compile_unit`; returns outcomes keyed by path.
 
-    ``state`` is the live state (``None`` for stateless builds); the
-    caller must not change it until this returns.  ``previous`` maps a
-    unit to its last object JSON and memo keys (units without one are
-    absent); each task carries its own.
+    ``compiler`` is the build's; its state is the live state, which the
+    caller must not change until this returns.  ``previous`` maps a unit
+    to its last object JSON and memo keys (units without one are
+    absent).  ``jobs > 1`` runs a process pool of that many workers.
 
     Failed units are present with diagnostics attached; units abandoned
-    after a failure are absent.  A pool that cannot start or dies (no
-    fork in the sandbox, a killed worker) logs a warning and returns
-    ``None``: the caller compiles the units itself — compilation is
+    after a failure are absent.  A pool that cannot start or dies logs a
+    warning, and the units compile in process instead: compilation is
     deterministic and nothing has been merged yet, so a full retry is
     safe.
     """
-    from concurrent.futures import BrokenExecutor
-
     previous = {} if previous is None else previous
-    try:
-        return _run_pool(jobs, (provider, options, state, trace), paths, previous)
-    except (BrokenExecutor, OSError) as exc:
-        logger.warning("process pool unavailable (%s); compiling serially", exc)
-        return None
+    if jobs > 1:
+        from concurrent.futures import BrokenExecutor
+
+        initargs = (compiler.provider, compiler.options, compiler.state, compiler.tracer.enabled)
+        try:
+            return _run_pool(jobs, initargs, paths, previous)
+        except (BrokenExecutor, OSError) as exc:
+            logger.warning("process pool unavailable (%s); compiling serially", exc)
+    outcomes: dict[str, UnitOutcome] = {}
+    for path in paths:
+        outcome = outcomes[path] = compile_unit(compiler, path, previous=previous.get(path))
+        if outcome.failed:
+            break
+    return outcomes

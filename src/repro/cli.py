@@ -153,18 +153,12 @@ def reproc_main(argv: list[str] | None = None) -> int:
     provider = DiskFileProvider(source_path.parent)
     options = _options_from_args(args)
     tracer = _make_tracer(args)
-    compiler = Compiler(provider, options, tracer=tracer)
-
-    store = None
-    if compiler.state is not None and args.state_file:
-        # A missing, damaged or incompatible state file leaves the
-        # compiler's fresh state in place: stale records are never used.
-        store = StateStore(args.state_file)
-        state = store.load()
-        if state is not None and state.compatible_with(
-            compiler.pipeline_signature, options.fingerprint_mode
-        ):
-            compiler.state = state
+    # A missing, damaged or incompatible state file leaves the
+    # compiler's fresh state in place: stale records are never used.
+    store = StateStore(args.state_file) if options.keeps_state and args.state_file else None
+    state = store.load() if store is not None else None
+    compiler = Compiler(provider, options, state=state, tracer=tracer)
+    if store is not None:
         compiler.state.begin_build()
 
     try:

@@ -28,8 +28,8 @@ not tick it, so any number of no-op builds reclaims nothing.
 **Records are immutable.**  A :class:`DormancyRecord` is a content-keyed
 fact, so it is a named tuple: a lookup hit stores a copy with a fresh
 GC timestamp instead of changing the record.  A snapshot therefore
-shares the stored layers and copies only the map of records written
-since, and deltas share records with the state they came from.
+shares the table and copies no record, and deltas share records with
+the state they came from.
 
 **Persistence.**  The state's one on-disk form is one file, the base
 that :class:`~repro.buildsys.builddb.StateStore` reads and every
@@ -51,17 +51,17 @@ lowered by any write.  A build in which no record can be ``gc_max_age``
 builds old does no per-record work; otherwise GC scans the rows once,
 dropping exactly the records a scan of a plain dict would drop.
 
-For parallel builds the state additionally supports a snapshot/delta
-protocol (:meth:`CompilerState.snapshot`, :meth:`CompilerState.extract_delta`,
-:meth:`CompilerState.merge_delta`): each unit compiles against a
-snapshot of the records as they were at build start and hands back
-only the records it created or refreshed; the build driver folds those
-:class:`StateDelta` objects into the live state in a deterministic
-order.  Because records are keyed by content fingerprints and passes
-are deterministic, two workers that write the same key necessarily
-write the same dormancy verdict, so last-writer-wins merging is safe —
-and the merged state is record-for-record what a serial build of the
-same units would have produced.
+**Snapshots and deltas.**  Every unit of a build compiles against a
+:meth:`CompilerState.snapshot` of the state as the build started, at
+any ``-j``: a copy that shares the table and starts with an empty
+overlay.  What the unit wrote is then exactly the snapshot's overlay,
+its :meth:`CompilerState.delta`; the build driver folds the deltas into
+the live state in translation-unit order
+(:meth:`CompilerState.merge_delta`).  Because records are keyed by
+content fingerprints and passes are deterministic, two units that write
+the same key necessarily write the same dormancy verdict, so
+last-writer-wins merging is safe, and the merged state is independent
+of how the units were scheduled.
 """
 
 from __future__ import annotations
@@ -302,13 +302,13 @@ class _Items(ItemsView):
 class StateDelta(Struct):
     """Records created or refreshed while compiling against a snapshot.
 
-    The payload of the parallel-build merge protocol: a worker tracks
-    every record it touched (new dormancy verdicts and GC-timestamp
-    refreshes alike) and ships just those back to the build driver.
-    All ``last_used_build`` values in a delta equal ``build_counter`` —
-    by construction a worker only touches records during its own build
-    tick — which is what makes merged garbage collection behave exactly
-    like a serial build's.
+    The payload of the build's merge protocol: a unit's snapshot holds
+    every record it wrote (new dormancy verdicts and GC-timestamp
+    refreshes alike) in its overlay, and ships just those back to the
+    build driver.  All ``last_used_build`` values in a delta equal
+    ``build_counter`` — a unit only writes records during its own build
+    tick — which is what makes merged garbage collection keep every
+    record any unit consulted.
     """
 
     _fields = ("build_counter", "records")
@@ -331,8 +331,8 @@ class CompilerState(Struct):
 
     The records live in two layers:
 
-    - an overlay dict of the records written in this process since the
-      table was loaded or last folded;
+    - an overlay dict of the records written since the table was loaded,
+      snapshotted or last folded;
     - the table (:class:`RecordTable`), which the overlay shadows.
 
     The table is never changed in place, so snapshots share it.  A
@@ -385,8 +385,6 @@ class CompilerState(Struct):
         #: On-disk bytes of the state as last written or read (0 = never
         #: persisted); what :meth:`size_summary` reports.
         self.stored_bytes: int = 0
-        #: Keys touched since :meth:`begin_delta_tracking`; ``None`` = not tracking.
-        self._touched: set[tuple[int, str]] | None = None
 
     # -- record access ------------------------------------------------------
 
@@ -411,8 +409,6 @@ class CompilerState(Struct):
             self._count += 1
         if record.last_used_build < self._oldest:
             self._oldest = record.last_used_build
-        if self._touched is not None:
-            self._touched.add(key)
 
     def _items(self) -> Iterator[tuple[tuple[int, str], DormancyRecord]]:
         # A copy of the overlay: callers may write records while iterating.
@@ -431,8 +427,6 @@ class CompilerState(Struct):
         if record.last_used_build != self.build_counter:
             record = record._replace(last_used_build=self.build_counter)
             self._store(key, record, False)
-        elif self._touched is not None:
-            self._touched.add(key)
         return record
 
     def remember(
@@ -506,50 +500,40 @@ class CompilerState(Struct):
             "gc_reclaimed_last": self.last_gc_reclaimed,
         }
 
-    # -- parallel-build snapshot/delta protocol -----------------------------
+    # -- snapshot/delta protocol -------------------------------------------
 
     def snapshot(self) -> "CompilerState":
         """An independent copy for one unit to compile against.
 
-        It shares the table, which nothing changes in place, and copies
-        the overlay: records are immutable, and every
-        write (new verdict or refreshed timestamp) replaces an overlay
-        entry, so nothing written to the copy reaches this state.  The
-        copy tracks no delta until :meth:`begin_delta_tracking`.
+        It shares the table, which nothing changes in place, and starts
+        with an empty overlay, so everything the unit writes (new
+        verdict or refreshed timestamp) lands in the copy's overlay and
+        nothing reaches this state.  A build's live state has an empty
+        overlay (a load gives one, every compiling build's stage folds
+        it); any other state folds its overlay first.
         """
+        if self._overlay:
+            self._fold()
         snap = CompilerState(
             pipeline_signature=self.pipeline_signature,
             fingerprint_mode=self.fingerprint_mode,
             build_counter=self.build_counter,
             gc_max_age=self.gc_max_age,
         )
-        snap._overlay, snap._table = dict(self._overlay), self._table
-        snap._count, snap._oldest = self._count, self._oldest
+        snap._table, snap._count, snap._oldest = self._table, self._count, self._oldest
         return snap
 
-    def begin_delta_tracking(self) -> None:
-        """Start recording which keys :meth:`lookup`/:meth:`remember` touch."""
-        self._touched = set()
+    def delta(self) -> StateDelta:
+        """The records written since the snapshot or load: the overlay.
 
-    def extract_delta(self) -> StateDelta:
-        """The records touched since :meth:`begin_delta_tracking`.
-
-        Touched keys include GC-timestamp refreshes from lookup hits,
-        not just new verdicts: a record a worker merely *consulted* must
-        survive garbage collection exactly as it would in a serial build.
+        They include GC-timestamp refreshes from lookup hits, not just
+        new verdicts: a record a unit merely *consulted* must survive
+        garbage collection.
         """
-        if self._touched is None:
-            raise RuntimeError("extract_delta() without begin_delta_tracking()")
-        get = self._get
-        return StateDelta(
-            build_counter=self.build_counter,
-            records={
-                key: record for key in self._touched if (record := get(key)) is not None
-            },
-        )
+        return StateDelta(self.build_counter, dict(self._overlay))
 
     def merge_delta(self, delta: StateDelta) -> int:
-        """Fold one worker's delta into this state; returns records merged.
+        """Fold one unit's delta into this state; returns records merged.
 
         Last-writer-wins on conflicting keys: the merge order (the build
         driver uses translation-unit order, independent of completion
@@ -557,7 +541,7 @@ class CompilerState(Struct):
         same (position, fingerprint) and passes are deterministic, so
         the verdicts are identical anyway — the policy only matters for
         the GC timestamp, which is kept at the maximum so a record used
-        by *any* worker stays as fresh as the freshest use.
+        by *any* unit stays as fresh as the freshest use.
 
         One probe per record counts the new keys and finds the fresher
         timestamps; the overlay then takes the records in one update.

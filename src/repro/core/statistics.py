@@ -14,6 +14,8 @@ from repro._struct import Struct
 from repro.passmanager.ledger import BYPASSED, DORMANT, PassLedger
 
 _BY_PASS_KEYS = ("executed", "dormant", "bypassed", "work", "ns")
+#: The per-pass counters that do not depend on timing.
+_COUNT_KEYS = _BY_PASS_KEYS[:4]
 
 
 class BypassStatistics(Struct):
@@ -47,6 +49,14 @@ class BypassStatistics(Struct):
         """Fraction of scheduled function-pass runs that were skipped."""
         total = self.executions + self.bypassed
         return self.bypassed / total if total else 0.0
+
+    def counts(self) -> dict[str, tuple[int, ...]]:
+        """Each pass's (executed, dormant, bypassed, work): every per-pass
+        counter but wall time, so two builds of the same inputs agree."""
+        return {
+            name: tuple([counters.get(key, 0) for key in _COUNT_KEYS])
+            for name, counters in sorted(self.by_pass.items())
+        }
 
     def merge(self, other: "BypassStatistics") -> None:
         self.executions += other.executions

@@ -89,10 +89,16 @@ class CompileResult(Struct):
 class Compiler:
     """A compiler instance, optionally stateful.
 
-    One instance per build: under the fine and coarse policies the
-    stateful variant carries a :class:`CompilerState` that callers load
-    before and save after the build (the build system does this); under
-    the memo policy it carries none.
+    One instance per build (and per pool worker): under the fine and
+    coarse policies the stateful variant carries a :class:`CompilerState`
+    that callers load before and save after the build (the build system
+    does this); under the memo policy it carries none.
+
+    This is the one place that decides whether a loaded state may be
+    used: the compiler adopts ``state`` only when it was recorded under
+    its pipeline signature and fingerprint mode, and otherwise keeps a
+    fresh state, so stale dormancy records are never consulted.  A
+    caller tells the two apart by ``compiler.state is state``.
     """
 
     def __init__(
@@ -108,13 +114,14 @@ class Compiler:
         self.tracer = tracer
         self.resolver = IncludeResolver(provider)
         self.pipeline: PassPipeline = build_pipeline(self.options.opt_level)
+        self.state: CompilerState | None = None
         if self.options.keeps_state:
-            self.state = state or CompilerState(
-                pipeline_signature=pipeline_signature_of(self.pipeline),
-                fingerprint_mode=self.options.fingerprint_mode,
-            )
-        else:
-            self.state = None
+            signature = pipeline_signature_of(self.pipeline)
+            mode = self.options.fingerprint_mode
+            if state is not None and state.compatible_with(signature, mode):
+                self.state = state
+            else:
+                self.state = CompilerState(pipeline_signature=signature, fingerprint_mode=mode)
 
     @property
     def pipeline_signature(self) -> str:

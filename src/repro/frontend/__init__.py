@@ -7,7 +7,7 @@ like a conventional production frontend (Clang-style):
 - :mod:`repro.frontend.source` — source files, positions, and spans.
 - :mod:`repro.frontend.diagnostics` — error/warning reporting.
 - :mod:`repro.frontend.lexer` — tokenization.
-- :mod:`repro.frontend.ast` — AST node definitions and visitors.
+- :mod:`repro.frontend.ast` — AST node definitions and traversal.
 - :mod:`repro.frontend.parser` — recursive-descent parser.
 - :mod:`repro.frontend.sema` — symbol tables and type checking.
 - :mod:`repro.frontend.includes` — ``include`` directive resolution.

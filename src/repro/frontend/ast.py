@@ -156,10 +156,6 @@ class BinaryOp(enum.Enum):
     def is_logical(self) -> bool:
         return self in (BinaryOp.LOGAND, BinaryOp.LOGOR)
 
-    @property
-    def is_arithmetic(self) -> bool:
-        return not self.is_comparison and not self.is_logical
-
 
 class Binary(Expr):
     _fields = ("span", "op", "lhs", "rhs")
@@ -439,25 +435,8 @@ class Program(Node):
 
 
 # --------------------------------------------------------------------------
-# Visitor
+# Traversal
 # --------------------------------------------------------------------------
-
-
-class ASTVisitor:
-    """Double-dispatch visitor over AST nodes.
-
-    Dispatches to ``visit_<ClassName>``; falls back to
-    :meth:`generic_visit`, which recurses into child nodes.  Subclasses
-    override only the hooks they care about.
-    """
-
-    def visit(self, node: Node):
-        method = getattr(self, f"visit_{type(node).__name__}", self.generic_visit)
-        return method(node)
-
-    def generic_visit(self, node: Node):
-        for child in iter_children(node):
-            self.visit(child)
 
 
 def iter_children(node: Node):

@@ -194,9 +194,6 @@ class IncludeResolver:
         """Drop a cached header (its file changed)."""
         self._header_cache.pop(path, None)
 
-    def invalidate_all(self) -> None:
-        self._header_cache.clear()
-
 
 _INCLUDE_LINE = re.compile(r'^\s*include\s+"([^"\n]+)"\s*;', re.MULTILINE)
 

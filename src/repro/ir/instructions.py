@@ -138,34 +138,34 @@ class Instruction(Value):
         # Value.__init__, inlined: every instruction of every pass runs this.
         self.ty = ty
         self.name = name
-        self._uses = set()
+        self._uses = {}
         self.opcode = opcode
         self.parent: "BasicBlock | None" = None
         self._operands: list[Value] = list(operands)
         for index, op in enumerate(self._operands):
-            op._uses.add(_new(Use, (self, index)))
+            op._uses[_new(Use, (self, index))] = None
 
     # -- operand management --------------------------------------------------
 
     def _append_operand(self, value: Value) -> None:
         operands = self._operands
-        value._uses.add(_new(Use, (self, len(operands))))
+        value._uses[_new(Use, (self, len(operands)))] = None
         operands.append(value)
 
     def set_operand(self, index: int, value: Value) -> None:
         use = _new(Use, (self, index))
-        self._operands[index]._uses.discard(use)
+        self._operands[index]._uses.pop(use, None)
         self._operands[index] = value
-        value._uses.add(use)
+        value._uses[use] = None
 
     def _pop_operand(self, index: int) -> Value:
         """Remove one operand slot, reindexing the uses of later slots."""
         operands = self._operands
         for later in range(index, len(operands)):
-            operands[later]._uses.discard(_new(Use, (self, later)))
+            operands[later]._uses.pop(_new(Use, (self, later)), None)
         value = operands.pop(index)
         for later in range(index, len(operands)):
-            operands[later]._uses.add(_new(Use, (self, later)))
+            operands[later]._uses[_new(Use, (self, later))] = None
         return value
 
     @property
@@ -175,7 +175,7 @@ class Instruction(Value):
     def drop_all_references(self) -> None:
         """Release every operand use (called when erasing)."""
         for index, op in enumerate(self._operands):
-            op._uses.discard(_new(Use, (self, index)))
+            op._uses.pop(_new(Use, (self, index)), None)
         self._operands.clear()
 
     # -- placement ----------------------------------------------------------
@@ -205,10 +205,6 @@ class Instruction(Value):
     @property
     def is_binary(self) -> bool:
         return self.opcode in BINARY_OPCODES
-
-    @property
-    def has_side_effects(self) -> bool:
-        return self.opcode in SIDE_EFFECT_OPCODES
 
     @property
     def is_pure(self) -> bool:

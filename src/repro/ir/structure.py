@@ -58,11 +58,6 @@ class BasicBlock:
                 break
         return result
 
-    def non_phis(self) -> Iterator[Instruction]:
-        for inst in self.instructions:
-            if not isinstance(inst, PhiInst):
-                yield inst
-
     def first_non_phi_index(self) -> int:
         for i, inst in enumerate(self.instructions):
             if not isinstance(inst, PhiInst):

@@ -35,17 +35,17 @@ class Value:
     def __init__(self, ty: IRType, name: str = ""):
         self.ty = ty
         self.name = name
-        #: Kept by :class:`Instruction`'s operand methods.
-        self._uses: set[Use] = set()
+        #: Kept by :class:`Instruction`'s operand methods: a dict used as
+        #: an ordered set, so uses iterate in the order they were added
+        #: (a set would iterate by address, which differs between
+        #: processes, and so would every pass's worklist order).
+        self._uses: dict[Use, None] = {}
 
     @property
-    def uses(self) -> set[Use]:
-        """The instructions (and operand slots) currently using this value."""
+    def uses(self) -> dict[Use, None]:
+        """The instructions (and operand slots) currently using this
+        value, in the order the uses were added."""
         return self._uses
-
-    @property
-    def users(self) -> set["Instruction"]:
-        return {u.user for u in self._uses}
 
     @property
     def is_used(self) -> bool:

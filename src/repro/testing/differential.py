@@ -14,8 +14,10 @@ fuzzable property:
    merge protocol;
 3. after every step compare linked images byte-for-byte
    (:meth:`~repro.backend.linker.LinkedImage.to_json`), per-unit
-   object JSON, and the stateful variants' bypass/record accounting
-   against each other; each variant's own counters must also satisfy
+   object JSON, and each policy's accounting across job counts: the
+   same records, the same record count, and the same executed, dormant,
+   bypassed and work counts for every pass; each variant's own counters
+   must also satisfy
    ``state.lookups >= state.records_refreshed (hits) >= bypassed``, and
    a memo-policy DB must hold no compiler state.
 
@@ -195,15 +197,10 @@ def run_differential_trace(
                     ))
 
         # The stateful variants of one policy must also agree with *each
-        # other* on the dormancy bookkeeping: after the -j N
-        # snapshot/delta merge, the record population must be
-        # *identical* to the serial build's — same keys, same verdicts,
-        # same GC timestamps — and so must the memo's reuse.  (Bypass
-        # *counters* legitimately differ: a serial build can bypass
-        # unit B via a record unit A created seconds earlier, while
-        # parallel workers only see the state snapshot from build
-        # start; determinism of the pass pipeline makes them converge
-        # on the same records regardless.)
+        # other*: every unit compiles against the state as the build
+        # started at every -j, so the record population (same keys,
+        # verdicts and GC timestamps), each pass's counters and the memo's
+        # reuse must be identical to the first job count's.
         for policy in POLICIES:
             baseline_j = jobs[0]
             base_db, base_report = dbs[policy, baseline_j], reports[policy, baseline_j]
@@ -211,24 +208,27 @@ def run_differential_trace(
                 other_db, other_report = dbs[policy, j], reports[policy, j]
                 base_state = base_db.live_state.records if base_db.live_state else None
                 other_state = other_db.live_state.records if other_db.live_state else None
-                if base_state != other_state:
-                    base_n = len(base_state) if base_state is not None else -1
-                    other_n = len(other_state) if other_state is not None else -1
+                if (base_state != other_state
+                        or base_report.state_records != other_report.state_records):
                     result.divergences.append(Divergence(
                         step, "records",
                         f"{policy.value}: dormancy records diverge: -j {baseline_j} "
-                        f"has {base_n}, -j {j} has {other_n} "
+                        f"has {base_report.state_records}, -j {j} has "
+                        f"{other_report.state_records} "
                         "(or equal counts, unequal contents)",
                     ))
-                base_work = base_report.bypass
-                other_work = other_report.bypass
-                if (base_work.executions + base_work.bypassed
-                        != other_work.executions + other_work.bypassed):
+                base_counts = base_report.bypass.counts()
+                other_counts = other_report.bypass.counts()
+                if base_counts != other_counts:
+                    passes = sorted(
+                        name for name in base_counts.keys() | other_counts.keys()
+                        if base_counts.get(name) != other_counts.get(name)
+                    )
                     result.divergences.append(Divergence(
                         step, "records",
-                        f"{policy.value}: pass-run totals differ: -j {baseline_j} saw "
-                        f"{base_work.executions + base_work.bypassed}, -j {j} saw "
-                        f"{other_work.executions + other_work.bypassed}",
+                        f"{policy.value}: per-pass counters differ between -j "
+                        f"{baseline_j} and -j {j} (executed, dormant, bypassed, "
+                        f"work) in {', '.join(passes)}",
                     ))
                 if base_report.memo != other_report.memo:
                     result.divergences.append(Divergence(

@@ -33,10 +33,6 @@ class Project(Struct):
     def total_lines(self) -> int:
         return sum(text.count("\n") + 1 for text in self.files.values())
 
-    @property
-    def total_bytes(self) -> int:
-        return sum(len(text) for text in self.files.values())
-
     def count_functions(self) -> int:
         """Number of function *definitions* across translation units."""
         from repro.frontend.parser import parse_source

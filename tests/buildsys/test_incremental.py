@@ -107,7 +107,7 @@ class TestMidBuildFailure:
         from repro.buildsys.parallel import BuildOptions
         from repro.frontend.diagnostics import CompileError
 
-        # The serial loop specifically (the parallel analogue lives in
+        # In process at -j 1 specifically (the pool analogue lives in
         # test_parallel.py): schedule order is [extra.mc, main.mc,
         # util.mc], so breaking the middle unit leaves a success before
         # the failure point and an unreached unit after it.

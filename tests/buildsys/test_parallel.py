@@ -11,6 +11,7 @@ from repro.buildsys import parallel
 from repro.buildsys.builddb import BuildDatabase
 from repro.buildsys.incremental import IncrementalBuilder
 from repro.buildsys.parallel import BuildOptions, compile_unit
+from repro.core.policies import SkipPolicy
 from repro.driver import Compiler, CompilerOptions
 from repro.frontend.diagnostics import CompileError
 from repro.frontend.includes import MemoryFileProvider
@@ -166,6 +167,65 @@ class TestDeterminism:
                 db.live_state.num_records,
             )
         assert reports["serial"][1] == reports["parallel"][1]
+
+
+#: One function's body in two units (under two names) and a header
+#: constant both read: a header edit dirties both units again.
+DUPLICATED = {
+    "shared.mh": (
+        "const int BIAS = 5;\nint mix(int a, int b);\nint left(int x);\nint right(int x);\n"
+    ),
+    "left.mc": (
+        'include "shared.mh";\n'
+        "int mix(int a, int b) {\n"
+        "  int r = a;\n"
+        "  if (b > a) { r = b - a; } else { r = a * 3 + b; }\n"
+        "  return r;\n"
+        "}\n"
+        "int left(int x) {\n"
+        "  int acc = 0;\n"
+        "  for (int i = 0; i < x; i = i + 1) { acc = acc + i * 2 + 1; }\n"
+        "  return acc + BIAS;\n"
+        "}\n"
+    ),
+    "right.mc": (
+        'include "shared.mh";\n'
+        "int right(int x) {\n"
+        "  int acc = 0;\n"
+        "  for (int i = 0; i < x; i = i + 1) { acc = acc + i * 2 + 1; }\n"
+        "  return acc + BIAS;\n"
+        "}\n"
+        "int main() { print(left(3) + right(4) + mix(2, 9)); return 0; }\n"
+    ),
+}
+
+
+class TestSameBuildAtEveryJobCount:
+    """A unit never sees records another unit wrote in the same build."""
+
+    def test_duplicated_function_builds_alike_at_j1_and_j2(self):
+        units = ["left.mc", "right.mc"]
+        edited = dict(DUPLICATED, **{"shared.mh": DUPLICATED["shared.mh"].replace("5", "6")})
+        seen = {}
+        for build_options in (SERIAL, BuildOptions(jobs=2)):
+            db, builds = BuildDatabase(), []
+            for files in (DUPLICATED, edited):
+                report = build(
+                    files, db, units, build_options,
+                    stateful=True, policy=SkipPolicy.FINE_GRAINED,
+                )
+                assert report.jobs == build_options.jobs
+                counts = {
+                    name: [c["executed"], c["dormant"], c["bypassed"], c["work"]]
+                    for name, c in report.bypass.by_pass.items()
+                }
+                objects = {path: db.units[path].object_json for path in units}
+                builds.append((counts, report.state_records, objects))
+            seen[build_options.jobs] = builds
+        assert seen[1] == seen[2]
+        # The edit build bypassed: records from the clean build applied.
+        edit_counts = seen[1][1][0]
+        assert sum(bypassed for _, _, bypassed, _ in edit_counts.values()) > 0
 
 
 class TestStateCounters:
@@ -350,8 +410,8 @@ class TestPoolFallback:
 
 
 class TestBrokenPool:
-    """A worker that dies mid-build breaks the pool; the builder then
-    compiles every unit in its serial loop against the live state."""
+    """A worker that dies mid-build breaks the pool; every unit then
+    compiles in process, as at -j 1, against the live state."""
 
     def test_pool_that_breaks_mid_build_builds_serially(self, monkeypatch):
         db_s, db_p = BuildDatabase(), BuildDatabase()
@@ -373,17 +433,17 @@ class TestBrokenPool:
 
 class TestCompileUnitHelper:
     def test_outcome_round_trips_object_and_delta(self):
-        provider = MemoryFileProvider(FILES)
-        options = CompilerOptions(stateful=True)
-        state = Compiler(provider, options).state.snapshot()
-        outcome = compile_unit(provider, options, state, "util.mc", worker="w0")
+        compiler = Compiler(MemoryFileProvider(FILES), CompilerOptions(stateful=True))
+        state = compiler.state
+        outcome = compile_unit(compiler, "util.mc", worker="w0")
         assert not outcome.failed and outcome.worker == "w0"
         assert outcome.delta is not None and outcome.delta.num_records > 0
-        assert state.num_records == 0  # the shipped snapshot stays pristine
+        # The unit wrote to a snapshot: the compiler's state stays pristine.
+        assert compiler.state is state and state.num_records == 0
 
     def test_outcome_captures_compile_error(self):
         provider = MemoryFileProvider({"bad.mc": "int main() { return nope(); }\n"})
-        outcome = compile_unit(provider, CompilerOptions(), None, "bad.mc")
+        outcome = compile_unit(Compiler(provider, CompilerOptions()), "bad.mc")
         assert outcome.failed and outcome.error_kind == "compile"
         assert outcome.diagnostics
         assert isinstance(outcome.exception(), CompileError)
@@ -393,7 +453,7 @@ class TestCompileUnitHelper:
         from repro.frontend.includes import IncludeError
 
         provider = MemoryFileProvider({"bad.mc": 'include "gone.mh";\nint main() { return 0; }\n'})
-        outcome = compile_unit(provider, CompilerOptions(), None, "bad.mc")
+        outcome = compile_unit(Compiler(provider, CompilerOptions()), "bad.mc")
         assert outcome.failed and outcome.error_kind == "include"
         assert isinstance(outcome.exception(), IncludeError)
         assert str(outcome.exception()) == outcome.error_message

@@ -193,7 +193,7 @@ class TestPipelineSignature:
 
 
 class TestSnapshotDelta:
-    """The parallel-build snapshot/delta-merge protocol."""
+    """The build's snapshot/delta-merge protocol."""
 
     def test_snapshot_is_isolated(self):
         state = make_state(build_counter=7)
@@ -209,36 +209,43 @@ class TestSnapshotDelta:
         snap.lookup(0, digest("a"))
         assert state.records[(0, digest("a"))].last_used_build == 7
 
-    def test_extract_delta_requires_tracking(self):
-        with pytest.raises(RuntimeError):
-            make_state().extract_delta()
+    def test_delta_holds_only_the_snapshots_writes(self):
+        # A snapshot folds its parent's overlay first, so the records
+        # written before it never ride along in its delta.
+        state = make_state(build_counter=3)
+        state.remember(0, digest("before"), True, digest("before"))
+        snap = state.snapshot()
+        assert snap.delta().records == {}
+        assert snap.records[(0, digest("before"))] == state.records[(0, digest("before"))]
+        snap.remember(1, digest("after"), False, digest("after2"))
+        assert set(snap.delta().records) == {(1, digest("after"))}
+        assert state.num_records == 1 and snap.num_records == 2
 
     def test_delta_contains_writes_and_lookup_refreshes(self):
         state = make_state(build_counter=3)
         state.remember(0, digest("old"), True, digest("old"))
         state.remember(0, digest("untouched"), True, digest("untouched"))
         state.build_counter = 4
-        state.begin_delta_tracking()
-        state.lookup(0, digest("old"))            # refresh only
-        state.lookup(5, digest("miss"))           # miss: not in the delta
-        state.remember(1, digest("new"), False, digest("new2"))
-        delta = state.extract_delta()
+        snap = state.snapshot()
+        snap.lookup(0, digest("old"))             # refresh only
+        snap.lookup(5, digest("miss"))            # miss: not in the delta
+        snap.remember(1, digest("new"), False, digest("new2"))
+        delta = snap.delta()
         assert set(delta.records) == {(0, digest("old")), (1, digest("new"))}
         assert delta.build_counter == 4
-        # Everything a worker touched is stamped with its build tick.
+        # Everything a unit wrote is stamped with its build tick.
         assert all(r.last_used_build == 4 for r in delta.records.values())
 
     def test_records_are_immutable(self):
-        state = make_state()
-        state.begin_delta_tracking()
-        state.remember(0, digest("a"), True, digest("a"))
-        delta = state.extract_delta()
+        snap = make_state().snapshot()
+        snap.remember(0, digest("a"), True, digest("a"))
+        delta = snap.delta()
         record = delta.records[(0, digest("a"))]
-        assert record is state.records[(0, digest("a"))]  # shared, not copied
+        assert record is snap.records[(0, digest("a"))]  # shared, not copied
         for field in DormancyRecord._fields:
             with pytest.raises(AttributeError):
                 setattr(record, field, None)
-        assert state.records[(0, digest("a"))] == DormancyRecord(True, digest("a"), 0)
+        assert snap.records[(0, digest("a"))] == DormancyRecord(True, digest("a"), 0)
 
     def test_lookup_hit_replaces_the_record(self):
         state = make_state(build_counter=1)
@@ -250,10 +257,9 @@ class TestSnapshotDelta:
 
     def test_merge_disjoint_deltas_is_order_independent(self):
         def worker_delta(position, fp):
-            snap = make_state(build_counter=2)
-            snap.begin_delta_tracking()
+            snap = make_state(build_counter=2).snapshot()
             snap.remember(position, fp, True, fp)
-            return snap.extract_delta()
+            return snap.delta()
 
         a, b = worker_delta(0, digest("f1")), worker_delta(3, digest("f2"))
         ab, ba = make_state(build_counter=2), make_state(build_counter=2)
@@ -283,9 +289,9 @@ class TestSnapshotDelta:
         assert state.records[(0, digest("f"))].last_used_build == 9
 
     def test_gc_after_merge_prunes_like_serial(self):
-        # A record only touched by one worker must survive GC exactly as
-        # if the serial loop had consulted it; an untouched ancient
-        # record must be pruned either way.
+        # A record only consulted through a unit's snapshot must survive
+        # GC exactly as if the live state had been consulted; an untouched
+        # ancient record must be pruned either way.
         def run(merge_parallel):
             state = make_state(build_counter=50, gc_max_age=10, records={
                 (0, digest("hot")): DormancyRecord(True, digest("hot"), 49),
@@ -294,9 +300,8 @@ class TestSnapshotDelta:
             state.build_counter = 51
             if merge_parallel:
                 snap = state.snapshot()
-                snap.begin_delta_tracking()
                 snap.lookup(0, digest("hot"))
-                state.merge_delta(snap.extract_delta())
+                state.merge_delta(snap.delta())
             else:
                 state.lookup(0, digest("hot"))
             state.collect_garbage()

@@ -204,6 +204,18 @@ class TestSafety:
         state = fresh_state()
         assert not state.compatible_with(state.pipeline_signature, "named")
 
+    def test_compiler_adopts_only_a_compatible_state(self):
+        provider = MemoryFileProvider({})
+        o2 = CompilerOptions(opt_level="O2", stateful=True)
+        state = Compiler(provider, o2).state
+        assert Compiler(provider, o2, state=state).state is state
+        for options in (
+            CompilerOptions(opt_level="O1", stateful=True),
+            CompilerOptions(opt_level="O2", stateful=True, fingerprint_mode="named"),
+        ):
+            fresh = Compiler(provider, options, state=state).state
+            assert fresh is not state and fresh.num_records == 0
+
     def test_named_mode_also_safe(self):
         pipeline = build_pipeline("O2")
         state = CompilerState(

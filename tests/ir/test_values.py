@@ -105,3 +105,16 @@ class TestUseDef:
         BinaryInst(Opcode.MUL, a, const_i64(1), "u")
         with pytest.raises(ValueError, match="still has uses"):
             a.erase()
+
+    def test_uses_iterate_in_insertion_order(self):
+        # Passes walk a value's uses to build worklists (sccp's solver,
+        # RAUW, DCE); the order must not depend on where the users sit
+        # in memory, which differs between a build's processes.
+        a = BinaryInst(Opcode.ADD, const_i64(1), const_i64(2), "a")
+        users = [BinaryInst(Opcode.MUL, a, const_i64(i), f"u{i}") for i in range(64)]
+        assert [u.user for u in a.uses] == users
+        # Dropping a use keeps the others in order; a moved use goes last.
+        users[10].set_operand(0, const_i64(0))
+        users[3].set_operand(1, a)
+        expected = [(u, 0) for u in users if u is not users[10]] + [(users[3], 1)]
+        assert [(u.user, u.index) for u in a.uses] == expected
