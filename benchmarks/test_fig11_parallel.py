@@ -6,8 +6,9 @@ every parallel image is bit-identical to the serial one.
 
 Speedup numbers only mean something on a multi-core runner; the
 benchmark therefore asserts determinism unconditionally but only
-expects scaling when the hardware can deliver it.  ``reprobench
-parallel`` runs the same sweep at the ``large`` preset from the CLI.
+expects scaling when the hardware can deliver it.  Like every figure,
+it runs at ``bench_util.DEFAULT_PRESET``; edit that to scale it to
+``large``.
 """
 
 import os

@@ -14,9 +14,7 @@ from repro.bench.dormancy import clean_build_dormancy, dormancy_persistence
 from repro.bench.sweeps import edit_size_sweep, fingerprint_ablation, granularity_ablation
 from repro.bench.breakdown import pass_breakdown
 from repro.bench.overheads import overhead_report
-from repro.bench.correctness import correctness_check
 from repro.bench.projects import project_characteristics
-from repro.bench.report import ReportConfig, generate_report
 
 __all__ = [
     "format_table",
@@ -30,8 +28,5 @@ __all__ = [
     "granularity_ablation",
     "pass_breakdown",
     "overhead_report",
-    "correctness_check",
     "project_characteristics",
-    "ReportConfig",
-    "generate_report",
 ]

@@ -213,11 +213,11 @@ class StateStore:
         if self.base_path is not None:
             self._pending = blob
 
-    def flush(self, *, durable: bool = True) -> None:
+    def flush(self) -> None:
         """Write what :meth:`stage` encoded, with one atomic write."""
         if self._pending is not None:
             # Framed at stage time, where its size was needed.
-            atomic_write(self.base_path, self._pending, checksum=False, durable=durable)
+            atomic_write(self.base_path, self._pending, checksum=False)
             self._pending = None
 
 
@@ -429,25 +429,23 @@ class BuildDatabase:
 
     # -- file I/O -----------------------------------------------------------
 
-    def save(self, path: str | Path, *, durable: bool = True) -> int:
+    def save(self, path: str | Path) -> int:
         """Write the whole DB and its state to ``path``; returns the DB
         file's on-disk size, and binds the DB to ``path``.
 
         The state goes first, as ``<path>.state``;
         then the DB, with the checksummed frame + temp file + fsync +
         atomic rename of :func:`repro.persist.atomic_write`.
-        ``durable=False`` skips the fsyncs (benchmarks measuring the
-        protocol's cost use it).
         """
         path = Path(path)
         state = self.live_state
         store = StateStore(f"{path}.state")
         if state is not None:
             store.stage(state)
-            store.flush(durable=durable)
+            store.flush()
             self.state_summary = state.size_summary()
         self._store, self.path = store, path
-        return self._write(durable)
+        return self._write()
 
     def save_changes(self) -> int:
         """Write what changed since the DB was loaded or last saved, durably.
@@ -460,13 +458,11 @@ class BuildDatabase:
             raise ValueError("save_changes() needs a DB loaded from or saved to a path")
         self._store.flush()
         if self._dirty:
-            return self._write(durable=True)
+            return self._write()
         return self.disk_bytes
 
-    def _write(self, durable: bool) -> int:
-        self.disk_bytes = atomic_write(
-            self.path, self.to_json().encode("utf-8"), durable=durable
-        )
+    def _write(self) -> int:
+        self.disk_bytes = atomic_write(self.path, self.to_json().encode("utf-8"))
         self._dirty = False
         return self.disk_bytes
 

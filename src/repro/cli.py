@@ -227,87 +227,6 @@ def reproc_main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def reprobench_main(argv: list[str] | None = None) -> int:
-    """Run the full evaluation and print/write the combined report."""
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "parallel":
-        return reprobench_parallel_main(argv[1:])
-
-    parser = argparse.ArgumentParser(prog="reprobench", description="evaluation report")
-    parser.add_argument("-o", "--output", help="write the report to a file as well")
-    parser.add_argument(
-        "--preset", action="append", dest="presets",
-        help="project preset(s) to evaluate (repeatable; default tiny/small/medium)",
-    )
-    parser.add_argument("--edits", type=int, default=8, help="edit-trace length")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument(
-        "-j", "--jobs", type=int, default=1,
-        help="compile jobs per build in the experiments (default 1 = serial)",
-    )
-    args = parser.parse_args(argv)
-
-    from repro.bench.report import ReportConfig, generate_report
-
-    config = ReportConfig(num_edits=args.edits, seed=args.seed, jobs=args.jobs)
-    if args.presets:
-        config = ReportConfig(
-            presets=tuple(args.presets),
-            headline_presets=tuple(args.presets[-2:]),
-            dormancy_preset=args.presets[-1],
-            num_edits=args.edits,
-            seed=args.seed,
-            jobs=args.jobs,
-        )
-    report = generate_report(config)
-    print(report)
-    if args.output:
-        Path(args.output).write_text(report + "\n")
-    return 0
-
-
-def reprobench_parallel_main(argv: list[str] | None = None) -> int:
-    """``reprobench parallel``: the -j scaling sweep (Figure 11)."""
-    parser = argparse.ArgumentParser(
-        prog="reprobench parallel",
-        description="clean-build wall time, speedup, and efficiency per job count",
-    )
-    parser.add_argument("--preset", default="large", help="project preset (default large)")
-    parser.add_argument(
-        "--jobs", default="1,2,4,8",
-        help="comma-separated job counts to sweep (default 1,2,4,8)",
-    )
-    parser.add_argument("--stateful", action="store_true", help="sweep the stateful compiler")
-    parser.add_argument("--repeats", type=int, default=3, help="builds per point; best kept")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument(
-        "-o", "--output", default="benchmarks/results/fig11_parallel.txt",
-        help="result file (default benchmarks/results/fig11_parallel.txt)",
-    )
-    args = parser.parse_args(argv)
-
-    from repro.bench.parallel import format_parallel_sweep, parallel_sweep
-
-    try:
-        jobs = [int(j) for j in args.jobs.split(",") if j.strip()]
-    except ValueError:
-        print(f"reprobench parallel: bad --jobs list: {args.jobs}", file=sys.stderr)
-        return 2
-    points = parallel_sweep(
-        args.preset,
-        jobs,
-        stateful=args.stateful,
-        repeats=args.repeats,
-        seed=args.seed,
-    )
-    text = format_parallel_sweep(args.preset, points, stateful=args.stateful)
-    print(text)
-    output = Path(args.output)
-    output.parent.mkdir(parents=True, exist_ok=True)
-    output.write_text(text + "\n")
-    return 0
-
-
 def _save_db_or_warn(db: BuildDatabase) -> bool:
     """Persist the DB's changes, degrading to a warning when the disk says no.
 
@@ -848,15 +767,13 @@ def reprobuild_dashboard_main(argv: list[str] | None = None) -> int:
 def _dispatch_main() -> int:
     """Pick the entry point by invocation name.
 
-    The module hosts three tools; ``python -m repro.cli`` and direct
+    The module hosts two tools; ``python -m repro.cli`` and direct
     execution both land here, so dispatch on how we were invoked rather
     than unconditionally running ``reproc``.
     """
     name = Path(sys.argv[0]).name
     if "reprobuild" in name:
         return reprobuild_main()
-    if "reprobench" in name:
-        return reprobench_main()
     return reproc_main()
 
 

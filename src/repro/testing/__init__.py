@@ -11,25 +11,7 @@ reused by every robustness story since:
   stateless clean builds over random edit traces.
 """
 
-from repro.testing.differential import (
-    DifferentialResult,
-    Divergence,
-    run_differential_trace,
-)
-from repro.testing.faults import (
-    ERRNO,
-    KILL,
-    KILL_AFTER,
-    KINDS,
-    OPS,
-    TORN,
-    FaultBackend,
-    FaultPlan,
-    FaultSpec,
-    InjectedCrash,
-    count_io_ops,
-    inject_faults,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "DifferentialResult",
@@ -48,3 +30,15 @@ __all__ = [
     "count_io_ops",
     "inject_faults",
 ]
+
+# Lazy, so ``python -m repro.testing.differential`` finds the module it
+# runs not yet imported by its own package.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.testing.differential": (
+        "DifferentialResult", "Divergence", "run_differential_trace",
+    ),
+    "repro.testing.faults": (
+        "ERRNO", "KILL", "KILL_AFTER", "KINDS", "OPS", "TORN", "FaultBackend",
+        "FaultPlan", "FaultSpec", "InjectedCrash", "count_io_ops", "inject_faults",
+    ),
+})

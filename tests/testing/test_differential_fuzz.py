@@ -8,9 +8,14 @@ identical final dormancy-record populations, and consistent pass-run
 totals.  Twenty-five seeds is the floor demanded by the issue.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.testing import run_differential_trace
+from tests.conftest import SRC
 
 #: The fixed corpus: 25 seeds, as the acceptance criteria require.
 SEEDS = list(range(1, 26))
@@ -68,3 +73,22 @@ def test_fuzzer_cli_entry_point(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "2/2" in out
+
+
+def test_fuzzer_runs_as_a_module_without_runtime_warning(tmp_path):
+    # ``python -m`` imports the package first; an eager re-export of the
+    # fuzzer from ``repro.testing`` makes runpy warn that the module was
+    # already imported.  CI runs the fuzzer with that warning as an error.
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = SRC
+    proc = subprocess.run(
+        [
+            sys.executable, "-W", "error::RuntimeWarning",
+            "-m", "repro.testing.differential",
+            "--traces", "1", "--edits", "1", "--jobs", "1",
+        ],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert "1/1 traces clean" in proc.stdout
