@@ -66,7 +66,7 @@ def test_atomic_write_and_lock_overhead_under_budget(benchmark, tmp_path):
         # predates crash safety), so it is hoisted out of the timing.
         from repro.persist import atomic_write
 
-        blob = BuildDatabase.load(db_path).to_json().encode("utf-8")
+        blob = BuildDatabase.load(db_path).to_json()
         legacy_path = tmp_path / "legacy.reprodb"
         lock = BuildLock(tmp_path / "bench.lock", timeout=5.0)
         durable, legacy, lock_times = [], [], []

@@ -1,13 +1,12 @@
 #!/usr/bin/env python3
-"""Toolchain tour: formatter, disassembler, and execution profiler.
+"""Toolchain tour: formatter, disassembler, and virtual machine.
 
 The supporting tools a compiler repo ships alongside the compiler:
 
 1. format MiniC source canonically (``repro.frontend.printer``);
 2. disassemble the compiled object and the linked image
    (``repro.backend.disasm``);
-3. profile the program's execution per function
-   (``repro.vm.profiler``).
+3. run the linked image (``repro.vm.machine``).
 
 Run:  python examples/toolchain_tour.py
 """
@@ -18,7 +17,7 @@ from repro.backend.objfile import compile_module_to_object
 from repro.driver import Compiler, CompilerOptions
 from repro.frontend.includes import MemoryFileProvider
 from repro.frontend.printer import format_source
-from repro.vm.profiler import profile_run
+from repro.vm.machine import VirtualMachine
 
 MESSY_SOURCE = """
 int   gcd(int a,int b){while(b!=0){int t=b;b=a%b;a=t;}return a;}
@@ -49,13 +48,9 @@ def main() -> None:
     print("\n".join(disassemble_image(image).splitlines()[:15]))
     print("  ...\n")
 
-    print("== 5. execution profile ==")
-    report = profile_run(image)
-    print(f"program output: {report.result.output}\n")
-    print(report.render())
-    hottest = report.hottest(1)[0]
-    print(f"\nhottest function: {hottest.name} "
-          f"({hottest.steps} steps over {hottest.calls} calls)")
+    print("== 5. run ==")
+    result = VirtualMachine(image).run()
+    print(f"program output: {result.output}, exit code {result.exit_code}")
 
 
 if __name__ == "__main__":

@@ -9,7 +9,6 @@ from repro.analysis.alias import AliasResult, classify_pointer, may_alias
 from repro.analysis.cfg import postorder, reachable_blocks, reverse_postorder
 from repro.analysis.callgraph import CallGraph
 from repro.analysis.dominators import DominatorTree
-from repro.analysis.liveness import LivenessInfo, compute_liveness
 from repro.analysis.loops import Loop, find_natural_loops
 from repro.analysis.postdominators import PostDominatorTree
 
@@ -22,8 +21,6 @@ __all__ = [
     "reverse_postorder",
     "CallGraph",
     "DominatorTree",
-    "LivenessInfo",
-    "compute_liveness",
     "Loop",
     "find_natural_loops",
     "PostDominatorTree",

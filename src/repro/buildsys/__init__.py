@@ -11,7 +11,7 @@ instead of — a competent build system:
   missing-header tolerance.
 - :mod:`repro.buildsys.builddb` — the content-digest
   :class:`BuildDatabase`: per-unit digests, dependency digests, object
-  options, cached object JSON and the last link's key; the live
+  options, cached objects (deflated JSON) and the last link's key; the live
   :class:`~repro.core.state.CompilerState` persists beside it
   (:class:`~repro.buildsys.builddb.StateStore`: one checksummed file),
   read and written only by builds that compile.

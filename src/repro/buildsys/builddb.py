@@ -1,15 +1,18 @@
 """The build database: content digests, cached objects, compiler state.
 
-One JSON file per build tree, playing the role of ninja's ``.ninja_log``
+One file per build tree, playing the role of ninja's ``.ninja_log``
 + ``.ninja_deps`` + the object directory.  Under the fine and coarse
 policies the stateful compiler's :class:`~repro.core.state.CompilerState`
 lives in a second file beside it; a memo-policy build keeps its memo
 keys in the DB and never reads or writes that file:
 
-- ``<db>`` — per unit: source digest, the digest of every transitively
+- ``<db>`` — one JSON header line, then each unit's object JSON
+  deflated with :mod:`zlib`, in the header's unit order.  The header
+  holds per unit: source digest, the digest of every transitively
   included header (``None`` for headers that were missing when the unit
-  was built), the options that shape its object, the object's JSON and,
-  after a memo-policy compile, each function's memo key.
+  was built), the options that shape its object, the object's digest
+  and deflated length, its link interface and, after a memo-policy
+  compile, each function's memo key.
   Also the key of the last successful link and a summary of the state
   (records, bytes, GC counters), so a no-op build can report the state
   without reading it.
@@ -29,7 +32,10 @@ when a build compiles a unit, and written only by such builds (see
 refreshed into the table and rewrites the file, so encoding costs what
 the build touched.  Loading the state decodes no record (see
 :mod:`repro.core.state`).  The DB file is rewritten only when something
-in it changed.
+in it changed, and then an unchanged unit's object is written back as
+the deflated bytes it was loaded as: a build deflates only the objects
+it compiled (on the process that compiled them) and inflates an object
+only when something reads its JSON (:attr:`UnitRecord.object_json`).
 
 **The link-skip invariant.**  :attr:`BuildDatabase.linked` holds
 :meth:`BuildDatabase.link_key` of the last link that *succeeded*: a
@@ -57,10 +63,13 @@ says, never what a build outputs.
 Like the compiler state, the DB is disposable: a missing or
 schema-incompatible file loads as an empty database and the next build
 is simply a clean build.  A *corrupt* file (zero bytes, torn JSON, a
-failed checksum) raises the typed :class:`CorruptDatabaseError` so the
+failed checksum, object lengths that do not add up to the body) raises
+the typed :class:`CorruptDatabaseError` so the
 caller can log what happened before falling back to the same full
 rebuild — cache loss is a performance event, never a correctness one,
 but silent cache loss is a diagnosis event someone deserves to see.
+A stored object that does not inflate raises the same error when it is
+read (``reprobuild`` then rebuilds from scratch).
 A damaged state file loads as no state, silently.
 
 Writes go through :func:`repro.persist.atomic_write` (checksummed frame,
@@ -73,6 +82,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import zlib
 from pathlib import Path
 
 from repro._struct import Struct
@@ -91,13 +101,17 @@ from repro.persist import (
 #: went; v3 moved the compiler state into ``<db>.state*`` and added
 #: per-unit object options and digests plus the last link's key; v4
 #: added each object's link interface (:attr:`UnitRecord.symbols`); v5
-#: added each unit's memo keys (:attr:`UnitRecord.memo`).
-#: v1/v2 files still load; their units carry no options, so they
-#: rebuild.  A v3 unit gets its interface from its object when a link
-#: is first checked.  A v3/v4 unit has no memo keys, so its next
-#: compile under the memo policy compiles every function.
-DB_SCHEMA_VERSION = 5
-_READABLE_SCHEMAS = (1, 2, 3, 4, 5)
+#: added each unit's memo keys (:attr:`UnitRecord.memo`); v6 moved each
+#: object out of the JSON, deflated, behind the header line.
+#: A v5 file still loads, its objects inline, and its next save writes
+#: v6.  v1-v4 files load as an empty DB: a clean build.
+DB_SCHEMA_VERSION = 6
+_READABLE_SCHEMAS = (5, 6)
+
+
+def deflate(object_json: str) -> bytes:
+    """An object's JSON as the DB file stores it."""
+    return zlib.compress(object_json.encode("utf-8"))
 
 
 class CorruptDatabaseError(PersistError):
@@ -120,8 +134,8 @@ class UnitRecord(Struct):
     """What the last successful build of one translation unit saw."""
 
     _fields = (
-        "path", "source_digest", "dep_digests", "object_json", "stats", "wall_time",
-        "worker", "options", "object_digest", "symbols", "memo", "functions_reused",
+        "path", "source_digest", "dep_digests", "object_blob", "object_digest", "stats",
+        "wall_time", "worker", "options", "symbols", "memo", "functions_reused",
     )
 
     def __init__(
@@ -129,12 +143,12 @@ class UnitRecord(Struct):
         path: str,
         source_digest: str,
         dep_digests: dict[str, str | None],
-        object_json: str,
+        object_blob: bytes,
+        object_digest: str,
         stats: dict | None = None,
         wall_time: float = 0.0,
         worker: str = "main",
         options: str = "",
-        object_digest: str = "",
         symbols: dict | None = None,
         memo: dict[str, str] | None = None,
         functions_reused: int = 0,
@@ -143,29 +157,49 @@ class UnitRecord(Struct):
         self.source_digest = source_digest
         #: Include-closure digests at build time (``None`` = header missing).
         self.dep_digests = dep_digests
-        #: The compiled object, cached verbatim for up-to-date reuse.
-        self.object_json = object_json
+        #: The compiled object's JSON, deflated (:func:`deflate`), cached
+        #: for up-to-date reuse and written back as it was loaded.
+        self.object_blob = object_blob
+        #: Content digest of :attr:`object_json` (a link input's identity).
+        self.object_digest = object_digest
         #: Bypass statistics of the recording compile
-        #: (:meth:`~repro.core.statistics.BypassStatistics.to_dict` payload;
-        #: empty for records loaded from v1 databases).
+        #: (:meth:`~repro.core.statistics.BypassStatistics.to_dict` payload).
         self.stats = {} if stats is None else stats
-        #: Wall-clock seconds of the recording compile (0.0 = unknown).
+        #: Wall-clock seconds of the recording compile.
         self.wall_time = wall_time
         #: Who compiled it: "main" (in-process) or "pid-<n>" (a pool worker).
         self.worker = worker
         #: :attr:`~repro.driver.CompilerOptions.object_options` of the
-        #: recording compile ("" = not recorded, as in v1/v2 databases).
+        #: recording compile.
         self.options = options
-        #: Content digest of :attr:`object_json` (a link input's identity).
-        self.object_digest = object_digest or content_digest(object_json)
-        #: The object's :meth:`~repro.backend.objfile.ObjectFile.link_symbols`
-        #: (``None`` = not yet known, as in v1-v3 databases).
+        #: The object's :meth:`~repro.backend.objfile.ObjectFile.link_symbols`.
         self.symbols = symbols
         #: ``{function: memo key}`` of the compile that made the object
         #: (empty unless it ran under the memo policy).
         self.memo = {} if memo is None else memo
         #: How many of those functions reused an earlier object's code.
         self.functions_reused = functions_reused
+        self._object_json: str | None = None
+
+    @property
+    def object_json(self) -> str:
+        """The compiled object's JSON, inflated on first read.
+
+        Raises :class:`CorruptDatabaseError` when the stored bytes do
+        not inflate.
+        """
+        if self._object_json is None:
+            try:
+                self._object_json = zlib.decompress(self.object_blob).decode("utf-8")
+            except (zlib.error, UnicodeDecodeError) as exc:
+                raise CorruptDatabaseError(
+                    self.path, f"its stored object does not inflate ({exc})"
+                ) from exc
+        return self._object_json
+
+    @object_json.setter
+    def object_json(self, text: str) -> None:
+        self.object_blob, self._object_json = deflate(text), text
 
 
 class StateStore:
@@ -298,8 +332,10 @@ class BuildDatabase:
     def record_unit(
         self,
         snapshot: DependencySnapshot,
-        object_json: str,
+        object_json: str | None = None,
         *,
+        object_blob: bytes | None = None,
+        object_digest: str = "",
         options: str = "",
         stats: dict | None = None,
         wall_time: float = 0.0,
@@ -309,13 +345,20 @@ class BuildDatabase:
         functions_reused: int = 0,
     ) -> None:
         """Store a fresh compilation result for one unit and, when the
-        compiler computed them, its object's link interface and memo keys."""
+        compiler computed them, its object's link interface and memo keys.
+
+        The object comes as its JSON, or already deflated with the
+        JSON's digest (``object_blob``, ``object_digest``).
+        """
         assert snapshot.source_digest is not None
+        if object_blob is None:
+            object_blob, object_digest = deflate(object_json), content_digest(object_json)
         self.units[snapshot.path] = UnitRecord(
             path=snapshot.path,
             source_digest=snapshot.source_digest,
             dep_digests=dict(snapshot.dep_digests),
-            object_json=object_json,
+            object_blob=object_blob,
+            object_digest=object_digest,
             stats=dict(stats) if stats else {},
             wall_time=wall_time,
             worker=worker,
@@ -344,20 +387,6 @@ class BuildDatabase:
             digest.update(f"{path}\0{record.options}\0{record.object_digest}\n".encode())
         return digest.hexdigest()
 
-    def link_symbols(self, path: str) -> dict:
-        """The link interface of ``path``'s recorded object.
-
-        A record without one (read from a v1-v3 DB) gets it from its
-        object, once: the DB is marked changed, so the next save keeps it.
-        """
-        record = self.units[path]
-        if record.symbols is None:
-            from repro.backend.objfile import ObjectFile
-
-            record.symbols = ObjectFile.from_json(record.object_json).link_symbols()
-            self._dirty = True
-        return record.symbols
-
     def mark_linked(self, key: str | None) -> None:
         """Record which link inputs last linked successfully."""
         if key != self.linked:
@@ -366,8 +395,11 @@ class BuildDatabase:
 
     # -- serialization ------------------------------------------------------
 
-    def to_json(self) -> str:
-        payload = {
+    def to_json(self) -> bytes:
+        """The DB file's payload: a JSON header line, then every unit's
+        deflated object in the header's unit order."""
+        records = sorted(self.units.values(), key=lambda r: r.path)
+        header = {
             "schema": DB_SCHEMA_VERSION,
             "units": [
                 {
@@ -375,8 +407,8 @@ class BuildDatabase:
                     "source": r.source_digest,
                     "deps": [[p, d] for p, d in sorted(r.dep_digests.items())],
                     "options": r.options,
-                    "object": r.object_json,
                     "object_digest": r.object_digest,
+                    "object_bytes": len(r.object_blob),
                     "stats": r.stats,
                     "wall": r.wall_time,
                     "worker": r.worker,
@@ -384,47 +416,53 @@ class BuildDatabase:
                     "memo": r.memo,
                     "reused": r.functions_reused,
                 }
-                for r in sorted(self.units.values(), key=lambda r: r.path)
+                for r in records
             ],
             "linked": self.linked,
             # The records themselves live in <db>.state; this summary
             # lets a build that never loads them still report them.
             "state": self.state_summary,
         }
-        return json.dumps(payload, separators=(",", ":"))
+        head = json.dumps(header, separators=(",", ":")).encode("utf-8")
+        return b"\n".join([head, b"".join([r.object_blob for r in records])])
 
     @classmethod
-    def from_json(cls, text: str) -> "BuildDatabase":
-        payload = json.loads(text)
-        if payload.get("schema") not in _READABLE_SCHEMAS:
-            raise ValueError(
-                f"build DB schema {payload.get('schema')} not in {_READABLE_SCHEMAS}"
-            )
-        return cls._from_payload(payload)
-
-    @classmethod
-    def _from_payload(cls, payload: dict) -> "BuildDatabase":
-        db = cls()
-        for entry in payload["units"]:
+    def _from_payload(cls, header: dict, body: bytes) -> "BuildDatabase":
+        """Decode a v5 or v6 payload: its header, and the body of
+        deflated objects behind it (empty in v5, whose objects are inline)."""
+        db, offset = cls(), 0
+        v5 = header["schema"] == 5
+        for entry in header["units"]:
+            if v5:
+                if entry["symbols"] is None:
+                    continue  # a v3 record that never got its link interface: rebuild it
+                blob = deflate(entry["object"])
+            else:
+                size = entry["object_bytes"]
+                blob = body[offset:offset + size]
+                if len(blob) != size:
+                    raise ValueError(f"the object of {entry['path']} overruns the body")
+                offset += size
             db.units[entry["path"]] = UnitRecord(
                 path=entry["path"],
                 source_digest=entry["source"],
                 dep_digests={p: d for p, d in entry["deps"]},
-                object_json=entry["object"],
-                stats=entry.get("stats") or {},
-                wall_time=float(entry.get("wall", 0.0)),
-                worker=entry.get("worker", "main"),
-                options=entry.get("options", ""),
-                object_digest=entry.get("object_digest", ""),
-                symbols=entry.get("symbols"),
-                memo=entry.get("memo") or {},
-                functions_reused=int(entry.get("reused", 0)),
+                object_blob=blob,
+                object_digest=entry["object_digest"],
+                stats=entry["stats"],
+                wall_time=float(entry["wall"]),
+                worker=entry["worker"],
+                options=entry["options"],
+                symbols=entry["symbols"],
+                memo=entry["memo"],
+                functions_reused=int(entry["reused"]),
             )
-        db.linked = payload.get("linked")
-        # v1/v2 embedded the whole state here as a JSON string; those
-        # records are dropped (their units rebuild anyway).
-        summary = payload.get("state")
-        db.state_summary = summary if isinstance(summary, dict) else None
+        if offset != len(body):
+            raise ValueError(
+                f"object lengths add up to {offset} bytes, the body has {len(body)}"
+            )
+        db.linked = header["linked"]
+        db.state_summary = header["state"]
         return db
 
     # -- file I/O -----------------------------------------------------------
@@ -462,7 +500,7 @@ class BuildDatabase:
         return self.disk_bytes
 
     def _write(self) -> int:
-        self.disk_bytes = atomic_write(self.path, self.to_json().encode("utf-8"))
+        self.disk_bytes = atomic_write(self.path, self.to_json())
         self._dirty = False
         return self.disk_bytes
 
@@ -478,7 +516,8 @@ class BuildDatabase:
         """Load a DB; missing or version-skewed files load empty.
 
         Raises :class:`CorruptDatabaseError` when the file exists but
-        its bytes are damaged (zero-byte, torn JSON, failed checksum) —
+        its bytes are damaged (zero-byte, torn JSON, failed checksum,
+        object lengths that do not add up to the body) —
         callers that just want the disposable-cache behaviour use
         :meth:`load_or_empty`.
         """
@@ -494,22 +533,25 @@ class BuildDatabase:
             raise CorruptDatabaseError(path, f"unreadable: {exc}") from exc
         if not blob.strip():
             raise CorruptDatabaseError(path, "file is empty")
+        head, _, body = blob.partition(b"\n")
         try:
-            payload = json.loads(blob.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError) as exc:
+            header = json.loads(head)
+        except ValueError as exc:  # UnicodeDecodeError included
             raise CorruptDatabaseError(path, f"not valid JSON: {exc}") from exc
-        if not isinstance(payload, dict):
+        if not isinstance(header, dict):
             raise CorruptDatabaseError(path, "top-level JSON is not an object")
-        if payload.get("schema") not in _READABLE_SCHEMAS:
+        if header.get("schema") not in _READABLE_SCHEMAS:
             # A valid file from an incompatible version is the normal
             # disposable-cache case, not corruption: clean rebuild.
             return cls()._bind(path)
         try:
-            db = cls._from_payload(payload)
+            db = cls._from_payload(header, body)
         except (ValueError, KeyError, TypeError) as exc:
             raise CorruptDatabaseError(path, f"malformed payload: {exc}") from exc
         db._bind(path)
-        db.disk_bytes, db._dirty = disk_bytes, False
+        db.disk_bytes = disk_bytes
+        # A v5 file is rewritten as v6 by the next save.
+        db._dirty = header["schema"] != DB_SCHEMA_VERSION
         return db
 
     @classmethod

@@ -20,7 +20,8 @@ variants plug into.  Per build it:
    keeps dormancy state each unit compiles against a snapshot of the
    state as the build started, and the driver merges the returned
    deltas in unit order, so results are the same at every ``-j``;
-4. reuses cached object JSON for up-to-date units;
+4. reuses cached objects for up-to-date units (inflated and decoded
+   only if the build links them);
 5. links everything into one runnable :class:`~repro.backend.linker.LinkedImage`
    — or, when the caller only needs the link *checked*
    (``skip_unchanged_link=True``), checks it from each unit's stored
@@ -140,7 +141,7 @@ class IncrementalBuilder:
         ``link_output=False`` never links.  ``skip_unchanged_link=True``
         is for callers that need the link checked but not the image: the
         build checks symbol resolution from the units' stored link
-        interfaces (:meth:`BuildDatabase.link_symbols`), or not at all
+        interfaces (:attr:`~repro.buildsys.builddb.UnitRecord.symbols`), or not at all
         when the DB says these exact link inputs last linked
         successfully; it never decodes an object or links, and
         ``report.image`` is ``None``.
@@ -242,7 +243,7 @@ class IncrementalBuilder:
                 if key != self.db.linked:
                     self.db.mark_linked(None)  # not linked until it succeeds
                 if skip_unchanged_link:
-                    check_link([self.db.link_symbols(path) for path in self.unit_paths])
+                    check_link([self.db.units[path].symbols for path in self.unit_paths])
                     report.was_linked = True
                 else:
                     report.image = self._link(objects)
@@ -336,10 +337,12 @@ class IncrementalBuilder:
                 worker=outcome.worker,
             )
         )
-        # No decode here: _link decodes the recorded JSON only if it links.
+        # No decode here: _link inflates and decodes the recorded
+        # object only if it links.
         self.db.record_unit(
             snapshot,
-            outcome.object_json,
+            object_blob=outcome.object_blob,
+            object_digest=outcome.object_digest,
             options=self.options.object_options,
             stats=outcome.stats.to_dict(),
             wall_time=outcome.wall_time,

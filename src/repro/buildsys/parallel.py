@@ -12,7 +12,9 @@ Every build compiles them with one protocol, whatever its ``-j``:
    shares the record table and starts with an empty overlay), so every
    unit sees exactly the records that existed when the build started;
 3. each unit's result is a picklable :class:`UnitOutcome` carrying the
-   object JSON, the bypass statistics, and the snapshot's overlay as a
+   object JSON deflated as the build DB stores it (so pool workers
+   deflate in parallel and ship the smaller form), the bypass
+   statistics, and the snapshot's overlay as a
    :class:`~repro.core.state.StateDelta`;
 4. the driver merges the successful outcomes in translation-unit order
    and re-raises the earliest failure, so the build's result follows
@@ -40,6 +42,8 @@ import time
 from typing import TYPE_CHECKING
 
 from repro._struct import Struct
+from repro.buildsys.builddb import deflate
+from repro.buildsys.deps import content_digest
 from repro.core.state import CompilerState, StateDelta
 from repro.core.statistics import BypassStatistics
 from repro.frontend.diagnostics import CompileError, Diagnostic
@@ -111,23 +115,25 @@ class UnitOutcome(Struct):
     """One unit's compilation result in picklable, mergeable form.
 
     Everything the build driver needs and nothing it doesn't: the
-    object file as JSON (the same representation the build DB caches),
-    the folded bypass table instead of the pass ledger's rows, and the
-    state delta instead of a whole mutated state.  An in-process compile
-    also keeps the decoded object (:attr:`object_file`), so a link needs
-    no decode; a pool worker drops it before the outcome is pickled.
+    object file's JSON deflated and its digest (the representation the
+    build DB stores), the folded bypass table instead of the pass
+    ledger's rows, and the state delta instead of a whole mutated state.
+    An in-process compile also keeps the decoded object
+    (:attr:`object_file`), so a link needs no decode; a pool worker
+    drops it before the outcome is pickled.
     """
 
     _fields = (
-        "path", "object_json", "symbols", "stats", "pass_work", "wall_time", "fingerprint_time",
-        "fingerprint_count", "delta", "worker", "metrics", "spans", "epoch_wall",
-        "error_kind", "error_message", "diagnostics", "memo", "functions_reused",
+        "path", "object_blob", "object_digest", "symbols", "stats", "pass_work", "wall_time",
+        "fingerprint_time", "fingerprint_count", "delta", "worker", "metrics", "spans",
+        "epoch_wall", "error_kind", "error_message", "diagnostics", "memo", "functions_reused",
     )
 
     def __init__(
         self,
         path: str,
-        object_json: str = "",
+        object_blob: bytes = b"",
+        object_digest: str = "",
         symbols: dict | None = None,
         stats: BypassStatistics | None = None,
         pass_work: int = 0,
@@ -146,7 +152,10 @@ class UnitOutcome(Struct):
         functions_reused: int = 0,
     ) -> None:
         self.path = path
-        self.object_json = object_json
+        #: The object's JSON, deflated (:func:`~repro.buildsys.builddb.deflate`).
+        self.object_blob = object_blob
+        #: Content digest of the object's JSON.
+        self.object_digest = object_digest
         #: The object's link interface, computed beside its JSON.
         self.symbols = symbols
         self.stats = BypassStatistics() if stats is None else stats
@@ -171,7 +180,7 @@ class UnitOutcome(Struct):
         #: functions reused the previous object's code.
         self.memo = {} if memo is None else memo
         self.functions_reused = functions_reused
-        #: The decoded object, or ``None`` (not a field: it is the JSON's twin).
+        #: The decoded object, or ``None`` (not a field: it is the blob's twin).
         self.object_file = None
 
     @classmethod
@@ -180,12 +189,14 @@ class UnitOutcome(Struct):
     ) -> UnitOutcome:
         """A successful compilation in the form the build DB records it.
 
-        The object's JSON and its link interface are computed here, in
-        process and on pool workers alike.
+        The object's JSON, deflated, its digest and its link interface
+        are computed here, in process and on pool workers alike.
         """
+        object_json = result.object_file.to_json()
         outcome = cls(
             path=path,
-            object_json=result.object_file.to_json(),
+            object_blob=deflate(object_json),
+            object_digest=content_digest(object_json),
             symbols=result.object_file.link_symbols(),
             stats=result.stats,
             pass_work=result.pass_work,

@@ -57,7 +57,7 @@ import time
 from pathlib import Path
 
 from repro.backend.linker import LinkError, link
-from repro.buildsys.builddb import BuildDatabase
+from repro.buildsys.builddb import BuildDatabase, CorruptDatabaseError
 from repro.buildsys.incremental import IncrementalBuilder
 from repro.buildsys.parallel import BuildOptions
 from repro.core.policies import SkipPolicy
@@ -404,7 +404,13 @@ def _locked_build(args: argparse.Namespace, project: Project) -> int:
 
     try:
         # Without --run nobody needs the image, only the link checked.
-        report = builder.build(skip_unchanged_link=not args.run)
+        try:
+            report = builder.build(skip_unchanged_link=not args.run)
+        except CorruptDatabaseError as exc:
+            # A stored object that does not inflate shows only when read.
+            print(f"reprobuild: {exc}; falling back to a full rebuild", file=sys.stderr)
+            db.units.clear()
+            report = builder.build(skip_unchanged_link=not args.run)
     except CompileError as exc:
         # Units that compiled before the failure are already recorded;
         # persisting them keeps the post-fix rebuild incremental.

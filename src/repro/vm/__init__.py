@@ -11,7 +11,6 @@ Two ways to run compiled MiniC:
 
 from repro.vm.interp import ExecutionResult, IRInterpreter, Trap, run_module
 from repro.vm.machine import MachineError, VirtualMachine
-from repro.vm.profiler import FunctionProfile, ProfileReport, ProfilingVM, profile_run
 
 __all__ = [
     "ExecutionResult",
@@ -20,8 +19,4 @@ __all__ = [
     "run_module",
     "MachineError",
     "VirtualMachine",
-    "FunctionProfile",
-    "ProfileReport",
-    "ProfilingVM",
-    "profile_run",
 ]

@@ -1,8 +1,7 @@
-"""CFG traversal, natural loop, liveness, call graph, postdom tests."""
+"""CFG traversal, natural loop, call graph, postdom tests."""
 
 from repro.analysis.cfg import postorder, reachable_blocks, reverse_postorder
 from repro.analysis.callgraph import CallGraph
-from repro.analysis.liveness import compute_liveness
 from repro.analysis.loops import find_natural_loops, loop_depths
 from repro.analysis.postdominators import PostDominatorTree
 from repro.ir import (
@@ -100,27 +99,6 @@ class TestLoops:
         # Outer first (more blocks).
         assert loops[0].num_blocks > loops[1].num_blocks
         assert loops[1].blocks < loops[0].blocks
-
-
-class TestLiveness:
-    def test_phi_and_loop_liveness(self):
-        fn, entry, header, body, exit_, phi, nxt = loopy_fn()
-        live = compute_liveness(fn)
-        # The argument is live through the loop (used by the header cmp).
-        assert fn.args[0] in live.live_out[entry]
-        assert fn.args[0] in live.live_out[body]
-        # next value is live out of body (feeds the phi edge).
-        assert nxt in live.live_out[body]
-        # phi is live out of header into both paths.
-        assert phi in live.live_in[body] or phi in live.live_out[header]
-
-    def test_dead_value_not_live(self):
-        fn = Function("g", FunctionSig((I64,), I64), ["x"])
-        b = IRBuilder(fn, fn.add_block("e"))
-        dead = b.add(fn.args[0], const_i64(1))
-        b.ret(fn.args[0])
-        live = compute_liveness(fn)
-        assert dead not in live.live_out[fn.entry]
 
 
 class TestCallGraph:

@@ -106,10 +106,11 @@ class TestRoundTrip:
             BuildDatabase.load(path)
 
     def test_schema_mismatch_loads_empty(self, tmp_path):
-        payload = json.loads(sample_db().to_json())
-        payload["schema"] = DB_SCHEMA_VERSION + 1
+        head, _, body = sample_db().to_json().partition(b"\n")
+        header = json.loads(head)
+        header["schema"] = DB_SCHEMA_VERSION + 1
         path = tmp_path / "db"
-        path.write_text(json.dumps(payload))
+        path.write_bytes(json.dumps(header).encode() + b"\n" + body)
         assert BuildDatabase.load(path).units == {}
 
 class TestCorruptionContract:
@@ -187,9 +188,52 @@ class TestCorruptionContract:
         # JSON; they load (unverified) rather than being invalidated.
         db = sample_db()
         path = tmp_path / "db"
-        path.write_text(db.to_json())
+        path.write_bytes(db.to_json())
         loaded = BuildDatabase.load(path)
         assert loaded.units.keys() == db.units.keys()
+
+    def test_object_lengths_that_do_not_add_up_raise_typed_error(self, tmp_path):
+        # Correctly framed, so the checksum passes: the lengths in the
+        # header line must cover the body exactly.
+        path = tmp_path / "db"
+        payload = sample_db().to_json()
+        for damaged in (payload + b"\0", payload[:-1]):
+            atomic_write(path, damaged)
+            with pytest.raises(CorruptDatabaseError, match="object"):
+                BuildDatabase.load(path)
+            db, err = BuildDatabase.load_or_empty(path)
+            assert db.units == {} and isinstance(err, CorruptDatabaseError)
+
+    def test_object_that_does_not_inflate_raises_typed_error(self, tmp_path):
+        path = tmp_path / "db"
+        head, _, body = sample_db().to_json().partition(b"\n")
+        atomic_write(path, head + b"\n" + bytes(len(body)))
+        record = BuildDatabase.load(path).units["main.mc"]
+        with pytest.raises(CorruptDatabaseError, match="does not inflate"):
+            record.object_json
+
+    def test_reprobuild_rebuilds_when_an_object_does_not_inflate(self, tmp_path, capsys):
+        from repro.cli import reprobuild_main
+
+        proj = tmp_path / "proj"
+        proj.mkdir()
+        (proj / "a.mc").write_text("int b(int x);\nint main() { print(b(4)); return 0; }\n")
+        (proj / "b.mc").write_text("int b(int x) { return x * 2; }\n")
+        path = tmp_path / "build.reprodb"
+        argv = [str(proj), "--db", str(path), "--stateful", "--no-history", "--no-lock", "--run"]
+        assert reprobuild_main(argv) == 0
+        clean = {p: r.object_json for p, r in BuildDatabase.load(path).units.items()}
+        head, _, body = read_artifact(path).partition(b"\n")
+        atomic_write(path, head + b"\n" + bytes(len(body)))
+        capsys.readouterr()
+
+        assert reprobuild_main(argv) == 0
+        out, err = capsys.readouterr()
+        assert out.split() == ["8"]
+        assert "does not inflate" in err and "full rebuild" in err
+        assert "Traceback" not in err and "2 recompiled" in err
+        db = BuildDatabase.load(path)
+        assert {p: r.object_json for p, r in db.units.items()} == clean
 
     def test_bad_state_file_keeps_units(self, tmp_path):
         # A compiler-state schema bump must not blow away the object cache.

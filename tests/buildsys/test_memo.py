@@ -28,7 +28,7 @@ from repro.obs.history import HistoryRecord
 from repro.passes import InlinerPass, LoopUnrollPass
 from repro.passes.base import pass_signature
 from repro.passmanager import pipeline as pipeline_module
-from repro.persist import atomic_write
+from repro.persist import atomic_write, read_artifact
 from repro.testing.differential import FUZZ_EDIT_MIX
 from repro.workload import apply_edit, generate_project, make_preset
 from repro.vm.machine import VirtualMachine
@@ -108,26 +108,89 @@ class TestReuse:
             assert objects(db) == stateless_objects(files), edits[step - 1]
         assert reused > 0
 
-    def test_v4_database_loads_and_builds(self, tmp_path):
+
+def v5_payload(db):
+    """``db`` as schema 5 wrote it: one JSON document, each object inline."""
+    return json.dumps({
+        "schema": 5,
+        "units": [
+            {
+                "path": r.path,
+                "source": r.source_digest,
+                "deps": [[p, d] for p, d in sorted(r.dep_digests.items())],
+                "options": r.options,
+                "object": r.object_json,
+                "object_digest": r.object_digest,
+                "stats": r.stats,
+                "wall": r.wall_time,
+                "worker": r.worker,
+                "symbols": r.symbols,
+                "memo": r.memo,
+                "reused": r.functions_reused,
+            }
+            for r in sorted(db.units.values(), key=lambda r: r.path)
+        ],
+        "linked": db.linked,
+        "state": db.state_summary,
+    }, separators=(",", ":")).encode("utf-8")
+
+
+class TestLegacySchemas:
+    FILES = dict(FILES, **{"b.mc": "int b(int x) { return x + 2; }\n"})
+
+    def test_v5_database_builds_incrementally_and_saves_as_v6(self, tmp_path):
         path = tmp_path / "b.reprodb"
         db = BuildDatabase()
-        build(FILES, db)
-        db.save(path)
+        build(self.FILES, db)
+        atomic_write(path, v5_payload(db))
+
+        old = BuildDatabase.load(path)
+        assert objects(old) == objects(db)
+        assert {p: r.memo for p, r in old.units.items()} == {
+            p: r.memo for p, r in db.units.items()
+        }
+        # Nothing changed: these link inputs already linked, so no relink.
+        units = sorted(self.FILES)
+        assert old.link_key(units) == old.linked == db.linked
+        report = IncrementalBuilder(
+            MemoryFileProvider(dict(self.FILES)), units, MEMO, old, BuildOptions(jobs=1)
+        ).build(skip_unchanged_link=True)
+        assert report.num_recompiled == 0 and not report.linked
+        assert report.metrics["counters"]["build.links_skipped"] == 1
+
+        # The next save writes v6 with the same memo keys and link key.
+        old.save_changes()
+        assert read_artifact(path).startswith(b'{"schema":6,')
+        new = BuildDatabase.load(path)
+        assert objects(new) == objects(db) and new.linked == db.linked
+        assert new.link_key(units) == db.link_key(units)
+        assert {p: r.memo for p, r in new.units.items()} == {
+            p: r.memo for p, r in db.units.items()
+        }
+
+        edited = dict(self.FILES, **{"a.mc": FILES["a.mc"].replace("h(3)", "h(4)")})
+        report = build(edited, new)
+        assert report.num_recompiled == 1
+        assert report.memo == {"functions_reused": 2, "functions_compiled": 1}
+        assert objects(new) == stateless_objects(edited)
+
+    def test_v4_database_loads_empty_and_rebuilds_clean(self, tmp_path):
+        path = tmp_path / "b.reprodb"
+        db = BuildDatabase()
+        build(self.FILES, db)
         # The DB as schema 4 wrote it: no unit carries memo keys.
-        payload = json.loads(BuildDatabase.load(path).to_json())
+        payload = json.loads(v5_payload(db))
         payload["schema"] = 4
         for unit in payload["units"]:
             del unit["memo"], unit["reused"]
         atomic_write(path, json.dumps(payload).encode("utf-8"))
+
         old = BuildDatabase.load(path)
-        assert old.units["a.mc"].memo == {}
-        edited = {"a.mc": "// c\n" + FILES["a.mc"]}
-        assert build(edited, old).memo["functions_reused"] == 0
-        assert objects(old) == stateless_objects(edited)
-        again = {"a.mc": "// d\n" + FILES["a.mc"]}
-        assert build(again, old).memo["functions_reused"] == 3
-        old.save_changes()
-        assert BuildDatabase.load(path).units["a.mc"].memo == old.units["a.mc"].memo
+        assert old.units == {} and old.linked is None
+        report = build(self.FILES, old)
+        assert report.num_recompiled == len(self.FILES)
+        assert report.memo["functions_reused"] == 0
+        assert objects(old) == stateless_objects(self.FILES)
 
 
 class TestKey:

@@ -2,6 +2,7 @@
 options, and what a no-op or edit build is allowed to decode and write."""
 
 import json
+import zlib
 
 import pytest
 
@@ -10,7 +11,6 @@ from repro.buildsys import builddb, incremental
 from repro.buildsys.builddb import BuildDatabase
 from repro.cli import reprobuild_main
 from repro.core.state import CompilerState
-from repro.persist import atomic_write
 from repro.workload import Edit, EditKind, apply_edit, generate_project, make_preset
 
 FILES = {
@@ -140,7 +140,8 @@ class TestObjectOptions:
 
 
 def count_calls(monkeypatch):
-    """Count calls of the decode/encode/link/write entry points."""
+    """Count calls of the decode/encode/link/write entry points, and
+    the deflates and inflates of stored objects in this process."""
     calls = {}
 
     def counted(name, fn):
@@ -160,6 +161,8 @@ def count_calls(monkeypatch):
     monkeypatch.setattr(
         CompilerState, "to_json", counted("CompilerState.to_json", CompilerState.to_json)
     )
+    monkeypatch.setattr(zlib, "compress", counted("deflate", zlib.compress))
+    monkeypatch.setattr(zlib, "decompress", counted("inflate", zlib.decompress))
     monkeypatch.setattr(incremental, "link", counted("link", incremental.link))
     monkeypatch.setattr(builddb, "atomic_write", counted("atomic_write", builddb.atomic_write))
     return calls
@@ -212,7 +215,8 @@ class TestWorkCounts:
         calls = count_calls(monkeypatch)
         rc, out, _ = run(tree, capsys, "--run")
         assert rc == 0 and out.split() == ["3", "8"]
-        assert calls == {"link": 1, "ObjectFile.from_json": len(FILES)}
+        # Each cached object is inflated once, to be decoded and linked.
+        assert calls == {"link": 1, "ObjectFile.from_json": len(FILES), "inflate": len(FILES)}
 
     def test_edit_build_checks_the_link_without_decoding(self, tree, capsys, monkeypatch):
         assert run(tree, capsys)[0] == 0
@@ -222,6 +226,9 @@ class TestWorkCounts:
         assert rc == 0 and "1 recompiled, 3 up-to-date" in err
         assert "ObjectFile.from_json" not in calls and "link" not in calls
         assert json.loads((tree / "r.json").read_text())["summary"]["linked"]
+        # The fresh object is deflated once; the memo inflates at most
+        # the dirty unit's previous object, and the DB write no other.
+        assert calls["deflate"] == 1 and calls.get("inflate", 0) <= 1
 
         # --run still links: the fresh object in memory, the rest decoded.
         write(tree, "b.mc", "int b_old(int x) { return x + 6; }\n")
@@ -229,31 +236,14 @@ class TestWorkCounts:
         rc, out, _ = run(tree, capsys, "--run")
         assert rc == 0 and out.split() == ["8", "8"]
         assert calls["link"] == 1 and calls["ObjectFile.from_json"] == len(FILES) - 1
+        assert calls["deflate"] == 1 and calls["inflate"] == len(FILES)
 
-    def test_schema_3_db_gets_its_link_interfaces_once(self, tree, capsys, monkeypatch):
-        assert run(tree, capsys)[0] == 0
-        path = tree / "build.reprodb"
-        # The DB as schema 3 wrote it: no unit carries a link interface.
-        payload = json.loads(BuildDatabase.load(path).to_json())
-        payload["schema"] = 3
-        for unit in payload["units"]:
-            del unit["symbols"]
-        atomic_write(path, json.dumps(payload).encode("utf-8"))
-
+    def test_clean_pool_build_deflates_nothing_in_the_parent(
+        self, tree, capsys, monkeypatch
+    ):
         calls = count_calls(monkeypatch)
-        write(tree, "b.mc", "int b_renamed(int x) { return x + 1; }\n")
-        rc, _, err = run(tree, capsys)
-        assert rc == 1 and "link failed: unresolved function @b_old called from @main" in err
-        # Each old record's object is decoded once for its interface;
-        # the fresh b.mc came with its own.  Nothing links.
-        assert calls["ObjectFile.from_json"] == len(FILES) - 1 and "link" not in calls
-        db = BuildDatabase.load(path)
-        assert json.loads(db.to_json())["schema"] == 5
-        for record in db.units.values():
-            assert record.symbols == ObjectFile.from_json(record.object_json).link_symbols()
-
-        calls.clear()
-        write(tree, "b.mc", FILES["b.mc"])
-        rc, _, err = run(tree, capsys)
-        assert rc == 0 and "1 recompiled" in err
-        assert "ObjectFile.from_json" not in calls and "link" not in calls
+        assert run(tree, capsys, "-j", "2")[0] == 0
+        db = BuildDatabase.load(tree / "build.reprodb")
+        # The pool ran: each object was deflated by the worker that compiled it.
+        assert all(r.worker.startswith("pid-") for r in db.units.values())
+        assert "deflate" not in calls and "inflate" not in calls

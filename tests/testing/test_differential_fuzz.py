@@ -1,11 +1,12 @@
 """Differential-correctness fuzzing: stateful == stateless, always.
 
 Each trace generates a project, applies a random edit sequence, and
-after every step builds it three ways — stateless from scratch,
-stateful incrementally at -j 1, and stateful incrementally at -j 4 —
-asserting bit-identical linked images, identical per-unit objects,
-identical final dormancy-record populations, and consistent pass-run
-totals.  Twenty-five seeds is the floor demanded by the issue.
+after every step builds it stateless from scratch (the reference) and
+stateful incrementally under both the fine and the memo policy, each
+at every job count of the trace (here -j 1 and -j 4), asserting
+bit-identical linked images, identical per-unit objects, and the same
+dormancy records and per-pass counts across job counts.  The corpus
+is twenty-five seeds.
 """
 
 import os
