@@ -6,25 +6,28 @@ policies the stateful compiler's :class:`~repro.core.state.CompilerState`
 lives in a second file beside it; a memo-policy build keeps its memo
 keys in the DB and never reads or writes that file:
 
-- ``<db>`` — one JSON header line, then each unit's object JSON
-  deflated with :mod:`zlib`, in the header's unit order.  The header
-  holds per unit: source digest, the digest of every transitively
-  included header (``None`` for headers that were missing when the unit
-  was built), the options that shape its object, the object's digest
-  and deflated length, its link interface and, after a memo-policy
-  compile, each function's memo key.
-  Also the key of the last successful link and a summary of the state
-  (records, bytes, GC counters), so a no-op build can report the state
-  without reading it.
+- ``<db>`` — a one-line JSON prefix ``{"schema":7,"header":N}``, then
+  the header, N bytes deflated with :mod:`zlib`, then each unit's
+  object JSON deflated, in the header's unit order.  The header is
+  JSON lines: the key of the last successful link and a summary of the
+  state (records, bytes, GC counters), so a no-op build can report the
+  state without reading it, then one line per unit: source digest, the
+  headers its last compile read with
+  the digests of the texts the front end parsed (its *observed*
+  dependencies, see :mod:`repro.buildsys.deps`), the options that shape
+  its object, the object's digest and deflated length, its link
+  interface, the ``[executed, dormant, bypassed, work]`` counters of
+  each pass of that compile, its wall time and worker and, after a
+  memo-policy compile, each function's memo key.
 - ``<db>.state`` — :meth:`CompilerState.to_json` (a JSON header line
   and the sorted table of fixed-width record rows) as one checksummed
   atomic artifact.
 
-A unit is up to date when its current :class:`DependencySnapshot`
+A unit is up to date when its current :class:`DependencySnapshot` — the
+digests of its source and of the headers its last compile read —
 matches the record exactly and it was compiled with the same object
-options (``-O`` level); anything else — edited source, edited header, a
-header added/removed from the closure, a previously missing header
-appearing, another ``-O`` — forces a recompile.
+options (``-O`` level); anything else — edited source, an edited or
+deleted header, another ``-O`` — forces a recompile.
 
 **Persistence only where a build compiles.**  The state is read only
 when a build compiles a unit, and written only by such builds (see
@@ -33,9 +36,12 @@ refreshed into the table and rewrites the file, so encoding costs what
 the build touched.  Loading the state decodes no record (see
 :mod:`repro.core.state`).  The DB file is rewritten only when something
 in it changed, and then an unchanged unit's object is written back as
-the deflated bytes it was loaded as: a build deflates only the objects
-it compiled (on the process that compiled them) and inflates an object
-only when something reads its JSON (:attr:`UnitRecord.object_json`).
+the deflated bytes it was loaded as, and its header line as the text
+it was loaded as: a build encodes the header lines of the units it
+compiled, deflates the header and only the objects it compiled (on the
+process that compiled them), and inflates an object only when something
+reads its JSON
+(:attr:`UnitRecord.object_json`).
 
 **The link-skip invariant.**  :attr:`BuildDatabase.linked` holds
 :meth:`BuildDatabase.link_key` of the last link that *succeeded*: a
@@ -63,7 +69,8 @@ says, never what a build outputs.
 Like the compiler state, the DB is disposable: a missing or
 schema-incompatible file loads as an empty database and the next build
 is simply a clean build.  A *corrupt* file (zero bytes, torn JSON, a
-failed checksum, object lengths that do not add up to the body) raises
+failed checksum, a header that overruns the body or does not inflate,
+object lengths that do not add up to the body) raises
 the typed :class:`CorruptDatabaseError` so the
 caller can log what happened before falling back to the same full
 rebuild — cache loss is a performance event, never a correctness one,
@@ -102,11 +109,12 @@ from repro.persist import (
 #: per-unit object options and digests plus the last link's key; v4
 #: added each object's link interface (:attr:`UnitRecord.symbols`); v5
 #: added each unit's memo keys (:attr:`UnitRecord.memo`); v6 moved each
-#: object out of the JSON, deflated, behind the header line.
-#: A v5 file still loads, its objects inline, and its next save writes
-#: v6.  v1-v4 files load as an empty DB: a clean build.
-DB_SCHEMA_VERSION = 6
-_READABLE_SCHEMAS = (5, 6)
+#: object out of the JSON, deflated, behind the header line; v7 deflates
+#: the header, keeps four counters per pass and records the headers each
+#: compile read instead of a scanned include closure.  Older files load
+#: as an empty DB: a clean build.  (A v6 record's scanned closure could
+#: miss a header, so it is not migrated.)
+DB_SCHEMA_VERSION = 7
 
 
 def deflate(object_json: str) -> bytes:
@@ -142,10 +150,10 @@ class UnitRecord(Struct):
         self,
         path: str,
         source_digest: str,
-        dep_digests: dict[str, str | None],
+        dep_digests: dict[str, str],
         object_blob: bytes,
         object_digest: str,
-        stats: dict | None = None,
+        stats: dict[str, list[int]] | None = None,
         wall_time: float = 0.0,
         worker: str = "main",
         options: str = "",
@@ -155,15 +163,16 @@ class UnitRecord(Struct):
     ) -> None:
         self.path = path
         self.source_digest = source_digest
-        #: Include-closure digests at build time (``None`` = header missing).
+        #: The headers the recording compile read: path -> digest of the
+        #: text the front end parsed.
         self.dep_digests = dep_digests
         #: The compiled object's JSON, deflated (:func:`deflate`), cached
         #: for up-to-date reuse and written back as it was loaded.
         self.object_blob = object_blob
         #: Content digest of :attr:`object_json` (a link input's identity).
         self.object_digest = object_digest
-        #: Bypass statistics of the recording compile
-        #: (:meth:`~repro.core.statistics.BypassStatistics.to_dict` payload).
+        #: Each pass's [executed, dormant, bypassed, work] in the recording
+        #: compile (:meth:`~repro.core.statistics.BypassStatistics.counts`).
         self.stats = {} if stats is None else stats
         #: Wall-clock seconds of the recording compile.
         self.wall_time = wall_time
@@ -180,6 +189,31 @@ class UnitRecord(Struct):
         #: How many of those functions reused an earlier object's code.
         self.functions_reused = functions_reused
         self._object_json: str | None = None
+        #: The record's line of the DB header as it was loaded: written
+        #: back as is, since a build replaces a unit's record, never edits it.
+        self._header_line: str | None = None
+
+    def header_line(self) -> str:
+        """This record's line of the DB header (one JSON object)."""
+        if self._header_line is not None:
+            return self._header_line
+        return json.dumps(
+            {
+                "path": self.path,
+                "source": self.source_digest,
+                "deps": [[p, d] for p, d in sorted(self.dep_digests.items())],
+                "options": self.options,
+                "object_digest": self.object_digest,
+                "object_bytes": len(self.object_blob),
+                "stats": self.stats,
+                "wall": round(self.wall_time, 6),
+                "worker": self.worker,
+                "symbols": self.symbols,
+                "memo": self.memo,
+                "reused": self.functions_reused,
+            },
+            separators=(",", ":"),
+        )
 
     @property
     def object_json(self) -> str:
@@ -200,6 +234,7 @@ class UnitRecord(Struct):
     @object_json.setter
     def object_json(self, text: str) -> None:
         self.object_blob, self._object_json = deflate(text), text
+        self._header_line = None
 
 
 class StateStore:
@@ -337,7 +372,7 @@ class BuildDatabase:
         object_blob: bytes | None = None,
         object_digest: str = "",
         options: str = "",
-        stats: dict | None = None,
+        stats: dict[str, list[int]] | None = None,
         wall_time: float = 0.0,
         worker: str = "main",
         symbols: dict | None = None,
@@ -396,54 +431,41 @@ class BuildDatabase:
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> bytes:
-        """The DB file's payload: a JSON header line, then every unit's
-        deflated object in the header's unit order."""
+        """The DB file's payload: the JSON prefix line, the deflated
+        header, then every unit's deflated object in the header's unit
+        order."""
         records = sorted(self.units.values(), key=lambda r: r.path)
-        header = {
-            "schema": DB_SCHEMA_VERSION,
-            "units": [
-                {
-                    "path": r.path,
-                    "source": r.source_digest,
-                    "deps": [[p, d] for p, d in sorted(r.dep_digests.items())],
-                    "options": r.options,
-                    "object_digest": r.object_digest,
-                    "object_bytes": len(r.object_blob),
-                    "stats": r.stats,
-                    "wall": r.wall_time,
-                    "worker": r.worker,
-                    "symbols": r.symbols,
-                    "memo": r.memo,
-                    "reused": r.functions_reused,
-                }
-                for r in records
-            ],
-            "linked": self.linked,
-            # The records themselves live in <db>.state; this summary
-            # lets a build that never loads them still report them.
-            "state": self.state_summary,
-        }
-        head = json.dumps(header, separators=(",", ":")).encode("utf-8")
-        return b"\n".join([head, b"".join([r.object_blob for r in records])])
+        # The records themselves live in <db>.state; this summary lets a
+        # build that never loads them still report them.
+        meta = json.dumps(
+            {"linked": self.linked, "state": self.state_summary}, separators=(",", ":")
+        )
+        header = "\n".join([meta, *[r.header_line() for r in records]])
+        head = zlib.compress(header.encode("utf-8"), 1)
+        prefix = b'{"schema":%d,"header":%d}\n' % (DB_SCHEMA_VERSION, len(head))
+        return b"".join([prefix, head, *[r.object_blob for r in records]])
 
     @classmethod
-    def _from_payload(cls, header: dict, body: bytes) -> "BuildDatabase":
-        """Decode a v5 or v6 payload: its header, and the body of
-        deflated objects behind it (empty in v5, whose objects are inline)."""
-        db, offset = cls(), 0
-        v5 = header["schema"] == 5
-        for entry in header["units"]:
-            if v5:
-                if entry["symbols"] is None:
-                    continue  # a v3 record that never got its link interface: rebuild it
-                blob = deflate(entry["object"])
-            else:
-                size = entry["object_bytes"]
-                blob = body[offset:offset + size]
-                if len(blob) != size:
-                    raise ValueError(f"the object of {entry['path']} overruns the body")
-                offset += size
-            db.units[entry["path"]] = UnitRecord(
+    def _from_payload(cls, prefix: dict, body: bytes) -> "BuildDatabase":
+        """Decode what follows a v7 prefix line: the deflated header,
+        then the deflated objects."""
+        size = prefix["header"]
+        head = body[:size]
+        if len(head) != size:
+            raise ValueError(f"the header ({size} bytes) overruns the body")
+        try:
+            meta, *lines = zlib.decompress(head).decode("utf-8").split("\n")
+        except zlib.error as exc:
+            raise ValueError(f"the header does not inflate ({exc})") from exc
+        db, offset = cls(), size
+        for line in lines:
+            entry = json.loads(line)
+            size = entry["object_bytes"]
+            blob = body[offset:offset + size]
+            if len(blob) != size:
+                raise ValueError(f"the object of {entry['path']} overruns the body")
+            offset += size
+            record = db.units[entry["path"]] = UnitRecord(
                 path=entry["path"],
                 source_digest=entry["source"],
                 dep_digests={p: d for p, d in entry["deps"]},
@@ -457,12 +479,14 @@ class BuildDatabase:
                 memo=entry["memo"],
                 functions_reused=int(entry["reused"]),
             )
+            record._header_line = line
         if offset != len(body):
             raise ValueError(
-                f"object lengths add up to {offset} bytes, the body has {len(body)}"
+                f"header and object lengths add up to {offset} bytes, "
+                f"the body has {len(body)}"
             )
-        db.linked = header["linked"]
-        db.state_summary = header["state"]
+        meta = json.loads(meta)
+        db.linked, db.state_summary = meta["linked"], meta["state"]
         return db
 
     # -- file I/O -----------------------------------------------------------
@@ -516,8 +540,9 @@ class BuildDatabase:
         """Load a DB; missing or version-skewed files load empty.
 
         Raises :class:`CorruptDatabaseError` when the file exists but
-        its bytes are damaged (zero-byte, torn JSON, failed checksum,
-        object lengths that do not add up to the body) —
+        its bytes are damaged (zero-byte, torn JSON, failed checksum, a
+        header that overruns the body or does not inflate, object
+        lengths that do not add up to the body) —
         callers that just want the disposable-cache behaviour use
         :meth:`load_or_empty`.
         """
@@ -535,23 +560,22 @@ class BuildDatabase:
             raise CorruptDatabaseError(path, "file is empty")
         head, _, body = blob.partition(b"\n")
         try:
-            header = json.loads(head)
+            prefix = json.loads(head)
         except ValueError as exc:  # UnicodeDecodeError included
             raise CorruptDatabaseError(path, f"not valid JSON: {exc}") from exc
-        if not isinstance(header, dict):
+        if not isinstance(prefix, dict):
             raise CorruptDatabaseError(path, "top-level JSON is not an object")
-        if header.get("schema") not in _READABLE_SCHEMAS:
+        if prefix.get("schema") != DB_SCHEMA_VERSION:
             # A valid file from an incompatible version is the normal
             # disposable-cache case, not corruption: clean rebuild.
             return cls()._bind(path)
         try:
-            db = cls._from_payload(header, body)
+            db = cls._from_payload(prefix, body)
         except (ValueError, KeyError, TypeError) as exc:
             raise CorruptDatabaseError(path, f"malformed payload: {exc}") from exc
         db._bind(path)
         db.disk_bytes = disk_bytes
-        # A v5 file is rewritten as v6 by the next save.
-        db._dirty = header["schema"] != DB_SCHEMA_VERSION
+        db._dirty = False
         return db
 
     @classmethod

@@ -3,21 +3,22 @@
 Incremental systems live or die by being able to *explain* their
 decisions: a surprising rebuild (or a surprising skip) is undebuggable
 from a one-line status.  :func:`rebuild_reason` classifies one unit's
-scheduling decision by diffing its recorded dependency fingerprint
-against the current one — the same comparison
+scheduling decision by diffing the digests its record holds (its source
+and the headers its last compile read) against the current ones — the
+same comparison
 :meth:`~repro.buildsys.builddb.BuildDatabase.up_to_date` makes, kept in
 one place so the explanation can never disagree with the decision.
 
 :func:`explain_unit` renders the full ``reprobuild explain <unit>``
 payload: the reason plus the unit's most expensive passes from the
-per-unit statistics the build database records at compile time.
+per-pass counters the build database records at compile time.
 """
 
 from __future__ import annotations
 
 from repro._struct import Struct
 from repro.buildsys.builddb import BuildDatabase, UnitRecord
-from repro.buildsys.deps import DependencySnapshot
+from repro.buildsys.deps import DependencyScanner, DependencySnapshot
 
 #: ``RebuildReason.kind`` values, in decision precedence order.
 REASON_KINDS = (
@@ -34,8 +35,8 @@ class RebuildReason(Struct):
     """One unit's scheduling verdict and the evidence behind it."""
 
     _fields = (
-        "path", "kind", "source_changed", "changed_deps", "added_deps", "removed_deps",
-        "appeared_deps", "vanished_deps", "recorded_options", "options",
+        "path", "kind", "source_changed", "changed_deps", "vanished_deps",
+        "recorded_options", "options",
     )
 
     def __init__(
@@ -44,9 +45,6 @@ class RebuildReason(Struct):
         kind: str,
         source_changed: bool = False,
         changed_deps: list[str] | None = None,
-        added_deps: list[str] | None = None,
-        removed_deps: list[str] | None = None,
-        appeared_deps: list[str] | None = None,
         vanished_deps: list[str] | None = None,
         recorded_options: str = "",
         options: str = "",
@@ -56,15 +54,9 @@ class RebuildReason(Struct):
         self.kind = kind
         #: Did the unit's own text change (digest mismatch)?
         self.source_changed = source_changed
-        #: Headers present before and now whose digest differs.
+        #: Headers the last compile read whose text changed since.
         self.changed_deps = [] if changed_deps is None else changed_deps
-        #: Headers in the closure now but not in the recorded closure.
-        self.added_deps = [] if added_deps is None else added_deps
-        #: Headers in the recorded closure but no longer included.
-        self.removed_deps = [] if removed_deps is None else removed_deps
-        #: Headers recorded as *missing* at build time that now exist.
-        self.appeared_deps = [] if appeared_deps is None else appeared_deps
-        #: Headers that existed at build time but are missing now.
+        #: Headers the last compile read that are missing now.
         self.vanished_deps = [] if vanished_deps is None else vanished_deps
         #: Object options of the recorded compile and of this build (see
         #: :attr:`~repro.driver.CompilerOptions.object_options`).
@@ -77,18 +69,12 @@ class RebuildReason(Struct):
 
     @property
     def deps_changed(self) -> bool:
-        return bool(
-            self.changed_deps
-            or self.added_deps
-            or self.removed_deps
-            or self.appeared_deps
-            or self.vanished_deps
-        )
+        return bool(self.changed_deps or self.vanished_deps)
 
     def describe(self) -> str:
         """One human-readable line: the verdict and its evidence."""
         if self.kind == "up-to-date":
-            return f"{self.path}: up to date (source and include closure unchanged)"
+            return f"{self.path}: up to date (source and the headers it read unchanged)"
         if self.kind == "missing-record":
             return f"{self.path}: rebuild — no build record (never built or cache lost)"
         if self.kind == "source-missing":
@@ -102,18 +88,12 @@ class RebuildReason(Struct):
             )
         if self.source_changed:
             parts.append("source text changed")
-        detail = [
-            (self.changed_deps, "edited"),
-            (self.added_deps, "added to closure"),
-            (self.removed_deps, "left closure"),
-            (self.appeared_deps, "previously missing, now present"),
-            (self.vanished_deps, "now missing"),
-        ]
+        detail = [(self.changed_deps, "edited"), (self.vanished_deps, "now missing")]
         header_bits = [
             f"{', '.join(paths)} ({label})" for paths, label in detail if paths
         ]
         if header_bits:
-            parts.append(f"header closure changed: {'; '.join(header_bits)}")
+            parts.append(f"a header it read changed: {'; '.join(header_bits)}")
         return f"{self.path}: rebuild — {'; '.join(parts)}"
 
     # -- (de)serialization ---------------------------------------------------
@@ -124,9 +104,6 @@ class RebuildReason(Struct):
             "kind": self.kind,
             "source_changed": self.source_changed,
             "changed_deps": list(self.changed_deps),
-            "added_deps": list(self.added_deps),
-            "removed_deps": list(self.removed_deps),
-            "appeared_deps": list(self.appeared_deps),
             "vanished_deps": list(self.vanished_deps),
             "recorded_options": self.recorded_options,
             "options": self.options,
@@ -139,9 +116,6 @@ class RebuildReason(Struct):
             kind=payload["kind"],
             source_changed=bool(payload.get("source_changed", False)),
             changed_deps=list(payload.get("changed_deps", [])),
-            added_deps=list(payload.get("added_deps", [])),
-            removed_deps=list(payload.get("removed_deps", [])),
-            appeared_deps=list(payload.get("appeared_deps", [])),
             vanished_deps=list(payload.get("vanished_deps", [])),
             recorded_options=payload.get("recorded_options", ""),
             options=payload.get("options", ""),
@@ -155,6 +129,7 @@ def rebuild_reason(
 ) -> RebuildReason:
     """Classify one unit's up-to-date check for a build with object ``options``.
 
+    ``snapshot`` digests the headers ``record`` lists.
     ``reason.is_up_to_date`` is *exactly*
     ``BuildDatabase.up_to_date(snapshot, options)`` for the record the
     snapshot was checked against — the builder schedules from this
@@ -172,19 +147,12 @@ def rebuild_reason(
         options=options,
     )
     reason.source_changed = record.source_digest != snapshot.source_digest
-    recorded, current = record.dep_digests, snapshot.dep_digests
-    for path in sorted(set(recorded) | set(current)):
-        if path not in recorded:
-            reason.added_deps.append(path)
-        elif path not in current:
-            reason.removed_deps.append(path)
-        elif recorded[path] != current[path]:
-            if recorded[path] is None:
-                reason.appeared_deps.append(path)
-            elif current[path] is None:
-                reason.vanished_deps.append(path)
-            else:
-                reason.changed_deps.append(path)
+    current = snapshot.dep_digests
+    for path, digest in sorted(record.dep_digests.items()):
+        if current.get(path) is None:
+            reason.vanished_deps.append(path)
+        elif current[path] != digest:
+            reason.changed_deps.append(path)
 
     if reason.options != record.options:
         reason.kind = "options-changed"
@@ -195,28 +163,29 @@ def rebuild_reason(
     return reason
 
 
-def top_passes(stats: dict, n: int = 5) -> list[tuple[str, dict]]:
-    """The ``n`` most expensive passes from a recorded stats payload.
+def top_passes(stats: dict[str, list[int]], n: int = 5) -> list[tuple[str, list[int]]]:
+    """The ``n`` most expensive passes of a recorded compile.
 
-    ``stats`` is a :meth:`BypassStatistics.to_dict` payload (what
-    :class:`UnitRecord.stats` stores); ordered by executed work, ties
-    by name for stable output.
+    ``stats`` maps each pass to its [executed, dormant, bypassed, work]
+    (what :attr:`UnitRecord.stats` stores); ordered by executed work,
+    ties by name for stable output.
     """
-    by_pass = stats.get("by_pass", {})
-    ranked = sorted(by_pass.items(), key=lambda kv: (-kv[1].get("work", 0), kv[0]))
-    return ranked[:n]
+    return sorted(stats.items(), key=lambda kv: (-kv[1][3], kv[0]))[:n]
 
 
 def explain_unit(
     db: BuildDatabase,
-    snapshot: DependencySnapshot,
+    scanner: DependencyScanner,
+    path: str,
     options: str,
     *,
     top: int = 5,
 ) -> str:
     """The full ``reprobuild explain <unit>`` text for one unit, as a
-    build with object ``options`` would decide it."""
-    record = db.units.get(snapshot.path)
+    build with object ``options`` would decide it from the files
+    ``scanner`` reads."""
+    record = db.units.get(path)
+    snapshot = scanner.snapshot(path, record.dep_digests if record else ())
     reason = rebuild_reason(record, snapshot, options)
     lines = [reason.describe()]
     if record is None:
@@ -235,11 +204,9 @@ def explain_unit(
     ranked = top_passes(record.stats, top)
     if ranked:
         lines.append(f"  top {len(ranked)} passes of the last compile (by work):")
-        for name, counters in ranked:
+        for name, (executed, dormant, bypassed, work) in ranked:
             lines.append(
-                f"    {name}: work={counters.get('work', 0)}"
-                f" executed={counters.get('executed', 0)}"
-                f" dormant={counters.get('dormant', 0)}"
-                f" bypassed={counters.get('bypassed', 0)}"
+                f"    {name}: work={work} executed={executed}"
+                f" dormant={dormant} bypassed={bypassed}"
             )
     return "\n".join(lines)

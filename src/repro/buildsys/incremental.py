@@ -3,23 +3,23 @@
 :class:`IncrementalBuilder` is the ninja/make analogue both compiler
 variants plug into.  Per build it:
 
-1. snapshots every translation unit's dependency closure
-   (:mod:`repro.buildsys.deps`);
+1. digests every translation unit and the headers its last compile
+   read, as the build database recorded them (:mod:`repro.buildsys.deps`);
 2. schedules recompilation for exactly the units whose own digest or
-   any transitively included header's digest changed since the build
-   database last saw them — recording a
+   the digest of one of those headers changed — recording a
    :class:`~repro.buildsys.explain.RebuildReason` per unit so the
    decision is explainable afterwards (``reprobuild explain``);
 3. compiles dirty units through one :class:`repro.driver.Compiler` —
    stateless or stateful per :class:`~repro.driver.CompilerOptions`
    (under the memo policy each unit gets its recorded object and memo
    keys, from which unchanged functions take their machine code), in
-   process or on a worker pool per
+   process or on a worker pool (longest expected compile first) per
    :class:`~repro.buildsys.parallel.BuildOptions`, always with
    :func:`~repro.buildsys.parallel.compile_unit`: under a policy that
    keeps dormancy state each unit compiles against a snapshot of the
    state as the build started, and the driver merges the returned
-   deltas in unit order, so results are the same at every ``-j``;
+   deltas in unit order, so results are the same at every ``-j``; each
+   compiled unit's record lists the headers its front end read;
 4. reuses cached objects for up-to-date units (inflated and decoded
    only if the build links them);
 5. links everything into one runnable :class:`~repro.backend.linker.LinkedImage`
@@ -157,8 +157,11 @@ class IncrementalBuilder:
         report = BuildReport()
 
         scan_start = time.perf_counter()
-        scanner = DependencyScanner(self.provider, metrics=self.metrics)
-        snapshots = {path: scanner.snapshot(path) for path in self.unit_paths}
+        scanner, records = DependencyScanner(self.provider), self.db.units
+        snapshots = {
+            path: scanner.snapshot(path, records[path].dep_digests if path in records else ())
+            for path in self.unit_paths
+        }
         report.scan_time = time.perf_counter() - scan_start
         self.tracer.add("scan", "phase", scan_start, report.scan_time)
 
@@ -266,6 +269,15 @@ class IncrementalBuilder:
 
     # -- compiling ----------------------------------------------------------
 
+    def _expected_cost(self, path: str) -> tuple[bool, float]:
+        """How long ``path`` should take to compile, for longest-first
+        submission to the pool: its last compile's wall time or, for a
+        unit without one, its source length; the latter sort first."""
+        record = self.db.units.get(path)
+        if record is not None and record.wall_time > 0:
+            return False, record.wall_time
+        return True, len(self.provider.read(path)) if self.provider.exists(path) else 0
+
     def _compile(
         self,
         compiler: Compiler | None,
@@ -291,6 +303,7 @@ class IncrementalBuilder:
             dirty,
             jobs=jobs,
             previous={path: self._previous(path) for path in dirty},
+            costs={path: self._expected_cost(path) for path in dirty} if jobs > 1 else None,
         )
         error: Exception | None = None
         for path in dirty:
@@ -338,13 +351,14 @@ class IncrementalBuilder:
             )
         )
         # No decode here: _link inflates and decodes the recorded
-        # object only if it links.
+        # object only if it links.  The record's dependencies are the
+        # headers this compile read.
         self.db.record_unit(
-            snapshot,
+            DependencySnapshot(outcome.path, snapshot.source_digest, outcome.headers),
             object_blob=outcome.object_blob,
             object_digest=outcome.object_digest,
             options=self.options.object_options,
-            stats=outcome.stats.to_dict(),
+            stats=outcome.stats.counts(),
             wall_time=outcome.wall_time,
             worker=outcome.worker,
             symbols=outcome.symbols,

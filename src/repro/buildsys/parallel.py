@@ -13,9 +13,9 @@ Every build compiles them with one protocol, whatever its ``-j``:
    unit sees exactly the records that existed when the build started;
 3. each unit's result is a picklable :class:`UnitOutcome` carrying the
    object JSON deflated as the build DB stores it (so pool workers
-   deflate in parallel and ship the smaller form), the bypass
-   statistics, and the snapshot's overlay as a
-   :class:`~repro.core.state.StateDelta`;
+   deflate in parallel and ship the smaller form), the headers the
+   front end read with their digests, the bypass statistics, and the
+   snapshot's overlay as a :class:`~repro.core.state.StateDelta`;
 4. the driver merges the successful outcomes in translation-unit order
    and re-raises the earliest failure, so the build's result follows
    from its inputs, not from its schedule.
@@ -25,9 +25,11 @@ compiler, and stops at the first failure.  ``jobs > 1`` runs them on a
 process pool — the compiler is CPU-bound Python, so only processes run
 it in parallel — whose workers each build one compiler from the
 picklable ``(provider, options)`` and inherit the live state through
-the fork.  A pool that cannot start or breaks (no fork in a sandbox, a
-killed worker) has merged nothing: it logs a warning and the same
-units compile in process.
+the fork.  The pool gets the units longest first (by the caller's
+expected costs), so the longest compile does not start last.  A pool
+that cannot start or breaks (no fork in a sandbox, a killed worker)
+has merged nothing: it logs a warning and the same units compile in
+process.
 
 Outcomes are *data*, not exceptions: a failed unit comes back as an
 outcome with diagnostics attached (``CompileError`` does not survive
@@ -116,15 +118,17 @@ class UnitOutcome(Struct):
 
     Everything the build driver needs and nothing it doesn't: the
     object file's JSON deflated and its digest (the representation the
-    build DB stores), the folded bypass table instead of the pass
-    ledger's rows, and the state delta instead of a whole mutated state.
+    build DB stores), the headers the compile read, the folded bypass
+    table instead of the pass ledger's rows, and the state delta instead
+    of a whole mutated state.
     An in-process compile also keeps the decoded object
     (:attr:`object_file`), so a link needs no decode; a pool worker
     drops it before the outcome is pickled.
     """
 
     _fields = (
-        "path", "object_blob", "object_digest", "symbols", "stats", "pass_work", "wall_time",
+        "path", "object_blob", "object_digest", "symbols", "headers", "stats", "pass_work",
+        "wall_time",
         "fingerprint_time", "fingerprint_count", "delta", "worker", "metrics", "spans",
         "epoch_wall", "error_kind", "error_message", "diagnostics", "memo", "functions_reused",
     )
@@ -135,6 +139,7 @@ class UnitOutcome(Struct):
         object_blob: bytes = b"",
         object_digest: str = "",
         symbols: dict | None = None,
+        headers: dict[str, str] | None = None,
         stats: BypassStatistics | None = None,
         pass_work: int = 0,
         wall_time: float = 0.0,
@@ -158,6 +163,9 @@ class UnitOutcome(Struct):
         self.object_digest = object_digest
         #: The object's link interface, computed beside its JSON.
         self.symbols = symbols
+        #: Every header the front end read: path -> digest of the text
+        #: it parsed (the unit's dependencies in the build DB).
+        self.headers = {} if headers is None else headers
         self.stats = BypassStatistics() if stats is None else stats
         self.pass_work = pass_work
         self.wall_time = wall_time
@@ -185,9 +193,16 @@ class UnitOutcome(Struct):
 
     @classmethod
     def from_result(
-        cls, path: str, result: CompileResult, wall_time: float, *, worker: str = "main"
+        cls,
+        path: str,
+        result: CompileResult,
+        wall_time: float,
+        headers: dict[str, str],
+        *,
+        worker: str = "main",
     ) -> UnitOutcome:
-        """A successful compilation in the form the build DB records it.
+        """A successful compilation, which read ``headers``, in the form
+        the build DB records it.
 
         The object's JSON, deflated, its digest and its link interface
         are computed here, in process and on pool workers alike.
@@ -198,6 +213,7 @@ class UnitOutcome(Struct):
             object_blob=deflate(object_json),
             object_digest=content_digest(object_json),
             symbols=result.object_file.link_symbols(),
+            headers=headers,
             stats=result.stats,
             pass_work=result.pass_work,
             wall_time=wall_time,
@@ -254,8 +270,13 @@ def compile_unit(
         )
     finally:
         compiler.state = state
+    digests = compiler.resolver.digests
     outcome = UnitOutcome.from_result(
-        path, result, time.perf_counter() - start, worker=worker
+        path,
+        result,
+        time.perf_counter() - start,
+        {h: digests[h] for h in result.headers},
+        worker=worker,
     )
     if snapshot is not None:
         outcome.delta = snapshot.delta()
@@ -314,15 +335,20 @@ def _make_pool(jobs: int, initargs: tuple) -> Executor:
 
 
 def _run_pool(
-    jobs: int, initargs: tuple, paths: list[str], previous: dict[str, Previous]
+    jobs: int,
+    initargs: tuple,
+    paths: list[str],
+    previous: dict[str, Previous],
+    costs: dict[str, tuple],
 ) -> dict[str, UnitOutcome]:
     from concurrent.futures import as_completed
 
     outcomes: dict[str, UnitOutcome] = {}
+    longest_first = sorted(paths, key=lambda p: costs.get(p, ()), reverse=True)
     with _make_pool(jobs, initargs) as pool:
         futures = {
             pool.submit(_compile_unit_task, path, previous.get(path)): path
-            for path in paths
+            for path in longest_first
         }
         for future in as_completed(futures):
             if future.cancelled():
@@ -343,13 +369,16 @@ def compile_units(
     *,
     jobs: int,
     previous: dict[str, Previous] | None = None,
+    costs: dict[str, tuple] | None = None,
 ) -> dict[str, UnitOutcome]:
     """Compile ``paths`` with :func:`compile_unit`; returns outcomes keyed by path.
 
     ``compiler`` is the build's; its state is the live state, which the
     caller must not change until this returns.  ``previous`` maps a unit
     to its last object JSON and memo keys (units without one are
-    absent).  ``jobs > 1`` runs a process pool of that many workers.
+    absent).  ``jobs > 1`` runs a process pool of that many workers and
+    submits the units in descending order of ``costs`` (each unit's
+    expected compile cost; ties keep their order, units without one go last).
 
     Failed units are present with diagnostics attached; units abandoned
     after a failure are absent.  A pool that cannot start or dies logs a
@@ -363,7 +392,7 @@ def compile_units(
 
         initargs = (compiler.provider, compiler.options, compiler.state, compiler.tracer.enabled)
         try:
-            return _run_pool(jobs, initargs, paths, previous)
+            return _run_pool(jobs, initargs, paths, previous, costs or {})
         except (BrokenExecutor, OSError) as exc:
             logger.warning("process pool unavailable (%s); compiling serially", exc)
     outcomes: dict[str, UnitOutcome] = {}

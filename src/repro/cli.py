@@ -483,7 +483,7 @@ def reprobuild_explain_main(argv: list[str] | None = None) -> int:
 
     Compares the current tree against the build database *without*
     building: for each unit it prints the scheduling verdict (source
-    changed / header closure changed / up to date / never built) and,
+    changed / a header it read changed / up to date / never built) and,
     when the database has one, the last compile's cost profile.
     """
     parser = argparse.ArgumentParser(
@@ -541,7 +541,7 @@ def reprobuild_explain_main(argv: list[str] | None = None) -> int:
     scanner = DependencyScanner(project.provider())
     options = CompilerOptions(opt_level=f"O{args.opt_level}").object_options
     for path in units:
-        print(explain_unit(db, scanner.snapshot(path), options, top=args.top))
+        print(explain_unit(db, scanner, path, options, top=args.top))
     return 0
 
 

@@ -50,11 +50,12 @@ class BypassStatistics(Struct):
         total = self.executions + self.bypassed
         return self.bypassed / total if total else 0.0
 
-    def counts(self) -> dict[str, tuple[int, ...]]:
-        """Each pass's (executed, dormant, bypassed, work): every per-pass
-        counter but wall time, so two builds of the same inputs agree."""
+    def counts(self) -> dict[str, list[int]]:
+        """Each pass's [executed, dormant, bypassed, work]: every per-pass
+        counter but wall time, so two builds of the same inputs agree
+        (and what the build DB records of a unit's compile)."""
         return {
-            name: tuple([counters.get(key, 0) for key in _COUNT_KEYS])
+            name: [counters.get(key, 0) for key in _COUNT_KEYS]
             for name, counters in sorted(self.by_pass.items())
         }
 

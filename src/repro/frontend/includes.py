@@ -8,13 +8,15 @@ and further ``include`` directives.
 
 The resolver produces a :class:`ResolvedUnit`: the unit's own AST, the
 merged item list fed to sema (header items first, in topological include
-order), and the transitive set of header paths — which the build system
-uses for dependency tracking.
+order), and the transitive set of header paths.  The resolver also keeps
+the :func:`content_digest` of every header text it parsed: the build
+system records those headers and digests as the unit's dependencies, so
+they are exactly what the compile read.
 """
 
 from __future__ import annotations
 
-import re
+import hashlib
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -22,10 +24,20 @@ from repro._struct import Struct
 from repro.frontend.diagnostics import CompileError, DiagnosticEngine
 
 # The build system imports this module for the providers and
-# scan_includes on every build; the source files, lexer, parser and AST
+# content_digest on every build; the source files, lexer, parser and AST
 # load only when a unit is actually resolved.
 if TYPE_CHECKING:  # pragma: no cover
     from repro.frontend import ast
+
+
+def content_digest(text: str) -> str:
+    """Stable content digest used for all up-to-date checks.
+
+    A digest match is trusted to mean "identical text", so we keep the
+    full SHA-256 rather than a truncated hash: a collision here would
+    silently skip a required rebuild.
+    """
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 class IncludeError(Exception):
@@ -136,6 +148,8 @@ class IncludeResolver:
     def __init__(self, provider: FileProvider):
         self.provider = provider
         self._header_cache: dict[str, ast.Program] = {}
+        #: :func:`content_digest` of the text each cached header was parsed from.
+        self.digests: dict[str, str] = {}
 
     def resolve(self, unit_name: str, unit_text: str) -> ResolvedUnit:
         """Parse ``unit_text`` and pull in every transitively included header.
@@ -166,10 +180,12 @@ class IncludeResolver:
             try:
                 header_ast = self._header_cache.get(path)
                 if header_ast is None:
-                    header_ast = _parse_file(path, self.provider.read(path), diags)
+                    text = self.provider.read(path)
+                    header_ast = _parse_file(path, text, diags)
                     if diags.has_errors:
                         raise CompileError(diags.errors)
                     self._header_cache[path] = header_ast
+                    self.digests[path] = content_digest(text)
                 for inner in header_ast.includes:
                     visit_header(inner.path, path)
                 header_order.append(path)
@@ -193,20 +209,4 @@ class IncludeResolver:
     def invalidate(self, path: str) -> None:
         """Drop a cached header (its file changed)."""
         self._header_cache.pop(path, None)
-
-
-_INCLUDE_LINE = re.compile(r'^\s*include\s+"([^"\n]+)"\s*;', re.MULTILINE)
-
-
-def scan_includes(text: str) -> list[str]:
-    """Cheaply extract the direct include paths of a source text.
-
-    Used by the build system's dependency scanner on every file of every
-    build, so it must be fast: a line-oriented regex rather than a full
-    parse (the same trade ninja's depfile scanners make).  ``include``
-    directives are only valid at the start of a line at top level, which
-    the regex captures exactly; commented-out includes inside block
-    comments are conservatively still reported (a false dependency can
-    only cause an extra rebuild, never a missed one).
-    """
-    return _INCLUDE_LINE.findall(text)
+        self.digests.pop(path, None)

@@ -6,8 +6,9 @@ any ``-j``) must produce bit-identical output to a stateless clean
 build of the same tree.  This module turns that contract into a
 fuzzable property:
 
-1. generate a project from a seeded preset and a seeded random edit
-   trace (:mod:`repro.workload`);
+1. generate a project from a seeded preset, with some includes placed
+   where only a full parse finds them (after a comment or a global
+   definition), and a seeded random edit trace (:mod:`repro.workload`);
 2. replay the trace — clean stateless rebuilds (the reference), and
    stateful incremental builds under the fine-grained and the memo
    policy, each at ``-j 1`` and at ``-j N`` with the snapshot/delta
@@ -115,7 +116,7 @@ def run_differential_trace(
 ) -> DifferentialResult:
     """Fuzz one seeded edit trace; see the module docstring for the law."""
     result = DifferentialResult(preset=preset, seed=seed, jobs=tuple(jobs))
-    spec = make_preset(preset, seed=seed)
+    spec = make_preset(preset, seed=seed, late_includes=True)
     edits = random_edit_sequence(spec, num_edits, seed=seed, mix=FUZZ_EDIT_MIX)
     result.edits = [edit.describe() for edit in edits]
 

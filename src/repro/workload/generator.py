@@ -351,16 +351,20 @@ def _generate_header(module: ModuleSpec, spec: ProjectSpec) -> str:
 
 def _generate_source(module: ModuleSpec, spec: ProjectSpec) -> str:
     rng = seeded_rng(spec.seed, module.name, "source")
+    includes = [f'include "{name}.mh";' for name in (module.name, *module.imports)]
+    definitions = [f"int {g} = {rng.randint(0, 9)};" for g in _global_names(module)]
+    if spec.late_includes:
+        # The same includes in the same order, but the first follows a
+        # comment and the rest follow the first global's definition.
+        definitions[0] = " ".join([definitions[0], *includes[1:]])
+        includes = [f"/* interface */ {includes[0]}"]
     lines = [
         f"// {module.name}.mc (generated) — revision {module.comment_revision}",
-        f'include "{module.name}.mh";',
+        *includes,
+        "",
+        *definitions,
+        "",
     ]
-    for imported in module.imports:
-        lines.append(f'include "{imported}.mh";')
-    lines.append("")
-    for g in _global_names(module):
-        lines.append(f"int {g} = {rng.randint(0, 9)};")
-    lines.append("")
 
     own_globals = _global_names(module)
     header_consts = [_header_const_name(module)] + [
@@ -395,7 +399,8 @@ def _generate_main(spec: ProjectSpec) -> str:
     rng = seeded_rng(spec.seed, "main")
     lines = ["// main.mc (generated)"]
     for module in spec.modules:
-        lines.append(f'include "{module.name}.mh";')
+        late = f"/* {module.name} */ " if spec.late_includes and module.index % 2 else ""
+        lines.append(f'{late}include "{module.name}.mh";')
     lines.append("")
     lines.append("int main() {")
     lines.append("  int total = 0;")

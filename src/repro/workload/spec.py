@@ -59,6 +59,9 @@ class ProjectSpec:
     name: str
     seed: int
     modules: tuple[ModuleSpec, ...]
+    #: Put some includes where only a full parse finds them: after a
+    #: block comment, or after a global definition on the same line.
+    late_includes: bool = False
 
     def module_by_name(self, name: str) -> ModuleSpec:
         for module in self.modules:
@@ -97,6 +100,7 @@ def make_spec(
     functions_per_module: int,
     seed: int = 1,
     import_fanout: int = 2,
+    late_includes: bool = False,
 ) -> ProjectSpec:
     """Build a random-but-deterministic project spec.
 
@@ -132,7 +136,9 @@ def make_spec(
                 num_globals=rng.randint(1, 3),
             )
         )
-    return ProjectSpec(name=name, seed=seed, modules=tuple(modules))
+    return ProjectSpec(
+        name=name, seed=seed, modules=tuple(modules), late_includes=late_includes
+    )
 
 
 #: Named presets mirroring the paper's project-size spread (Table 1).
@@ -145,10 +151,10 @@ PRESETS: dict[str, dict[str, int]] = {
 }
 
 
-def make_preset(preset: str, seed: int = 1) -> ProjectSpec:
+def make_preset(preset: str, seed: int = 1, *, late_includes: bool = False) -> ProjectSpec:
     """Instantiate one of the named presets."""
     try:
         params = PRESETS[preset]
     except KeyError:
         raise ValueError(f"unknown preset {preset!r}; options: {sorted(PRESETS)}") from None
-    return make_spec(preset, seed=seed, **params)
+    return make_spec(preset, seed=seed, late_includes=late_includes, **params)

@@ -15,6 +15,13 @@ from repro.ir.fingerprint import stable_hash
 from repro.persist import atomic_write, read_artifact
 
 
+def split_payload(payload):
+    """A v7 payload's prefix line, deflated header and deflated objects."""
+    head, _, body = payload.partition(b"\n")
+    size = json.loads(head)["header"]
+    return head + b"\n", body[:size], body[size:]
+
+
 def snapshot_of(path, text, deps=None):
     return DependencySnapshot(path, content_digest(text), dict(deps or {}))
 
@@ -104,6 +111,36 @@ class TestRoundTrip:
         path.write_text("{not json")
         with pytest.raises(CorruptDatabaseError):
             BuildDatabase.load(path)
+
+    def test_save_load_to_json_is_byte_identical(self, tmp_path):
+        db = sample_db()
+        db.units["main.mc"].stats = {"gvn": [3, 1, 2, 40], "dce": [1, 1, 0, 0]}
+        db.units["main.mc"].wall_time = 0.0123456789
+        path = tmp_path / "db"
+        db.save(path)
+        loaded = BuildDatabase.load(path)
+        assert loaded.to_json() == read_artifact(path)
+        assert loaded.units["main.mc"].stats == {"gvn": [3, 1, 2, 40], "dce": [1, 1, 0, 0]}
+        # The header is stored deflated: its digests do not appear verbatim.
+        assert db.units["main.mc"].source_digest.encode() not in read_artifact(path)
+
+    def test_a_recompiled_unit_replaces_its_loaded_header_line(self, tmp_path):
+        db = sample_db()
+        db.record_unit(snapshot_of("util.mc", "int u() { return 1; }"), "{}")
+        path = tmp_path / "db"
+        db.save(path)
+        loaded = BuildDatabase.load(path)
+        loaded.record_unit(
+            snapshot_of("main.mc", "int main() { return 7; }", {"b.mh": content_digest("y")}),
+            '{"format": "repro-object-v1", "edited": true}',
+            stats={"dce": [1, 0, 0, 3]},
+        )
+        loaded.save(path)
+        again = BuildDatabase.load(path)
+        assert again.units == loaded.units
+        assert again.units["main.mc"].dep_digests == {"b.mh": content_digest("y")}
+        assert again.units["util.mc"] == db.units["util.mc"]
+        assert again.to_json() == read_artifact(path)
 
     def test_schema_mismatch_loads_empty(self, tmp_path):
         head, _, body = sample_db().to_json().partition(b"\n")
@@ -206,13 +243,38 @@ class TestCorruptionContract:
 
     def test_object_that_does_not_inflate_raises_typed_error(self, tmp_path):
         path = tmp_path / "db"
-        head, _, body = sample_db().to_json().partition(b"\n")
-        atomic_write(path, head + b"\n" + bytes(len(body)))
+        prefix, header, objects = split_payload(sample_db().to_json())
+        atomic_write(path, prefix + header + bytes(len(objects)))
         record = BuildDatabase.load(path).units["main.mc"]
         with pytest.raises(CorruptDatabaseError, match="does not inflate"):
             record.object_json
 
+    def test_header_that_overruns_the_body_raises_typed_error(self, tmp_path):
+        path = tmp_path / "db"
+        prefix, header, objects = split_payload(sample_db().to_json())
+        size = len(header) + len(objects) + 1
+        atomic_write(path, b'{"schema":7,"header":%d}\n' % size + header + objects)
+        with pytest.raises(CorruptDatabaseError, match="header .* overruns"):
+            BuildDatabase.load(path)
+        db, err = BuildDatabase.load_or_empty(path)
+        assert db.units == {} and isinstance(err, CorruptDatabaseError)
+
+    def test_header_that_does_not_inflate_raises_typed_error(self, tmp_path):
+        path = tmp_path / "db"
+        prefix, header, objects = split_payload(sample_db().to_json())
+        atomic_write(path, prefix + bytes(len(header)) + objects)
+        with pytest.raises(CorruptDatabaseError, match="header does not inflate"):
+            BuildDatabase.load(path)
+        db, err = BuildDatabase.load_or_empty(path)
+        assert db.units == {} and isinstance(err, CorruptDatabaseError)
+
     def test_reprobuild_rebuilds_when_an_object_does_not_inflate(self, tmp_path, capsys):
+        self.rebuilds_when_damaged(tmp_path, capsys, "objects")
+
+    def test_reprobuild_rebuilds_when_the_header_does_not_inflate(self, tmp_path, capsys):
+        self.rebuilds_when_damaged(tmp_path, capsys, "header")
+
+    def rebuilds_when_damaged(self, tmp_path, capsys, damaged):
         from repro.cli import reprobuild_main
 
         proj = tmp_path / "proj"
@@ -223,8 +285,11 @@ class TestCorruptionContract:
         argv = [str(proj), "--db", str(path), "--stateful", "--no-history", "--no-lock", "--run"]
         assert reprobuild_main(argv) == 0
         clean = {p: r.object_json for p, r in BuildDatabase.load(path).units.items()}
-        head, _, body = read_artifact(path).partition(b"\n")
-        atomic_write(path, head + b"\n" + bytes(len(body)))
+        prefix, header, objects = split_payload(read_artifact(path))
+        if damaged == "objects":
+            atomic_write(path, prefix + header + bytes(len(objects)))
+        else:
+            atomic_write(path, prefix + bytes(len(header)) + objects)
         capsys.readouterr()
 
         assert reprobuild_main(argv) == 0

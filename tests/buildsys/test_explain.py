@@ -31,8 +31,14 @@ def built_db(files=FILES, **options):
     return db
 
 
+def snapshot_for(db, scanner, path):
+    """What the builder checks: the unit and the headers its record lists."""
+    record = db.units.get(path)
+    return scanner.snapshot(path, record.dep_digests if record else ())
+
+
 def reason_for(db, files, path):
-    snapshot = DependencyScanner(MemoryFileProvider(files)).snapshot(path)
+    snapshot = snapshot_for(db, DependencyScanner(MemoryFileProvider(files)), path)
     return rebuild_reason(db.units.get(path), snapshot, OPTIONS)
 
 
@@ -65,9 +71,9 @@ class TestRebuildReason:
         assert reason.kind == "deps-changed"
         assert not reason.source_changed
         assert reason.changed_deps == ["shared.mh"]
-        assert "header closure changed" in reason.describe()
+        assert "a header it read changed" in reason.describe()
         assert "shared.mh" in reason.describe()
-        # A unit outside the closure is untouched by the header edit.
+        # A unit that did not read the header is untouched by its edit.
         assert reason_for(db, edited, "lone.mc").is_up_to_date
 
     def test_header_vanishing_and_reappearing(self):
@@ -109,7 +115,7 @@ class TestRebuildReason:
         for files in variants:
             scanner = DependencyScanner(MemoryFileProvider(files))
             for path in UNITS:
-                snapshot = scanner.snapshot(path)
+                snapshot = snapshot_for(db, scanner, path)
                 for options in (OPTIONS, "-O0"):
                     reason = rebuild_reason(db.units.get(path), snapshot, options)
                     assert reason.is_up_to_date == db.up_to_date(snapshot, options), (
@@ -122,25 +128,19 @@ class TestRebuildReason:
 class TestExplainUnit:
     def test_explains_with_last_compile_profile(self):
         db = built_db(stateful=True)
-        snapshot = DependencyScanner(MemoryFileProvider(FILES)).snapshot("main.mc")
-        text = explain_unit(db, snapshot, OPTIONS)
+        text = explain_unit(db, DependencyScanner(MemoryFileProvider(FILES)), "main.mc", OPTIONS)
         assert "main.mc: up to date" in text
         assert "last compiled in" in text
         assert "top" in text and "work=" in text
 
     def test_never_built_unit_has_no_profile(self):
-        snapshot = DependencyScanner(MemoryFileProvider(FILES)).snapshot("main.mc")
-        text = explain_unit(BuildDatabase(), snapshot, OPTIONS)
+        scanner = DependencyScanner(MemoryFileProvider(FILES))
+        text = explain_unit(BuildDatabase(), scanner, "main.mc", OPTIONS)
         assert "no build record" in text
         assert "last compiled" not in text
 
     def test_top_passes_ranked_by_work(self):
-        stats = {
-            "by_pass": {
-                "cse": {"work": 5},
-                "gvn": {"work": 9},
-                "adce": {"work": 9},
-            }
-        }
+        # Each pass's [executed, dormant, bypassed, work], as the DB stores it.
+        stats = {"cse": [1, 0, 0, 5], "gvn": [2, 1, 0, 9], "adce": [1, 1, 0, 9]}
         ranked = top_passes(stats, 2)
         assert [name for name, _ in ranked] == ["adce", "gvn"]  # ties by name

@@ -457,3 +457,42 @@ class TestCompileUnitHelper:
         assert outcome.failed and outcome.error_kind == "include"
         assert isinstance(outcome.exception(), IncludeError)
         assert str(outcome.exception()) == outcome.error_message
+
+
+class TestLongestFirst:
+    """The pool gets the units in descending order of expected compile
+    cost; outcomes still merge in unit order."""
+
+    def test_pool_submits_the_longest_expected_compile_first(self, monkeypatch):
+        from concurrent.futures import ThreadPoolExecutor
+
+        started = []
+
+        def task(path, previous):
+            started.append(path)
+            return COMPILE_UNIT_TASK(path, previous)
+
+        # One in-process worker runs the tasks in submission order.
+        monkeypatch.setattr(parallel, "_WORKER", {})
+        monkeypatch.setattr(parallel, "_compile_unit_task", task)
+        monkeypatch.setattr(
+            parallel,
+            "_make_pool",
+            lambda jobs, initargs: ThreadPoolExecutor(
+                1, initializer=parallel._init_worker, initargs=initargs
+            ),
+        )
+        db = BuildDatabase()
+        report = build(FILES, db)
+        # No records yet: the longest source first.
+        assert started == ["util.mc", "main.mc", "extra.mc"]
+        assert [u.path for u in report.compiled] == UNITS
+
+        for path, wall in zip(UNITS, [0.3, 0.1, 0.2]):
+            db.units[path].wall_time = wall
+        edited = {p: text + "// edited\n" if p.endswith(".mc") else text for p, text in FILES.items()}
+        started.clear()
+        report = build(edited, db)
+        # The last compile's wall time decides.
+        assert started == ["extra.mc", "util.mc", "main.mc"]
+        assert [u.path for u in report.compiled] == UNITS

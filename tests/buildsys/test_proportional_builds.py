@@ -141,7 +141,8 @@ class TestObjectOptions:
 
 def count_calls(monkeypatch):
     """Count calls of the decode/encode/link/write entry points, and
-    the deflates and inflates of stored objects in this process."""
+    the deflates and inflates in this process: of stored objects, and
+    of the DB header (inflated by every load, deflated by every write)."""
     calls = {}
 
     def counted(name, fn):
@@ -181,7 +182,7 @@ class TestWorkCounts:
             tree, capsys, "--report-json", str(tree / "r.json"), *policy, stateful=stateful
         )
         assert rc == 0 and "0 recompiled" in err
-        assert calls == {}
+        assert calls == {"inflate": 1}  # the DB header
         if stateful:
             # The state summary still reports, from the persisted one.
             state = json.loads((tree / "r.json").read_text())["state"]
@@ -215,8 +216,11 @@ class TestWorkCounts:
         calls = count_calls(monkeypatch)
         rc, out, _ = run(tree, capsys, "--run")
         assert rc == 0 and out.split() == ["3", "8"]
-        # Each cached object is inflated once, to be decoded and linked.
-        assert calls == {"link": 1, "ObjectFile.from_json": len(FILES), "inflate": len(FILES)}
+        # Each cached object is inflated once, to be decoded and linked;
+        # the one more inflate is the DB header.
+        assert calls == {
+            "link": 1, "ObjectFile.from_json": len(FILES), "inflate": len(FILES) + 1
+        }
 
     def test_edit_build_checks_the_link_without_decoding(self, tree, capsys, monkeypatch):
         assert run(tree, capsys)[0] == 0
@@ -226,9 +230,10 @@ class TestWorkCounts:
         assert rc == 0 and "1 recompiled, 3 up-to-date" in err
         assert "ObjectFile.from_json" not in calls and "link" not in calls
         assert json.loads((tree / "r.json").read_text())["summary"]["linked"]
-        # The fresh object is deflated once; the memo inflates at most
-        # the dirty unit's previous object, and the DB write no other.
-        assert calls["deflate"] == 1 and calls.get("inflate", 0) <= 1
+        # The fresh object is deflated once and the DB header once; the
+        # memo inflates at most the dirty unit's previous object, the
+        # load the header, and the DB write nothing.
+        assert calls["deflate"] == 2 and calls["inflate"] <= 2
 
         # --run still links: the fresh object in memory, the rest decoded.
         write(tree, "b.mc", "int b_old(int x) { return x + 6; }\n")
@@ -236,14 +241,15 @@ class TestWorkCounts:
         rc, out, _ = run(tree, capsys, "--run")
         assert rc == 0 and out.split() == ["8", "8"]
         assert calls["link"] == 1 and calls["ObjectFile.from_json"] == len(FILES) - 1
-        assert calls["deflate"] == 1 and calls["inflate"] == len(FILES)
+        assert calls["deflate"] == 2 and calls["inflate"] == len(FILES) + 1
 
     def test_clean_pool_build_deflates_nothing_in_the_parent(
         self, tree, capsys, monkeypatch
     ):
         calls = count_calls(monkeypatch)
         assert run(tree, capsys, "-j", "2")[0] == 0
+        # The pool ran: each object was deflated by the worker that
+        # compiled it; the parent deflated only the DB header.
+        assert calls["deflate"] == 1 and "inflate" not in calls
         db = BuildDatabase.load(tree / "build.reprodb")
-        # The pool ran: each object was deflated by the worker that compiled it.
         assert all(r.worker.startswith("pid-") for r in db.units.values())
-        assert "deflate" not in calls and "inflate" not in calls

@@ -7,7 +7,7 @@ from repro.frontend.includes import (
     IncludeError,
     IncludeResolver,
     MemoryFileProvider,
-    scan_includes,
+    content_digest,
 )
 
 
@@ -89,21 +89,37 @@ class TestResolution:
 
 
 class TestScanIncludes:
+    """The includes the parser finds in a unit's text: the only include
+    detection the build has (its DB records exactly these headers)."""
+
+    HEADERS = {name: "const int X = 1;\n" for name in ("a.mh", "b.mh", "x.mh")}
+
+    def includes_of(self, text):
+        return resolver(self.HEADERS).resolve("u.mc", text).headers
+
     def test_basic(self):
-        assert scan_includes('include "a.mh";\ninclude "b.mh";\nint main() {}') == [
+        assert self.includes_of('include "a.mh";\ninclude "b.mh";\nint main() {}') == [
             "a.mh",
             "b.mh",
         ]
 
     def test_no_includes(self):
-        assert scan_includes("int main() { return 0; }") == []
+        assert self.includes_of("int main() { return 0; }") == []
 
     def test_indented_include(self):
-        assert scan_includes('  include "x.mh";') == ["x.mh"]
-
-    def test_tolerates_broken_code(self):
-        assert scan_includes('include "a.mh";\n$$$ garbage $$$') == ["a.mh"]
+        assert self.includes_of('  include "x.mh";') == ["x.mh"]
 
     def test_not_confused_by_strings_inside_functions(self):
-        # `include` mid-line is not a directive.
-        assert scan_includes('int f() { return 0; } // include "fake.mh";') == []
+        # `include` in a comment is not a directive.
+        assert self.includes_of('int f() { return 0; } // include "x.mh";') == []
+
+    @pytest.mark.parametrize("before", ["/* x */ ", "int g; ", "int g = 1; /* y */\n  "])
+    def test_include_anywhere_at_top_level(self, before):
+        assert self.includes_of(f'{before}include "a.mh";') == ["a.mh"]
+
+    def test_digests_are_of_the_parsed_text(self):
+        r = resolver(dict(self.HEADERS))
+        r.resolve("u.mc", 'include "a.mh";')
+        assert r.digests == {"a.mh": content_digest(self.HEADERS["a.mh"])}
+        r.invalidate("a.mh")
+        assert r.digests == {}

@@ -19,6 +19,7 @@ from repro.buildsys.deps import DependencySnapshot, content_digest
 from repro.core.state import CompilerState
 from repro.ir.fingerprint import stable_hash
 from repro.obs.history import BuildHistory, HistoryRecord
+from repro.persist import atomic_write, read_artifact
 from repro.testing import (
     KILL,
     KILL_AFTER,
@@ -38,14 +39,19 @@ def digest(name):
     return stable_hash(name)
 
 
-def snapshot_of(path, text):
-    return DependencySnapshot(path, content_digest(text), {})
+def snapshot_of(path, text, deps=None):
+    return DependencySnapshot(path, content_digest(text), deps or {})
 
 
 def make_db(units):
     db = BuildDatabase()
     for name in units:
-        db.record_unit(snapshot_of(name, f"source of {name}"), "{}")
+        db.record_unit(
+            snapshot_of(name, f"source of {name}", {"h.mh": content_digest("h")}),
+            "{}",
+            stats={"gvn": [2, 1, 0, 7]},
+            wall_time=0.001,
+        )
     state = CompilerState(pipeline_signature="p1|p2")
     state.begin_build()
     for i, name in enumerate(units):
@@ -99,8 +105,10 @@ class TestBuildDatabaseMatrix:
         new = make_db(["a.mc", "b.mc", "c.mc"])
 
         old.save(path)
+        old_payload = read_artifact(path)
         total = count_io_ops(lambda: new.save(path)).total_ops
         assert total >= 5
+        new_payload = read_artifact(path)
 
         checked = 0
         for label, plan in sweep_plans(total):
@@ -114,6 +122,8 @@ class TestBuildDatabaseMatrix:
                 assert units == set(), label
             else:
                 assert units in (set(old.units), set(new.units)), label
+                # What loaded encodes back to the bytes one save wrote.
+                assert db.to_json() in (old_payload, new_payload), label
                 if units == set(new.units):
                     # The state files are written before the DB.
                     assert db.live_state is not None
@@ -125,6 +135,24 @@ class TestBuildDatabaseMatrix:
                 ), label
             checked += 1
         assert checked == total * 5
+
+    def test_every_damaged_header_byte_is_diagnosed(self, tmp_path):
+        # Framed anew, so the checksum passes: each byte of the prefix
+        # line and the deflated header, changed, must give a typed error
+        # or (a changed schema number) an empty DB — never wrong units.
+        path = tmp_path / "build.reprodb"
+        payload = make_db(["a.mc", "b.mc"]).to_json()
+        prefix, _, body = payload.partition(b"\n")
+        end = len(prefix) + 1 + int(prefix.split(b":")[-1].rstrip(b"}"))
+        for offset in range(end):
+            damaged = bytearray(payload)
+            damaged[offset] ^= 0x01
+            atomic_write(path, bytes(damaged))
+            try:
+                db = BuildDatabase.load(path)
+            except CorruptDatabaseError:
+                continue
+            assert db.units == {}, offset
 
     def test_strict_load_never_raises_untyped(self, tmp_path):
         # The matrix again, but through the strict loader: anything it

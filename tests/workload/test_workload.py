@@ -73,6 +73,25 @@ class TestGenerator:
         changed = [p for p in before if before[p] != after[p]]
         assert changed == [f"{module.name}.mc"]
 
+    def test_late_includes_move_includes_but_not_code(self):
+        plain = generate_project(make_preset("small", seed=1))
+        late = generate_project(make_preset("small", seed=1, late_includes=True))
+        texts = "".join(late.files.values())
+        assert "*/ include " in texts  # after a comment
+        assert any(";" in line.split("include")[0] for line in texts.splitlines()
+                   if line.startswith("int ") and "include" in line)  # after a definition
+        assert late.files != plain.files
+
+        def objects(project):
+            db = BuildDatabase()
+            IncrementalBuilder(
+                project.provider(), project.unit_paths, CompilerOptions(), db
+            ).build(link_output=False)
+            return {path: record.object_json for path, record in db.units.items()}
+
+        # The same includes in the same order: the same objects.
+        assert objects(late) == objects(plain)
+
     @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(seed=st.integers(min_value=0, max_value=500))
     def test_arbitrary_seeds_run_clean(self, seed):
