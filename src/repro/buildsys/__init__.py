@@ -11,10 +11,10 @@ instead of — a competent build system:
   missing-header tolerance.
 - :mod:`repro.buildsys.builddb` — the content-digest
   :class:`BuildDatabase`: per-unit digests, dependency digests, object
-  options, cached objects (deflated JSON) and the last link's key; the live
-  :class:`~repro.core.state.CompilerState` persists beside it
-  (:class:`~repro.buildsys.builddb.StateStore`: one checksummed file),
-  read and written only by builds that compile.
+  options, cached objects (deflated JSON), the last link's key and the
+  live :class:`~repro.core.state.CompilerState`, one section of the same
+  file, decoded only by builds that compile under the fine or coarse
+  policy.
 - :mod:`repro.buildsys.incremental` — :class:`IncrementalBuilder`: the
   scheduler deciding, per unit, rebuild vs reuse, compiling via
   :mod:`repro.driver` and linking the result.

@@ -2,26 +2,27 @@
 
 One file per build tree, playing the role of ninja's ``.ninja_log``
 + ``.ninja_deps`` + the object directory.  Under the fine and coarse
-policies the stateful compiler's :class:`~repro.core.state.CompilerState`
-lives in a second file beside it; a memo-policy build keeps its memo
-keys in the DB and never reads or writes that file:
+policies it also holds the stateful compiler's
+:class:`~repro.core.state.CompilerState`; a memo-policy build keeps its
+memo keys in the unit records and no compiler state.
 
-- ``<db>`` — a one-line JSON prefix ``{"schema":7,"header":N}``, then
-  the header, N bytes deflated with :mod:`zlib`, then each unit's
-  object JSON deflated, in the header's unit order.  The header is
-  JSON lines: the key of the last successful link and a summary of the
-  state (records, bytes, GC counters), so a no-op build can report the
-  state without reading it, then one line per unit: source digest, the
-  headers its last compile read with
-  the digests of the texts the front end parsed (its *observed*
-  dependencies, see :mod:`repro.buildsys.deps`), the options that shape
-  its object, the object's digest and deflated length, its link
-  interface, the ``[executed, dormant, bypassed, work]`` counters of
-  each pass of that compile, its wall time and worker and, after a
-  memo-policy compile, each function's memo key.
-- ``<db>.state`` — :meth:`CompilerState.to_json` (a JSON header line
-  and the sorted table of fixed-width record rows) as one checksummed
-  atomic artifact.
+The file is a one-line JSON prefix ``{"schema":8,"header":N,"state":M}``
+and three sections:
+
+- the header, N bytes deflated with :mod:`zlib`: JSON lines, the key of
+  the last successful link, then one line per unit: source digest, the
+  headers its last compile read with the digests of the texts the front
+  end parsed (its *observed* dependencies, see
+  :mod:`repro.buildsys.deps`), the options that shape its object, the
+  object's digest and deflated length, its link interface, the
+  ``[executed, dormant, bypassed, work]`` counters of each pass of that
+  compile, its wall time and worker and, after a memo-policy compile,
+  each function's memo key;
+- the compiler state, M bytes: exactly :meth:`CompilerState.to_json`
+  (its JSON header line and the sorted table of fixed-width record
+  rows), not deflated.  ``M = 0`` is no state: what memo and stateless
+  builds keep;
+- each unit's object JSON deflated, in the header's unit order.
 
 A unit is up to date when its current :class:`DependencySnapshot` — the
 digests of its source and of the headers its last compile read —
@@ -29,19 +30,20 @@ matches the record exactly and it was compiled with the same object
 options (``-O`` level); anything else — edited source, an edited or
 deleted header, another ``-O`` — forces a recompile.
 
-**Persistence only where a build compiles.**  The state is read only
-when a build compiles a unit, and written only by such builds (see
-:class:`StateStore`): the build splices the records it created or
-refreshed into the table and rewrites the file, so encoding costs what
-the build touched.  Loading the state decodes no record (see
-:mod:`repro.core.state`).  The DB file is rewritten only when something
-in it changed, and then an unchanged unit's object is written back as
-the deflated bytes it was loaded as, and its header line as the text
-it was loaded as: a build encodes the header lines of the units it
-compiled, deflates the header and only the objects it compiled (on the
-process that compiled them), and inflates an object only when something
-reads its JSON
-(:attr:`UnitRecord.object_json`).
+**Work only where a build uses it.**  The state section is decoded when
+:attr:`BuildDatabase.live_state` is first read, which only a build that
+compiles under the fine or coarse policy does; decoding reads its header
+line and no record (see :mod:`repro.core.state`).  A build that does not
+read it writes the loaded bytes back as they are, and a no-op build
+reports the state's summary from the section's header line
+(:meth:`BuildDatabase.state_size_summary`).  The file is rewritten only
+when something in it changed, and then an unchanged unit's object is
+written back as the deflated bytes it was loaded as, and its header line
+as the text it was loaded as: a build encodes the header lines of the
+units it compiled, deflates the header and only the objects it compiled
+(on the process that compiled them), splices the records it created or
+refreshed into the state's table, and inflates an object only when
+something reads its JSON (:attr:`UnitRecord.object_json`).
 
 **The link-skip invariant.**  :attr:`BuildDatabase.linked` holds
 :meth:`BuildDatabase.link_key` of the last link that *succeeded*: a
@@ -52,37 +54,25 @@ inputs that did not link.  A build whose link key equals ``linked`` may skip
 decoding the objects and linking: the result would be the image that
 already linked.
 
-**Crashes between the files** (fine and coarse builds; a memo build
-writes only the DB file).  :meth:`BuildDatabase.save_changes`
-writes the state file before the DB file, each with its own
-crash-consistent protocol, so a crash leaves each file old or new, and
-the pair can mix: a new state beside the old DB.  That mix — and any
-other, such as a state file lost or damaged while the DB survives — is
-harmless, because a dormancy record is a *content-keyed fact*: "the pass
-at this position left IR with fingerprint F unchanged (or turned it into
-F')" is true whichever build recorded it and whichever objects the DB
-holds.  A record no unit produces again is never hit; a missing record
-only costs a bypass.  What can lag is the GC clock and the DB's state
-summary, which decide when records are reclaimed and what the report
-says, never what a build outputs.
-
 Like the compiler state, the DB is disposable: a missing or
-schema-incompatible file loads as an empty database and the next build
-is simply a clean build.  A *corrupt* file (zero bytes, torn JSON, a
-failed checksum, a header that overruns the body or does not inflate,
-object lengths that do not add up to the body) raises
-the typed :class:`CorruptDatabaseError` so the
-caller can log what happened before falling back to the same full
-rebuild — cache loss is a performance event, never a correctness one,
-but silent cache loss is a diagnosis event someone deserves to see.
-A stored object that does not inflate raises the same error when it is
-read (``reprobuild`` then rebuilds from scratch).
-A damaged state file loads as no state, silently.
+schema-incompatible file loads as an empty database with no state and
+the next build is simply a clean build.  A *corrupt* file (zero bytes,
+torn JSON, a failed checksum, a header that overruns the body or does
+not inflate, a state section with no header line, section and object
+lengths that do not add up to the body) raises the typed
+:class:`CorruptDatabaseError` so the caller can log what happened before
+falling back to the same full rebuild, without the state — cache loss
+is a performance event, never a correctness one, but silent cache loss
+is a diagnosis event someone deserves to see.  A stored object that
+does not inflate raises the same error when it is read (``reprobuild``
+then rebuilds from scratch).  A state section of another state schema
+decodes as no state.
 
 Writes go through :func:`repro.persist.atomic_write` (checksummed frame,
-temp file + fsync + rename, bounded retry on transient errors).  A
-``reprobuild`` killed at any instant leaves every file either previous
-or new, never a torn hybrid that is read as valid.
+temp file + fsync + rename, bounded retry on transient errors), one per
+build that changed something.  A ``reprobuild`` killed at any instant
+leaves the file either previous or new — units, objects and state
+together — never a torn hybrid that is read as valid.
 """
 
 from __future__ import annotations
@@ -94,27 +84,23 @@ from pathlib import Path
 
 from repro._struct import Struct
 from repro.buildsys.deps import DependencySnapshot, content_digest
-from repro.core.state import CompilerState
-from repro.persist import (
-    CorruptArtifactError,
-    PersistError,
-    atomic_write,
-    frame,
-    read_artifact,
-)
+from repro.core.state import CompilerState, base_summary
+from repro.persist import CorruptArtifactError, PersistError, atomic_write, read_artifact
 
 #: v2 added per-unit observability (pass statistics, wall time, worker)
 #: so ``reprobuild explain`` can report where a unit's compile time
-#: went; v3 moved the compiler state into ``<db>.state*`` and added
+#: went; v3 moved the compiler state into files beside the DB and added
 #: per-unit object options and digests plus the last link's key; v4
 #: added each object's link interface (:attr:`UnitRecord.symbols`); v5
 #: added each unit's memo keys (:attr:`UnitRecord.memo`); v6 moved each
 #: object out of the JSON, deflated, behind the header line; v7 deflates
 #: the header, keeps four counters per pass and records the headers each
-#: compile read instead of a scanned include closure.  Older files load
-#: as an empty DB: a clean build.  (A v6 record's scanned closure could
-#: miss a header, so it is not migrated.)
-DB_SCHEMA_VERSION = 7
+#: compile read instead of a scanned include closure; v8 moved the
+#: compiler state back into the file, as a section.  Older files load as
+#: an empty DB: a clean build.  (A v6 record's scanned closure could miss
+#: a header, so it is not migrated; a state file left beside the DB is
+#: never read.)
+DB_SCHEMA_VERSION = 8
 
 
 def deflate(object_json: str) -> bytes:
@@ -237,66 +223,11 @@ class UnitRecord(Struct):
         self._header_line = None
 
 
-class StateStore:
-    """The only reader and writer of compiler-state files.
-
-    A state is one file (``base_path``): :meth:`CompilerState.to_json` —
-    a JSON header line and the sorted record table — as one checksummed
-    artifact.  The build DB keeps its state at ``<db>.state``;
-    ``reproc --state-file X`` keeps it at ``X``.
-
-    :meth:`stage` folds the state, encodes and frames it, and sets its
-    :attr:`~CompilerState.stored_bytes` to the file's size; :meth:`flush`
-    writes it.  An in-memory store (``base_path=None``) stages the same
-    way but keeps nothing to flush, so a DB that never touches the disk
-    still accounts its state exactly as an on-disk one would.
-    """
-
-    def __init__(self, base_path: str | Path | None = None):
-        self.base_path = None if base_path is None else Path(base_path)
-        self._pending: bytes | None = None
-
-    def load(self) -> CompilerState | None:
-        """The persisted state, or ``None`` when there is none usable.
-
-        Decodes the header and no record.  A missing or damaged file, or
-        a base of another schema (such as v6's, which starts with a
-        generation line), is no state.
-        """
-        if self.base_path is None:
-            return None
-        try:
-            state = CompilerState.from_json(read_artifact(self.base_path))
-            state.stored_bytes = self.base_path.stat().st_size
-        except (
-            OSError, CorruptArtifactError, ValueError, KeyError, TypeError,
-            UnicodeDecodeError,
-        ):
-            return None
-        return state
-
-    def stage(self, state: CompilerState) -> None:
-        """Fold ``state``, encode and frame it for :meth:`flush`."""
-        blob = frame(state.to_json())
-        state.stored_bytes = len(blob)
-        if self.base_path is not None:
-            self._pending = blob
-
-    def flush(self) -> None:
-        """Write what :meth:`stage` encoded, with one atomic write."""
-        if self._pending is not None:
-            # Framed at stage time, where its size was needed.
-            atomic_write(self.base_path, self._pending, checksum=False)
-            self._pending = None
-
-
 class BuildDatabase:
     """All build products and metadata for one project tree.
 
     A DB read by :meth:`load` (or written by :meth:`save`) is bound to
-    that path: its compiler state loads lazily from ``<path>.state``
-    the first time :attr:`live_state` is read, and :meth:`save_changes`
-    writes back only what changed.
+    that path, and :meth:`save_changes` writes back only what changed.
     """
 
     def __init__(
@@ -307,16 +238,16 @@ class BuildDatabase:
         self.units: dict[str, UnitRecord] = dict(units or {})
         #: :meth:`link_key` of the last successful link (``None`` = none).
         self.linked: str | None = None
-        #: :meth:`CompilerState.size_summary` as of the state's last
-        #: stage or save; what a build that does not load the state reports.
-        self.state_summary: dict | None = None
         #: Where the DB was loaded from or last saved to.
         self.path: Path | None = None
         #: Size of the DB file at :attr:`path` as last read or written.
         self.disk_bytes = 0
-        self._store = StateStore()
         self._live_state = live_state
-        self._state_loaded = True
+        #: The state section as loaded, until :attr:`live_state` decodes
+        #: it (``None`` then, and when there is no section), and its
+        #: header line.
+        self._state_section: memoryview | None = None
+        self._state_head = b""
         #: Does the DB file need rewriting?
         self._dirty = True
 
@@ -327,28 +258,36 @@ class BuildDatabase:
         """The stateful compiler's dormancy records, carried between builds.
 
         ``None`` until a fine or coarse build runs (stateless and memo
-        builds never create state).  Loaded from the state file on
-        first access.
+        builds never create state).  Decoded from the state section on
+        first access; a section of another state schema is no state.
+        The state handed out may be changed in place, so once it is
+        decoded the next :meth:`save_changes` rewrites the file.
         """
-        if not self._state_loaded:
-            self._state_loaded = True
-            self._live_state = self._store.load()
+        section = self._state_section
+        if section is not None:
+            self._state_section, self._dirty = None, True
+            try:
+                self._live_state = CompilerState.from_json(section.tobytes())
+            except (ValueError, KeyError, TypeError):
+                self._live_state = None
         return self._live_state
 
     @live_state.setter
     def live_state(self, state: CompilerState | None) -> None:
-        self._live_state = state
-        self._state_loaded = True
-
-    def stage_state(self) -> None:
-        """Encode the live state for the next save and refresh
-        :attr:`state_summary`."""
-        state = self._live_state
-        if state is None:
-            raise ValueError("stage_state() without a live state")
-        self._store.stage(state)
-        self.state_summary = state.size_summary()
+        self._live_state, self._state_section = state, None
         self._dirty = True
+
+    def state_size_summary(self) -> dict | None:
+        """The state's :meth:`~CompilerState.size_summary` (``None``
+        without a state), from the section's header line while the state
+        is not decoded."""
+        if self._state_section is None:
+            state = self._live_state
+            return None if state is None else state.size_summary()
+        try:
+            return base_summary(self._state_head, len(self._state_section))
+        except (ValueError, KeyError, TypeError):
+            return None
 
     # -- up-to-date checks --------------------------------------------------
 
@@ -432,24 +371,25 @@ class BuildDatabase:
 
     def to_json(self) -> bytes:
         """The DB file's payload: the JSON prefix line, the deflated
-        header, then every unit's deflated object in the header's unit
-        order."""
+        header, the state section, then every unit's deflated object in
+        the header's unit order."""
         records = sorted(self.units.values(), key=lambda r: r.path)
-        # The records themselves live in <db>.state; this summary lets a
-        # build that never loads them still report them.
-        meta = json.dumps(
-            {"linked": self.linked, "state": self.state_summary}, separators=(",", ":")
-        )
+        meta = json.dumps({"linked": self.linked}, separators=(",", ":"))
         header = "\n".join([meta, *[r.header_line() for r in records]])
         head = zlib.compress(header.encode("utf-8"), 1)
-        prefix = b'{"schema":%d,"header":%d}\n' % (DB_SCHEMA_VERSION, len(head))
-        return b"".join([prefix, head, *[r.object_blob for r in records]])
+        state = self._state_section
+        if state is None:
+            state = b"" if self._live_state is None else self._live_state.to_json()
+        prefix = b'{"schema":%d,"header":%d,"state":%d}\n' % (
+            DB_SCHEMA_VERSION, len(head), len(state)
+        )
+        return b"".join([prefix, head, state, *[r.object_blob for r in records]])
 
     @classmethod
     def _from_payload(cls, prefix: dict, body: bytes) -> "BuildDatabase":
-        """Decode what follows a v7 prefix line: the deflated header,
-        then the deflated objects."""
-        size = prefix["header"]
+        """Decode what follows a v8 prefix line: the deflated header, the
+        state section, then the deflated objects."""
+        size, state_size = prefix["header"], prefix["state"]
         head = body[:size]
         if len(head) != size:
             raise ValueError(f"the header ({size} bytes) overruns the body")
@@ -457,7 +397,17 @@ class BuildDatabase:
             meta, *lines = zlib.decompress(head).decode("utf-8").split("\n")
         except zlib.error as exc:
             raise ValueError(f"the header does not inflate ({exc})") from exc
-        db, offset = cls(), size
+        db, offset = cls(), size + state_size
+        if state_size:
+            # Kept as a view of the body: a build that never reads the
+            # state neither copies nor decodes it.
+            line_end = body.find(b"\n", size, offset)
+            if line_end < 0 or offset > len(body):
+                raise ValueError(
+                    f"the state section ({state_size} bytes) has no header line"
+                )
+            db._state_section = memoryview(body)[size:offset]
+            db._state_head = body[size:line_end]
         for line in lines:
             entry = json.loads(line)
             size = entry["object_bytes"]
@@ -485,40 +435,29 @@ class BuildDatabase:
                 f"header and object lengths add up to {offset} bytes, "
                 f"the body has {len(body)}"
             )
-        meta = json.loads(meta)
-        db.linked, db.state_summary = meta["linked"], meta["state"]
+        db.linked = json.loads(meta)["linked"]
         return db
 
     # -- file I/O -----------------------------------------------------------
 
     def save(self, path: str | Path) -> int:
-        """Write the whole DB and its state to ``path``; returns the DB
-        file's on-disk size, and binds the DB to ``path``.
+        """Write the whole DB to ``path``; returns the file's on-disk
+        size, and binds the DB to ``path``.
 
-        The state goes first, as ``<path>.state``;
-        then the DB, with the checksummed frame + temp file + fsync +
+        One write, with the checksummed frame + temp file + fsync +
         atomic rename of :func:`repro.persist.atomic_write`.
         """
-        path = Path(path)
-        state = self.live_state
-        store = StateStore(f"{path}.state")
-        if state is not None:
-            store.stage(state)
-            store.flush()
-            self.state_summary = state.size_summary()
-        self._store, self.path = store, path
+        self.path = Path(path)
         return self._write()
 
     def save_changes(self) -> int:
         """Write what changed since the DB was loaded or last saved, durably.
 
-        A staged state goes to ``<path>.state``; the DB file is
-        rewritten only when something in it changed.  Returns the DB
-        file's on-disk size.
+        The file is rewritten only when something in it changed.
+        Returns its on-disk size.
         """
         if self.path is None:
             raise ValueError("save_changes() needs a DB loaded from or saved to a path")
-        self._store.flush()
         if self._dirty:
             return self._write()
         return self.disk_bytes
@@ -529,10 +468,8 @@ class BuildDatabase:
         return self.disk_bytes
 
     def _bind(self, path: Path) -> "BuildDatabase":
-        """Attach to ``path``: its state file loads lazily, saves go there."""
+        """Attach to ``path``: saves go there."""
         self.path = path
-        self._store = StateStore(f"{path}.state")
-        self._state_loaded = False
         return self
 
     @classmethod
@@ -541,8 +478,9 @@ class BuildDatabase:
 
         Raises :class:`CorruptDatabaseError` when the file exists but
         its bytes are damaged (zero-byte, torn JSON, failed checksum, a
-        header that overruns the body or does not inflate, object
-        lengths that do not add up to the body) —
+        header that overruns the body or does not inflate, a state
+        section with no header line, section and object lengths that do
+        not add up to the body) —
         callers that just want the disposable-cache behaviour use
         :meth:`load_or_empty`.
         """
@@ -586,8 +524,9 @@ class BuildDatabase:
 
         The returned error (or ``None``) lets callers log the recovery
         without string-matching; the build itself proceeds as a clean
-        full rebuild either way.  The empty DB is still bound to
-        ``path``, so its state file (checksummed separately) is kept.
+        full rebuild either way, with no compiler state.  The empty DB
+        is still bound to ``path``, so the next save replaces the
+        corrupt file.
         """
         try:
             return cls.load(path), None

@@ -29,12 +29,12 @@ variants plug into.  Per build it:
    when the database says these exact link inputs already linked.
 
 Work is proportional to the edit: a build that compiles no unit never
-loads the compiler state, never ticks its GC clock and stages nothing
-for :meth:`BuildDatabase.save_changes` to write; its report's state
-summary comes from the one the database persisted.  A memo-policy
-build keeps no compiler state at all
-(:attr:`~repro.options.CompilerOptions.keeps_state`): it neither reads
-nor writes ``<db>.state``, and its report has no state summary.
+decodes the compiler state and never ticks its GC clock, and its
+report's state summary comes from the state section's header line
+(:meth:`BuildDatabase.state_size_summary`).  A memo-policy build keeps
+no compiler state at all
+(:attr:`~repro.options.CompilerOptions.keeps_state`): it never decodes
+the state section, and its report has no state summary.
 
 The baseline file-level skipping (step 2/4) is deliberately identical
 for both variants: the paper's mechanism is measured as the *additional*
@@ -219,17 +219,14 @@ class IncrementalBuilder:
         if dirty:
             self.tracer.add("compile", "phase", phase_start, report.compile_phase_time)
 
-        if stateful:
-            if error is None:
-                gc_start = time.perf_counter()
-                compiler.state.collect_garbage()
-                if self.tracer.enabled:
-                    self.tracer.add(
-                        "state-gc", "phase", gc_start, time.perf_counter() - gc_start
-                    )
-            self.db.stage_state()
-        if self.options.keeps_state and self.db.state_summary is not None:
-            report.state = dict(self.db.state_summary)
+        if stateful and error is None:
+            gc_start = time.perf_counter()
+            compiler.state.collect_garbage()
+            if self.tracer.enabled:
+                self.tracer.add("state-gc", "phase", gc_start, time.perf_counter() - gc_start)
+        summary = self.db.state_size_summary() if self.options.keeps_state else None
+        if summary is not None:
+            report.state = summary
 
         if error is not None:
             report.metrics = self.metrics.to_dict()

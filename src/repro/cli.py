@@ -31,8 +31,9 @@ read.
 Crash safety & concurrency: builds take an advisory ``flock`` on
 ``<db>.lock`` so concurrent invocations on one directory serialize
 (``--lock-timeout``/``--no-lock`` tune this; a timed-out wait exits 3
-with a "directory is locked" diagnostic), the DB and state files are
-written with the checksummed atomic protocol in :mod:`repro.persist`
+with a "directory is locked" diagnostic), the DB (compiler state
+included) and ``reproc``'s state file are written with the
+checksummed atomic protocol in :mod:`repro.persist`
 (the history is one ``O_APPEND`` line per build), and a corrupt build
 DB is reported and rebuilt from scratch — never a traceback.  Compile
 and link failures exit 1 with a diagnostic, after persisting every unit
@@ -84,9 +85,10 @@ def _common_compiler_flags(parser: argparse.ArgumentParser, policy: str) -> None
         "--policy", choices=[p.value for p in SkipPolicy], default=policy,
         help="what --stateful reuses (default %(default)s): fine = bypass "
              "each dormant (function, pass) pair, coarse = bypass a function's "
-             "whole pipeline when every pass was dormant, both kept in a "
-             "compiler-state file; memo = reuse each unchanged function's "
-             "machine code from the build DB, with no compiler-state file",
+             "whole pipeline when every pass was dormant, both kept as "
+             "compiler state (in the build DB, or reproc's --state-file); memo = "
+             "reuse each unchanged function's machine code from the build DB, "
+             "with no compiler state",
     )
     parser.add_argument(
         "--fingerprint-mode", choices=["canonical", "named"], default="canonical",
@@ -143,8 +145,9 @@ def reproc_main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     setup_logging(args.verbose)
 
-    from repro.buildsys.builddb import StateStore
+    from repro.core.state import CompilerState
     from repro.driver import Compiler
+    from repro.persist import CorruptArtifactError, atomic_write, read_artifact
 
     source_path = Path(args.source)
     if not source_path.is_file():
@@ -155,10 +158,15 @@ def reproc_main(argv: list[str] | None = None) -> int:
     tracer = _make_tracer(args)
     # A missing, damaged or incompatible state file leaves the
     # compiler's fresh state in place: stale records are never used.
-    store = StateStore(args.state_file) if options.keeps_state and args.state_file else None
-    state = store.load() if store is not None else None
+    state_file = args.state_file if options.keeps_state else None
+    state = None
+    if state_file:
+        try:
+            state = CompilerState.from_json(read_artifact(state_file))
+        except (OSError, CorruptArtifactError, ValueError, KeyError, TypeError):
+            pass
     compiler = Compiler(provider, options, state=state, tracer=tracer)
-    if store is not None:
+    if state_file:
         compiler.state.begin_build()
 
     try:
@@ -170,11 +178,10 @@ def reproc_main(argv: list[str] | None = None) -> int:
     if args.trace_out:
         tracer.write(args.trace_out)
 
-    if store is not None:
+    if state_file:
         compiler.state.collect_garbage()
-        store.stage(compiler.state)
         try:
-            store.flush()
+            atomic_write(state_file, compiler.state.to_json())
         except OSError as exc:
             # The state is a cache: losing it costs bypasses on the next
             # run, not correctness — never fail the compile over it.
@@ -288,7 +295,7 @@ def reprobuild_main(argv: list[str] | None = None) -> int:
     after the command the process flushes stdout and stderr and ends
     with :func:`os._exit`, skipping interpreter teardown.  That is safe
     because everything durable is written before the command returns:
-    the DB and state files are fsynced, the history, report and trace
+    the DB is fsynced, the history, report and trace
     files closed, the lock released and any ``-j N`` pool joined.
     In-process callers pass ``argv`` and get the code returned.
     """
@@ -452,7 +459,7 @@ def _locked_build(args: argparse.Namespace, project: Project) -> int:
     if options.keeps_state:
         print(
             f"state: {report.state_records} records ({report.state_bytes} bytes "
-            f"beside a {db_bytes}-byte build DB); "
+            f"of a {db_bytes}-byte build DB); "
             f"bypassed {report.bypass.bypassed}/{report.bypass.bypassed + report.bypass.executions} "
             f"pass runs",
             file=sys.stderr,

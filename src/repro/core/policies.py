@@ -18,8 +18,8 @@
   ``FINE_GRAINED``, so the paper's tables measure the paper's
   mechanism alone.
 
-Fine and coarse keep their dormancy records in a compiler state
-(``<db>.state``, ``reproc --state-file``); see
+Fine and coarse keep their dormancy records in a compiler state (a
+section of the build DB, or ``reproc --state-file``); see
 :attr:`repro.options.CompilerOptions.keeps_state`.
 """
 

@@ -31,19 +31,19 @@ GC timestamp instead of changing the record.  A snapshot therefore
 shares the table and copies no record, and deltas share records with
 the state they came from.
 
-**Persistence.**  The state's one on-disk form is one file, the base
-that :class:`~repro.buildsys.builddb.StateStore` reads and every
-compiling build rewrites, for the build DB (``<db>.state``) and
-``reproc --state-file`` alike.  The base (:meth:`CompilerState.to_json`)
-is a JSON header line and a :class:`RecordTable`: every record as a
-fixed-width binary row, sorted by (position, input fingerprint).
-Loading decodes no record: a lookup bisects the rows and builds a record
-only on a hit.  Writing splices the records written since the load into
-the table (:meth:`CompilerState._fold`), so its cost grows with what the
-build touched, not with the state.  :attr:`CompilerState.stored_bytes`
-is the size of the file, set by the store on every load and stage;
-:meth:`CompilerState.size_summary` reports that number and never
-re-serializes the state to measure it.
+**Persistence.**  The state's one on-disk form is its base
+(:meth:`CompilerState.to_json`): a JSON header line and a
+:class:`RecordTable`, every record as a fixed-width binary row, sorted by
+(position, input fingerprint).  The build DB keeps the base as one
+section of its file (:mod:`repro.buildsys.builddb`); ``reproc
+--state-file`` keeps it as a file of its own.  Loading decodes no
+record: a lookup bisects the rows and builds a record only on a hit.
+Writing splices the records written since the load into the table
+(:meth:`CompilerState._fold`), so its cost grows with what the build
+touched, not with the state.  The header line carries every count of
+:meth:`CompilerState.size_summary`, so :func:`base_summary` reports a
+stored state without decoding it, and ``size_summary`` counts the
+base's bytes without encoding it.
 
 **Garbage collection without a scan.**  The state keeps a lower bound
 on every record's last use: exact after a scan, stored in the base,
@@ -78,9 +78,11 @@ from repro._struct import Struct
 #: encoding each call's callee purity.  v6 has the same keys, but the
 #: base is a JSON header line and a sorted binary table
 #: (:class:`RecordTable`), after a generation line that tied it to a
-#: delta log.  v7 is v6 without the generation line and the log.  A v5
-#: or v6 base loads as no state.
-STATE_SCHEMA_VERSION = 7
+#: delta log.  v7 is v6 without the generation line and the log.  v8
+#: adds the record count and the last GC's reclaim count to the header
+#: line, so a summary reads the header alone.  Older bases load as no
+#: state.
+STATE_SCHEMA_VERSION = 8
 
 #: One table row: the sort key — position (a signed byte) and the raw
 #: 16-byte input fingerprint — then the dormant flag, the last-use
@@ -379,12 +381,9 @@ class CompilerState(Struct):
         self._oldest = min(
             (r.last_used_build for r in self._overlay.values()), default=_NEVER
         )
-        #: Records reclaimed by the most recent :meth:`collect_garbage` of
-        #: this process (not persisted; 0 until GC runs).
+        #: Records reclaimed by the most recent :meth:`collect_garbage`
+        #: (0 until GC runs).
         self.last_gc_reclaimed: int = 0
-        #: On-disk bytes of the state as last written or read (0 = never
-        #: persisted); what :meth:`size_summary` reports.
-        self.stored_bytes: int = 0
 
     # -- record access ------------------------------------------------------
 
@@ -485,20 +484,13 @@ class CompilerState(Struct):
     def size_summary(self) -> dict:
         """Size and GC counters for observability (history/dashboard).
 
-        ``bytes`` is :attr:`stored_bytes` — the state's actual on-disk
-        footprint as last written or read, which is what "monotone state
-        growth" analytics should watch rather than the record count
-        alone.  It is never measured by re-serializing the state.
+        ``bytes`` is the length of :meth:`to_json` — the state's on-disk
+        footprint, which is what "monotone state growth" analytics
+        should watch rather than the record count alone.  It is counted,
+        not encoded: the header line plus one row per record.
         """
-        return {
-            "records": self.num_records,
-            "bytes": self.stored_bytes,
-            "build_counter": self.build_counter,
-            "gc_max_age": self.gc_max_age,
-            "gc_runs": self.gc_runs,
-            "gc_reclaimed_total": self.gc_reclaimed_total,
-            "gc_reclaimed_last": self.last_gc_reclaimed,
-        }
+        head = self._header()
+        return base_summary(head, len(head) + 1 + ROW_BYTES * self._count)
 
     # -- snapshot/delta protocol -------------------------------------------
 
@@ -508,9 +500,9 @@ class CompilerState(Struct):
         It shares the table, which nothing changes in place, and starts
         with an empty overlay, so everything the unit writes (new
         verdict or refreshed timestamp) lands in the copy's overlay and
-        nothing reaches this state.  A build's live state has an empty
-        overlay (a load gives one, every compiling build's stage folds
-        it); any other state folds its overlay first.
+        nothing reaches this state.  A loaded state has an empty overlay
+        and a saved one has folded it; any other state folds its overlay
+        first.
         """
         if self._overlay:
             self._fold()
@@ -584,38 +576,77 @@ class CompilerState(Struct):
         """
         if self._overlay:
             self._fold()
+        return self._header() + b"\n" + self._table.data
+
+    def _header(self) -> bytes:
+        """The base's header line, without its newline.
+
+        A fold without GC changes none of it, so it is the same before
+        and after :meth:`to_json` folds the overlay.
+        """
         header = {
             "schema": STATE_SCHEMA_VERSION,
             "pipeline": self.pipeline_signature,
             "fingerprint_mode": self.fingerprint_mode,
+            "records": self._count,
             "build_counter": self.build_counter,
             "gc_max_age": self.gc_max_age,
             "gc_runs": self.gc_runs,
-            "gc_reclaimed": self.gc_reclaimed_total,
+            "gc_reclaimed_total": self.gc_reclaimed_total,
+            "gc_reclaimed_last": self.last_gc_reclaimed,
             "oldest": self._oldest,
         }
-        text = json.dumps(header, separators=(",", ":"))
-        return text.encode("utf-8") + b"\n" + self._table.data
+        return json.dumps(header, separators=(",", ":")).encode("utf-8")
 
     @classmethod
     def from_json(cls, data: bytes) -> "CompilerState":
         """Inverse of :meth:`to_json`; decodes the header only."""
         head, _, table = data.partition(b"\n")
-        payload = json.loads(head)
-        schema = payload.get("schema") if isinstance(payload, dict) else None
-        if schema != STATE_SCHEMA_VERSION:
-            raise ValueError(f"state schema {schema} != {STATE_SCHEMA_VERSION}")
+        payload = _read_header(head)
         state = cls(
             pipeline_signature=payload["pipeline"],
             fingerprint_mode=payload["fingerprint_mode"],
             build_counter=payload["build_counter"],
             gc_max_age=payload["gc_max_age"],
             gc_runs=payload["gc_runs"],
-            gc_reclaimed_total=payload["gc_reclaimed"],
+            gc_reclaimed_total=payload["gc_reclaimed_total"],
         )
+        state.last_gc_reclaimed = payload["gc_reclaimed_last"]
         state._table = RecordTable(table)
+        if state._table.count != payload["records"]:
+            raise ValueError(
+                f"the header counts {payload['records']} records, the table has "
+                f"{state._table.count}"
+            )
         state._count, state._oldest = state._table.count, payload["oldest"]
         return state
+
+
+def _read_header(head: bytes) -> dict:
+    """A base's header line, decoded; ``ValueError`` if it is not this schema's."""
+    payload = json.loads(head)
+    schema = payload.get("schema") if isinstance(payload, dict) else None
+    if schema != STATE_SCHEMA_VERSION:
+        raise ValueError(f"state schema {schema} != {STATE_SCHEMA_VERSION}")
+    return payload
+
+
+def base_summary(head: bytes, size: int) -> dict:
+    """:meth:`CompilerState.size_summary` of a ``size``-byte base whose
+    header line is ``head``, decoding no record.
+
+    Raises ``ValueError`` (or ``KeyError``) for a header of another schema.
+    """
+    header = _read_header(head)
+    return {
+        "records": header["records"],
+        "bytes": size,
+        "build_counter": header["build_counter"],
+        "gc_max_age": header["gc_max_age"],
+        "gc_runs": header["gc_runs"],
+        "gc_reclaimed_total": header["gc_reclaimed_total"],
+        "gc_reclaimed_last": header["gc_reclaimed_last"],
+    }
 
 
 def pipeline_signature_of(pipeline) -> str:

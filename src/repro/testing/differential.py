@@ -24,9 +24,10 @@ fuzzable property:
 
 When a ``workdir`` is given, the stateful build databases additionally
 round-trip through their files on real disk between steps — a whole
-``save`` on the first step, then ``save_changes`` (a rewrite of
-``<db>.state``) — and the state read back must equal
-the state in memory record for record, GC clock and counters included.
+``save`` on the first step, then ``save_changes`` (a rewrite of the DB
+file, compiler state section included) — and the state read back must
+equal the state in memory record for record, GC clock and counters
+included.
 So the fuzz property covers the crash-consistent persistence format too:
 a checksum, framing or splice bug shows up as a differential failure,
 not just a unit-test failure.
@@ -251,7 +252,7 @@ def run_differential_trace(
                 result.divergences.append(Divergence(
                     step, "persistence",
                     f"{variant[0].value} -j {variant[1]}: compiler state read "
-                    f"back from {db_path.name}.state differs from the state in memory",
+                    f"back from {db_path.name} differs from the state in memory",
                 ))
             if {p: r.memo for p, r in reloaded.units.items()} != {
                 p: r.memo for p, r in db.units.items()

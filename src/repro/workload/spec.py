@@ -9,7 +9,7 @@ body, the way a developer edit touches one function in one file.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 
 def seeded_rng(*parts: object) -> random.Random:

@@ -16,10 +16,20 @@ from repro.persist import atomic_write, read_artifact
 
 
 def split_payload(payload):
-    """A v7 payload's prefix line, deflated header and deflated objects."""
+    """A payload's prefix line, deflated header, state section and
+    deflated objects."""
     head, _, body = payload.partition(b"\n")
-    size = json.loads(head)["header"]
-    return head + b"\n", body[:size], body[size:]
+    sizes = json.loads(head)
+    end = sizes["header"] + sizes["state"]
+    return head + b"\n", body[:sizes["header"]], body[sizes["header"]:end], body[end:]
+
+
+def join_payload(header, state, objects):
+    """The payload of these sections, under a prefix line that fits them."""
+    prefix = b'{"schema":%d,"header":%d,"state":%d}\n' % (
+        DB_SCHEMA_VERSION, len(header), len(state)
+    )
+    return prefix + header + state + objects
 
 
 def snapshot_of(path, text, deps=None):
@@ -123,6 +133,50 @@ class TestRoundTrip:
         assert loaded.units["main.mc"].stats == {"gvn": [3, 1, 2, 40], "dce": [1, 1, 0, 0]}
         # The header is stored deflated: its digests do not appear verbatim.
         assert db.units["main.mc"].source_digest.encode() not in read_artifact(path)
+
+    def test_the_state_is_one_section_of_the_file(self, tmp_path, monkeypatch):
+        db = sample_db()
+        path = tmp_path / "db"
+        db.save(path)
+        _, _, state, _ = split_payload(read_artifact(path))
+        assert state == db.live_state.to_json()
+        assert [p.name for p in tmp_path.iterdir()] == ["db"]
+
+        # Loaded and saved again without reading the state: the section
+        # is written back as it was, and never decoded.
+        decoded = []
+        from_json = CompilerState.from_json
+        monkeypatch.setattr(
+            CompilerState, "from_json",
+            staticmethod(lambda data: decoded.append(1) or from_json(data)),
+        )
+        loaded = BuildDatabase.load(path)
+        summary = loaded.state_size_summary()
+        loaded.record_unit(snapshot_of("util.mc", "int u() { return 1; }"), "{}")
+        loaded.save(path)
+        assert split_payload(read_artifact(path))[2] == state and decoded == []
+        # The summary read from the section's header line is the state's own.
+        assert summary == db.live_state.size_summary()
+        assert summary["bytes"] == len(state) and summary["records"] == 2
+        assert BuildDatabase.load(path).live_state.records == db.live_state.records
+        assert decoded == [1]
+
+    def test_a_state_set_without_reading_replaces_the_section(self, tmp_path):
+        path = tmp_path / "db"
+        sample_db().save(path)
+        loaded = BuildDatabase.load(path)
+        other = CompilerState(pipeline_signature="p3")
+        loaded.live_state = other
+        assert loaded.state_size_summary() == other.size_summary()
+        loaded.save_changes()
+        assert BuildDatabase.load(path).live_state.pipeline_signature == "p3"
+
+    def test_a_stateless_db_has_an_empty_state_section(self, tmp_path):
+        db = BuildDatabase()
+        db.record_unit(snapshot_of("m.mc", "x"), "{}")
+        assert db.to_json().startswith(b'{"schema":%d,' % DB_SCHEMA_VERSION)
+        assert split_payload(db.to_json())[2] == b""
+        assert db.state_size_summary() is None
 
     def test_a_recompiled_unit_replaces_its_loaded_header_line(self, tmp_path):
         db = sample_db()
@@ -243,17 +297,21 @@ class TestCorruptionContract:
 
     def test_object_that_does_not_inflate_raises_typed_error(self, tmp_path):
         path = tmp_path / "db"
-        prefix, header, objects = split_payload(sample_db().to_json())
-        atomic_write(path, prefix + header + bytes(len(objects)))
+        prefix, header, state, objects = split_payload(sample_db().to_json())
+        atomic_write(path, prefix + header + state + bytes(len(objects)))
         record = BuildDatabase.load(path).units["main.mc"]
         with pytest.raises(CorruptDatabaseError, match="does not inflate"):
             record.object_json
 
     def test_header_that_overruns_the_body_raises_typed_error(self, tmp_path):
         path = tmp_path / "db"
-        prefix, header, objects = split_payload(sample_db().to_json())
-        size = len(header) + len(objects) + 1
-        atomic_write(path, b'{"schema":7,"header":%d}\n' % size + header + objects)
+        prefix, header, state, objects = split_payload(sample_db().to_json())
+        size = len(header) + len(state) + len(objects) + 1
+        atomic_write(
+            path,
+            b'{"schema":%d,"header":%d,"state":0}\n' % (DB_SCHEMA_VERSION, size)
+            + header + state + objects,
+        )
         with pytest.raises(CorruptDatabaseError, match="header .* overruns"):
             BuildDatabase.load(path)
         db, err = BuildDatabase.load_or_empty(path)
@@ -261,8 +319,8 @@ class TestCorruptionContract:
 
     def test_header_that_does_not_inflate_raises_typed_error(self, tmp_path):
         path = tmp_path / "db"
-        prefix, header, objects = split_payload(sample_db().to_json())
-        atomic_write(path, prefix + bytes(len(header)) + objects)
+        prefix, header, state, objects = split_payload(sample_db().to_json())
+        atomic_write(path, prefix + bytes(len(header)) + state + objects)
         with pytest.raises(CorruptDatabaseError, match="header does not inflate"):
             BuildDatabase.load(path)
         db, err = BuildDatabase.load_or_empty(path)
@@ -285,11 +343,11 @@ class TestCorruptionContract:
         argv = [str(proj), "--db", str(path), "--stateful", "--no-history", "--no-lock", "--run"]
         assert reprobuild_main(argv) == 0
         clean = {p: r.object_json for p, r in BuildDatabase.load(path).units.items()}
-        prefix, header, objects = split_payload(read_artifact(path))
+        prefix, header, state, objects = split_payload(read_artifact(path))
         if damaged == "objects":
-            atomic_write(path, prefix + header + bytes(len(objects)))
+            atomic_write(path, prefix + header + state + bytes(len(objects)))
         else:
-            atomic_write(path, prefix + bytes(len(header)) + objects)
+            atomic_write(path, prefix + bytes(len(header)) + state + objects)
         capsys.readouterr()
 
         assert reprobuild_main(argv) == 0
@@ -303,13 +361,23 @@ class TestCorruptionContract:
     def test_bad_state_file_keeps_units(self, tmp_path):
         # A compiler-state schema bump must not blow away the object cache.
         path = tmp_path / "db"
-        sample_db().save(path)
-        state_path = tmp_path / "db.state"
-        # The header line, then binary rows.
-        head, _, table = read_artifact(state_path).partition(b"\n")
-        state = json.loads(head)
-        state["schema"] = -1
-        atomic_write(state_path, json.dumps(state).encode() + b"\n" + table)
+        _, header, state, objects = split_payload(sample_db().to_json())
+        # The state's header line, then binary rows.
+        head, _, table = state.partition(b"\n")
+        head = json.loads(head)
+        head["schema"] = -1
+        state = json.dumps(head).encode() + b"\n" + table
+        atomic_write(path, join_payload(header, state, objects))
         loaded = BuildDatabase.load(path)
         assert "main.mc" in loaded.units
-        assert loaded.live_state is None
+        assert loaded.state_size_summary() is None and loaded.live_state is None
+
+    def test_a_state_section_without_a_header_line_raises_typed_error(self, tmp_path):
+        path = tmp_path / "db"
+        _, header, state, objects = split_payload(sample_db().to_json())
+        atomic_write(path, join_payload(header, state.replace(b"\n", b" "), objects))
+        with pytest.raises(CorruptDatabaseError, match="state section"):
+            BuildDatabase.load(path)
+        db, err = BuildDatabase.load_or_empty(path)
+        assert db.units == {} and db.live_state is None
+        assert isinstance(err, CorruptDatabaseError)

@@ -4,7 +4,6 @@ import json
 import re
 import shutil
 import time
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -15,6 +14,7 @@ from repro.cli import (
     reprobuild_main,
     reprobuild_regress_main,
 )
+from repro.buildsys.builddb import BuildDatabase
 from repro.buildsys.report import REPORT_SCHEMA_VERSION
 from repro.obs.history import default_history_path
 from repro.passes.mem2reg import Mem2RegPass
@@ -167,7 +167,7 @@ class TestRegressCommand:
         proj, db = tmp_path / "proj", tmp_path / "build.reprodb"
         for revision in range(3):
             run_build(proj, db, revision)  # --stateful defaults to memo
-        assert not Path(f"{db}.state").exists()
+        assert BuildDatabase.load(db).state_size_summary() is None
         capsys.readouterr()
         rc = reprobuild_regress_main([str(proj), "--db", str(db), "--audit"])
         out = capsys.readouterr().out
@@ -176,7 +176,7 @@ class TestRegressCommand:
         assert audit.startswith("0 bypassed pairs re-executed")
         assert int(audit.split("re-hashed, ")[1].split()[0]) > 0  # memo_checked
         assert "zero collisions" in audit
-        assert not Path(f"{db}.state").exists()
+        assert BuildDatabase.load(db).state_size_summary() is None
 
     def test_audit_without_compiler_state_or_memo_keys_is_an_error(self, tmp_path, capsys):
         proj, db = tmp_path / "proj", tmp_path / "build.reprodb"

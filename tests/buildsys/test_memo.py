@@ -12,15 +12,16 @@ import pytest
 
 import repro.backend
 from repro.backend.mir import MOp
+from repro.buildsys import builddb
 from repro.buildsys.audit import audit_fingerprint_collisions
-from repro.buildsys.builddb import BuildDatabase, StateStore
+from repro.buildsys.builddb import DB_SCHEMA_VERSION, BuildDatabase
 from repro.buildsys.deps import DependencyScanner, content_digest
 from repro.buildsys.explain import explain_unit
 from repro.buildsys.incremental import IncrementalBuilder
 from repro.buildsys.parallel import BuildOptions
 from repro.buildsys.report import BuildReport
 from repro.core.policies import SkipPolicy
-from repro.core.state import pipeline_signature_of
+from repro.core.state import CompilerState, pipeline_signature_of
 from repro.core.stateful import memo_key
 from repro.driver import Compiler, CompilerOptions
 from repro.frontend.includes import MemoryFileProvider
@@ -109,6 +110,16 @@ class TestReuse:
         assert reused > 0
 
 
+def v7_payload(db):
+    """``db`` as schema 7 wrote it: the prefix line had no state section
+    (the state was a file beside the DB), the header a state summary."""
+    payload = db.to_json()
+    prefix, _, body = payload.partition(b"\n")
+    sizes = json.loads(prefix)
+    assert sizes["state"] == 0
+    return b'{"schema":7,"header":%d}\n' % sizes["header"] + body
+
+
 def v6_payload(db):
     """``db`` as schema 6 wrote it: a JSON header line, then the objects."""
     records = sorted(db.units.values(), key=lambda r: r.path)
@@ -143,7 +154,7 @@ def v5_payload(db):
             for r in sorted(db.units.values(), key=lambda r: r.path)
         ],
         "linked": db.linked,
-        "state": db.state_summary,
+        "state": db.state_size_summary(),
     }, separators=(",", ":")).encode("utf-8")
 
 
@@ -165,8 +176,33 @@ class TestLegacySchemas:
         assert report.num_recompiled == len(self.FILES)
         assert objects(old) == stateless_objects(self.FILES)
         old.save_changes()
-        assert read_artifact(path).startswith(b'{"schema":7,')
+        assert read_artifact(path).startswith(b'{"schema":%d,' % DB_SCHEMA_VERSION)
         assert objects(BuildDatabase.load(path)) == objects(old)
+
+    def test_a_v7_database_and_its_state_file_load_empty(self, tmp_path, monkeypatch):
+        # Schema 7 kept the compiler state in a file beside the DB: the
+        # DB loads empty and the file is never read.
+        path, leftover = tmp_path / "b.reprodb", tmp_path / "b.reprodb.state"
+        db = BuildDatabase()
+        build(self.FILES, db)
+        atomic_write(path, v7_payload(db))
+        fine = CompilerOptions(stateful=True)
+        state_db = BuildDatabase()
+        build(self.FILES, state_db, fine)
+        atomic_write(leftover, state_db.live_state.to_json())
+        reads = []
+        monkeypatch.setattr(
+            builddb, "read_artifact", lambda p: reads.append(p) or read_artifact(p)
+        )
+
+        old = BuildDatabase.load(path)
+        assert old.units == {} and old.live_state is None
+        report = build(self.FILES, old, fine)
+        assert report.num_recompiled == len(self.FILES)
+        # A fresh state: the first tick of its GC clock.
+        assert report.state["build_counter"] == 1
+        assert objects(old) == stateless_objects(self.FILES)
+        assert reads == [path]
 
     def test_v4_database_loads_empty_and_rebuilds_clean(self, tmp_path):
         path = tmp_path / "b.reprodb"
@@ -284,15 +320,15 @@ class TestNoDormancyState:
 
     @pytest.fixture()
     def state_loads(self, monkeypatch):
-        """The state files read, in order."""
+        """The byte length of each state decoded, in order."""
         loads = []
-        real = StateStore.load
+        real = CompilerState.from_json
 
-        def load(store):
-            loads.append(store.base_path.name)
-            return real(store)
+        def from_json(data):
+            loads.append(len(data))
+            return real(data)
 
-        monkeypatch.setattr(StateStore, "load", load)
+        monkeypatch.setattr(CompilerState, "from_json", staticmethod(from_json))
         return loads
 
     @staticmethod
@@ -337,28 +373,36 @@ class TestNoDormancyState:
         assert state_loads == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["b.reprodb"]
 
+    @staticmethod
+    def state_section(path):
+        """The state section of the DB file at ``path``."""
+        prefix, _, body = read_artifact(path).partition(b"\n")
+        sizes = json.loads(prefix)
+        return body[sizes["header"]:sizes["header"] + sizes["state"]]
+
     def test_switching_policies_keeps_the_state_for_fine_builds(self, tmp_path, state_loads):
         path = tmp_path / "b.reprodb"
-        state = tmp_path / "b.reprodb.state"
         fine = CompilerOptions(stateful=True)
         projects = list(self.trace(seed=5, edits=3))
         # A fine build leaves the state the memo builds must not touch.
         self.saved_build(projects[0], path, fine)
         for step, options in enumerate([MEMO, fine, MEMO], start=1):
-            before = (state.read_bytes(), state.stat().st_mtime_ns)
+            before = self.state_section(path)
             state_loads.clear()
             db, report = self.saved_build(projects[step], path, options)
             assert objects(db) == self.stateless(projects[step])
             if options is MEMO:
+                # Written back byte for byte, never decoded.
                 assert state_loads == [] and report.state == {}
-                assert (state.read_bytes(), state.stat().st_mtime_ns) == before
+                assert self.state_section(path) == before
             else:
-                # The fine build loads the state its predecessor left.
-                assert state_loads == ["b.reprodb.state"]
+                # The fine build decodes the state its predecessor left.
+                assert state_loads == [len(before)]
                 assert report.state["build_counter"] == 2
                 assert report.metrics["counters"]["state.records_refreshed"] > 0
-                assert state.read_bytes() != before[0]
-        assert StateStore(state).load().build_counter == 2
+                assert self.state_section(path) != before
+        assert BuildDatabase.load(path).live_state.build_counter == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["b.reprodb"]
 
 
 class TestObservability:

@@ -176,7 +176,8 @@ class TestWorkCounts:
     ):
         # The fine policy: the memo policy keeps no state to report.
         policy = ("--policy", "fine") if stateful else ()
-        assert run(tree, capsys, *policy, stateful=stateful)[0] == 0
+        first = ("--report-json", str(tree / "r0.json"))
+        assert run(tree, capsys, *first, *policy, stateful=stateful)[0] == 0
         calls = count_calls(monkeypatch)
         rc, _, err = run(
             tree, capsys, "--report-json", str(tree / "r.json"), *policy, stateful=stateful
@@ -184,16 +185,19 @@ class TestWorkCounts:
         assert rc == 0 and "0 recompiled" in err
         assert calls == {"inflate": 1}  # the DB header
         if stateful:
-            # The state summary still reports, from the persisted one.
+            # The state summary still reports, from the state section's
+            # header line: what the last compiling build reported.
             state = json.loads((tree / "r.json").read_text())["state"]
             assert state["records"] > 0 and state["bytes"] > 0
             assert "gc_runs" in state
+            assert state == json.loads((tree / "r0.json").read_text())["state"]
 
     def test_edit_build_reads_and_writes_state_once(
         self, tmp_path, capsys, monkeypatch
     ):
-        # Every compiling build reads the state file once and rewrites
-        # it once, whatever the edit; nothing is written beside it.
+        # Every compiling build decodes the state once, encodes it once
+        # and writes it with the DB, in one write, whatever the edit;
+        # nothing is written beside the DB.
         spec = make_preset("small", seed=4)
         generate_project(spec).write_to(tmp_path / "proj")
         assert run(tmp_path, capsys, "--policy", "fine")[0] == 0
@@ -207,9 +211,8 @@ class TestWorkCounts:
             assert rc == 0 and "1 recompiled" in err
             assert calls.get("CompilerState.from_json", 0) == 1
             assert calls.get("CompilerState.to_json", 0) == 1
-            assert [p.name for p in tmp_path.glob("build.reprodb.state*")] == [
-                "build.reprodb.state"
-            ]
+            assert calls.get("atomic_write", 0) == 1
+            assert not list(tmp_path.glob("build.reprodb.state*"))
 
     def test_noop_run_links_but_loads_and_writes_nothing(self, tree, capsys, monkeypatch):
         assert run(tree, capsys)[0] == 0

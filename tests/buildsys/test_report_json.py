@@ -78,7 +78,7 @@ class TestSchema:
     def test_state_summary_is_one_dict(self):
         db = BuildDatabase()
         payload = build(db=db, stateful=True).to_dict()
-        assert payload["state"] == db.state_summary
+        assert payload["state"] == db.state_size_summary() == db.live_state.size_summary()
         assert payload["state"]["records"] > 0
         assert not [k for k in payload["summary"] if k.startswith("state")]
         assert not [g for g in payload["metrics"]["gauges"] if g.startswith("state.")]

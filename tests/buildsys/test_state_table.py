@@ -4,8 +4,9 @@ A stateful build probes the base's rows instead of decoding them, so
 these tests pin what must not change with the format: garbage
 collection past ``gc_max_age`` (same records reclaimed, at the same
 build, serial or parallel), objects byte-identical to a stateless
-build, the upgrade from a v5 JSON base or a v6 base (which started with
-a generation line), and a state write that encodes each record once.
+build, the upgrade from an older base in the DB's state section (v5
+JSON, a v6 base that started with a generation line, a v7 header), and
+a state write that encodes each record once.
 """
 
 import json
@@ -13,11 +14,11 @@ import shutil
 
 import pytest
 
-from repro.buildsys.builddb import BuildDatabase, StateStore
+from repro.buildsys.builddb import DB_SCHEMA_VERSION, BuildDatabase
 from repro.cli import reprobuild_main
 from repro.core import state as state_module
 from repro.core.state import CompilerState, DormancyRecord, RecordTable, pack_rows
-from repro.persist import atomic_write
+from repro.persist import atomic_write, read_artifact
 from repro.workload import apply_edit, generate_project, make_preset
 from repro.workload.edits import Edit, EditKind, random_edit_sequence
 
@@ -183,25 +184,53 @@ def v6_base(state) -> bytes:
     return b"1234567890123456\n" + json.dumps(header).encode() + b"\n" + rows
 
 
+def v7_base(state) -> bytes:
+    """``state`` as v7 wrote its base: the header line had no record
+    count and no last reclaim count."""
+    head, _, rows = state.to_json().partition(b"\n")
+    header = json.loads(head)
+    v7 = {
+        "schema": 7, "pipeline": header["pipeline"],
+        "fingerprint_mode": header["fingerprint_mode"],
+        "build_counter": header["build_counter"], "gc_max_age": header["gc_max_age"],
+        "gc_runs": header["gc_runs"], "gc_reclaimed": header["gc_reclaimed_total"],
+        "oldest": header["oldest"],
+    }
+    return json.dumps(v7).encode() + b"\n" + rows
+
+
+def replace_state_section(db, section: bytes) -> None:
+    """Rewrite the DB file ``db`` with ``section`` as its state section."""
+    prefix, _, body = read_artifact(db).partition(b"\n")
+    sizes = json.loads(prefix)
+    head, end = sizes["header"], sizes["header"] + sizes["state"]
+    prefix = b'{"schema":%d,"header":%d,"state":%d}\n' % (
+        DB_SCHEMA_VERSION, head, len(section)
+    )
+    atomic_write(db, prefix + body[:head] + section + body[end:])
+
+
 class TestOldBases:
-    @pytest.mark.parametrize("old_base", [v5_base, v6_base], ids=["v5", "v6"])
-    def test_loads_as_no_state_and_next_build_writes_v7(self, tmp_path, trace, old_base):
+    @pytest.mark.parametrize(
+        "old_base", [v5_base, v6_base, v7_base], ids=["v5", "v6", "v7"]
+    )
+    def test_loads_as_no_state_and_next_build_rewrites_it(self, tmp_path, trace, old_base):
         proj, db = tmp_path / "proj", tmp_path / "build.reprodb"
         generate_project(trace[0]).write_to(proj)
         run(proj, db, "--stateful", "--policy", "fine")
-        atomic_write(f"{db}.state", old_base(BuildDatabase.load(db).live_state))
-        assert StateStore(f"{db}.state").load() is None
+        replace_state_section(db, old_base(BuildDatabase.load(db).live_state))
+        loaded = BuildDatabase.load(db)
+        assert loaded.units and loaded.state_size_summary() is None
+        assert loaded.live_state is None
 
         shutil.rmtree(proj)
         generate_project(trace[1]).write_to(proj)
         summary = run(proj, db, "--stateful", "--policy", "fine")
         # Only bypasses were lost.
         assert summary["build_counter"] == 1 and summary["records"] > 0
-        loaded = StateStore(f"{db}.state").load()
+        loaded = BuildDatabase.load(db).live_state
         assert loaded is not None and loaded.num_records == summary["records"]
-        assert [p.name for p in tmp_path.glob("build.reprodb.state*")] == [
-            "build.reprodb.state"
-        ]
+        assert not list(tmp_path.glob("build.reprodb.state*"))
         stateless = tmp_path / "stateless.reprodb"
         run(proj, stateless)
         assert objects(db) == objects(stateless)
@@ -222,36 +251,32 @@ class TestStageEncodesOnce:
         monkeypatch.setattr(state_module, "pack_rows", pack_rows)
         return counts
 
-    def saved(self, path, n: int) -> CompilerState:
+    def saved(self, path, n: int) -> BuildDatabase:
+        """A DB saved at ``path`` with an ``n``-record state, loaded again."""
         state = CompilerState(pipeline_signature="sig")
         state.begin_build()
         for i in range(n):
             state.remember(i % 5, f"{i:032x}", True, f"{i:032x}")
-        store = StateStore(path)
-        store.stage(state)
-        store.flush()
-        return StateStore(path).load()
+        BuildDatabase(live_state=state).save(path)
+        return BuildDatabase.load(path)
 
     def test_a_compacting_stage_encodes_each_record_once(self, tmp_path, packed):
-        state = self.saved(tmp_path / "s", 400)
-        store = StateStore(tmp_path / "s")
-        state = store.load()
+        db = self.saved(tmp_path / "db", 400)
+        state = db.live_state
         state.begin_build()
         for i in range(400):  # refresh every record: the delta is the state
             state.lookup(i % 5, f"{i:032x}")
         packed.clear()
-        store.stage(state)
+        db.save_changes()
         assert packed == [400]
 
     def test_a_stage_encodes_only_what_was_written(self, tmp_path, packed):
-        self.saved(tmp_path / "s", 400)
-        store = StateStore(tmp_path / "s")
-        state = store.load()
+        db = self.saved(tmp_path / "db", 400)
+        state = db.live_state
         state.begin_build()
         for i in range(10):
             state.lookup(i % 5, f"{i:032x}")
         packed.clear()
-        store.stage(state)
-        store.flush()
+        db.save_changes()
         assert packed == [10]  # spliced into the table's rows, which stay bytes
-        assert StateStore(tmp_path / "s").load().records == state.records
+        assert BuildDatabase.load(tmp_path / "db").live_state.records == state.records

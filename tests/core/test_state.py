@@ -5,7 +5,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.buildsys.builddb import StateStore
+from repro.buildsys.builddb import BuildDatabase
 from repro.cli import reproc_main
 from repro.core import state as state_module
 from repro.core.state import (
@@ -14,11 +14,13 @@ from repro.core.state import (
     DormancyRecord,
     RecordTable,
     STATE_SCHEMA_VERSION,
+    base_summary,
     pack_rows,
     pipeline_signature_of,
 )
 from repro.ir.fingerprint import stable_hash
 from repro.passmanager.pipeline import build_pipeline
+from repro.persist import CorruptArtifactError, atomic_write, read_artifact
 
 
 def digest(name: str) -> str:
@@ -30,11 +32,17 @@ def make_state(**kwargs) -> CompilerState:
     return CompilerState(pipeline_signature="sig", fingerprint_mode="canonical", **kwargs)
 
 
-def save(path, state) -> StateStore:
-    store = StateStore(path)
-    store.stage(state)
-    store.flush()
-    return store
+def save(path, state) -> None:
+    """Write ``state`` as ``reproc --state-file`` does."""
+    atomic_write(path, state.to_json())
+
+
+def load(path) -> CompilerState | None:
+    """The state ``reproc --state-file`` reads, or ``None`` for none usable."""
+    try:
+        return CompilerState.from_json(read_artifact(path))
+    except (OSError, CorruptArtifactError, ValueError, KeyError, TypeError):
+        return None
 
 
 def reproc_state(tmp_path, path, *flags) -> CompilerState:
@@ -43,7 +51,7 @@ def reproc_state(tmp_path, path, *flags) -> CompilerState:
     source.write_text("int f(int x) { return x * 2 + 1; }\nint main() { return f(3); }\n")
     argv = [str(source), "--stateful", "--state-file", str(path), *flags]
     assert reproc_main(argv) == 0
-    return StateStore(path).load()
+    return load(path)
 
 
 class TestRecords:
@@ -126,14 +134,16 @@ class TestSerialization:
         state = make_state()
         state.remember(0, digest("x"), True, digest("x"))
         save(path, state)
-        assert state.stored_bytes == path.stat().st_size
-        loaded = StateStore(path).load()
+        loaded = load(path)
         assert loaded.records == state.records
-        assert loaded.stored_bytes == state.stored_bytes
+        # The summary counts the base's bytes without encoding it, and a
+        # decoded state reports what the encoded one did.
+        assert state.size_summary()["bytes"] == len(read_artifact(path))
+        assert loaded.size_summary() == state.size_summary()
 
     def test_load_missing_file_gives_fresh(self, tmp_path):
         path = tmp_path / "nope.json"
-        assert StateStore(path).load() is None
+        assert load(path) is None
         # reproc compiles with a fresh state and writes it.
         state = reproc_state(tmp_path, path)
         assert state.build_counter == 1 and state.num_records > 0
@@ -141,7 +151,7 @@ class TestSerialization:
     def test_load_corrupt_file_gives_fresh(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{ not json")
-        assert StateStore(path).load() is None
+        assert load(path) is None
         assert reproc_state(tmp_path, path).build_counter == 1
 
     def test_load_incompatible_pipeline_gives_fresh(self, tmp_path):
@@ -168,15 +178,11 @@ class TestSerialization:
 
     def test_a_leftover_log_is_ignored(self, tmp_path):
         path = tmp_path / "state"
-        state = make_state()
-        state.remember(0, digest("x"), True, digest("x"))
-        save(path, state)
         log = tmp_path / "state.log"
         log.write_bytes(b"\n0123456789abcdef not an entry of this state\n")
-        assert StateStore(path).load().records == state.records
-        state.remember(1, digest("y"), True, digest("y"))
-        save(path, state)
-        assert StateStore(path).load().records == state.records
+        first = reproc_state(tmp_path, path)
+        second = reproc_state(tmp_path, path)
+        assert second.build_counter == 2 and set(second.records) == set(first.records)
         assert log.read_bytes() == b"\n0123456789abcdef not an entry of this state\n"
 
 
@@ -329,6 +335,24 @@ def table_state(n: int, **kwargs) -> CompilerState:
 class TestRecordTable:
     """The base: a header line and a sorted table of 38-byte rows."""
 
+    def test_the_header_line_carries_the_summary(self):
+        state = table_state(30, gc_max_age=0)
+        state.begin_build()
+        state.lookup(0, fp(0))
+        state.remember(3, fp(77), True, fp(77))  # in the overlay
+        assert state.collect_garbage() == 29
+        summary = state.size_summary()
+        base = state.to_json()
+        assert summary["bytes"] == len(base) and summary["records"] == 2
+        assert summary["gc_reclaimed_last"] == 29
+        assert base_summary(base.partition(b"\n")[0], len(base)) == summary
+        assert CompilerState.from_json(base).size_summary() == summary
+
+    def test_a_header_that_miscounts_the_rows_is_refused(self):
+        head, _, rows = table_state(5).to_json().partition(b"\n")
+        with pytest.raises(ValueError, match="counts 5 records"):
+            CompilerState.from_json(head + b"\n" + rows[ROW_BYTES:])
+
     def test_base_is_fixed_width_rows(self):
         state = table_state(50)
         head, _, table = state.to_json().partition(b"\n")
@@ -387,14 +411,13 @@ class TestRecordTable:
         state.remember(position, fp_in, False, fp_out)
         with pytest.raises(ValueError):
             state.to_json()
-        state = table_state(50)
-        store = StateStore(tmp_path / "state")
-        store.stage(state)
+        db = BuildDatabase(live_state=table_state(50))
+        db.save(tmp_path / "db")
         with pytest.raises(ValueError):  # probing the table, or packing the rows
-            state.remember(position, fp_in, False, fp_out)
-            store.stage(state)
-        store.flush()  # the last good encoding
-        assert StateStore(tmp_path / "state").load().num_records == 50
+            db.live_state.remember(position, fp_in, False, fp_out)
+            db.save(tmp_path / "db")
+        # The file keeps the last good encoding.
+        assert BuildDatabase.load(tmp_path / "db").live_state.num_records == 50
 
     def test_records_map_is_read_only(self):
         state = table_state(3)
@@ -460,14 +483,12 @@ class TestGarbageBound:
         save(path, state)
 
         def build(*refresh):
-            store = StateStore(path)
-            state = store.load()
+            state = load(path)
             state.begin_build()
             for i in refresh:
                 assert state.lookup(0, fp(i)) is not None
             reclaimed = state.collect_garbage()
-            store.stage(state)
-            store.flush()
+            save(path, state)
             return reclaimed
 
         scans = []
@@ -484,7 +505,7 @@ class TestGarbageBound:
         # Build 7: the bound (1) is stale, so GC scans, finds nothing
         # older than 2, and tightens it to 3 in the base.
         assert build() == 0 and scans == [(2,)]
-        assert StateStore(path).load()._oldest == 3
+        assert load(path)._oldest == 3
         assert build() == 0 and scans == [(2,)]  # build 8: cutoff 3, no scan
 
 

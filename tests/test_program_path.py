@@ -26,7 +26,7 @@ DEMO = Path(__file__).resolve().parent.parent / "examples" / "demo_project"
 COMMAND = "import sys; from repro.cli import reprobuild_main; sys.exit(reprobuild_main())"
 BUILD_LINE = re.compile(r"^build: \d+ recompiled, \d+ up-to-date, \d+\.\d{3}s total.*$", re.M)
 STATE_LINE = re.compile(
-    r"^state: \d+ records \(\d+ bytes beside a \d+-byte build DB\); "
+    r"^state: \d+ records \(\d+ bytes of a \d+-byte build DB\); "
     r"bypassed \d+/\d+ pass runs$",
     re.M,
 )
@@ -77,6 +77,7 @@ def test_build_output_and_files_survive_the_exit(tree):
     assert sorted(db.units) == ["main.mc", "rng.mc", "sort.mc"]
     assert db.linked == db.link_key(sorted(db.units))
     assert db.live_state is not None and db.live_state.num_records > 0
+    assert not list(tree.glob("b.db.state*"))  # the state is a section of b.db
     records, stats = BuildHistory(tree / "b.db.history.jsonl").read()
     assert [r.summary["recompiled"] for r in records] == [3, 1] and stats.corrupt == 0
     assert json.loads((tree / "r.json").read_text())["summary"]["recompiled"] == 1

@@ -1,7 +1,7 @@
 """The crash-recovery matrix: every artifact, every fault point.
 
-For each persistent artifact (build DB, its compiler-state file,
-standalone state file, history JSONL)
+For each persistent artifact (build DB with its compiler-state section,
+``reproc``'s standalone state file, history JSONL)
 the write path is first enumerated fault-free, then replayed once per IO
 operation with a crash (or torn write, or IO error) injected exactly
 there.  After every injected fault, reopening the artifact must yield
@@ -10,16 +10,17 @@ diagnosed full-rebuild fallback — never an unhandled exception.
 """
 
 import errno
+import json
 import shutil
 
 import pytest
 
-from repro.buildsys.builddb import BuildDatabase, CorruptDatabaseError, StateStore
+from repro.buildsys.builddb import BuildDatabase, CorruptDatabaseError
 from repro.buildsys.deps import DependencySnapshot, content_digest
 from repro.core.state import CompilerState
 from repro.ir.fingerprint import stable_hash
 from repro.obs.history import BuildHistory, HistoryRecord
-from repro.persist import atomic_write, read_artifact
+from repro.persist import CorruptArtifactError, atomic_write, read_artifact
 from repro.testing import (
     KILL,
     KILL_AFTER,
@@ -122,17 +123,11 @@ class TestBuildDatabaseMatrix:
                 assert units == set(), label
             else:
                 assert units in (set(old.units), set(new.units)), label
-                # What loaded encodes back to the bytes one save wrote.
+                # What loaded encodes back to the bytes one save wrote,
+                # and its state is the one saved with its units.
                 assert db.to_json() in (old_payload, new_payload), label
-                if units == set(new.units):
-                    # The state files are written before the DB.
-                    assert db.live_state is not None
-                    assert db.live_state.records == new.live_state.records, label
-            state = db.live_state
-            if state is not None:
-                assert state.records in (
-                    old.live_state.records, new.live_state.records
-                ), label
+                saved = new if units == set(new.units) else old
+                assert db.live_state.records == saved.live_state.records, label
             checked += 1
         assert checked == total * 5
 
@@ -142,8 +137,8 @@ class TestBuildDatabaseMatrix:
         # or (a changed schema number) an empty DB — never wrong units.
         path = tmp_path / "build.reprodb"
         payload = make_db(["a.mc", "b.mc"]).to_json()
-        prefix, _, body = payload.partition(b"\n")
-        end = len(prefix) + 1 + int(prefix.split(b":")[-1].rstrip(b"}"))
+        prefix = payload.partition(b"\n")[0]
+        end = len(prefix) + 1 + json.loads(prefix)["header"]
         for offset in range(end):
             damaged = bytearray(payload)
             damaged[offset] ^= 0x01
@@ -174,18 +169,20 @@ class TestBuildDatabaseMatrix:
 
 def saved_state_db(path, records):
     """A DB saved at ``path`` with a ``records``-record state; returns
-    the state's records as a fresh load sees them."""
+    its units and the state's records as a fresh load sees them."""
     for stale in path.parent.glob(f"{path.name}*"):
         stale.unlink()
     db = BuildDatabase()
     db.record_unit(snapshot_of("a.mc", "source of a.mc"), "{}")
     db.live_state = make_state(records)
     db.save(path)
-    return BuildDatabase.load(path).live_state.records
+    loaded = BuildDatabase.load(path)
+    return set(loaded.units), snapshot_records(loaded.live_state)
 
 
 def touch_state(db, *, add, reclaim=False, tag="new"):
-    """Change the state like a compiling build would, and stage it."""
+    """Change the units and the state like a compiling build would."""
+    db.record_unit(snapshot_of(f"{tag}.mc", f"source of {tag}.mc"), "{}")
     state = db.live_state
     state.begin_build()
     assert state.lookup(0, digest("in0")) is not None
@@ -194,7 +191,6 @@ def touch_state(db, *, add, reclaim=False, tag="new"):
     if reclaim:
         state.gc_max_age = 0  # everything this build did not touch
     state.collect_garbage()
-    db.stage_state()
     return db
 
 
@@ -213,8 +209,8 @@ STATE_SCENARIOS = [
 
 
 class TestStateBaseMatrix:
-    """``<db>.state`` under a fault at every op of
-    :meth:`BuildDatabase.save_changes`, which rewrites it."""
+    """The build DB's state section under a fault at every op of
+    :meth:`BuildDatabase.save_changes`, which rewrites the file."""
 
     @pytest.mark.parametrize(
         "name,saved,add,reclaim", STATE_SCENARIOS, ids=[s[0] for s in STATE_SCENARIOS]
@@ -225,29 +221,32 @@ class TestStateBaseMatrix:
         def staged():
             old = saved_state_db(path, saved)
             db = touch_state(BuildDatabase.load(path), add=add, reclaim=reclaim)
-            return old, db, snapshot_records(db.live_state)
+            return old, db, (set(db.units), snapshot_records(db.live_state))
 
         old, db, new = staged()
         assert (db.live_state.last_gc_reclaimed > 0) == reclaim, name
         enumeration = count_io_ops(db.save_changes)
         ops = [op for op, _ in enumeration.log]
-        assert BuildDatabase.load(path).live_state.records == new
-        assert [p.name for p in tmp_path.glob("build.reprodb.state*")] == [
-            "build.reprodb.state"
-        ]
+        loaded = BuildDatabase.load(path)
+        assert (set(loaded.units), loaded.live_state.records) == new
 
         for label, plan in sweep_plans(len(ops)):
             old, db, new = staged()
             run_faulted(db.save_changes, plan)
 
-            reopened, _ = BuildDatabase.load_or_empty(path)
+            reopened, corruption = BuildDatabase.load_or_empty(path)
             state = reopened.live_state  # must never raise
-            records = state.records if state is not None else {}
+            records = snapshot_records(state) if state is not None else {}
             index = plan.specs[0].index
             torn_rename = plan.specs[0].kind == TORN and ops[index] == "replace"
-            # Old or new, never a mixture; an empty state only where a
-            # non-atomic rename tore the base (the lenient-cache fallback).
-            assert records in (old, new) or (torn_rename and records == {}), label
+            # Old units with old records or new units with new records,
+            # never a mixture; an empty DB only where a non-atomic
+            # rename tore the file (the lenient-cache fallback).
+            assert (set(reopened.units), records) in (old, new) or (
+                torn_rename and corruption is not None and not reopened.units
+                and state is None
+            ), label
+            assert [p.name for p in tmp_path.glob("build.reprodb.state*")] == [], label
 
             # The next build's write lands and reads back intact.
             if state is not None:
@@ -259,9 +258,15 @@ class TestStateBaseMatrix:
 
 def save_state(path, state):
     """Write ``state`` to a standalone state file, as ``reproc`` does."""
-    store = StateStore(path)
-    store.stage(state)
-    store.flush()
+    atomic_write(path, state.to_json())
+
+
+def load_state(path):
+    """The state ``reproc`` reads from ``path``, or ``None`` for none usable."""
+    try:
+        return CompilerState.from_json(read_artifact(path))
+    except (OSError, CorruptArtifactError, ValueError, KeyError, TypeError):
+        return None
 
 
 class TestStateFileMatrix:
@@ -275,7 +280,7 @@ class TestStateFileMatrix:
         for label, plan in sweep_plans(total):
             save_state(path, old)
             run_faulted(lambda: save_state(path, new), plan)
-            loaded = StateStore(path).load()
+            loaded = load_state(path)
             # Last-good, fully-new, or none (the lenient-cache fallback).
             records = loaded.num_records if loaded is not None else 0
             assert records in (4, 7, 0), label
@@ -343,6 +348,13 @@ def built_objects(db_path):
     return {p: r.object_json for p, r in BuildDatabase.load(db_path).units.items()}
 
 
+#: ``reprobuild --stateful`` under the paper's policy, which keeps a
+#: compiler state in the DB, and under the default memo policy.
+POLICIES = pytest.mark.parametrize(
+    "policy", [("--policy", "fine"), ()], ids=["fine", "memo"]
+)
+
+
 class TestEndToEndCrashRecovery:
     """A real reprobuild killed mid-persist, then run again."""
 
@@ -354,13 +366,14 @@ class TestEndToEndCrashRecovery:
         generate_project(make_preset("tiny", seed=3)).write_to(tmp_path / "proj")
         return tmp_path
 
-    def test_build_killed_during_db_save_rebuilds_cleanly(self, project_dir, capsys):
+    @POLICIES
+    def test_build_killed_during_db_save_rebuilds_cleanly(self, project_dir, capsys, policy):
         from repro.cli import reprobuild_main
 
         db_path = project_dir / "build.reprodb"
         argv = [
             str(project_dir / "proj"), "--db", str(db_path),
-            "--stateful", "--no-history", "--no-lock", "-j", "1",
+            "--stateful", *policy, "--no-history", "--no-lock", "-j", "1",
         ]
         assert reprobuild_main(argv) == 0
 
@@ -378,8 +391,10 @@ class TestEndToEndCrashRecovery:
             assert reprobuild_main(argv) == 0, f"write#{index}"
             err = capsys.readouterr().err
             assert "Traceback" not in err
+            assert not list(project_dir.glob("build.reprodb.state*"))
 
-    def test_stateful_edit_build_killed_at_every_io_op(self, project_dir, capsys):
+    @POLICIES
+    def test_stateful_edit_build_killed_at_every_io_op(self, project_dir, capsys, policy):
         from repro.cli import reprobuild_main
         from repro.workload import Edit, EditKind, apply_edit, generate_project
         from repro.workload.spec import make_preset
@@ -387,7 +402,7 @@ class TestEndToEndCrashRecovery:
         proj, db_path = project_dir / "proj", project_dir / "build.reprodb"
         argv = [
             str(proj), "--db", str(db_path),
-            "--stateful", "--no-history", "--no-lock", "-j", "1",
+            "--stateful", *policy, "--no-history", "--no-lock", "-j", "1",
         ]
         spec = make_preset("tiny", seed=3)
         assert reprobuild_main(argv) == 0
@@ -420,49 +435,7 @@ class TestEndToEndCrashRecovery:
                 assert reprobuild_main(argv) == 0, (kind, index)
                 assert "Traceback" not in capsys.readouterr().err
                 assert built_objects(db_path) == reference, (kind, index)
-
-
-class TestStateAndDbDrift:
-    """The DB and the state files are written separately, so a crash can
-    pair either one's new version with the other's old one.  Records are
-    content-keyed facts, so every pairing still builds exactly what the
-    stateless compiler builds."""
-
-    def test_every_old_new_pairing_builds_identical_objects(self, tmp_path, capsys):
-        from repro.cli import reprobuild_main
-        from repro.workload import Edit, EditKind, apply_edit, generate_project
-        from repro.workload.spec import make_preset
-
-        proj, db_path = tmp_path / "proj", tmp_path / "build.reprodb"
-        argv = [
-            str(proj), "--db", str(db_path),
-            "--stateful", "--no-history", "--no-lock", "-j", "1",
-        ]
-        spec = make_preset("tiny", seed=5)
-        m0, m1 = spec.modules[:2]
-        first = apply_edit(spec, Edit(EditKind.BODY, m0.name, m0.functions[0].name))
-        on_top = apply_edit(
-            first, Edit(EditKind.CONST_TWEAK, m1.name, m1.functions[0].name)
-        )
-        generations = {}
-        for name, version in (("old", spec), ("new", first)):
-            generate_project(version).write_to(proj)
-            assert reprobuild_main(argv) == 0
-            keep = tmp_path / name
-            keep.mkdir()
-            for f in tmp_path.glob("build.reprodb*"):
-                shutil.copy(f, keep / f.name)
-            generations[name] = keep
-        capsys.readouterr()
-
-        for db_from, state_from in (("old", "new"), ("new", "old")):
-            for f in tmp_path.glob("build.reprodb*"):
-                f.unlink()
-            shutil.copy(generations[db_from] / "build.reprodb", db_path)
-            for f in generations[state_from].glob("build.reprodb.state*"):
-                shutil.copy(f, tmp_path / f.name)
-            # An edit on top, so the mixed state is actually consulted.
-            generate_project(on_top).write_to(proj)
-            assert reprobuild_main(argv) == 0
-            assert "Traceback" not in capsys.readouterr().err
-            assert built_objects(db_path) == stateless_objects(proj)
+                # Under the fine policy the state lives in the DB file.
+                state = BuildDatabase.load(db_path).live_state
+                assert (state is not None) == bool(policy), (kind, index)
+                assert not list(project_dir.glob("build.reprodb.state*")), (kind, index)
